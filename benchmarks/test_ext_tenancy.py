@@ -38,7 +38,7 @@ def regenerate() -> dict:
     for kind in KINDS:
         for admission in ADMISSIONS:
             cells[(kind, admission)] = run_tenant_fleet(
-                population, kind=kind, count=2, engine="event",
+                population, kind=kind, count=2,
                 admission=admission, kv_isolation="shared-prefix",
                 max_batch=8, kv_capacity_tokens=16384)
     rows = []

@@ -50,7 +50,6 @@ from repro.faults.sweep import (  # noqa: E402
     iter_mtbf_rows,
 )
 from repro.fleet import (  # noqa: E402
-    ENGINES,
     fixed_fleet,
     poisson_arrivals,
     replica_spec,
@@ -134,7 +133,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         retry_policy=RetryPolicy(timeout_s=args.timeout,
                                  max_attempts=args.max_attempts,
                                  seed=args.seed),
-        degradation=degradation, engine=args.engine)
+        degradation=degradation)
     requests = poisson_arrivals(args.requests, args.rate, args.mean_prompt,
                                 args.mean_output, seed=args.seed)
     report = fleet.run(requests)
@@ -247,9 +246,6 @@ def _add_workload_args(p: argparse.ArgumentParser, requests: int,
     p.add_argument("--timeout", type=float, default=20.0)
     p.add_argument("--max-attempts", type=int, default=4)
     p.add_argument("--horizon", type=float, default=40.0)
-    p.add_argument("--engine", choices=ENGINES, default="stepped",
-                   help="fleet core: stepped reference or the event-driven "
-                        "columnar engine (bit-identical reports)")
     p.add_argument("--json", type=Path, default=None)
 
 

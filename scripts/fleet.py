@@ -41,7 +41,6 @@ from repro.fleet import (  # noqa: E402
     AutoscalerConfig,
     CapacityPlan,
     CapacityPoint,
-    ENGINES,
     FleetReport,
     FleetSimulator,
     ROUTER_KINDS,
@@ -122,8 +121,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                           boot=_boot(args, kind))
              for kind in args.kind for _ in range(args.replicas)]
     router = make_router(args.router, slo_ttft_s=args.slo_ttft)
-    report = FleetSimulator(specs, router=router,
-                            engine=args.engine).run(_arrivals(args))
+    report = FleetSimulator(specs, router=router).run(_arrivals(args))
     _print_report(report, args.slo_ttft)
     if args.json:
         args.json.write_text(json.dumps(report.to_dict(), indent=2) + "\n")
@@ -141,8 +139,7 @@ def cmd_autoscale(args: argparse.Namespace) -> int:
                           boot=_boot(args, args.kind[0]))
              ] * args.replicas
     router = make_router(args.router, slo_ttft_s=args.slo_ttft)
-    fleet = FleetSimulator(specs, router=router, autoscaler=scaler,
-                           engine=args.engine)
+    fleet = FleetSimulator(specs, router=router, autoscaler=scaler)
     report = fleet.run(_arrivals(args))
     _print_report(report, args.slo_ttft)
     _print_rows("scale events", [
@@ -218,7 +215,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 points = []
                 for point in iter_capacity_points(
                         spec, requests, args.slo_ttft, args.percentile,
-                        args.max_replicas, engine=args.engine):
+                        args.max_replicas):
                     emit(point.to_dict())
                     points.append(point)
                 plans[kind] = _plan_from_points(kind, points, args.slo_ttft,
@@ -261,7 +258,7 @@ def cmd_tenants(args: argparse.Namespace) -> int:
                            seed=args.seed, prefix_tokens=args.prefix_tokens)
     report = run_tenant_fleet(
         population, kind=args.kind[0], count=args.replicas,
-        engine=args.engine, admission=args.admission,
+        admission=args.admission,
         kv_isolation=args.kv_isolation, max_batch=args.max_batch,
         kv_capacity_tokens=args.kv_capacity,
         admission_lookahead=args.admission_lookahead)
@@ -280,7 +277,7 @@ def cmd_tenants(args: argparse.Namespace) -> int:
     if args.inflation:
         inflation = noisy_neighbor_inflation(
             population, kind=args.kind[0], count=args.replicas,
-            engine=args.engine, admission=args.admission,
+            admission=args.admission,
             kv_isolation=args.kv_isolation, max_batch=args.max_batch,
             kv_capacity_tokens=args.kv_capacity,
             admission_lookahead=args.admission_lookahead)
@@ -301,7 +298,7 @@ def cmd_boot(args: argparse.Namespace) -> int:
         return 0
     if args.resume:
         from repro.state import SweepRunner, attest_grid
-        spec = attest_grid(slo_ttft_s=args.slo_ttft, engine=args.engine,
+        spec = attest_grid(slo_ttft_s=args.slo_ttft,
                            point_timeout_s=args.point_timeout)
         runner = SweepRunner.create(args.resume, spec)
         print(f"\nrun dir {args.resume}: {len(runner.completed())}/"
@@ -310,8 +307,7 @@ def cmd_boot(args: argparse.Namespace) -> int:
         by_index = runner.run()
         tax_rows = [by_index[index] for index in sorted(by_index)]
     else:
-        tax_rows = attest_tax_sweep(slo_ttft_s=args.slo_ttft,
-                                    engine=args.engine)
+        tax_rows = attest_tax_sweep(slo_ttft_s=args.slo_ttft)
     _print_rows("attestation tax (phased vs legacy instant boots)",
                 tax_rows)
     if args.json:
@@ -342,10 +338,6 @@ def main(argv: list[str] | None = None) -> int:
                        help="TTFT SLO in seconds")
         p.add_argument("--json", type=Path, default=None,
                        help="also write the report/plan as JSON")
-        p.add_argument("--engine", choices=ENGINES, default="stepped",
-                       help="fleet core: stepped reference or the "
-                            "event-driven columnar engine (bit-identical "
-                            "reports, orders of magnitude faster)")
         p.add_argument("--admission-lookahead", type=int, default=0,
                        help="scheduler head-of-line lookahead window "
                             "(0 = strict head-of-line blocking)")
@@ -416,7 +408,6 @@ def main(argv: list[str] | None = None) -> int:
     ten_p.add_argument("--inflation", action="store_true",
                        help="also run each tenant solo and report "
                             "noisy-neighbor p99-TTFT inflation")
-    ten_p.add_argument("--engine", choices=ENGINES, default="stepped")
     ten_p.add_argument("--json", type=Path, default=None)
     ten_p.set_defaults(func=cmd_tenants)
 
@@ -428,7 +419,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="also re-run the capacity and chaos headlines "
                              "with phased vs instant boots")
     boot_p.add_argument("--slo-ttft", type=float, default=CAPACITY_SLO_TTFT_S)
-    boot_p.add_argument("--engine", choices=ENGINES, default="stepped")
     boot_p.add_argument("--resume", type=Path, default=None,
                         metavar="RUN_DIR",
                         help="with --tax: write-ahead journal the table "

@@ -63,8 +63,8 @@ class FaultInjector:
     def next_due_s(self) -> float | None:
         """Scheduled time of the next undelivered event, if any.
 
-        The event-driven fleet core uses this as a wake candidate so it
-        can jump quiet stretches without missing an injection tick.
+        The fleet uses this as a wake candidate so it can jump quiet
+        stretches without missing an injection tick.
         """
         if self._cursor >= len(self.schedule.events):
             return None

@@ -37,7 +37,7 @@ from .planner import (
     iter_capacity_points,
     evaluate_fleet,
 )
-from .replica import ENGINES, REPLICA_KINDS, Replica, ReplicaSpec, replica_spec
+from .replica import REPLICA_KINDS, Replica, ReplicaSpec, replica_spec
 from .report import FleetReport, ReplicaUsage
 from .router import (
     ROUTER_KINDS,
@@ -57,7 +57,6 @@ __all__ = [
     "ColumnarOutcomes",
     "CostSloRouter",
     "DEFAULT_TICK_S",
-    "ENGINES",
     "FleetReport",
     "FleetSimulator",
     "KvPressureRouter",

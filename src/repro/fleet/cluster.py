@@ -9,23 +9,19 @@ decode steps are not preemptible) but are resynchronized by the
 horizon of the next ``step`` call — the same quantized-time contract
 real cluster managers have with their nodes.
 
-Two engines implement that contract:
-
-* ``engine="stepped"`` — the original core: object-per-request state,
-  every tick executed.
-* ``engine="event"`` — the columnar core: request streams live in
-  numpy columns (:class:`~repro.fleet.table.RequestTable`), replicas
-  run the :class:`~repro.serving.columnar.ColumnarScheduler`, finishes
-  land in an append-only :class:`~repro.fleet.table.OutcomeLog`, and
-  :meth:`FleetSimulator.run` jumps quiet stretches of the tick grid in
-  one composed scheduler step instead of ticking through them.  The
-  jump is taken only when no tick in the stretch could act (no arrival,
-  retry, fault, boot/attest/restart/hang edge, or flight timeout is
-  due, no autoscaler, no draining or slowed replica, nothing held) and
-  always lands *before* the next such edge, so the ticks that do act
-  execute at exactly the stepped engine's clock values — reports are
-  bit-identical, pinned by the ``fleet.event_core_parity`` audit
-  checks.
+Request streams live in numpy columns
+(:class:`~repro.fleet.table.RequestTable`; a ``list[ServeRequest]`` is
+converted on entry), replicas run the columnar
+:class:`~repro.serving.scheduler.ContinuousBatchingScheduler`, and
+finishes land in an append-only :class:`~repro.fleet.table.OutcomeLog`.
+:meth:`FleetSimulator.run` jumps quiet stretches of the tick grid in
+one composed scheduler step instead of ticking through them.  The jump
+is taken only when no tick in the stretch could act (no arrival, retry,
+fault, boot/attest/restart/hang edge, or flight timeout is due, no
+autoscaler, no draining or slowed replica, nothing held) and always
+lands *before* the next such edge, so the ticks that do act execute at
+exactly the clock values of a plain ``run_tick`` loop — reports are
+bit-identical, pinned by the ``fleet.jump_parity`` audit check.
 
 Fault injection (:mod:`repro.faults`) plugs into the same loop: when a
 schedule, retry policy, or degradation policy is supplied, each tick
@@ -52,13 +48,12 @@ from ..faults.injector import FaultInjector
 from ..faults.resilience import DegradationPolicy, RetryPolicy, ShedRequest
 from ..faults.schedule import DEFAULT_DURATION_S, FaultEvent, FaultSchedule
 from ..scaleout.links import link_slowdown_factor
-from ..serving.scheduler import RequestOutcome, ServeRequest
+from ..serving.scheduler import ServeRequest
 from .autoscaler import ReactiveAutoscaler
 from .replica import (
     ATTESTING,
     BOOTING,
     DRAINING,
-    ENGINES,
     FAILED,
     LIVE,
     RETIRED,
@@ -126,33 +121,31 @@ class _ChaosState:
 
 
 class _RunState:
-    """Mid-run loop state (pending arrivals, held work, outcomes).
+    """Mid-run loop state (pending arrivals, held work, finishes).
 
     Hoisting the ``run`` loop's locals into an object is what makes a
     run *snapshotable*: everything the next tick depends on lives here
     or on the replicas/router/autoscaler, never in a stack frame.
+
+    The stream is a :class:`RequestTable`; pending arrivals drain
+    through an arrival-ordered cursor (flat lists plus a head index),
+    and finishes land in an append-only :class:`OutcomeLog`.
     """
 
-    def __init__(self, requests: list[ServeRequest] | RequestTable,
-                 pending: list[ServeRequest], start: float, now: float,
-                 peak: int, chaos: _ChaosState | None) -> None:
-        self.requests = requests
-        self.pending = pending
+    def __init__(self, table: RequestTable, tick_s: float, peak: int,
+                 chaos: _ChaosState | None) -> None:
+        order = table.arrival_order()
+        arrivals = table.arrival_s[order]
+        self.table = table
+        self.pending_arrivals: list[float] = arrivals.tolist()
+        self.pending_rows: list[int] = order.tolist()
+        self.pending_head = 0
         self.held: list[ServeRequest] = []  # arrived but unroutable
-        self.outcomes: dict[int, RequestOutcome] = {}
-        self.start = start
-        self.now = now
+        self.finished = OutcomeLog()
+        self.start = float(arrivals[0])
+        self.now = (self.start // tick_s) * tick_s
         self.peak = peak
         self.chaos = chaos
-        # Event-engine columnar state (all None/unused under "stepped"):
-        # the stream as a RequestTable, the arrival-ordered drain cursor
-        # (flat lists + head pointer instead of pop(0) surgery), and the
-        # append-only finish ledger replacing the outcome dict.
-        self.table: RequestTable | None = None
-        self.pending_arrivals: list[float] = []
-        self.pending_rows: list[int] = []
-        self.pending_head = 0
-        self.finished: OutcomeLog | None = None
 
 
 class FleetSimulator:
@@ -177,10 +170,6 @@ class FleetSimulator:
         degradation: What to do with work the fleet cannot route within
             ``max_hold_s`` — shed by priority, or spill onto emergency
             replicas of another backend.
-        engine: ``"stepped"`` (object-per-request core, every tick
-            executed) or ``"event"`` (columnar core with quiet-tick
-            jumping; bit-identical reports, orders of magnitude faster
-            on large streams).
 
     Supplying any of the three arms the chaos path; leaving all three
     ``None`` runs the exact fault-free instruction sequence.
@@ -192,16 +181,11 @@ class FleetSimulator:
                  tick_s: float = DEFAULT_TICK_S,
                  faults: FaultSchedule | FaultInjector | None = None,
                  retry_policy: RetryPolicy | None = None,
-                 degradation: DegradationPolicy | None = None,
-                 engine: str = "stepped") -> None:
+                 degradation: DegradationPolicy | None = None) -> None:
         if not specs:
             raise ValueError("at least one initial replica spec required")
         if tick_s <= 0:
             raise ValueError("tick_s must be positive")
-        if engine not in ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; "
-                             f"expected one of {ENGINES}")
-        self.engine = engine
         self.router = router or LeastOutstandingRouter()
         self.autoscaler = autoscaler
         self.scale_spec = scale_spec or specs[0]
@@ -225,8 +209,7 @@ class FleetSimulator:
                    boot_latency_s: float, origin: str = "initial") -> Replica:
         replica = Replica(replica_id=len(self.replicas), spec=spec,
                           provisioned_s=provisioned_s,
-                          boot_latency_s=boot_latency_s, origin=origin,
-                          engine=self.engine)
+                          boot_latency_s=boot_latency_s, origin=origin)
         self.replicas.append(replica)
         if self.attestation is not None and needs_attestation(spec.kind):
             self.attestation.enroll(replica.replica_id)
@@ -424,13 +407,12 @@ class FleetSimulator:
         then :meth:`run_tick` while :attr:`run_active`, then
         :meth:`finish_run` — so a checkpoint can capture the loop
         between any two ticks.  :meth:`run` composes exactly these
-        calls; the instruction sequence is unchanged.
+        calls, plus quiet-tick jumps that leave the report unchanged.
 
-        Either engine accepts a ``list[ServeRequest]`` or a
-        :class:`~repro.fleet.table.RequestTable` and converts to its
-        native container; for million-request streams, build the table
-        directly (``poisson_table`` et al.) so no object list ever
-        exists.
+        A ``list[ServeRequest]`` is converted with
+        :meth:`RequestTable.from_requests`; for million-request streams,
+        build the table directly (``poisson_table`` et al.) so no object
+        list ever exists.
 
         Raises:
             ValueError: On an empty stream or if a run is in progress.
@@ -450,35 +432,9 @@ class FleetSimulator:
                 if needs_attestation(replica.spec.kind):
                     assert self.attestation is not None
                     self.attestation.readmit(replica.replica_id)
-        if self.engine == "event":
-            table = (requests if isinstance(requests, RequestTable)
-                     else RequestTable.from_requests(requests))
-            self._run = self._arm_event_run(table, state)
-            return
-        if isinstance(requests, RequestTable):
-            requests = list(requests)
-        pending = sorted(requests, key=lambda r: (r.arrival_s, r.request_id))
-        start = pending[0].arrival_s
-        self._run = _RunState(
-            requests=list(requests), pending=pending, start=start,
-            now=(start // self.tick_s) * self.tick_s,
-            peak=len(self.active), chaos=state)
-
-    def _arm_event_run(self, table: RequestTable,
-                       state: _ChaosState | None) -> _RunState:
-        """Build the columnar run state for an event-engine run."""
-        order = table.arrival_order()
-        arrivals = table.arrival_s[order]
-        start = float(arrivals[0])
-        run = _RunState(
-            requests=table, pending=[], start=start,
-            now=(start // self.tick_s) * self.tick_s,
-            peak=len(self.active), chaos=state)
-        run.table = table
-        run.pending_arrivals = arrivals.tolist()
-        run.pending_rows = order.tolist()
-        run.finished = OutcomeLog()
-        return run
+        table = (requests if isinstance(requests, RequestTable)
+                 else RequestTable.from_requests(requests))
+        self._run = _RunState(table, self.tick_s, len(self.active), state)
 
     @property
     def run_active(self) -> bool:
@@ -487,10 +443,7 @@ class FleetSimulator:
         if run is None:
             return False
         state = run.chaos
-        if run.table is not None:
-            has_pending = run.pending_head < len(run.pending_arrivals)
-        else:
-            has_pending = bool(run.pending)
+        has_pending = run.pending_head < len(run.pending_arrivals)
         return bool(has_pending or run.held
                     or (state is not None and state.retry_queue)
                     or any(r.outstanding for r in self.replicas))
@@ -522,17 +475,13 @@ class FleetSimulator:
 
         due = run.held
         run.held = []
-        if run.table is not None:
-            arrivals = run.pending_arrivals
-            rows = run.pending_rows
-            head, end = run.pending_head, len(arrivals)
-            while head < end and arrivals[head] <= now:
-                due.append(run.table.request(rows[head]))
-                head += 1
-            run.pending_head = head
-        else:
-            while run.pending and run.pending[0].arrival_s <= now:
-                due.append(run.pending.pop(0))
+        arrivals = run.pending_arrivals
+        rows = run.pending_rows
+        head, end = run.pending_head, len(arrivals)
+        while head < end and arrivals[head] <= now:
+            due.append(run.table.request(rows[head]))
+            head += 1
+        run.pending_head = head
         if state is not None:
             due.extend(state.retry_queue.pop_due(now))
         for request in due:
@@ -554,16 +503,7 @@ class FleetSimulator:
 
         for replica in self.replicas:
             if replica.active:
-                finished = replica.step(now)
-                if run.finished is not None:
-                    self._log_finished(replica, finished, run, state)
-                else:
-                    for outcome in finished:
-                        run.outcomes[outcome.request.request_id] = outcome
-                        if state is not None:
-                            state.completed.add(outcome.request.request_id)
-                            state.flights.pop(outcome.request.request_id,
-                                              None)
+                self._log_finished(replica, replica.step(now), run, state)
                 replica.retire_if_drained(now)
         run.peak = max(run.peak, len(self.active))
 
@@ -574,13 +514,12 @@ class FleetSimulator:
 
     def _log_finished(self, replica: Replica, finished: list[int],
                       run: _RunState, state: _ChaosState | None) -> None:
-        """Record event-engine finishes (ids) in the columnar ledger.
+        """Record finished request ids in the run's outcome ledger.
 
         Copies each finished request's timeline triple out of the
-        columnar scheduler and releases the id, so every scheduler's
-        live dict stays O(in-flight) over a million-request run.
+        scheduler and releases the id, so every scheduler's live dict
+        stays O(in-flight) over a million-request run.
         """
-        assert run.finished is not None
         scheduler = replica.scheduler
         for request_id in finished:
             first, finish, preempted = scheduler.finished_triple(request_id)
@@ -590,7 +529,7 @@ class FleetSimulator:
                 state.completed.add(request_id)
                 state.flights.pop(request_id, None)
 
-    # -- quiet-tick jumping (event engine) ------------------------------------
+    # -- quiet-tick jumping ---------------------------------------------------
 
     def _next_wake_s(self, run: _RunState) -> float | None:
         """Earliest future instant at which a tick could *act*.
@@ -641,9 +580,9 @@ class FleetSimulator:
         exact), then lets :meth:`run_tick` execute the next tick
         normally.  The jump always stops *short* of the next wake
         instant, so the tick that handles it runs at exactly the clock
-        value the stepped engine would have used, and ``run.now`` is
-        advanced by repeated ``+= tick_s`` so float accumulation stays
-        bit-identical too.
+        value a plain ``run_tick`` loop would have used, and ``run.now``
+        is advanced by repeated ``+= tick_s`` so float accumulation
+        stays bit-identical too.
 
         Conservative no-jump conditions (any of these makes ticks
         potentially act in ways that are not time-peekable): an armed
@@ -655,7 +594,7 @@ class FleetSimulator:
         composed steps are not time-peekable).
         """
         run = self._run
-        if run is None or run.finished is None:
+        if run is None:
             return
         if self.autoscaler is not None or run.held:
             return
@@ -706,12 +645,8 @@ class FleetSimulator:
         state = run.chaos
         # Replica clocks may overshoot the final tick; the fleet ends
         # when the last request completes.
-        if run.finished is not None:
-            last_finish = run.finished.max_finish_s()
-            end = run.now if last_finish is None else last_finish
-        else:
-            end = max((o.finish_s for o in run.outcomes.values()),
-                      default=run.now)
+        last_finish = run.finished.max_finish_s()
+        end = run.now if last_finish is None else last_finish
         usages = tuple(
             ReplicaUsage(
                 replica_id=r.replica_id, kind=r.spec.kind,
@@ -723,16 +658,9 @@ class FleetSimulator:
                 prefix_hits=r.scheduler.prefix_hits,
                 prefix_misses=r.scheduler.prefix_misses)
             for r in self.replicas)
-        if run.finished is not None:
-            assert run.table is not None
-            ordered = run.finished.to_outcomes(run.table)
-        else:
-            ordered = tuple(run.outcomes[request.request_id]
-                            for request in sorted(run.requests,
-                                                  key=lambda r: r.request_id)
-                            if request.request_id in run.outcomes)
         report = FleetReport(
-            outcomes=ordered, start_s=run.start, end_s=end, replicas=usages,
+            outcomes=run.finished.to_outcomes(run.table),
+            start_s=run.start, end_s=end, replicas=usages,
             scale_events=tuple(self.autoscaler.events)
             if self.autoscaler else (),
             total_preemptions=sum(r.scheduler.preemptions
@@ -749,22 +677,18 @@ class FleetSimulator:
             ) -> FleetReport:
         """Serve a request stream to completion across the fleet.
 
-        Under the event engine, quiet stretches of the tick grid are
-        jumped (see :meth:`_skip_quiet_ticks`); the report is
-        bit-identical to ticking through them.
+        Quiet stretches of the tick grid are jumped (see
+        :meth:`_skip_quiet_ticks`); the report is bit-identical to
+        ticking through them.
 
         Raises:
             ValueError: On an empty stream, or when a request can never
                 fit any replica's KV pool.
         """
         self.begin_run(requests)
-        if self.engine == "event":
-            while self.run_active:
-                self._skip_quiet_ticks()
-                self.run_tick()
-        else:
-            while self.run_active:
-                self.run_tick()
+        while self.run_active:
+            self._skip_quiet_ticks()
+            self.run_tick()
         return self.finish_run()
 
     # -- checkpoint/restore ---------------------------------------------------
@@ -772,13 +696,13 @@ class FleetSimulator:
     def to_state(self) -> dict:
         """Plain-dict snapshot of the whole fleet, mid-run or idle.
 
-        Requests are serialized once (the original stream, in
-        ``run.requests``) and referenced by id from the pending queue,
-        held list, retry heap, and flight table.  Replicas carry their
-        spec fingerprints; restore rebuilds each instance from the
-        *host* simulator's specs (selected by the replica's ``origin``)
-        and refuses a mismatch, so deployments and price catalogs never
-        need to be serialized.
+        The stream is serialized once, as columns; the arrival cursor is
+        a head index (the order is recomputed on restore), and the held
+        list, retry heap and flight table reference requests by id.
+        Replicas carry their spec fingerprints; restore rebuilds each
+        instance from the *host* simulator's specs (selected by the
+        replica's ``origin``) and refuses a mismatch, so deployments and
+        price catalogs never need to be serialized.
         """
         run = self._run
         run_state = None
@@ -813,28 +737,12 @@ class FleetSimulator:
                 "now_s": run.now,
                 "peak": run.peak,
                 "chaos": chaos_state,
+                "requests_table": run.table.to_state(),
+                "pending_head": run.pending_head,
+                "held": [request.request_id for request in run.held],
+                "finished": run.finished.to_state(),
             }
-            if run.table is not None:
-                # Event engine: the stream as columns, the arrival
-                # cursor as a head index (the order is recomputed on
-                # restore), and the finish ledger as columns.
-                run_state["requests_table"] = run.table.to_state()
-                run_state["pending_head"] = run.pending_head
-                run_state["held"] = [request.request_id
-                                     for request in run.held]
-                run_state["finished"] = run.finished.to_state()
-            else:
-                run_state["requests"] = [request.to_state()
-                                         for request in run.requests]
-                run_state["pending"] = [request.request_id
-                                        for request in run.pending]
-                run_state["held"] = [request.request_id
-                                     for request in run.held]
-                run_state["outcomes"] = {str(request_id): outcome.to_state()
-                                         for request_id, outcome
-                                         in run.outcomes.items()}
         return {
-            "engine": self.engine,
             "tick_s": self.tick_s,
             "chaos_armed": self._chaos,
             "initial_replicas": len(self._initial_specs),
@@ -888,11 +796,6 @@ class FleetSimulator:
             raise StateIntegrityError(
                 f"snapshot tick {tick_s:g}s != simulator tick "
                 f"{self.tick_s:g}s")
-        engine = state.get("engine", "stepped")
-        if engine != self.engine:
-            raise StateIntegrityError(
-                f"snapshot was taken under the {engine!r} engine but this "
-                f"simulator runs {self.engine!r}")
         if require(state, "chaos_armed", bool, "$.fleet") != self._chaos:
             raise StateIntegrityError(
                 "snapshot and simulator disagree on whether the chaos "
@@ -914,8 +817,7 @@ class FleetSimulator:
                     f"replica ids not contiguous: slot {index} holds "
                     f"replica {replica_id}")
             spec = self._spec_for_origin(origin, replica_id)
-            replicas.append(Replica.from_state(payload, spec,
-                                               engine=self.engine))
+            replicas.append(Replica.from_state(payload, spec))
         self.replicas = replicas
 
         self.router.from_state(require(state, "router", dict, "$.fleet"))
@@ -933,46 +835,15 @@ class FleetSimulator:
             self.attestation.from_state(attestation_state)
 
         run_state = state.get("run")
-        if run_state is None:
-            self._run = None
-            return
-        if self.engine == "event":
-            self._run = self._event_run_from_state(run_state)
-            return
-        requests = [ServeRequest.from_state(payload) for payload
-                    in require(run_state, "requests", list, "$.fleet.run")]
-        by_id = {request.request_id: request for request in requests}
-
-        def resolve(request_id: object, where: str) -> ServeRequest:
-            if request_id not in by_id:
-                raise StateIntegrityError(
-                    f"{where} references unknown request {request_id!r}")
-            return by_id[request_id]
-
-        chaos = self._chaos_from_state(run_state.get("chaos"), resolve)
-        run = _RunState(
-            requests=requests,
-            pending=[resolve(request_id, "pending queue") for request_id
-                     in require(run_state, "pending", list, "$.fleet.run")],
-            start=require_finite(run_state, "start_s", "$.fleet.run"),
-            now=require_finite(run_state, "now_s", "$.fleet.run"),
-            peak=require(run_state, "peak", int, "$.fleet.run"),
-            chaos=chaos)
-        run.held = [resolve(request_id, "held list") for request_id
-                    in require(run_state, "held", list, "$.fleet.run")]
-        run.outcomes = {int(key): RequestOutcome.from_state(payload)
-                        for key, payload
-                        in require(run_state, "outcomes", dict,
-                                   "$.fleet.run").items()}
-        self._run = run
+        self._run = (None if run_state is None
+                     else self._run_from_state(run_state))
 
     def _chaos_from_state(self, chaos_payload: dict | None,
                           resolve) -> _ChaosState | None:
-        """Rebuild chaos bookkeeping from a snapshot (either engine).
+        """Rebuild chaos bookkeeping from a snapshot.
 
         ``resolve(request_id, where)`` maps a serialized request id
-        back to a request from the run's stream — a dict lookup under
-        the stepped engine, a table row under the event engine.
+        back to a request (a row of the run's table).
         """
         from ..state.errors import StateIntegrityError
         from ..state.schema import require, require_finite
@@ -1031,8 +902,8 @@ class FleetSimulator:
         self.last_chaos = chaos
         return chaos
 
-    def _event_run_from_state(self, run_state: dict) -> _RunState:
-        """Rebuild an event-engine run from its columnar snapshot."""
+    def _run_from_state(self, run_state: dict) -> _RunState:
+        """Rebuild an armed run from its snapshot."""
         from ..state.errors import StateIntegrityError
         from ..state.schema import require, require_finite
 
@@ -1052,7 +923,7 @@ class FleetSimulator:
             return table.request(row)
 
         chaos = self._chaos_from_state(run_state.get("chaos"), resolve)
-        run = self._arm_event_run(table, chaos)
+        run = _RunState(table, self.tick_s, len(self.active), chaos)
         head = require(run_state, "pending_head", int, "$.fleet.run")
         if not 0 <= head <= len(table):
             raise StateIntegrityError(
@@ -1075,11 +946,10 @@ def fixed_fleet(spec: ReplicaSpec, count: int,
                 faults: FaultSchedule | FaultInjector | None = None,
                 retry_policy: RetryPolicy | None = None,
                 degradation: DegradationPolicy | None = None,
-                engine: str = "stepped",
                 ) -> FleetSimulator:
     """A homogeneous fixed-size fleet (the capacity-planning unit)."""
     if count < 1:
         raise ValueError("count must be >= 1")
     return FleetSimulator([spec] * count, router=router, tick_s=tick_s,
                           faults=faults, retry_policy=retry_policy,
-                          degradation=degradation, engine=engine)
+                          degradation=degradation)

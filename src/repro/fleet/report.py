@@ -23,7 +23,6 @@ import numpy as np
 from ..cost.pricing import attribute_cost
 from ..faults.injector import AppliedFault
 from ..faults.resilience import ShedRequest
-from ..serving.scheduler import RequestOutcome, _percentile
 from .autoscaler import ScaleEvent
 from .table import ColumnarOutcomes
 
@@ -32,8 +31,8 @@ def _percentile_array(values: np.ndarray, percentile: float) -> float:
     """Vectorized twin of :func:`repro.serving.scheduler._percentile`.
 
     Same linear interpolation over the same sorted values in the same
-    IEEE-754 doubles — bit-identical to the scalar path, required by
-    the event/stepped report parity contract.
+    IEEE-754 doubles, so fleet and single-replica percentiles agree
+    bit-for-bit.
     """
     if not values.size:
         raise ValueError("no values")
@@ -88,10 +87,10 @@ class FleetReport:
 
     Attributes:
         outcomes: Per-request lifecycle records (completed requests
-            only) in request-id order — a tuple of
-            :class:`RequestOutcome` under the stepped engine, a
-            value-equal :class:`~repro.fleet.table.ColumnarOutcomes`
-            view under the event engine.
+            only) in request-id order, as a
+            :class:`~repro.fleet.table.ColumnarOutcomes` view whose
+            items are :class:`~repro.serving.scheduler.RequestOutcome`
+            records.
         start_s: Earliest arrival in the stream.
         end_s: Completion time of the last request.
         replicas: Billing summary per instance ever provisioned.
@@ -106,7 +105,7 @@ class FleetReport:
         fault_events: Applied fault timeline, in injection order.
     """
 
-    outcomes: tuple[RequestOutcome, ...]
+    outcomes: ColumnarOutcomes
     start_s: float
     end_s: float
     replicas: tuple[ReplicaUsage, ...]
@@ -131,9 +130,7 @@ class FleetReport:
     @property
     def tokens_out(self) -> int:
         """Goodput: tokens of completed requests."""
-        if isinstance(self.outcomes, ColumnarOutcomes):
-            return int(self.outcomes.output_tokens.sum())
-        return sum(o.request.output_tokens for o in self.outcomes)
+        return int(self.outcomes.output_tokens.sum())
 
     @property
     def throughput_tok_s(self) -> float:
@@ -170,16 +167,12 @@ class FleetReport:
     def ttft_percentile(self, percentile: float) -> float:
         if not self.outcomes:
             raise ValueError("no completed requests")
-        if isinstance(self.outcomes, ColumnarOutcomes):
-            return _percentile_array(self.outcomes.ttft_values(), percentile)
-        return _percentile([o.ttft_s for o in self.outcomes], percentile)
+        return _percentile_array(self.outcomes.ttft_values(), percentile)
 
     def e2e_percentile(self, percentile: float) -> float:
         if not self.outcomes:
             raise ValueError("no completed requests")
-        if isinstance(self.outcomes, ColumnarOutcomes):
-            return _percentile_array(self.outcomes.e2e_values(), percentile)
-        return _percentile([o.e2e_s for o in self.outcomes], percentile)
+        return _percentile_array(self.outcomes.e2e_values(), percentile)
 
     def slo_attainment(self, slo_ttft_s: float) -> float:
         """Fraction of submitted requests whose TTFT met the SLO.
@@ -192,11 +185,7 @@ class FleetReport:
             raise ValueError("slo_ttft_s must be positive")
         if not self.submitted:
             raise ValueError("no requests submitted")
-        if isinstance(self.outcomes, ColumnarOutcomes):
-            met = int(np.count_nonzero(
-                self.outcomes.ttft_values() <= slo_ttft_s))
-        else:
-            met = sum(1 for o in self.outcomes if o.ttft_s <= slo_ttft_s)
+        met = int(np.count_nonzero(self.outcomes.ttft_values() <= slo_ttft_s))
         return met / self.submitted
 
     def slo_curve(self, slos_s: list[float]) -> dict[float, float]:

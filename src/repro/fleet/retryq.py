@@ -3,9 +3,9 @@
 Before this helper existed, :mod:`repro.fleet.cluster` open-coded the
 same ``heapq`` triple ``(due_s, request_id, request)`` in three places
 — requeueing failed attempts, draining due retries each tick, and
-shedding the queue when the fleet goes unroutable.  The event-driven
-engine adds a fourth consumer (the quiet-tick skipper needs to *peek*
-the next due time), which made the duplication a liability: one class
+shedding the queue when the fleet goes unroutable.  The quiet-tick
+skipper adds a fourth consumer (it needs to *peek* the next due
+time), which made the duplication a liability: one class
 now owns the ordering invariant.
 
 Ordering matches the original open-coded heap exactly: entries pop in

@@ -1,10 +1,10 @@
-"""Columnar request streams and outcome ledgers for the event engine.
+"""Columnar request streams and outcome ledgers for the fleet core.
 
 A million-request fleet run cannot afford a million
 :class:`~repro.serving.scheduler.ServeRequest` /
-:class:`~repro.serving.scheduler.RequestOutcome` objects plus the
-O(n)-per-tick list surgery the object path does.  This module holds the
-three columnar twins the event-driven core runs on instead:
+:class:`~repro.serving.scheduler.RequestOutcome` objects plus
+O(n)-per-tick list surgery.  This module holds the three columnar
+containers the fleet runs on instead:
 
 * :class:`RequestTable` — the request stream as numpy columns (arrival,
   prompt, output, priority, id).  The seeded generators fill the
@@ -20,9 +20,8 @@ three columnar twins the event-driven core runs on instead:
   feed the vectorized percentile/SLO math in
   :mod:`repro.fleet.report`.
 
-Everything here is a container; the parity contract (event reports are
-bit-identical to stepped reports) is pinned by the
-``fleet.event_core_parity`` audit checks.
+Everything here is a container; the fleet's behavior is pinned by the
+golden snapshots and the ``fleet.jump_parity`` audit check.
 """
 
 from __future__ import annotations
@@ -46,9 +45,9 @@ class RequestTable(Sequence):
     """A request stream stored as parallel numpy columns.
 
     Value-equal to a ``list[ServeRequest]`` (materialize any row with
-    :meth:`request`) but holds five flat arrays instead of n objects —
+    :meth:`request`) but holds flat arrays instead of n objects —
     ~50 bytes/request instead of ~500, and O(1) column access for the
-    event core's arrival drain and the report's percentile math.
+    fleet's arrival drain and the report's percentile math.
     """
 
     __slots__ = ("request_id", "arrival_s", "prompt_tokens",
@@ -120,9 +119,9 @@ class RequestTable(Sequence):
     def arrival_order(self) -> np.ndarray:
         """Row indices sorted by (arrival_s, request_id).
 
-        The exact order the stepped engine's
+        The order of
         ``sorted(requests, key=lambda r: (r.arrival_s, r.request_id))``
-        produces — lexsort's last key is primary.
+        — lexsort's last key is primary.
         """
         return np.lexsort((self.request_id, self.arrival_s))
 
@@ -253,10 +252,9 @@ def make_arrival_table(kind: str, count: int, rate_per_s: float,
 class ColumnarOutcomes(Sequence):
     """Completed-request records as columns, in request-id order.
 
-    Drop-in for the ``tuple[RequestOutcome, ...]`` a stepped-engine
-    :class:`~repro.fleet.report.FleetReport` carries: iteration and
-    indexing materialize value-equal :class:`RequestOutcome` objects on
-    demand, while the report's aggregate math reads the raw columns.
+    The outcomes of a :class:`~repro.fleet.report.FleetReport`:
+    iteration and indexing materialize :class:`RequestOutcome` records
+    on demand, while the report's aggregate math reads the raw columns.
     """
 
     __slots__ = ("request_id", "arrival_s", "prompt_tokens", "output_tokens",
@@ -311,12 +309,12 @@ class ColumnarOutcomes(Sequence):
 
 
 class OutcomeLog:
-    """Append-only finish ledger the event engine fills as requests end.
+    """Append-only finish ledger the fleet fills as requests end.
 
-    One ``record`` per completed request, in completion order; the
-    stepped engine's ``dict[id, RequestOutcome]`` collapses to four
-    flat arrays.  :meth:`to_outcomes` joins the ledger back against the
-    request stream into the request-id-ordered view reports expect.
+    One ``record`` per completed request, in completion order, held as
+    four flat arrays.  :meth:`to_outcomes` joins the ledger back
+    against the request stream into the request-id-ordered view
+    reports expect.
     """
 
     __slots__ = ("_ids", "_first", "_finish", "_preempt")

@@ -5,7 +5,6 @@ from .admission import (
     KV_ISOLATION_MODES,
     TenancyConfig,
 )
-from .columnar import ColumnarScheduler
 from .scheduler import (
     ContinuousBatchingScheduler,
     RequestOutcome,
@@ -16,8 +15,7 @@ from .scheduler import (
 from .stepcost import StepCostTable
 
 __all__ = [
-    "ADMISSION_POLICIES", "ColumnarScheduler",
-    "ContinuousBatchingScheduler", "KV_ISOLATION_MODES", "RequestOutcome",
-    "ServeRequest", "ServingReport", "StepCostTable", "TenancyConfig",
-    "poisson_stream",
+    "ADMISSION_POLICIES", "ContinuousBatchingScheduler",
+    "KV_ISOLATION_MODES", "RequestOutcome", "ServeRequest", "ServingReport",
+    "StepCostTable", "TenancyConfig", "poisson_stream",
 ]

@@ -1,11 +1,10 @@
 """Multi-tenant admission and KV-isolation policy configuration.
 
 :class:`TenancyConfig` is the single value object that arms tenancy in
-both scheduler engines (:mod:`repro.serving.scheduler` and
-:mod:`repro.serving.columnar`).  It lives in the serving layer — not in
-:mod:`repro.tenancy` — because the schedulers must consume it without
-importing the higher tenancy plane (tenancy -> fleet -> serving is the
-only allowed direction).
+the scheduler (:mod:`repro.serving.scheduler`).  It lives in the
+serving layer — not in :mod:`repro.tenancy` — because the scheduler
+must consume it without importing the higher tenancy plane (tenancy ->
+fleet -> serving is the only allowed direction).
 
 Admission policies
 ------------------
@@ -192,12 +191,3 @@ class TenancyConfig:
             raise StateValueError(
                 f"invalid tenancy payload: {error}") from error
 
-
-def prefix_seq_id(tenant_id: int) -> int:
-    """Pseudo sequence id pinning a tenant's shared prefix in the cache.
-
-    Real request ids are non-negative, so negative ids can never
-    collide; ``-(tenant_id + 1)`` keeps tenant 0 distinct from any
-    request.
-    """
-    return -(tenant_id + 1)

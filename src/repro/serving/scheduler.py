@@ -4,20 +4,29 @@ The paper's GPU experiments run vLLM, whose scheduler forms decode
 batches dynamically from an arriving request stream and manages KV
 memory in pages, preempting (and recomputing) requests when blocks run
 out.  This module implements that serving loop over the repository's
-substrates: admission and preemption run against the functional
-:class:`~repro.llm.kvcache.PagedKVCache`, and step durations come from
-the same TEE-aware cost model as every other experiment — so serving
-SLAs (TTFT, end-to-end latency) can be compared across bare metal, TDX,
-and (c)GPU deployments.
+substrates: admission and preemption run against paged KV memory, and
+step durations come from the same TEE-aware cost model as every other
+experiment — so serving SLAs (TTFT, end-to-end latency) can be compared
+across bare metal, TDX, and (c)GPU deployments.
+
+Request state is columnar: per-request fields live in append-only
+``array`` columns keyed by submission slot, the running batch is a set
+of parallel lists, and the paged KV cache collapses to block *counts*
+(a free counter plus per-sequence held counts) — block identities
+never influence scheduling, only availability does.  That keeps live
+state O(in-flight), so one fleet run can push a million requests.  The
+independent reference is ``repro.validate``'s
+``serving.legacy_loop_parity`` check: a frozen transcription of the
+original run-to-completion loop over a real
+:class:`~repro.llm.kvcache.PagedKVCache`, which ``run()`` must match
+bit-for-bit.
 
 The scheduler is *incrementally steppable*: the fleet simulator
 (:mod:`repro.fleet`) drives many replicas against a shared clock via
 :meth:`ContinuousBatchingScheduler.submit` and
 :meth:`ContinuousBatchingScheduler.step`, while :meth:`~
 ContinuousBatchingScheduler.run` remains the single-replica
-run-to-completion entry point (a thin wrapper over ``step``; its output
-is pinned bit-identical to the pre-refactor loop by
-``repro.validate``'s ``serving.legacy_loop_parity`` check).
+run-to-completion entry point.
 
 Admission policy (head-of-line).  By default admission is strict FCFS:
 the admission loop ``break``s on the first queued request whose KV
@@ -40,15 +49,14 @@ sequence, so unarmed runs stay bit-identical to earlier releases.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import insort
 from dataclasses import dataclass
-
 
 from ..engine.placement import Deployment
 from ..llm.config import ModelConfig
 from ..llm.datatypes import DType
-from ..llm.kvcache import PagedKVCache
-from .admission import TenancyConfig, prefix_seq_id
+from .admission import TenancyConfig
 from .stepcost import StepCostTable
 
 
@@ -141,26 +149,6 @@ class RequestOutcome:
         """End-to-end latency."""
         return self.finish_s - self.request.arrival_s
 
-    def to_state(self) -> dict:
-        """Plain-dict snapshot of this lifecycle record."""
-        return {
-            "request": self.request.to_state(),
-            "first_token_s": self.first_token_s,
-            "finish_s": self.finish_s,
-            "preemptions": self.preemptions,
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "RequestOutcome":
-        from ..state.schema import require
-        return cls(
-            request=ServeRequest.from_state(
-                require(state, "request", dict, "$.outcome")),
-            first_token_s=require(state, "first_token_s", float, "$.outcome"),
-            finish_s=require(state, "finish_s", float, "$.outcome"),
-            preemptions=require(state, "preemptions", int, "$.outcome"),
-        )
-
 
 @dataclass(frozen=True)
 class ServingReport:
@@ -222,21 +210,16 @@ def _percentile(values: list[float], percentile: float) -> float:
     return ordered[lower] + (ordered[upper] - ordered[lower]) * fraction
 
 
-@dataclass
-class _Running:
-    request: ServeRequest
-    outcome: RequestOutcome
-    generated: int = 0
-
-
 class ContinuousBatchingScheduler:
-    """vLLM-style continuous batching over a paged KV cache.
+    """vLLM-style continuous batching over a paged KV pool.
 
     The scheduler is a state machine over (waiting, running, clock):
     :meth:`submit` enqueues requests, :meth:`step` advances the
     admission/decode/preemption loop up to a time horizon (the fleet
     simulator's shared-clock contract), and :meth:`run` serves a whole
-    stream to completion in one call.
+    stream to completion in one call.  When KV blocks run out during
+    decode the youngest sequence is preempted and later recomputed from
+    scratch, as vLLM does.
 
     Args:
         deployment: Where the model serves (any backend).
@@ -271,26 +254,46 @@ class ContinuousBatchingScheduler:
         self.admission = tenancy.admission if tenancy else "fcfs"
         self.kv_isolation = tenancy.kv_isolation if tenancy else "shared"
         self._wfq = self.admission == "wfq"
-        self.cache = PagedKVCache(
-            num_blocks=max(1, kv_capacity_tokens // block_size),
-            block_size=block_size)
+        self.num_blocks = max(1, kv_capacity_tokens // block_size)
         self._costs = StepCostTable.shared(deployment, model, dtype)
         self._time_scale = 1.0
         self._reset()
 
     def _reset(self) -> None:
-        # Unpin any shared prefixes left from a previous run() so the
-        # block pool starts whole (guarded: __init__ calls _reset before
-        # the tenancy attributes exist).
-        for tenant_id in getattr(self, "_prefix_resident", ()):
-            self.cache.free(prefix_seq_id(tenant_id))
-        self._waiting: list[ServeRequest] = []
-        self._running: list[_Running] = []
-        self._outcomes: dict[int, RequestOutcome] = {}
-        self._order: list[int] = []
+        # Append-only per-request columns, indexed by submission slot.
+        self._col_id = array("q")
+        self._col_arrival = array("d")
+        self._col_prompt = array("l")
+        self._col_output = array("l")
+        self._col_priority = array("l")
+        self._col_tenant = array("l")
+        self._col_first = array("d")
+        self._col_finish = array("d")
+        self._col_preempt = array("l")
+        self._slot: dict[int, int] = {}   # live request id -> slot
+        self._dead: set[int] = set()      # forgotten/released slots
+        # Waiting queue: (arrival_s, request_id) tuples under FCFS,
+        # (wfq_tag, arrival_s, request_id) under WFQ — either way the
+        # request id is entry[-1] and the arrival entry[-2].  Sorted,
+        # except that FCFS preemptions re-enter at the head.
+        self._waiting: list[tuple] = []
+        # Running batch as parallel lists.  ``_run_kvlen`` is the KV
+        # length the sequence was admitted with — the prompt, or just
+        # the suffix under shared-prefix isolation — the basis of the
+        # block-boundary test during decode.
+        self._run_ids: list[int] = []
+        self._run_prompt: list[int] = []
+        self._run_output: list[int] = []
+        self._run_gen: list[int] = []
+        self._run_blocks: list[int] = []
+        self._run_slot: list[int] = []
+        self._run_kvlen: list[int] = []
+        self._free_blocks = self.num_blocks
+        self._ctx_total = 0               # sum(prompt + generated) over batch
         self._clock = 0.0
         self._preemptions = 0
-        self._occupancy: list[int] = []
+        self._occ_sum = 0
+        self._occ_count = 0
         self._first_arrival: float | None = None
         # Tenancy runtime state (inert when unarmed).
         self._wfq_v = 0.0
@@ -302,23 +305,13 @@ class ContinuousBatchingScheduler:
         self._kv_reserved: dict[int, tuple[int, int]] = {}
         if self.tenancy is not None and self.kv_isolation == "partition":
             self._tenant_budget_cap = self.tenancy.partition_budgets(
-                self.cache.num_blocks)
+                self.num_blocks)
             self._tenant_budget = dict(self._tenant_budget_cap)
         else:
             self._tenant_budget_cap = {}
             self._tenant_budget = {}
 
-    # -- cost helpers ---------------------------------------------------------
-    # Both delegate to the shared StepCostTable so the columnar twin
-    # charges bit-identical durations (see repro.serving.stepcost).
-
-    def _decode_step_s(self, batch: int, context: int) -> float:
-        return self._costs.decode_step_s(batch, context)
-
-    def _prefill_s(self, prompt_tokens: int) -> float:
-        return self._costs.prefill_s(prompt_tokens)
-
-    # -- steppable state machine ----------------------------------------------
+    # -- introspection --------------------------------------------------------
 
     @property
     def clock_s(self) -> float:
@@ -328,7 +321,7 @@ class ContinuousBatchingScheduler:
     @property
     def outstanding(self) -> int:
         """Requests admitted or queued but not yet finished."""
-        return len(self._waiting) + len(self._running)
+        return len(self._waiting) + len(self._run_ids)
 
     @property
     def queue_depth(self) -> int:
@@ -338,12 +331,12 @@ class ContinuousBatchingScheduler:
     @property
     def kv_free_fraction(self) -> float:
         """Fraction of the KV block pool currently free."""
-        return self.cache.free_blocks / self.cache.num_blocks
+        return self._free_blocks / self.num_blocks
 
     @property
     def idle(self) -> bool:
         """No admitted or queued work."""
-        return not self._waiting and not self._running
+        return not self._waiting and not self._run_ids
 
     @property
     def preemptions(self) -> int:
@@ -385,12 +378,49 @@ class ContinuousBatchingScheduler:
             return step_s * self._time_scale
         return step_s
 
+    # -- request materialization ----------------------------------------------
+
+    def _request_at(self, slot: int) -> ServeRequest:
+        return ServeRequest(request_id=self._col_id[slot],
+                            arrival_s=self._col_arrival[slot],
+                            prompt_tokens=self._col_prompt[slot],
+                            output_tokens=self._col_output[slot],
+                            priority=self._col_priority[slot],
+                            tenant_id=self._col_tenant[slot])
+
+    def request(self, request_id: int) -> ServeRequest:
+        """Materialize the live request with this id (value-equal copy)."""
+        return self._request_at(self._slot[request_id])
+
+    def output_tokens(self, request_id: int) -> int:
+        """Output-token target of a live request (fleet accounting hook)."""
+        return self._col_output[self._slot[request_id]]
+
+    def finished_triple(self, request_id: int) -> tuple[float, float, int]:
+        """``(first_token_s, finish_s, preemptions)`` of a live record."""
+        slot = self._slot[request_id]
+        return (self._col_first[slot], self._col_finish[slot],
+                self._col_preempt[slot])
+
+    def release(self, request_id: int) -> None:
+        """Drop the live record of a *finished* request.
+
+        The fleet copies the timeline triple into its own ledger as
+        finishes surface, then releases the id here so the scheduler's
+        live dict stays O(in-flight) over a 1M-request run.
+        The append-only columns retain the slot (cheap: a few plain
+        scalars), it just no longer appears in :meth:`report`.
+        """
+        self._forget(request_id)
+
+    # -- admission ------------------------------------------------------------
+
     def _check_fits(self, request: ServeRequest) -> None:
         needed = request.prompt_tokens + request.output_tokens
-        if needed > self.cache.num_blocks * self.block_size:
+        if needed > self.num_blocks * self.block_size:
             raise ValueError(
                 f"request {request.request_id} needs {needed} KV tokens, "
-                f"pool holds {self.cache.num_blocks * self.block_size}")
+                f"pool holds {self.num_blocks * self.block_size}")
         if self.kv_isolation == "partition":
             cap = self._tenant_budget_cap.get(request.tenant_id)
             if cap is None:
@@ -404,11 +434,6 @@ class ContinuousBatchingScheduler:
                     f"blocks, tenant {request.tenant_id} partition holds "
                     f"{cap}")
 
-    def _wfq_key(self, request: ServeRequest) -> tuple[float, float, int]:
-        """Waiting-queue sort key under WFQ: (finish tag, arrival, id)."""
-        return (self._wfq_tag[request.request_id], request.arrival_s,
-                request.request_id)
-
     def submit(self, request: ServeRequest) -> None:
         """Enqueue one request for service (fleet/step entry point).
 
@@ -417,11 +442,20 @@ class ContinuousBatchingScheduler:
                 reuses an id still in flight.
         """
         self._check_fits(request)
-        if request.request_id in self._outcomes:
+        if request.request_id in self._slot:
             raise ValueError(f"request id {request.request_id} already "
                              "submitted to this replica")
-        self._outcomes[request.request_id] = RequestOutcome(request=request)
-        self._order.append(request.request_id)
+        slot = len(self._col_id)
+        self._col_id.append(request.request_id)
+        self._col_arrival.append(request.arrival_s)
+        self._col_prompt.append(request.prompt_tokens)
+        self._col_output.append(request.output_tokens)
+        self._col_priority.append(request.priority)
+        self._col_tenant.append(request.tenant_id)
+        self._col_first.append(0.0)
+        self._col_finish.append(0.0)
+        self._col_preempt.append(0)
+        self._slot[request.request_id] = slot
         if self._wfq:
             # SCFQ tag: chain on the tenant's previous virtual finish,
             # floored at the global virtual clock.
@@ -431,72 +465,103 @@ class ContinuousBatchingScheduler:
                            / self.tenancy.weight_of(request.tenant_id))
             self._wfq_fin[request.tenant_id] = tag
             self._wfq_tag[request.request_id] = tag
-            insort(self._waiting, request, key=self._wfq_key)
+            insort(self._waiting,
+                   (tag, request.arrival_s, request.request_id))
         else:
-            insort(self._waiting, request,
-                   key=lambda r: (r.arrival_s, r.request_id))
-        if self._first_arrival is None or request.arrival_s < self._first_arrival:
+            insort(self._waiting, (request.arrival_s, request.request_id))
+        if (self._first_arrival is None
+                or request.arrival_s < self._first_arrival):
             self._first_arrival = request.arrival_s
 
     def _forget(self, request_id: int) -> None:
-        """Drop all bookkeeping for an unfinished request."""
-        self._outcomes.pop(request_id, None)
+        """Drop all live bookkeeping for a request."""
         self._wfq_tag.pop(request_id, None)
-        if request_id in self._order:
-            self._order.remove(request_id)
+        slot = self._slot.pop(request_id, None)
+        if slot is not None:
+            self._dead.add(slot)
+
+    def _release_reserve(self, request_id: int) -> None:
+        """Return a partition-mode worst-case reservation, if any."""
+        reserved = self._kv_reserved.pop(request_id, None)
+        if reserved is not None:
+            tenant_id, blocks = reserved
+            self._tenant_budget[tenant_id] += blocks
 
     def cancel(self, request_id: int) -> tuple[ServeRequest, int] | None:
         """Withdraw an unfinished request (fleet timeout/retry hook).
 
         Removes the request from the waiting queue or the running batch,
-        frees its KV blocks, and erases its outcome record so the fleet
-        may resubmit it here or elsewhere.  Finished or unknown requests
-        are left untouched.
+        frees its KV blocks, and erases its record so the fleet may
+        resubmit it here or elsewhere.  Finished or unknown requests are
+        left untouched.
 
         Returns:
             ``(request, tokens_generated)`` for the cancelled request —
             the generated count is the work wasted by the cancellation —
             or ``None`` if the request is not in flight here.
         """
-        for index, request in enumerate(self._waiting):
-            if request.request_id == request_id:
+        for index, entry in enumerate(self._waiting):
+            if entry[-1] == request_id:
+                request = self.request(request_id)
                 self._waiting.pop(index)
                 self._forget(request_id)
                 return request, 0
-        for entry in self._running:
-            if entry.request.request_id == request_id:
-                self._release_kv(request_id)
-                self._running.remove(entry)
+        for index, rid in enumerate(self._run_ids):
+            if rid == request_id:
+                request = self.request(request_id)
+                generated = self._run_gen[index]
+                self._free_blocks += self._run_blocks[index]
+                self._release_reserve(request_id)
+                self._ctx_total -= self._run_prompt[index] + generated
+                self._remove_running(index)
                 self._forget(request_id)
-                return entry.request, entry.generated
+                return request, generated
         return None
 
     def evacuate(self) -> list[tuple[ServeRequest, int]]:
         """Abort all in-flight work (replica crash hook).
 
         Empties the waiting queue and the running batch, freeing every
-        KV allocation, and erases the outcome records of the evacuated
-        requests (completed outcomes are kept).  The fleet requeues the
-        evacuated requests elsewhere; tokens already generated by the
-        running batch are lost and reported as wasted work.
+        KV allocation, and erases the records of the evacuated requests
+        (completed records are kept).  The fleet requeues the evacuated
+        requests elsewhere; tokens already generated by the running
+        batch are lost and reported as wasted work.
 
         Returns:
             ``(request, tokens_generated)`` pairs in deterministic
             order: waiting queue first, then the running batch.
         """
-        evacuated = [(request, 0) for request in self._waiting]
-        for entry in self._running:
-            self._release_kv(entry.request.request_id)
-            evacuated.append((entry.request, entry.generated))
+        evacuated = [(self.request(entry[-1]), 0)
+                     for entry in self._waiting]
+        for index, rid in enumerate(self._run_ids):
+            self._free_blocks += self._run_blocks[index]
+            self._release_reserve(rid)
+            evacuated.append((self.request(rid), self._run_gen[index]))
         self._waiting.clear()
-        self._running.clear()
+        del self._run_ids[:]
+        del self._run_prompt[:]
+        del self._run_output[:]
+        del self._run_gen[:]
+        del self._run_blocks[:]
+        del self._run_slot[:]
+        del self._run_kvlen[:]
+        self._ctx_total = 0
         for request, _ in evacuated:
             self._forget(request.request_id)
         # A crashed replica loses its pinned shared prefixes too.
-        for tenant_id in self._prefix_resident:
-            self.cache.free(prefix_seq_id(tenant_id))
+        for blocks in self._prefix_resident.values():
+            self._free_blocks += blocks
         self._prefix_resident.clear()
         return evacuated
+
+    def _remove_running(self, index: int) -> None:
+        del self._run_ids[index]
+        del self._run_prompt[index]
+        del self._run_output[index]
+        del self._run_gen[index]
+        del self._run_blocks[index]
+        del self._run_slot[index]
+        del self._run_kvlen[index]
 
     def estimated_ttft_s(self, request: ServeRequest, now: float) -> float:
         """Deterministic TTFT estimate if ``request`` were routed here now.
@@ -507,75 +572,13 @@ class ContinuousBatchingScheduler:
         TTFT SLO.  An underestimate under decode contention, but
         monotone in queue depth, which is what routing needs.
         """
+        prefill_s = self._costs.prefill_s
+        prompts = self._col_prompt
+        slots = self._slot
         backlog = max(0.0, self._clock - now)
-        backlog += self._scaled(sum(self._prefill_s(r.prompt_tokens)
-                                    for r in self._waiting))
-        return backlog + self._scaled(self._prefill_s(request.prompt_tokens))
-
-    # -- KV isolation ---------------------------------------------------------
-
-    def _kv_allocate(self, request: ServeRequest) -> None:
-        """Allocate KV memory for an admitted request per isolation mode.
-
-        Raises:
-            MemoryError: If the request does not fit *right now* (the
-                admission loop's signal to stop or look ahead).
-        """
-        if self.kv_isolation == "shared":
-            self.cache.allocate(request.request_id, request.prompt_tokens)
-            return
-        tenant_id = request.tenant_id
-        if self.kv_isolation == "partition":
-            # Reserve the worst case up front: decode growth can then
-            # never fail, so a partitioned replica never preempts and
-            # tenants cannot evict each other.
-            reserve = -(-(request.prompt_tokens + request.output_tokens)
-                        // self.block_size)
-            budget = self._tenant_budget[tenant_id]
-            if reserve > budget:
-                raise MemoryError(
-                    f"tenant {tenant_id} partition has {budget} free "
-                    f"blocks, request needs {reserve}")
-            self.cache.allocate(request.request_id, request.prompt_tokens)
-            self._tenant_budget[tenant_id] = budget - reserve
-            self._kv_reserved[request.request_id] = (tenant_id, reserve)
-            return
-        # shared-prefix: the tenant's common prefix is pinned once under
-        # a pseudo sequence id; requests allocate only their suffix.
-        prefix = self.tenancy.prefix_of(tenant_id)
-        usable = min(prefix, request.prompt_tokens - 1)
-        if usable <= 0:
-            self.cache.allocate(request.request_id, request.prompt_tokens)
-            return
-        suffix = request.prompt_tokens - usable
-        suffix_blocks = -(-suffix // self.block_size)
-        if tenant_id in self._prefix_resident:
-            if suffix_blocks > self.cache.free_blocks:
-                raise MemoryError(
-                    f"need {suffix_blocks} blocks for request "
-                    f"{request.request_id} suffix, only "
-                    f"{self.cache.free_blocks} free")
-            self.cache.allocate(request.request_id, suffix)
-            self._prefix_hits += 1
-            return
-        prefix_blocks = -(-prefix // self.block_size)
-        if prefix_blocks + suffix_blocks > self.cache.free_blocks:
-            raise MemoryError(
-                f"need {prefix_blocks + suffix_blocks} blocks to pin "
-                f"tenant {tenant_id}'s prefix and admit request "
-                f"{request.request_id}, only {self.cache.free_blocks} free")
-        self.cache.allocate(prefix_seq_id(tenant_id), prefix)
-        self.cache.allocate(request.request_id, suffix)
-        self._prefix_resident[tenant_id] = prefix_blocks
-        self._prefix_misses += 1
-
-    def _release_kv(self, request_id: int) -> None:
-        """Free a request's KV blocks and return any partition reserve."""
-        self.cache.free(request_id)
-        reserved = self._kv_reserved.pop(request_id, None)
-        if reserved is not None:
-            tenant_id, blocks = reserved
-            self._tenant_budget[tenant_id] += blocks
+        backlog += self._scaled(sum(prefill_s(prompts[slots[entry[-1]]])
+                                    for entry in self._waiting))
+        return backlog + self._scaled(prefill_s(request.prompt_tokens))
 
     @property
     def prefix_hits(self) -> int:
@@ -587,47 +590,152 @@ class ContinuousBatchingScheduler:
         """Admissions that had to pin a tenant's shared prefix."""
         return self._prefix_misses
 
-    # -- admission ------------------------------------------------------------
-
     def _admit(self) -> None:
         """Admit arrived requests per policy while memory/slots allow."""
-        if self._wfq:
+        if self.tenancy is None:
+            self._admit_default()
+        elif self._wfq:
             self._admit_wfq()
         else:
-            self._admit_fcfs()
+            self._admit_fcfs_tenant()
 
-    def _admit_fcfs(self) -> None:
-        """Admit arrived requests while memory and batch slots allow."""
-        while (self._waiting and len(self._running) < self.max_batch
-               and self._waiting[0].arrival_s <= self._clock):
-            request = self._waiting[0]
+    def _admit_default(self) -> None:
+        """Unarmed FCFS fast path — the pre-tenancy loop, untouched."""
+        waiting = self._waiting
+        block_size = self.block_size
+        while (waiting and len(self._run_ids) < self.max_batch
+               and waiting[0][0] <= self._clock):
+            _, rid = waiting[0]
             admitted_index = 0
-            try:
-                self._kv_allocate(request)
-            except MemoryError:
+            slot = self._slot[rid]
+            prompt = self._col_prompt[slot]
+            needed = -(-prompt // block_size)
+            if needed > self._free_blocks:
                 # Head-of-line blocking: strict FCFS stops here.  With
                 # lookahead, scan a bounded window of arrived requests
                 # for one that fits right now.
                 admitted_index = -1
                 for index in range(1, 1 + min(self.admission_lookahead,
-                                              len(self._waiting) - 1)):
-                    candidate = self._waiting[index]
-                    if candidate.arrival_s > self._clock:
+                                              len(waiting) - 1)):
+                    c_arrival, c_rid = waiting[index]
+                    if c_arrival > self._clock:
                         break
-                    try:
-                        self._kv_allocate(candidate)
-                    except MemoryError:
+                    c_slot = self._slot[c_rid]
+                    c_prompt = self._col_prompt[c_slot]
+                    c_needed = -(-c_prompt // block_size)
+                    if c_needed > self._free_blocks:
                         continue
-                    request = candidate
+                    rid, slot = c_rid, c_slot
+                    prompt, needed = c_prompt, c_needed
                     admitted_index = index
                     break
                 if admitted_index < 0:
                     break
-            self._waiting.pop(admitted_index)
-            self._clock += self._scaled(self._prefill_s(request.prompt_tokens))
-            outcome = self._outcomes[request.request_id]
-            outcome.first_token_s = self._clock
-            self._running.append(_Running(request=request, outcome=outcome))
+            self._free_blocks -= needed
+            waiting.pop(admitted_index)
+            self._start_running(rid, slot, prompt, needed, prompt)
+
+    def _start_running(self, rid: int, slot: int, prompt: int,
+                       blocks: int, kvlen: int) -> None:
+        """Charge prefill and move an admitted request into the batch."""
+        self._clock += self._scaled(self._costs.prefill_s(prompt))
+        self._col_first[slot] = self._clock
+        self._run_ids.append(rid)
+        self._run_prompt.append(prompt)
+        self._run_output.append(self._col_output[slot])
+        self._run_gen.append(0)
+        self._run_blocks.append(blocks)
+        self._run_slot.append(slot)
+        self._run_kvlen.append(kvlen)
+        self._ctx_total += prompt
+
+    def _kv_admit(self, rid: int, slot: int) -> tuple[int, int] | None:
+        """Take KV blocks for an admitted request per isolation mode.
+
+        ``shared`` takes the prompt's blocks.  ``partition`` also debits
+        the tenant's worst-case reservation up front, so decode growth
+        can never fail and tenants cannot evict each other.
+        ``shared-prefix`` pins the tenant's common prefix once and takes
+        only the suffix per request.
+
+        Returns ``(blocks_taken, kvlen)`` on success (the free counter
+        already debited), or ``None`` if the request does not fit right
+        now — the admission loop's signal to stop or look ahead.
+        """
+        block_size = self.block_size
+        prompt = self._col_prompt[slot]
+        if self.kv_isolation == "shared":
+            needed = -(-prompt // block_size)
+            if needed > self._free_blocks:
+                return None
+            self._free_blocks -= needed
+            return needed, prompt
+        tenant_id = self._col_tenant[slot]
+        if self.kv_isolation == "partition":
+            reserve = -(-(prompt + self._col_output[slot]) // block_size)
+            budget = self._tenant_budget[tenant_id]
+            if reserve > budget:
+                return None
+            needed = -(-prompt // block_size)
+            self._free_blocks -= needed
+            self._tenant_budget[tenant_id] = budget - reserve
+            self._kv_reserved[rid] = (tenant_id, reserve)
+            return needed, prompt
+        # shared-prefix
+        prefix = self.tenancy.prefix_of(tenant_id)
+        usable = min(prefix, prompt - 1)
+        if usable <= 0:
+            needed = -(-prompt // block_size)
+            if needed > self._free_blocks:
+                return None
+            self._free_blocks -= needed
+            return needed, prompt
+        suffix = prompt - usable
+        suffix_blocks = -(-suffix // block_size)
+        if tenant_id in self._prefix_resident:
+            if suffix_blocks > self._free_blocks:
+                return None
+            self._free_blocks -= suffix_blocks
+            self._prefix_hits += 1
+            return suffix_blocks, suffix
+        prefix_blocks = -(-prefix // block_size)
+        if prefix_blocks + suffix_blocks > self._free_blocks:
+            return None
+        self._free_blocks -= prefix_blocks + suffix_blocks
+        self._prefix_resident[tenant_id] = prefix_blocks
+        self._prefix_misses += 1
+        return suffix_blocks, suffix
+
+    def _admit_fcfs_tenant(self) -> None:
+        """FCFS admission with tenancy KV isolation armed."""
+        waiting = self._waiting
+        while (waiting and len(self._run_ids) < self.max_batch
+               and waiting[0][0] <= self._clock):
+            rid = waiting[0][-1]
+            admitted_index = 0
+            slot = self._slot[rid]
+            taken = self._kv_admit(rid, slot)
+            if taken is None:
+                admitted_index = -1
+                for index in range(1, 1 + min(self.admission_lookahead,
+                                              len(waiting) - 1)):
+                    entry = waiting[index]
+                    if entry[-2] > self._clock:
+                        break
+                    c_rid = entry[-1]
+                    c_slot = self._slot[c_rid]
+                    taken = self._kv_admit(c_rid, c_slot)
+                    if taken is None:
+                        continue
+                    rid, slot = c_rid, c_slot
+                    admitted_index = index
+                    break
+                if admitted_index < 0:
+                    break
+            waiting.pop(admitted_index)
+            blocks, kvlen = taken
+            self._start_running(rid, slot, self._col_prompt[slot],
+                                blocks, kvlen)
 
     def _admit_wfq(self) -> None:
         """WFQ admission: serve arrived requests in virtual-finish order.
@@ -639,104 +747,139 @@ class ContinuousBatchingScheduler:
         failure, ``admission_lookahead`` further *arrived* candidates
         are tried, exactly mirroring the FCFS window.
         """
-        while self._waiting and len(self._running) < self.max_batch:
+        waiting = self._waiting
+        while waiting and len(self._run_ids) < self.max_batch:
             head_index = -1
-            for index, candidate in enumerate(self._waiting):
-                if candidate.arrival_s <= self._clock:
+            for index, entry in enumerate(waiting):
+                if entry[-2] <= self._clock:
                     head_index = index
                     break
             if head_index < 0:
                 break  # nothing has arrived yet
-            request = self._waiting[head_index]
+            rid = waiting[head_index][-1]
             admitted_index = head_index
-            try:
-                self._kv_allocate(request)
-            except MemoryError:
+            slot = self._slot[rid]
+            taken = self._kv_admit(rid, slot)
+            if taken is None:
                 admitted_index = -1
                 scanned = 0
-                for index in range(head_index + 1, len(self._waiting)):
+                for index in range(head_index + 1, len(waiting)):
                     if scanned >= self.admission_lookahead:
                         break
-                    candidate = self._waiting[index]
-                    if candidate.arrival_s > self._clock:
+                    entry = waiting[index]
+                    if entry[-2] > self._clock:
                         continue
                     scanned += 1
-                    try:
-                        self._kv_allocate(candidate)
-                    except MemoryError:
+                    c_rid = entry[-1]
+                    c_slot = self._slot[c_rid]
+                    taken = self._kv_admit(c_rid, c_slot)
+                    if taken is None:
                         continue
-                    request = candidate
+                    rid, slot = c_rid, c_slot
                     admitted_index = index
                     break
                 if admitted_index < 0:
                     break
-            self._waiting.pop(admitted_index)
-            self._clock += self._scaled(self._prefill_s(request.prompt_tokens))
-            # Advance the virtual clock to the admitted tag so freshly
-            # tagged tenants start no earlier than the service frontier.
-            tag = self._wfq_tag[request.request_id]
+            waiting.pop(admitted_index)
+            blocks, kvlen = taken
+            self._start_running(rid, slot, self._col_prompt[slot],
+                                blocks, kvlen)
+            tag = self._wfq_tag[rid]
             if tag > self._wfq_v:
                 self._wfq_v = tag
-            outcome = self._outcomes[request.request_id]
-            outcome.first_token_s = self._clock
-            self._running.append(_Running(request=request, outcome=outcome))
 
-    def _decode_once(self) -> list[RequestOutcome]:
-        """One decode step for the whole batch; returns new finishes."""
-        running = self._running
-        contexts = [r.request.prompt_tokens + r.generated for r in running]
-        mean_context = int(sum(contexts) / len(contexts))
-        self._occupancy.append(len(running))
+    # -- decode ----------------------------------------------------------------
+
+    def _decode_once(self) -> list[int]:
+        """One decode step for the whole batch; returns finished ids."""
+        run_ids = self._run_ids
+        run_gen = self._run_gen
+        run_prompt = self._run_prompt
+        run_blocks = self._run_blocks
+        run_kvlen = self._run_kvlen
+        batch = len(run_ids)
+        mean_context = int(self._ctx_total / batch)
+        self._occ_sum += batch
+        self._occ_count += 1
         self._clock += self._scaled(
-            self._decode_step_s(len(running), max(1, mean_context)))
+            self._costs.decode_step_s(batch, max(1, mean_context)))
 
-        finished: list[_Running] = []
-        preempted_ids: set[int] = set()
+        block_size = self.block_size
+        preempted: set[int] = set()
+        finished: list[tuple[int, int]] = []  # (index, request_id)
 
-        def preempt_youngest() -> _Running:
-            victim = running[-1]
-            self._release_kv(victim.request.request_id)
-            victim.outcome.preemptions += 1
-            victim.generated = 0
-            running.remove(victim)
+        def preempt_youngest() -> int:
+            victim_id = run_ids.pop()
+            victim_prompt = run_prompt.pop()
+            self._run_output.pop()
+            victim_gen = run_gen.pop()
+            self._free_blocks += run_blocks.pop()
+            victim_slot = self._run_slot.pop()
+            run_kvlen.pop()
+            self._release_reserve(victim_id)
+            self._col_preempt[victim_slot] += 1
+            self._ctx_total -= victim_prompt + victim_gen
             if self._wfq:
-                # The victim keeps its tag: it re-queues at its original
-                # virtual position, not at the head.
-                insort(self._waiting, victim.request, key=self._wfq_key)
+                # The victim keeps its tag: it re-queues at its
+                # original virtual position, not at the head.
+                insort(self._waiting,
+                       (self._wfq_tag[victim_id],
+                        self._col_arrival[victim_slot], victim_id))
             else:
-                self._waiting.insert(0, victim.request)
-            preempted_ids.add(victim.request.request_id)
-            return victim
+                self._waiting.insert(0, (self._col_arrival[victim_slot],
+                                         victim_id))
+            preempted.add(victim_id)
+            return victim_id
 
-        for entry in list(running):
-            if entry.request.request_id in preempted_ids:
+        # In-loop removals only pop from the tail, so an entry that
+        # survives keeps its index — the snapshot index stays valid.
+        for index, rid in enumerate(list(run_ids)):
+            if rid in preempted:
                 continue
+            generated = run_gen[index]
+            kvlen = run_kvlen[index]
             appended = False
             while not appended:
-                try:
-                    self.cache.append_token(entry.request.request_id)
-                    appended = True
-                except MemoryError:
-                    # Preempt the youngest sequence; vLLM recomputes
-                    # it from scratch on re-admission.
-                    victim = preempt_youngest()
-                    self._preemptions += 1
-                    if victim is entry:
-                        break
+                if (kvlen + generated) % block_size == 0:
+                    # The next token crosses a block boundary.
+                    if self._free_blocks == 0:
+                        # Preempt the youngest sequence; vLLM recomputes
+                        # it from scratch on re-admission.
+                        victim_id = preempt_youngest()
+                        self._preemptions += 1
+                        if victim_id == rid:
+                            break
+                        continue
+                    self._free_blocks -= 1
+                    run_blocks[index] += 1
+                generated += 1
+                run_gen[index] = generated
+                self._ctx_total += 1
+                appended = True
             if not appended:
                 continue
-            entry.generated += 1
-            if entry.generated >= entry.request.output_tokens:
-                finished.append(entry)
-        results = []
-        for entry in finished:
-            entry.outcome.finish_s = self._clock
-            self._release_kv(entry.request.request_id)
-            running.remove(entry)
-            results.append(entry.outcome)
+            if generated >= self._run_output[index]:
+                finished.append((index, rid))
+
+        if not finished:
+            return []
+        results: list[int] = []
+        for index, rid in finished:
+            if index >= len(run_ids) or run_ids[index] != rid:
+                # Cannot arise: a finished entry holds its blocks until
+                # this cleanup, so it is never chosen as a victim.
+                raise RuntimeError("finished entry vanished mid-step")
+            slot = self._run_slot[index]
+            self._col_finish[slot] = self._clock
+            self._free_blocks += run_blocks[index]
+            self._release_reserve(rid)
+            self._ctx_total -= run_prompt[index] + run_gen[index]
+            results.append(rid)
+        for index, _ in reversed(finished):
+            self._remove_running(index)
         return results
 
-    def step(self, until_s: float | None = None) -> list[RequestOutcome]:
+    def step(self, until_s: float | None = None) -> list[int]:
         """Advance the serving loop up to a time horizon.
 
         Repeats admission/decode iterations while work exists and the
@@ -748,19 +891,22 @@ class ContinuousBatchingScheduler:
         clock stays put so later submissions are not delayed).
 
         Returns:
-            Outcomes of requests that finished during this call.
+            Ids of requests that finished during this call (read their
+            timelines via :meth:`finished_triple`).
         """
-        finished: list[RequestOutcome] = []
-        while self._waiting or self._running:
+        finished: list[int] = []
+        while self._waiting or self._run_ids:
             if until_s is not None and self._clock >= until_s:
                 break
-            if (not self._running and until_s is not None
+            if (not self._run_ids and until_s is not None
                     and self._next_arrival_s() > until_s):
                 break  # only future work remains in this horizon
             self._admit()
-            if not self._running:
+            if not self._run_ids:
                 # Idle until the next arrival.
-                self._clock = max(self._clock, self._next_arrival_s())
+                arrival = self._next_arrival_s()
+                if arrival > self._clock:
+                    self._clock = arrival
                 continue
             finished.extend(self._decode_once())
         return finished
@@ -772,36 +918,69 @@ class ContinuousBatchingScheduler:
         under WFQ the queue is tag-ordered and must be scanned.
         """
         if self._wfq:
-            return min(r.arrival_s for r in self._waiting)
-        return self._waiting[0].arrival_s
+            return min(entry[-2] for entry in self._waiting)
+        return self._waiting[0][0]
 
     def report(self) -> ServingReport:
         """Aggregate metrics of everything served so far.
 
+        Materializes :class:`RequestOutcome` records from the columns,
+        in submission order (released requests excluded).
+
         Raises:
             ValueError: If nothing was ever submitted.
         """
-        if not self._order:
+        outcomes = tuple(
+            RequestOutcome(request=self._request_at(slot),
+                           first_token_s=self._col_first[slot],
+                           finish_s=self._col_finish[slot],
+                           preemptions=self._col_preempt[slot])
+            for slot in range(len(self._col_id))
+            if slot not in self._dead)
+        if not outcomes:
             raise ValueError("no requests")
-        ordered = tuple(self._outcomes[request_id]
-                        for request_id in self._order)
-        mean_occupancy = (sum(self._occupancy) / len(self._occupancy)
-                          if self._occupancy else 0.0)
+        mean_occupancy = (self._occ_sum / self._occ_count
+                          if self._occ_count else 0.0)
         start = self._first_arrival or 0.0
-        return ServingReport(outcomes=ordered,
+        return ServingReport(outcomes=outcomes,
                              makespan_s=self._clock - start,
                              total_preemptions=self._preemptions,
                              mean_batch_occupancy=mean_occupancy,
                              start_s=start)
+
+    def run(self, requests: list[ServeRequest]) -> ServingReport:
+        """Serve a request stream to completion (single-replica mode).
+
+        Raises:
+            ValueError: If any single request cannot ever fit the KV
+                pool, or an id repeats.
+        """
+        if not requests:
+            raise ValueError("no requests")
+        for request in requests:
+            self._check_fits(request)
+        self._reset()
+        if self._wfq:
+            # WFQ tags chain per tenant in submission order, so the
+            # stream is submitted in arrival order (the order the fleet
+            # would deliver it).
+            ordered = sorted(requests,
+                             key=lambda r: (r.arrival_s, r.request_id))
+        else:
+            ordered = requests
+        for request in ordered:
+            self.submit(request)
+        self.step(None)
+        return self.report()
 
     # -- checkpoint/restore ---------------------------------------------------
 
     def config_fingerprint(self) -> dict:
         """Identity of the scheduler's configuration, for restore checks.
 
-        The runtime state below only replays bit-identically on a
-        scheduler built from the *same* configuration; the fingerprint
-        lets :meth:`from_state` refuse a mismatched host early.
+        The runtime state only replays bit-identically on a scheduler
+        built from the *same* configuration; the fingerprint lets
+        :meth:`from_state` refuse a mismatched host early.
         """
         fingerprint = {
             "model": self.model.name,
@@ -809,7 +988,7 @@ class ContinuousBatchingScheduler:
             "max_batch": self.max_batch,
             "block_size": self.block_size,
             "admission_lookahead": self.admission_lookahead,
-            "num_blocks": self.cache.num_blocks,
+            "num_blocks": self.num_blocks,
         }
         # Key added only when armed: unarmed fingerprints (and thus
         # pre-tenancy snapshots) stay byte-compatible.
@@ -817,29 +996,189 @@ class ContinuousBatchingScheduler:
             fingerprint["tenancy"] = self.tenancy.fingerprint()
         return fingerprint
 
-    def _tenancy_state(self) -> dict:
-        """Snapshot of the tenancy runtime (WFQ clocks, budgets, pins)."""
-        return {
-            "wfq_v": self._wfq_v,
-            "wfq_fin": {str(tenant_id): fin
-                        for tenant_id, fin in self._wfq_fin.items()},
-            "wfq_tags": {str(request_id): tag
-                         for request_id, tag in self._wfq_tag.items()},
-            "tenant_budget": {str(tenant_id): budget
-                              for tenant_id, budget
-                              in self._tenant_budget.items()},
-            "reserved": {str(request_id): [tenant_id, blocks]
-                         for request_id, (tenant_id, blocks)
-                         in self._kv_reserved.items()},
-            "prefix_resident": {str(tenant_id): blocks
-                                for tenant_id, blocks
-                                in self._prefix_resident.items()},
-            "prefix_hits": self._prefix_hits,
-            "prefix_misses": self._prefix_misses,
+    def to_state(self) -> dict:
+        """Plain-dict snapshot of the serving state machine.
+
+        When tenancy is armed the payload additionally carries the WFQ
+        virtual clocks, per-tenant budgets and shared-prefix residency.
+        """
+        state = {
+            "config": self.config_fingerprint(),
+            "clock_s": self._clock,
+            "preemptions": self._preemptions,
+            "occ_sum": self._occ_sum,
+            "occ_count": self._occ_count,
+            "first_arrival_s": self._first_arrival,
+            "time_scale": self._time_scale,
+            "free_blocks": self._free_blocks,
+            "columns": {
+                "id": list(self._col_id),
+                "arrival": list(self._col_arrival),
+                "prompt": list(self._col_prompt),
+                "output": list(self._col_output),
+                "priority": list(self._col_priority),
+                "tenant": list(self._col_tenant),
+                "first": list(self._col_first),
+                "finish": list(self._col_finish),
+                "preempt": list(self._col_preempt),
+            },
+            "dead": sorted(self._dead),
+            "waiting": [list(entry) for entry in self._waiting],
+            "running": [{"request_id": self._run_ids[i],
+                         "generated": self._run_gen[i],
+                         "blocks": self._run_blocks[i],
+                         "slot": self._run_slot[i],
+                         "kv_tokens": self._run_kvlen[i]}
+                        for i in range(len(self._run_ids))],
         }
+        if self.tenancy is not None:
+            state["tenancy"] = {
+                "wfq_v": self._wfq_v,
+                "wfq_fin": {str(tenant_id): fin
+                            for tenant_id, fin in self._wfq_fin.items()},
+                "wfq_tags": {str(request_id): tag
+                             for request_id, tag in self._wfq_tag.items()},
+                "tenant_budget": {str(tenant_id): budget
+                                  for tenant_id, budget
+                                  in self._tenant_budget.items()},
+                "reserved": {str(request_id): [tenant_id, blocks]
+                             for request_id, (tenant_id, blocks)
+                             in self._kv_reserved.items()},
+                "prefix_resident": {str(tenant_id): blocks
+                                    for tenant_id, blocks
+                                    in self._prefix_resident.items()},
+                "prefix_hits": self._prefix_hits,
+                "prefix_misses": self._prefix_misses,
+            }
+        return state
+
+    def from_state(self, state: dict) -> None:
+        """Install a :meth:`to_state` snapshot into this scheduler.
+
+        Raises:
+            repro.state.errors.StateIntegrityError: If the snapshot's
+                config fingerprint does not match this scheduler or its
+                internal invariants do not hold.
+        """
+        from ..state.errors import StateIntegrityError
+        from ..state.schema import require
+
+        config = require(state, "config", dict, "$.scheduler")
+        mine = self.config_fingerprint()
+        if config != mine:
+            diverged = sorted(key for key in set(config) | set(mine)
+                              if config.get(key) != mine.get(key))
+            raise StateIntegrityError(
+                f"scheduler snapshot was taken on a different "
+                f"configuration (mismatched: {diverged})")
+
+        columns = require(state, "columns", dict, "$.scheduler")
+        cols = {name: require(columns, name, list, "$.scheduler.columns")
+                for name in ("id", "arrival", "prompt", "output", "priority",
+                             "first", "finish", "preempt")}
+        length = len(cols["id"])
+        # Lenient: pre-tenancy snapshots have no tenant column.
+        cols["tenant"] = (require(columns, "tenant", list,
+                                  "$.scheduler.columns")
+                          if "tenant" in columns else [0] * length)
+        if any(len(values) != length for values in cols.values()):
+            raise StateIntegrityError("ragged scheduler snapshot")
+        dead = {int(slot) for slot in require(state, "dead", list,
+                                              "$.scheduler")}
+        if any(slot < 0 or slot >= length for slot in dead):
+            raise StateIntegrityError("dead slot out of range")
+        slot_map: dict[int, int] = {}
+        for slot in range(length):
+            if slot in dead:
+                continue
+            rid = int(cols["id"][slot])
+            if rid in slot_map:
+                raise StateIntegrityError(
+                    f"request {rid} is live in two slots")
+            slot_map[rid] = slot
+
+        expected_width = 3 if self._wfq else 2
+        waiting: list[tuple] = []
+        for pair in require(state, "waiting", list, "$.scheduler"):
+            if len(pair) != expected_width:
+                raise StateIntegrityError(
+                    f"waiting entry width {len(pair)} does not match the "
+                    f"{self.admission!r} admission policy")
+            rid = int(pair[-1])
+            if rid not in slot_map:
+                raise StateIntegrityError(
+                    f"waiting request {rid} has no live column slot")
+            if self._wfq:
+                waiting.append((float(pair[0]), float(pair[1]), rid))
+            else:
+                waiting.append((float(pair[0]), rid))
+        run_ids: list[int] = []
+        run_gen: list[int] = []
+        run_blocks: list[int] = []
+        run_slot: list[int] = []
+        run_kvlen: list[int] = []
+        for entry in require(state, "running", list, "$.scheduler"):
+            rid = require(entry, "request_id", int, "$.scheduler.running")
+            if rid not in slot_map:
+                raise StateIntegrityError(
+                    f"running request {rid} has no live column slot")
+            run_ids.append(rid)
+            run_gen.append(require(entry, "generated", int,
+                                   "$.scheduler.running"))
+            run_blocks.append(require(entry, "blocks", int,
+                                      "$.scheduler.running"))
+            slot = require(entry, "slot", int, "$.scheduler.running")
+            run_slot.append(slot)
+            # Lenient: pre-tenancy snapshots carry no kv_tokens (the
+            # KV length always equalled the prompt).
+            run_kvlen.append(int(entry.get("kv_tokens",
+                                           cols["prompt"][slot])))
+        tenancy_payload = None
+        pinned_blocks = 0
+        if self.tenancy is not None:
+            tenancy_payload = require(state, "tenancy", dict, "$.scheduler")
+            pinned_blocks = sum(
+                int(blocks) for blocks in
+                require(tenancy_payload, "prefix_resident", dict,
+                        "$.scheduler.tenancy").values())
+        free_blocks = require(state, "free_blocks", int, "$.scheduler")
+        if free_blocks + sum(run_blocks) + pinned_blocks != self.num_blocks:
+            raise StateIntegrityError(
+                "KV block conservation violated in snapshot")
+
+        self._col_id = array("q", (int(v) for v in cols["id"]))
+        self._col_arrival = array("d", (float(v) for v in cols["arrival"]))
+        self._col_prompt = array("l", (int(v) for v in cols["prompt"]))
+        self._col_output = array("l", (int(v) for v in cols["output"]))
+        self._col_priority = array("l", (int(v) for v in cols["priority"]))
+        self._col_tenant = array("l", (int(v) for v in cols["tenant"]))
+        self._col_first = array("d", (float(v) for v in cols["first"]))
+        self._col_finish = array("d", (float(v) for v in cols["finish"]))
+        self._col_preempt = array("l", (int(v) for v in cols["preempt"]))
+        self._slot = slot_map
+        self._dead = dead
+        self._waiting = waiting
+        self._run_ids = run_ids
+        self._run_prompt = [self._col_prompt[s] for s in run_slot]
+        self._run_output = [self._col_output[s] for s in run_slot]
+        self._run_gen = run_gen
+        self._run_blocks = run_blocks
+        self._run_slot = run_slot
+        self._run_kvlen = run_kvlen
+        self._free_blocks = free_blocks
+        self._ctx_total = sum(self._run_prompt) + sum(run_gen)
+        self._clock = require(state, "clock_s", float, "$.scheduler")
+        self._preemptions = require(state, "preemptions", int, "$.scheduler")
+        self._occ_sum = require(state, "occ_sum", int, "$.scheduler")
+        self._occ_count = require(state, "occ_count", int, "$.scheduler")
+        first = state.get("first_arrival_s")
+        self._first_arrival = None if first is None else float(first)
+        self._time_scale = require(state, "time_scale", float, "$.scheduler")
+        if tenancy_payload is not None:
+            self._restore_tenancy(tenancy_payload)
 
     def _restore_tenancy(self, payload: dict) -> None:
-        """Install a :meth:`_tenancy_state` payload (post-restore)."""
+        """Install a tenancy runtime payload (post-restore)."""
         from ..state.errors import StateIntegrityError
         from ..state.schema import require, require_finite
 
@@ -864,152 +1203,11 @@ class ContinuousBatchingScheduler:
         self._prefix_misses = require(payload, "prefix_misses", int,
                                       "$.scheduler.tenancy")
         if self._wfq:
-            for request in self._waiting:
-                if request.request_id not in self._wfq_tag:
+            for entry in self._waiting:
+                if entry[-1] not in self._wfq_tag:
                     raise StateIntegrityError(
-                        f"waiting request {request.request_id} has no "
-                        f"WFQ tag in the snapshot")
-
-    def to_state(self) -> dict:
-        """Plain-dict snapshot of the serving state machine.
-
-        Requests are serialized once (inside their outcome records);
-        the waiting queue and running batch reference them by id, which
-        also lets restore re-establish the ``_Running.outcome is
-        _outcomes[id]`` aliasing that finish times are written through.
-        Derived memo caches (``_step_cache``/``_prefill_cache``) are
-        rebuilt lazily and deliberately not captured.  When tenancy is
-        armed the payload additionally carries the WFQ virtual clocks,
-        per-tenant budgets and shared-prefix residency (absent when
-        unarmed, keeping pre-tenancy snapshots byte-compatible).
-        """
-        if self.tenancy is not None:
-            return {**self._base_state(),
-                    "tenancy": self._tenancy_state()}
-        return self._base_state()
-
-    def _base_state(self) -> dict:
-        return {
-            "config": self.config_fingerprint(),
-            "clock_s": self._clock,
-            "preemptions": self._preemptions,
-            "occupancy": list(self._occupancy),
-            "first_arrival_s": self._first_arrival,
-            "time_scale": self._time_scale,
-            "order": list(self._order),
-            "outcomes": {str(request_id): outcome.to_state()
-                         for request_id, outcome in self._outcomes.items()},
-            "waiting": [request.request_id for request in self._waiting],
-            "running": [{"request_id": entry.request.request_id,
-                         "generated": entry.generated}
-                        for entry in self._running],
-            "cache": self.cache.to_state(),
-        }
-
-    def from_state(self, state: dict) -> None:
-        """Install a :meth:`to_state` snapshot into this scheduler.
-
-        The scheduler must have been freshly built from the same
-        configuration the snapshot was taken on.
-
-        Raises:
-            repro.state.errors.StateIntegrityError: If the snapshot's
-                config fingerprint does not match this scheduler, or
-                waiting/running entries reference unknown requests.
-        """
-        from ..state.errors import StateIntegrityError
-        from ..state.schema import require
-
-        config = require(state, "config", dict, "$.scheduler")
-        mine = self.config_fingerprint()
-        if config != mine:
-            diverged = sorted(key for key in set(config) | set(mine)
-                              if config.get(key) != mine.get(key))
-            raise StateIntegrityError(
-                f"scheduler snapshot was taken on a different "
-                f"configuration (mismatched: {diverged})")
-
-        outcomes: dict[int, RequestOutcome] = {}
-        for key, payload in require(state, "outcomes", dict,
-                                    "$.scheduler").items():
-            outcomes[int(key)] = RequestOutcome.from_state(payload)
-        waiting: list[ServeRequest] = []
-        for request_id in require(state, "waiting", list, "$.scheduler"):
-            if request_id not in outcomes:
-                raise StateIntegrityError(
-                    f"waiting request {request_id} has no outcome record")
-            waiting.append(outcomes[request_id].request)
-        running: list[_Running] = []
-        for entry in require(state, "running", list, "$.scheduler"):
-            request_id = require(entry, "request_id", int,
-                                 "$.scheduler.running")
-            if request_id not in outcomes:
-                raise StateIntegrityError(
-                    f"running request {request_id} has no outcome record")
-            running.append(_Running(
-                request=outcomes[request_id].request,
-                outcome=outcomes[request_id],
-                generated=require(entry, "generated", int,
-                                  "$.scheduler.running")))
-
-        self.cache = PagedKVCache.from_state(
-            require(state, "cache", dict, "$.scheduler"))
-        for entry in running:
-            if entry.request.request_id not in self.cache._tables:
-                raise StateIntegrityError(
-                    f"running request {entry.request.request_id} has no "
-                    f"KV allocation in the restored cache")
-        self._outcomes = outcomes
-        self._order = [int(request_id) for request_id
-                       in require(state, "order", list, "$.scheduler")]
-        self._waiting = waiting
-        self._running = running
-        self._clock = require(state, "clock_s", float, "$.scheduler")
-        self._preemptions = require(state, "preemptions", int, "$.scheduler")
-        self._occupancy = [int(n) for n in require(state, "occupancy", list,
-                                                   "$.scheduler")]
-        first = state.get("first_arrival_s")
-        self._first_arrival = None if first is None else float(first)
-        self._time_scale = require(state, "time_scale", float, "$.scheduler")
-        if self.tenancy is not None:
-            self._restore_tenancy(require(state, "tenancy", dict,
-                                          "$.scheduler"))
-
-    # -- serving loop -----------------------------------------------------------
-
-    def run(self, requests: list[ServeRequest]) -> ServingReport:
-        """Serve a request stream to completion.
-
-        A thin wrapper over :meth:`step`: validates the whole stream,
-        installs it as the waiting queue, and steps to completion.
-        Per-request timelines are bit-identical to the pre-steppable
-        run-to-completion loop (pinned by ``repro.validate``).
-
-        Raises:
-            ValueError: If any single request cannot ever fit the KV pool.
-        """
-        if not requests:
-            raise ValueError("no requests")
-        for request in requests:
-            self._check_fits(request)
-
-        self._reset()
-        if self._wfq:
-            # WFQ tags chain per tenant in submission order, so the
-            # stream is submitted individually in arrival order (the
-            # order the fleet would deliver it).
-            for request in sorted(requests,
-                                  key=lambda r: (r.arrival_s, r.request_id)):
-                self.submit(request)
-        else:
-            self._waiting = sorted(requests,
-                                   key=lambda r: (r.arrival_s, r.request_id))
-            self._outcomes = {r.request_id: RequestOutcome(request=r)
-                              for r in requests}
-            self._order = [r.request_id for r in requests]
-            self._first_arrival = min(r.arrival_s for r in requests)
-        self.step(None)
-        return self.report()
+                        f"waiting request {entry[-1]} has no WFQ tag in "
+                        f"the snapshot")
 
 
 def poisson_stream(count: int, rate_per_s: float, mean_prompt: int = 256,

@@ -4,15 +4,17 @@ A snapshot payload is a plain dict of JSON primitives:
 
 .. code-block:: python
 
-    {"state_version": 1, "kind": "fleet_simulator", "state": {...}}
+    {"state_version": 2, "kind": "fleet_simulator", "state": {...}}
 
 ``state_version`` names the schema of the whole payload.  Restoring
 negotiates the version first (:func:`negotiate`): payloads newer than
 :data:`CURRENT_STATE_VERSION` are refused outright, older payloads are
 upgraded through the registered migration chain
 (:func:`register_migration`), and a same-version hook — the no-op
-v1→v1 migration — always runs so the negotiation path is exercised on
-every restore, not only on the rare upgrade.
+v2→v2 migration — always runs so the negotiation path is exercised on
+every restore, not only on the rare upgrade.  Version 2 dropped the
+second fleet engine; version 1 payloads (which may hold its snapshots)
+have no migration and are refused.
 
 Validation (:func:`validate_payload`) walks the payload and rejects
 anything that is not JSON-serializable scalar data plus any non-finite
@@ -39,10 +41,10 @@ from .errors import (
 )
 
 #: Version written by this build's ``snapshot()``.
-CURRENT_STATE_VERSION = 1
+CURRENT_STATE_VERSION = 2
 
 #: Versions this build can *restore from* (after migration).
-SUPPORTED_STATE_VERSIONS = (1,)
+SUPPORTED_STATE_VERSIONS = (2,)
 
 _MIGRATIONS: dict[int, Callable[[dict], dict]] = {}
 
@@ -53,7 +55,7 @@ def register_migration(from_version: int) -> Callable:
     For ``from_version < CURRENT_STATE_VERSION`` the hook must return a
     payload with a strictly larger ``state_version``; for
     ``from_version == CURRENT_STATE_VERSION`` it is a same-version
-    normalization hook run once per restore (the v1→v1 no-op below).
+    normalization hook run once per restore (the v2→v2 no-op below).
     """
 
     def install(func: Callable[[dict], dict]) -> Callable[[dict], dict]:
@@ -65,12 +67,12 @@ def register_migration(from_version: int) -> Callable:
     return install
 
 
-@register_migration(1)
-def _migrate_v1_to_v1(payload: dict) -> dict:
-    """No-op v1→v1 migration: current payloads pass through unchanged.
+@register_migration(2)
+def _migrate_v2_to_v2(payload: dict) -> dict:
+    """No-op v2→v2 migration: current payloads pass through unchanged.
 
     Exists so the negotiation machinery runs on every restore and so
-    the first real migration (v1→v2) has a worked example to replace.
+    the first real migration (v2→v3) has a worked example to replace.
     """
     return payload
 

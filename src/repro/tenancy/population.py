@@ -9,13 +9,12 @@ the others' requests), and the per-tenant streams are merged by
 ``(arrival_s, tenant_id, local_index)`` with global request ids
 assigned in merge order.
 
-Both engines consume the same population: :meth:`~TenantPopulation
-.stream` materializes :class:`~repro.serving.scheduler.ServeRequest`
-objects for the stepped engine and :meth:`~TenantPopulation.table`
-builds the value-equal columnar :class:`~repro.fleet.table
-.RequestTable` for the event engine — from the *same* per-tenant draw
-lists, merged by an ``np.lexsort`` over the same keys, so the two
-views are bit-identical by construction.
+The population has two views: :meth:`~TenantPopulation.stream`
+materializes :class:`~repro.serving.scheduler.ServeRequest` objects
+and :meth:`~TenantPopulation.table` builds the value-equal columnar
+:class:`~repro.fleet.table.RequestTable` the fleet runs on — from the
+*same* per-tenant draw lists, merged by an ``np.lexsort`` over the
+same keys, so the two views are bit-identical by construction.
 """
 
 from __future__ import annotations
@@ -171,7 +170,7 @@ class TenantPopulation:
         return keys
 
     def stream(self) -> list[ServeRequest]:
-        """The merged request stream for the stepped engine."""
+        """The merged request stream as request objects."""
         draws = {spec.tenant_id: _tenant_draws(spec, self.seed)
                  for spec in self.tenants}
         priorities = {spec.tenant_id: spec.priority for spec in self.tenants}
@@ -186,7 +185,7 @@ class TenantPopulation:
         return requests
 
     def table(self) -> RequestTable:
-        """The bit-identical columnar twin for the event engine.
+        """The bit-identical columnar twin of :meth:`stream`.
 
         Merges the same per-tenant draw lists with a stable
         ``np.lexsort`` over ``(arrival, tenant, local)`` — the exact

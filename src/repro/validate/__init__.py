@@ -20,15 +20,13 @@ A registry of named checks (``@check``) spanning four families:
   uninterrupted run, snapshot idempotence, schema-version negotiation,
   and byte-identical write-ahead-journal resume,
 * **tenancy** — the multi-tenant serving plane over
-  :mod:`repro.tenancy`: WFQ/FCFS engine parity across every KV
-  isolation mode, exact per-tenant billing partition, per-tenant
+  :mod:`repro.tenancy`: exact per-tenant billing partition, per-tenant
   request conservation under faults, weighted-fairness ordering,
-  shed-priority parity, and WFQ-armed snapshot resume,
+  shed-priority ordering, and WFQ-armed snapshot resume,
 * **attest** — the phased confidential boot lifecycle over
   :mod:`repro.tee.boot`: boot-phase conservation, legacy-constant
-  parity, stepped/event engine parity with phased boots and
-  re-attestation faults, mid-boot snapshot-resume parity, and the
-  golden attestation-tax table.
+  parity, request conservation under phased boots, mid-boot
+  snapshot-resume parity, and the golden attestation-tax table.
 
 Run via ``scripts/audit.py`` or through the pytest adapter in
 ``tests/validate/``, which makes every check a tier-1 test.
@@ -55,7 +53,6 @@ from . import golden as _golden  # noqa: E402,F401
 from . import fleet as _fleet  # noqa: E402,F401
 from . import chaos as _chaos  # noqa: E402,F401
 from . import state as _state  # noqa: E402,F401
-from . import event as _event  # noqa: E402,F401
 from . import tenancy as _tenancy  # noqa: E402,F401
 from . import attest as _attest  # noqa: E402,F401
 

@@ -16,13 +16,12 @@ whose sum *is* the boot latency.  Its acceptance contract:
   to the legacy constant path: zero-boot fixed fleets (fault-free and
   faulted) and autoscaled scale-ups paying the same constant through
   either mechanism produce identical reports.
-* ``attest.engine_parity`` — phased boots, re-attestation faults and
-  autoscaling produce identical OutcomeLogs on the stepped and event
-  engines (extends ``fleet.event_core_parity`` to the boot path).
+* ``attest.phased_request_conservation`` — phased-boot fleets, with
+  and without re-attestation faults, serve nothing before the cold boot
+  completes and conserve every submitted request.
 * ``attest.mid_boot_resume_parity`` — a fleet snapshotted with a
   replica in *each* of the five boot phases (including after a
-  mid-boot attestation restart) restores bit-identically on both
-  engines.
+  mid-boot attestation restart) restores bit-identically.
 * ``golden.attest_tax`` — committed snapshot of the attestation-tax
   table: $/Mtok and p99 TTFT deltas of phased vs legacy boots on the
   capacity and chaos headlines, plus the per-phase boot breakdown.
@@ -41,7 +40,6 @@ from ..fleet import (
     poisson_arrivals,
     replica_spec,
 )
-from ..fleet.table import RequestTable
 from ..llm.config import LLAMA2_7B, LLAMA2_70B
 from ..llm.datatypes import BFLOAT16, INT8
 from ..tee.boot import (
@@ -74,13 +72,6 @@ def _phased_spec(kind: str, **overrides):
 def _stream(requests: int = 24, rate_per_s: float = 1.2, seed: int = 11):
     return poisson_arrivals(requests, rate_per_s=rate_per_s,
                             mean_prompt=128, mean_output=48, seed=seed)
-
-
-def _requests(engine: str, **kwargs):
-    stream = _stream(**kwargs)
-    if engine == "event":
-        return RequestTable.from_requests(stream)
-    return stream
 
 
 def _compare(label: str, reference: dict, candidate: dict) -> None:
@@ -186,14 +177,11 @@ def legacy_constant_parity(ctx: AuditContext) -> str:
                                 seed=5, kinds=_BOOT_NEUTRAL_KINDS),
         "retry_policy": RetryPolicy(timeout_s=25.0, max_attempts=4, seed=5),
     }
-    for engine in ("stepped", "event"):
-        for label, kwargs in (("fault-free", {}), ("faulted", faulted)):
-            a = fixed_fleet(legacy, 2, engine=engine,
-                            **kwargs).run(_requests(engine))
-            b = fixed_fleet(armed, 2, engine=engine,
-                            **kwargs).run(_requests(engine))
-            _compare(f"{engine}/{label} zero-boot", a.to_dict(), b.to_dict())
-            compared += 1
+    for label, kwargs in (("fault-free", {}), ("faulted", faulted)):
+        a = fixed_fleet(legacy, 2, **kwargs).run(_stream())
+        b = fixed_fleet(armed, 2, **kwargs).run(_stream())
+        _compare(f"{label} zero-boot", a.to_dict(), b.to_dict())
+        compared += 1
     # Scale-ups: the autoscaler constant vs the same constant expressed
     # as a degenerate boot profile on the scale spec.
     config = AutoscalerConfig(min_replicas=1, max_replicas=4,
@@ -202,27 +190,21 @@ def legacy_constant_parity(ctx: AuditContext) -> str:
     scaled_armed = replica_spec("tdx", max_batch=8,
                                 kv_capacity_tokens=16384,
                                 boot=constant_profile("tdx", 9.0))
-    reports = []
-    for engine in ("stepped", "event"):
-        pair = []
-        for scale_spec in (legacy, scaled_armed):
-            sim = FleetSimulator(
-                [legacy], autoscaler=ReactiveAutoscaler(config),
-                scale_spec=scale_spec, engine=engine)
-            pair.append(sim.run(_requests(engine, requests=36,
-                                          rate_per_s=6.0, seed=3)))
-        _compare(f"{engine} autoscaled constant", pair[0].to_dict(),
-                 pair[1].to_dict())
-        reports.append(pair[0])
-        compared += 1
-    if not any(report.scale_events for report in reports):
+    pair = []
+    for scale_spec in (legacy, scaled_armed):
+        sim = FleetSimulator([legacy], autoscaler=ReactiveAutoscaler(config),
+                             scale_spec=scale_spec)
+        pair.append(sim.run(_stream(requests=36, rate_per_s=6.0, seed=3)))
+    _compare("autoscaled constant", pair[0].to_dict(), pair[1].to_dict())
+    compared += 1
+    if not pair[0].scale_events:
         raise CheckFailure("autoscaled regime never scaled; check is "
                            "vacuous")
     return f"{compared} legacy/constant-profile fleet pairs bit-identical"
 
 
 def _phased_regimes():
-    """(label, fleet-factory-kwargs) grid: boots x faults x scaling."""
+    """(label, spec, fleet-kwargs) grid: phased boots x faults."""
     faulted = {
         "faults": mtbf_schedule([0, 1], mtbf_s=10.0, horizon_s=45.0, seed=7),
         "retry_policy": RetryPolicy(timeout_s=30.0, max_attempts=4, seed=7),
@@ -234,40 +216,33 @@ def _phased_regimes():
     )
 
 
-@check("attest.engine_parity", family="attest",
+@check("attest.phased_request_conservation", family="attest",
        layers=("tee", "fleet", "faults"))
-def engine_parity(ctx: AuditContext) -> str:
-    """Phased boots, re-attestation faults and autoscaling are
-    bit-identical between the stepped and event engines."""
-    compared = 0
+def phased_request_conservation(ctx: AuditContext) -> str:
+    """Phased boots never serve before readiness and never lose a
+    request: no first token precedes the cold boot, and completed +
+    shed equals submitted through re-attestation faults."""
+    checked = 0
     for label, spec, kwargs in _phased_regimes():
-        stepped = fixed_fleet(spec, 2, engine="stepped",
-                              **kwargs).run(_requests("stepped"))
-        event = fixed_fleet(spec, 2, engine="event",
-                            **kwargs).run(_requests("event"))
-        _compare(label, stepped.to_dict(), event.to_dict())
-        if not stepped.outcomes:
+        stream = _stream()
+        report = fixed_fleet(spec, 2, **kwargs).run(stream)
+        if len(report.outcomes) + len(report.shed) != len(stream):
+            raise CheckFailure(
+                f"{label}: {len(stream)} submitted but "
+                f"{len(report.outcomes)} completed + {len(report.shed)} "
+                f"shed")
+        if not len(report.outcomes):
             raise CheckFailure(f"{label}: no outcomes; check is vacuous")
-        compared += len(stepped.outcomes)
-    # Autoscaled: scale-ups clone the phased spec, so every scale-up
-    # pays the full phase sequence instead of the config constant.
-    config = AutoscalerConfig(min_replicas=1, max_replicas=3,
-                              scale_up_load=2.0, scale_down_load=0.5,
-                              cooldown_s=4.0)
-    pair = []
-    for engine in ("stepped", "event"):
-        sim = FleetSimulator(
-            [_phased_spec("tdx")],
-            autoscaler=ReactiveAutoscaler(config), engine=engine)
-        pair.append(sim.run(_requests(engine, requests=36, rate_per_s=6.0,
-                                      seed=3)))
-    _compare("tdx/autoscaled", pair[0].to_dict(), pair[1].to_dict())
-    if not pair[0].scale_events:
-        raise CheckFailure("autoscaled phased regime never scaled; "
-                           "check is vacuous")
-    compared += len(pair[0].outcomes)
-    return (f"{compared} request timelines bit-identical across "
-            f"4 phased-boot regimes")
+        boot_s = spec.boot_sequence().total_s
+        first = min(outcome.first_token_s for outcome in report.outcomes)
+        if first < boot_s:
+            raise CheckFailure(
+                f"{label}: first token at {first:.3f}s precedes the "
+                f"{boot_s:.3f}s phased boot")
+        checked += len(stream)
+    return (f"{checked} requests conserved across "
+            f"{len(_phased_regimes())} phased-boot regimes, none served "
+            f"before readiness")
 
 
 @check("attest.mid_boot_resume_parity", family="attest",
@@ -287,45 +262,40 @@ def mid_boot_resume_parity(ctx: AuditContext) -> str:
                    restart_after_s=4.0),
     ))
     retry = RetryPolicy(timeout_s=60.0, max_attempts=4, seed=3)
-    restored = 0
-    for engine in ("stepped", "event"):
-        def fleet():
-            return fixed_fleet(spec, 2, faults=faults, retry_policy=retry,
-                               engine=engine)
+    def fleet():
+        return fixed_fleet(spec, 2, faults=faults, retry_policy=retry)
 
-        requests = _requests(engine, requests=20, rate_per_s=0.8, seed=5)
-        baseline = fleet().run(requests).to_dict()
-        running = fleet()
-        running.begin_run(requests)
-        snapshots: list[tuple[str, dict]] = []
-        seen: set[str] = set()
-        while running.run_active:
-            running.run_tick()
-            now = running.run_clock_s
-            for replica in running.replicas:
-                phase = replica.boot_phase(now)
-                if phase is not None and phase not in seen:
-                    seen.add(phase)
-                    snapshots.append(
-                        (phase, json.loads(json.dumps(running.to_state()))))
-        missing = set(BOOT_PHASES) - seen
-        if missing:
-            raise CheckFailure(
-                f"{engine}: no snapshot captured in phases "
-                f"{sorted(missing)}; check is vacuous")
-        if running.finish_run().to_dict() != baseline:
-            raise CheckFailure(
-                f"{engine}: taking the snapshots perturbed the run")
-        for phase, payload in snapshots:
-            fresh = fleet()
-            fresh.from_state(payload)
-            while fresh.run_active:
-                fresh.run_tick()
-            _compare(f"{engine} resume from {phase}", baseline,
-                     fresh.finish_run().to_dict())
-            restored += 1
-    return (f"{restored} mid-boot snapshots (all {len(BOOT_PHASES)} "
-            f"phases x 2 engines) restore exactly; reattest window "
+    requests = _stream(requests=20, rate_per_s=0.8, seed=5)
+    baseline = fleet().run(requests).to_dict()
+    running = fleet()
+    running.begin_run(requests)
+    snapshots: list[tuple[str, dict]] = []
+    seen: set[str] = set()
+    while running.run_active:
+        running.run_tick()
+        now = running.run_clock_s
+        for replica in running.replicas:
+            phase = replica.boot_phase(now)
+            if phase is not None and phase not in seen:
+                seen.add(phase)
+                snapshots.append(
+                    (phase, json.loads(json.dumps(running.to_state()))))
+    missing = set(BOOT_PHASES) - seen
+    if missing:
+        raise CheckFailure(
+            f"no snapshot captured in phases {sorted(missing)}; check is "
+            f"vacuous")
+    if running.finish_run().to_dict() != baseline:
+        raise CheckFailure("taking the snapshots perturbed the run")
+    for phase, payload in snapshots:
+        fresh = fleet()
+        fresh.from_state(payload)
+        while fresh.run_active:
+            fresh.run_tick()
+        _compare(f"resume from {phase}", baseline,
+                 fresh.finish_run().to_dict())
+    return (f"{len(snapshots)} mid-boot snapshots (all {len(BOOT_PHASES)} "
+            f"phases) restore exactly; reattest window "
             f"{sequence.remaining_from(BOOT_PHASES[1]):.2f}s exercised")
 
 

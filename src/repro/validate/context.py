@@ -119,13 +119,22 @@ class AuditContext:
                                                        **kwargs)
         return self._sim_cache[key]
 
-    def serve(self, backend: str = "baremetal", num_requests: int = 24,
-              rate_per_s: float = 2.0, kv_capacity_tokens: int = 1024,
-              max_batch: int = 8, seed: int = 7) -> ServingReport:
-        """Memoized continuous-batching run on a constrained KV pool.
+    def serve(self, **kwargs) -> ServingReport:
+        """Memoized continuous-batching run (see :meth:`serve_state`)."""
+        return self.serve_state(**kwargs)[2]
+
+    def serve_state(self, backend: str = "baremetal", num_requests: int = 24,
+                    rate_per_s: float = 2.0, kv_capacity_tokens: int = 1024,
+                    max_batch: int = 8, seed: int = 7,
+                    ) -> tuple[list, ContinuousBatchingScheduler,
+                               ServingReport]:
+        """(requests, drained scheduler, report) of a memoized run.
 
         The pool is sized to force preemptions so scheduler checks see
-        the full admit/preempt/recompute lifecycle.
+        the full admit/preempt/recompute lifecycle; the scheduler is
+        returned after the run so checks can inspect its final state
+        (e.g. ``kv_free_fraction``).  Results are shared — treat them
+        as read-only.
         """
         key = (backend, num_requests, rate_per_s, kv_capacity_tokens,
                max_batch, seed)
@@ -138,15 +147,6 @@ class AuditContext:
                 kv_capacity_tokens=kv_capacity_tokens, max_batch=max_batch)
             report = scheduler.run(requests)
             self._serve_cache[key] = (requests, scheduler, report)
-        return self._serve_cache[key][2]
-
-    def serve_state(self, **kwargs):
-        """(requests, scheduler, report) of the memoized serving run."""
-        self.serve(**kwargs)
-        key = (kwargs.get("backend", "baremetal"),
-               kwargs.get("num_requests", 24), kwargs.get("rate_per_s", 2.0),
-               kwargs.get("kv_capacity_tokens", 1024),
-               kwargs.get("max_batch", 8), kwargs.get("seed", 7))
         return self._serve_cache[key]
 
 

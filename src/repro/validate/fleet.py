@@ -1,18 +1,23 @@
 """Fleet and steppable-scheduler audit checks (all three families).
 
-The steppable refactor of :class:`ContinuousBatchingScheduler` and the
-fleet layer on top of it get the same treatment as every other fast
-path in the repository: a slower, simpler twin to diff against, a set
-of directional invariants, and a golden snapshot of the headline
-capacity-planning numbers.
+The continuous-batching scheduler and the fleet layer on top of it get
+the same treatment as every other fast path in the repository: a
+slower, simpler reference to diff against, a set of directional
+invariants, and a golden snapshot of the headline capacity-planning
+numbers.
 
 * ``serving.legacy_loop_parity`` (differential) re-implements the
-  pre-refactor run-to-completion loop verbatim and requires ``run()``
-  to reproduce it **bit-identically** — the refactor's acceptance
-  criterion, pinned forever.
+  original run-to-completion loop verbatim over a real
+  :class:`~repro.llm.kvcache.PagedKVCache` and requires ``run()`` to
+  reproduce it **bit-identically** — the scheduler's one independent
+  reference.
 * ``serving.step_run_parity`` (differential) drives the same stream
   through ``submit``/``step`` at several horizon cadences and requires
   exact equality with ``run()``.
+* ``fleet.jump_parity`` (differential) runs every structurally distinct
+  fleet regime twice — through ``run()``, which jumps quiet ticks, and
+  through a plain ``begin_run``/``run_tick``/``finish_run`` loop — and
+  requires exactly equal reports.
 * ``fleet.*`` metamorphic checks encode cluster-level physics: adding
   a replica never raises p99 TTFT under fixed load, requests are
   conserved through routing/autoscaling, fleet runs are deterministic.
@@ -23,10 +28,19 @@ capacity-planning numbers.
 
 from __future__ import annotations
 
+import numpy as np
+
+from ..faults import DegradationPolicy, RetryPolicy, mtbf_schedule
 from ..fleet import (
+    AutoscalerConfig,
+    CostSloRouter,
+    FleetSimulator,
+    ReactiveAutoscaler,
+    RequestTable,
     capacity_sweep,
     fixed_fleet,
     poisson_arrivals,
+    poisson_table,
     replica_spec,
     trace_replay,
 )
@@ -46,7 +60,7 @@ def _legacy_run(scheduler: ContinuousBatchingScheduler, requests):
     ``(first_token_s, finish_s, preemptions)`` plus the final clock —
     the ground truth the refactored ``run`` must match bit-for-bit.
     """
-    cache = PagedKVCache(num_blocks=scheduler.cache.num_blocks,
+    cache = PagedKVCache(num_blocks=scheduler.num_blocks,
                          block_size=scheduler.block_size)
     waiting = sorted(requests, key=lambda r: (r.arrival_s, r.request_id))
     timeline = {r.request_id: [0.0, 0.0, 0] for r in requests}
@@ -64,7 +78,7 @@ def _legacy_run(scheduler: ContinuousBatchingScheduler, requests):
             except MemoryError:
                 break
             waiting.pop(0)
-            clock += scheduler._prefill_s(request.prompt_tokens)
+            clock += scheduler._costs.prefill_s(request.prompt_tokens)
             timeline[request.request_id][0] = clock
             running.append([request, 0])
         if not running:
@@ -73,7 +87,8 @@ def _legacy_run(scheduler: ContinuousBatchingScheduler, requests):
         contexts = [entry[0].prompt_tokens + entry[1] for entry in running]
         mean_context = int(sum(contexts) / len(contexts))
         occupancy.append(len(running))
-        clock += scheduler._decode_step_s(len(running), max(1, mean_context))
+        clock += scheduler._costs.decode_step_s(len(running),
+                                                max(1, mean_context))
 
         finished = []
         preempted_ids: set[int] = set()
@@ -204,6 +219,147 @@ def _fleet_stream():
 
 def _tdx_spec():
     return replica_spec("tdx", max_batch=16, kv_capacity_tokens=65536)
+
+
+def _jump_regimes() -> list[tuple[str, "callable", object]]:
+    """(label, fresh-fleet factory, stream) for every fleet regime.
+
+    Covers fault-free, faulted, autoscaled, spill-router and sparse
+    fleets, the 9 tenancy admission x isolation regimes, and phased
+    boots fault-free, faulted and autoscaled.  Streams alternate between
+    object lists and request tables, so ``begin_run``'s list-to-table
+    conversion stays covered.
+    """
+    from .attest import _phased_regimes, _stream as _boot_stream
+    from .tenancy import _population, _regimes as _tenancy_regimes
+
+    spec = _tdx_spec()
+    faults = {
+        "faults": mtbf_schedule([0, 1], mtbf_s=6.0, horizon_s=30.0, seed=3),
+        "retry_policy": RetryPolicy(timeout_s=30.0, max_attempts=4, seed=3),
+    }
+
+    def autoscaled():
+        return FleetSimulator([spec], scale_spec=spec,
+                              autoscaler=ReactiveAutoscaler(AutoscalerConfig(
+                                  max_replicas=4, scale_up_load=3.0,
+                                  scale_down_load=0.5, cooldown_s=2.0,
+                                  boot_latency_s=5.0)))
+
+    def spill_router():
+        return FleetSimulator(
+            [spec, spec], router=CostSloRouter(slo_ttft_s=2.0),
+            degradation=DegradationPolicy(mode="spill", max_hold_s=4.0,
+                                          spill_boot_s=1.0, max_spill=2),
+            scale_spec=spec, **faults)
+
+    regimes = [
+        ("fault-free", lambda: fixed_fleet(spec, 2), _fleet_stream()),
+        ("faulted", lambda: fixed_fleet(spec, 2, **faults),
+         RequestTable.from_requests(_fleet_stream())),
+        ("autoscaled", autoscaled, _fleet_stream()),
+        ("spill-router/faulted", spill_router,
+         RequestTable.from_requests(_fleet_stream())),
+        ("sparse 0.5 req/s", lambda: fixed_fleet(spec, 2),
+         poisson_table(20, rate_per_s=0.5, mean_prompt=128, mean_output=32,
+                       seed=11)),
+    ]
+    population = _population()
+    for index, (label, tenant_spec, kwargs) in enumerate(
+            _tenancy_regimes(population)):
+        regimes.append((
+            f"tenancy {label}",
+            lambda tenant_spec=tenant_spec, kwargs=kwargs: fixed_fleet(
+                tenant_spec, 2, **kwargs),
+            population.stream() if index % 2 else population.table()))
+    for index, (label, boot_spec, kwargs) in enumerate(_phased_regimes()):
+        regimes.append((
+            f"phased boot {label}",
+            lambda boot_spec=boot_spec, kwargs=kwargs: fixed_fleet(
+                boot_spec, 2, **kwargs),
+            _boot_stream() if index % 2
+            else RequestTable.from_requests(_boot_stream())))
+    boot_spec = _phased_regimes()[0][1]
+    regimes.append((
+        "phased boot tdx/autoscaled",
+        lambda: FleetSimulator([boot_spec], autoscaler=ReactiveAutoscaler(
+            AutoscalerConfig(min_replicas=1, max_replicas=3,
+                             scale_up_load=2.0, scale_down_load=0.5,
+                             cooldown_s=4.0))),
+        _boot_stream(requests=36, rate_per_s=6.0, seed=3)))
+    return regimes
+
+
+def _run_jumping(sim: FleetSimulator, stream):
+    """``sim.run(stream)`` and the number of ticks it executed."""
+    ticks = 0
+    tick = sim.run_tick
+
+    def counted() -> None:
+        nonlocal ticks
+        ticks += 1
+        tick()
+
+    sim.run_tick = counted
+    return sim.run(stream), ticks
+
+
+def _run_ticking(sim: FleetSimulator, stream):
+    """The same run as a plain tick loop, and its tick count."""
+    sim.begin_run(stream)
+    ticks = 0
+    while sim.run_active:
+        sim.run_tick()
+        ticks += 1
+    return sim.finish_run(), ticks
+
+
+@check("fleet.jump_parity", family="differential",
+       layers=("fleet", "serving"))
+def jump_parity(ctx: AuditContext) -> str:
+    """run() jumping quiet ticks is bit-identical to ticking every one."""
+    from .tenancy import _population
+
+    population = _population()
+    table = population.table()
+    for i, request in enumerate(population.stream()):
+        if request != table.request(i):
+            raise CheckFailure(
+                f"population table row {i} diverged from the stream")
+    regimes = _jump_regimes()
+    jumped_ticks = ticked_ticks = compared = 0
+    jumped_somewhere = False
+    for label, factory, stream in regimes:
+        jumped, jumps = _run_jumping(factory(), stream)
+        ticked, ticks = _run_ticking(factory(), stream)
+        a, b = jumped.to_dict(), ticked.to_dict()
+        if a != b:
+            diverged = [key for key in a if a[key] != b.get(key)]
+            raise CheckFailure(
+                f"{label}: jumped report diverged from the tick loop in "
+                f"{diverged[:4]}")
+        if not len(ticked.outcomes):
+            raise CheckFailure(f"{label}: no outcomes; check is vacuous")
+        if "autoscaled" in label and not ticked.scale_events:
+            raise CheckFailure(f"{label}: never scaled; check is vacuous")
+        # Bit-identical means raw float equality, not tolerance.
+        for column in ("request_id", "first_token_s", "finish_s",
+                       "preemptions"):
+            if not np.array_equal(getattr(jumped.outcomes, column),
+                                  getattr(ticked.outcomes, column)):
+                raise CheckFailure(
+                    f"{label}: outcome column {column} diverged between "
+                    f"run() and the tick loop")
+        jumped_somewhere |= jumps < ticks
+        jumped_ticks += jumps
+        ticked_ticks += ticks
+        compared += len(ticked.outcomes)
+    if not jumped_somewhere:
+        raise CheckFailure("run() jumped no ticks in any regime; check is "
+                           "vacuous")
+    return (f"{compared} request timelines bit-identical across "
+            f"{len(regimes)} regimes; run() executed {jumped_ticks} of "
+            f"{ticked_ticks} ticks")
 
 
 @check("fleet.replica_scaling_monotonic_tail", family="metamorphic",

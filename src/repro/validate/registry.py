@@ -21,12 +21,12 @@ from typing import Callable
 #: checks prove checkpoint/restore parity: mid-run snapshot -> restore
 #: -> completion is bit-identical to never having stopped, and the
 #: write-ahead sweep journal resumes byte-identically.  ``tenancy``
-#: checks prove the multi-tenant serving plane: WFQ/FCFS engine
-#: parity, exact billing partition, per-tenant request conservation,
-#: weighted-fairness ordering, shed-priority parity, and WFQ-armed
-#: snapshot resume.  ``attest`` checks prove the phased confidential
-#: boot lifecycle: phase conservation, legacy-constant parity, engine
-#: parity with phased boots, and mid-boot snapshot-resume parity.
+#: checks prove the multi-tenant serving plane: exact billing
+#: partition, per-tenant request conservation, weighted-fairness
+#: ordering, shed-priority ordering, and WFQ-armed snapshot resume.
+#: ``attest`` checks prove the phased confidential boot lifecycle:
+#: phase conservation, legacy-constant parity, request conservation,
+#: and mid-boot snapshot-resume parity.
 FAMILIES = ("differential", "metamorphic", "golden", "chaos", "state",
             "tenancy", "attest")
 

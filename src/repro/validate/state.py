@@ -8,12 +8,14 @@ from never having stopped.  These checks pin that end to end:
   both: report, raw outcome floats, fault timeline, shed ledger and
   scale events must be **bit-identical** — fault-free, faulted and
   autoscaled configurations alike.  Taking the snapshot must not
-  perturb the running simulator either.
+  perturb the running simulator either.  The configurations include a
+  spill router: cost/SLO routing plus spill degradation under MTBF
+  faults.
 * ``state.snapshot_roundtrip`` — ``restore(snapshot(sim))`` then
   re-snapshot yields the identical payload (idempotence), and the
   steppable run loop composes to exactly ``run()``.
 * ``state.schema_negotiation`` — newer/unreachable ``state_version``
-  payloads are refused with the right error; the same-version v1→v1
+  payloads are refused with the right error; the same-version no-op
   hook runs on every restore; non-finite values are rejected with a
   JSON path.
 * ``state.wal_resume`` — an interrupted journaled sweep, reopened and
@@ -32,9 +34,15 @@ import json
 import tempfile
 from pathlib import Path
 
-from ..faults import FaultSchedule, RetryPolicy, mtbf_schedule
+from ..faults import (
+    DegradationPolicy,
+    FaultSchedule,
+    RetryPolicy,
+    mtbf_schedule,
+)
 from ..fleet import (
     AutoscalerConfig,
+    CostSloRouter,
     FleetSimulator,
     ReactiveAutoscaler,
     fixed_fleet,
@@ -86,8 +94,18 @@ def _fleets() -> list[tuple[str, "callable"]]:
                               faults=FaultSchedule.empty(),
                               retry_policy=RetryPolicy(seed=3))
 
+    def spill_router():
+        return FleetSimulator(
+            [_spec(), _spec()], router=CostSloRouter(slo_ttft_s=2.0),
+            faults=mtbf_schedule([0, 1], mtbf_s=6.0, horizon_s=30.0, seed=3),
+            retry_policy=RetryPolicy(timeout_s=30.0, max_attempts=4, seed=3),
+            degradation=DegradationPolicy(mode="spill", max_hold_s=4.0,
+                                          spill_boot_s=1.0, max_spill=2),
+            scale_spec=_spec())
+
     return [("fixed/fault-free", fault_free), ("fixed/faulted", faulted),
-            ("autoscaled/faulted-armed", autoscaled)]
+            ("autoscaled/faulted-armed", autoscaled),
+            ("spill-router/faulted", spill_router)]
 
 
 def _finish(sim) -> object:
@@ -199,14 +217,16 @@ def state_schema_negotiation(ctx: AuditContext) -> str:
         raise CheckFailure("a newer state_version was accepted")
     except StateVersionError:
         pass
-    ancient = dict(payload, state_version=0)
-    try:
-        negotiate(ancient)
-        raise CheckFailure("an unmigratable older version was accepted")
-    except StateVersionError:
-        pass
+    for stale in (0, CURRENT_STATE_VERSION - 1):
+        try:
+            negotiate(dict(payload, state_version=stale))
+            raise CheckFailure(
+                f"unmigratable older version {stale} was accepted")
+        except StateVersionError:
+            pass
     if negotiate(dict(payload)) != payload:
-        raise CheckFailure("the v1->v1 no-op migration altered the payload")
+        raise CheckFailure(
+            "the same-version no-op migration altered the payload")
 
     poisoned = dict(payload, state=dict(payload["state"],
                                         tick_s=float("inf")))
@@ -217,7 +237,7 @@ def state_schema_negotiation(ctx: AuditContext) -> str:
         if "tick_s" not in str(error):
             raise CheckFailure(
                 "non-finite rejection does not name the offending path")
-    return "newer/stale versions refused; v1->v1 hook is a no-op"
+    return "newer/stale versions refused; same-version hook is a no-op"
 
 
 @check("state.wal_resume", family="state",

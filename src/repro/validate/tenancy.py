@@ -2,28 +2,24 @@
 
 The tenancy plane (:mod:`repro.tenancy` over
 :mod:`repro.serving.admission`) adds weighted-fair queueing, KV
-isolation modes, and per-tenant billing on top of both scheduler
-engines.  Its acceptance contract mirrors the event-core one: the
-stepped engine stays the reference, and every tenancy configuration —
-WFQ or FCFS, shared, partitioned or prefix-sharing KV — must reproduce
-bit-identically on the columnar engine, while the tenant ledgers
-*exactly* partition the fleet bill and conserve every submitted
-request across fault and degradation regimes.
+isolation modes, and per-tenant billing on top of the scheduler.  Its
+acceptance contract: the tenant ledgers *exactly* partition the fleet
+bill and conserve every submitted request across fault and degradation
+regimes, WFQ favors heavier weights, and tenancy-armed runs resume
+bit-identically.  The admission x isolation grid also runs through
+``fleet.jump_parity``.
 
-* ``tenancy.engine_parity`` — stream/table twins and full
-  admission x isolation regime grid, fault-free and faulted, compared
-  as raw report dicts and per-tenant breakdowns (float equality).
 * ``tenancy.billing_conservation`` — per-tenant invoices in integer
   cents sum to ``round(cost_usd * 100)`` in every regime.
 * ``tenancy.request_conservation`` — per tenant,
   ``completed + shed == submitted`` even under crashes and sheds.
 * ``tenancy.wfq_fairness`` — under symmetric demand on a saturated
   replica, the heavier-weighted tenant sees the smaller p99 TTFT.
-* ``tenancy.shed_priority_parity`` — the degradation shed ledger
-  (id, time, reason, attempts, priority) is identical between engines
-  under mixed priority classes.
+* ``tenancy.shed_priority_order`` — under mixed priority classes the
+  degradation shed ledger drops lower priority classes first within
+  each shed instant.
 * ``tenancy.resume_parity`` — a WFQ-armed, prefix-sharing, faulted
-  fleet snapshotted mid-run restores bit-identically on both engines.
+  fleet snapshotted mid-run restores bit-identically.
 """
 
 from __future__ import annotations
@@ -88,45 +84,6 @@ def _regimes(population: TenantPopulation):
     return grid
 
 
-def _run_pair(population, spec, fleet_kwargs):
-    """The same population through both engines; raw FleetReports."""
-    stepped = fixed_fleet(spec, 2, engine="stepped",
-                          **fleet_kwargs).run(population.stream())
-    event = fixed_fleet(spec, 2, engine="event",
-                        **fleet_kwargs).run(population.table())
-    return stepped, event
-
-
-@check("tenancy.engine_parity", family="tenancy",
-       layers=("tenancy", "fleet", "serving"))
-def engine_parity(ctx: AuditContext) -> str:
-    """Every admission x isolation regime, fault-free and faulted, is
-    bit-identical between the stepped and event engines."""
-    population = _population()
-    stream, table = population.stream(), population.table()
-    for i, request in enumerate(stream):
-        if request != table.request(i):
-            raise CheckFailure(
-                f"population table row {i} diverged from the stream")
-    compared = 0
-    for label, spec, fleet_kwargs in _regimes(population):
-        stepped, event = _run_pair(population, spec, fleet_kwargs)
-        a, b = stepped.to_dict(), event.to_dict()
-        if a != b:
-            diverged = [key for key in a if a[key] != b.get(key)]
-            raise CheckFailure(
-                f"{label}: event report diverged from stepped in "
-                f"{diverged[:4]}")
-        split_a = tenant_breakdown(stepped, population).to_dict()
-        split_b = tenant_breakdown(event, population).to_dict()
-        if split_a != split_b:
-            raise CheckFailure(
-                f"{label}: per-tenant breakdown diverged between engines")
-        compared += len(stepped.outcomes)
-    return (f"{compared} request timelines bit-identical across "
-            f"{len(_regimes(population))} tenancy regimes")
-
-
 @check("tenancy.billing_conservation", family="tenancy",
        layers=("tenancy", "fleet", "cost"))
 def billing_conservation(ctx: AuditContext) -> str:
@@ -135,8 +92,7 @@ def billing_conservation(ctx: AuditContext) -> str:
     population = _population()
     checked = 0
     for label, spec, fleet_kwargs in _regimes(population):
-        report = fixed_fleet(spec, 2, engine="stepped",
-                             **fleet_kwargs).run(population.stream())
+        report = fixed_fleet(spec, 2, **fleet_kwargs).run(population.table())
         split = tenant_breakdown(report, population)
         expected = round(report.cost_usd * 100)
         if split.total_bill_cents != expected:
@@ -169,8 +125,7 @@ def request_conservation(ctx: AuditContext) -> str:
                  for spec in population.tenants}
     checked = 0
     for label, spec, fleet_kwargs in _regimes(population):
-        report = fixed_fleet(spec, 2, engine="event",
-                             **fleet_kwargs).run(population.table())
+        report = fixed_fleet(spec, 2, **fleet_kwargs).run(population.table())
         split = tenant_breakdown(report, population)
         for usage in split.tenants:
             if usage.requests + usage.shed != submitted[usage.tenant_id]:
@@ -196,7 +151,7 @@ def wfq_fairness(ctx: AuditContext) -> str:
     spec = replica_spec(
         "tdx", max_batch=4, kv_capacity_tokens=8192,
         tenancy=population.tenancy_config(admission="wfq"))
-    report = fixed_fleet(spec, 1, engine="stepped").run(population.stream())
+    report = fixed_fleet(spec, 1).run(population.table())
     split = tenant_breakdown(report, population)
     heavy, light = split.usage_of(0), split.usage_of(1)
     if heavy.ttft_p99_s is None or light.ttft_p99_s is None:
@@ -212,11 +167,11 @@ def wfq_fairness(ctx: AuditContext) -> str:
             f"{light.ttft_p99_s:.3f}s under 8:1 weights")
 
 
-@check("tenancy.shed_priority_parity", family="tenancy",
+@check("tenancy.shed_priority_order", family="tenancy",
        layers=("tenancy", "fleet", "faults"))
-def shed_priority_parity(ctx: AuditContext) -> str:
-    """The degradation shed ledger — order, priorities, reasons — is
-    identical between engines under mixed priority classes."""
+def shed_priority_order(ctx: AuditContext) -> str:
+    """Under mixed priority classes, every degradation shed instant
+    drops lower priority classes first."""
     population = _population()
     spec = _spec(population, "fcfs", "shared")
     fleet_kwargs = {
@@ -224,24 +179,13 @@ def shed_priority_parity(ctx: AuditContext) -> str:
         "retry_policy": RetryPolicy(timeout_s=8.0, max_attempts=2, seed=9),
         "degradation": DegradationPolicy(mode="shed", max_hold_s=1.0),
     }
-    stepped, event = _run_pair(population, spec, fleet_kwargs)
-    ledger = [(shed.request.request_id, shed.request.tenant_id,
-               shed.request.priority, shed.time_s, shed.reason,
-               shed.attempts) for shed in stepped.shed]
-    twin = [(shed.request.request_id, shed.request.tenant_id,
-             shed.request.priority, shed.time_s, shed.reason,
-             shed.attempts) for shed in event.shed]
-    if ledger != twin:
-        first = next(i for i, (a, b) in enumerate(zip(ledger, twin))
-                     if a != b) if len(ledger) == len(twin) else -1
-        raise CheckFailure(
-            f"shed ledgers diverged between engines "
-            f"(lengths {len(ledger)}/{len(twin)}, first diff {first})")
+    report = fixed_fleet(spec, 2, **fleet_kwargs).run(population.table())
     # Within one shed instant, lower priority classes go first.
     by_instant: dict[float, list[tuple[int, int]]] = {}
-    for request_id, _, priority, time_s, reason, _ in ledger:
-        if reason == "degraded":
-            by_instant.setdefault(time_s, []).append((priority, request_id))
+    for shed in report.shed:
+        if shed.reason == "degraded":
+            by_instant.setdefault(shed.time_s, []).append(
+                (shed.request.priority, shed.request.request_id))
     for time_s, batch in by_instant.items():
         if batch != sorted(batch):
             raise CheckFailure(
@@ -249,55 +193,50 @@ def shed_priority_parity(ctx: AuditContext) -> str:
                 f"{batch}")
     if not by_instant:
         raise CheckFailure("regime degraded-shed nothing; check is vacuous")
-    return (f"{len(ledger)}-entry shed ledger identical across engines, "
-            f"priority-ordered within instants")
+    return (f"{len(report.shed)}-entry shed ledger priority-ordered "
+            f"across {len(by_instant)} shed instants")
 
 
 @check("tenancy.resume_parity", family="tenancy",
        layers=("tenancy", "fleet", "state"))
 def resume_parity(ctx: AuditContext) -> str:
     """A WFQ-armed, prefix-sharing, faulted fleet snapshotted mid-run
-    restores bit-identically on both engines."""
+    restores bit-identically."""
     population = _population()
     spec = _spec(population, "wfq", "shared-prefix")
     fleet_kwargs = {
         "faults": mtbf_schedule([0, 1], mtbf_s=8.0, horizon_s=30.0, seed=5),
         "retry_policy": RetryPolicy(timeout_s=30.0, max_attempts=4, seed=5),
     }
-    resumed = 0
-    for engine in ("stepped", "event"):
-        requests = (population.table() if engine == "event"
-                    else population.stream())
+    requests = population.table()
 
-        def fleet():
-            return fixed_fleet(spec, 2, engine=engine, **fleet_kwargs)
+    def fleet():
+        return fixed_fleet(spec, 2, **fleet_kwargs)
 
-        baseline = fleet().run(requests)
-        running = fleet()
-        running.begin_run(requests)
-        for _ in range(40):
-            if not running.run_active:
-                break
-            running.run_tick()
-        payload = json.loads(json.dumps(running.to_state()))
-        fresh = fleet()
-        fresh.from_state(payload)
-        while fresh.run_active:
-            fresh.run_tick()
-        a, b = baseline.to_dict(), fresh.finish_run().to_dict()
-        if a != b:
-            diverged = [key for key in a if a[key] != b.get(key)]
-            raise CheckFailure(
-                f"{engine}: resumed WFQ run diverged from baseline in "
-                f"{diverged[:4]}")
-        # Snapshotting must not perturb the running fleet either.
-        while running.run_active:
-            running.run_tick()
-        if running.finish_run().to_dict() != a:
-            raise CheckFailure(
-                f"{engine}: taking the snapshot perturbed the run")
-        resumed += 1
-    return f"{resumed} engines resume a WFQ+prefix+faulted run exactly"
+    baseline = fleet().run(requests)
+    running = fleet()
+    running.begin_run(requests)
+    for _ in range(40):
+        if not running.run_active:
+            break
+        running.run_tick()
+    payload = json.loads(json.dumps(running.to_state()))
+    fresh = fleet()
+    fresh.from_state(payload)
+    while fresh.run_active:
+        fresh.run_tick()
+    a, b = baseline.to_dict(), fresh.finish_run().to_dict()
+    if a != b:
+        diverged = [key for key in a if a[key] != b.get(key)]
+        raise CheckFailure(
+            f"resumed WFQ run diverged from baseline in {diverged[:4]}")
+    # Snapshotting must not perturb the running fleet either.
+    while running.run_active:
+        running.run_tick()
+    if running.finish_run().to_dict() != a:
+        raise CheckFailure("taking the snapshot perturbed the run")
+    return (f"WFQ+prefix+faulted run resumes exactly "
+            f"({a['requests']} requests)")
 
 
 # -- golden headline: the whale-mix fairness/billing snapshot -----------------
@@ -311,7 +250,7 @@ def tenant_mix_series(ctx: AuditContext) -> dict[str, float]:
         "tdx", max_batch=8, kv_capacity_tokens=16384,
         tenancy=population.tenancy_config(admission="wfq",
                                           kv_isolation="shared-prefix"))
-    report = fixed_fleet(spec, 2, engine="event").run(population.table())
+    report = fixed_fleet(spec, 2).run(population.table())
     split = tenant_breakdown(report, population)
     series: dict[str, float] = {
         "total_bill_cents": float(split.total_bill_cents),

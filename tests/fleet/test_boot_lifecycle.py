@@ -15,7 +15,6 @@ from repro.fleet import (
 )
 from repro.fleet.replica import ATTESTING as REPLICA_ATTESTING
 from repro.fleet.replica import BOOTING, LIVE, Replica
-from repro.fleet.table import RequestTable
 from repro.tee.boot import (
     ATTESTING,
     BOOT_PHASES,
@@ -32,8 +31,17 @@ STREAM = poisson_arrivals(24, rate_per_s=1.2, mean_prompt=128,
                           mean_output=48, seed=11)
 
 
-def _requests(engine):
-    return RequestTable.from_requests(STREAM) if engine == "event" else STREAM
+def event(fleet, stream):
+    """Serve through ``run()``, which jumps quiet ticks."""
+    return fleet.run(stream)
+
+
+def stepped(fleet, stream):
+    """Serve through a plain tick loop that executes every tick."""
+    fleet.begin_run(stream)
+    while fleet.run_active:
+        fleet.run_tick()
+    return fleet.finish_run()
 
 
 class TestReplicaBootWiring:
@@ -148,23 +156,23 @@ class TestFleetLifecycle:
         b = fixed_fleet(armed, 2).run(STREAM)
         assert a.to_dict() == b.to_dict()
 
-    @pytest.mark.parametrize("engine", ["stepped", "event"])
-    def test_reattestation_outage_is_boot_derived(self, engine):
+    @pytest.mark.parametrize("drive", [event, stepped])
+    def test_reattestation_outage_is_boot_derived(self, drive):
         faults = FaultSchedule((
             FaultEvent(time_s=27.0, kind="attestation_failure",
                        replica_id=0, duration_s=6.0),
         ))
         retry = RetryPolicy(timeout_s=60.0, max_attempts=4, seed=3)
-        fleet = fixed_fleet(PHASED, 2, faults=faults, retry_policy=retry,
-                            engine=engine)
-        report = fleet.run(_requests(engine))
+        fleet = fixed_fleet(PHASED, 2, faults=faults, retry_policy=retry)
+        report = drive(fleet, STREAM)
         # The phased outage pays the re-attestation remainder, not the
         # drawn duration: the fault log records the revocation.
         assert any(a.event.kind == "attestation_failure"
                    for a in report.fault_events)
         assert len(report.outcomes) + len(report.shed) == len(STREAM)
 
-    def test_engine_parity_with_phased_boots_and_faults(self):
+    def test_jump_parity_with_phased_boots_and_faults(self):
+        """run() jumps quiet ticks across boot and fault edges exactly."""
         faults = FaultSchedule((
             FaultEvent(time_s=27.0, kind="attestation_failure",
                        replica_id=0, duration_s=6.0),
@@ -172,12 +180,13 @@ class TestFleetLifecycle:
                        restart_after_s=4.0),
         ))
         retry = RetryPolicy(timeout_s=60.0, max_attempts=4, seed=3)
-        reports = [
-            fixed_fleet(PHASED, 2, faults=faults, retry_policy=retry,
-                        engine=engine).run(_requests(engine))
-            for engine in ("stepped", "event")
-        ]
-        assert reports[0].to_dict() == reports[1].to_dict()
+        jumped = fixed_fleet(PHASED, 2, faults=faults,
+                             retry_policy=retry).run(STREAM)
+        ticked = fixed_fleet(PHASED, 2, faults=faults, retry_policy=retry)
+        ticked.begin_run(STREAM)
+        while ticked.run_active:
+            ticked.run_tick()
+        assert jumped.to_dict() == ticked.finish_run().to_dict()
 
     def test_autoscaled_scale_ups_pay_phase_sum(self):
         config = AutoscalerConfig(min_replicas=1, max_replicas=3,

@@ -1,11 +1,12 @@
-"""Property tests: event-driven columnar fleet core vs stepped engine.
+"""Property tests: quiet-tick jumping and mid-run resume of the fleet core.
 
-The hand-picked regimes live in ``repro.validate.event``; here
-hypothesis draws *random* fleet configurations — replica kind and
-count, stream shape, faults on or off — and asserts the two engines
-produce equal reports, and that freezing an event run mid-flight and
-restoring it changes nothing.  Equality is exact: the event core is a
-reimplementation, not an approximation.
+The hand-picked regimes live in ``repro.validate.fleet``
+(``fleet.jump_parity``); here hypothesis draws *random* fleet
+configurations — replica kind and count, stream shape, faults on or
+off — and asserts that ``run()``, which jumps quiet stretches of the
+tick grid, equals a plain ``begin_run``/``run_tick``/``finish_run``
+loop, and that freezing a run mid-flight and restoring it changes
+nothing.  Equality is exact, not approximate.
 """
 
 import json
@@ -25,13 +26,13 @@ configs = st.fixed_dictionaries({
     "kind": st.sampled_from(["tdx", "baremetal", "cgpu"]),
     "replicas": st.integers(1, 3),
     "count": st.integers(5, 30),
-    "rate": st.sampled_from([2.0, 4.0, 8.0]),
+    "rate": st.sampled_from([0.5, 2.0, 4.0, 8.0]),
     "seed": st.integers(0, 50),
     "faulted": st.booleans(),
 })
 
 
-def build(config, engine):
+def build(config):
     spec = replica_spec(config["kind"], max_batch=8,
                         kv_capacity_tokens=16384)
     kwargs = {}
@@ -42,13 +43,20 @@ def build(config, engine):
                                  seed=config["seed"]),
             retry_policy=RetryPolicy(timeout_s=30.0, max_attempts=4,
                                      seed=config["seed"]))
-    return fixed_fleet(spec, config["replicas"], engine=engine, **kwargs)
+    return fixed_fleet(spec, config["replicas"], **kwargs)
 
 
 def stream_pair(config):
     kwargs = dict(count=config["count"], rate_per_s=config["rate"],
                   mean_prompt=96, mean_output=24, seed=config["seed"])
     return poisson_arrivals(**kwargs), poisson_table(**kwargs)
+
+
+def tick_loop(fleet, requests):
+    fleet.begin_run(requests)
+    while fleet.run_active:
+        fleet.run_tick()
+    return fleet.finish_run()
 
 
 def assert_reports_equal(a, b):
@@ -60,22 +68,21 @@ def assert_reports_equal(a, b):
         assert x.preemptions == y.preemptions
 
 
-class TestEngineEquivalence:
+class TestJumpParity:
     @settings(max_examples=15, deadline=None)
     @given(config=configs)
-    def test_event_report_equals_stepped(self, config):
-        requests, table = stream_pair(config)
-        stepped = build(config, "stepped").run(requests)
-        event = build(config, "event").run(table)
-        assert_reports_equal(stepped, event)
+    def test_run_equals_tick_loop(self, config):
+        _, table = stream_pair(config)
+        assert_reports_equal(build(config).run(table),
+                             tick_loop(build(config), table))
 
     @settings(max_examples=8, deadline=None)
     @given(config=configs)
-    def test_event_engine_accepts_object_streams(self, config):
+    def test_run_accepts_object_streams(self, config):
         """begin_run converts plain request lists to a table itself."""
         requests, table = stream_pair(config)
-        from_list = build(config, "event").run(list(requests))
-        from_table = build(config, "event").run(table)
+        from_list = build(config).run(list(requests))
+        from_table = build(config).run(table)
         assert_reports_equal(from_list, from_table)
 
 
@@ -84,16 +91,16 @@ class TestEventResume:
     @given(config=configs, pause_ticks=st.integers(1, 60))
     def test_snapshot_restore_finish_is_invisible(self, config, pause_ticks):
         _, table = stream_pair(config)
-        baseline = build(config, "event").run(table)
+        baseline = build(config).run(table)
 
-        running = build(config, "event")
+        running = build(config)
         running.begin_run(table)
         for _ in range(pause_ticks):
             if not running.run_active:
                 break
             running.run_tick()
         payload = json.loads(json.dumps(running.to_state()))
-        fresh = build(config, "event")
+        fresh = build(config)
         fresh.from_state(payload)
         while fresh.run_active:
             fresh.run_tick()

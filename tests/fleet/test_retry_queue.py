@@ -2,7 +2,7 @@
 
 The helper replaced three open-coded ``heapq`` sites in the cluster;
 its ordering is load-bearing for bit-identical fleet reports, so these
-tests pin (due, id) pop order, the peek used by the event engine's
+tests pin (due, id) pop order, the peek used by the fleet's
 quiet-tick skipper, and the snapshot round-trip.
 """
 

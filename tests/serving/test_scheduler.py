@@ -1,5 +1,7 @@
 """Continuous-batching scheduler: completeness, conservation, SLAs."""
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -55,7 +57,7 @@ class TestKvConservation:
         scheduler = make_scheduler()
         scheduler.run(poisson_stream(10, rate_per_s=5.0, mean_prompt=64,
                                      mean_output=16, seed=3))
-        assert scheduler.cache.allocated_blocks == 0
+        assert scheduler.kv_free_fraction == 1.0
 
     def test_preemption_under_memory_pressure(self):
         """A tight KV pool forces preemptions, yet everything finishes."""
@@ -65,7 +67,7 @@ class TestKvConservation:
         report = scheduler.run(requests)
         assert report.total_preemptions > 0
         assert all(o.finish_s > 0 for o in report.outcomes)
-        assert scheduler.cache.allocated_blocks == 0
+        assert scheduler.kv_free_fraction == 1.0
 
     def test_impossible_request_rejected(self):
         scheduler = make_scheduler(kv_tokens=256)
@@ -145,4 +147,88 @@ class TestSchedulerProperties:
         report = scheduler.run(requests)
         assert len(report.outcomes) == len(requests)
         assert all(o.finish_s >= o.first_token_s for o in report.outcomes)
-        assert scheduler.cache.allocated_blocks == 0
+        assert scheduler.kv_free_fraction == 1.0
+
+
+# (label, backend, kv_capacity_tokens, max_batch, lookahead, stream kwargs)
+SNAPSHOT_CASES = [
+    ("tdx/relaxed", "tdx", 65536, 16, 0,
+     dict(count=16, rate_per_s=4.0, mean_prompt=128, mean_output=32, seed=2)),
+    ("baremetal/preempting", "baremetal", 1024, 8, 0,
+     dict(count=20, rate_per_s=2.0, mean_prompt=96, mean_output=48, seed=7)),
+    ("cgpu/bursty", "cgpu", 16384, 32, 0,
+     dict(count=24, rate_per_s=8.0, mean_prompt=256, mean_output=64,
+          seed=17)),
+    ("baremetal/lookahead", "baremetal", 1024, 8, 4,
+     dict(count=20, rate_per_s=2.0, mean_prompt=96, mean_output=48,
+          seed=13)),
+]
+
+
+def assert_reports_identical(a, b):
+    assert len(a.outcomes) == len(b.outcomes)
+    for x, y in zip(a.outcomes, b.outcomes):
+        assert x.request == y.request
+        assert x.first_token_s == y.first_token_s  # exact, not approx
+        assert x.finish_s == y.finish_s
+        assert x.preemptions == y.preemptions
+    assert a.makespan_s == b.makespan_s
+    assert a.start_s == b.start_s
+    assert a.total_preemptions == b.total_preemptions
+    assert a.mean_batch_occupancy == b.mean_batch_occupancy
+
+
+class TestSnapshotRestore:
+    @pytest.mark.parametrize("label,backend,kv,batch,lookahead,stream",
+                             SNAPSHOT_CASES,
+                             ids=[c[0] for c in SNAPSHOT_CASES])
+    def test_snapshot_restore_mid_run(self, label, backend, kv, batch,
+                                      lookahead, stream):
+        def make():
+            if backend == "cgpu":
+                deployment = gpu_deployment(confidential=True)
+            else:
+                deployment = cpu_deployment(backend, sockets_used=1)
+            return ContinuousBatchingScheduler(
+                deployment, LLAMA2_7B, BFLOAT16, kv_capacity_tokens=kv,
+                max_batch=batch, admission_lookahead=lookahead)
+
+        requests = poisson_stream(**stream)
+        expected = make().run(requests)
+        running = make()
+        for request in requests:
+            running.submit(request)
+        clock = 0.0
+        while not running.idle and clock < 3.0:
+            clock += 0.25
+            running.step(clock)
+        payload = json.loads(json.dumps(running.to_state()))
+        fresh = make()
+        fresh.from_state(payload)
+        for scheduler in (running, fresh):
+            while not scheduler.idle:
+                clock += 0.25
+                scheduler.step(clock)
+        # Restored-and-finished equals carried-on-and-finished equals
+        # one uninterrupted run().
+        assert_reports_identical(expected, fresh.report())
+        assert_reports_identical(running.report(), fresh.report())
+
+
+class TestFinishedRecords:
+    def test_finished_triple_and_release(self):
+        scheduler = make_scheduler(max_batch=4)
+        scheduler.submit(ServeRequest(0, 0.0, 64, 8))
+        clock = 0.0
+        done = []
+        while not scheduler.idle:
+            clock += 0.25
+            done.extend(scheduler.step(clock))
+        assert done == [0]
+        first, finish, preempted = scheduler.finished_triple(0)
+        assert 0.0 < first <= finish
+        assert preempted == 0
+        assert scheduler.output_tokens(0) == 8
+        scheduler.release(0)
+        with pytest.raises(KeyError):
+            scheduler.finished_triple(0)

@@ -6,7 +6,6 @@ import pytest
 
 from repro.faults import FaultEvent, FaultSchedule, RetryPolicy
 from repro.fleet import fixed_fleet, poisson_arrivals, replica_spec
-from repro.fleet.table import RequestTable
 from repro.state import attest_grid
 from repro.state.runner import SweepRunner, read_journal
 from repro.tee.boot import BOOT_PHASES, attest_tax_sweep, boot_profile
@@ -24,21 +23,31 @@ STREAM = poisson_arrivals(20, rate_per_s=0.8, mean_prompt=128,
                           mean_output=48, seed=5)
 
 
-def _fleet(engine):
-    return fixed_fleet(SPEC, 2, faults=FAULTS, retry_policy=RETRY,
-                       engine=engine)
+def _fleet():
+    return fixed_fleet(SPEC, 2, faults=FAULTS, retry_policy=RETRY)
 
 
-def _requests(engine):
-    return RequestTable.from_requests(STREAM) if engine == "event" else STREAM
+def event(fleet):
+    """Finish an armed run the way ``run()`` does, jumping quiet ticks."""
+    while fleet.run_active:
+        fleet._skip_quiet_ticks()
+        fleet.run_tick()
+    return fleet.finish_run()
+
+
+def stepped(fleet):
+    """Finish an armed run with a plain loop that executes every tick."""
+    while fleet.run_active:
+        fleet.run_tick()
+    return fleet.finish_run()
 
 
 class TestMidBootResume:
-    @pytest.mark.parametrize("engine", ["stepped", "event"])
-    def test_mid_boot_snapshot_restores_bit_identical(self, engine):
-        baseline = _fleet(engine).run(_requests(engine)).to_dict()
-        running = _fleet(engine)
-        running.begin_run(_requests(engine))
+    @pytest.mark.parametrize("drive", [event, stepped])
+    def test_mid_boot_snapshot_restores_bit_identical(self, drive):
+        baseline = _fleet().run(STREAM).to_dict()
+        running = _fleet()
+        running.begin_run(STREAM)
         snapshots = {}
         while running.run_active:
             running.run_tick()
@@ -54,15 +63,13 @@ class TestMidBootResume:
         # every phase (including a re-entered one) gets a snapshot.
         assert set(snapshots) == set(BOOT_PHASES)
         for phase, payload in snapshots.items():
-            fresh = _fleet(engine)
+            fresh = _fleet()
             fresh.from_state(payload)
-            while fresh.run_active:
-                fresh.run_tick()
-            assert fresh.finish_run().to_dict() == baseline, phase
+            assert drive(fresh).to_dict() == baseline, phase
 
     def test_restored_replica_recovers_boot_phase(self):
-        running = _fleet("stepped")
-        running.begin_run(_requests("stepped"))
+        running = _fleet()
+        running.begin_run(STREAM)
         while running.run_active:
             running.run_tick()
             now = running.run_clock_s
@@ -70,7 +77,7 @@ class TestMidBootResume:
             if phase is not None and phase != BOOT_PHASES[0]:
                 break
         payload = json.loads(json.dumps(running.to_state()))
-        fresh = _fleet("stepped")
+        fresh = _fleet()
         fresh.from_state(payload)
         # Phase identity is derived from ready_s, which round-trips:
         # the restored replica agrees at the snapshot instant.

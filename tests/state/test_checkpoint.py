@@ -101,9 +101,14 @@ class TestRestoreGuards:
         running.begin_run(_stream())
         running.run_tick()
         payload = snapshot(running)
-        payload["state"]["run"]["pending"] = [987654]
+        held = json.loads(json.dumps(payload))
+        held["state"]["run"]["held"] = [987654]
         with pytest.raises(StateIntegrityError, match="unknown request"):
-            restore(_fleet(), payload)
+            restore(_fleet(), held)
+        head = json.loads(json.dumps(payload))
+        head["state"]["run"]["pending_head"] = 10_000
+        with pytest.raises(StateIntegrityError, match="out of range"):
+            restore(_fleet(), head)
 
 
 class TestDiskRoundtrip:

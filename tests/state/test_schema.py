@@ -74,6 +74,10 @@ class TestNegotiate:
     def test_unmigratable_older_version_refused(self):
         with pytest.raises(StateVersionError, match="no migration"):
             negotiate(self._payload(0))
+        # v1 payloads predate the single fleet engine and have no
+        # migration: they are refused, not misread.
+        with pytest.raises(StateVersionError, match="no migration"):
+            negotiate(self._payload(CURRENT_STATE_VERSION - 1))
 
     def test_missing_or_bad_version_is_schema_error(self):
         with pytest.raises(StateSchemaError):
@@ -86,7 +90,8 @@ class TestNegotiate:
             negotiate(["not", "a", "dict"])
 
     def test_same_version_hook_runs_on_every_restore(self):
-        """The v1->v1 no-op migration is exercised, not just registered."""
+        """The same-version no-op migration is exercised, not just
+        registered."""
         calls = []
         original = _MIGRATIONS[CURRENT_STATE_VERSION]
 
@@ -114,8 +119,8 @@ class TestNegotiate:
 
     def test_older_version_upgrades_through_chain(self):
         assert 0 not in _MIGRATIONS
-        _MIGRATIONS[0] = lambda payload: dict(payload, state_version=1,
-                                              upgraded=True)
+        _MIGRATIONS[0] = lambda payload: dict(
+            payload, state_version=CURRENT_STATE_VERSION, upgraded=True)
         try:
             upgraded = negotiate(self._payload(0))
         finally:

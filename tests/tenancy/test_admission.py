@@ -8,25 +8,22 @@ from repro.core.experiment import cpu_deployment
 from repro.llm.config import LLAMA2_7B
 from repro.llm.datatypes import BFLOAT16
 from repro.serving import (
-    ColumnarScheduler,
     ContinuousBatchingScheduler,
     ServeRequest,
     TenancyConfig,
 )
 
-
-def make_scheduler(cls=ContinuousBatchingScheduler, tenancy=None,
-                   kv_tokens=4096, max_batch=4, lookahead=0):
-    return cls(cpu_deployment("tdx", sockets_used=1), LLAMA2_7B, BFLOAT16,
-               kv_capacity_tokens=kv_tokens, max_batch=max_batch,
-               admission_lookahead=lookahead, tenancy=tenancy)
+#: Scheduler classes the parametrized tests run against; each test id
+#: carries the class name.
+SCHEDULERS = [ContinuousBatchingScheduler]
 
 
-def free_and_total_blocks(scheduler):
-    """KV pool occupancy for either engine (object cache vs counter)."""
-    if isinstance(scheduler, ColumnarScheduler):
-        return scheduler._free_blocks, scheduler.num_blocks
-    return scheduler.cache.free_blocks, scheduler.cache.num_blocks
+def make_scheduler(tenancy=None, kv_tokens=4096, max_batch=4, lookahead=0,
+                   scheduler_cls=ContinuousBatchingScheduler):
+    return scheduler_cls(
+        cpu_deployment("tdx", sockets_used=1), LLAMA2_7B, BFLOAT16,
+        kv_capacity_tokens=kv_tokens, max_batch=max_batch,
+        admission_lookahead=lookahead, tenancy=tenancy)
 
 
 def request(rid, arrival, prompt=128, output=32, tenant=0):
@@ -97,9 +94,8 @@ class TestWfqOrdering:
                  for o in report.outcomes}
         assert first[1] < first[2]
 
-    @pytest.mark.parametrize("cls", [ContinuousBatchingScheduler,
-                                     ColumnarScheduler])
-    def test_negative_tenant_rejected(self, cls):
+    @pytest.mark.parametrize("scheduler_cls", SCHEDULERS)
+    def test_negative_tenant_rejected(self, scheduler_cls):
         with pytest.raises(ValueError, match="tenant"):
             request(0, 0.0, tenant=-1)
 
@@ -121,35 +117,33 @@ class TestKvIsolation:
         with pytest.raises(ValueError, match="partition holds"):
             scheduler.run([request(0, 0.0, prompt=600, output=64, tenant=0)])
 
-    @pytest.mark.parametrize("cls", [ContinuousBatchingScheduler,
-                                     ColumnarScheduler])
-    def test_partition_never_preempts(self, cls):
+    @pytest.mark.parametrize("scheduler_cls", SCHEDULERS)
+    def test_partition_never_preempts(self, scheduler_cls):
         tenancy = TenancyConfig(kv_isolation="partition",
                                 partition_shares=((0, 0.5), (1, 0.5)))
-        scheduler = make_scheduler(cls, tenancy=tenancy, kv_tokens=2048,
-                                   max_batch=4)
+        scheduler = make_scheduler(tenancy=tenancy, kv_tokens=2048,
+                                   max_batch=4, scheduler_cls=scheduler_cls)
         requests = [request(i, 0.05 * i, prompt=120, output=60, tenant=i % 2)
                     for i in range(12)]
         report = scheduler.run(requests)
         assert len(report.outcomes) == 12
         assert scheduler.preemptions == 0
 
-    @pytest.mark.parametrize("cls", [ContinuousBatchingScheduler,
-                                     ColumnarScheduler])
-    def test_shared_prefix_hits_and_misses(self, cls):
+    @pytest.mark.parametrize("scheduler_cls", SCHEDULERS)
+    def test_shared_prefix_hits_and_misses(self, scheduler_cls):
         tenancy = TenancyConfig(kv_isolation="shared-prefix",
                                 prefix_tokens=((0, 64),))
-        scheduler = make_scheduler(cls, tenancy=tenancy)
+        scheduler = make_scheduler(tenancy=tenancy,
+                                   scheduler_cls=scheduler_cls)
         scheduler.run([request(i, 0.1 * i, tenant=0) for i in range(6)])
         assert scheduler.prefix_misses == 1  # first request pins
         assert scheduler.prefix_hits == 5
         # The pin stays resident after the run (4 blocks for 64 tokens);
         # evacuation returns the pool whole.
-        free, total = free_and_total_blocks(scheduler)
-        assert free == total - 4
+        total = scheduler.num_blocks
+        assert scheduler.kv_free_fraction == (total - 4) / total
         scheduler.evacuate()
-        free, total = free_and_total_blocks(scheduler)
-        assert free == total
+        assert scheduler.kv_free_fraction == 1.0
 
     def test_shared_prefix_unconfigured_tenant_plain(self):
         tenancy = TenancyConfig(kv_isolation="shared-prefix",
@@ -161,9 +155,8 @@ class TestKvIsolation:
 
 
 class TestSnapshotRoundTrip:
-    @pytest.mark.parametrize("cls", [ContinuousBatchingScheduler,
-                                     ColumnarScheduler])
-    def test_wfq_prefix_snapshot_mid_run(self, cls):
+    @pytest.mark.parametrize("scheduler_cls", SCHEDULERS)
+    def test_wfq_prefix_snapshot_mid_run(self, scheduler_cls):
         tenancy = TenancyConfig(admission="wfq",
                                 weights=((0, 3.0), (1, 1.0)),
                                 kv_isolation="shared-prefix",
@@ -171,16 +164,19 @@ class TestSnapshotRoundTrip:
         requests = [request(i, 0.2 * i, prompt=100 + 7 * i, output=24,
                             tenant=i % 2) for i in range(10)]
 
-        baseline = make_scheduler(cls, tenancy=tenancy, max_batch=2)
+        baseline = make_scheduler(tenancy=tenancy, max_batch=2,
+                                  scheduler_cls=scheduler_cls)
         full = baseline.run(list(requests))
 
-        live = make_scheduler(cls, tenancy=tenancy, max_batch=2)
+        live = make_scheduler(tenancy=tenancy, max_batch=2,
+                              scheduler_cls=scheduler_cls)
         for item in sorted(requests,
                            key=lambda r: (r.arrival_s, r.request_id)):
             live.submit(item)
         live.step(until_s=1.0)
         payload = json.loads(json.dumps(live.to_state()))
-        revived = make_scheduler(cls, tenancy=tenancy, max_batch=2)
+        revived = make_scheduler(tenancy=tenancy, max_batch=2,
+                                 scheduler_cls=scheduler_cls)
         revived.from_state(payload)
         revived.step()
         resumed = revived.report()
