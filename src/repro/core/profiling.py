@@ -12,6 +12,7 @@ used by ``scripts/bench.py`` to track simulator performance across PRs
 
 from __future__ import annotations
 
+import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -58,12 +59,22 @@ def cache_report() -> str:
 
 @dataclass
 class TimerStat:
-    """Accumulated wall-clock time of one named code region."""
+    """Accumulated wall-clock time of one named code region.
+
+    Keeps running count/total/min accumulators, never the samples, so a
+    timer around a hot path stays O(1) in memory however often it runs.
+    """
 
     name: str
     calls: int = 0
     total_s: float = 0.0
-    _samples: list[float] = field(default_factory=list, repr=False)
+    _min_s: float = field(default=math.inf, repr=False)
+
+    def record(self, elapsed_s: float) -> None:
+        """Fold one measured duration into the accumulators."""
+        self.calls += 1
+        self.total_s += elapsed_s
+        self._min_s = min(self._min_s, elapsed_s)
 
     @property
     def mean_s(self) -> float:
@@ -71,7 +82,7 @@ class TimerStat:
 
     @property
     def min_s(self) -> float:
-        return min(self._samples) if self._samples else 0.0
+        return self._min_s if self.calls else 0.0
 
 
 _TIMERS: dict[str, TimerStat] = {}
@@ -85,10 +96,7 @@ def timed(name: str):
     try:
         yield stat
     finally:
-        elapsed = time.perf_counter() - start
-        stat.calls += 1
-        stat.total_s += elapsed
-        stat._samples.append(elapsed)
+        stat.record(time.perf_counter() - start)
 
 
 def timer_stats() -> dict[str, TimerStat]:

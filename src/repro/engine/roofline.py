@@ -15,7 +15,7 @@ This is where every mechanism from :mod:`repro.memsim` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -55,6 +55,9 @@ WALK_SERIAL_FRACTION = 0.03
 
 #: Bandwidth bonus SNC gives a NUMA-aware (non-TEE) workload.
 SNC_BANDWIDTH_BONUS = 1.05
+
+#: Operator categories that run on the matrix engine (AMX when usable).
+_MATRIX_CATEGORIES = (OpCategory.GEMM, OpCategory.ATTENTION)
 
 #: Scheduling tax when hyperthreads are exposed to the guest (PyTorch
 #: pins to first logical threads; siblings only add interference).
@@ -107,6 +110,17 @@ class OpCost:
         return max(self.compute_s, self.memory_s) + self.translation_s + self.paging_s
 
 
+def step_total_s(op_totals: Iterable[float], exits_s: float,
+                 fixed_s: float, tax_multiplier: float) -> float:
+    """Seconds of one forward step from its per-operator totals.
+
+    The single home of the step formula.  ``op_totals`` is summed with a
+    plain left-to-right ``sum()``, so two callers that pass the same
+    float sequence get the same bits on every Python version.
+    """
+    return (sum(op_totals) + exits_s) * tax_multiplier + fixed_s
+
+
 @dataclass(frozen=True)
 class StepCost:
     """Cost of one full forward step."""
@@ -118,8 +132,8 @@ class StepCost:
 
     @property
     def total_s(self) -> float:
-        raw = sum(cost.total_s for cost in self.op_costs) + self.exits_s
-        return raw * self.tax_multiplier + self.fixed_s
+        return step_total_s((cost.total_s for cost in self.op_costs),
+                            self.exits_s, self.fixed_s, self.tax_multiplier)
 
     @property
     def compute_s(self) -> float:
@@ -153,11 +167,13 @@ class CpuCostModel:
         self.llc = CacheModel(self.cpu.llc_bytes_per_socket
                               * self.placement.sockets_used)
         self.walk = WalkModel(self.cpu.page_walk_s, self.profile.walk_multiplier)
+        #: Per-core FLOP rate by (runs on the matrix engine, dtype).
+        self._per_core_rates: dict[tuple[bool, DType], float] = {}
 
     # -- compute ------------------------------------------------------------
 
     def _engine_for(self, op: Operator, dtype: DType) -> tuple[Engine, float]:
-        if op.category in (OpCategory.GEMM, OpCategory.ATTENTION):
+        if op.category in _MATRIX_CATEGORIES:
             return best_cpu_engine(dtype, self.amx_available)
         # Vector ops run on AVX-512 regardless of the matrix engine.
         rate = AVX512_RATES.rate_for(dtype)
@@ -168,9 +184,13 @@ class CpuCostModel:
     def _compute_time(self, op: Operator, dtype: DType) -> float:
         if op.flops == 0.0:
             return 0.0
-        engine, rate = self._engine_for(op, dtype)
-        mfu = self.framework.mfu(engine)
-        per_core = rate * self.cpu.clock_hz * mfu
+        key = (op.category in _MATRIX_CATEGORIES, dtype)
+        per_core = self._per_core_rates.get(key)
+        if per_core is None:
+            engine, rate = self._engine_for(op, dtype)
+            mfu = self.framework.mfu(engine)
+            per_core = self._per_core_rates[key] = \
+                rate * self.cpu.clock_hz * mfu
         cores = self.placement.cores
         serial = cal.CPU_SERIAL_FRACTION
         single_core_s = op.flops / per_core
@@ -245,19 +265,30 @@ class CpuCostModel:
             ]
         return [(PAGE_4K, 1.0)]
 
-    def _translation_time(self, dram: dict[str, float],
-                          sets: WorkingSets) -> float:
+    def _walk_terms(self, sets: WorkingSets) -> tuple[tuple, ...]:
+        """(stream, page fraction, page bytes, TLB miss rate) per walk term.
+
+        Depends only on the step's working sets, so :meth:`step_cost`
+        computes it once for all of the step's operators.
+        """
         per_core_divisor = max(1, self.placement.cores)
         stream_sets = {"weights": sets.weights, "kv": sets.kv,
                        "activations": sets.activations}
-        total = 0.0
+        terms = []
         for page_bytes, fraction in self._page_mix():
             entries = self.cpu.tlb.entries_for(page_bytes)
-            for stream, traffic in dram.items():
-                per_core_ws = stream_sets[stream] * fraction / per_core_divisor
+            for stream, stream_ws in stream_sets.items():
+                per_core_ws = stream_ws * fraction / per_core_divisor
                 miss = streaming_miss_rate(per_core_ws, page_bytes, entries)
-                total += translation_time(traffic * fraction, page_bytes,
-                                          miss, self.walk)
+                terms.append((stream, fraction, page_bytes, miss))
+        return tuple(terms)
+
+    def _translation_time(self, dram: dict[str, float],
+                          walk_terms: tuple[tuple, ...]) -> float:
+        total = 0.0
+        for stream, fraction, page_bytes, miss in walk_terms:
+            total += translation_time(dram[stream] * fraction, page_bytes,
+                                      miss, self.walk)
         return total * WALK_SERIAL_FRACTION
 
     def _paging_time(self, dram: dict[str, float], sets: WorkingSets) -> float:
@@ -271,14 +302,22 @@ class CpuCostModel:
 
     def op_cost(self, op: Operator, sets: WorkingSets, dtype: DType) -> OpCost:
         """Cost one operator under the deployment's mechanisms."""
+        return self._op_cost(op, sets, dtype, self._step_terms(sets, dtype))
+
+    def _step_terms(self, sets: WorkingSets, dtype: DType) -> tuple:
+        """The operator-independent inputs of :meth:`_op_cost`."""
         fallback = is_fallback_path(dtype, self.amx_available)
+        return fallback, self.effective_bw(fallback), self._walk_terms(sets)
+
+    def _op_cost(self, op: Operator, sets: WorkingSets, dtype: DType,
+                 step_terms: tuple) -> OpCost:
+        fallback, bw, walk_terms = step_terms
         dram = self._dram_traffic(op, sets, dtype, fallback)
-        bw = self.effective_bw(fallback)
         return OpCost(
             op=op,
             compute_s=self._compute_time(op, dtype),
             memory_s=sum(dram.values()) / bw,
-            translation_s=self._translation_time(dram, sets),
+            translation_s=self._translation_time(dram, walk_terms),
             paging_s=self._paging_time(dram, sets),
         )
 
@@ -290,11 +329,14 @@ class CpuCostModel:
         ``name``/``layer``; the cost model reads neither, so identical
         (category, flops, bytes) operators are costed once and the
         component times reused — each still wrapped in its own
-        :class:`OpCost` so per-layer traces group correctly.
+        :class:`OpCost` so per-layer traces group correctly.  The
+        operator-independent terms (bandwidth, TLB miss rates) are
+        computed once per step.
         """
         tax = 1.0 + self.profile.virtualization_tax
         if self.placement.expose_hyperthreads:
             tax += HYPERTHREAD_TAX
+        step_terms = self._step_terms(sets, dtype)
         memo: dict[tuple, OpCost] = {}
         op_costs = []
         for op in ops:
@@ -302,7 +344,7 @@ class CpuCostModel:
                    op.activation_bytes, op.kv_read_bytes, op.kv_write_bytes)
             hit = memo.get(key)
             if hit is None:
-                hit = memo[key] = self.op_cost(op, sets, dtype)
+                hit = memo[key] = self._op_cost(op, sets, dtype, step_terms)
             elif hit.op is not op:
                 hit = OpCost(op=op, compute_s=hit.compute_s,
                              memory_s=hit.memory_s,

@@ -257,7 +257,6 @@ def encode_ops(model: ModelConfig, dtype: DType, batch_size: int,
 # immutable tuples — callers must not mutate them.
 
 _GRAPH_CACHE = MemoCache("op_graph", maxsize=512)
-_CONTEXT_CACHE = MemoCache("op_graph_ctx", maxsize=512)
 _AFFINE_CACHE = MemoCache("affine_decode_graph", maxsize=256)
 
 #: Contexts used to extract and validate the affine decode model.
@@ -290,29 +289,22 @@ def cached_decode_step_ops(model: ModelConfig, dtype: DType, batch_size: int,
     cache therefore stores one context-independent *skeleton* per
     ``(model, dtype, batch, beams)`` and this function materializes the
     requested context by rebuilding just the attention operators with
-    the original formulas (:func:`_decode_attention_op`).  Materialized
-    per-context tuples sit in a second LRU so repeated identical calls
-    still return the same shared object.
+    the original formulas (:func:`_decode_attention_op`).  Every other
+    operator of the returned tuple is the skeleton's shared object.
     """
     _check_shape(batch_size, context_len, beam_size)
-
-    def materialize() -> tuple[Operator, ...]:
-        key = ("decode", model, dtype, batch_size, beam_size)
-        skeleton = _GRAPH_CACHE.get_or_compute(
-            key, lambda: tuple(decode_step_ops(model, dtype, batch_size,
-                                               _SKELETON_CONTEXT, beam_size)))
-        if context_len == _SKELETON_CONTEXT:
-            return skeleton
-        sequences = float(batch_size * beam_size)
-        return tuple(
-            _decode_attention_op(model, dtype, op.layer, float(context_len),
-                                 sequences)
-            if op.name == "self_attention" else op
-            for op in skeleton)
-
-    return _CONTEXT_CACHE.get_or_compute(
-        ("decode", model, dtype, batch_size, context_len, beam_size),
-        materialize)
+    key = ("decode", model, dtype, batch_size, beam_size)
+    skeleton = _GRAPH_CACHE.get_or_compute(
+        key, lambda: tuple(decode_step_ops(model, dtype, batch_size,
+                                           _SKELETON_CONTEXT, beam_size)))
+    if context_len == _SKELETON_CONTEXT:
+        return skeleton
+    sequences = float(batch_size * beam_size)
+    return tuple(
+        _decode_attention_op(model, dtype, op.layer, float(context_len),
+                             sequences)
+        if op.name == "self_attention" else op
+        for op in skeleton)
 
 
 def decode_step_affine(model: ModelConfig, dtype: DType, batch_size: int,

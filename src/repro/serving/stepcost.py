@@ -7,19 +7,33 @@ the frozen reference loop behind ``serving.legacy_loop_parity`` charges
 through the same one: there is exactly one code path that turns a step
 shape into seconds, shared by every replica of a fleet.
 
-The numbers themselves are unchanged from the original in-scheduler
-helpers: decode contexts are bucketed to 64-token multiples (floored at
-16) before the cost model runs, and prefill is keyed on the exact
-prompt length.
+Decode contexts are bucketed to 64-token multiples (floored at 16)
+before the cost model runs, and prefill is keyed on the exact prompt
+length.
+
+A miss costs one decoder block, not ``num_layers`` of them.  Every
+block of a step emits the same operators (only ``layer`` differs, and
+the cost model reads neither ``name`` nor ``layer``), so the table
+builds the graph of a one-block twin of the model (``num_layers=1``),
+costs its 14 operators, and rebuilds the full step's per-operator
+totals in graph order: embed, the block's totals repeated
+``num_layers`` times, then the head.  :func:`step_total_s` sums that
+list left to right, exactly as :attr:`StepCost.total_s` sums the full
+graph, so the result is bit-identical to costing the full graph
+(``serving.stepcost_graph_parity`` pins this).  Never shortcut the sum
+as ``num_layers * block_sum``: that rounds differently.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from ..engine.placement import Deployment
-from ..engine.roofline import WorkingSets, cost_model_for
+from ..engine.roofline import WorkingSets, cost_model_for, step_total_s
 from ..llm.config import ModelConfig
 from ..llm.datatypes import DType
-from ..llm.graph import decode_step_ops, prefill_ops
+from ..llm.graph import BLOCK_OP_NAMES, decode_step_ops, prefill_ops
+from ..llm.ops import Operator
 from ..memo import MemoCache
 
 #: Shared tables by (deployment, model, dtype): a fleet of identical
@@ -42,6 +56,7 @@ class StepCostTable:
         self.model = model
         self.dtype = dtype
         self._cost_model = cost_model_for(deployment)
+        self._one_block = replace(model, num_layers=1)
         self._step_cache: dict[tuple[int, int], float] = {}
         self._prefill_cache: dict[int, float] = {}
 
@@ -67,10 +82,28 @@ class StepCostTable:
         """Bucket a decode context to the memoized 64-token grid."""
         return max(16, (context // 64) * 64)
 
-    def _sets(self, batch: int, context: int) -> WorkingSets:
+    def working_sets(self, batch: int, context: int) -> WorkingSets:
+        """Per-stream working sets of a ``batch`` x ``context`` step."""
         weights = self.model.weight_bytes(self.dtype.bytes)
         kv = batch * context * self.model.kv_bytes_per_token(self.dtype.bytes)
         return WorkingSets(weights=weights, kv=kv, activations=64e6)
+
+    def _step_s(self, ops: list[Operator], sets: WorkingSets) -> float:
+        """Full-model step seconds from the one-block twin's graph."""
+        width = len(BLOCK_OP_NAMES)
+        outside = ops[:1] + ops[1 + width:]
+        if (tuple(op.name for op in ops[1:1 + width]) != BLOCK_OP_NAMES
+                or any(op.layer is not None for op in outside)):
+            raise RuntimeError(
+                f"one-block graph of {self.model.name} is not embed + "
+                f"{width} block ops + head (got {[op.name for op in ops]}); "
+                f"the step-cost table cannot rebuild the full step from it")
+        step = self._cost_model.step_cost(ops, sets, self.dtype)
+        totals = [cost.total_s for cost in step.op_costs]
+        full = (totals[:1] + totals[1:1 + width] * self.model.num_layers
+                + totals[1 + width:])
+        return step_total_s(full, step.exits_s, step.fixed_s,
+                            step.tax_multiplier)
 
     def decode_step_s(self, batch: int, context: int) -> float:
         """Duration of one decode step at ``batch`` sequences."""
@@ -78,19 +111,17 @@ class StepCostTable:
         key = (batch, context_bucket)
         cached = self._step_cache.get(key)
         if cached is None:
-            ops = decode_step_ops(self.model, self.dtype, batch,
+            ops = decode_step_ops(self._one_block, self.dtype, batch,
                                   context_bucket)
-            step = self._cost_model.step_cost(
-                ops, self._sets(batch, context_bucket), self.dtype)
-            cached = self._step_cache[key] = step.total_s
+            cached = self._step_cache[key] = self._step_s(
+                ops, self.working_sets(batch, context_bucket))
         return cached
 
     def prefill_s(self, prompt_tokens: int) -> float:
         """Duration of a single-sequence prefill of ``prompt_tokens``."""
         cached = self._prefill_cache.get(prompt_tokens)
         if cached is None:
-            ops = prefill_ops(self.model, self.dtype, 1, prompt_tokens)
-            step = self._cost_model.step_cost(
-                ops, self._sets(1, prompt_tokens), self.dtype)
-            cached = self._prefill_cache[prompt_tokens] = step.total_s
+            ops = prefill_ops(self._one_block, self.dtype, 1, prompt_tokens)
+            cached = self._prefill_cache[prompt_tokens] = self._step_s(
+                ops, self.working_sets(1, prompt_tokens))
         return cached

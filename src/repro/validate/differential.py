@@ -14,9 +14,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..engine.roofline import cost_model_for
 from ..engine.simulator import _working_sets, simulate_generation
 from ..engine.vectorized import decode_cost_engine
 from ..core.sweep import sweep_workload
+from ..llm.config import GPTJ_6B, LLAMA2_7B, LLAMA2_13B, LLAMA2_70B
+from ..llm.datatypes import BFLOAT16, INT8
 from ..llm.graph import cached_decode_step_ops, decode_step_ops, prefill_ops
 from ..llm.reference import FlopRecorder, ReferenceTransformer
 from ..memo import clear_all_caches
@@ -27,6 +30,7 @@ from ..memsim.tlb import (
     streaming_miss_rate,
     streaming_miss_rate_vec,
 )
+from ..serving.stepcost import StepCostTable
 from .context import AuditContext
 from .registry import CheckFailure, check
 
@@ -107,6 +111,42 @@ def stride_subsampling_exact(ctx: AuditContext) -> str:
             f"stride={stride} trajectory differs from exact at its own "
             f"costed contexts")
     return f"stride={stride} exact at {len(costed)} costed contexts"
+
+
+@check("serving.stepcost_graph_parity", family="differential",
+       layers=("serving", "engine", "llm"))
+def stepcost_graph_parity(ctx: AuditContext) -> str:
+    """One-block StepCostTable misses equal full-graph step_cost bitwise."""
+    deployments = (("baremetal", ctx.cpu("baremetal")), ("tdx", ctx.cpu("tdx")),
+                   ("sgx", ctx.cpu("sgx")), ("cgpu", ctx.gpu(confidential=True)))
+    prompts = (1, 2, 15, 16, 17, 127, 1024, 4095)
+    decode_shapes = [(batch, bucket) for batch in (1, 16, 64)
+                     for bucket in (16, 64, 1024, 4032)]
+    checked = 0
+    for label, deployment in deployments:
+        cost_model = cost_model_for(deployment)
+        for model in (LLAMA2_7B, LLAMA2_13B, LLAMA2_70B, GPTJ_6B):
+            for dtype in (BFLOAT16, INT8):
+                table = StepCostTable(deployment, model, dtype)
+                cases = [("prefill", prompt, table.prefill_s(prompt),
+                          prefill_ops(model, dtype, 1, prompt),
+                          table.working_sets(1, prompt))
+                         for prompt in prompts]
+                cases += [("decode", (batch, bucket),
+                           table.decode_step_s(batch, bucket),
+                           decode_step_ops(model, dtype, batch, bucket),
+                           table.working_sets(batch, bucket))
+                          for batch, bucket in decode_shapes]
+                for kind, shape, got, ops, sets in cases:
+                    want = cost_model.step_cost(ops, sets, dtype).total_s
+                    if got != want:
+                        raise CheckFailure(
+                            f"{label}/{model.name}/{dtype.name} {kind} "
+                            f"{shape}: table {got.hex()} != full graph "
+                            f"{want.hex()}",
+                            deltas={"rel_err": abs(got - want) / want})
+                    checked += 1
+    return f"{checked} step costs bit-identical to full-graph costing"
 
 
 @check("sweep.parallel_serial_identity", family="differential",

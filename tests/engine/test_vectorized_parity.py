@@ -108,7 +108,10 @@ class TestCachedGraphs:
     def test_cached_graph_is_shared(self):
         a = cached_decode_step_ops(TINY, BFLOAT16, 1, 77, 1)
         b = cached_decode_step_ops(TINY, BFLOAT16, 1, 77, 1)
-        assert a is b
+        assert a == b
+        # Every operator but the per-context attention comes from the
+        # one shared skeleton.
+        assert all(x is y for x, y in zip(a, b) if x.name != "self_attention")
 
     def test_affine_model_collapses_layers(self):
         affine = decode_step_affine(TINY, BFLOAT16, 1, 1)

@@ -1,0 +1,79 @@
+"""StepCostTable: one-block misses, bit-identical to full-graph costing.
+
+A table miss builds the graph of a one-block twin of the model and
+rebuilds the full step's total from it.  These tests pin the result to
+``step_cost(<full graph>).total_s`` with float equality (not a
+tolerance) on every replica kind and dtype, and check that a miss
+really costs one block.
+"""
+
+import pytest
+
+from repro.engine.roofline import CpuCostModel, GpuCostModel, cost_model_for
+from repro.fleet.replica import REPLICA_KINDS, replica_spec
+from repro.llm.config import GPTJ_6B, LLAMA2_7B, LLAMA2_70B
+from repro.llm.datatypes import BFLOAT16, FLOAT32, INT8
+from repro.llm.graph import BLOCK_OP_NAMES, decode_step_ops, prefill_ops
+from repro.serving import stepcost
+from repro.serving.stepcost import StepCostTable
+
+PROMPTS = (1, 17, 1024)
+DECODE_SHAPES = ((1, 16), (16, 1024), (64, 4032))
+
+
+def full_graph_s(table, ops, sets):
+    cost_model = cost_model_for(table.deployment)
+    return cost_model.step_cost(ops, sets, table.dtype).total_s
+
+
+@pytest.mark.parametrize("dtype", [FLOAT32, BFLOAT16, INT8],
+                         ids=lambda d: d.name)
+@pytest.mark.parametrize("kind", REPLICA_KINDS)
+class TestFullGraphParity:
+    def test_prefill_bit_identical(self, kind, dtype):
+        table = StepCostTable(replica_spec(kind).deployment, LLAMA2_7B, dtype)
+        for prompt in PROMPTS:
+            want = full_graph_s(table, prefill_ops(LLAMA2_7B, dtype, 1, prompt),
+                                table.working_sets(1, prompt))
+            assert table.prefill_s(prompt) == want
+
+    def test_decode_bit_identical(self, kind, dtype):
+        table = StepCostTable(replica_spec(kind).deployment, GPTJ_6B, dtype)
+        for batch, bucket in DECODE_SHAPES:
+            want = full_graph_s(
+                table, decode_step_ops(GPTJ_6B, dtype, batch, bucket),
+                table.working_sets(batch, bucket))
+            assert table.decode_step_s(batch, bucket) == want
+
+
+@pytest.mark.parametrize("kind", ["tdx", "cgpu"])
+def test_miss_costs_one_block(kind, monkeypatch):
+    seen = []
+
+    def spy(original):
+        def step_cost(self, ops, *args, **kwargs):
+            seen.append(len(ops))
+            return original(self, ops, *args, **kwargs)
+        return step_cost
+
+    for cls in (CpuCostModel, GpuCostModel):
+        monkeypatch.setattr(cls, "step_cost", spy(cls.step_cost))
+    table = StepCostTable(replica_spec(kind).deployment, LLAMA2_70B, BFLOAT16)
+    table.prefill_s(1024)
+    table.decode_step_s(16, 1000)
+    assert len(seen) == 2  # one costing per miss
+    assert all(count <= 16 for count in seen)
+    assert all(count == 1 + len(BLOCK_OP_NAMES) + 2 for count in seen)
+    table.prefill_s(1024)
+    table.decode_step_s(16, 1023)  # same 64-token bucket: a hit
+    assert len(seen) == 2
+
+
+def test_unexpected_graph_shape_raises(monkeypatch):
+    """A builder that ignores the one-block twin must fail loudly."""
+    table = StepCostTable(replica_spec("tdx").deployment, LLAMA2_7B, BFLOAT16)
+    monkeypatch.setattr(stepcost, "prefill_ops",
+                        lambda model, dtype, batch, prompt: prefill_ops(
+                            LLAMA2_7B, dtype, batch, prompt))
+    with pytest.raises(RuntimeError, match="one-block graph"):
+        table.prefill_s(64)
