@@ -10,16 +10,27 @@ experiment — so serving SLAs (TTFT, end-to-end latency) can be compared
 across bare metal, TDX, and (c)GPU deployments.
 
 Request state is columnar: per-request fields live in append-only
-``array`` columns keyed by submission slot, the running batch is a set
-of parallel lists, and the paged KV cache collapses to block *counts*
-(a free counter plus per-sequence held counts) — block identities
-never influence scheduling, only availability does.  That keeps live
-state O(in-flight), so one fleet run can push a million requests.  The
-independent reference is ``repro.validate``'s
-``serving.legacy_loop_parity`` check: a frozen transcription of the
-original run-to-completion loop over a real
-:class:`~repro.llm.kvcache.PagedKVCache`, which ``run()`` must match
-bit-for-bit.
+``array`` columns keyed by submission slot, the running batch is one
+insertion-ordered dict, and the paged KV cache collapses to a
+free-block *count* — block identities never influence scheduling, only
+availability does.  That keeps live state O(in-flight), so one fleet
+run can push a million requests.
+
+Decode is event-driven.  Every sequence still in the batch after a
+decode step has gained exactly one token, so one step counter stands in
+for every sequence's progress: a sequence admitted at step ``start``
+with ``kvlen`` KV tokens has generated ``steps - start`` tokens and
+holds ``ceil((kvlen + generated) / block_size)`` blocks.  Admission
+indexes the two per-sequence events in advance — the steps at which the
+next token crosses a block edge (a residue of the step counter modulo
+``block_size``) and the step at which the sequence finishes — so a
+decode step costs O(its events), not O(batch).  A step that needs more
+blocks than are free may preempt; it falls back to the exact
+per-sequence loop and rebuilds the index afterwards.  The independent
+reference is ``repro.validate``'s ``serving.legacy_loop_parity``
+check: a frozen transcription of the original run-to-completion loop
+over a real :class:`~repro.llm.kvcache.PagedKVCache`, which ``run()``
+must match bit-for-bit.
 
 The scheduler is *incrementally steppable*: the fleet simulator
 (:mod:`repro.fleet`) drives many replicas against a shared clock via
@@ -52,6 +63,7 @@ import math
 from array import array
 from bisect import insort
 from dataclasses import dataclass
+from itertools import islice
 
 from ..engine.placement import Deployment
 from ..llm.config import ModelConfig
@@ -275,19 +287,29 @@ class ContinuousBatchingScheduler:
         # Waiting queue: (arrival_s, request_id) tuples under FCFS,
         # (wfq_tag, arrival_s, request_id) under WFQ — either way the
         # request id is entry[-1] and the arrival entry[-2].  Sorted,
-        # except that FCFS preemptions re-enter at the head.
+        # except that FCFS preemptions re-enter at the head.  The
+        # logical queue is ``_waiting[_head:]``: unarmed FCFS admission
+        # pops the head by advancing ``_head`` and compacts the dead
+        # prefix once it passes half the list (``_head`` stays 0 under
+        # tenancy).  Invariant: ``2 * _head <= len(_waiting)``, so the
+        # list is empty exactly when the logical queue is.
         self._waiting: list[tuple] = []
-        # Running batch as parallel lists.  ``_run_kvlen`` is the KV
-        # length the sequence was admitted with — the prompt, or just
-        # the suffix under shared-prefix isolation — the basis of the
-        # block-boundary test during decode.
-        self._run_ids: list[int] = []
-        self._run_prompt: list[int] = []
-        self._run_output: list[int] = []
-        self._run_gen: list[int] = []
-        self._run_blocks: list[int] = []
-        self._run_slot: list[int] = []
-        self._run_kvlen: list[int] = []
+        self._head = 0
+        # Running batch: request id -> (slot, prompt, output, kvlen,
+        # start), in admission order (dict order), so the youngest
+        # sequence is the last item.  ``kvlen`` is the KV length the
+        # sequence was admitted with — the prompt, or just the suffix
+        # under shared-prefix isolation — and ``start`` the decode step
+        # it was admitted at.
+        self._running: dict[int, tuple[int, int, int, int, int]] = {}
+        # Decode steps taken; a running sequence has generated
+        # ``_steps - start`` tokens.  ``_res_count[r]`` counts running
+        # sequences whose next token crosses a block edge at steps
+        # ``s % block_size == r``; ``_finish_at[s]`` lists, in batch
+        # order, the sequences whose last token is decoded at step s.
+        self._steps = 0
+        self._res_count = [0] * self.block_size
+        self._finish_at: dict[int, list[int]] = {}
         self._free_blocks = self.num_blocks
         self._ctx_total = 0               # sum(prompt + generated) over batch
         self._clock = 0.0
@@ -321,12 +343,12 @@ class ContinuousBatchingScheduler:
     @property
     def outstanding(self) -> int:
         """Requests admitted or queued but not yet finished."""
-        return len(self._waiting) + len(self._run_ids)
+        return len(self._waiting) - self._head + len(self._running)
 
     @property
     def queue_depth(self) -> int:
         """Requests waiting for admission."""
-        return len(self._waiting)
+        return len(self._waiting) - self._head
 
     @property
     def kv_free_fraction(self) -> float:
@@ -336,7 +358,7 @@ class ContinuousBatchingScheduler:
     @property
     def idle(self) -> bool:
         """No admitted or queued work."""
-        return not self._waiting and not self._run_ids
+        return not self._waiting and not self._running
 
     @property
     def preemptions(self) -> int:
@@ -468,7 +490,11 @@ class ContinuousBatchingScheduler:
             insort(self._waiting,
                    (tag, request.arrival_s, request.request_id))
         else:
-            insort(self._waiting, (request.arrival_s, request.request_id))
+            # lo=_head probes the same midpoints as insort on the
+            # logical queue, so placement matches even when a
+            # preemption has left the queue unsorted.
+            insort(self._waiting, (request.arrival_s, request.request_id),
+                   lo=self._head)
         if (self._first_arrival is None
                 or request.arrival_s < self._first_arrival):
             self._first_arrival = request.arrival_s
@@ -479,6 +505,12 @@ class ContinuousBatchingScheduler:
         slot = self._slot.pop(request_id, None)
         if slot is not None:
             self._dead.add(slot)
+
+    def _compact_waiting(self) -> None:
+        """Drop the dead prefix so ``_waiting`` is the logical queue."""
+        if self._head:
+            del self._waiting[:self._head]
+            self._head = 0
 
     def _release_reserve(self, request_id: int) -> None:
         """Return a partition-mode worst-case reservation, if any."""
@@ -500,22 +532,18 @@ class ContinuousBatchingScheduler:
             the generated count is the work wasted by the cancellation —
             or ``None`` if the request is not in flight here.
         """
+        self._compact_waiting()
         for index, entry in enumerate(self._waiting):
             if entry[-1] == request_id:
                 request = self.request(request_id)
                 self._waiting.pop(index)
                 self._forget(request_id)
                 return request, 0
-        for index, rid in enumerate(self._run_ids):
-            if rid == request_id:
-                request = self.request(request_id)
-                generated = self._run_gen[index]
-                self._free_blocks += self._run_blocks[index]
-                self._release_reserve(request_id)
-                self._ctx_total -= self._run_prompt[index] + generated
-                self._remove_running(index)
-                self._forget(request_id)
-                return request, generated
+        if request_id in self._running:
+            request = self.request(request_id)
+            generated = self._drop_running(request_id)
+            self._forget(request_id)
+            return request, generated
         return None
 
     def evacuate(self) -> list[tuple[ServeRequest, int]]:
@@ -531,21 +559,12 @@ class ContinuousBatchingScheduler:
             ``(request, tokens_generated)`` pairs in deterministic
             order: waiting queue first, then the running batch.
         """
+        self._compact_waiting()
         evacuated = [(self.request(entry[-1]), 0)
                      for entry in self._waiting]
-        for index, rid in enumerate(self._run_ids):
-            self._free_blocks += self._run_blocks[index]
-            self._release_reserve(rid)
-            evacuated.append((self.request(rid), self._run_gen[index]))
+        for rid in list(self._running):
+            evacuated.append((self.request(rid), self._drop_running(rid)))
         self._waiting.clear()
-        del self._run_ids[:]
-        del self._run_prompt[:]
-        del self._run_output[:]
-        del self._run_gen[:]
-        del self._run_blocks[:]
-        del self._run_slot[:]
-        del self._run_kvlen[:]
-        self._ctx_total = 0
         for request, _ in evacuated:
             self._forget(request.request_id)
         # A crashed replica loses its pinned shared prefixes too.
@@ -554,14 +573,31 @@ class ContinuousBatchingScheduler:
         self._prefix_resident.clear()
         return evacuated
 
-    def _remove_running(self, index: int) -> None:
-        del self._run_ids[index]
-        del self._run_prompt[index]
-        del self._run_output[index]
-        del self._run_gen[index]
-        del self._run_blocks[index]
-        del self._run_slot[index]
-        del self._run_kvlen[index]
+    def _drop_running(self, rid: int) -> int:
+        """Withdraw an unfinished running sequence: free its KV and
+        unindex its events.  Returns the tokens it had generated."""
+        _, prompt, output, kvlen, start = self._running.pop(rid)
+        generated = self._steps - start
+        self._free_blocks += -(-(kvlen + generated) // self.block_size)
+        self._release_reserve(rid)
+        self._ctx_total -= prompt + generated
+        self._res_count[(start - kvlen) % self.block_size] -= 1
+        pending = self._finish_at[start + output - 1]
+        pending.remove(rid)
+        if not pending:
+            del self._finish_at[start + output - 1]
+        return generated
+
+    def _reindex(self) -> None:
+        """Rebuild the residue and finish-step index from the batch."""
+        block_size = self.block_size
+        res_count = [0] * block_size
+        finish_at: dict[int, list[int]] = {}
+        for rid, (_, _, output, kvlen, start) in self._running.items():
+            res_count[(start - kvlen) % block_size] += 1
+            finish_at.setdefault(start + output - 1, []).append(rid)
+        self._res_count = res_count
+        self._finish_at = finish_at
 
     def estimated_ttft_s(self, request: ServeRequest, now: float) -> float:
         """Deterministic TTFT estimate if ``request`` were routed here now.
@@ -577,7 +613,8 @@ class ContinuousBatchingScheduler:
         slots = self._slot
         backlog = max(0.0, self._clock - now)
         backlog += self._scaled(sum(prefill_s(prompts[slots[entry[-1]]])
-                                    for entry in self._waiting))
+                                    for entry in islice(self._waiting,
+                                                        self._head, None)))
         return backlog + self._scaled(prefill_s(request.prompt_tokens))
 
     @property
@@ -600,13 +637,14 @@ class ContinuousBatchingScheduler:
             self._admit_fcfs_tenant()
 
     def _admit_default(self) -> None:
-        """Unarmed FCFS fast path — the pre-tenancy loop, untouched."""
+        """Unarmed FCFS fast path — the pre-tenancy admission order."""
         waiting = self._waiting
         block_size = self.block_size
-        while (waiting and len(self._run_ids) < self.max_batch
-               and waiting[0][0] <= self._clock):
-            _, rid = waiting[0]
-            admitted_index = 0
+        while (waiting and len(self._running) < self.max_batch
+               and waiting[self._head][0] <= self._clock):
+            head = self._head
+            _, rid = waiting[head]
+            admitted_index = head
             slot = self._slot[rid]
             prompt = self._col_prompt[slot]
             needed = -(-prompt // block_size)
@@ -615,8 +653,9 @@ class ContinuousBatchingScheduler:
                 # lookahead, scan a bounded window of arrived requests
                 # for one that fits right now.
                 admitted_index = -1
-                for index in range(1, 1 + min(self.admission_lookahead,
-                                              len(waiting) - 1)):
+                for index in range(head + 1,
+                                   head + 1 + min(self.admission_lookahead,
+                                                  len(waiting) - head - 1)):
                     c_arrival, c_rid = waiting[index]
                     if c_arrival > self._clock:
                         break
@@ -632,22 +671,27 @@ class ContinuousBatchingScheduler:
                 if admitted_index < 0:
                     break
             self._free_blocks -= needed
-            waiting.pop(admitted_index)
-            self._start_running(rid, slot, prompt, needed, prompt)
+            if admitted_index == head:
+                self._head = head = head + 1
+                if 2 * head > len(waiting):
+                    del waiting[:head]
+                    self._head = 0
+            else:
+                waiting.pop(admitted_index)
+            self._start_running(rid, slot, prompt, prompt)
 
     def _start_running(self, rid: int, slot: int, prompt: int,
-                       blocks: int, kvlen: int) -> None:
-        """Charge prefill and move an admitted request into the batch."""
+                       kvlen: int) -> None:
+        """Charge prefill, move an admitted request into the batch and
+        index its block-edge residue and finish step."""
         self._clock += self._scaled(self._costs.prefill_s(prompt))
         self._col_first[slot] = self._clock
-        self._run_ids.append(rid)
-        self._run_prompt.append(prompt)
-        self._run_output.append(self._col_output[slot])
-        self._run_gen.append(0)
-        self._run_blocks.append(blocks)
-        self._run_slot.append(slot)
-        self._run_kvlen.append(kvlen)
+        start = self._steps
+        output = self._col_output[slot]
+        self._running[rid] = (slot, prompt, output, kvlen, start)
         self._ctx_total += prompt
+        self._res_count[(start - kvlen) % self.block_size] += 1
+        self._finish_at.setdefault(start + output - 1, []).append(rid)
 
     def _kv_admit(self, rid: int, slot: int) -> tuple[int, int] | None:
         """Take KV blocks for an admitted request per isolation mode.
@@ -709,7 +753,7 @@ class ContinuousBatchingScheduler:
     def _admit_fcfs_tenant(self) -> None:
         """FCFS admission with tenancy KV isolation armed."""
         waiting = self._waiting
-        while (waiting and len(self._run_ids) < self.max_batch
+        while (waiting and len(self._running) < self.max_batch
                and waiting[0][0] <= self._clock):
             rid = waiting[0][-1]
             admitted_index = 0
@@ -733,9 +777,8 @@ class ContinuousBatchingScheduler:
                 if admitted_index < 0:
                     break
             waiting.pop(admitted_index)
-            blocks, kvlen = taken
             self._start_running(rid, slot, self._col_prompt[slot],
-                                blocks, kvlen)
+                                taken[1])
 
     def _admit_wfq(self) -> None:
         """WFQ admission: serve arrived requests in virtual-finish order.
@@ -748,7 +791,7 @@ class ContinuousBatchingScheduler:
         are tried, exactly mirroring the FCFS window.
         """
         waiting = self._waiting
-        while waiting and len(self._run_ids) < self.max_batch:
+        while waiting and len(self._running) < self.max_batch:
             head_index = -1
             for index, entry in enumerate(waiting):
                 if entry[-2] <= self._clock:
@@ -781,71 +824,113 @@ class ContinuousBatchingScheduler:
                 if admitted_index < 0:
                     break
             waiting.pop(admitted_index)
-            blocks, kvlen = taken
             self._start_running(rid, slot, self._col_prompt[slot],
-                                blocks, kvlen)
+                                taken[1])
             tag = self._wfq_tag[rid]
             if tag > self._wfq_v:
                 self._wfq_v = tag
 
     # -- decode ----------------------------------------------------------------
 
-    def _decode_once(self) -> list[int]:
-        """One decode step for the whole batch; returns finished ids."""
-        run_ids = self._run_ids
-        run_gen = self._run_gen
-        run_prompt = self._run_prompt
-        run_blocks = self._run_blocks
-        run_kvlen = self._run_kvlen
-        batch = len(run_ids)
+    def _charge_step(self) -> int:
+        """Advance the clock by one decode step; returns the batch size."""
+        batch = len(self._running)
         mean_context = int(self._ctx_total / batch)
         self._occ_sum += batch
         self._occ_count += 1
         self._clock += self._scaled(
             self._costs.decode_step_s(batch, max(1, mean_context)))
+        return batch
 
+    def _decode_once(self) -> list[int]:
+        """One decode step for the whole batch; returns finished ids.
+
+        Touches only the step's events: the block-edge residue count
+        says how many blocks the batch takes, and the finish index
+        which sequences retire.  A step that needs more blocks than are
+        free may preempt, so it takes the exact per-sequence path.
+        """
+        step = self._steps
+        need = self._res_count[step % self.block_size]
+        if need > self._free_blocks:
+            return self._decode_exact()
+        batch = self._charge_step()
+        self._free_blocks -= need
+        self._ctx_total += batch
+        self._steps = step + 1
+        finished = self._finish_at.pop(step, None)
+        if finished is None:
+            return []
+        # A finishing sequence has generated exactly its output.
+        running = self._running
         block_size = self.block_size
+        for rid in finished:
+            slot, prompt, output, kvlen, start = running.pop(rid)
+            self._col_finish[slot] = self._clock
+            self._free_blocks += -(-(kvlen + output) // block_size)
+            self._ctx_total -= prompt + output
+            self._res_count[(start - kvlen) % block_size] -= 1
+            if self._kv_reserved:
+                self._release_reserve(rid)
+        return finished
+
+    def _decode_exact(self) -> list[int]:
+        """One decode step, sequence by sequence, preempting on demand.
+
+        Materializes each sequence's generated and held-block counts,
+        appends a token per sequence in batch order and, when a block
+        edge finds the pool empty, preempts the youngest sequence (vLLM
+        recomputes it from scratch on re-admission).  Survivors keep
+        their admission step, so the event index is rebuilt from the
+        batch afterwards.
+        """
+        self._charge_step()
+        step = self._steps
+        block_size = self.block_size
+        running = self._running
+        # In-loop removals only pop the youngest (the dict's last item),
+        # so the live batch is always a prefix of this snapshot and a
+        # victim's snapshot index is the batch size after the pop.
+        batch = list(running.items())
+        run_gen = [step - record[4] for _, record in batch]
+        run_blocks = [-(-(record[3] + generated) // block_size)
+                      for (_, record), generated in zip(batch, run_gen)]
         preempted: set[int] = set()
         finished: list[tuple[int, int]] = []  # (index, request_id)
 
-        def preempt_youngest() -> int:
-            victim_id = run_ids.pop()
-            victim_prompt = run_prompt.pop()
-            self._run_output.pop()
-            victim_gen = run_gen.pop()
-            self._free_blocks += run_blocks.pop()
-            victim_slot = self._run_slot.pop()
-            run_kvlen.pop()
-            self._release_reserve(victim_id)
-            self._col_preempt[victim_slot] += 1
-            self._ctx_total -= victim_prompt + victim_gen
-            if self._wfq:
-                # The victim keeps its tag: it re-queues at its
-                # original virtual position, not at the head.
-                insort(self._waiting,
-                       (self._wfq_tag[victim_id],
-                        self._col_arrival[victim_slot], victim_id))
-            else:
-                self._waiting.insert(0, (self._col_arrival[victim_slot],
-                                         victim_id))
-            preempted.add(victim_id)
-            return victim_id
-
-        # In-loop removals only pop from the tail, so an entry that
-        # survives keeps its index — the snapshot index stays valid.
-        for index, rid in enumerate(list(run_ids)):
+        for index, (rid, record) in enumerate(batch):
             if rid in preempted:
                 continue
             generated = run_gen[index]
-            kvlen = run_kvlen[index]
+            kvlen = record[3]
             appended = False
             while not appended:
                 if (kvlen + generated) % block_size == 0:
                     # The next token crosses a block boundary.
                     if self._free_blocks == 0:
-                        # Preempt the youngest sequence; vLLM recomputes
-                        # it from scratch on re-admission.
-                        victim_id = preempt_youngest()
+                        # Preempt the youngest sequence.
+                        victim_id, victim = running.popitem()
+                        tail = len(running)
+                        victim_slot = victim[0]
+                        self._free_blocks += run_blocks[tail]
+                        self._release_reserve(victim_id)
+                        self._col_preempt[victim_slot] += 1
+                        self._ctx_total -= victim[1] + run_gen[tail]
+                        victim_arrival = self._col_arrival[victim_slot]
+                        if self._wfq:
+                            # The victim keeps its tag: it re-queues at
+                            # its original virtual position.
+                            insort(self._waiting,
+                                   (self._wfq_tag[victim_id],
+                                    victim_arrival, victim_id))
+                        elif self._head:
+                            self._head -= 1
+                            self._waiting[self._head] = (victim_arrival,
+                                                         victim_id)
+                        else:
+                            self._waiting.insert(0, (victim_arrival,
+                                                     victim_id))
+                        preempted.add(victim_id)
                         self._preemptions += 1
                         if victim_id == rid:
                             break
@@ -858,25 +943,23 @@ class ContinuousBatchingScheduler:
                 appended = True
             if not appended:
                 continue
-            if generated >= self._run_output[index]:
+            if generated >= record[2]:
                 finished.append((index, rid))
 
-        if not finished:
-            return []
+        self._steps = step + 1
         results: list[int] = []
         for index, rid in finished:
-            if index >= len(run_ids) or run_ids[index] != rid:
+            record = running.pop(rid, None)
+            if record is None:
                 # Cannot arise: a finished entry holds its blocks until
                 # this cleanup, so it is never chosen as a victim.
                 raise RuntimeError("finished entry vanished mid-step")
-            slot = self._run_slot[index]
-            self._col_finish[slot] = self._clock
+            self._col_finish[record[0]] = self._clock
             self._free_blocks += run_blocks[index]
             self._release_reserve(rid)
-            self._ctx_total -= run_prompt[index] + run_gen[index]
+            self._ctx_total -= record[1] + run_gen[index]
             results.append(rid)
-        for index, _ in reversed(finished):
-            self._remove_running(index)
+        self._reindex()
         return results
 
     def step(self, until_s: float | None = None) -> list[int]:
@@ -895,20 +978,28 @@ class ContinuousBatchingScheduler:
             timelines via :meth:`finished_triple`).
         """
         finished: list[int] = []
-        while self._waiting or self._run_ids:
+        # Admission and decode mutate the queue and batch in place, so
+        # these locals stay bound to the live objects.
+        waiting = self._waiting
+        running = self._running
+        admit = self._admit
+        decode = self._decode_once
+        max_batch = self.max_batch
+        while waiting or running:
             if until_s is not None and self._clock >= until_s:
                 break
-            if (not self._run_ids and until_s is not None
+            if (not running and until_s is not None
                     and self._next_arrival_s() > until_s):
                 break  # only future work remains in this horizon
-            self._admit()
-            if not self._run_ids:
+            if waiting and len(running) < max_batch:
+                admit()
+            if not running:
                 # Idle until the next arrival.
                 arrival = self._next_arrival_s()
                 if arrival > self._clock:
                     self._clock = arrival
                 continue
-            finished.extend(self._decode_once())
+            finished += decode()
         return finished
 
     def _next_arrival_s(self) -> float:
@@ -919,7 +1010,7 @@ class ContinuousBatchingScheduler:
         """
         if self._wfq:
             return min(entry[-2] for entry in self._waiting)
-        return self._waiting[0][0]
+        return self._waiting[self._head][0]
 
     def report(self) -> ServingReport:
         """Aggregate metrics of everything served so far.
@@ -1023,13 +1114,16 @@ class ContinuousBatchingScheduler:
                 "preempt": list(self._col_preempt),
             },
             "dead": sorted(self._dead),
-            "waiting": [list(entry) for entry in self._waiting],
-            "running": [{"request_id": self._run_ids[i],
-                         "generated": self._run_gen[i],
-                         "blocks": self._run_blocks[i],
-                         "slot": self._run_slot[i],
-                         "kv_tokens": self._run_kvlen[i]}
-                        for i in range(len(self._run_ids))],
+            "waiting": [list(entry) for entry
+                        in islice(self._waiting, self._head, None)],
+            "running": [{"request_id": rid,
+                         "generated": self._steps - start,
+                         "blocks": -(-(kvlen + self._steps - start)
+                                     // self.block_size),
+                         "slot": slot,
+                         "kv_tokens": kvlen}
+                        for rid, (slot, _, _, kvlen, start)
+                        in self._running.items()],
         }
         if self.tenancy is not None:
             state["tenancy"] = {
@@ -1112,27 +1206,40 @@ class ContinuousBatchingScheduler:
                 waiting.append((float(pair[0]), float(pair[1]), rid))
             else:
                 waiting.append((float(pair[0]), rid))
-        run_ids: list[int] = []
-        run_gen: list[int] = []
-        run_blocks: list[int] = []
-        run_slot: list[int] = []
-        run_kvlen: list[int] = []
+        running: dict[int, tuple[int, int, int, int, int]] = {}
+        held_blocks = ctx_total = 0
         for entry in require(state, "running", list, "$.scheduler"):
             rid = require(entry, "request_id", int, "$.scheduler.running")
             if rid not in slot_map:
                 raise StateIntegrityError(
                     f"running request {rid} has no live column slot")
-            run_ids.append(rid)
-            run_gen.append(require(entry, "generated", int,
-                                   "$.scheduler.running"))
-            run_blocks.append(require(entry, "blocks", int,
-                                      "$.scheduler.running"))
+            if rid in running:
+                raise StateIntegrityError(
+                    f"running request {rid} is listed twice")
+            generated = require(entry, "generated", int,
+                                "$.scheduler.running")
+            blocks = require(entry, "blocks", int, "$.scheduler.running")
             slot = require(entry, "slot", int, "$.scheduler.running")
-            run_slot.append(slot)
             # Lenient: pre-tenancy snapshots carry no kv_tokens (the
             # KV length always equalled the prompt).
-            run_kvlen.append(int(entry.get("kv_tokens",
-                                           cols["prompt"][slot])))
+            kvlen = int(entry.get("kv_tokens", cols["prompt"][slot]))
+            # Progress and held blocks are derived from the step
+            # counter after restore, so they must agree with it here.
+            if not 0 <= generated < int(cols["output"][slot]):
+                raise StateIntegrityError(
+                    f"running request {rid} has generated {generated} of "
+                    f"{cols['output'][slot]} output tokens")
+            if blocks != -(-(kvlen + generated) // self.block_size):
+                raise StateIntegrityError(
+                    f"running request {rid} holds {blocks} KV blocks for "
+                    f"{kvlen + generated} tokens")
+            # The step counter restarts at 0, so a restored sequence
+            # was admitted ``generated`` steps before it.
+            prompt = int(cols["prompt"][slot])
+            running[rid] = (slot, prompt, int(cols["output"][slot]), kvlen,
+                            -generated)
+            held_blocks += blocks
+            ctx_total += prompt + generated
         tenancy_payload = None
         pinned_blocks = 0
         if self.tenancy is not None:
@@ -1142,7 +1249,7 @@ class ContinuousBatchingScheduler:
                 require(tenancy_payload, "prefix_resident", dict,
                         "$.scheduler.tenancy").values())
         free_blocks = require(state, "free_blocks", int, "$.scheduler")
-        if free_blocks + sum(run_blocks) + pinned_blocks != self.num_blocks:
+        if free_blocks + held_blocks + pinned_blocks != self.num_blocks:
             raise StateIntegrityError(
                 "KV block conservation violated in snapshot")
 
@@ -1158,15 +1265,12 @@ class ContinuousBatchingScheduler:
         self._slot = slot_map
         self._dead = dead
         self._waiting = waiting
-        self._run_ids = run_ids
-        self._run_prompt = [self._col_prompt[s] for s in run_slot]
-        self._run_output = [self._col_output[s] for s in run_slot]
-        self._run_gen = run_gen
-        self._run_blocks = run_blocks
-        self._run_slot = run_slot
-        self._run_kvlen = run_kvlen
+        self._head = 0
+        self._running = running
+        self._steps = 0
+        self._reindex()
         self._free_blocks = free_blocks
-        self._ctx_total = sum(self._run_prompt) + sum(run_gen)
+        self._ctx_total = ctx_total
         self._clock = require(state, "clock_s", float, "$.scheduler")
         self._preemptions = require(state, "preemptions", int, "$.scheduler")
         self._occ_sum = require(state, "occ_sum", int, "$.scheduler")

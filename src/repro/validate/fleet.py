@@ -18,6 +18,12 @@ numbers.
   fleet regime twice — through ``run()``, which jumps quiet ticks, and
   through a plain ``begin_run``/``run_tick``/``finish_run`` loop — and
   requires exactly equal reports.
+* ``serving.decode_event_parity`` (differential) runs fixed fleets
+  over every admission policy x KV isolation mode, a preempting and a
+  relaxed pool, with and without faults, once with the event-driven
+  decode step and once with every step forced through the exact
+  per-sequence path, and requires identical reports, outcome columns
+  and mid-run snapshots.
 * ``fleet.*`` metamorphic checks encode cluster-level physics: adding
   a replica never raises p99 TTFT under fixed load, requests are
   conserved through routing/autoscaling, fleet runs are deterministic.
@@ -130,6 +136,33 @@ def _legacy_run(scheduler: ContinuousBatchingScheduler, requests):
     return timeline, clock, preemptions, mean_occupancy
 
 
+def force_exact_decode(scheduler: ContinuousBatchingScheduler):
+    """Send every decode step of ``scheduler`` through the exact path.
+
+    An instance override of the event-driven step, so the reference
+    needs no production flag; the scheduler is returned for chaining.
+    """
+    scheduler._decode_once = scheduler._decode_exact
+    return scheduler
+
+
+def count_exact_decode(scheduler: ContinuousBatchingScheduler) -> list[int]:
+    """Count the decode steps that fall back to the exact path.
+
+    Returns a one-element list the count accumulates in; fast-path steps
+    are the scheduler's total decode steps minus that count.
+    """
+    calls = [0]
+    exact = scheduler._decode_exact
+
+    def counted() -> list[int]:
+        calls[0] += 1
+        return exact()
+
+    scheduler._decode_exact = counted
+    return calls
+
+
 def _serving_cases(ctx: AuditContext):
     """(label, scheduler-factory, stream) cases shared by the parity checks."""
     def scheduler(backend: str, kv: int, batch: int):
@@ -145,6 +178,9 @@ def _serving_cases(ctx: AuditContext):
          poisson_stream(20, 2.0, mean_prompt=96, mean_output=48, seed=7)),
         ("cgpu/bursty", lambda: scheduler("cgpu", 16384, 32),
          poisson_stream(24, 8.0, mean_prompt=256, mean_output=64, seed=17)),
+        # A small pool under a high rate: dozens of preempting steps.
+        ("tdx/preemption-storm", lambda: scheduler("tdx", 1024, 16),
+         poisson_stream(40, 20.0, mean_prompt=96, mean_output=160, seed=5)),
     )
 
 
@@ -174,7 +210,8 @@ def legacy_loop_parity(ctx: AuditContext) -> str:
                     f"{label}: request {outcome.request.request_id} timeline "
                     f"diverged from the legacy loop")
             checked += 1
-    return f"{checked} request timelines bit-identical across 3 streams"
+    return (f"{checked} request timelines bit-identical across "
+            f"{len(_serving_cases(ctx))} streams")
 
 
 @check("serving.step_run_parity", family="differential",
@@ -360,6 +397,93 @@ def jump_parity(ctx: AuditContext) -> str:
     return (f"{compared} request timelines bit-identical across "
             f"{len(regimes)} regimes; run() executed {jumped_ticks} of "
             f"{ticked_ticks} ticks")
+
+
+def _decode_regimes() -> list[tuple[str, "callable", object]]:
+    """(label, fresh-fleet factory, stream) for the decode-path audit.
+
+    Unarmed FCFS plus FCFS and WFQ over every KV isolation mode, each on
+    a tight pool that preempts and a relaxed one, each with and without
+    MTBF crashes and retries.
+    """
+    from .tenancy import _population
+
+    population = _population()
+    faults = {
+        "faults": mtbf_schedule([0, 1], mtbf_s=6.0, horizon_s=30.0, seed=3),
+        "retry_policy": RetryPolicy(timeout_s=30.0, max_attempts=4, seed=3),
+    }
+    policies = [("unarmed", None)] + [
+        (f"{admission}/{isolation}",
+         population.tenancy_config(admission=admission,
+                                   kv_isolation=isolation))
+        for admission in ("fcfs", "wfq")
+        for isolation in ("shared", "partition", "shared-prefix")]
+    regimes = []
+    for label, tenancy in policies:
+        for pool, kv_tokens in (("tight", 2048), ("relaxed", 65536)):
+            spec = replica_spec("tdx", max_batch=16,
+                                kv_capacity_tokens=kv_tokens,
+                                tenancy=tenancy)
+            for suffix, kwargs in (("", {}), ("+faults", faults)):
+                regimes.append((
+                    f"{label} {pool}{suffix}",
+                    lambda spec=spec, kwargs=kwargs: fixed_fleet(
+                        spec, 2, **kwargs),
+                    population.table()))
+    return regimes
+
+
+#: Run ticks at which the decode-path audit compares snapshots.
+_SNAPSHOT_TICKS = (4, 12, 30, 60)
+
+
+@check("serving.decode_event_parity", family="differential",
+       layers=("serving", "fleet"))
+def decode_event_parity(ctx: AuditContext) -> str:
+    """Event-driven decode equals the exact per-sequence step everywhere."""
+    from ..state.checkpoint import snapshot
+
+    regimes = _decode_regimes()
+    steps = exact_steps = preemptions = snapshots = 0
+    for label, factory, stream in regimes:
+        event, reference = factory(), factory()
+        counters = [count_exact_decode(r.scheduler) for r in event.replicas]
+        for replica in reference.replicas:
+            force_exact_decode(replica.scheduler)
+        event.begin_run(stream)
+        reference.begin_run(stream)
+        tick = 0
+        while event.run_active or reference.run_active:
+            if event.run_active != reference.run_active:
+                raise CheckFailure(f"{label}: runs ended at different ticks")
+            event.run_tick()
+            reference.run_tick()
+            tick += 1
+            if tick in _SNAPSHOT_TICKS:
+                if snapshot(event) != snapshot(reference):
+                    raise CheckFailure(
+                        f"{label}: snapshots diverged at tick {tick}")
+                snapshots += 1
+        got, want = event.finish_run(), reference.finish_run()
+        if got.to_dict() != want.to_dict():
+            raise CheckFailure(f"{label}: fleet reports diverged")
+        for column in ("request_id", "first_token_s", "finish_s",
+                       "preemptions"):
+            if not np.array_equal(getattr(got.outcomes, column),
+                                  getattr(want.outcomes, column)):
+                raise CheckFailure(
+                    f"{label}: outcome column {column} diverged")
+        steps += sum(r.scheduler._occ_count for r in event.replicas)
+        exact_steps += sum(calls[0] for calls in counters)
+        preemptions += got.total_preemptions
+    if not preemptions:
+        raise CheckFailure("no regime preempted; the exact path is unchecked")
+    if exact_steps >= steps:
+        raise CheckFailure("the event path never took its fast branch")
+    return (f"{len(regimes)} regimes, {snapshots} mid-run snapshots "
+            f"identical; {steps - exact_steps} fast and {exact_steps} exact "
+            f"of {steps} decode steps, {preemptions} preemptions")
 
 
 @check("fleet.replica_scaling_monotonic_tail", family="metamorphic",

@@ -13,19 +13,22 @@ from hypothesis import given, settings, strategies as st
 from repro.core.experiment import cpu_deployment
 from repro.llm.config import LLAMA2_7B
 from repro.llm.datatypes import BFLOAT16
+from repro.serving.admission import TenancyConfig
 from repro.serving.scheduler import (
     ContinuousBatchingScheduler,
     ServeRequest,
     poisson_stream,
 )
+from repro.validate.fleet import force_exact_decode
 
 
-def make_scheduler(kv_tokens=4096, max_batch=4, lookahead=0):
+def make_scheduler(kv_tokens=4096, max_batch=4, lookahead=0, tenancy=None):
     deployment = cpu_deployment("tdx", sockets_used=1)
     return ContinuousBatchingScheduler(deployment, LLAMA2_7B, BFLOAT16,
                                        kv_capacity_tokens=kv_tokens,
                                        max_batch=max_batch,
-                                       admission_lookahead=lookahead)
+                                       admission_lookahead=lookahead,
+                                       tenancy=tenancy)
 
 
 def run_stepped(requests, horizon_s, **kwargs):
@@ -204,3 +207,95 @@ class TestSatelliteRegressions:
     def test_lookahead_validation(self):
         with pytest.raises(ValueError, match="admission_lookahead"):
             make_scheduler(lookahead=-1)
+
+
+def _tenancy(policy):
+    if policy is None:
+        return None
+    admission, isolation = policy
+    return TenancyConfig(
+        admission=admission, kv_isolation=isolation,
+        weights=((0, 3.0), (1, 1.0), (2, 2.0)),
+        prefix_tokens=((0, 48), (1, 20)),
+        partition_shares=(((0, 0.5), (1, 0.25), (2, 0.25))
+                          if isolation == "partition" else ()))
+
+
+def _call(method, *args):
+    """``(result, None)`` or ``(None, error text)`` of one call."""
+    try:
+        return method(*args), None
+    except ValueError as error:
+        return None, str(error)
+
+
+POLICIES = [None] + [(admission, isolation)
+                     for admission in ("fcfs", "wfq")
+                     for isolation in ("shared", "partition", "shared-prefix")]
+
+tenant_streams = st.lists(
+    st.tuples(st.floats(0.0, 3.0, allow_nan=False, allow_infinity=False),
+              st.integers(16, 300), st.integers(8, 120),
+              st.integers(0, 2)),
+    min_size=1, max_size=14,
+)
+
+
+class TestEventDecodeParity:
+    """The event-driven decode step equals the exact per-sequence step."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(shapes=tenant_streams,
+           kv_tokens=st.sampled_from([768, 1024, 2048, 65536]),
+           policy=st.sampled_from(POLICIES),
+           horizon=st.sampled_from([0.05, 0.4, 2.5]),
+           disrupt=st.sampled_from(["none", "cancel", "evacuate"]),
+           at_call=st.integers(1, 8), victim=st.integers(0, 13))
+    def test_event_path_matches_forced_exact(self, shapes, kv_tokens,
+                                             policy, horizon, disrupt,
+                                             at_call, victim):
+        requests = sorted(
+            (ServeRequest(i, arrival, prompt, output, tenant_id=tenant)
+             for i, (arrival, prompt, output, tenant) in enumerate(shapes)),
+            key=lambda r: (r.arrival_s, r.request_id))
+        event = make_scheduler(kv_tokens=kv_tokens, max_batch=6,
+                               tenancy=_tenancy(policy))
+        exact = force_exact_decode(make_scheduler(
+            kv_tokens=kv_tokens, max_batch=6, tenancy=_tenancy(policy)))
+        for request in requests:
+            # A request too large for the pool or partition is refused
+            # identically by both.
+            assert _call(event.submit, request) == _call(exact.submit,
+                                                         request)
+        clock, calls = 0.0, 0
+        while not (event.idle and exact.idle):
+            clock += horizon
+            calls += 1
+            assert event.step(clock) == exact.step(clock)
+            assert event.to_state() == exact.to_state()
+            if calls == at_call and disrupt == "cancel":
+                rid = requests[victim % len(requests)].request_id
+                assert event.cancel(rid) == exact.cancel(rid)
+            elif calls == at_call and disrupt == "evacuate":
+                assert event.evacuate() == exact.evacuate()
+        assert event.to_state() == exact.to_state()
+        got, want = _call(event.report), _call(exact.report)
+        if want[0] is None:
+            assert got == want
+        else:
+            assert_reports_identical(got[0], want[0])
+
+    def test_preempting_stream_takes_both_paths(self):
+        """A tight pool drives both branches, and the event path's
+        preemptions and timelines equal the forced-exact run's."""
+        from repro.validate.fleet import count_exact_decode
+        requests = poisson_stream(40, 20.0, mean_prompt=96,
+                                  mean_output=160, seed=5)
+        event = make_scheduler(kv_tokens=1024, max_batch=16)
+        exact_steps = count_exact_decode(event)
+        report = event.run(requests)
+        reference = force_exact_decode(
+            make_scheduler(kv_tokens=1024, max_batch=16)).run(requests)
+        assert_reports_identical(report, reference)
+        assert report.total_preemptions > 0
+        assert 0 < exact_steps[0] < event.to_state()["occ_count"]

@@ -110,6 +110,50 @@ class TestRestoreGuards:
         with pytest.raises(StateIntegrityError, match="out of range"):
             restore(_fleet(), head)
 
+    @staticmethod
+    def _running_payload():
+        running = _fleet()
+        running.begin_run(_stream())
+        running.run_tick()
+        running.run_tick()
+        payload = json.loads(json.dumps(snapshot(running)))
+        scheduler = payload["state"]["replicas"][0]["scheduler"]
+        assert scheduler["running"], "snapshot has no running sequence"
+        return payload, scheduler
+
+    def test_running_blocks_inconsistent_with_progress_refused(self):
+        """Held blocks are derived from progress after restore, so a
+        count that disagrees is refused even when the pool balances."""
+        payload, scheduler = self._running_payload()
+        scheduler["running"][0]["blocks"] += 1
+        scheduler["free_blocks"] -= 1
+        with pytest.raises(StateIntegrityError, match="KV blocks"):
+            restore(_fleet(), payload)
+
+    @pytest.mark.parametrize("generated", ["negative", "complete"])
+    def test_running_generated_out_of_range_refused(self, generated):
+        """A sequence must be mid-decode: 0 <= generated < output."""
+        payload, scheduler = self._running_payload()
+        entry = scheduler["running"][0]
+        output = scheduler["columns"]["output"][entry["slot"]]
+        entry["generated"] = -1 if generated == "negative" else output
+        with pytest.raises(StateIntegrityError, match="output tokens"):
+            restore(_fleet(), payload)
+
+    def test_running_request_listed_twice_refused(self):
+        payload, scheduler = self._running_payload()
+        duplicate = dict(scheduler["running"][0])
+        scheduler["running"].append(duplicate)
+        scheduler["free_blocks"] -= duplicate["blocks"]
+        with pytest.raises(StateIntegrityError, match="listed twice"):
+            restore(_fleet(), payload)
+
+    def test_consistent_running_payload_still_restores(self):
+        payload, _ = self._running_payload()
+        fresh = _fleet()
+        restore(fresh, payload)
+        assert snapshot(fresh) == payload
+
 
 class TestDiskRoundtrip:
     def test_write_read_snapshot(self, tmp_path):
