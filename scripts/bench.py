@@ -97,9 +97,9 @@ def micro_benchmarks() -> dict:
 
     # Fleet smoke: a 2-replica TDX fleet serving a 40-request stream
     # through the shared-clock event loop (routing + stepped replicas).
-    from repro.fleet import fixed_fleet, poisson_arrivals, replica_spec
-    fleet_stream = poisson_arrivals(40, rate_per_s=4.0, mean_prompt=128,
-                                    mean_output=32, seed=11)
+    from repro.fleet import fixed_fleet, poisson_table, replica_spec
+    fleet_stream = poisson_table(40, rate_per_s=4.0, mean_prompt=128,
+                                 mean_output=32, seed=11)
     fleet_spec = replica_spec("tdx", max_batch=16, kv_capacity_tokens=65536)
     results["fleet_2x_tdx_40req"] = _time(
         lambda: fixed_fleet(fleet_spec, 2).run(fleet_stream), repeats=3)

@@ -46,7 +46,7 @@ from repro.fleet import (  # noqa: E402
     ROUTER_KINDS,
     ReactiveAutoscaler,
     iter_capacity_points,
-    make_arrivals,
+    make_arrival_table,
     make_router,
     replica_spec,
     trace_replay,
@@ -105,9 +105,9 @@ def _print_report(report: FleetReport, slo_ttft_s: float) -> None:
 
 
 def _arrivals(args: argparse.Namespace):
-    return make_arrivals(args.arrivals, args.count, args.rate,
-                         mean_prompt=args.mean_prompt,
-                         mean_output=args.mean_output, seed=args.seed)
+    return make_arrival_table(args.arrivals, args.count, args.rate,
+                              mean_prompt=args.mean_prompt,
+                              mean_output=args.mean_output, seed=args.seed)
 
 
 def _boot(args: argparse.Namespace, kind: str):

@@ -14,7 +14,7 @@ the ``golden.chaos_mtbf`` audit check.
 
 from __future__ import annotations
 
-from ..fleet.arrivals import poisson_arrivals
+from ..fleet.arrivals import poisson_table
 from ..fleet.cluster import FleetSimulator, fixed_fleet
 from ..fleet.replica import replica_spec
 from ..fleet.report import FleetReport
@@ -103,8 +103,8 @@ def iter_mtbf_rows(kinds: tuple[str, ...] = DEFAULT_KINDS,
     """
     for kind in kinds:
         for mtbf_s in mtbf_grid_s:
-            requests = poisson_arrivals(num_requests, rate_rps, mean_prompt,
-                                        mean_output, seed=seed)
+            requests = poisson_table(num_requests, rate_rps, mean_prompt,
+                                     mean_output, seed=seed)
             fleet = chaos_fleet(kind, replicas=replicas, mtbf_s=mtbf_s,
                                 horizon_s=horizon_s, seed=seed,
                                 timeout_s=timeout_s)

@@ -3,53 +3,47 @@
 The paper's serving question — what does confidential inference cost
 under load — depends on *how* load arrives.  A single Poisson rate
 answers the steady-state question; production traffic is bursty (flash
-crowds, retry storms) and diurnal (timezone peaks).  This module
-generates deterministic request streams for all of those regimes, plus
-exact trace replay, all producing the same
-:class:`~repro.serving.scheduler.ServeRequest` objects the scheduler
-and fleet simulator consume.
+crowds, retry storms) and diurnal (timezone peaks).  This module is the
+one home of request-stream generation for all of those regimes, plus
+exact trace replay.  Every generator returns a columnar
+:class:`~repro.fleet.table.RequestTable`; ``list(table)`` materializes
+:class:`~repro.serving.scheduler.ServeRequest` objects for callers that
+want them.
 
-Every generator is seeded and pure: same arguments -> identical stream,
-which is what makes fleet reports reproducible and golden-snapshotable.
+Every seeded generator draws in one order: all arrival instants first
+(``_*_times``), then two lognormal sizes per request in id order
+(:func:`_fill_sizes`).  Same arguments -> identical stream, which is
+what makes fleet reports reproducible and golden-snapshotable.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from collections.abc import Iterable, Sequence
+from array import array
+from collections.abc import Sequence
 
-from ..serving.scheduler import ServeRequest
+import numpy as np
 
-
-def _sample_sizes(rng: random.Random, mean_prompt: int,
-                  mean_output: int) -> tuple[int, int]:
-    """Lognormal prompt/output sizes (same shape as ``poisson_stream``)."""
-    prompt = max(16, int(rng.lognormvariate(0.0, 0.5) * mean_prompt))
-    output = max(8, int(rng.lognormvariate(0.0, 0.4) * mean_output))
-    return prompt, output
+from .table import RequestTable
 
 
-def _build(arrivals: Iterable[float], rng: random.Random, mean_prompt: int,
-           mean_output: int) -> list[ServeRequest]:
-    requests = []
-    for request_id, arrival_s in enumerate(arrivals):
-        prompt, output = _sample_sizes(rng, mean_prompt, mean_output)
-        requests.append(ServeRequest(request_id=request_id,
-                                     arrival_s=arrival_s,
-                                     prompt_tokens=prompt,
-                                     output_tokens=output))
-    return requests
+def _require_finite(**params: float) -> None:
+    """Reject NaN/inf stream parameters before any RNG draw.
+
+    A NaN slips past every ``<= 0`` guard, and a non-finite rate,
+    dwell or period makes the draw loops below emit degenerate
+    instants or never terminate.
+    """
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def _poisson_times(count: int, rate_per_s: float,
                    rng: random.Random) -> list[float]:
-    """Arrival instants of a homogeneous Poisson process.
-
-    Shared by the object-stream and columnar-table generators so both
-    consume the identical RNG draw sequence (arrivals first, then
-    sizes) and produce bit-identical streams.
-    """
+    """Arrival instants of a homogeneous Poisson process."""
+    _require_finite(rate_per_s=rate_per_s)
     if count < 1 or rate_per_s <= 0:
         raise ValueError("count >= 1 and positive rate required")
     arrivals, clock = [], 0.0
@@ -59,37 +53,13 @@ def _poisson_times(count: int, rate_per_s: float,
     return arrivals
 
 
-def poisson_arrivals(count: int, rate_per_s: float, mean_prompt: int = 256,
-                     mean_output: int = 96, seed: int = 0) -> list[ServeRequest]:
-    """Homogeneous Poisson arrivals (exponential inter-arrival gaps)."""
-    rng = random.Random(seed)
-    return _build(_poisson_times(count, rate_per_s, rng), rng,
-                  mean_prompt, mean_output)
-
-
-def mmpp_arrivals(count: int, calm_rate_per_s: float, burst_rate_per_s: float,
-                  mean_calm_s: float = 20.0, mean_burst_s: float = 5.0,
-                  mean_prompt: int = 256, mean_output: int = 96,
-                  seed: int = 0) -> list[ServeRequest]:
-    """Two-state Markov-modulated Poisson process (bursty traffic).
-
-    The process alternates between a *calm* and a *burst* state with
-    exponentially distributed dwell times; within each state arrivals
-    are Poisson at that state's rate.  This is the standard minimal
-    model for flash-crowd traffic — the regime where TEE overheads
-    compound with queueing delay.
-    """
-    rng = random.Random(seed)
-    return _build(
-        _mmpp_times(count, calm_rate_per_s, burst_rate_per_s, mean_calm_s,
-                    mean_burst_s, rng),
-        rng, mean_prompt, mean_output)
-
-
 def _mmpp_times(count: int, calm_rate_per_s: float, burst_rate_per_s: float,
                 mean_calm_s: float, mean_burst_s: float,
                 rng: random.Random) -> list[float]:
-    """Arrival instants of the two-state MMPP (shared draw sequence)."""
+    """Arrival instants of the two-state MMPP (see :func:`mmpp_table`)."""
+    _require_finite(calm_rate_per_s=calm_rate_per_s,
+                    burst_rate_per_s=burst_rate_per_s,
+                    mean_calm_s=mean_calm_s, mean_burst_s=mean_burst_s)
     if count < 1:
         raise ValueError("count must be >= 1")
     if calm_rate_per_s <= 0 or burst_rate_per_s <= 0:
@@ -118,31 +88,11 @@ def _mmpp_times(count: int, calm_rate_per_s: float, burst_rate_per_s: float,
     return arrivals
 
 
-def diurnal_arrivals(count: int, mean_rate_per_s: float,
-                     period_s: float = 240.0, peak_to_trough: float = 4.0,
-                     mean_prompt: int = 256, mean_output: int = 96,
-                     seed: int = 0) -> list[ServeRequest]:
-    """Sinusoidally modulated Poisson arrivals (diurnal load curve).
-
-    Thinning (Lewis-Shedler): candidates are drawn at the peak rate and
-    accepted with probability ``rate(t) / peak_rate``, yielding an
-    exact non-homogeneous Poisson process with
-
-    ``rate(t) = mean * (1 + a * sin(2 pi t / period))``,
-
-    where ``a`` is derived from ``peak_to_trough`` (peak/trough rate
-    ratio).  ``period_s`` defaults to a compressed "day" so simulations
-    stay short.
-    """
-    rng = random.Random(seed)
-    return _build(
-        _diurnal_times(count, mean_rate_per_s, period_s, peak_to_trough, rng),
-        rng, mean_prompt, mean_output)
-
-
 def _diurnal_times(count: int, mean_rate_per_s: float, period_s: float,
                    peak_to_trough: float, rng: random.Random) -> list[float]:
-    """Arrival instants of the thinned diurnal process (shared draws)."""
+    """Arrival instants of the thinned diurnal process."""
+    _require_finite(mean_rate_per_s=mean_rate_per_s, period_s=period_s,
+                    peak_to_trough=peak_to_trough)
     if count < 1 or mean_rate_per_s <= 0 or period_s <= 0:
         raise ValueError("count, rate and period must be positive")
     if peak_to_trough < 1.0:
@@ -160,7 +110,82 @@ def _diurnal_times(count: int, mean_rate_per_s: float, period_s: float,
     return arrivals
 
 
-def trace_replay(trace: Sequence[tuple[float, int, int]]) -> list[ServeRequest]:
+def _fill_sizes(rng: random.Random, count: int, mean_prompt: int,
+                mean_output: int) -> tuple[array, array]:
+    """Per-request lognormal sizes, drawn in id order.
+
+    Two lognormal variates per request (prompt, then output), after
+    every arrival draw, filled straight into flat arrays.
+    """
+    prompts = array("q", bytes(8 * count))
+    outputs = array("q", bytes(8 * count))
+    for index in range(count):
+        prompts[index] = max(16, int(rng.lognormvariate(0.0, 0.5)
+                                     * mean_prompt))
+        outputs[index] = max(8, int(rng.lognormvariate(0.0, 0.4)
+                                    * mean_output))
+    return prompts, outputs
+
+
+def _table_from_times(arrivals: list[float], rng: random.Random,
+                      mean_prompt: int, mean_output: int) -> RequestTable:
+    prompts, outputs = _fill_sizes(rng, len(arrivals), mean_prompt,
+                                   mean_output)
+    return RequestTable(
+        request_id=np.arange(len(arrivals), dtype=np.int64),
+        arrival_s=arrivals, prompt_tokens=prompts, output_tokens=outputs)
+
+
+def poisson_table(count: int, rate_per_s: float, mean_prompt: int = 256,
+                  mean_output: int = 96, seed: int = 0) -> RequestTable:
+    """Homogeneous Poisson arrivals (exponential inter-arrival gaps)."""
+    rng = random.Random(seed)
+    return _table_from_times(_poisson_times(count, rate_per_s, rng), rng,
+                             mean_prompt, mean_output)
+
+
+def mmpp_table(count: int, calm_rate_per_s: float, burst_rate_per_s: float,
+               mean_calm_s: float = 20.0, mean_burst_s: float = 5.0,
+               mean_prompt: int = 256, mean_output: int = 96,
+               seed: int = 0) -> RequestTable:
+    """Two-state Markov-modulated Poisson process (bursty traffic).
+
+    The process alternates between a *calm* and a *burst* state with
+    exponentially distributed dwell times; within each state arrivals
+    are Poisson at that state's rate.  This is the standard minimal
+    model for flash-crowd traffic — the regime where TEE overheads
+    compound with queueing delay.
+    """
+    rng = random.Random(seed)
+    return _table_from_times(
+        _mmpp_times(count, calm_rate_per_s, burst_rate_per_s, mean_calm_s,
+                    mean_burst_s, rng),
+        rng, mean_prompt, mean_output)
+
+
+def diurnal_table(count: int, mean_rate_per_s: float, period_s: float = 240.0,
+                  peak_to_trough: float = 4.0, mean_prompt: int = 256,
+                  mean_output: int = 96, seed: int = 0) -> RequestTable:
+    """Sinusoidally modulated Poisson arrivals (diurnal load curve).
+
+    Thinning (Lewis-Shedler): candidates are drawn at the peak rate and
+    accepted with probability ``rate(t) / peak_rate``, yielding an
+    exact non-homogeneous Poisson process with
+
+    ``rate(t) = mean * (1 + a * sin(2 pi t / period))``,
+
+    where ``a`` is derived from ``peak_to_trough`` (peak/trough rate
+    ratio).  ``period_s`` defaults to a compressed "day" so simulations
+    stay short.
+    """
+    rng = random.Random(seed)
+    return _table_from_times(
+        _diurnal_times(count, mean_rate_per_s, period_s, peak_to_trough,
+                       rng),
+        rng, mean_prompt, mean_output)
+
+
+def trace_replay(trace: Sequence[tuple[float, int, int]]) -> RequestTable:
     """Deterministic replay of an explicit (arrival_s, prompt, output) trace.
 
     Request ids follow trace order; arrivals need not be sorted (the
@@ -169,32 +194,34 @@ def trace_replay(trace: Sequence[tuple[float, int, int]]) -> list[ServeRequest]:
     """
     if not trace:
         raise ValueError("empty trace")
-    return [ServeRequest(request_id=index, arrival_s=float(arrival),
-                         prompt_tokens=int(prompt), output_tokens=int(output))
-            for index, (arrival, prompt, output) in enumerate(trace)]
+    return RequestTable(
+        request_id=np.arange(len(trace), dtype=np.int64),
+        arrival_s=[float(arrival) for arrival, _, _ in trace],
+        prompt_tokens=[int(prompt) for _, prompt, _ in trace],
+        output_tokens=[int(output) for _, _, output in trace])
 
 
 #: Named generators the CLI and sweep helpers expose.
 ARRIVAL_KINDS = ("poisson", "mmpp", "diurnal")
 
 
-def make_arrivals(kind: str, count: int, rate_per_s: float,
-                  mean_prompt: int = 256, mean_output: int = 96,
-                  seed: int = 0) -> list[ServeRequest]:
+def make_arrival_table(kind: str, count: int, rate_per_s: float,
+                       mean_prompt: int = 256, mean_output: int = 96,
+                       seed: int = 0) -> RequestTable:
     """Build a stream by generator name (CLI convenience).
 
     ``mmpp`` treats ``rate_per_s`` as the calm rate with a 3x burst;
     ``diurnal`` as the mean rate.
     """
     if kind == "poisson":
-        return poisson_arrivals(count, rate_per_s, mean_prompt, mean_output,
-                                seed)
+        return poisson_table(count, rate_per_s, mean_prompt, mean_output,
+                             seed)
     if kind == "mmpp":
-        return mmpp_arrivals(count, rate_per_s, 3.0 * rate_per_s,
-                             mean_prompt=mean_prompt, mean_output=mean_output,
-                             seed=seed)
+        return mmpp_table(count, rate_per_s, 3.0 * rate_per_s,
+                          mean_prompt=mean_prompt, mean_output=mean_output,
+                          seed=seed)
     if kind == "diurnal":
-        return diurnal_arrivals(count, rate_per_s, mean_prompt=mean_prompt,
-                                mean_output=mean_output, seed=seed)
+        return diurnal_table(count, rate_per_s, mean_prompt=mean_prompt,
+                             mean_output=mean_output, seed=seed)
     raise ValueError(f"unknown arrival kind {kind!r}; "
                      f"expected one of {ARRIVAL_KINDS}")

@@ -409,10 +409,10 @@ class FleetSimulator:
         between any two ticks.  :meth:`run` composes exactly these
         calls, plus quiet-tick jumps that leave the report unchanged.
 
-        A ``list[ServeRequest]`` is converted with
-        :meth:`RequestTable.from_requests`; for million-request streams,
-        build the table directly (``poisson_table`` et al.) so no object
-        list ever exists.
+        A hand-built ``list[ServeRequest]`` is converted with
+        :meth:`RequestTable.from_requests`; the generators in
+        :mod:`repro.fleet.arrivals` return tables directly, so a
+        million-request stream never exists as an object list.
 
         Raises:
             ValueError: On an empty stream or if a run is in progress.

@@ -15,7 +15,6 @@ default to empty so fault-free reports are unchanged.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,28 +22,9 @@ import numpy as np
 from ..cost.pricing import attribute_cost
 from ..faults.injector import AppliedFault
 from ..faults.resilience import ShedRequest
+from ..serving.scheduler import _percentile
 from .autoscaler import ScaleEvent
 from .table import ColumnarOutcomes
-
-
-def _percentile_array(values: np.ndarray, percentile: float) -> float:
-    """Vectorized twin of :func:`repro.serving.scheduler._percentile`.
-
-    Same linear interpolation over the same sorted values in the same
-    IEEE-754 doubles, so fleet and single-replica percentiles agree
-    bit-for-bit.
-    """
-    if not values.size:
-        raise ValueError("no values")
-    if not 0.0 <= percentile <= 100.0:
-        raise ValueError("percentile must be in [0, 100]")
-    ordered = np.sort(values)
-    rank = percentile / 100.0 * (values.size - 1)
-    lower = int(math.floor(rank))
-    upper = min(lower + 1, values.size - 1)
-    fraction = rank - lower
-    return float(ordered[lower] + (ordered[upper] - ordered[lower])
-                 * fraction)
 
 
 @dataclass(frozen=True)
@@ -167,12 +147,12 @@ class FleetReport:
     def ttft_percentile(self, percentile: float) -> float:
         if not self.outcomes:
             raise ValueError("no completed requests")
-        return _percentile_array(self.outcomes.ttft_values(), percentile)
+        return _percentile(self.outcomes.ttft_values(), percentile)
 
     def e2e_percentile(self, percentile: float) -> float:
         if not self.outcomes:
             raise ValueError("no completed requests")
-        return _percentile_array(self.outcomes.e2e_values(), percentile)
+        return _percentile(self.outcomes.e2e_values(), percentile)
 
     def slo_attainment(self, slo_ttft_s: float) -> float:
         """Fraction of submitted requests whose TTFT met the SLO.

@@ -7,11 +7,9 @@ O(n)-per-tick list surgery.  This module holds the three columnar
 containers the fleet runs on instead:
 
 * :class:`RequestTable` — the request stream as numpy columns (arrival,
-  prompt, output, priority, id).  The seeded generators fill the
-  columns with the *identical RNG draw sequence* as the object
-  generators in :mod:`repro.fleet.arrivals`, so a table stream and a
-  list stream of the same kind/seed are value-equal request for
-  request.
+  prompt, output, priority, tenant, id).  The generators in
+  :mod:`repro.fleet.arrivals` build these; ``list(table)``
+  materializes the value-equal request objects.
 * :class:`OutcomeLog` — an append-only (id, first-token, finish,
   preemptions) ledger the fleet fills in finish order, replacing the
   per-request outcome dict.
@@ -26,19 +24,12 @@ golden snapshots and the ``fleet.jump_parity`` audit check.
 
 from __future__ import annotations
 
-import random
 from array import array
 from collections.abc import Sequence
 
 import numpy as np
 
 from ..serving.scheduler import RequestOutcome, ServeRequest
-from .arrivals import (
-    ARRIVAL_KINDS,
-    _diurnal_times,
-    _mmpp_times,
-    _poisson_times,
-)
 
 
 class RequestTable(Sequence):
@@ -166,87 +157,6 @@ class RequestTable(Sequence):
                 tenant_id=state.get("tenant_id"))
         except ValueError as error:
             raise StateValueError(f"$.requests: {error}") from error
-
-
-def _fill_sizes(rng: random.Random, count: int, mean_prompt: int,
-                mean_output: int) -> tuple[array, array]:
-    """Per-request lognormal sizes, drawn in id order.
-
-    Exactly the draws ``arrivals._build`` makes — two lognormal
-    variates per request, after every arrival draw — filled straight
-    into flat arrays instead of request objects.
-    """
-    prompts = array("q", bytes(8 * count))
-    outputs = array("q", bytes(8 * count))
-    for index in range(count):
-        prompts[index] = max(16, int(rng.lognormvariate(0.0, 0.5)
-                                     * mean_prompt))
-        outputs[index] = max(8, int(rng.lognormvariate(0.0, 0.4)
-                                    * mean_output))
-    return prompts, outputs
-
-
-def _table_from_times(arrivals: list[float], rng: random.Random,
-                      mean_prompt: int, mean_output: int) -> RequestTable:
-    prompts, outputs = _fill_sizes(rng, len(arrivals), mean_prompt,
-                                   mean_output)
-    return RequestTable(
-        request_id=np.arange(len(arrivals), dtype=np.int64),
-        arrival_s=arrivals, prompt_tokens=prompts, output_tokens=outputs)
-
-
-def poisson_table(count: int, rate_per_s: float, mean_prompt: int = 256,
-                  mean_output: int = 96, seed: int = 0) -> RequestTable:
-    """Columnar twin of :func:`~repro.fleet.arrivals.poisson_arrivals`."""
-    rng = random.Random(seed)
-    return _table_from_times(_poisson_times(count, rate_per_s, rng), rng,
-                             mean_prompt, mean_output)
-
-
-def mmpp_table(count: int, calm_rate_per_s: float, burst_rate_per_s: float,
-               mean_calm_s: float = 20.0, mean_burst_s: float = 5.0,
-               mean_prompt: int = 256, mean_output: int = 96,
-               seed: int = 0) -> RequestTable:
-    """Columnar twin of :func:`~repro.fleet.arrivals.mmpp_arrivals`."""
-    rng = random.Random(seed)
-    return _table_from_times(
-        _mmpp_times(count, calm_rate_per_s, burst_rate_per_s, mean_calm_s,
-                    mean_burst_s, rng),
-        rng, mean_prompt, mean_output)
-
-
-def diurnal_table(count: int, mean_rate_per_s: float, period_s: float = 240.0,
-                  peak_to_trough: float = 4.0, mean_prompt: int = 256,
-                  mean_output: int = 96, seed: int = 0) -> RequestTable:
-    """Columnar twin of :func:`~repro.fleet.arrivals.diurnal_arrivals`."""
-    rng = random.Random(seed)
-    return _table_from_times(
-        _diurnal_times(count, mean_rate_per_s, period_s, peak_to_trough,
-                       rng),
-        rng, mean_prompt, mean_output)
-
-
-def make_arrival_table(kind: str, count: int, rate_per_s: float,
-                       mean_prompt: int = 256, mean_output: int = 96,
-                       seed: int = 0) -> RequestTable:
-    """Columnar twin of :func:`~repro.fleet.arrivals.make_arrivals`.
-
-    Same kind/argument conventions (``mmpp`` treats ``rate_per_s`` as
-    the calm rate with a 3x burst); the resulting table is value-equal
-    to the object stream row for row.
-    """
-    if kind == "poisson":
-        return poisson_table(count, rate_per_s, mean_prompt, mean_output,
-                             seed)
-    if kind == "mmpp":
-        return mmpp_table(count, rate_per_s, 3.0 * rate_per_s,
-                          mean_prompt=mean_prompt, mean_output=mean_output,
-                          seed=seed)
-    if kind == "diurnal":
-        return diurnal_table(count, rate_per_s, mean_prompt=mean_prompt,
-                             mean_output=mean_output, seed=seed)
-    raise ValueError(f"unknown arrival kind {kind!r}; "
-                     f"expected one of {ARRIVAL_KINDS}")
 
 
 class ColumnarOutcomes(Sequence):

@@ -62,8 +62,11 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import insort
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import islice
+
+import numpy as np
 
 from ..engine.placement import Deployment
 from ..llm.config import ModelConfig
@@ -203,23 +206,27 @@ class ServingReport:
         return _percentile([o.e2e_s for o in self.outcomes], percentile)
 
 
-def _percentile(values: list[float], percentile: float) -> float:
+def _percentile(values: Sequence[float] | np.ndarray,
+                percentile: float) -> float:
     """Linearly interpolated percentile (numpy's default method).
 
     Nearest-rank rounding returns an endpoint for the median of two
     values, skewing small-sample TTFT/e2e percentiles; interpolation
-    matches ``numpy.percentile`` exactly.
+    matches ``numpy.percentile`` exactly.  Takes a list or an ndarray
+    (the fleet and tenancy reports pass raw outcome columns) and
+    returns a Python float.
     """
-    if not values:
+    if not len(values):
         raise ValueError("no values")
     if not 0.0 <= percentile <= 100.0:
         raise ValueError("percentile must be in [0, 100]")
-    ordered = sorted(values)
-    rank = percentile / 100.0 * (len(ordered) - 1)
+    ordered = np.sort(np.asarray(values, dtype=np.float64))
+    rank = percentile / 100.0 * (ordered.size - 1)
     lower = int(math.floor(rank))
-    upper = min(lower + 1, len(ordered) - 1)
+    upper = min(lower + 1, ordered.size - 1)
     fraction = rank - lower
-    return ordered[lower] + (ordered[upper] - ordered[lower]) * fraction
+    return float(ordered[lower] + (ordered[upper] - ordered[lower])
+                 * fraction)
 
 
 class ContinuousBatchingScheduler:

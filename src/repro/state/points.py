@@ -82,11 +82,11 @@ def run_chaos_mtbf_point(params: dict, context: PointContext) -> dict:
     :func:`repro.faults.sweep.iter_mtbf_rows` exactly.
     """
     from ..faults.sweep import chaos_fleet, sweep_row
-    from ..fleet.arrivals import poisson_arrivals
+    from ..fleet.arrivals import poisson_table
 
     kind = require(params, "kind", str, "$.params")
     mtbf_s = require_finite(params, "mtbf_s", "$.params", optional=True)
-    requests = poisson_arrivals(
+    requests = poisson_table(
         require(params, "num_requests", int, "$.params"),
         require_finite(params, "rate_rps", "$.params", minimum=1e-12),
         require(params, "mean_prompt", int, "$.params"),
@@ -110,7 +110,7 @@ def run_fleet_capacity_point(params: dict, context: PointContext) -> dict:
 
     ``params["trace"] == "capacity"`` replays the pinned golden
     capacity trace; otherwise the trace is generated from the params
-    via :func:`repro.fleet.arrivals.make_arrivals`.  The row is
+    via :func:`repro.fleet.arrivals.make_arrival_table`.  The row is
     :meth:`~repro.fleet.planner.CapacityPoint.to_dict`.
     """
     from ..fleet.planner import evaluate_fleet
@@ -127,8 +127,8 @@ def run_fleet_capacity_point(params: dict, context: PointContext) -> dict:
         from ..validate.fleet import CAPACITY_TRACE
         requests = trace_replay(list(CAPACITY_TRACE))
     elif trace is None:
-        from ..fleet.arrivals import make_arrivals
-        requests = make_arrivals(
+        from ..fleet.arrivals import make_arrival_table
+        requests = make_arrival_table(
             require(params, "arrivals", str, "$.params"),
             require(params, "num_requests", int, "$.params"),
             require_finite(params, "rate_rps", "$.params", minimum=1e-12),

@@ -347,13 +347,13 @@ def _tax_fleet(kind: str, phased: bool, scenario: str):
 
 def _tax_stream(scenario: str):
     """The scenario's request stream (headline traces, seeded)."""
-    from ..fleet.arrivals import poisson_arrivals, trace_replay
+    from ..fleet.arrivals import poisson_table, trace_replay
     from ..validate.fleet import CAPACITY_TRACE
 
     if scenario == "capacity":
         return trace_replay(list(CAPACITY_TRACE))
-    return poisson_arrivals(36, rate_per_s=1.5, mean_prompt=128,
-                            mean_output=64, seed=7)
+    return poisson_table(36, rate_per_s=1.5, mean_prompt=128,
+                         mean_output=64, seed=7)
 
 
 def attest_tax_row(kind: str, scenario: str,

@@ -9,31 +9,22 @@ the others' requests), and the per-tenant streams are merged by
 ``(arrival_s, tenant_id, local_index)`` with global request ids
 assigned in merge order.
 
-The population has two views: :meth:`~TenantPopulation.stream`
-materializes :class:`~repro.serving.scheduler.ServeRequest` objects
-and :meth:`~TenantPopulation.table` builds the value-equal columnar
-:class:`~repro.fleet.table.RequestTable` the fleet runs on — from the
-*same* per-tenant draw lists, merged by an ``np.lexsort`` over the
-same keys, so the two views are bit-identical by construction.
+:meth:`~TenantPopulation.table` builds the merged stream as the
+columnar :class:`~repro.fleet.table.RequestTable` the fleet runs on
+(``list(population.table())`` gives request objects).  Each tenant's
+draws come from :func:`~repro.fleet.arrivals.make_arrival_table`, so a
+single-tenant population replays that generator exactly.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..fleet.arrivals import (
-    ARRIVAL_KINDS,
-    _diurnal_times,
-    _mmpp_times,
-    _poisson_times,
-    _sample_sizes,
-)
+from ..fleet.arrivals import ARRIVAL_KINDS, _require_finite, make_arrival_table
 from ..fleet.table import RequestTable
 from ..serving.admission import TenancyConfig
-from ..serving.scheduler import ServeRequest
 
 
 def _tenant_seed(seed: int, tenant_id: int) -> int:
@@ -51,7 +42,7 @@ class TenantSpec:
         requests: Requests this tenant submits over the run.
         rate_per_s: Tenant arrival rate (``mmpp`` reads it as the calm
             rate with a 3x burst, matching
-            :func:`repro.fleet.arrivals.make_arrivals`).
+            :func:`repro.fleet.arrivals.make_arrival_table`).
         arrival: One of :data:`repro.fleet.arrivals.ARRIVAL_KINDS`.
         mean_prompt: Mean prompt length (lognormal sizes).
         mean_output: Mean output length.
@@ -75,6 +66,8 @@ class TenantSpec:
     prefix_tokens: int = 0
 
     def __post_init__(self) -> None:
+        _require_finite(rate_per_s=self.rate_per_s, weight=self.weight,
+                        slo_ttft_s=self.slo_ttft_s)
         if self.tenant_id < 0:
             raise ValueError("tenant_id must be >= 0")
         if self.requests < 1:
@@ -92,33 +85,6 @@ class TenantSpec:
             raise ValueError("slo_ttft_s must be positive")
         if self.prefix_tokens < 0:
             raise ValueError("prefix_tokens must be >= 0")
-
-
-def _tenant_draws(spec: TenantSpec, seed: int,
-                  ) -> tuple[list[float], list[int], list[int]]:
-    """One tenant's (arrivals, prompts, outputs) from its own RNG.
-
-    Uses the same ``_*_times`` generators and ``_sample_sizes`` shape
-    as :mod:`repro.fleet.arrivals` (arrival instants first, then
-    sizes), so a single-tenant population reproduces ``make_arrivals``
-    exactly when seeded identically.
-    """
-    rng = random.Random(_tenant_seed(seed, spec.tenant_id))
-    if spec.arrival == "poisson":
-        times = _poisson_times(spec.requests, spec.rate_per_s, rng)
-    elif spec.arrival == "mmpp":
-        times = _mmpp_times(spec.requests, spec.rate_per_s,
-                            3.0 * spec.rate_per_s, 20.0, 5.0, rng)
-    else:
-        times = _diurnal_times(spec.requests, spec.rate_per_s, 240.0, 4.0,
-                               rng)
-    prompts, outputs = [], []
-    for _ in times:
-        prompt, output = _sample_sizes(rng, spec.mean_prompt,
-                                       spec.mean_output)
-        prompts.append(prompt)
-        outputs.append(output)
-    return times, prompts, outputs
 
 
 @dataclass(frozen=True)
@@ -157,62 +123,37 @@ class TenantPopulation:
     def total_requests(self) -> int:
         return sum(spec.requests for spec in self.tenants)
 
-    # -- stream twins ---------------------------------------------------------
-
-    def _merged(self) -> list[tuple[float, int, int]]:
-        """Merge order as (arrival, tenant, local) triples, sorted."""
-        keys = []
-        for spec in sorted(self.tenants, key=lambda s: s.tenant_id):
-            times, _, _ = _tenant_draws(spec, self.seed)
-            keys.extend((arrival, spec.tenant_id, local)
-                        for local, arrival in enumerate(times))
-        keys.sort()
-        return keys
-
-    def stream(self) -> list[ServeRequest]:
-        """The merged request stream as request objects."""
-        draws = {spec.tenant_id: _tenant_draws(spec, self.seed)
-                 for spec in self.tenants}
-        priorities = {spec.tenant_id: spec.priority for spec in self.tenants}
-        requests = []
-        for request_id, (arrival, tenant_id, local) in enumerate(
-                self._merged()):
-            _, prompts, outputs = draws[tenant_id]
-            requests.append(ServeRequest(
-                request_id=request_id, arrival_s=arrival,
-                prompt_tokens=prompts[local], output_tokens=outputs[local],
-                priority=priorities[tenant_id], tenant_id=tenant_id))
-        return requests
+    # -- stream ---------------------------------------------------------------
 
     def table(self) -> RequestTable:
-        """The bit-identical columnar twin of :meth:`stream`.
+        """The merged request stream.
 
-        Merges the same per-tenant draw lists with a stable
-        ``np.lexsort`` over ``(arrival, tenant, local)`` — the exact
-        key order :meth:`stream` sorts by — then assigns global ids
-        0..n-1 in merge order.
+        Each tenant's stream is :func:`make_arrival_table` on its
+        derived seed; the streams are concatenated, ordered with a
+        stable ``np.lexsort`` over ``(arrival, tenant, local index)``,
+        and given global ids 0..n-1 in merge order.
         """
-        arrivals, tenants, locals_, prompts, outputs, priorities = (
-            [], [], [], [], [], [])
-        for spec in sorted(self.tenants, key=lambda s: s.tenant_id):
-            times, tenant_prompts, tenant_outputs = _tenant_draws(
-                spec, self.seed)
-            arrivals.extend(times)
-            tenants.extend([spec.tenant_id] * len(times))
-            locals_.extend(range(len(times)))
-            prompts.extend(tenant_prompts)
-            outputs.extend(tenant_outputs)
-            priorities.extend([spec.priority] * len(times))
-        order = np.lexsort((np.asarray(locals_, dtype=np.int64),
-                            np.asarray(tenants, dtype=np.int64),
-                            np.asarray(arrivals, dtype=np.float64)))
+        ordered = sorted(self.tenants, key=lambda s: s.tenant_id)
+        tables = [make_arrival_table(
+            spec.arrival, spec.requests, spec.rate_per_s, spec.mean_prompt,
+            spec.mean_output, seed=_tenant_seed(self.seed, spec.tenant_id))
+            for spec in ordered]
+        arrivals = np.concatenate([t.arrival_s for t in tables])
+        locals_ = np.concatenate([t.request_id for t in tables])
+        tenants = np.repeat([spec.tenant_id for spec in ordered],
+                            [len(t) for t in tables])
+        priorities = np.repeat([spec.priority for spec in ordered],
+                               [len(t) for t in tables])
+        order = np.lexsort((locals_, tenants, arrivals))
         return RequestTable(
             request_id=np.arange(len(order), dtype=np.int64),
-            arrival_s=np.asarray(arrivals, dtype=np.float64)[order],
-            prompt_tokens=np.asarray(prompts, dtype=np.int64)[order],
-            output_tokens=np.asarray(outputs, dtype=np.int64)[order],
-            priority=np.asarray(priorities, dtype=np.int64)[order],
-            tenant_id=np.asarray(tenants, dtype=np.int64)[order])
+            arrival_s=arrivals[order],
+            prompt_tokens=np.concatenate(
+                [t.prompt_tokens for t in tables])[order],
+            output_tokens=np.concatenate(
+                [t.output_tokens for t in tables])[order],
+            priority=priorities[order],
+            tenant_id=tenants[order])
 
     # -- policy builder -------------------------------------------------------
 

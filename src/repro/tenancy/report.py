@@ -6,8 +6,7 @@
 own SLO, shed counts, and an integer-cent invoice that exactly
 partitions the fleet bill (:mod:`repro.tenancy.billing`).  The split
 masks the report's :class:`~repro.fleet.table.ColumnarOutcomes`
-columns per tenant and runs the fleet's vectorized percentile over
-each slice.
+columns per tenant and runs the shared percentile over each slice.
 """
 
 from __future__ import annotations
@@ -16,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..fleet.report import FleetReport, _percentile_array
+from ..fleet.report import FleetReport
 from ..fleet.table import ColumnarOutcomes
+from ..serving.scheduler import _percentile
 from .billing import partition_bill_cents
 from .population import TenantPopulation
 
@@ -163,9 +163,9 @@ def tenant_breakdown(report: FleetReport,
         shed = shed_by_tenant.get(spec.tenant_id, 0)
         ttft_p50 = ttft_p99 = e2e_p99 = attainment = None
         if data["requests"]:
-            ttft_p50 = _percentile_array(data["ttft"], 50)
-            ttft_p99 = _percentile_array(data["ttft"], 99)
-            e2e_p99 = _percentile_array(data["e2e"], 99)
+            ttft_p50 = _percentile(data["ttft"], 50)
+            ttft_p99 = _percentile(data["ttft"], 99)
+            e2e_p99 = _percentile(data["e2e"], 99)
             met = int(np.count_nonzero(data["ttft"] <= spec.slo_ttft_s))
             attainment = met / (data["requests"] + shed)
         elif shed:

@@ -37,7 +37,7 @@ from ..fleet import (
     FleetSimulator,
     ReactiveAutoscaler,
     fixed_fleet,
-    poisson_arrivals,
+    poisson_table,
     replica_spec,
 )
 from ..llm.config import LLAMA2_7B, LLAMA2_70B
@@ -70,8 +70,8 @@ def _phased_spec(kind: str, **overrides):
 
 
 def _stream(requests: int = 24, rate_per_s: float = 1.2, seed: int = 11):
-    return poisson_arrivals(requests, rate_per_s=rate_per_s,
-                            mean_prompt=128, mean_output=48, seed=seed)
+    return poisson_table(requests, rate_per_s=rate_per_s,
+                         mean_prompt=128, mean_output=48, seed=seed)
 
 
 def _compare(label: str, reference: dict, candidate: dict) -> None:

@@ -42,10 +42,8 @@ from ..fleet import (
     CostSloRouter,
     FleetSimulator,
     ReactiveAutoscaler,
-    RequestTable,
     capacity_sweep,
     fixed_fleet,
-    poisson_arrivals,
     poisson_table,
     replica_spec,
     trace_replay,
@@ -250,8 +248,8 @@ def step_run_parity(ctx: AuditContext) -> str:
 # -- fleet metamorphic checks -------------------------------------------------
 
 def _fleet_stream():
-    return poisson_arrivals(40, rate_per_s=4.0, mean_prompt=128,
-                            mean_output=32, seed=11)
+    return poisson_table(40, rate_per_s=4.0, mean_prompt=128,
+                         mean_output=32, seed=11)
 
 
 def _tdx_spec():
@@ -291,12 +289,10 @@ def _jump_regimes() -> list[tuple[str, "callable", object]]:
             scale_spec=spec, **faults)
 
     regimes = [
-        ("fault-free", lambda: fixed_fleet(spec, 2), _fleet_stream()),
-        ("faulted", lambda: fixed_fleet(spec, 2, **faults),
-         RequestTable.from_requests(_fleet_stream())),
-        ("autoscaled", autoscaled, _fleet_stream()),
-        ("spill-router/faulted", spill_router,
-         RequestTable.from_requests(_fleet_stream())),
+        ("fault-free", lambda: fixed_fleet(spec, 2), list(_fleet_stream())),
+        ("faulted", lambda: fixed_fleet(spec, 2, **faults), _fleet_stream()),
+        ("autoscaled", autoscaled, list(_fleet_stream())),
+        ("spill-router/faulted", spill_router, _fleet_stream()),
         ("sparse 0.5 req/s", lambda: fixed_fleet(spec, 2),
          poisson_table(20, rate_per_s=0.5, mean_prompt=128, mean_output=32,
                        seed=11)),
@@ -308,14 +304,13 @@ def _jump_regimes() -> list[tuple[str, "callable", object]]:
             f"tenancy {label}",
             lambda tenant_spec=tenant_spec, kwargs=kwargs: fixed_fleet(
                 tenant_spec, 2, **kwargs),
-            population.stream() if index % 2 else population.table()))
+            list(population.table()) if index % 2 else population.table()))
     for index, (label, boot_spec, kwargs) in enumerate(_phased_regimes()):
         regimes.append((
             f"phased boot {label}",
             lambda boot_spec=boot_spec, kwargs=kwargs: fixed_fleet(
                 boot_spec, 2, **kwargs),
-            _boot_stream() if index % 2
-            else RequestTable.from_requests(_boot_stream())))
+            list(_boot_stream()) if index % 2 else _boot_stream()))
     boot_spec = _phased_regimes()[0][1]
     regimes.append((
         "phased boot tdx/autoscaled",
@@ -323,7 +318,7 @@ def _jump_regimes() -> list[tuple[str, "callable", object]]:
             AutoscalerConfig(min_replicas=1, max_replicas=3,
                              scale_up_load=2.0, scale_down_load=0.5,
                              cooldown_s=4.0))),
-        _boot_stream(requests=36, rate_per_s=6.0, seed=3)))
+        list(_boot_stream(requests=36, rate_per_s=6.0, seed=3))))
     return regimes
 
 
@@ -355,14 +350,6 @@ def _run_ticking(sim: FleetSimulator, stream):
        layers=("fleet", "serving"))
 def jump_parity(ctx: AuditContext) -> str:
     """run() jumping quiet ticks is bit-identical to ticking every one."""
-    from .tenancy import _population
-
-    population = _population()
-    table = population.table()
-    for i, request in enumerate(population.stream()):
-        if request != table.request(i):
-            raise CheckFailure(
-                f"population table row {i} diverged from the stream")
     regimes = _jump_regimes()
     jumped_ticks = ticked_ticks = compared = 0
     jumped_somewhere = False

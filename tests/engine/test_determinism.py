@@ -93,9 +93,9 @@ class TestChaosDeterminism:
     @staticmethod
     def _chaos_run():
         from repro.faults import RetryPolicy, mtbf_schedule
-        from repro.fleet import fixed_fleet, poisson_arrivals, replica_spec
+        from repro.fleet import fixed_fleet, poisson_table, replica_spec
         spec = replica_spec("tdx", max_batch=16, kv_capacity_tokens=65536)
-        requests = poisson_arrivals(12, 4.0, 128, 24, seed=11)
+        requests = poisson_table(12, 4.0, 128, 24, seed=11)
         schedule = mtbf_schedule([0, 1], mtbf_s=8.0, horizon_s=20.0, seed=5)
         fleet = fixed_fleet(spec, 2, faults=schedule,
                             retry_policy=RetryPolicy(timeout_s=15.0,

@@ -19,7 +19,7 @@ from repro.faults import (
     RetryPolicy,
     mtbf_schedule,
 )
-from repro.fleet import fixed_fleet, poisson_arrivals, replica_spec
+from repro.fleet import fixed_fleet, poisson_table, replica_spec
 
 TDX = replica_spec("tdx", max_batch=16, kv_capacity_tokens=65536)
 
@@ -63,8 +63,8 @@ def test_conservation_under_random_schedules(schedule, arrival_seed,
                                              retry_seed):
     """submitted == completed + shed, every id exactly once, for any
     fault schedule x arrival process x retry seed."""
-    requests = poisson_arrivals(6, rate_per_s=3.0, mean_prompt=64,
-                                mean_output=12, seed=arrival_seed)
+    requests = poisson_table(6, rate_per_s=3.0, mean_prompt=64,
+                             mean_output=12, seed=arrival_seed)
     report = fixed_fleet(
         TDX, 2, faults=schedule,
         retry_policy=RetryPolicy(timeout_s=20.0, max_attempts=3,
@@ -125,8 +125,8 @@ def test_backoff_monotone_and_deterministic(seed, request_id, base,
 @given(schedule=fault_schedules(), seed=st.integers(0, 10_000))
 def test_random_schedule_replay_is_bit_identical(schedule, seed):
     """Any schedule replays to the identical report on a fresh fleet."""
-    requests = poisson_arrivals(5, rate_per_s=3.0, mean_prompt=64,
-                                mean_output=12, seed=seed)
+    requests = poisson_table(5, rate_per_s=3.0, mean_prompt=64,
+                             mean_output=12, seed=seed)
     policy = RetryPolicy(timeout_s=20.0, max_attempts=3, seed=seed)
     first = fixed_fleet(TDX, 2, faults=schedule,
                         retry_policy=policy).run(requests)
@@ -143,8 +143,8 @@ def test_random_schedule_replay_is_bit_identical(schedule, seed):
        arrival_seed=st.integers(0, 10_000))
 def test_conservation_deep_sweep(schedule, arrival_seed):
     """Wider slow-marked sweep: 3 replicas, bigger streams."""
-    requests = poisson_arrivals(10, rate_per_s=4.0, mean_prompt=64,
-                                mean_output=16, seed=arrival_seed)
+    requests = poisson_table(10, rate_per_s=4.0, mean_prompt=64,
+                             mean_output=16, seed=arrival_seed)
     report = fixed_fleet(
         TDX, 3, faults=schedule,
         retry_policy=RetryPolicy(timeout_s=20.0, max_attempts=4,

@@ -10,7 +10,7 @@ from repro.fleet import (
     FleetSimulator,
     ReactiveAutoscaler,
     fixed_fleet,
-    poisson_arrivals,
+    poisson_table,
     replica_spec,
 )
 from repro.fleet.replica import ATTESTING as REPLICA_ATTESTING
@@ -27,8 +27,8 @@ LEGACY = replica_spec("tdx", max_batch=8, kv_capacity_tokens=16384)
 PHASED = replica_spec("tdx", max_batch=8, kv_capacity_tokens=16384,
                       boot=boot_profile("tdx"))
 
-STREAM = poisson_arrivals(24, rate_per_s=1.2, mean_prompt=128,
-                          mean_output=48, seed=11)
+STREAM = poisson_table(24, rate_per_s=1.2, mean_prompt=128,
+                       mean_output=48, seed=11)
 
 
 def event(fleet, stream):
@@ -192,8 +192,8 @@ class TestFleetLifecycle:
         config = AutoscalerConfig(min_replicas=1, max_replicas=3,
                                   scale_up_load=2.0, scale_down_load=0.5,
                                   cooldown_s=4.0, boot_latency_s=1.0)
-        burst = poisson_arrivals(36, rate_per_s=6.0, mean_prompt=128,
-                                 mean_output=48, seed=3)
+        burst = poisson_table(36, rate_per_s=6.0, mean_prompt=128,
+                              mean_output=48, seed=3)
         sim = FleetSimulator([PHASED],
                              autoscaler=ReactiveAutoscaler(config))
         report = sim.run(burst)

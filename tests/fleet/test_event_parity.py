@@ -17,7 +17,6 @@ from repro.faults import RetryPolicy, mtbf_schedule
 from repro.fleet import (
     RequestTable,
     fixed_fleet,
-    poisson_arrivals,
     poisson_table,
     replica_spec,
 )
@@ -46,10 +45,9 @@ def build(config):
     return fixed_fleet(spec, config["replicas"], **kwargs)
 
 
-def stream_pair(config):
-    kwargs = dict(count=config["count"], rate_per_s=config["rate"],
-                  mean_prompt=96, mean_output=24, seed=config["seed"])
-    return poisson_arrivals(**kwargs), poisson_table(**kwargs)
+def stream(config):
+    return poisson_table(config["count"], rate_per_s=config["rate"],
+                         mean_prompt=96, mean_output=24, seed=config["seed"])
 
 
 def tick_loop(fleet, requests):
@@ -72,7 +70,7 @@ class TestJumpParity:
     @settings(max_examples=15, deadline=None)
     @given(config=configs)
     def test_run_equals_tick_loop(self, config):
-        _, table = stream_pair(config)
+        table = stream(config)
         assert_reports_equal(build(config).run(table),
                              tick_loop(build(config), table))
 
@@ -80,8 +78,8 @@ class TestJumpParity:
     @given(config=configs)
     def test_run_accepts_object_streams(self, config):
         """begin_run converts plain request lists to a table itself."""
-        requests, table = stream_pair(config)
-        from_list = build(config).run(list(requests))
+        table = stream(config)
+        from_list = build(config).run(list(table))
         from_table = build(config).run(table)
         assert_reports_equal(from_list, from_table)
 
@@ -90,7 +88,7 @@ class TestEventResume:
     @settings(max_examples=10, deadline=None)
     @given(config=configs, pause_ticks=st.integers(1, 60))
     def test_snapshot_restore_finish_is_invisible(self, config, pause_ticks):
-        _, table = stream_pair(config)
+        table = stream(config)
         baseline = build(config).run(table)
 
         running = build(config)

@@ -165,11 +165,19 @@ class TestSatelliteRegressions:
         assert _percentile([1.0, 3.0], 50) == pytest.approx(2.0)
         assert _percentile([1.0, 2.0, 4.0], 75) == pytest.approx(3.0)
         assert _percentile([5.0], 99) == 5.0
-        values = [0.7, 1.9, 3.1, 4.0, 8.5]
+        values = [8.5, 0.7, 3.1, 1.9, 4.0]
         numpy = pytest.importorskip("numpy")
         for p in (0, 10, 25, 50, 73, 90, 99, 100):
-            assert _percentile(values, p) == pytest.approx(
+            from_list = _percentile(values, p)
+            from_array = _percentile(numpy.array(values), p)
+            # Lists and ndarrays (the fleet's outcome columns) give the
+            # same Python float, bit for bit.
+            assert type(from_list) is float and type(from_array) is float
+            assert from_list == from_array
+            assert from_list == pytest.approx(
                 float(numpy.percentile(values, p)), rel=1e-12)
+        with pytest.raises(ValueError, match="no values"):
+            _percentile(numpy.array([]), 50)
 
     def test_head_of_line_blocking_is_fcfs_by_default(self):
         """Admission breaks on the first KV-allocation failure even when

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.faults import FaultEvent, FaultSchedule, RetryPolicy
-from repro.fleet import fixed_fleet, poisson_arrivals, replica_spec
+from repro.fleet import fixed_fleet, poisson_table, replica_spec
 from repro.state import attest_grid
 from repro.state.runner import SweepRunner, read_journal
 from repro.tee.boot import BOOT_PHASES, attest_tax_sweep, boot_profile
@@ -19,8 +19,8 @@ FAULTS = FaultSchedule((
 ))
 RETRY = RetryPolicy(timeout_s=60.0, max_attempts=4, seed=3)
 
-STREAM = poisson_arrivals(20, rate_per_s=0.8, mean_prompt=128,
-                          mean_output=48, seed=5)
+STREAM = poisson_table(20, rate_per_s=0.8, mean_prompt=128,
+                       mean_output=48, seed=5)
 
 
 def _fleet():

@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from repro.fleet import fixed_fleet, poisson_arrivals, replica_spec
+from repro.fleet import fixed_fleet, poisson_table, replica_spec
 from repro.state import (
     CURRENT_STATE_VERSION,
     StateIntegrityError,
@@ -35,8 +35,8 @@ def _fleet(count=1, kind="tdx"):
 
 
 def _stream(n=6, seed=3):
-    return poisson_arrivals(n, rate_per_s=4.0, mean_prompt=64,
-                            mean_output=16, seed=seed)
+    return poisson_table(n, rate_per_s=4.0, mean_prompt=64,
+                         mean_output=16, seed=seed)
 
 
 class TestSnapshotShape:

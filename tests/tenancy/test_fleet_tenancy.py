@@ -79,7 +79,7 @@ class TestShedPriorityOrder:
                                         seed=9),
             "degradation": DegradationPolicy(mode="shed", max_hold_s=1.0),
         }
-        report = fixed_fleet(spec, 2, **kwargs).run(pop.stream())
+        report = fixed_fleet(spec, 2, **kwargs).run(pop.table())
         by_instant = {}
         for shed in report.shed:
             if shed.reason == "degraded":

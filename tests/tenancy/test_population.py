@@ -1,4 +1,6 @@
-"""Tenant populations: twin parity, composability, and validation."""
+"""Tenant populations: merged stream, composability, and validation."""
+
+import math
 
 import pytest
 
@@ -18,30 +20,25 @@ def small_population(seed=7):
 
 
 class TestStreamTableTwins:
-    def test_bit_identical(self):
-        population = small_population()
-        stream = population.stream()
-        table = population.table()
-        assert len(stream) == len(table) == population.total_requests
-        for i, request in enumerate(stream):
-            assert request == table.request(i)
-
     def test_global_ids_in_merge_order(self):
-        stream = small_population().stream()
-        assert [r.request_id for r in stream] == list(range(len(stream)))
-        arrivals = [r.arrival_s for r in stream]
+        population = small_population()
+        table = population.table()
+        assert len(table) == population.total_requests
+        assert table.request_id.tolist() == list(range(len(table)))
+        arrivals = table.arrival_s.tolist()
         assert arrivals == sorted(arrivals)
 
     def test_priority_follows_tenant(self):
         population = small_population()
         priorities = {s.tenant_id: s.priority for s in population.tenants}
-        for request in population.stream():
+        for request in population.table():
             assert request.priority == priorities[request.tenant_id]
 
     def test_deterministic(self):
-        assert small_population().stream() == small_population().stream()
-        assert small_population(seed=8).stream() != \
-            small_population(seed=7).stream()
+        assert list(small_population().table()) == \
+            list(small_population().table())
+        assert list(small_population(seed=8).table()) != \
+            list(small_population(seed=7).table())
 
 
 class TestComposability:
@@ -50,9 +47,9 @@ class TestComposability:
         full = small_population()
         solo = full.solo(1)
         mine_full = [(r.arrival_s, r.prompt_tokens, r.output_tokens)
-                     for r in full.stream() if r.tenant_id == 1]
+                     for r in full.table() if r.tenant_id == 1]
         mine_solo = [(r.arrival_s, r.prompt_tokens, r.output_tokens)
-                     for r in solo.stream()]
+                     for r in solo.table()]
         assert mine_full == mine_solo
 
     def test_tenancy_config_carries_weights_and_prefixes(self):
@@ -85,6 +82,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="weight"):
             TenantSpec(tenant_id=0, name="a", requests=2, rate_per_s=1.0,
                        weight=-1.0)
+
+    @pytest.mark.parametrize("field", ["rate_per_s", "weight", "slo_ttft_s"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_spec_rejected(self, field, value):
+        params = {"rate_per_s": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            TenantSpec(tenant_id=0, name="a", requests=2, **params)
 
     def test_whale_mix_shape(self):
         population = whale_mix(total_requests=100, seed=1)
