@@ -38,7 +38,8 @@ from repro.core.experiment import cpu_deployment, gpu_deployment
 from repro.core.profiling import cache_stats, reset_caches
 from repro.core.sweep import sweep_workload
 from repro.engine.placement import Workload
-from repro.engine.simulator import simulate_generation
+from repro.engine.roofline import cost_model_for
+from repro.engine.simulator import _decode_clean_loop, simulate_generation
 from repro.llm.config import LLAMA2_7B
 from repro.llm.datatypes import BFLOAT16
 
@@ -82,13 +83,14 @@ def micro_benchmarks() -> dict:
     results["simulate_7b_warm"] = _time(
         lambda: simulate_generation(WORKLOAD, tdx))
 
-    # Engine comparison at exact stride-1 resolution (parity-tested).
+    # The vectorized engine against the private scalar reference loop
+    # at exact stride-1 resolution (parity-tested); the loop entry
+    # times the clean decode trajectory only.
     results["decode_vectorized_stride1"] = _time(
-        lambda: simulate_generation(WORKLOAD, tdx, context_stride=1,
-                                    engine="vectorized"))
+        lambda: simulate_generation(WORKLOAD, tdx, context_stride=1))
     results["decode_loop_stride1"] = _time(
-        lambda: simulate_generation(WORKLOAD, tdx, context_stride=1,
-                                    engine="loop"), repeats=3)
+        lambda: _decode_clean_loop(WORKLOAD, tdx, cost_model_for(tdx), 1),
+        repeats=3)
 
     # A representative sweep (warm caches; what figures actually run).
     results["sweep_batch_4pts"] = _time(

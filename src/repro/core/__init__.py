@@ -44,13 +44,9 @@ from .pipeline import (
 )
 from .profiling import (
     CacheStats,
-    TimerStat,
     cache_report,
     cache_stats,
     reset_caches,
-    reset_timers,
-    timed,
-    timer_stats,
 )
 from .summary import (
     ALL_SUMMARIES,
@@ -83,8 +79,7 @@ __all__ = [
     "practical_mechanisms",
     "ConfidentialPipeline", "PipelineResponse", "ProvisioningReport",
     "stream_cipher",
-    "CacheStats", "TimerStat", "cache_report", "cache_stats",
-    "reset_caches", "reset_timers", "timed", "timer_stats",
+    "CacheStats", "cache_report", "cache_stats", "reset_caches",
     "ALL_SUMMARIES", "CGPU_SUMMARY", "SGX_SUMMARY", "TDX_SUMMARY",
     "SystemSummary", "Trend", "render_summary_table",
     "is_monotonic", "metric_series", "overhead_series",

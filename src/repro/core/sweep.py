@@ -70,15 +70,13 @@ def _run_all(experiments: list[Experiment], parallel: bool,
 def sweep_workload(name: str, base: Workload,
                    deployments: dict[str, Deployment], parameter: str,
                    values: list[int], baseline_label: str = "baremetal",
-                   seed: int = 0, engine: str = "auto",
-                   parallel: bool = False,
+                   seed: int = 0, parallel: bool = False,
                    max_workers: int | None = None) -> dict[int, ExperimentResult]:
     """Run one experiment per value of a workload parameter.
 
     Args:
         parameter: Workload field to vary (``batch_size``,
             ``input_tokens``, ...).
-        engine: Decode-cost engine forwarded to each experiment.
         parallel: Fan the per-value experiments out over a process pool.
         max_workers: Pool size (defaults to ``min(len(values), cpus)``).
 
@@ -95,7 +93,7 @@ def sweep_workload(name: str, base: Workload,
         Experiment(name=f"{name}[{parameter}={value}]",
                    workload=base.with_(**{parameter: value}),
                    deployments=deployments, baseline_label=baseline_label,
-                   seed=seed, engine=engine)
+                   seed=seed)
         for value in values
     ]
     results = _run_all(experiments, parallel, max_workers)
@@ -105,8 +103,7 @@ def sweep_workload(name: str, base: Workload,
 def sweep_deployments(name: str, workload: Workload,
                       make_deployments: Callable[[int], dict[str, Deployment]],
                       values: list[int], baseline_label: str = "baremetal",
-                      seed: int = 0, engine: str = "auto",
-                      parallel: bool = False,
+                      seed: int = 0, parallel: bool = False,
                       max_workers: int | None = None) -> dict[int, ExperimentResult]:
     """Run one experiment per deployment variant (e.g. core counts).
 
@@ -123,7 +120,7 @@ def sweep_deployments(name: str, workload: Workload,
     experiments = [
         Experiment(name=f"{name}[{value}]", workload=workload,
                    deployments=make_deployments(value),
-                   baseline_label=baseline_label, seed=seed, engine=engine)
+                   baseline_label=baseline_label, seed=seed)
         for value in values
     ]
     results = _run_all(experiments, parallel, max_workers)

@@ -7,17 +7,14 @@ with a Z-score (§III-D).  Decode-step costs are recomputed every
 ``context_stride`` tokens (costs vary smoothly with context length) to
 keep sweeps fast; ``context_stride=1`` gives the exact per-step model.
 
-Two execution engines produce the clean decode trajectory:
-
-* ``"vectorized"`` (the default via ``"auto"``) — the
-  :mod:`repro.engine.vectorized` decode-cost engine computes every
-  costed step in one numpy pass and memoizes the per-shape cost curve;
-* ``"loop"`` — the original per-token reference loop, kept as the
-  ground truth the vectorized path is tested against.
-
-Both engines draw identical noise for a given seed, and memoized step
-costs are bit-identical to uncached ones (the caches store the computed
-values, they do not approximate them).
+The clean decode trajectory comes from the
+:mod:`repro.engine.vectorized` decode-cost engine, which computes every
+costed step in one numpy pass and memoizes the per-shape cost curve.
+The original per-token loop survives as the private reference
+``_decode_clean_loop``, which the parity audit and tests compare the
+engine against (<1e-9 relative).  Memoized step costs are bit-identical
+to uncached ones (the caches store the computed values, they do not
+approximate them).
 """
 
 from __future__ import annotations
@@ -41,9 +38,6 @@ from .roofline import (
 )
 from .trace import TraceEvent, events_from_step
 from .vectorized import decode_cost_engine
-
-#: Valid values of ``simulate_generation``'s ``engine`` argument.
-ENGINES = ("auto", "vectorized", "loop")
 
 _PREFILL_COST_CACHE = MemoCache("prefill_step_cost", maxsize=256)
 _DECODE_COST_CACHE = MemoCache("decode_step_cost", maxsize=2048)
@@ -200,7 +194,11 @@ def _decode_clean_vectorized(workload: Workload, deployment: Deployment,
 def _decode_clean_loop(workload: Workload, deployment: Deployment,
                        model: CpuCostModel | GpuCostModel,
                        stride: int) -> np.ndarray:
-    """Clean per-token decode times via the scalar reference loop."""
+    """Clean per-token decode times via the scalar reference loop.
+
+    Not on any production path: the reference the vectorized engine is
+    checked against (``engine.vectorized_loop_parity``).
+    """
     clean = np.empty(workload.output_tokens)
     cached_step: StepCost | None = None
     for step_index in range(workload.output_tokens):
@@ -214,8 +212,7 @@ def _decode_clean_loop(workload: Workload, deployment: Deployment,
 
 def simulate_generation(workload: Workload, deployment: Deployment,
                         seed: int = 0, context_stride: int | None = None,
-                        record_steps: bool = False,
-                        engine: str = "auto") -> GenerationResult:
+                        record_steps: bool = False) -> GenerationResult:
     """Simulate one generation run.
 
     Args:
@@ -229,17 +226,11 @@ def simulate_generation(workload: Workload, deployment: Deployment,
             exactly at its own context without disturbing the
             stride-cadence clean trajectory, so toggling this flag never
             changes the simulated times.
-        engine: ``"vectorized"`` (numpy pass over the context vector),
-            ``"loop"`` (scalar reference loop), or ``"auto"`` (currently
-            the vectorized engine).
 
     Raises:
         ValueError: If the workload cannot run on the deployment (dtype
-            unsupported, model does not fit, ...), or for an unknown
-            engine.
+            unsupported, model does not fit, ...).
     """
-    if engine not in ENGINES:
-        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
     deployment.validate_workload(workload)
     model = cost_model_for(deployment)
 
@@ -249,10 +240,7 @@ def simulate_generation(workload: Workload, deployment: Deployment,
         raise ValueError("context_stride must be >= 1")
     stride = context_stride or max(1, workload.output_tokens // 32)
 
-    if engine == "loop":
-        clean = _decode_clean_loop(workload, deployment, model, stride)
-    else:
-        clean = _decode_clean_vectorized(workload, deployment, stride)
+    clean = _decode_clean_vectorized(workload, deployment, stride)
 
     sample_step: StepCost | None = None
     if record_steps:

@@ -18,7 +18,7 @@ from .arrivals import (
     trace_replay,
 )
 from .retryq import RetryQueue
-from .table import ColumnarOutcomes, OutcomeLog, RequestTable
+from .table import ColumnarOutcomes, OutcomeLog, RequestTable, ShedLog
 from .autoscaler import AutoscalerConfig, ReactiveAutoscaler, ScaleEvent
 from .cluster import DEFAULT_TICK_S, FleetSimulator, fixed_fleet
 from .planner import (
@@ -65,6 +65,7 @@ __all__ = [
     "RoundRobinRouter",
     "Router",
     "ScaleEvent",
+    "ShedLog",
     "capacity_plan",
     "capacity_sweep",
     "iter_capacity_points",

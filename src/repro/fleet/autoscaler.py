@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .arrivals import _require_finite
+
 
 @dataclass(frozen=True)
 class AutoscalerConfig:
@@ -39,6 +41,11 @@ class AutoscalerConfig:
     boot_latency_s: float = 15.0
 
     def __post_init__(self) -> None:
+        # NaN passes every comparison guard below.
+        _require_finite(scale_up_load=self.scale_up_load,
+                        scale_down_load=self.scale_down_load,
+                        cooldown_s=self.cooldown_s,
+                        boot_latency_s=self.boot_latency_s)
         if self.min_replicas < 1 or self.max_replicas < self.min_replicas:
             raise ValueError("need 1 <= min_replicas <= max_replicas")
         if self.scale_down_load >= self.scale_up_load:

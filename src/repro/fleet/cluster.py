@@ -9,11 +9,14 @@ decode steps are not preemptible) but are resynchronized by the
 horizon of the next ``step`` call — the same quantized-time contract
 real cluster managers have with their nodes.
 
-Request streams live in numpy columns
-(:class:`~repro.fleet.table.RequestTable`; a ``list[ServeRequest]`` is
-converted on entry), replicas run the columnar
-:class:`~repro.serving.scheduler.ContinuousBatchingScheduler`, and
-finishes land in an append-only :class:`~repro.fleet.table.OutcomeLog`.
+Inside a run a request is a row of the run's
+:class:`~repro.fleet.table.RequestTable` (a ``list[ServeRequest]`` is
+converted once on entry).  Every replica's
+:class:`~repro.serving.scheduler.ContinuousBatchingScheduler` is bound
+to that table and to one run-wide
+:class:`~repro.serving.scheduler.OutcomeLog`; routing, the held list,
+retries, flights and the shed ledger all carry rows, and the report's
+views build request objects only on demand.
 :meth:`FleetSimulator.run` jumps quiet stretches of the tick grid in
 one composed scheduler step instead of ticking through them.  The jump
 is taken only when no tick in the stretch could act (no arrival, retry,
@@ -45,10 +48,10 @@ from collections.abc import Sequence
 
 from ..faults.attest import FleetAttestation, needs_attestation
 from ..faults.injector import FaultInjector
-from ..faults.resilience import DegradationPolicy, RetryPolicy, ShedRequest
+from ..faults.resilience import DegradationPolicy, RetryPolicy
 from ..faults.schedule import DEFAULT_DURATION_S, FaultEvent, FaultSchedule
 from ..scaleout.links import link_slowdown_factor
-from ..serving.scheduler import ServeRequest
+from ..serving.scheduler import OutcomeLog, ServeRequest
 from .autoscaler import ReactiveAutoscaler
 from .replica import (
     ATTESTING,
@@ -61,9 +64,10 @@ from .replica import (
     ReplicaSpec,
 )
 from .report import FleetReport, ReplicaUsage
+from .arrivals import _require_finite
 from .retryq import RetryQueue
 from .router import LeastOutstandingRouter, Router
-from .table import OutcomeLog, RequestTable
+from .table import ColumnarOutcomes, RequestTable, ShedLog
 
 #: Default tick width.  Small enough that routing sees fresh replica
 #: state every few decode steps; large enough that a fleet run is a few
@@ -75,49 +79,45 @@ class _ChaosState:
     """Per-run resilience bookkeeping (only allocated under chaos).
 
     Tracks in-flight attempts, the retry queue, the shed ledger, and
-    the waste counters that make the final report failure-aware.
+    the waste counters that make the final report failure-aware.  Every
+    request is a row of the run's table.
     """
 
     def __init__(self, injector: FaultInjector,
                  retry: RetryPolicy | None,
-                 degradation: DegradationPolicy | None) -> None:
+                 degradation: DegradationPolicy | None,
+                 table: RequestTable) -> None:
         self.injector = injector
         self.retry = retry
         self.degradation = degradation
+        self.ids = table.scalar_columns().request_id
         self.flights: dict[int, tuple[Replica, float]] = {}
         self.attempts: dict[int, int] = {}
         self.retry_queue = RetryQueue()
         self.held_since: dict[int, float] = {}
-        self.completed: set[int] = set()
-        self.shed: list[ShedRequest] = []
+        self.shed = ShedLog(table)
         self.wasted_tokens = 0
         self.retries = 0
         self.spilled = 0
 
-    def requeue_or_shed(self, request: ServeRequest, now: float,
-                        generated: int) -> None:
+    def requeue_or_shed(self, row: int, now: float, generated: int) -> None:
         """Route a failed attempt back through retry policy or shed it."""
         self.wasted_tokens += generated
-        made = self.attempts.get(request.request_id, 0)
+        made = self.attempts.get(row, 0)
         if self.retry is None:
             # No policy: crash evacuations still requeue immediately so
             # no request is ever silently lost.
-            self.retry_queue.push(now, request)
+            self.retry_queue.push(now, row)
             return
         if made >= self.retry.max_attempts:
-            self.shed.append(ShedRequest(request=request, time_s=now,
-                                         reason="retries-exhausted",
-                                         attempts=made))
+            self.shed.append(row, now, "retries-exhausted", made)
             return
-        delay = self.retry.backoff_s(request.request_id, made)
-        self.retry_queue.push(now + delay, request)
+        delay = self.retry.backoff_s(self.ids[row], made)
+        self.retry_queue.push(now + delay, row)
 
-    def shed_request(self, request: ServeRequest, now: float,
-                     reason: str) -> None:
-        self.held_since.pop(request.request_id, None)
-        self.shed.append(ShedRequest(
-            request=request, time_s=now, reason=reason,
-            attempts=self.attempts.get(request.request_id, 0)))
+    def shed_request(self, row: int, now: float, reason: str) -> None:
+        self.held_since.pop(row, None)
+        self.shed.append(row, now, reason, self.attempts.get(row, 0))
 
 
 class _RunState:
@@ -129,19 +129,22 @@ class _RunState:
 
     The stream is a :class:`RequestTable`; pending arrivals drain
     through an arrival-ordered cursor (flat lists plus a head index),
-    and finishes land in an append-only :class:`OutcomeLog`.
+    and the replicas write outcomes into one run-wide
+    :class:`OutcomeLog`.
     """
 
-    def __init__(self, table: RequestTable, tick_s: float, peak: int,
+    def __init__(self, table: RequestTable, outcomes: OutcomeLog,
+                 tick_s: float, peak: int,
                  chaos: _ChaosState | None) -> None:
         order = table.arrival_order()
         arrivals = table.arrival_s[order]
         self.table = table
+        self.outcomes = outcomes
+        self.prompts = table.scalar_columns().prompt_tokens
         self.pending_arrivals: list[float] = arrivals.tolist()
         self.pending_rows: list[int] = order.tolist()
         self.pending_head = 0
-        self.held: list[ServeRequest] = []  # arrived but unroutable
-        self.finished = OutcomeLog()
+        self.held: list[int] = []  # rows arrived but unroutable
         self.start = float(arrivals[0])
         self.now = (self.start // tick_s) * tick_s
         self.peak = peak
@@ -184,6 +187,7 @@ class FleetSimulator:
                  degradation: DegradationPolicy | None = None) -> None:
         if not specs:
             raise ValueError("at least one initial replica spec required")
+        _require_finite(tick_s=tick_s)
         if tick_s <= 0:
             raise ValueError("tick_s must be positive")
         self.router = router or LeastOutstandingRouter()
@@ -211,6 +215,8 @@ class FleetSimulator:
                           provisioned_s=provisioned_s,
                           boot_latency_s=boot_latency_s, origin=origin)
         self.replicas.append(replica)
+        if self._run is not None:
+            replica.scheduler.bind(self._run.table, self._run.outcomes)
         if self.attestation is not None and needs_attestation(spec.kind):
             self.attestation.enroll(replica.replica_id)
         return replica
@@ -260,9 +266,9 @@ class FleetSimulator:
             if replica.state in (FAILED, RETIRED):
                 return f"no-op: replica already {replica.state}"
             evacuated = replica.crash(now, event.restart_after_s)
-            for request, generated in evacuated:
-                state.flights.pop(request.request_id, None)
-                state.requeue_or_shed(request, now, generated)
+            for row, generated in evacuated:
+                state.flights.pop(row, None)
+                state.requeue_or_shed(row, now, generated)
             return f"crash: evacuated {len(evacuated)} requests"
         if event.kind == "hang":
             if replica.state not in (LIVE, DRAINING):
@@ -296,9 +302,9 @@ class FleetSimulator:
         reattest_s = replica.reattest_s
         outage_s = event.duration_s if reattest_s is None else reattest_s
         evacuated = replica.begin_attestation(now + outage_s)
-        for request, generated in evacuated:
-            state.flights.pop(request.request_id, None)
-            state.requeue_or_shed(request, now, generated)
+        for row, generated in evacuated:
+            state.flights.pop(row, None)
+            state.requeue_or_shed(row, now, generated)
         return (f"attestation revoked: evacuated {len(evacuated)} requests, "
                 f"re-attest at {now + outage_s:g}s")
 
@@ -328,25 +334,25 @@ class FleetSimulator:
         """Cancel and retry in-flight requests older than the timeout."""
         if state.retry is None:
             return
-        for request_id in sorted(state.flights):
-            replica, routed_s = state.flights[request_id]
+        # Rows are in request-id order: cancel in id order.
+        for row in sorted(state.flights):
+            replica, routed_s = state.flights[row]
             if now - routed_s <= state.retry.timeout_s:
                 continue
-            cancelled = replica.cancel(request_id)
-            if cancelled is None:
+            generated = replica.cancel(row)
+            if generated is None:
                 continue  # completed within this very tick
-            del state.flights[request_id]
-            request, generated = cancelled
-            state.requeue_or_shed(request, now, generated)
+            del state.flights[row]
+            state.requeue_or_shed(row, now, generated)
 
-    def _degrade(self, now: float, held: list[ServeRequest],
-                 state: _ChaosState) -> list[ServeRequest]:
-        """Apply the degradation policy to overdue unroutable work."""
+    def _degrade(self, now: float, held: list[int], state: _ChaosState,
+                 table: RequestTable) -> list[int]:
+        """Apply the degradation policy to overdue unroutable rows."""
         policy = state.degradation
         if policy is None:
             return held
-        overdue = [r for r in held
-                   if now - state.held_since.get(r.request_id, now)
+        overdue = [row for row in held
+                   if now - state.held_since.get(row, now)
                    > policy.max_hold_s]
         if not overdue:
             return held
@@ -360,17 +366,18 @@ class FleetSimulator:
                                 origin="spill")
                 state.spilled += 1
             return held
-        # Shed mode: lowest priority goes first.
-        victims = sorted(overdue,
-                         key=lambda r: (r.priority, r.arrival_s,
-                                        r.request_id))
-        victim_ids = {r.request_id for r in victims}
-        for request in victims:
-            state.shed_request(request, now, "degraded")
-        return [r for r in held if r.request_id not in victim_ids]
+        # Shed mode: lowest priority goes first, then earliest arrival,
+        # then lowest id (row).
+        priority, arrival = table.priority, table.arrival_s
+        victims = sorted(overdue, key=lambda row: (int(priority[row]),
+                                                   float(arrival[row]), row))
+        for row in victims:
+            state.shed_request(row, now, "degraded")
+        shed = set(victims)
+        return [row for row in held if row not in shed]
 
-    def _shed_unroutable(self, now: float, held: list[ServeRequest],
-                         state: _ChaosState) -> list[ServeRequest]:
+    def _shed_unroutable(self, now: float, held: list[int],
+                         state: _ChaosState) -> list[int]:
         """Liveness guard: when no replica can ever serve again (all
         dead with no reboot pending, no autoscaler, spill exhausted),
         shed all queued work instead of ticking forever."""
@@ -385,10 +392,10 @@ class FleetSimulator:
         if (policy is not None and policy.mode == "spill"
                 and state.spilled < policy.max_spill):
             return held
-        for request in held:
-            state.shed_request(request, now, "unroutable")
-        for request in state.retry_queue.drain():
-            state.shed_request(request, now, "unroutable")
+        for row in held:
+            state.shed_request(row, now, "unroutable")
+        for row in state.retry_queue.drain():
+            state.shed_request(row, now, "unroutable")
         return []
 
     # -- event loop -----------------------------------------------------------
@@ -409,10 +416,12 @@ class FleetSimulator:
         between any two ticks.  :meth:`run` composes exactly these
         calls, plus quiet-tick jumps that leave the report unchanged.
 
-        A hand-built ``list[ServeRequest]`` is converted with
+        A hand-built ``list[ServeRequest]`` is converted once with
         :meth:`RequestTable.from_requests`; the generators in
         :mod:`repro.fleet.arrivals` return tables directly, so a
-        million-request stream never exists as an object list.
+        million-request stream never exists as an object list.  Every
+        replica's scheduler is bound to the table and to one fresh
+        :class:`OutcomeLog`.
 
         Raises:
             ValueError: On an empty stream or if a run is in progress.
@@ -422,19 +431,23 @@ class FleetSimulator:
         if self._run is not None:
             raise ValueError("a run is already in progress; finish_run() "
                              "or restore into a fresh simulator")
+        table = (requests if isinstance(requests, RequestTable)
+                 else RequestTable.from_requests(requests))
         state: _ChaosState | None = None
         if self._chaos:
             state = _ChaosState(self._make_injector(), self.retry_policy,
-                                self.degradation)
+                                self.degradation, table)
             self.last_chaos = state
             # TEE replicas attest before serving their first request.
             for replica in self.replicas:
                 if needs_attestation(replica.spec.kind):
                     assert self.attestation is not None
                     self.attestation.readmit(replica.replica_id)
-        table = (requests if isinstance(requests, RequestTable)
-                 else RequestTable.from_requests(requests))
-        self._run = _RunState(table, self.tick_s, len(self.active), state)
+        outcomes = OutcomeLog(len(table))
+        for replica in self.replicas:
+            replica.scheduler.bind(table, outcomes)
+        self._run = _RunState(table, outcomes, self.tick_s,
+                              len(self.active), state)
 
     @property
     def run_active(self) -> bool:
@@ -476,58 +489,51 @@ class FleetSimulator:
         due = run.held
         run.held = []
         arrivals = run.pending_arrivals
-        rows = run.pending_rows
         head, end = run.pending_head, len(arrivals)
-        while head < end and arrivals[head] <= now:
-            due.append(run.table.request(rows[head]))
-            head += 1
-        run.pending_head = head
+        stop = head
+        while stop < end and arrivals[stop] <= now:
+            stop += 1
+        due += run.pending_rows[head:stop]
+        run.pending_head = stop
         if state is not None:
-            due.extend(state.retry_queue.pop_due(now))
-        for request in due:
+            due += state.retry_queue.pop_due(now)
+        prompts = run.prompts
+        for row in due:
             try:
-                replica = self.router.choose(request, self.replicas, now)
+                replica = self.router.choose(prompts[row], self.replicas, now)
             except ValueError:
-                run.held.append(request)  # nothing live yet; retry next tick
+                run.held.append(row)  # nothing live yet; retry next tick
                 if state is not None:
-                    state.held_since.setdefault(request.request_id, now)
+                    state.held_since.setdefault(row, now)
                 continue
-            replica.submit(request)
+            replica.submit(row)
             if state is not None:
-                state.held_since.pop(request.request_id, None)
-                made = state.attempts.get(request.request_id, 0) + 1
-                state.attempts[request.request_id] = made
+                state.held_since.pop(row, None)
+                made = state.attempts.get(row, 0) + 1
+                state.attempts[row] = made
                 if made > 1:
                     state.retries += 1
-                state.flights[request.request_id] = (replica, now)
+                state.flights[row] = (replica, now)
 
         for replica in self.replicas:
             if replica.active:
-                self._log_finished(replica, replica.step(now), run, state)
+                finished = replica.step(now)
+                if state is not None:
+                    self._land_finished(finished, state)
                 replica.retire_if_drained(now)
         run.peak = max(run.peak, len(self.active))
 
         if state is not None:
             self._check_timeouts(now, state)
-            run.held = self._degrade(now, run.held, state)
+            run.held = self._degrade(now, run.held, state, run.table)
             run.held = self._shed_unroutable(now, run.held, state)
 
-    def _log_finished(self, replica: Replica, finished: list[int],
-                      run: _RunState, state: _ChaosState | None) -> None:
-        """Record finished request ids in the run's outcome ledger.
-
-        Copies each finished request's timeline triple out of the
-        scheduler and releases the id, so every scheduler's live dict
-        stays O(in-flight) over a million-request run.
-        """
-        scheduler = replica.scheduler
-        for request_id in finished:
-            first, finish, preempted = scheduler.finished_triple(request_id)
-            run.finished.record(request_id, first, finish, preempted)
-            scheduler.release(request_id)
-            if state is not None:
-                state.completed.add(request_id)
-                state.flights.pop(request_id, None)
+    @staticmethod
+    def _land_finished(finished: list[int], state: _ChaosState) -> None:
+        """Retire finished rows' flights (their outcomes are already in
+        the run's log)."""
+        for row in finished:
+            state.flights.pop(row, None)
 
     # -- quiet-tick jumping ---------------------------------------------------
 
@@ -628,8 +634,8 @@ class FleetSimulator:
         for replica in self.replicas:
             if replica.active:
                 finished = replica.step(now)
-                if finished:
-                    self._log_finished(replica, finished, run, state)
+                if state is not None:
+                    self._land_finished(finished, state)
 
     def finish_run(self) -> FleetReport:
         """Close out a completed run and build its report.
@@ -645,7 +651,7 @@ class FleetSimulator:
         state = run.chaos
         # Replica clocks may overshoot the final tick; the fleet ends
         # when the last request completes.
-        last_finish = run.finished.max_finish_s()
+        last_finish = run.outcomes.max_finish_s()
         end = run.now if last_finish is None else last_finish
         usages = tuple(
             ReplicaUsage(
@@ -659,7 +665,7 @@ class FleetSimulator:
                 prefix_misses=r.scheduler.prefix_misses)
             for r in self.replicas)
         report = FleetReport(
-            outcomes=run.finished.to_outcomes(run.table),
+            outcomes=ColumnarOutcomes.finished(run.table, run.outcomes),
             start_s=run.start, end_s=end, replicas=usages,
             scale_events=tuple(self.autoscaler.events)
             if self.autoscaler else (),
@@ -668,7 +674,7 @@ class FleetSimulator:
             peak_replicas=run.peak,
             retries=state.retries if state else 0,
             wasted_tokens=state.wasted_tokens if state else 0,
-            shed=tuple(state.shed) if state else (),
+            shed=state.shed if state else (),
             fault_events=tuple(state.injector.applied) if state else ())
         self._run = None
         return report
@@ -696,13 +702,14 @@ class FleetSimulator:
     def to_state(self) -> dict:
         """Plain-dict snapshot of the whole fleet, mid-run or idle.
 
-        The stream is serialized once, as columns; the arrival cursor is
-        a head index (the order is recomputed on restore), and the held
-        list, retry heap and flight table reference requests by id.
-        Replicas carry their spec fingerprints; restore rebuilds each
-        instance from the *host* simulator's specs (selected by the
-        replica's ``origin``) and refuses a mismatch, so deployments and
-        price catalogs never need to be serialized.
+        The stream is serialized once, as columns, and the run's
+        outcome log once, as columns; the arrival cursor is a head index
+        (the order is recomputed on restore), and the held list, retry
+        heap, flight table, shed ledger and every scheduler reference
+        requests by row.  Replicas carry their spec fingerprints;
+        restore rebuilds each instance from the *host* simulator's specs
+        (selected by the replica's ``origin``) and refuses a mismatch,
+        so deployments and price catalogs never need to be serialized.
         """
         run = self._run
         run_state = None
@@ -712,22 +719,15 @@ class FleetSimulator:
             if state is not None:
                 chaos_state = {
                     "injector": state.injector.to_state(),
-                    "flights": {str(request_id): [replica.replica_id,
-                                                  routed_s]
-                                for request_id, (replica, routed_s)
+                    "flights": {str(row): [replica.replica_id, routed_s]
+                                for row, (replica, routed_s)
                                 in state.flights.items()},
-                    "attempts": {str(request_id): count for request_id, count
+                    "attempts": {str(row): count for row, count
                                  in state.attempts.items()},
                     "retry_heap": state.retry_queue.to_state(),
-                    "held_since": {str(request_id): since
-                                   for request_id, since
+                    "held_since": {str(row): since for row, since
                                    in state.held_since.items()},
-                    "completed": sorted(state.completed),
-                    "shed": [{"request": shed.request.to_state(),
-                              "time_s": shed.time_s,
-                              "reason": shed.reason,
-                              "attempts": shed.attempts}
-                             for shed in state.shed],
+                    "shed": state.shed.to_state(),
                     "wasted_tokens": state.wasted_tokens,
                     "retries": state.retries,
                     "spilled": state.spilled,
@@ -739,8 +739,8 @@ class FleetSimulator:
                 "chaos": chaos_state,
                 "requests_table": run.table.to_state(),
                 "pending_head": run.pending_head,
-                "held": [request.request_id for request in run.held],
-                "finished": run.finished.to_state(),
+                "held": list(run.held),
+                "outcomes": run.outcomes.to_state(),
             }
         return {
             "tick_s": self.tick_s,
@@ -806,6 +806,11 @@ class FleetSimulator:
                 "snapshot was taken on a fleet with a different initial "
                 "replica count")
 
+        # The run's table and outcome log come first: every restored
+        # scheduler binds to them and re-marks its in-flight rows.
+        run_state = state.get("run")
+        run_columns = (None if run_state is None
+                       else self._run_columns_from_state(run_state))
         replicas: list[Replica] = []
         for index, payload in enumerate(require(state, "replicas", list,
                                                 "$.fleet")):
@@ -817,7 +822,7 @@ class FleetSimulator:
                     f"replica ids not contiguous: slot {index} holds "
                     f"replica {replica_id}")
             spec = self._spec_for_origin(origin, replica_id)
-            replicas.append(Replica.from_state(payload, spec))
+            replicas.append(Replica.from_state(payload, spec, run_columns))
         self.replicas = replicas
 
         self.router.from_state(require(state, "router", dict, "$.fleet"))
@@ -834,19 +839,34 @@ class FleetSimulator:
         if self.attestation is not None:
             self.attestation.from_state(attestation_state)
 
-        run_state = state.get("run")
-        self._run = (None if run_state is None
-                     else self._run_from_state(run_state))
+        self._run = (None if run_columns is None
+                     else self._run_from_state(run_state, *run_columns))
 
-    def _chaos_from_state(self, chaos_payload: dict | None,
-                          resolve) -> _ChaosState | None:
+    @staticmethod
+    def _run_columns_from_state(run_state: dict,
+                                ) -> tuple[RequestTable, OutcomeLog]:
+        """The armed run's request table and outcome log."""
+        from ..state.errors import StateIntegrityError
+        from ..state.schema import require
+
+        table = RequestTable.from_state(
+            require(run_state, "requests_table", dict, "$.fleet.run"))
+        if not len(table):
+            raise StateIntegrityError("armed run carries an empty "
+                                      "request table")
+        outcomes = OutcomeLog.from_state(
+            require(run_state, "outcomes", dict, "$.fleet.run"), len(table))
+        return table, outcomes
+
+    def _chaos_from_state(self, chaos_payload: dict | None, table: RequestTable,
+                          check_row) -> _ChaosState | None:
         """Rebuild chaos bookkeeping from a snapshot.
 
-        ``resolve(request_id, where)`` maps a serialized request id
-        back to a request (a row of the run's table).
+        ``check_row(row, where)`` validates a serialized row of the
+        run's table.
         """
         from ..state.errors import StateIntegrityError
-        from ..state.schema import require, require_finite
+        from ..state.schema import require
 
         if chaos_payload is None:
             if self._chaos:
@@ -859,7 +879,7 @@ class FleetSimulator:
                 "snapshot carries chaos state but this simulator has "
                 "no fault machinery armed")
         chaos = _ChaosState(self._make_injector(), self.retry_policy,
-                            self.degradation)
+                            self.degradation, table)
         chaos.injector.from_state(
             require(chaos_payload, "injector", dict, "$.fleet.chaos"))
         for key, entry in require(chaos_payload, "flights", dict,
@@ -867,32 +887,23 @@ class FleetSimulator:
             replica_id, routed_s = entry
             if not 0 <= replica_id < len(self.replicas):
                 raise StateIntegrityError(
-                    f"flight for request {key} references unknown "
+                    f"flight for request row {key} references unknown "
                     f"replica {replica_id}")
-            chaos.flights[int(key)] = (self.replicas[replica_id],
-                                       float(routed_s))
-        chaos.attempts = {int(key): count for key, count
+            chaos.flights[check_row(int(key), "flight table")] = (
+                self.replicas[replica_id], float(routed_s))
+        chaos.attempts = {check_row(int(key), "attempt table"): count
+                          for key, count
                           in require(chaos_payload, "attempts", dict,
                                      "$.fleet.chaos").items()}
         chaos.retry_queue.from_state(
             require(chaos_payload, "retry_heap", list, "$.fleet.chaos"),
-            lambda request_id: resolve(request_id, "retry heap"))
-        chaos.held_since = {int(key): float(since) for key, since
+            lambda row: check_row(row, "retry heap"))
+        chaos.held_since = {check_row(int(key), "held table"): float(since)
+                            for key, since
                             in require(chaos_payload, "held_since", dict,
                                        "$.fleet.chaos").items()}
-        chaos.completed = set(require(chaos_payload, "completed", list,
-                                      "$.fleet.chaos"))
-        chaos.shed = [
-            ShedRequest(
-                request=ServeRequest.from_state(
-                    require(entry, "request", dict, "$.fleet.chaos.shed")),
-                time_s=require_finite(entry, "time_s",
-                                      "$.fleet.chaos.shed"),
-                reason=require(entry, "reason", str, "$.fleet.chaos.shed"),
-                attempts=require(entry, "attempts", int,
-                                 "$.fleet.chaos.shed"))
-            for entry in require(chaos_payload, "shed", list,
-                                 "$.fleet.chaos")]
+        chaos.shed = ShedLog.from_state(
+            require(chaos_payload, "shed", list, "$.fleet.chaos"), table)
         chaos.wasted_tokens = require(chaos_payload, "wasted_tokens",
                                       int, "$.fleet.chaos")
         chaos.retries = require(chaos_payload, "retries", int,
@@ -902,40 +913,33 @@ class FleetSimulator:
         self.last_chaos = chaos
         return chaos
 
-    def _run_from_state(self, run_state: dict) -> _RunState:
+    def _run_from_state(self, run_state: dict, table: RequestTable,
+                        outcomes: OutcomeLog) -> _RunState:
         """Rebuild an armed run from its snapshot."""
         from ..state.errors import StateIntegrityError
         from ..state.schema import require, require_finite
 
-        table = RequestTable.from_state(
-            require(run_state, "requests_table", dict, "$.fleet.run"))
-        if not len(table):
-            raise StateIntegrityError("armed run carries an empty "
-                                      "request table")
-
-        def resolve(request_id: object, where: str) -> ServeRequest:
-            try:
-                row = table.index_of(request_id)
-            except (KeyError, TypeError) as error:
+        def check_row(row: object, where: str) -> int:
+            if (not isinstance(row, int) or isinstance(row, bool)
+                    or not 0 <= row < len(table)):
                 raise StateIntegrityError(
-                    f"{where} references unknown request "
-                    f"{request_id!r}") from error
-            return table.request(row)
+                    f"{where} references unknown request row {row!r}")
+            return row
 
-        chaos = self._chaos_from_state(run_state.get("chaos"), resolve)
-        run = _RunState(table, self.tick_s, len(self.active), chaos)
+        chaos = self._chaos_from_state(run_state.get("chaos"), table,
+                                       check_row)
+        run = _RunState(table, outcomes, self.tick_s, len(self.active),
+                        chaos)
         head = require(run_state, "pending_head", int, "$.fleet.run")
         if not 0 <= head <= len(table):
             raise StateIntegrityError(
                 f"pending head {head} out of range for {len(table)} "
                 f"requests")
         run.pending_head = head
-        run.finished = OutcomeLog.from_state(
-            require(run_state, "finished", dict, "$.fleet.run"))
         run.start = require_finite(run_state, "start_s", "$.fleet.run")
         run.now = require_finite(run_state, "now_s", "$.fleet.run")
         run.peak = require(run_state, "peak", int, "$.fleet.run")
-        run.held = [resolve(request_id, "held list") for request_id
+        run.held = [check_row(row, "held list") for row
                     in require(run_state, "held", list, "$.fleet.run")]
         return run
 

@@ -21,9 +21,10 @@ from ..engine.placement import CpuPlacement, Deployment
 from ..llm.config import LLAMA2_7B, ModelConfig
 from ..llm.datatypes import BFLOAT16, DType
 from ..serving.admission import TenancyConfig
-from ..serving.scheduler import ContinuousBatchingScheduler, ServeRequest
+from ..serving.scheduler import ContinuousBatchingScheduler
 from ..tee.boot import ATTESTING as BOOT_REATTEST_PHASE
 from ..tee.boot import BootProfile, BootSequence
+from .arrivals import _require_finite
 
 #: Replica lifecycle states.
 BOOTING, LIVE, DRAINING, RETIRED = "booting", "live", "draining", "retired"
@@ -75,6 +76,7 @@ class ReplicaSpec:
     boot: BootProfile | None = None
 
     def __post_init__(self) -> None:
+        _require_finite(price_hr=self.price_hr)
         if self.price_hr <= 0:
             raise ValueError("price_hr must be positive")
 
@@ -252,7 +254,7 @@ class Replica:
 
     def crash(self, now: float,
               restart_after_s: float | None = None,
-              ) -> list[tuple[ServeRequest, int]]:
+              ) -> list[tuple[int, int]]:
         """Kill the instance; in-flight work is lost.
 
         With a scheduled reboot (``restart_after_s``) the rental
@@ -263,7 +265,7 @@ class Replica:
         evacuated requests.
 
         Returns:
-            ``(request, tokens_generated)`` pairs evacuated from the
+            ``(row, tokens_generated)`` pairs evacuated from the
             scheduler; the generated counts are wasted work.
         """
         evacuated = self.scheduler.evacuate()
@@ -343,7 +345,7 @@ class Replica:
         return f"{penalty_s:g}s penalty queued for next boot"
 
     def begin_attestation(self, ready_at_s: float,
-                          ) -> list[tuple[ServeRequest, int]]:
+                          ) -> list[tuple[int, int]]:
         """Quarantine the instance until it re-attests at ``ready_at_s``.
 
         In-flight work is evacuated (the enclave's state is no longer
@@ -367,27 +369,26 @@ class Replica:
             self.state = LIVE
             self.scheduler.advance_clock_to(self.ready_s)
 
-    def cancel(self, request_id: int) -> tuple[ServeRequest, int] | None:
-        """Withdraw one in-flight request (fleet timeout/retry hook)."""
-        return self.scheduler.cancel(request_id)
+    def cancel(self, row: int) -> int | None:
+        """Withdraw one in-flight row (fleet timeout/retry hook); returns
+        the tokens its attempt had generated, or ``None``."""
+        return self.scheduler.cancel(row)
 
     # -- serving --------------------------------------------------------------
 
-    def submit(self, request: ServeRequest) -> None:
+    def submit(self, row: int) -> None:
+        """Route one row of the run's table to this instance."""
         if not self.routable:
             raise ValueError(
                 f"replica {self.replica_id} is {self.state}, not routable")
-        # An idle replica whose clock lags the arrival would otherwise
-        # admit in the past; the scheduler's idle-jump handles it, but
-        # never let a booting clock precede readiness.
-        self.scheduler.submit(request)
+        self.scheduler.submit(row)
         self.requests_routed += 1
 
     def step(self, until_s: float) -> list[int]:
         """Advance the replica's scheduler to the shared-clock horizon.
 
-        Returns the ids of requests that finished (read their timelines
-        from the scheduler via ``finished_triple``).
+        Returns the rows that finished; their timelines are in the
+        run's outcome log.
         """
         if self._hang_until_s is not None:
             if until_s < self._hang_until_s:
@@ -396,8 +397,10 @@ class Replica:
             self.scheduler.advance_clock_to(self._hang_until_s)
             self._hang_until_s = None
         finished = self.scheduler.step(until_s)
-        for request_id in finished:
-            self.tokens_out += self.scheduler.output_tokens(request_id)
+        if finished:
+            output = self.scheduler.table.scalar_columns().output_tokens
+            for row in finished:
+                self.tokens_out += output[row]
         return finished
 
     # -- accounting -----------------------------------------------------------
@@ -410,8 +413,8 @@ class Replica:
     def kv_free_fraction(self) -> float:
         return self.scheduler.kv_free_fraction
 
-    def estimated_ttft_s(self, request: ServeRequest, now: float) -> float:
-        estimate = self.scheduler.estimated_ttft_s(request, now)
+    def estimated_ttft_s(self, prompt_tokens: int, now: float) -> float:
+        estimate = self.scheduler.estimated_ttft_s(prompt_tokens, now)
         if self.state == BOOTING:
             estimate += max(0.0, self.ready_s - now)
         return estimate
@@ -483,8 +486,12 @@ class Replica:
         }
 
     @classmethod
-    def from_state(cls, state: dict, spec: ReplicaSpec) -> "Replica":
+    def from_state(cls, state: dict, spec: ReplicaSpec,
+                   run: tuple | None = None) -> "Replica":
         """Rebuild an instance of ``spec`` from a :meth:`to_state` dict.
+
+        ``run`` is the armed run's ``(table, outcome log)``, if any; the
+        scheduler binds to it before its state is installed.
 
         Raises:
             repro.state.errors.StateIntegrityError: If the snapshot was
@@ -536,6 +543,8 @@ class Replica:
                                                   "$.replica", minimum=0.0)
         replica._window_start_s = require_finite(state, "window_start_s",
                                                  "$.replica", optional=True)
+        if run is not None:
+            replica.scheduler.bind(*run)
         replica.scheduler.from_state(
             require(state, "scheduler", dict, "$.replica"))
         return replica

@@ -1,16 +1,11 @@
-"""Retry queue: the fleet's (due, id)-ordered resubmission heap.
+"""Retry queue: the fleet's (due, row)-ordered resubmission heap.
 
-Before this helper existed, :mod:`repro.fleet.cluster` open-coded the
-same ``heapq`` triple ``(due_s, request_id, request)`` in three places
-— requeueing failed attempts, draining due retries each tick, and
-shedding the queue when the fleet goes unroutable.  The quiet-tick
-skipper adds a fourth consumer (it needs to *peek* the next due
-time), which made the duplication a liability: one class
-now owns the ordering invariant.
-
-Ordering matches the original open-coded heap exactly: entries pop in
-``(due_s, request_id)`` order, so two retries due at the same instant
-resubmit in id order and reports stay bit-identical.
+One class owns the ordering invariant that requeueing failed attempts,
+draining due retries each tick, shedding the queue when the fleet goes
+unroutable, and the quiet-tick skipper's peek at the next due time all
+rely on.  Entries pop in ``(due_s, row)`` order; rows of a run's
+:class:`~repro.fleet.table.RequestTable` are in request-id order, so
+two retries due at the same instant resubmit in id order.
 """
 
 from __future__ import annotations
@@ -18,20 +13,15 @@ from __future__ import annotations
 import heapq
 from collections.abc import Callable, Iterable
 
-from ..serving.scheduler import ServeRequest
-
 
 class RetryQueue:
-    """Min-heap of requests awaiting resubmission.
-
-    Entries are ``(due_s, request_id, request)`` tuples; the id in the
-    middle makes heap order total without comparing requests.
-    """
+    """Min-heap of request rows awaiting resubmission, as
+    ``(due_s, row)`` tuples."""
 
     __slots__ = ("_heap",)
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, int, ServeRequest]] = []
+        self._heap: list[tuple[float, int]] = []
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -44,42 +34,34 @@ class RetryQueue:
         """Due time of the earliest entry, if any (non-destructive)."""
         return self._heap[0][0] if self._heap else None
 
-    def push(self, due_s: float, request: ServeRequest) -> None:
-        """Schedule ``request`` for resubmission at ``due_s``."""
-        heapq.heappush(self._heap, (due_s, request.request_id, request))
+    def push(self, due_s: float, row: int) -> None:
+        """Schedule ``row`` for resubmission at ``due_s``."""
+        heapq.heappush(self._heap, (due_s, row))
 
-    def pop_due(self, now: float) -> list[ServeRequest]:
-        """Pop every entry due at or before ``now``, in (due, id) order."""
-        due: list[ServeRequest] = []
+    def pop_due(self, now: float) -> list[int]:
+        """Pop every row due at or before ``now``, in (due, row) order."""
+        due: list[int] = []
         heap = self._heap
         while heap and heap[0][0] <= now:
-            due.append(heapq.heappop(heap)[2])
+            due.append(heapq.heappop(heap)[1])
         return due
 
-    def drain(self) -> list[ServeRequest]:
-        """Pop everything, in (due, id) order (unroutable-shed path)."""
-        due: list[ServeRequest] = []
+    def drain(self) -> list[int]:
+        """Pop everything, in (due, row) order (unroutable-shed path)."""
+        due: list[int] = []
         heap = self._heap
         while heap:
-            due.append(heapq.heappop(heap)[2])
+            due.append(heapq.heappop(heap)[1])
         return due
 
     # -- checkpoint/restore ---------------------------------------------------
 
     def to_state(self) -> list[list]:
-        """``[[due_s, request_id], ...]`` — the cluster snapshot schema.
-
-        Requests are referenced by id (the run's request stream is
-        serialized once elsewhere); the list is heap-ordered, which
-        restore re-heapifies anyway.
-        """
-        return [[due, request_id] for due, request_id, _ in self._heap]
+        """``[[due_s, row], ...]``, heap-ordered (restore re-heapifies)."""
+        return [[due, row] for due, row in self._heap]
 
     def from_state(self, entries: Iterable[Iterable],
-                   resolve: Callable[[int], ServeRequest]) -> None:
-        """Rebuild from :meth:`to_state`, resolving ids to requests."""
-        self._heap = []
-        for due, request_id in entries:
-            request = resolve(request_id)
-            self._heap.append((float(due), request.request_id, request))
+                   check_row: Callable[[object], int]) -> None:
+        """Rebuild from :meth:`to_state`; ``check_row`` validates rows."""
+        self._heap = [(float(due), check_row(row)) for due, row in entries]
         heapq.heapify(self._heap)

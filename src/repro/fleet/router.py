@@ -1,6 +1,8 @@
 """Request routers: which replica serves the next arrival.
 
-Routers see the live replica set and pick one per request.  All
+Routers see the live replica set and pick one per request, given only
+the request's prompt length (the one request field any policy reads:
+the cost/SLO router's TTFT estimate needs its prefill).  All
 policies are deterministic (ties break on replica id) so fleet reports
 are bit-reproducible.  The cost/SLO-aware policy encodes the paper's
 economic finding directly: CPU TEEs (TDX) are the cheap tier and the
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from ..serving.scheduler import ServeRequest
+from .arrivals import _require_finite
 from .replica import Replica
 
 
@@ -22,9 +24,10 @@ class Router:
 
     name = "base"
 
-    def choose(self, request: ServeRequest, replicas: Sequence[Replica],
+    def choose(self, prompt_tokens: int, replicas: Sequence[Replica],
                now: float) -> Replica:
-        """Pick a replica for ``request`` among routable candidates.
+        """Pick a replica for a ``prompt_tokens`` request among routable
+        candidates.
 
         Raises:
             ValueError: If no replica is routable.
@@ -63,7 +66,7 @@ class RoundRobinRouter(Router):
     def __init__(self) -> None:
         self._next = 0
 
-    def choose(self, request: ServeRequest, replicas: Sequence[Replica],
+    def choose(self, prompt_tokens: int, replicas: Sequence[Replica],
                now: float) -> Replica:
         candidates = sorted(self._routable(replicas),
                             key=lambda r: r.replica_id)
@@ -87,7 +90,7 @@ class LeastOutstandingRouter(Router):
 
     name = "least-outstanding"
 
-    def choose(self, request: ServeRequest, replicas: Sequence[Replica],
+    def choose(self, prompt_tokens: int, replicas: Sequence[Replica],
                now: float) -> Replica:
         return min(self._routable(replicas),
                    key=lambda r: (r.outstanding, r.replica_id))
@@ -103,7 +106,7 @@ class KvPressureRouter(Router):
 
     name = "kv-pressure"
 
-    def choose(self, request: ServeRequest, replicas: Sequence[Replica],
+    def choose(self, prompt_tokens: int, replicas: Sequence[Replica],
                now: float) -> Replica:
         return min(self._routable(replicas),
                    key=lambda r: (-r.kv_free_fraction, r.outstanding,
@@ -123,6 +126,7 @@ class CostSloRouter(Router):
     name = "cost-slo"
 
     def __init__(self, slo_ttft_s: float, risk_factor: float = 0.8) -> None:
+        _require_finite(slo_ttft_s=slo_ttft_s)
         if slo_ttft_s <= 0:
             raise ValueError("slo_ttft_s must be positive")
         if not 0.0 < risk_factor <= 1.0:
@@ -148,19 +152,19 @@ class CostSloRouter(Router):
                 f"knobs {recorded}, this router has "
                 f"{(self.slo_ttft_s, self.risk_factor)}")
 
-    def choose(self, request: ServeRequest, replicas: Sequence[Replica],
+    def choose(self, prompt_tokens: int, replicas: Sequence[Replica],
                now: float) -> Replica:
         candidates = self._routable(replicas)
         budget = self.slo_ttft_s * self.risk_factor
         safe = [r for r in candidates
-                if r.estimated_ttft_s(request, now) <= budget]
+                if r.estimated_ttft_s(prompt_tokens, now) <= budget]
         if safe:
             # Cheapest safe replica; ties to the least loaded, then id.
             return min(safe, key=lambda r: (r.spec.price_hr, r.outstanding,
                                             r.replica_id))
         # Every replica is at risk: damage control, minimize the miss.
         return min(candidates,
-                   key=lambda r: (r.estimated_ttft_s(request, now),
+                   key=lambda r: (r.estimated_ttft_s(prompt_tokens, now),
                                   r.replica_id))
 
 

@@ -1,22 +1,21 @@
-"""Columnar request streams and outcome ledgers for the fleet core.
+"""Columnar request streams and report views for the fleet core.
 
 A million-request fleet run cannot afford a million
 :class:`~repro.serving.scheduler.ServeRequest` /
 :class:`~repro.serving.scheduler.RequestOutcome` objects plus
-O(n)-per-tick list surgery.  This module holds the three columnar
-containers the fleet runs on instead:
+O(n)-per-tick list surgery.  Inside a run a request is a *row*:
 
 * :class:`RequestTable` — the request stream as numpy columns (arrival,
-  prompt, output, priority, tenant, id).  The generators in
-  :mod:`repro.fleet.arrivals` build these; ``list(table)``
-  materializes the value-equal request objects.
-* :class:`OutcomeLog` — an append-only (id, first-token, finish,
-  preemptions) ledger the fleet fills in finish order, replacing the
-  per-request outcome dict.
-* :class:`ColumnarOutcomes` — the report-facing view: a lazy
-  ``Sequence[RequestOutcome]`` in request-id order whose raw columns
-  feed the vectorized percentile/SLO math in
-  :mod:`repro.fleet.report`.
+  prompt, output, priority, tenant, id), rows in request-id order.  The
+  generators in :mod:`repro.fleet.arrivals` build these, schedulers
+  read its :meth:`~RequestTable.scalar_columns` by row, and
+  ``list(table)`` materializes the value-equal request objects.
+* :class:`~repro.serving.scheduler.OutcomeLog` — the run-wide
+  first-token/finish/preemption columns the schedulers write by row.
+* :class:`ColumnarOutcomes` and :class:`ShedLog` — the report-facing
+  views, which build :class:`RequestOutcome` and
+  :class:`~repro.faults.resilience.ShedRequest` records on demand
+  while the report's aggregate math reads raw columns.
 
 Everything here is a container; the fleet's behavior is pinned by the
 golden snapshots and the ``fleet.jump_parity`` audit check.
@@ -26,23 +25,41 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
-from ..serving.scheduler import RequestOutcome, ServeRequest
+from ..faults.resilience import SHED_REASONS, ShedRequest
+from ..serving.scheduler import OutcomeLog, RequestOutcome, ServeRequest
+
+
+class ScalarColumns(NamedTuple):
+    """A table's hot-path columns as ``array`` copies (see
+    :meth:`RequestTable.scalar_columns`)."""
+
+    request_id: array
+    arrival_s: array
+    prompt_tokens: array
+    output_tokens: array
+    tenant_id: array
 
 
 class RequestTable(Sequence):
     """A request stream stored as parallel numpy columns.
 
-    Value-equal to a ``list[ServeRequest]`` (materialize any row with
-    :meth:`request`) but holds flat arrays instead of n objects —
-    ~50 bytes/request instead of ~500, and O(1) column access for the
-    fleet's arrival drain and the report's percentile math.
+    Value-equal to a ``list[ServeRequest]`` sorted by request id
+    (materialize any row with :meth:`request`) but holds flat arrays
+    instead of n objects — ~50 bytes/request instead of ~500, and O(1)
+    column access for the fleet's arrival drain and the report's
+    percentile math.  Rows are kept in request-id order, so any
+    tie-break by row is a tie-break by id.
     """
 
     __slots__ = ("request_id", "arrival_s", "prompt_tokens",
-                 "output_tokens", "priority", "tenant_id", "_index")
+                 "output_tokens", "priority", "tenant_id", "_scalars")
+
+    _COLUMNS = ("request_id", "arrival_s", "prompt_tokens", "output_tokens",
+                "priority", "tenant_id")
 
     def __init__(self, request_id, arrival_s, prompt_tokens, output_tokens,
                  priority=None, tenant_id=None) -> None:
@@ -56,10 +73,9 @@ class RequestTable(Sequence):
         if tenant_id is None:
             tenant_id = np.zeros(len(self.request_id), dtype=np.int64)
         self.tenant_id = np.asarray(tenant_id, dtype=np.int64)
-        self._index: dict[int, int] | None = None
+        self._scalars: ScalarColumns | None = None
         n = len(self.request_id)
-        for name in ("arrival_s", "prompt_tokens", "output_tokens",
-                     "priority", "tenant_id"):
+        for name in self._COLUMNS[1:]:
             if len(getattr(self, name)) != n:
                 raise ValueError(f"ragged request table: {name} has "
                                  f"{len(getattr(self, name))} rows, ids {n}")
@@ -74,8 +90,14 @@ class RequestTable(Sequence):
             raise ValueError("output_tokens must be finite and >= 1")
         if np.any(self.tenant_id < 0):
             raise ValueError("tenant_id must be >= 0")
-        if n and len(np.unique(self.request_id)) != n:
-            raise ValueError("request ids must be unique")
+        ids = self.request_id
+        if not np.all(ids[1:] > ids[:-1]):
+            order = np.argsort(ids, kind="stable")
+            for name in self._COLUMNS:
+                setattr(self, name, getattr(self, name)[order])
+            ids = self.request_id
+            if not np.all(ids[1:] > ids[:-1]):
+                raise ValueError("request ids must be unique")
 
     def __len__(self) -> int:
         return len(self.request_id)
@@ -100,12 +122,23 @@ class RequestTable(Sequence):
             raise IndexError("request table index out of range")
         return self.request(index)
 
-    def index_of(self, request_id: int) -> int:
-        """Row index of ``request_id`` (raises ``KeyError`` if absent)."""
-        if self._index is None:
-            self._index = {int(rid): row for row, rid
-                           in enumerate(self.request_id)}
-        return self._index[request_id]
+    def scalar_columns(self) -> ScalarColumns:
+        """Id, arrival, prompt, output and tenant columns as ``array``
+        copies, built once per table.
+
+        Indexing an ``array`` yields a plain Python ``int``/``float``,
+        which the per-request hot path needs: numpy scalars are slower
+        to index and repr as ``np.float64(...)`` in JSON and digests.
+        """
+        if self._scalars is None:
+            self._scalars = ScalarColumns(*(
+                array(code, np.ascontiguousarray(getattr(self, name))
+                      .tobytes())
+                for code, name in (("q", "request_id"), ("d", "arrival_s"),
+                                   ("q", "prompt_tokens"),
+                                   ("q", "output_tokens"),
+                                   ("q", "tenant_id"))))
+        return self._scalars
 
     def arrival_order(self) -> np.ndarray:
         """Row indices sorted by (arrival_s, request_id).
@@ -217,89 +250,83 @@ class ColumnarOutcomes(Sequence):
         """Per-request end-to-end latency column (finish - arrival)."""
         return self.finish_s - self.arrival_s
 
-
-class OutcomeLog:
-    """Append-only finish ledger the fleet fills as requests end.
-
-    One ``record`` per completed request, in completion order, held as
-    four flat arrays.  :meth:`to_outcomes` joins the ledger back
-    against the request stream into the request-id-ordered view
-    reports expect.
-    """
-
-    __slots__ = ("_ids", "_first", "_finish", "_preempt")
-
-    def __init__(self) -> None:
-        self._ids = array("q")
-        self._first = array("d")
-        self._finish = array("d")
-        self._preempt = array("q")
-
-    def __len__(self) -> int:
-        return len(self._ids)
-
-    def record(self, request_id: int, first_token_s: float, finish_s: float,
-               preemptions: int) -> None:
-        self._ids.append(request_id)
-        self._first.append(first_token_s)
-        self._finish.append(finish_s)
-        self._preempt.append(preemptions)
-
-    def max_finish_s(self) -> float | None:
-        """Latest completion recorded, if any (the run's end time)."""
-        if not self._finish:
-            return None
-        return float(np.max(np.frombuffer(self._finish, dtype=np.float64)))
-
-    def to_outcomes(self, table: RequestTable) -> ColumnarOutcomes:
-        """Join the ledger with its request stream, in request-id order."""
-        ids = np.asarray(self._ids, dtype=np.int64)
-        order = np.argsort(ids)
-        ids = ids[order]
-        table_ids = table.request_id
-        sorter = np.argsort(table_ids)
-        location = np.searchsorted(table_ids, ids, sorter=sorter)
-        if np.any(location >= len(table_ids)):
-            raise ValueError("outcome ledger references requests outside "
-                             "the stream")
-        rows = sorter[location]
-        if len(ids) and not np.array_equal(table_ids[rows], ids):
-            raise ValueError("outcome ledger references requests outside "
-                             "the stream")
-        return ColumnarOutcomes(
-            request_id=ids,
+    @classmethod
+    def finished(cls, table: RequestTable,
+                 log: OutcomeLog) -> "ColumnarOutcomes":
+        """The finished rows of a run, in request-id order."""
+        rows = log.finished_rows()
+        return cls(
+            request_id=table.request_id[rows],
             arrival_s=table.arrival_s[rows],
             prompt_tokens=table.prompt_tokens[rows],
             output_tokens=table.output_tokens[rows],
             priority=table.priority[rows],
             tenant_id=table.tenant_id[rows],
-            first_token_s=np.asarray(self._first, dtype=np.float64)[order],
-            finish_s=np.asarray(self._finish, dtype=np.float64)[order],
-            preemptions=np.asarray(self._preempt, dtype=np.int64)[order])
+            first_token_s=np.frombuffer(log.first_token_s,
+                                        dtype=np.float64)[rows],
+            finish_s=np.frombuffer(log.finish_s, dtype=np.float64)[rows],
+            preemptions=np.frombuffer(log.preemptions,
+                                      dtype=np.int64)[rows])
+
+
+class ShedLog(Sequence):
+    """The run's shed ledger: rows that left the fleet unserved.
+
+    Appended by row during the run; indexing and iteration build
+    :class:`~repro.faults.resilience.ShedRequest` records on demand,
+    in shed order.
+    """
+
+    __slots__ = ("table", "_rows", "_times", "_reasons", "_attempts")
+
+    def __init__(self, table: RequestTable) -> None:
+        self.table = table
+        self._rows: list[int] = []
+        self._times: list[float] = []
+        self._reasons: list[str] = []
+        self._attempts: list[int] = []
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, index: int) -> ShedRequest:
+        if isinstance(index, slice):
+            raise TypeError("ShedLog does not support slicing")
+        return ShedRequest(request=self.table.request(self._rows[index]),
+                           time_s=self._times[index],
+                           reason=self._reasons[index],
+                           attempts=self._attempts[index])
+
+    def append(self, row: int, time_s: float, reason: str,
+               attempts: int) -> None:
+        self._rows.append(row)
+        self._times.append(time_s)
+        self._reasons.append(reason)
+        self._attempts.append(attempts)
 
     # -- checkpoint/restore ---------------------------------------------------
 
-    def to_state(self) -> dict:
-        return {
-            "request_id": list(self._ids),
-            "first_token_s": list(self._first),
-            "finish_s": list(self._finish),
-            "preemptions": list(self._preempt),
-        }
+    def to_state(self) -> list[dict]:
+        return [{"row": row, "time_s": time_s, "reason": reason,
+                 "attempts": attempts}
+                for row, time_s, reason, attempts
+                in zip(self._rows, self._times, self._reasons,
+                       self._attempts)]
 
     @classmethod
-    def from_state(cls, state: dict) -> "OutcomeLog":
+    def from_state(cls, entries: list, table: RequestTable) -> "ShedLog":
         from ..state.errors import StateIntegrityError
-        from ..state.schema import require
-        log = cls()
-        ids = require(state, "request_id", list, "$.finished")
-        first = require(state, "first_token_s", list, "$.finished")
-        finish = require(state, "finish_s", list, "$.finished")
-        preempt = require(state, "preemptions", list, "$.finished")
-        if not len(ids) == len(first) == len(finish) == len(preempt):
-            raise StateIntegrityError("ragged outcome ledger snapshot")
-        log._ids = array("q", (int(v) for v in ids))
-        log._first = array("d", (float(v) for v in first))
-        log._finish = array("d", (float(v) for v in finish))
-        log._preempt = array("q", (int(v) for v in preempt))
+        from ..state.schema import require, require_finite
+        log = cls(table)
+        for entry in entries:
+            row = require(entry, "row", int, "$.fleet.chaos.shed")
+            reason = require(entry, "reason", str, "$.fleet.chaos.shed")
+            attempts = require(entry, "attempts", int, "$.fleet.chaos.shed")
+            if not 0 <= row < len(table) or reason not in SHED_REASONS \
+                    or attempts < 0:
+                raise StateIntegrityError(
+                    f"invalid shed entry {entry!r} for {len(table)} requests")
+            log.append(row, require_finite(entry, "time_s",
+                                           "$.fleet.chaos.shed"),
+                       reason, attempts)
         return log

@@ -5,7 +5,8 @@ vectorized decode-cost engine) recompute identical values across sweeps,
 figures and tests.  :class:`MemoCache` gives those paths a small, bounded
 LRU memo with hit/miss counters; every cache registers itself in a global
 registry so :mod:`repro.core.profiling` can report and reset the whole
-set at once.
+set at once.  The counters are the program's only built-in profiling
+data: wall-clock time is measured from outside, by ``perfbench``.
 
 This module is deliberately dependency-free (no imports from elsewhere
 in :mod:`repro`) so any layer — ``llm``, ``engine``, ``core`` — can use

@@ -7,6 +7,7 @@ from .admission import (
 )
 from .scheduler import (
     ContinuousBatchingScheduler,
+    OutcomeLog,
     RequestOutcome,
     ServeRequest,
     ServingReport,
@@ -16,6 +17,6 @@ from .stepcost import StepCostTable
 
 __all__ = [
     "ADMISSION_POLICIES", "ContinuousBatchingScheduler",
-    "KV_ISOLATION_MODES", "RequestOutcome", "ServeRequest", "ServingReport",
+    "KV_ISOLATION_MODES", "OutcomeLog", "RequestOutcome", "ServeRequest", "ServingReport",
     "StepCostTable", "TenancyConfig", "poisson_stream",
 ]

@@ -9,12 +9,17 @@ step durations come from the same TEE-aware cost model as every other
 experiment — so serving SLAs (TTFT, end-to-end latency) can be compared
 across bare metal, TDX, and (c)GPU deployments.
 
-Request state is columnar: per-request fields live in append-only
-``array`` columns keyed by submission slot, the running batch is one
-insertion-ordered dict, and the paged KV cache collapses to a
-free-block *count* — block identities never influence scheduling, only
-availability does.  That keeps live state O(in-flight), so one fleet
-run can push a million requests.
+Requests are rows.  A scheduler is bound to the run's request table
+(:class:`~repro.fleet.table.RequestTable`, rows in request-id order)
+and to one run-wide :class:`OutcomeLog`; its waiting queue, running
+batch, tenancy bookkeeping and every return value name requests by
+row, and admission, preemption and finish write straight into the
+log's columns.  A fleet binds all its replicas to the same table and
+log, so no request object exists between ``begin_run`` and the report.
+The running batch is one insertion-ordered dict, and the paged KV
+cache collapses to a free-block *count* — block identities never
+influence scheduling, only availability does.  Live state stays
+O(in-flight), so one fleet run can push a million requests.
 
 Decode is event-driven.  Every sequence still in the batch after a
 decode step has gained exactly one token, so one step counter stands in
@@ -108,42 +113,6 @@ class ServeRequest:
         if not math.isfinite(self.tenant_id) or self.tenant_id < 0:
             raise ValueError("tenant_id must be finite and >= 0")
 
-    def to_state(self) -> dict:
-        """Plain-dict snapshot of this request (JSON-serializable)."""
-        return {
-            "request_id": self.request_id,
-            "arrival_s": self.arrival_s,
-            "prompt_tokens": self.prompt_tokens,
-            "output_tokens": self.output_tokens,
-            "priority": self.priority,
-            "tenant_id": self.tenant_id,
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "ServeRequest":
-        """Rebuild a request, mapping guard failures to ``StateValueError``."""
-        from ..state.errors import StateError, StateValueError
-        from ..state.schema import require
-        try:
-            return cls(
-                request_id=require(state, "request_id", int, "$.request"),
-                arrival_s=require(state, "arrival_s", float, "$.request"),
-                prompt_tokens=require(state, "prompt_tokens", int,
-                                      "$.request"),
-                output_tokens=require(state, "output_tokens", int,
-                                      "$.request"),
-                priority=require(state, "priority", int, "$.request"),
-                # Lenient: pre-tenancy snapshots have no tenant column.
-                tenant_id=int(state.get("tenant_id", 0)),
-            )
-        except StateError:
-            raise
-        except ValueError as error:
-            # The __post_init__ finiteness guards fire on NaN/negative
-            # payload values; surface them as the structured taxonomy.
-            raise StateValueError(
-                f"invalid request payload: {error}") from error
-
 
 @dataclass
 class RequestOutcome:
@@ -165,12 +134,83 @@ class RequestOutcome:
         return self.finish_s - self.request.arrival_s
 
 
+class OutcomeLog:
+    """Run-wide outcome columns, one slot per row of the run's table.
+
+    Schedulers bound to a run write first-token, finish and preemption
+    values here by row, and mark each row's lifecycle in ``status``:
+    ``IDLE`` (never submitted, or withdrawn by a cancel or crash),
+    ``IN_FLIGHT`` (queued or running on some replica) or ``FINISHED``.
+    A submission resets the row's three values, so a retried request
+    reports its final attempt only.
+    """
+
+    IDLE, IN_FLIGHT, FINISHED = 0, 1, 2
+
+    __slots__ = ("first_token_s", "finish_s", "preemptions", "status")
+
+    def __init__(self, size: int) -> None:
+        self.first_token_s = array("d", bytes(8 * size))
+        self.finish_s = array("d", bytes(8 * size))
+        self.preemptions = array("q", bytes(8 * size))
+        self.status = bytearray(size)
+
+    def __len__(self) -> int:
+        return len(self.status)
+
+    def finished_rows(self) -> np.ndarray:
+        """Rows that finished, ascending (request-id order)."""
+        return np.flatnonzero(np.frombuffer(self.status, dtype=np.uint8)
+                              == self.FINISHED)
+
+    def max_finish_s(self) -> float | None:
+        """Latest completion recorded, if any (the run's end time)."""
+        rows = self.finished_rows()
+        if not len(rows):
+            return None
+        return float(np.max(np.frombuffer(self.finish_s,
+                                          dtype=np.float64)[rows]))
+
+    # -- checkpoint/restore ---------------------------------------------------
+
+    def to_state(self) -> dict:
+        """Every column, plus the finished rows; in-flight rows are
+        re-marked by the schedulers that hold them on restore."""
+        return {
+            "first_token_s": list(self.first_token_s),
+            "finish_s": list(self.finish_s),
+            "preemptions": list(self.preemptions),
+            "finished": self.finished_rows().tolist(),
+        }
+
+    @classmethod
+    def from_state(cls, state: dict, size: int) -> "OutcomeLog":
+        from ..state.errors import StateIntegrityError
+        from ..state.schema import require
+        columns = [require(state, key, list, "$.outcomes")
+                   for key in ("first_token_s", "finish_s", "preemptions")]
+        if any(len(column) != size for column in columns):
+            raise StateIntegrityError(
+                f"outcome columns do not match the {size}-row request table")
+        log = cls(0)
+        log.first_token_s = array("d", (float(v) for v in columns[0]))
+        log.finish_s = array("d", (float(v) for v in columns[1]))
+        log.preemptions = array("q", (int(v) for v in columns[2]))
+        log.status = bytearray(size)
+        for row in require(state, "finished", list, "$.outcomes"):
+            if not isinstance(row, int) or not 0 <= row < size:
+                raise StateIntegrityError(
+                    f"finished row {row!r} out of range for {size} requests")
+            log.status[row] = cls.FINISHED
+        return log
+
+
 @dataclass(frozen=True)
 class ServingReport:
     """Aggregate serving metrics.
 
     Attributes:
-        outcomes: Per-request lifecycle records, in submission order.
+        outcomes: Per-request lifecycle records, in request-id order.
         start_s: When serving work first existed — the earliest arrival.
             The wall-clock timeline of the outcomes is absolute, so the
             serving window is ``[start_s, start_s + makespan_s]``.
@@ -276,39 +316,35 @@ class ContinuousBatchingScheduler:
         self.num_blocks = max(1, kv_capacity_tokens // block_size)
         self._costs = StepCostTable.shared(deployment, model, dtype)
         self._time_scale = 1.0
+        #: The run this scheduler serves (see :meth:`bind`); unbound, it
+        #: holds no rows.
+        self.table = None
+        self.outcomes: OutcomeLog | None = None
+        self._ids = self._arrival = self._prompt = self._output = ()
+        self._tenant = self._first = self._finish = self._preempt = ()
+        self._status = bytearray()
         self._reset()
 
     def _reset(self) -> None:
-        # Append-only per-request columns, indexed by submission slot.
-        self._col_id = array("q")
-        self._col_arrival = array("d")
-        self._col_prompt = array("l")
-        self._col_output = array("l")
-        self._col_priority = array("l")
-        self._col_tenant = array("l")
-        self._col_first = array("d")
-        self._col_finish = array("d")
-        self._col_preempt = array("l")
-        self._slot: dict[int, int] = {}   # live request id -> slot
-        self._dead: set[int] = set()      # forgotten/released slots
-        # Waiting queue: (arrival_s, request_id) tuples under FCFS,
-        # (wfq_tag, arrival_s, request_id) under WFQ — either way the
-        # request id is entry[-1] and the arrival entry[-2].  Sorted,
-        # except that FCFS preemptions re-enter at the head.  The
-        # logical queue is ``_waiting[_head:]``: unarmed FCFS admission
-        # pops the head by advancing ``_head`` and compacts the dead
-        # prefix once it passes half the list (``_head`` stays 0 under
-        # tenancy).  Invariant: ``2 * _head <= len(_waiting)``, so the
-        # list is empty exactly when the logical queue is.
+        # Waiting queue: (arrival_s, row) tuples under FCFS, (wfq_tag,
+        # arrival_s, row) under WFQ — either way the row is entry[-1]
+        # and the arrival entry[-2].  Rows are in request-id order, so
+        # ties break on request id.  Sorted, except that FCFS
+        # preemptions re-enter at the head.  The logical queue is
+        # ``_waiting[_head:]``: unarmed FCFS admission pops the head by
+        # advancing ``_head`` and compacts the dead prefix once it
+        # passes half the list (``_head`` stays 0 under tenancy).
+        # Invariant: ``2 * _head <= len(_waiting)``, so the list is
+        # empty exactly when the logical queue is.
         self._waiting: list[tuple] = []
         self._head = 0
-        # Running batch: request id -> (slot, prompt, output, kvlen,
-        # start), in admission order (dict order), so the youngest
-        # sequence is the last item.  ``kvlen`` is the KV length the
-        # sequence was admitted with — the prompt, or just the suffix
-        # under shared-prefix isolation — and ``start`` the decode step
-        # it was admitted at.
-        self._running: dict[int, tuple[int, int, int, int, int]] = {}
+        # Running batch: row -> (prompt, output, kvlen, start), in
+        # admission order (dict order), so the youngest sequence is the
+        # last item.  ``kvlen`` is the KV length the sequence was
+        # admitted with — the prompt, or just the suffix under
+        # shared-prefix isolation — and ``start`` the decode step it
+        # was admitted at.
+        self._running: dict[int, tuple[int, int, int, int]] = {}
         # Decode steps taken; a running sequence has generated
         # ``_steps - start`` tokens.  ``_res_count[r]`` counts running
         # sequences whose next token crosses a block edge at steps
@@ -324,7 +360,8 @@ class ContinuousBatchingScheduler:
         self._occ_sum = 0
         self._occ_count = 0
         self._first_arrival: float | None = None
-        # Tenancy runtime state (inert when unarmed).
+        # Tenancy runtime state (inert when unarmed), keyed by row or
+        # tenant id.
         self._wfq_v = 0.0
         self._wfq_fin: dict[int, float] = {}
         self._wfq_tag: dict[int, float] = {}
@@ -339,6 +376,36 @@ class ContinuousBatchingScheduler:
         else:
             self._tenant_budget_cap = {}
             self._tenant_budget = {}
+
+    def bind(self, table, outcomes: OutcomeLog | None = None) -> None:
+        """Attach the scheduler to a run's request table and outcome log.
+
+        Every later call names requests by row of ``table`` (a
+        :class:`~repro.fleet.table.RequestTable`), and admission,
+        preemption and finish write into ``outcomes`` — a fresh
+        :class:`OutcomeLog` when omitted.  A fleet binds all its
+        replicas to one table and one log.  The hot-path columns are
+        the table's ``array`` copies, so every read is a plain Python
+        scalar.
+
+        Raises:
+            ValueError: If work is still in flight here, or the log
+                does not match the table.
+        """
+        if self._waiting or self._running:
+            raise ValueError("cannot rebind a scheduler with work in flight")
+        if outcomes is None:
+            outcomes = OutcomeLog(len(table))
+        elif len(outcomes) != len(table):
+            raise ValueError("outcome log and request table differ in size")
+        self.table = table
+        self.outcomes = outcomes
+        (self._ids, self._arrival, self._prompt, self._output,
+         self._tenant) = table.scalar_columns()
+        self._first = outcomes.first_token_s
+        self._finish = outcomes.finish_s
+        self._preempt = outcomes.preemptions
+        self._status = outcomes.status
 
     # -- introspection --------------------------------------------------------
 
@@ -407,111 +474,66 @@ class ContinuousBatchingScheduler:
             return step_s * self._time_scale
         return step_s
 
-    # -- request materialization ----------------------------------------------
-
-    def _request_at(self, slot: int) -> ServeRequest:
-        return ServeRequest(request_id=self._col_id[slot],
-                            arrival_s=self._col_arrival[slot],
-                            prompt_tokens=self._col_prompt[slot],
-                            output_tokens=self._col_output[slot],
-                            priority=self._col_priority[slot],
-                            tenant_id=self._col_tenant[slot])
-
-    def request(self, request_id: int) -> ServeRequest:
-        """Materialize the live request with this id (value-equal copy)."""
-        return self._request_at(self._slot[request_id])
-
-    def output_tokens(self, request_id: int) -> int:
-        """Output-token target of a live request (fleet accounting hook)."""
-        return self._col_output[self._slot[request_id]]
-
-    def finished_triple(self, request_id: int) -> tuple[float, float, int]:
-        """``(first_token_s, finish_s, preemptions)`` of a live record."""
-        slot = self._slot[request_id]
-        return (self._col_first[slot], self._col_finish[slot],
-                self._col_preempt[slot])
-
-    def release(self, request_id: int) -> None:
-        """Drop the live record of a *finished* request.
-
-        The fleet copies the timeline triple into its own ledger as
-        finishes surface, then releases the id here so the scheduler's
-        live dict stays O(in-flight) over a 1M-request run.
-        The append-only columns retain the slot (cheap: a few plain
-        scalars), it just no longer appears in :meth:`report`.
-        """
-        self._forget(request_id)
-
     # -- admission ------------------------------------------------------------
 
-    def _check_fits(self, request: ServeRequest) -> None:
-        needed = request.prompt_tokens + request.output_tokens
+    def _check_fits(self, row: int) -> None:
+        needed = self._prompt[row] + self._output[row]
         if needed > self.num_blocks * self.block_size:
             raise ValueError(
-                f"request {request.request_id} needs {needed} KV tokens, "
+                f"request {self._ids[row]} needs {needed} KV tokens, "
                 f"pool holds {self.num_blocks * self.block_size}")
         if self.kv_isolation == "partition":
-            cap = self._tenant_budget_cap.get(request.tenant_id)
+            tenant_id = self._tenant[row]
+            cap = self._tenant_budget_cap.get(tenant_id)
             if cap is None:
                 raise ValueError(
-                    f"tenant {request.tenant_id} has no KV partition on "
-                    f"this replica")
+                    f"tenant {tenant_id} has no KV partition on this replica")
             worst_case = -(-needed // self.block_size)
             if worst_case > cap:
                 raise ValueError(
-                    f"request {request.request_id} needs {worst_case} "
-                    f"blocks, tenant {request.tenant_id} partition holds "
-                    f"{cap}")
+                    f"request {self._ids[row]} needs {worst_case} blocks, "
+                    f"tenant {tenant_id} partition holds {cap}")
 
-    def submit(self, request: ServeRequest) -> None:
-        """Enqueue one request for service (fleet/step entry point).
+    def submit(self, row: int) -> None:
+        """Enqueue one row of the bound table for service.
+
+        Resets the row's outcome values, so a resubmitted request
+        reports its final attempt.
 
         Raises:
-            ValueError: If the request cannot ever fit the KV pool or
-                reuses an id still in flight.
+            ValueError: If the request cannot ever fit the KV pool or is
+                already in flight or finished.
         """
-        self._check_fits(request)
-        if request.request_id in self._slot:
-            raise ValueError(f"request id {request.request_id} already "
-                             "submitted to this replica")
-        slot = len(self._col_id)
-        self._col_id.append(request.request_id)
-        self._col_arrival.append(request.arrival_s)
-        self._col_prompt.append(request.prompt_tokens)
-        self._col_output.append(request.output_tokens)
-        self._col_priority.append(request.priority)
-        self._col_tenant.append(request.tenant_id)
-        self._col_first.append(0.0)
-        self._col_finish.append(0.0)
-        self._col_preempt.append(0)
-        self._slot[request.request_id] = slot
+        self._check_fits(row)
+        if self._status[row]:
+            raise ValueError(f"request {self._ids[row]} already submitted")
+        self._status[row] = OutcomeLog.IN_FLIGHT
+        self._first[row] = 0.0
+        self._finish[row] = 0.0
+        self._preempt[row] = 0
+        arrival = self._arrival[row]
         if self._wfq:
             # SCFQ tag: chain on the tenant's previous virtual finish,
             # floored at the global virtual clock.
-            start = max(self._wfq_fin.get(request.tenant_id, 0.0),
-                        self._wfq_v)
-            tag = start + ((request.prompt_tokens + request.output_tokens)
-                           / self.tenancy.weight_of(request.tenant_id))
-            self._wfq_fin[request.tenant_id] = tag
-            self._wfq_tag[request.request_id] = tag
-            insort(self._waiting,
-                   (tag, request.arrival_s, request.request_id))
+            tenant_id = self._tenant[row]
+            start = max(self._wfq_fin.get(tenant_id, 0.0), self._wfq_v)
+            tag = start + ((self._prompt[row] + self._output[row])
+                           / self.tenancy.weight_of(tenant_id))
+            self._wfq_fin[tenant_id] = tag
+            self._wfq_tag[row] = tag
+            insort(self._waiting, (tag, arrival, row))
         else:
             # lo=_head probes the same midpoints as insort on the
             # logical queue, so placement matches even when a
             # preemption has left the queue unsorted.
-            insort(self._waiting, (request.arrival_s, request.request_id),
-                   lo=self._head)
-        if (self._first_arrival is None
-                or request.arrival_s < self._first_arrival):
-            self._first_arrival = request.arrival_s
+            insort(self._waiting, (arrival, row), lo=self._head)
+        if self._first_arrival is None or arrival < self._first_arrival:
+            self._first_arrival = arrival
 
-    def _forget(self, request_id: int) -> None:
-        """Drop all live bookkeeping for a request."""
-        self._wfq_tag.pop(request_id, None)
-        slot = self._slot.pop(request_id, None)
-        if slot is not None:
-            self._dead.add(slot)
+    def _forget(self, row: int) -> None:
+        """Withdraw a row: it is no longer in flight here."""
+        self._wfq_tag.pop(row, None)
+        self._status[row] = OutcomeLog.IDLE
 
     def _compact_waiting(self) -> None:
         """Drop the dead prefix so ``_waiting`` is the logical queue."""
@@ -526,71 +548,68 @@ class ContinuousBatchingScheduler:
             tenant_id, blocks = reserved
             self._tenant_budget[tenant_id] += blocks
 
-    def cancel(self, request_id: int) -> tuple[ServeRequest, int] | None:
+    def cancel(self, row: int) -> int | None:
         """Withdraw an unfinished request (fleet timeout/retry hook).
 
-        Removes the request from the waiting queue or the running batch,
-        frees its KV blocks, and erases its record so the fleet may
-        resubmit it here or elsewhere.  Finished or unknown requests are
+        Removes the row from the waiting queue or the running batch,
+        frees its KV blocks and marks it idle, so the fleet may
+        resubmit it here or elsewhere.  Finished or unknown rows are
         left untouched.
 
         Returns:
-            ``(request, tokens_generated)`` for the cancelled request —
-            the generated count is the work wasted by the cancellation —
-            or ``None`` if the request is not in flight here.
+            The tokens the cancelled attempt had generated (the work
+            wasted by the cancellation), or ``None`` if the row is not
+            in flight here.
         """
         self._compact_waiting()
         for index, entry in enumerate(self._waiting):
-            if entry[-1] == request_id:
-                request = self.request(request_id)
+            if entry[-1] == row:
                 self._waiting.pop(index)
-                self._forget(request_id)
-                return request, 0
-        if request_id in self._running:
-            request = self.request(request_id)
-            generated = self._drop_running(request_id)
-            self._forget(request_id)
-            return request, generated
+                self._forget(row)
+                return 0
+        if row in self._running:
+            generated = self._drop_running(row)
+            self._forget(row)
+            return generated
         return None
 
-    def evacuate(self) -> list[tuple[ServeRequest, int]]:
+    def evacuate(self) -> list[tuple[int, int]]:
         """Abort all in-flight work (replica crash hook).
 
         Empties the waiting queue and the running batch, freeing every
-        KV allocation, and erases the records of the evacuated requests
-        (completed records are kept).  The fleet requeues the evacuated
-        requests elsewhere; tokens already generated by the running
-        batch are lost and reported as wasted work.
+        KV allocation, and marks the evacuated rows idle (finished rows
+        keep their outcomes).  The fleet requeues the evacuated rows
+        elsewhere; tokens already generated by the running batch are
+        lost and reported as wasted work.
 
         Returns:
-            ``(request, tokens_generated)`` pairs in deterministic
-            order: waiting queue first, then the running batch.
+            ``(row, tokens_generated)`` pairs in deterministic order:
+            waiting queue first, then the running batch.
         """
         self._compact_waiting()
-        evacuated = [(self.request(entry[-1]), 0)
-                     for entry in self._waiting]
-        for rid in list(self._running):
-            evacuated.append((self.request(rid), self._drop_running(rid)))
+        evacuated = [(entry[-1], 0) for entry in self._waiting]
+        for row in list(self._running):
+            evacuated.append((row, self._drop_running(row)))
         self._waiting.clear()
-        for request, _ in evacuated:
-            self._forget(request.request_id)
+        for row, _ in evacuated:
+            self._forget(row)
         # A crashed replica loses its pinned shared prefixes too.
         for blocks in self._prefix_resident.values():
             self._free_blocks += blocks
         self._prefix_resident.clear()
         return evacuated
 
-    def _drop_running(self, rid: int) -> int:
+    def _drop_running(self, row: int) -> int:
         """Withdraw an unfinished running sequence: free its KV and
         unindex its events.  Returns the tokens it had generated."""
-        _, prompt, output, kvlen, start = self._running.pop(rid)
+        prompt, output, kvlen, start = self._running.pop(row)
         generated = self._steps - start
         self._free_blocks += -(-(kvlen + generated) // self.block_size)
-        self._release_reserve(rid)
+        self._release_reserve(row)
         self._ctx_total -= prompt + generated
         self._res_count[(start - kvlen) % self.block_size] -= 1
         pending = self._finish_at[start + output - 1]
-        pending.remove(rid)
+        pending.remove(row)
         if not pending:
             del self._finish_at[start + output - 1]
         return generated
@@ -600,14 +619,15 @@ class ContinuousBatchingScheduler:
         block_size = self.block_size
         res_count = [0] * block_size
         finish_at: dict[int, list[int]] = {}
-        for rid, (_, _, output, kvlen, start) in self._running.items():
+        for row, (_, output, kvlen, start) in self._running.items():
             res_count[(start - kvlen) % block_size] += 1
-            finish_at.setdefault(start + output - 1, []).append(rid)
+            finish_at.setdefault(start + output - 1, []).append(row)
         self._res_count = res_count
         self._finish_at = finish_at
 
-    def estimated_ttft_s(self, request: ServeRequest, now: float) -> float:
-        """Deterministic TTFT estimate if ``request`` were routed here now.
+    def estimated_ttft_s(self, prompt_tokens: int, now: float) -> float:
+        """Deterministic TTFT estimate for a ``prompt_tokens`` request
+        routed here now.
 
         Counts the replica's clock lead over ``now``, the prefill work
         queued ahead of the request, and the request's own prefill —
@@ -616,13 +636,12 @@ class ContinuousBatchingScheduler:
         monotone in queue depth, which is what routing needs.
         """
         prefill_s = self._costs.prefill_s
-        prompts = self._col_prompt
-        slots = self._slot
+        prompts = self._prompt
         backlog = max(0.0, self._clock - now)
-        backlog += self._scaled(sum(prefill_s(prompts[slots[entry[-1]]])
+        backlog += self._scaled(sum(prefill_s(prompts[entry[-1]])
                                     for entry in islice(self._waiting,
                                                         self._head, None)))
-        return backlog + self._scaled(prefill_s(request.prompt_tokens))
+        return backlog + self._scaled(prefill_s(prompt_tokens))
 
     @property
     def prefix_hits(self) -> int:
@@ -647,13 +666,13 @@ class ContinuousBatchingScheduler:
         """Unarmed FCFS fast path — the pre-tenancy admission order."""
         waiting = self._waiting
         block_size = self.block_size
+        prompts = self._prompt
         while (waiting and len(self._running) < self.max_batch
                and waiting[self._head][0] <= self._clock):
             head = self._head
-            _, rid = waiting[head]
+            _, row = waiting[head]
             admitted_index = head
-            slot = self._slot[rid]
-            prompt = self._col_prompt[slot]
+            prompt = prompts[row]
             needed = -(-prompt // block_size)
             if needed > self._free_blocks:
                 # Head-of-line blocking: strict FCFS stops here.  With
@@ -663,16 +682,14 @@ class ContinuousBatchingScheduler:
                 for index in range(head + 1,
                                    head + 1 + min(self.admission_lookahead,
                                                   len(waiting) - head - 1)):
-                    c_arrival, c_rid = waiting[index]
+                    c_arrival, c_row = waiting[index]
                     if c_arrival > self._clock:
                         break
-                    c_slot = self._slot[c_rid]
-                    c_prompt = self._col_prompt[c_slot]
+                    c_prompt = prompts[c_row]
                     c_needed = -(-c_prompt // block_size)
                     if c_needed > self._free_blocks:
                         continue
-                    rid, slot = c_rid, c_slot
-                    prompt, needed = c_prompt, c_needed
+                    row, prompt, needed = c_row, c_prompt, c_needed
                     admitted_index = index
                     break
                 if admitted_index < 0:
@@ -685,22 +702,21 @@ class ContinuousBatchingScheduler:
                     self._head = 0
             else:
                 waiting.pop(admitted_index)
-            self._start_running(rid, slot, prompt, prompt)
+            self._start_running(row, prompt, prompt)
 
-    def _start_running(self, rid: int, slot: int, prompt: int,
-                       kvlen: int) -> None:
+    def _start_running(self, row: int, prompt: int, kvlen: int) -> None:
         """Charge prefill, move an admitted request into the batch and
         index its block-edge residue and finish step."""
         self._clock += self._scaled(self._costs.prefill_s(prompt))
-        self._col_first[slot] = self._clock
+        self._first[row] = self._clock
         start = self._steps
-        output = self._col_output[slot]
-        self._running[rid] = (slot, prompt, output, kvlen, start)
+        output = self._output[row]
+        self._running[row] = (prompt, output, kvlen, start)
         self._ctx_total += prompt
         self._res_count[(start - kvlen) % self.block_size] += 1
-        self._finish_at.setdefault(start + output - 1, []).append(rid)
+        self._finish_at.setdefault(start + output - 1, []).append(row)
 
-    def _kv_admit(self, rid: int, slot: int) -> tuple[int, int] | None:
+    def _kv_admit(self, row: int) -> tuple[int, int] | None:
         """Take KV blocks for an admitted request per isolation mode.
 
         ``shared`` takes the prompt's blocks.  ``partition`` also debits
@@ -714,23 +730,23 @@ class ContinuousBatchingScheduler:
         now — the admission loop's signal to stop or look ahead.
         """
         block_size = self.block_size
-        prompt = self._col_prompt[slot]
+        prompt = self._prompt[row]
         if self.kv_isolation == "shared":
             needed = -(-prompt // block_size)
             if needed > self._free_blocks:
                 return None
             self._free_blocks -= needed
             return needed, prompt
-        tenant_id = self._col_tenant[slot]
+        tenant_id = self._tenant[row]
         if self.kv_isolation == "partition":
-            reserve = -(-(prompt + self._col_output[slot]) // block_size)
+            reserve = -(-(prompt + self._output[row]) // block_size)
             budget = self._tenant_budget[tenant_id]
             if reserve > budget:
                 return None
             needed = -(-prompt // block_size)
             self._free_blocks -= needed
             self._tenant_budget[tenant_id] = budget - reserve
-            self._kv_reserved[rid] = (tenant_id, reserve)
+            self._kv_reserved[row] = (tenant_id, reserve)
             return needed, prompt
         # shared-prefix
         prefix = self.tenancy.prefix_of(tenant_id)
@@ -762,10 +778,9 @@ class ContinuousBatchingScheduler:
         waiting = self._waiting
         while (waiting and len(self._running) < self.max_batch
                and waiting[0][0] <= self._clock):
-            rid = waiting[0][-1]
+            row = waiting[0][-1]
             admitted_index = 0
-            slot = self._slot[rid]
-            taken = self._kv_admit(rid, slot)
+            taken = self._kv_admit(row)
             if taken is None:
                 admitted_index = -1
                 for index in range(1, 1 + min(self.admission_lookahead,
@@ -773,19 +788,16 @@ class ContinuousBatchingScheduler:
                     entry = waiting[index]
                     if entry[-2] > self._clock:
                         break
-                    c_rid = entry[-1]
-                    c_slot = self._slot[c_rid]
-                    taken = self._kv_admit(c_rid, c_slot)
+                    taken = self._kv_admit(entry[-1])
                     if taken is None:
                         continue
-                    rid, slot = c_rid, c_slot
+                    row = entry[-1]
                     admitted_index = index
                     break
                 if admitted_index < 0:
                     break
             waiting.pop(admitted_index)
-            self._start_running(rid, slot, self._col_prompt[slot],
-                                taken[1])
+            self._start_running(row, self._prompt[row], taken[1])
 
     def _admit_wfq(self) -> None:
         """WFQ admission: serve arrived requests in virtual-finish order.
@@ -806,10 +818,9 @@ class ContinuousBatchingScheduler:
                     break
             if head_index < 0:
                 break  # nothing has arrived yet
-            rid = waiting[head_index][-1]
+            row = waiting[head_index][-1]
             admitted_index = head_index
-            slot = self._slot[rid]
-            taken = self._kv_admit(rid, slot)
+            taken = self._kv_admit(row)
             if taken is None:
                 admitted_index = -1
                 scanned = 0
@@ -820,20 +831,17 @@ class ContinuousBatchingScheduler:
                     if entry[-2] > self._clock:
                         continue
                     scanned += 1
-                    c_rid = entry[-1]
-                    c_slot = self._slot[c_rid]
-                    taken = self._kv_admit(c_rid, c_slot)
+                    taken = self._kv_admit(entry[-1])
                     if taken is None:
                         continue
-                    rid, slot = c_rid, c_slot
+                    row = entry[-1]
                     admitted_index = index
                     break
                 if admitted_index < 0:
                     break
             waiting.pop(admitted_index)
-            self._start_running(rid, slot, self._col_prompt[slot],
-                                taken[1])
-            tag = self._wfq_tag[rid]
+            self._start_running(row, self._prompt[row], taken[1])
+            tag = self._wfq_tag[row]
             if tag > self._wfq_v:
                 self._wfq_v = tag
 
@@ -850,7 +858,7 @@ class ContinuousBatchingScheduler:
         return batch
 
     def _decode_once(self) -> list[int]:
-        """One decode step for the whole batch; returns finished ids.
+        """One decode step for the whole batch; returns finished rows.
 
         Touches only the step's events: the block-edge residue count
         says how many blocks the batch takes, and the finish index
@@ -871,14 +879,21 @@ class ContinuousBatchingScheduler:
         # A finishing sequence has generated exactly its output.
         running = self._running
         block_size = self.block_size
-        for rid in finished:
-            slot, prompt, output, kvlen, start = running.pop(rid)
-            self._col_finish[slot] = self._clock
+        clock = self._clock
+        finish = self._finish
+        status = self._status
+        for row in finished:
+            prompt, output, kvlen, start = running.pop(row)
+            finish[row] = clock
+            status[row] = OutcomeLog.FINISHED
             self._free_blocks += -(-(kvlen + output) // block_size)
             self._ctx_total -= prompt + output
             self._res_count[(start - kvlen) % block_size] -= 1
             if self._kv_reserved:
-                self._release_reserve(rid)
+                self._release_reserve(row)
+        if self._wfq_tag:
+            for row in finished:
+                self._wfq_tag.pop(row, None)
         return finished
 
     def _decode_exact(self) -> list[int]:
@@ -899,47 +914,46 @@ class ContinuousBatchingScheduler:
         # so the live batch is always a prefix of this snapshot and a
         # victim's snapshot index is the batch size after the pop.
         batch = list(running.items())
-        run_gen = [step - record[4] for _, record in batch]
-        run_blocks = [-(-(record[3] + generated) // block_size)
+        run_gen = [step - record[3] for _, record in batch]
+        run_blocks = [-(-(record[2] + generated) // block_size)
                       for (_, record), generated in zip(batch, run_gen)]
         preempted: set[int] = set()
-        finished: list[tuple[int, int]] = []  # (index, request_id)
+        finished: list[tuple[int, int]] = []  # (index, row)
 
-        for index, (rid, record) in enumerate(batch):
-            if rid in preempted:
+        for index, (row, record) in enumerate(batch):
+            if row in preempted:
                 continue
             generated = run_gen[index]
-            kvlen = record[3]
+            kvlen = record[2]
             appended = False
             while not appended:
                 if (kvlen + generated) % block_size == 0:
                     # The next token crosses a block boundary.
                     if self._free_blocks == 0:
                         # Preempt the youngest sequence.
-                        victim_id, victim = running.popitem()
+                        victim_row, victim = running.popitem()
                         tail = len(running)
-                        victim_slot = victim[0]
                         self._free_blocks += run_blocks[tail]
-                        self._release_reserve(victim_id)
-                        self._col_preempt[victim_slot] += 1
-                        self._ctx_total -= victim[1] + run_gen[tail]
-                        victim_arrival = self._col_arrival[victim_slot]
+                        self._release_reserve(victim_row)
+                        self._preempt[victim_row] += 1
+                        self._ctx_total -= victim[0] + run_gen[tail]
+                        victim_arrival = self._arrival[victim_row]
                         if self._wfq:
                             # The victim keeps its tag: it re-queues at
                             # its original virtual position.
                             insort(self._waiting,
-                                   (self._wfq_tag[victim_id],
-                                    victim_arrival, victim_id))
+                                   (self._wfq_tag[victim_row],
+                                    victim_arrival, victim_row))
                         elif self._head:
                             self._head -= 1
                             self._waiting[self._head] = (victim_arrival,
-                                                         victim_id)
+                                                         victim_row)
                         else:
                             self._waiting.insert(0, (victim_arrival,
-                                                     victim_id))
-                        preempted.add(victim_id)
+                                                     victim_row))
+                        preempted.add(victim_row)
                         self._preemptions += 1
-                        if victim_id == rid:
+                        if victim_row == row:
                             break
                         continue
                     self._free_blocks -= 1
@@ -950,22 +964,24 @@ class ContinuousBatchingScheduler:
                 appended = True
             if not appended:
                 continue
-            if generated >= record[2]:
-                finished.append((index, rid))
+            if generated >= record[1]:
+                finished.append((index, row))
 
         self._steps = step + 1
         results: list[int] = []
-        for index, rid in finished:
-            record = running.pop(rid, None)
+        for index, row in finished:
+            record = running.pop(row, None)
             if record is None:
                 # Cannot arise: a finished entry holds its blocks until
                 # this cleanup, so it is never chosen as a victim.
                 raise RuntimeError("finished entry vanished mid-step")
-            self._col_finish[record[0]] = self._clock
+            self._finish[row] = self._clock
+            self._status[row] = OutcomeLog.FINISHED
+            self._wfq_tag.pop(row, None)
             self._free_blocks += run_blocks[index]
-            self._release_reserve(rid)
-            self._ctx_total -= record[1] + run_gen[index]
-            results.append(rid)
+            self._release_reserve(row)
+            self._ctx_total -= record[0] + run_gen[index]
+            results.append(row)
         self._reindex()
         return results
 
@@ -981,8 +997,8 @@ class ContinuousBatchingScheduler:
         clock stays put so later submissions are not delayed).
 
         Returns:
-            Ids of requests that finished during this call (read their
-            timelines via :meth:`finished_triple`).
+            Rows that finished during this call (their timelines are in
+            the bound :class:`OutcomeLog`).
         """
         finished: list[int] = []
         # Admission and decode mutate the queue and batch in place, so
@@ -1022,19 +1038,21 @@ class ContinuousBatchingScheduler:
     def report(self) -> ServingReport:
         """Aggregate metrics of everything served so far.
 
-        Materializes :class:`RequestOutcome` records from the columns,
-        in submission order (released requests excluded).
+        Builds :class:`RequestOutcome` records for every row of the
+        bound run that is in flight or finished, in request-id order
+        (withdrawn rows excluded).  Meant for a scheduler that serves
+        its run alone; a fleet reports through its own log.
 
         Raises:
             ValueError: If nothing was ever submitted.
         """
+        table = self.table
         outcomes = tuple(
-            RequestOutcome(request=self._request_at(slot),
-                           first_token_s=self._col_first[slot],
-                           finish_s=self._col_finish[slot],
-                           preemptions=self._col_preempt[slot])
-            for slot in range(len(self._col_id))
-            if slot not in self._dead)
+            RequestOutcome(request=table.request(row),
+                           first_token_s=self._first[row],
+                           finish_s=self._finish[row],
+                           preemptions=self._preempt[row])
+            for row, state in enumerate(self._status) if state)
         if not outcomes:
             raise ValueError("no requests")
         mean_occupancy = (self._occ_sum / self._occ_count
@@ -1046,28 +1064,34 @@ class ContinuousBatchingScheduler:
                              mean_batch_occupancy=mean_occupancy,
                              start_s=start)
 
-    def run(self, requests: list[ServeRequest]) -> ServingReport:
+    def run(self, requests) -> ServingReport:
         """Serve a request stream to completion (single-replica mode).
+
+        Takes a :class:`~repro.fleet.table.RequestTable` or a list of
+        :class:`ServeRequest`, which is converted once with
+        ``RequestTable.from_requests``; the scheduler is then bound to
+        the table and a fresh :class:`OutcomeLog`.
 
         Raises:
             ValueError: If any single request cannot ever fit the KV
                 pool, or an id repeats.
         """
-        if not requests:
+        from ..fleet.table import RequestTable
+        if not len(requests):
             raise ValueError("no requests")
-        for request in requests:
-            self._check_fits(request)
+        table = (requests if isinstance(requests, RequestTable)
+                 else RequestTable.from_requests(requests))
         self._reset()
-        if self._wfq:
-            # WFQ tags chain per tenant in submission order, so the
-            # stream is submitted in arrival order (the order the fleet
-            # would deliver it).
-            ordered = sorted(requests,
-                             key=lambda r: (r.arrival_s, r.request_id))
-        else:
-            ordered = requests
-        for request in ordered:
-            self.submit(request)
+        self.bind(table)
+        for row in range(len(table)):
+            self._check_fits(row)
+        # WFQ tags chain per tenant in submission order, so the stream
+        # is submitted in arrival order (the order the fleet would
+        # deliver it); FCFS queues sort on arrival either way.
+        rows = (table.arrival_order().tolist() if self._wfq
+                else range(len(table)))
+        for row in rows:
+            self.submit(row)
         self.step(None)
         return self.report()
 
@@ -1097,8 +1121,11 @@ class ContinuousBatchingScheduler:
     def to_state(self) -> dict:
         """Plain-dict snapshot of the serving state machine.
 
-        When tenancy is armed the payload additionally carries the WFQ
-        virtual clocks, per-tenant budgets and shared-prefix residency.
+        Requests appear as rows of the bound run; their per-request
+        values live in the run's table and :class:`OutcomeLog`, which
+        the owner snapshots once.  When tenancy is armed the payload
+        additionally carries the WFQ virtual clocks, per-tenant budgets
+        and shared-prefix residency.
         """
         state = {
             "config": self.config_fingerprint(),
@@ -1109,27 +1136,14 @@ class ContinuousBatchingScheduler:
             "first_arrival_s": self._first_arrival,
             "time_scale": self._time_scale,
             "free_blocks": self._free_blocks,
-            "columns": {
-                "id": list(self._col_id),
-                "arrival": list(self._col_arrival),
-                "prompt": list(self._col_prompt),
-                "output": list(self._col_output),
-                "priority": list(self._col_priority),
-                "tenant": list(self._col_tenant),
-                "first": list(self._col_first),
-                "finish": list(self._col_finish),
-                "preempt": list(self._col_preempt),
-            },
-            "dead": sorted(self._dead),
-            "waiting": [list(entry) for entry
+            "waiting": [entry[-1] for entry
                         in islice(self._waiting, self._head, None)],
-            "running": [{"request_id": rid,
+            "running": [{"row": row,
                          "generated": self._steps - start,
                          "blocks": -(-(kvlen + self._steps - start)
                                      // self.block_size),
-                         "slot": slot,
                          "kv_tokens": kvlen}
-                        for rid, (slot, _, _, kvlen, start)
+                        for row, (_, _, kvlen, start)
                         in self._running.items()],
         }
         if self.tenancy is not None:
@@ -1137,13 +1151,13 @@ class ContinuousBatchingScheduler:
                 "wfq_v": self._wfq_v,
                 "wfq_fin": {str(tenant_id): fin
                             for tenant_id, fin in self._wfq_fin.items()},
-                "wfq_tags": {str(request_id): tag
-                             for request_id, tag in self._wfq_tag.items()},
+                "wfq_tags": {str(row): tag
+                             for row, tag in self._wfq_tag.items()},
                 "tenant_budget": {str(tenant_id): budget
                                   for tenant_id, budget
                                   in self._tenant_budget.items()},
-                "reserved": {str(request_id): [tenant_id, blocks]
-                             for request_id, (tenant_id, blocks)
+                "reserved": {str(row): [tenant_id, blocks]
+                             for row, (tenant_id, blocks)
                              in self._kv_reserved.items()},
                 "prefix_resident": {str(tenant_id): blocks
                                     for tenant_id, blocks
@@ -1156,10 +1170,15 @@ class ContinuousBatchingScheduler:
     def from_state(self, state: dict) -> None:
         """Install a :meth:`to_state` snapshot into this scheduler.
 
+        The scheduler must already be bound to the snapshot's run (its
+        table and restored :class:`OutcomeLog`); the rows it holds are
+        marked in flight there.
+
         Raises:
             repro.state.errors.StateIntegrityError: If the snapshot's
-                config fingerprint does not match this scheduler or its
-                internal invariants do not hold.
+                config fingerprint does not match this scheduler, a row
+                is unknown or already live or finished, or the internal
+                invariants do not hold.
         """
         from ..state.errors import StateIntegrityError
         from ..state.schema import require
@@ -1173,78 +1192,47 @@ class ContinuousBatchingScheduler:
                 f"scheduler snapshot was taken on a different "
                 f"configuration (mismatched: {diverged})")
 
-        columns = require(state, "columns", dict, "$.scheduler")
-        cols = {name: require(columns, name, list, "$.scheduler.columns")
-                for name in ("id", "arrival", "prompt", "output", "priority",
-                             "first", "finish", "preempt")}
-        length = len(cols["id"])
-        # Lenient: pre-tenancy snapshots have no tenant column.
-        cols["tenant"] = (require(columns, "tenant", list,
-                                  "$.scheduler.columns")
-                          if "tenant" in columns else [0] * length)
-        if any(len(values) != length for values in cols.values()):
-            raise StateIntegrityError("ragged scheduler snapshot")
-        dead = {int(slot) for slot in require(state, "dead", list,
-                                              "$.scheduler")}
-        if any(slot < 0 or slot >= length for slot in dead):
-            raise StateIntegrityError("dead slot out of range")
-        slot_map: dict[int, int] = {}
-        for slot in range(length):
-            if slot in dead:
-                continue
-            rid = int(cols["id"][slot])
-            if rid in slot_map:
-                raise StateIntegrityError(
-                    f"request {rid} is live in two slots")
-            slot_map[rid] = slot
+        waiting_rows = require(state, "waiting", list, "$.scheduler")
+        running_entries = require(state, "running", list, "$.scheduler")
+        size = len(self.table) if self.table is not None else 0
+        claimed: set[int] = set()
 
-        expected_width = 3 if self._wfq else 2
-        waiting: list[tuple] = []
-        for pair in require(state, "waiting", list, "$.scheduler"):
-            if len(pair) != expected_width:
+        def claim(row: object, where: str) -> int:
+            if (not isinstance(row, int) or isinstance(row, bool)
+                    or not 0 <= row < size):
                 raise StateIntegrityError(
-                    f"waiting entry width {len(pair)} does not match the "
-                    f"{self.admission!r} admission policy")
-            rid = int(pair[-1])
-            if rid not in slot_map:
+                    f"{where} request row {row!r} is not in the bound run")
+            if row in claimed or self._status[row]:
                 raise StateIntegrityError(
-                    f"waiting request {rid} has no live column slot")
-            if self._wfq:
-                waiting.append((float(pair[0]), float(pair[1]), rid))
-            else:
-                waiting.append((float(pair[0]), rid))
-        running: dict[int, tuple[int, int, int, int, int]] = {}
+                    f"{where} request row {row} is listed twice or "
+                    f"already live or finished")
+            claimed.add(row)
+            return row
+
+        waiting_rows = [claim(row, "waiting") for row in waiting_rows]
+        running: dict[int, tuple[int, int, int, int]] = {}
         held_blocks = ctx_total = 0
-        for entry in require(state, "running", list, "$.scheduler"):
-            rid = require(entry, "request_id", int, "$.scheduler.running")
-            if rid not in slot_map:
-                raise StateIntegrityError(
-                    f"running request {rid} has no live column slot")
-            if rid in running:
-                raise StateIntegrityError(
-                    f"running request {rid} is listed twice")
+        for entry in running_entries:
+            row = claim(require(entry, "row", int, "$.scheduler.running"),
+                        "running")
             generated = require(entry, "generated", int,
                                 "$.scheduler.running")
             blocks = require(entry, "blocks", int, "$.scheduler.running")
-            slot = require(entry, "slot", int, "$.scheduler.running")
-            # Lenient: pre-tenancy snapshots carry no kv_tokens (the
-            # KV length always equalled the prompt).
-            kvlen = int(entry.get("kv_tokens", cols["prompt"][slot]))
+            kvlen = require(entry, "kv_tokens", int, "$.scheduler.running")
+            prompt, output = self._prompt[row], self._output[row]
             # Progress and held blocks are derived from the step
             # counter after restore, so they must agree with it here.
-            if not 0 <= generated < int(cols["output"][slot]):
+            if not 0 <= generated < output:
                 raise StateIntegrityError(
-                    f"running request {rid} has generated {generated} of "
-                    f"{cols['output'][slot]} output tokens")
+                    f"running request row {row} has generated {generated} "
+                    f"of {output} output tokens")
             if blocks != -(-(kvlen + generated) // self.block_size):
                 raise StateIntegrityError(
-                    f"running request {rid} holds {blocks} KV blocks for "
-                    f"{kvlen + generated} tokens")
+                    f"running request row {row} holds {blocks} KV blocks "
+                    f"for {kvlen + generated} tokens")
             # The step counter restarts at 0, so a restored sequence
             # was admitted ``generated`` steps before it.
-            prompt = int(cols["prompt"][slot])
-            running[rid] = (slot, prompt, int(cols["output"][slot]), kvlen,
-                            -generated)
+            running[row] = (prompt, output, kvlen, -generated)
             held_blocks += blocks
             ctx_total += prompt + generated
         tenancy_payload = None
@@ -1260,21 +1248,8 @@ class ContinuousBatchingScheduler:
             raise StateIntegrityError(
                 "KV block conservation violated in snapshot")
 
-        self._col_id = array("q", (int(v) for v in cols["id"]))
-        self._col_arrival = array("d", (float(v) for v in cols["arrival"]))
-        self._col_prompt = array("l", (int(v) for v in cols["prompt"]))
-        self._col_output = array("l", (int(v) for v in cols["output"]))
-        self._col_priority = array("l", (int(v) for v in cols["priority"]))
-        self._col_tenant = array("l", (int(v) for v in cols["tenant"]))
-        self._col_first = array("d", (float(v) for v in cols["first"]))
-        self._col_finish = array("d", (float(v) for v in cols["finish"]))
-        self._col_preempt = array("l", (int(v) for v in cols["preempt"]))
-        self._slot = slot_map
-        self._dead = dead
-        self._waiting = waiting
-        self._head = 0
+        self._reset()
         self._running = running
-        self._steps = 0
         self._reindex()
         self._free_blocks = free_blocks
         self._ctx_total = ctx_total
@@ -1287,10 +1262,23 @@ class ContinuousBatchingScheduler:
         self._time_scale = require(state, "time_scale", float, "$.scheduler")
         if tenancy_payload is not None:
             self._restore_tenancy(tenancy_payload)
+        if self._wfq:
+            missing = [row for row in waiting_rows
+                       if row not in self._wfq_tag]
+            if missing:
+                raise StateIntegrityError(
+                    f"waiting request row {missing[0]} has no WFQ tag in "
+                    f"the snapshot")
+            self._waiting = [(self._wfq_tag[row], self._arrival[row], row)
+                             for row in waiting_rows]
+        else:
+            self._waiting = [(self._arrival[row], row)
+                             for row in waiting_rows]
+        for row in claimed:
+            self._status[row] = OutcomeLog.IN_FLIGHT
 
     def _restore_tenancy(self, payload: dict) -> None:
         """Install a tenancy runtime payload (post-restore)."""
-        from ..state.errors import StateIntegrityError
         from ..state.schema import require, require_finite
 
         self._wfq_v = require_finite(payload, "wfq_v", "$.scheduler.tenancy")
@@ -1313,20 +1301,14 @@ class ContinuousBatchingScheduler:
                                     "$.scheduler.tenancy")
         self._prefix_misses = require(payload, "prefix_misses", int,
                                       "$.scheduler.tenancy")
-        if self._wfq:
-            for entry in self._waiting:
-                if entry[-1] not in self._wfq_tag:
-                    raise StateIntegrityError(
-                        f"waiting request {entry[-1]} has no WFQ tag in "
-                        f"the snapshot")
 
 
 def poisson_stream(count: int, rate_per_s: float, mean_prompt: int = 256,
                    mean_output: int = 96, seed: int = 0) -> list[ServeRequest]:
     """A deterministic Poisson-like arrival stream for serving studies."""
     import random
-    if count < 1 or rate_per_s <= 0:
-        raise ValueError("count >= 1 and positive rate required")
+    if count < 1 or not math.isfinite(rate_per_s) or rate_per_s <= 0:
+        raise ValueError("count >= 1 and a finite positive rate required")
     rng = random.Random(seed)
     clock = 0.0
     requests = []

@@ -4,7 +4,7 @@ A snapshot payload is a plain dict of JSON primitives:
 
 .. code-block:: python
 
-    {"state_version": 2, "kind": "fleet_simulator", "state": {...}}
+    {"state_version": 3, "kind": "fleet_simulator", "state": {...}}
 
 ``state_version`` names the schema of the whole payload.  Restoring
 negotiates the version first (:func:`negotiate`): payloads newer than
@@ -13,8 +13,10 @@ upgraded through the registered migration chain
 (:func:`register_migration`), and a same-version hook — the no-op
 v2→v2 migration — always runs so the negotiation path is exercised on
 every restore, not only on the rare upgrade.  Version 2 dropped the
-second fleet engine; version 1 payloads (which may hold its snapshots)
-have no migration and are refused.
+second fleet engine; version 3 made a request a row of the run's table
+everywhere (schedulers, retry heap, flights, shed ledger) and stores
+the run's outcomes once, as columns.  Older payloads have no migration
+and are refused.
 
 Validation (:func:`validate_payload`) walks the payload and rejects
 anything that is not JSON-serializable scalar data plus any non-finite
@@ -41,10 +43,10 @@ from .errors import (
 )
 
 #: Version written by this build's ``snapshot()``.
-CURRENT_STATE_VERSION = 2
+CURRENT_STATE_VERSION = 3
 
 #: Versions this build can *restore from* (after migration).
-SUPPORTED_STATE_VERSIONS = (2,)
+SUPPORTED_STATE_VERSIONS = (3,)
 
 _MIGRATIONS: dict[int, Callable[[dict], dict]] = {}
 
@@ -55,7 +57,7 @@ def register_migration(from_version: int) -> Callable:
     For ``from_version < CURRENT_STATE_VERSION`` the hook must return a
     payload with a strictly larger ``state_version``; for
     ``from_version == CURRENT_STATE_VERSION`` it is a same-version
-    normalization hook run once per restore (the v2→v2 no-op below).
+    normalization hook run once per restore (the v3→v3 no-op below).
     """
 
     def install(func: Callable[[dict], dict]) -> Callable[[dict], dict]:
@@ -67,12 +69,12 @@ def register_migration(from_version: int) -> Callable:
     return install
 
 
-@register_migration(2)
-def _migrate_v2_to_v2(payload: dict) -> dict:
-    """No-op v2→v2 migration: current payloads pass through unchanged.
+@register_migration(3)
+def _migrate_v3_to_v3(payload: dict) -> dict:
+    """No-op v3→v3 migration: current payloads pass through unchanged.
 
     Exists so the negotiation machinery runs on every restore and so
-    the first real migration (v2→v3) has a worked example to replace.
+    the first real migration has a worked example to replace.
     """
     return payload
 

@@ -15,7 +15,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..engine.roofline import cost_model_for
-from ..engine.simulator import _working_sets, simulate_generation
+from ..engine.simulator import (
+    _decode_clean_loop,
+    _working_sets,
+    simulate_generation,
+)
 from ..engine.vectorized import decode_cost_engine
 from ..core.sweep import sweep_workload
 from ..llm.config import GPTJ_6B, LLAMA2_7B, LLAMA2_13B, LLAMA2_70B
@@ -49,12 +53,10 @@ def vectorized_loop_parity(ctx: AuditContext) -> str:
         deployment = ctx.gpu(confidential=True) if gpu else ctx.cpu(backend)
         for batch in (1, 8):
             workload = ctx.small_workload(batch_size=batch)
-            loop = ctx.simulate(workload, deployment, context_stride=1,
-                                engine="loop")
-            vec = ctx.simulate(workload, deployment, context_stride=1,
-                               engine="vectorized")
-            worst = max(worst, _max_rel_err(vec.decode_clean_s,
-                                            loop.decode_clean_s))
+            loop = _decode_clean_loop(workload, deployment,
+                                      cost_model_for(deployment), 1)
+            vec = ctx.simulate(workload, deployment, context_stride=1)
+            worst = max(worst, _max_rel_err(vec.decode_clean_s, loop))
     if worst >= ctx.tol.engine_parity_rel:
         raise CheckFailure(
             f"engines diverge: max rel err {worst:.3e} >= "

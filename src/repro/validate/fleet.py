@@ -42,6 +42,7 @@ from ..fleet import (
     CostSloRouter,
     FleetSimulator,
     ReactiveAutoscaler,
+    RequestTable,
     capacity_sweep,
     fixed_fleet,
     poisson_table,
@@ -222,8 +223,10 @@ def step_run_parity(ctx: AuditContext) -> str:
         expected = make().run(stream)
         for horizon in horizons:
             scheduler = make()
-            for request in stream:
-                scheduler.submit(request)
+            table = RequestTable.from_requests(stream)
+            scheduler.bind(table)
+            for row in range(len(table)):
+                scheduler.submit(row)
             clock = 0.0
             while not scheduler.idle:
                 clock += horizon

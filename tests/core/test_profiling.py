@@ -73,46 +73,3 @@ class TestProfilingFrontDoor:
     def test_global_stats_match_cache_view(self, cache):
         cache.get_or_compute("y", lambda: 2)
         assert all_cache_stats()[cache.name] == cache.stats()
-
-
-class TestTimers:
-    def test_timed_accumulates(self):
-        profiling.reset_timers()
-        for _ in range(3):
-            with profiling.timed("region"):
-                pass
-        stat = profiling.timer_stats()["region"]
-        assert stat.calls == 3
-        assert stat.total_s >= 0.0
-        assert stat.mean_s == pytest.approx(stat.total_s / 3)
-
-    def test_min_is_exact_and_samples_are_not_kept(self):
-        stat = profiling.TimerStat("region")
-        assert stat.min_s == 0.0
-        for elapsed in (0.5, 0.2, 0.9, 0.3):
-            stat.record(elapsed)
-        assert stat.calls == 4
-        assert stat.min_s == 0.2
-        assert stat.total_s == pytest.approx(1.9)
-        assert stat.mean_s == pytest.approx(1.9 / 4)
-        for _ in range(1000):
-            stat.record(0.4)
-        assert stat.min_s == 0.2
-        # Only scalar accumulators: nothing grows with the call count.
-        assert all(isinstance(value, (str, int, float))
-                   for value in vars(stat).values())
-
-    def test_timed_tracks_min(self):
-        profiling.reset_timers()
-        for _ in range(5):
-            with profiling.timed("min-region"):
-                pass
-        stat = profiling.timer_stats()["min-region"]
-        assert stat.calls == 5
-        assert 0.0 <= stat.min_s <= stat.mean_s
-
-    def test_reset_timers(self):
-        with profiling.timed("gone"):
-            pass
-        profiling.reset_timers()
-        assert profiling.timer_stats() == {}

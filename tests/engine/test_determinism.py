@@ -1,10 +1,11 @@
 """Seed-determinism matrix across engines and execution modes.
 
 The simulator must be a pure function of ``(workload, deployment,
-seed)``: repeated runs, the ``auto`` vs explicit ``vectorized`` engine,
-cold vs memoized caches, and serial vs process-pool sweeps all have to
-produce bit-identical results.  The scalar reference loop is allowed
-only float-reassociation noise against the vectorized engine.
+seed)``: repeated runs, ``simulate_generation`` vs the vectorized
+engine it runs, cold vs memoized caches, and serial vs process-pool
+sweeps all have to produce bit-identical results.  The private scalar
+reference loop is allowed only float-reassociation noise against the
+vectorized engine.
 """
 
 import math
@@ -14,7 +15,12 @@ import pytest
 from repro.core.experiment import cpu_deployment, gpu_deployment
 from repro.core.sweep import sweep_workload
 from repro.engine.placement import Workload
-from repro.engine.simulator import simulate_generation
+from repro.engine.roofline import cost_model_for
+from repro.engine.simulator import (
+    _decode_clean_loop,
+    _decode_clean_vectorized,
+    simulate_generation,
+)
 from repro.llm.config import LLAMA2_7B
 from repro.llm.datatypes import BFLOAT16
 from repro.memo import clear_all_caches
@@ -48,11 +54,12 @@ def test_same_seed_bit_identical_across_runs(label, seed):
 
 @pytest.mark.parametrize("label", sorted(DEPLOYMENTS))
 def test_auto_engine_is_vectorized_bitwise(label):
+    """The one production decode path is the vectorized engine."""
     deployment = DEPLOYMENTS[label]
-    auto = simulate_generation(WORKLOAD, deployment, seed=3, engine="auto")
-    vec = simulate_generation(WORKLOAD, deployment, seed=3,
-                              engine="vectorized")
-    assert _fingerprint(auto) == _fingerprint(vec)
+    result = simulate_generation(WORKLOAD, deployment, seed=3)
+    stride = max(1, WORKLOAD.output_tokens // 32)
+    vec = _decode_clean_vectorized(WORKLOAD, deployment, stride)
+    assert result.decode_clean_s.tobytes() == vec.tobytes()
 
 
 @pytest.mark.parametrize("label", sorted(DEPLOYMENTS))
@@ -76,12 +83,11 @@ def test_different_seeds_differ():
 def test_loop_engine_matches_vectorized_within_reassociation():
     for label, deployment in DEPLOYMENTS.items():
         vec = simulate_generation(WORKLOAD, deployment, seed=2,
-                                  engine="vectorized", context_stride=1)
-        loop = simulate_generation(WORKLOAD, deployment, seed=2,
-                                   engine="loop", context_stride=1)
-        assert math.isclose(vec.prefill_s, loop.prefill_s, rel_tol=1e-9)
-        assert math.isclose(vec.decode_time_s, loop.decode_time_s,
-                            rel_tol=1e-9), label
+                                  context_stride=1)
+        loop = _decode_clean_loop(WORKLOAD, deployment,
+                                  cost_model_for(deployment), 1)
+        assert math.isclose(float(vec.decode_clean_s.sum()),
+                            float(loop.sum()), rel_tol=1e-9), label
 
 
 class TestChaosDeterminism:
@@ -112,11 +118,18 @@ class TestChaosDeterminism:
 
     @pytest.mark.parametrize("engine", ["auto", "vectorized", "loop"])
     def test_chaos_run_invariant_to_engine_mode(self, engine):
-        """Interleaving decode-engine runs (any mode) must not perturb
-        the chaos layer — no hidden global RNG or cache coupling."""
+        """Interleaving decode runs — ``simulate_generation`` ("auto"),
+        the vectorized engine alone, or the reference loop — must not
+        perturb the chaos layer: no hidden global RNG or cache
+        coupling."""
         baseline = self._chaos_run()
-        simulate_generation(WORKLOAD, DEPLOYMENTS["tdx"], seed=3,
-                            engine=engine, context_stride=1)
+        tdx = DEPLOYMENTS["tdx"]
+        if engine == "auto":
+            simulate_generation(WORKLOAD, tdx, seed=3, context_stride=1)
+        elif engine == "vectorized":
+            _decode_clean_vectorized(WORKLOAD, tdx, 1)
+        else:
+            _decode_clean_loop(WORKLOAD, tdx, cost_model_for(tdx), 1)
         assert self._chaos_run() == baseline
 
     def test_retry_jitter_reproducible(self):

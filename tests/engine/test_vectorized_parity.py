@@ -1,9 +1,10 @@
 """Parity of the vectorized decode-cost engine with the reference loop.
 
-The vectorized path must be numerically interchangeable with the exact
-``context_stride=1`` scalar loop (<1e-9 relative error), caches must be
-invisible (memoized graphs/costs identical to fresh ones), and
-``record_steps`` must never perturb the simulated trajectory.
+The vectorized path ``simulate_generation`` runs must be numerically
+interchangeable with the private scalar reference loop
+``_decode_clean_loop`` (<1e-9 relative error), caches must be invisible
+(memoized graphs/costs identical to fresh ones), and ``record_steps``
+must never perturb the simulated trajectory.
 """
 
 import numpy as np
@@ -11,7 +12,13 @@ import pytest
 
 from repro.core.experiment import cpu_deployment, gpu_deployment
 from repro.engine.placement import Workload
-from repro.engine.simulator import decode_step_cost, simulate_generation
+from repro.engine.roofline import cost_model_for
+from repro.engine.simulator import (
+    _decode_clean_loop,
+    _noise,
+    decode_step_cost,
+    simulate_generation,
+)
 from repro.engine.vectorized import DecodeCostEngine, decode_cost_engine
 from repro.llm.config import LLAMA2_7B, tiny_llama
 from repro.llm.datatypes import BFLOAT16, INT8
@@ -38,6 +45,12 @@ def _max_rel_err(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b) / np.abs(a)))
 
 
+def _loop(workload, deployment, stride):
+    """The reference loop's clean decode trajectory."""
+    return _decode_clean_loop(workload, deployment,
+                              cost_model_for(deployment), stride)
+
+
 class TestEngineParity:
     @pytest.mark.parametrize("label", sorted(DEPLOYMENTS))
     @pytest.mark.parametrize("model", [TINY, LLAMA2_7B],
@@ -46,50 +59,39 @@ class TestEngineParity:
         workload = Workload(model, BFLOAT16, batch_size=2, input_tokens=96,
                             output_tokens=24)
         deployment = DEPLOYMENTS[label]
-        loop = simulate_generation(workload, deployment, context_stride=1,
-                                   engine="loop")
-        vec = simulate_generation(workload, deployment, context_stride=1,
-                                  engine="vectorized")
-        assert _max_rel_err(vec.decode_clean_s, loop.decode_clean_s) < 1e-9
-        assert vec.prefill_s == loop.prefill_s
+        vec = simulate_generation(workload, deployment, context_stride=1)
+        assert _max_rel_err(vec.decode_clean_s,
+                            _loop(workload, deployment, 1)) < 1e-9
 
     def test_int8_fallback_parity(self):
         """The no-AMX int8 fallback inflates traffic; both paths agree."""
         workload = Workload(LLAMA2_7B, INT8, batch_size=1, input_tokens=64,
                             output_tokens=16)
         deployment = cpu_deployment("tdx", sockets_used=1, amx_enabled=False)
-        loop = simulate_generation(workload, deployment, context_stride=1,
-                                   engine="loop")
-        vec = simulate_generation(workload, deployment, context_stride=1,
-                                  engine="vectorized")
-        assert _max_rel_err(vec.decode_clean_s, loop.decode_clean_s) < 1e-9
+        vec = simulate_generation(workload, deployment, context_stride=1)
+        assert _max_rel_err(vec.decode_clean_s,
+                            _loop(workload, deployment, 1)) < 1e-9
 
     def test_strided_cadence_matches_loop(self, tdx_1s):
-        """Both engines hold a cost for exactly ``stride`` tokens."""
+        """Both paths hold a cost for exactly ``stride`` tokens."""
         workload = Workload(TINY, BFLOAT16, batch_size=1, input_tokens=32,
                             output_tokens=30)
-        loop = simulate_generation(workload, tdx_1s, context_stride=7,
-                                   engine="loop")
-        vec = simulate_generation(workload, tdx_1s, context_stride=7,
-                                  engine="vectorized")
-        assert _max_rel_err(vec.decode_clean_s, loop.decode_clean_s) < 1e-9
+        vec = simulate_generation(workload, tdx_1s, context_stride=7)
+        assert _max_rel_err(vec.decode_clean_s,
+                            _loop(workload, tdx_1s, 7)) < 1e-9
         # the cadence itself: constant within a stride window
         assert len(set(vec.decode_clean_s[:7])) == 1
 
     def test_noise_draws_unchanged_across_engines(self, tdx_1s):
-        """Same seed => same RNG draws, whichever engine produced clean."""
+        """Same seed => same RNG draws, whichever path produced clean."""
         workload = Workload(TINY, BFLOAT16, batch_size=1, input_tokens=32,
                             output_tokens=16)
-        loop = simulate_generation(workload, tdx_1s, seed=11, engine="loop")
-        vec = simulate_generation(workload, tdx_1s, seed=11,
-                                  engine="vectorized")
+        vec = simulate_generation(workload, tdx_1s, seed=11)
+        loop_clean = _loop(workload, tdx_1s, 1)  # the default stride here
+        loop_noisy = _noise(np.random.default_rng(11), loop_clean, True)
         np.testing.assert_allclose(
-            loop.decode_noisy_s / loop.decode_clean_s,
+            loop_noisy / loop_clean,
             vec.decode_noisy_s / vec.decode_clean_s, rtol=1e-12)
-
-    def test_unknown_engine_rejected(self, tdx_1s, small_workload):
-        with pytest.raises(ValueError, match="engine"):
-            simulate_generation(small_workload, tdx_1s, engine="quantum")
 
 
 class TestCachedGraphs:
@@ -142,18 +144,16 @@ class TestRecordStepsBugfix:
         return Workload(TINY, BFLOAT16, batch_size=1, input_tokens=32,
                         output_tokens=30)
 
-    @pytest.mark.parametrize("engine", ["loop", "vectorized"])
-    def test_clean_independent_of_recording(self, off_stride, tdx_1s, engine):
-        plain = simulate_generation(off_stride, tdx_1s, context_stride=7,
-                                    engine=engine)
+    def test_clean_independent_of_recording(self, off_stride, tdx_1s):
+        plain = simulate_generation(off_stride, tdx_1s, context_stride=7)
         recorded = simulate_generation(off_stride, tdx_1s, context_stride=7,
-                                       record_steps=True, engine=engine)
+                                       record_steps=True)
         np.testing.assert_array_equal(plain.decode_clean_s,
                                       recorded.decode_clean_s)
 
     def test_sample_step_costed_exactly(self, off_stride, tdx_1s):
         result = simulate_generation(off_stride, tdx_1s, context_stride=7,
-                                     record_steps=True, engine="loop")
+                                     record_steps=True)
         sample_context = off_stride.input_tokens + off_stride.output_tokens // 2
         exact = decode_step_cost(off_stride, tdx_1s, sample_context)
         assert result.sample_decode_step.total_s == exact.total_s

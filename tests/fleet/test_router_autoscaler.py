@@ -1,7 +1,11 @@
 """Router policies and the reactive autoscaler, in isolation."""
 
+import dataclasses
+import math
+
 import pytest
 
+from repro.fleet import FleetSimulator
 from repro.fleet.autoscaler import AutoscalerConfig, ReactiveAutoscaler
 from repro.fleet.replica import Replica, replica_spec
 from repro.fleet.router import (
@@ -11,15 +15,23 @@ from repro.fleet.router import (
     RoundRobinRouter,
     make_router,
 )
-from repro.serving.scheduler import ServeRequest
+from repro.fleet.table import RequestTable
+from repro.serving.scheduler import OutcomeLog, ServeRequest, poisson_stream
 
 TDX = replica_spec("tdx", max_batch=8, kv_capacity_tokens=8192)
 CGPU = replica_spec("cgpu", max_batch=8, kv_capacity_tokens=8192)
 
 
-def live_replicas(*specs):
-    return [Replica(replica_id=i, spec=spec, provisioned_s=0.0,
-                    boot_latency_s=0.0) for i, spec in enumerate(specs)]
+def live_replicas(*specs, stream=()):
+    """Live replicas bound to one run of ``stream`` (rows = list order)."""
+    replicas = [Replica(replica_id=i, spec=spec, provisioned_s=0.0,
+                        boot_latency_s=0.0) for i, spec in enumerate(specs)]
+    if stream:
+        table = RequestTable.from_requests(stream)
+        log = OutcomeLog(len(table))
+        for replica in replicas:
+            replica.scheduler.bind(table, log)
+    return replicas
 
 
 def request(request_id=0, arrival=0.0, prompt=64, output=8):
@@ -30,44 +42,46 @@ class TestRouters:
     def test_round_robin_cycles(self):
         replicas = live_replicas(TDX, TDX, TDX)
         router = RoundRobinRouter()
-        picks = [router.choose(request(i), replicas, 0.0).replica_id
-                 for i in range(6)]
+        picks = [router.choose(64, replicas, 0.0).replica_id
+                 for _ in range(6)]
         assert picks == [0, 1, 2, 0, 1, 2]
 
     def test_least_outstanding_prefers_empty(self):
-        replicas = live_replicas(TDX, TDX)
-        replicas[0].submit(request(0))
-        chosen = LeastOutstandingRouter().choose(request(1), replicas, 0.0)
+        replicas = live_replicas(TDX, TDX, stream=[request(0)])
+        replicas[0].submit(0)
+        chosen = LeastOutstandingRouter().choose(64, replicas, 0.0)
         assert chosen.replica_id == 1
 
     def test_kv_pressure_prefers_free_pool(self):
-        replicas = live_replicas(TDX, TDX)
+        replicas = live_replicas(TDX, TDX,
+                                 stream=[request(0, prompt=2048, output=8)])
         # Fill replica 0's pool without stepping (tokens stay allocated).
-        replicas[0].submit(request(0, prompt=2048, output=8))
+        replicas[0].submit(0)
         replicas[0].step(0.0)  # admit -> blocks allocated
-        chosen = KvPressureRouter().choose(request(1), replicas, 0.0)
+        chosen = KvPressureRouter().choose(64, replicas, 0.0)
         assert chosen.replica_id == 1
 
     def test_cost_slo_prefers_cheap_until_risk(self):
         replicas = live_replicas(TDX, CGPU)
         router = CostSloRouter(slo_ttft_s=30.0)
         # Unloaded: cheap TDX wins despite being slower.
-        assert router.choose(request(0), replicas, 0.0).replica_id == 0
+        assert router.choose(64, replicas, 0.0).replica_id == 0
 
     def test_cost_slo_spills_to_gpu_under_risk(self):
-        replicas = live_replicas(TDX, CGPU)
+        replicas = live_replicas(TDX, CGPU, stream=[
+            request(i, prompt=512, output=8) for i in range(40)])
         router = CostSloRouter(slo_ttft_s=1.0, risk_factor=0.5)
         # Pile queued prefill work on the TDX replica until its TTFT
         # estimate blows the SLO budget; the router must spill.
-        for i in range(40):
-            replicas[0].submit(request(i, prompt=512, output=8))
-        chosen = router.choose(request(99), replicas, 0.0)
+        for row in range(40):
+            replicas[0].submit(row)
+        chosen = router.choose(64, replicas, 0.0)
         assert chosen.replica_id == 1
 
     def test_no_routable_replica_raises(self):
         booting = [Replica(0, TDX, provisioned_s=0.0, boot_latency_s=60.0)]
         with pytest.raises(ValueError, match="no routable"):
-            LeastOutstandingRouter().choose(request(), booting, 0.0)
+            LeastOutstandingRouter().choose(64, booting, 0.0)
 
     def test_make_router_names(self):
         for kind in ("round-robin", "least-outstanding", "kv-pressure",
@@ -109,7 +123,7 @@ class TestReplicaLifecycle:
     def test_submit_to_unroutable_rejected(self):
         replica = Replica(0, TDX, provisioned_s=0.0, boot_latency_s=60.0)
         with pytest.raises(ValueError, match="not routable"):
-            replica.submit(request())
+            replica.submit(0)
 
     def test_replica_spec_pricing(self):
         tdx = replica_spec("tdx")
@@ -169,3 +183,30 @@ class TestAutoscaler:
             AutoscalerConfig(scale_up_load=1.0, scale_down_load=2.0)
         with pytest.raises(ValueError):
             AutoscalerConfig(cooldown_s=-1.0)
+
+
+#: Every fleet config boundary whose comparison guards let NaN or inf
+#: through before they were checked for finiteness.
+NON_FINITE_CONFIGS = [
+    ("tick_s=nan", lambda: FleetSimulator([TDX], tick_s=math.nan),
+     "tick_s"),
+    ("tick_s=inf", lambda: FleetSimulator([TDX], tick_s=math.inf),
+     "tick_s"),
+    ("scale_up_load=nan",
+     lambda: AutoscalerConfig(scale_up_load=math.nan), "scale_up_load"),
+    ("price_hr=nan",
+     lambda: dataclasses.replace(replica_spec("tdx"), price_hr=math.nan),
+     "price_hr"),
+    ("slo_ttft_s=nan", lambda: CostSloRouter(slo_ttft_s=math.nan),
+     "slo_ttft_s"),
+    ("poisson_stream rate=inf", lambda: poisson_stream(3, math.inf),
+     "finite"),
+]
+
+
+@pytest.mark.parametrize("build,field",
+                         [case[1:] for case in NON_FINITE_CONFIGS],
+                         ids=[case[0] for case in NON_FINITE_CONFIGS])
+def test_non_finite_config_rejected(build, field):
+    with pytest.raises(ValueError, match=field):
+        build()

@@ -8,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 from repro.core.experiment import cpu_deployment, gpu_deployment
 from repro.llm.config import LLAMA2_7B
 from repro.llm.datatypes import BFLOAT16
+from repro.fleet.table import RequestTable
 from repro.serving.scheduler import (
     ContinuousBatchingScheduler,
+    OutcomeLog,
     ServeRequest,
     poisson_stream,
 )
@@ -195,16 +197,24 @@ class TestSnapshotRestore:
 
         requests = poisson_stream(**stream)
         expected = make().run(requests)
+        table = RequestTable.from_requests(requests)
         running = make()
-        for request in requests:
-            running.submit(request)
+        running.bind(table)
+        for row in range(len(table)):
+            running.submit(row)
         clock = 0.0
         while not running.idle and clock < 3.0:
             clock += 0.25
             running.step(clock)
-        payload = json.loads(json.dumps(running.to_state()))
+        # The scheduler's snapshot names rows; the run's outcome log is
+        # snapshotted beside it, once.
+        payload = json.loads(json.dumps(
+            {"scheduler": running.to_state(),
+             "outcomes": running.outcomes.to_state()}))
         fresh = make()
-        fresh.from_state(payload)
+        fresh.bind(table, OutcomeLog.from_state(payload["outcomes"],
+                                                len(table)))
+        fresh.from_state(payload["scheduler"])
         for scheduler in (running, fresh):
             while not scheduler.idle:
                 clock += 0.25
@@ -216,19 +226,23 @@ class TestSnapshotRestore:
 
 
 class TestFinishedRecords:
-    def test_finished_triple_and_release(self):
+    def test_finished_rows_land_in_the_outcome_log(self):
+        """A finished row's timeline is written straight into the bound
+        run's outcome log, with no per-scheduler copy to release."""
         scheduler = make_scheduler(max_batch=4)
-        scheduler.submit(ServeRequest(0, 0.0, 64, 8))
+        table = RequestTable.from_requests([ServeRequest(7, 0.0, 64, 8)])
+        log = OutcomeLog(len(table))
+        scheduler.bind(table, log)
+        scheduler.submit(0)
         clock = 0.0
         done = []
         while not scheduler.idle:
             clock += 0.25
             done.extend(scheduler.step(clock))
         assert done == [0]
-        first, finish, preempted = scheduler.finished_triple(0)
-        assert 0.0 < first <= finish
-        assert preempted == 0
-        assert scheduler.output_tokens(0) == 8
-        scheduler.release(0)
-        with pytest.raises(KeyError):
-            scheduler.finished_triple(0)
+        assert 0.0 < log.first_token_s[0] <= log.finish_s[0]
+        assert log.preemptions[0] == 0
+        assert log.status[0] == OutcomeLog.FINISHED
+        assert log.finished_rows().tolist() == [0]
+        with pytest.raises(ValueError, match="already submitted"):
+            scheduler.submit(0)

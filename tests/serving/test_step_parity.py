@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.experiment import cpu_deployment
+from repro.fleet.table import RequestTable
 from repro.llm.config import LLAMA2_7B
 from repro.llm.datatypes import BFLOAT16
 from repro.serving.admission import TenancyConfig
@@ -31,11 +32,18 @@ def make_scheduler(kv_tokens=4096, max_batch=4, lookahead=0, tenancy=None):
                                        tenancy=tenancy)
 
 
+def bound_scheduler(requests, **kwargs):
+    """A scheduler bound to ``requests`` as a run's table."""
+    scheduler = make_scheduler(**kwargs)
+    scheduler.bind(RequestTable.from_requests(requests))
+    return scheduler
+
+
 def run_stepped(requests, horizon_s, **kwargs):
     """Serve via submit + fixed-cadence step calls, then report."""
-    scheduler = make_scheduler(**kwargs)
-    for request in requests:
-        scheduler.submit(request)
+    scheduler = bound_scheduler(requests, **kwargs)
+    for row in range(len(requests)):
+        scheduler.submit(row)
     clock = 0.0
     finished = []
     while not scheduler.idle:
@@ -91,13 +99,14 @@ class TestStepRunParity:
         requests = poisson_stream(15, rate_per_s=4.0, mean_prompt=64,
                                   mean_output=16, seed=6)
         _, report, finished = run_stepped(requests, 0.5)
+        # Stream ids equal rows, so finished rows name the outcomes.
         assert sorted(finished) == \
             sorted(o.request.request_id for o in report.outcomes)
 
     def test_step_respects_horizon_when_idle(self):
         """An idle replica's clock never jumps past a future arrival."""
-        scheduler = make_scheduler()
-        scheduler.submit(ServeRequest(0, 10.0, 64, 8))
+        scheduler = bound_scheduler([ServeRequest(0, 10.0, 64, 8)])
+        scheduler.submit(0)
         assert scheduler.step(5.0) == []
         assert scheduler.clock_s < 10.0  # did not admit future work
         scheduler.step(50.0)
@@ -112,10 +121,10 @@ class TestStepRunParity:
         assert scheduler.clock_s == 4.0
 
     def test_duplicate_submit_rejected(self):
-        scheduler = make_scheduler()
-        scheduler.submit(ServeRequest(1, 0.0, 64, 8))
+        scheduler = bound_scheduler([ServeRequest(1, 0.0, 64, 8)])
+        scheduler.submit(0)
         with pytest.raises(ValueError, match="already"):
-            scheduler.submit(ServeRequest(1, 1.0, 64, 8))
+            scheduler.submit(0)
 
 
 class TestPreemptionRecompute:
@@ -266,24 +275,25 @@ class TestEventDecodeParity:
             (ServeRequest(i, arrival, prompt, output, tenant_id=tenant)
              for i, (arrival, prompt, output, tenant) in enumerate(shapes)),
             key=lambda r: (r.arrival_s, r.request_id))
-        event = make_scheduler(kv_tokens=kv_tokens, max_batch=6,
-                               tenancy=_tenancy(policy))
-        exact = force_exact_decode(make_scheduler(
-            kv_tokens=kv_tokens, max_batch=6, tenancy=_tenancy(policy)))
-        for request in requests:
+        event = bound_scheduler(requests, kv_tokens=kv_tokens, max_batch=6,
+                                tenancy=_tenancy(policy))
+        exact = force_exact_decode(bound_scheduler(
+            requests, kv_tokens=kv_tokens, max_batch=6,
+            tenancy=_tenancy(policy)))
+        for row in event.table.arrival_order().tolist():
             # A request too large for the pool or partition is refused
             # identically by both.
-            assert _call(event.submit, request) == _call(exact.submit,
-                                                         request)
+            assert _call(event.submit, row) == _call(exact.submit, row)
         clock, calls = 0.0, 0
         while not (event.idle and exact.idle):
             clock += horizon
             calls += 1
             assert event.step(clock) == exact.step(clock)
             assert event.to_state() == exact.to_state()
+            assert event.outcomes.to_state() == exact.outcomes.to_state()
             if calls == at_call and disrupt == "cancel":
-                rid = requests[victim % len(requests)].request_id
-                assert event.cancel(rid) == exact.cancel(rid)
+                row = victim % len(requests)
+                assert event.cancel(row) == exact.cancel(row)
             elif calls == at_call and disrupt == "evacuate":
                 assert event.evacuate() == exact.evacuate()
         assert event.to_state() == exact.to_state()

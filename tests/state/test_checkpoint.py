@@ -135,7 +135,8 @@ class TestRestoreGuards:
         """A sequence must be mid-decode: 0 <= generated < output."""
         payload, scheduler = self._running_payload()
         entry = scheduler["running"][0]
-        output = scheduler["columns"]["output"][entry["slot"]]
+        table = payload["state"]["run"]["requests_table"]
+        output = table["output_tokens"][entry["row"]]
         entry["generated"] = -1 if generated == "negative" else output
         with pytest.raises(StateIntegrityError, match="output tokens"):
             restore(_fleet(), payload)

@@ -74,10 +74,13 @@ class TestNegotiate:
     def test_unmigratable_older_version_refused(self):
         with pytest.raises(StateVersionError, match="no migration"):
             negotiate(self._payload(0))
-        # v1 payloads predate the single fleet engine and have no
-        # migration: they are refused, not misread.
-        with pytest.raises(StateVersionError, match="no migration"):
-            negotiate(self._payload(CURRENT_STATE_VERSION - 1))
+        # v1 payloads predate the single fleet engine, and v2 payloads
+        # hold per-replica request columns instead of table rows; neither
+        # has a migration: they are refused, not misread.
+        assert CURRENT_STATE_VERSION == 3
+        for stale in (1, 2):
+            with pytest.raises(StateVersionError, match="no migration"):
+                negotiate(self._payload(stale))
 
     def test_missing_or_bad_version_is_schema_error(self):
         with pytest.raises(StateSchemaError):

@@ -5,10 +5,12 @@ import json
 import pytest
 
 from repro.core.experiment import cpu_deployment
+from repro.fleet.table import RequestTable
 from repro.llm.config import LLAMA2_7B
 from repro.llm.datatypes import BFLOAT16
 from repro.serving import (
     ContinuousBatchingScheduler,
+    OutcomeLog,
     ServeRequest,
     TenancyConfig,
 )
@@ -168,16 +170,21 @@ class TestSnapshotRoundTrip:
                                   scheduler_cls=scheduler_cls)
         full = baseline.run(list(requests))
 
+        table = RequestTable.from_requests(requests)
         live = make_scheduler(tenancy=tenancy, max_batch=2,
                               scheduler_cls=scheduler_cls)
-        for item in sorted(requests,
-                           key=lambda r: (r.arrival_s, r.request_id)):
-            live.submit(item)
+        live.bind(table)
+        for row in table.arrival_order().tolist():
+            live.submit(row)
         live.step(until_s=1.0)
-        payload = json.loads(json.dumps(live.to_state()))
+        payload = json.loads(json.dumps(
+            {"scheduler": live.to_state(),
+             "outcomes": live.outcomes.to_state()}))
         revived = make_scheduler(tenancy=tenancy, max_batch=2,
                                  scheduler_cls=scheduler_cls)
-        revived.from_state(payload)
+        revived.bind(table, OutcomeLog.from_state(payload["outcomes"],
+                                                  len(table)))
+        revived.from_state(payload["scheduler"])
         revived.step()
         resumed = revived.report()
         assert len(resumed.outcomes) == len(full.outcomes)
