@@ -90,6 +90,7 @@ class _ChaosState:
         self.injector = injector
         self.retry = retry
         self.degradation = degradation
+        self.table = table
         self.ids = table.scalar_columns().request_id
         self.flights: dict[int, tuple[Replica, float]] = {}
         self.attempts: dict[int, int] = {}
@@ -118,6 +119,12 @@ class _ChaosState:
     def shed_request(self, row: int, now: float, reason: str) -> None:
         self.held_since.pop(row, None)
         self.shed.append(row, now, reason, self.attempts.get(row, 0))
+
+    def land(self, finished: list[int]) -> None:
+        """Retire the flights of finished rows (their outcomes are
+        already in the run's log)."""
+        for row in finished:
+            self.flights.pop(row, None)
 
 
 class _RunState:
@@ -345,8 +352,8 @@ class FleetSimulator:
             del state.flights[row]
             state.requeue_or_shed(row, now, generated)
 
-    def _degrade(self, now: float, held: list[int], state: _ChaosState,
-                 table: RequestTable) -> list[int]:
+    def _degrade(self, now: float, held: list[int],
+                 state: _ChaosState) -> list[int]:
         """Apply the degradation policy to overdue unroutable rows."""
         policy = state.degradation
         if policy is None:
@@ -368,7 +375,7 @@ class FleetSimulator:
             return held
         # Shed mode: lowest priority goes first, then earliest arrival,
         # then lowest id (row).
-        priority, arrival = table.priority, table.arrival_s
+        priority, arrival = state.table.priority, state.table.arrival_s
         victims = sorted(overdue, key=lambda row: (int(priority[row]),
                                                    float(arrival[row]), row))
         for row in victims:
@@ -519,21 +526,14 @@ class FleetSimulator:
             if replica.active:
                 finished = replica.step(now)
                 if state is not None:
-                    self._land_finished(finished, state)
+                    state.land(finished)
                 replica.retire_if_drained(now)
         run.peak = max(run.peak, len(self.active))
 
         if state is not None:
             self._check_timeouts(now, state)
-            run.held = self._degrade(now, run.held, state, run.table)
+            run.held = self._degrade(now, run.held, state)
             run.held = self._shed_unroutable(now, run.held, state)
-
-    @staticmethod
-    def _land_finished(finished: list[int], state: _ChaosState) -> None:
-        """Retire finished rows' flights (their outcomes are already in
-        the run's log)."""
-        for row in finished:
-            state.flights.pop(row, None)
 
     # -- quiet-tick jumping ---------------------------------------------------
 
@@ -635,7 +635,7 @@ class FleetSimulator:
             if replica.active:
                 finished = replica.step(now)
                 if state is not None:
-                    self._land_finished(finished, state)
+                    state.land(finished)
 
     def finish_run(self) -> FleetReport:
         """Close out a completed run and build its report.
@@ -858,7 +858,8 @@ class FleetSimulator:
             require(run_state, "outcomes", dict, "$.fleet.run"), len(table))
         return table, outcomes
 
-    def _chaos_from_state(self, chaos_payload: dict | None, table: RequestTable,
+    def _chaos_from_state(self, chaos_payload: dict | None,
+                          table: RequestTable,
                           check_row) -> _ChaosState | None:
         """Rebuild chaos bookkeeping from a snapshot.
 

@@ -381,6 +381,9 @@ class Replica:
         if not self.routable:
             raise ValueError(
                 f"replica {self.replica_id} is {self.state}, not routable")
+        # An idle replica whose clock lags the arrival would otherwise
+        # admit in the past; the scheduler's idle-jump handles it, but
+        # never let a booting clock precede readiness.
         self.scheduler.submit(row)
         self.requests_routed += 1
 

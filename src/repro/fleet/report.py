@@ -15,6 +15,7 @@ default to empty so fault-free reports are unchanged.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,7 +82,10 @@ class FleetReport:
             evacuation (first submissions are not retries).
         wasted_tokens: Tokens generated for attempts that did not
             complete (the work the fleet paid for but threw away).
-        shed: Requests that left the system unserved, with reasons.
+        shed: Requests that left the system unserved, with reasons, in
+            shed order (a :class:`~repro.fleet.table.ShedLog` view whose
+            items are :class:`~repro.faults.resilience.ShedRequest`
+            records).
         fault_events: Applied fault timeline, in injection order.
     """
 
@@ -94,7 +98,7 @@ class FleetReport:
     peak_replicas: int
     retries: int = 0
     wasted_tokens: int = 0
-    shed: tuple[ShedRequest, ...] = ()
+    shed: Sequence[ShedRequest] = ()
     fault_events: tuple[AppliedFault, ...] = ()
 
     @property

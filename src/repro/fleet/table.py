@@ -277,41 +277,33 @@ class ShedLog(Sequence):
     in shed order.
     """
 
-    __slots__ = ("table", "_rows", "_times", "_reasons", "_attempts")
+    __slots__ = ("table", "_entries")
 
     def __init__(self, table: RequestTable) -> None:
         self.table = table
-        self._rows: list[int] = []
-        self._times: list[float] = []
-        self._reasons: list[str] = []
-        self._attempts: list[int] = []
+        # (row, time_s, reason, attempts), in shed order.
+        self._entries: list[tuple[int, float, str, int]] = []
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._entries)
 
     def __getitem__(self, index: int) -> ShedRequest:
         if isinstance(index, slice):
             raise TypeError("ShedLog does not support slicing")
-        return ShedRequest(request=self.table.request(self._rows[index]),
-                           time_s=self._times[index],
-                           reason=self._reasons[index],
-                           attempts=self._attempts[index])
+        row, time_s, reason, attempts = self._entries[index]
+        return ShedRequest(request=self.table[row], time_s=time_s,
+                           reason=reason, attempts=attempts)
 
     def append(self, row: int, time_s: float, reason: str,
                attempts: int) -> None:
-        self._rows.append(row)
-        self._times.append(time_s)
-        self._reasons.append(reason)
-        self._attempts.append(attempts)
+        self._entries.append((row, time_s, reason, attempts))
 
     # -- checkpoint/restore ---------------------------------------------------
 
     def to_state(self) -> list[dict]:
         return [{"row": row, "time_s": time_s, "reason": reason,
                  "attempts": attempts}
-                for row, time_s, reason, attempts
-                in zip(self._rows, self._times, self._reasons,
-                       self._attempts)]
+                for row, time_s, reason, attempts in self._entries]
 
     @classmethod
     def from_state(cls, entries: list, table: RequestTable) -> "ShedLog":

@@ -17,6 +17,6 @@ from .stepcost import StepCostTable
 
 __all__ = [
     "ADMISSION_POLICIES", "ContinuousBatchingScheduler",
-    "KV_ISOLATION_MODES", "OutcomeLog", "RequestOutcome", "ServeRequest", "ServingReport",
-    "StepCostTable", "TenancyConfig", "poisson_stream",
+    "KV_ISOLATION_MODES", "OutcomeLog", "RequestOutcome", "ServeRequest",
+    "ServingReport", "StepCostTable", "TenancyConfig", "poisson_stream",
 ]

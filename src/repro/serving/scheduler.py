@@ -70,6 +70,7 @@ from bisect import insort
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import islice
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -78,6 +79,9 @@ from ..llm.config import ModelConfig
 from ..llm.datatypes import DType
 from .admission import TenancyConfig
 from .stepcost import StepCostTable
+
+if TYPE_CHECKING:
+    from ..fleet.table import RequestTable
 
 
 @dataclass(frozen=True)
@@ -318,7 +322,7 @@ class ContinuousBatchingScheduler:
         self._time_scale = 1.0
         #: The run this scheduler serves (see :meth:`bind`); unbound, it
         #: holds no rows.
-        self.table = None
+        self.table: RequestTable | None = None
         self.outcomes: OutcomeLog | None = None
         self._ids = self._arrival = self._prompt = self._output = ()
         self._tenant = self._first = self._finish = self._preempt = ()
@@ -377,7 +381,8 @@ class ContinuousBatchingScheduler:
             self._tenant_budget_cap = {}
             self._tenant_budget = {}
 
-    def bind(self, table, outcomes: OutcomeLog | None = None) -> None:
+    def bind(self, table: RequestTable,
+             outcomes: OutcomeLog | None = None) -> None:
         """Attach the scheduler to a run's request table and outcome log.
 
         Every later call names requests by row of ``table`` (a
@@ -541,9 +546,9 @@ class ContinuousBatchingScheduler:
             del self._waiting[:self._head]
             self._head = 0
 
-    def _release_reserve(self, request_id: int) -> None:
+    def _release_reserve(self, row: int) -> None:
         """Return a partition-mode worst-case reservation, if any."""
-        reserved = self._kv_reserved.pop(request_id, None)
+        reserved = self._kv_reserved.pop(row, None)
         if reserved is not None:
             tenant_id, blocks = reserved
             self._tenant_budget[tenant_id] += blocks
@@ -1048,7 +1053,7 @@ class ContinuousBatchingScheduler:
         """
         table = self.table
         outcomes = tuple(
-            RequestOutcome(request=table.request(row),
+            RequestOutcome(request=table[row],
                            first_token_s=self._first[row],
                            finish_s=self._finish[row],
                            preemptions=self._preempt[row])
@@ -1064,7 +1069,8 @@ class ContinuousBatchingScheduler:
                              mean_batch_occupancy=mean_occupancy,
                              start_s=start)
 
-    def run(self, requests) -> ServingReport:
+    def run(self, requests: Sequence[ServeRequest] | RequestTable,
+            ) -> ServingReport:
         """Serve a request stream to completion (single-replica mode).
 
         Takes a :class:`~repro.fleet.table.RequestTable` or a list of
@@ -1083,8 +1089,6 @@ class ContinuousBatchingScheduler:
                  else RequestTable.from_requests(requests))
         self._reset()
         self.bind(table)
-        for row in range(len(table)):
-            self._check_fits(row)
         # WFQ tags chain per tenant in submission order, so the stream
         # is submitted in arrival order (the order the fleet would
         # deliver it); FCFS queues sort on arrival either way.

@@ -70,7 +70,9 @@ class TestStateRoundTrip:
         assert restored.next_due_s == 1.0
         assert restored.drain() == queue.drain()
 
-    def test_state_references_by_row_only(self):
+    def test_state_references_by_id_only(self):
+        """Entries are bare ``[due, row]`` pairs: a row is the run's
+        request key (rows are in request-id order), never a payload."""
         queue = RetryQueue()
         queue.push(2.5, 7)
         assert queue.to_state() == [[2.5, 7]]
