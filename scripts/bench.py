@@ -18,8 +18,8 @@ Usage::
 With ``--budget-s`` the script exits non-zero when the suite exceeds the
 budget — CI uses this to fail if the suite regresses past 2x the
 post-optimization baseline.  ``--compare`` gates the fleet headline
-(``fleet_1M_req``): the run fails if its wall time regresses more than
-25% past the committed baseline.
+(``fleet_1M_req``): the run fails if its median wall time over three
+runs regresses more than 25% past the committed baseline.
 """
 
 from __future__ import annotations
@@ -146,27 +146,33 @@ def micro_benchmarks() -> dict:
     return results
 
 
-def fleet_million_benchmark() -> dict:
+def fleet_million_benchmark(repeats: int = 3) -> dict:
     """The fleet headline: one million requests in one run.
 
     Stream generation happens outside the timed region (it is numpy
     columnar construction, not simulation); the measurement is the
-    fleet core serving the full table.  Run once — at this scale a
-    single run is statistically stable.
+    fleet core serving the full table.  The run is repeated and
+    ``wall_s`` is the median, so one slow run on a shared host cannot
+    trip the ``--compare`` gate; the spread is recorded beside it.
     """
     from repro.fleet import fixed_fleet, poisson_table, replica_spec
     spec = replica_spec("tdx", max_batch=16, kv_capacity_tokens=65536)
     table = poisson_table(1_000_000, rate_per_s=400.0, mean_prompt=128,
                           mean_output=32, seed=11)
-    start = time.perf_counter()
-    report = fixed_fleet(spec, 8).run(table)
-    wall_s = time.perf_counter() - start
-    requests = len(report.outcomes)
-    if requests < 1_000_000:
-        raise AssertionError(
-            f"fleet_1M_req completed only {requests} requests")
+    samples = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        report = fixed_fleet(spec, 8).run(table)
+        samples.append(time.perf_counter() - start)
+        requests = len(report.outcomes)
+        if requests < 1_000_000:
+            raise AssertionError(
+                f"fleet_1M_req completed only {requests} requests")
+        del report
+    wall_s = statistics.median(samples)
     return {"requests": requests, "wall_s": wall_s,
-            "req_per_wall_s": requests / wall_s, "repeats": 1}
+            "wall_min_s": min(samples), "wall_max_s": max(samples),
+            "req_per_wall_s": requests / wall_s, "repeats": repeats}
 
 
 #: Regression tolerance for the --compare gate: a benchmark may be at
@@ -188,11 +194,12 @@ def compare_against(report: dict, baseline_path: Path) -> list[str]:
             failures.append(f"{name}: missing from "
                             f"{'report' if ours is None else 'baseline'}")
             continue
+        # ``wall_s`` is the median of the recorded repeats.
         wall, committed = ours["wall_s"], theirs["wall_s"]
         verdict = "OK" if wall <= committed * COMPARE_SLACK else "FAIL"
-        print(f"compare {name}: {wall:.1f}s vs committed {committed:.1f}s "
-              f"(x{wall / committed:.2f}, slack x{COMPARE_SLACK}) {verdict}",
-              file=sys.stderr)
+        print(f"compare {name}: median {wall:.1f}s vs committed "
+              f"{committed:.1f}s (x{wall / committed:.2f}, slack "
+              f"x{COMPARE_SLACK}) {verdict}", file=sys.stderr)
         if verdict == "FAIL":
             failures.append(
                 f"{name}: {wall:.1f}s exceeds committed {committed:.1f}s "

@@ -68,10 +68,11 @@ class RetryPolicy:
             raise ValueError("timeout_s must be finite and positive")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if self.backoff_base_s < 0:
-            raise ValueError("backoff_base_s must be >= 0")
-        if self.backoff_multiplier < 1.0:
-            raise ValueError("backoff_multiplier must be >= 1")
+        if not math.isfinite(self.backoff_base_s) or self.backoff_base_s < 0:
+            raise ValueError("backoff_base_s must be finite and >= 0")
+        if (not math.isfinite(self.backoff_multiplier)
+                or self.backoff_multiplier < 1.0):
+            raise ValueError("backoff_multiplier must be finite and >= 1")
         if not 0 <= self.jitter_frac <= 1:
             raise ValueError("jitter_frac must be in [0, 1]")
 
@@ -124,8 +125,8 @@ class DegradationPolicy:
                              f"expected one of {DEGRADATION_MODES}")
         if not math.isfinite(self.max_hold_s) or self.max_hold_s <= 0:
             raise ValueError("max_hold_s must be finite and positive")
-        if self.spill_boot_s < 0:
-            raise ValueError("spill_boot_s must be >= 0")
+        if not math.isfinite(self.spill_boot_s) or self.spill_boot_s < 0:
+            raise ValueError("spill_boot_s must be finite and >= 0")
         if self.max_spill < 0:
             raise ValueError("max_spill must be >= 0")
 

@@ -196,12 +196,12 @@ def mtbf_schedule(replica_ids: list[int], mtbf_s: float, horizon_s: float,
     mean ``mttr_s`` (floored at one second so a fault is never a
     no-op).  Deterministic per ``(seed, replica_id)``.
     """
-    if mtbf_s <= 0:
-        raise ValueError("mtbf_s must be positive")
-    if horizon_s <= 0:
-        raise ValueError("horizon_s must be positive")
-    if mttr_s <= 0:
-        raise ValueError("mttr_s must be positive")
+    if not math.isfinite(mtbf_s) or mtbf_s <= 0:
+        raise ValueError("mtbf_s must be finite and positive")
+    if not math.isfinite(horizon_s) or horizon_s <= 0:
+        raise ValueError("horizon_s must be finite and positive")
+    if not math.isfinite(mttr_s) or mttr_s <= 0:
+        raise ValueError("mttr_s must be finite and positive")
     names = tuple(name for name, _ in kinds)
     weights = tuple(weight for _, weight in kinds)
     events: list[FaultEvent] = []

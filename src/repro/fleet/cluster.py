@@ -504,23 +504,29 @@ class FleetSimulator:
         run.pending_head = stop
         if state is not None:
             due += state.retry_queue.pop_due(now)
-        prompts = run.prompts
-        for row in due:
+        if due:
             try:
-                replica = self.router.choose(prompts[row], self.replicas, now)
+                picks = self.router.assign(map(run.prompts.__getitem__, due),
+                                           self.replicas, now)
             except ValueError:
-                run.held.append(row)  # nothing live yet; retry next tick
+                # Nothing live yet: routability cannot change while a
+                # tick routes, so every due row waits for the next tick.
+                run.held = due
                 if state is not None:
-                    state.held_since.setdefault(row, now)
-                continue
-            replica.submit(row)
-            if state is not None:
-                state.held_since.pop(row, None)
-                made = state.attempts.get(row, 0) + 1
-                state.attempts[row] = made
-                if made > 1:
-                    state.retries += 1
-                state.flights[row] = (replica, now)
+                    for row in due:
+                        state.held_since.setdefault(row, now)
+            else:
+                # Outside the try: a submit error (a request that can
+                # never fit the KV pool) must propagate, not hold.
+                for row, replica in zip(due, picks):
+                    replica.submit(row)
+                    if state is not None:
+                        state.held_since.pop(row, None)
+                        made = state.attempts.get(row, 0) + 1
+                        state.attempts[row] = made
+                        if made > 1:
+                            state.retries += 1
+                        state.flights[row] = (replica, now)
 
         for replica in self.replicas:
             if replica.active:

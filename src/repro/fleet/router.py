@@ -9,11 +9,28 @@ economic finding directly: CPU TEEs (TDX) are the cheap tier and the
 cGPU the fast tier, so route to the cheapest replica whose estimated
 TTFT still clears the SLO and spill to faster, costlier replicas only
 under SLO risk (Figs. 12-13 turned into a routing policy).
+
+The fleet routes a tick's due requests in one call,
+:meth:`Router.assign`: it raises ``ValueError`` at call time when no
+replica is routable, then yields one replica per prompt, and the
+caller submits to each yielded replica before asking for the next.
+Between two picks of one tick the only state change is that submit,
+which raises the chosen replica's ``outstanding`` by exactly one and
+changes neither routability nor free KV blocks (blocks are allocated
+at admission, inside ``step``).  So the least-outstanding and
+KV-pressure policies read each replica's key once per tick into a heap
+and bump the winner's count per pick, with the same tie-break on
+replica id; their ``choose`` is a one-prompt ``assign``.  The base
+``assign`` calls ``choose`` per prompt, the first at call time, which
+round-robin and the cost/SLO policy keep (its TTFT estimate moves with
+every submit).  The heap lives for one routing phase only, so router
+snapshots are unchanged.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
+from heapq import heapify, heapreplace
 
 from .arrivals import _require_finite
 from .replica import Replica
@@ -33,6 +50,32 @@ class Router:
             ValueError: If no replica is routable.
         """
         raise NotImplementedError
+
+    def assign(self, prompts: Iterable[int], replicas: Sequence[Replica],
+               now: float) -> Iterator[Replica]:
+        """One replica per prompt, for a tick's due requests in order.
+
+        The caller must submit each request to its yielded replica
+        before asking for the next pick.
+
+        Raises:
+            ValueError: At call time, if no replica is routable.
+        """
+        prompts = iter(prompts)
+        for first in prompts:
+            # The first pick precedes any submit, so it is made now;
+            # ``choose`` raises when nothing is routable.
+            return self._choose_each(self.choose(first, replicas, now),
+                                     prompts, replicas, now)
+        self._routable(replicas)
+        return iter(())
+
+    def _choose_each(self, picked: Replica, prompts: Iterator[int],
+                     replicas: Sequence[Replica], now: float,
+                     ) -> Iterator[Replica]:
+        yield picked
+        for prompt_tokens in prompts:
+            yield self.choose(prompt_tokens, replicas, now)
 
     @staticmethod
     def _routable(replicas: Sequence[Replica]) -> list[Replica]:
@@ -92,8 +135,12 @@ class LeastOutstandingRouter(Router):
 
     def choose(self, prompt_tokens: int, replicas: Sequence[Replica],
                now: float) -> Replica:
-        return min(self._routable(replicas),
-                   key=lambda r: (r.outstanding, r.replica_id))
+        return next(self.assign((prompt_tokens,), replicas, now))
+
+    def assign(self, prompts: Iterable[int], replicas: Sequence[Replica],
+               now: float) -> Iterator[Replica]:
+        return _least_first([(0, r.outstanding, r.replica_id, r)
+                             for r in replicas if r.routable], prompts)
 
 
 class KvPressureRouter(Router):
@@ -108,9 +155,13 @@ class KvPressureRouter(Router):
 
     def choose(self, prompt_tokens: int, replicas: Sequence[Replica],
                now: float) -> Replica:
-        return min(self._routable(replicas),
-                   key=lambda r: (-r.kv_free_fraction, r.outstanding,
-                                  r.replica_id))
+        return next(self.assign((prompt_tokens,), replicas, now))
+
+    def assign(self, prompts: Iterable[int], replicas: Sequence[Replica],
+               now: float) -> Iterator[Replica]:
+        return _least_first([(-r.kv_free_fraction, r.outstanding,
+                              r.replica_id, r)
+                             for r in replicas if r.routable], prompts)
 
 
 class CostSloRouter(Router):
@@ -166,6 +217,32 @@ class CostSloRouter(Router):
         return min(candidates,
                    key=lambda r: (r.estimated_ttft_s(prompt_tokens, now),
                                   r.replica_id))
+
+
+def _least_first(heap: list[tuple], prompts: Iterable[int],
+                 ) -> Iterator[Replica]:
+    """Heapify one entry per routable replica and pick from it lazily.
+
+    Entries are ``(pressure, outstanding, replica_id, replica)``.
+
+    Raises:
+        ValueError: If no replica is routable (``heap`` is empty).
+    """
+    if not heap:
+        raise ValueError("no routable replica")
+    heapify(heap)
+    return _pop_least(heap, prompts)
+
+
+def _pop_least(heap: list[tuple], prompts: Iterable[int],
+               ) -> Iterator[Replica]:
+    """Yield the heap's least replica per prompt, counting each pick: a
+    submit changes only ``outstanding``, so the winner goes back with
+    one more."""
+    for _ in prompts:
+        pressure, outstanding, replica_id, replica = heap[0]
+        heapreplace(heap, (pressure, outstanding + 1, replica_id, replica))
+        yield replica
 
 
 #: Router names the CLI exposes.

@@ -17,7 +17,12 @@ numbers.
 * ``fleet.jump_parity`` (differential) runs every structurally distinct
   fleet regime twice — through ``run()``, which jumps quiet ticks, and
   through a plain ``begin_run``/``run_tick``/``finish_run`` loop — and
-  requires exactly equal reports.
+  requires exactly equal reports, plus a skipped tick in every regime
+  where jumping is allowed.
+* ``fleet.route_parity`` (differential) runs overloaded, faulted,
+  KV-pressure, WFQ-tenant and phased-boot fleets once with the shipped
+  per-tick heap routers and once with references that rescan the fleet
+  per request, and requires exactly equal reports.
 * ``serving.decode_event_parity`` (differential) runs fixed fleets
   over every admission policy x KV isolation mode, a preempting and a
   relaxed pool, with and without faults, once with the event-driven
@@ -41,8 +46,11 @@ from ..fleet import (
     AutoscalerConfig,
     CostSloRouter,
     FleetSimulator,
+    KvPressureRouter,
+    LeastOutstandingRouter,
     ReactiveAutoscaler,
     RequestTable,
+    Router,
     capacity_sweep,
     fixed_fleet,
     poisson_table,
@@ -259,14 +267,16 @@ def _tdx_spec():
     return replica_spec("tdx", max_batch=16, kv_capacity_tokens=65536)
 
 
-def _jump_regimes() -> list[tuple[str, "callable", object]]:
-    """(label, fresh-fleet factory, stream) for every fleet regime.
+def _jump_regimes() -> list[tuple[str, "callable", object, bool]]:
+    """(label, fresh-fleet factory, stream, jumps) for every fleet regime.
 
     Covers fault-free, faulted, autoscaled, spill-router and sparse
     fleets, the 9 tenancy admission x isolation regimes, and phased
     boots fault-free, faulted and autoscaled.  Streams alternate between
     object lists and request tables, so ``begin_run``'s list-to-table
-    conversion stays covered.
+    conversion stays covered.  ``jumps`` says whether ``run()`` must
+    skip at least one quiet tick there: it is false exactly where
+    ``_skip_quiet_ticks`` refuses (an armed autoscaler, WFQ admission).
     """
     from .attest import _phased_regimes, _stream as _boot_stream
     from .tenancy import _population, _regimes as _tenancy_regimes
@@ -292,13 +302,15 @@ def _jump_regimes() -> list[tuple[str, "callable", object]]:
             scale_spec=spec, **faults)
 
     regimes = [
-        ("fault-free", lambda: fixed_fleet(spec, 2), list(_fleet_stream())),
-        ("faulted", lambda: fixed_fleet(spec, 2, **faults), _fleet_stream()),
-        ("autoscaled", autoscaled, list(_fleet_stream())),
-        ("spill-router/faulted", spill_router, _fleet_stream()),
+        ("fault-free", lambda: fixed_fleet(spec, 2), list(_fleet_stream()),
+         True),
+        ("faulted", lambda: fixed_fleet(spec, 2, **faults), _fleet_stream(),
+         True),
+        ("autoscaled", autoscaled, list(_fleet_stream()), False),
+        ("spill-router/faulted", spill_router, _fleet_stream(), True),
         ("sparse 0.5 req/s", lambda: fixed_fleet(spec, 2),
          poisson_table(20, rate_per_s=0.5, mean_prompt=128, mean_output=32,
-                       seed=11)),
+                       seed=11), True),
     ]
     population = _population()
     for index, (label, tenant_spec, kwargs) in enumerate(
@@ -307,13 +319,14 @@ def _jump_regimes() -> list[tuple[str, "callable", object]]:
             f"tenancy {label}",
             lambda tenant_spec=tenant_spec, kwargs=kwargs: fixed_fleet(
                 tenant_spec, 2, **kwargs),
-            list(population.table()) if index % 2 else population.table()))
+            list(population.table()) if index % 2 else population.table(),
+            label.startswith("fcfs")))
     for index, (label, boot_spec, kwargs) in enumerate(_phased_regimes()):
         regimes.append((
             f"phased boot {label}",
             lambda boot_spec=boot_spec, kwargs=kwargs: fixed_fleet(
                 boot_spec, 2, **kwargs),
-            list(_boot_stream()) if index % 2 else _boot_stream()))
+            list(_boot_stream()) if index % 2 else _boot_stream(), True))
     boot_spec = _phased_regimes()[0][1]
     regimes.append((
         "phased boot tdx/autoscaled",
@@ -321,7 +334,7 @@ def _jump_regimes() -> list[tuple[str, "callable", object]]:
             AutoscalerConfig(min_replicas=1, max_replicas=3,
                              scale_up_load=2.0, scale_down_load=0.5,
                              cooldown_s=4.0))),
-        list(_boot_stream(requests=36, rate_per_s=6.0, seed=3))))
+        list(_boot_stream(requests=36, rate_per_s=6.0, seed=3)), False))
     return regimes
 
 
@@ -352,11 +365,11 @@ def _run_ticking(sim: FleetSimulator, stream):
 @check("fleet.jump_parity", family="differential",
        layers=("fleet", "serving"))
 def jump_parity(ctx: AuditContext) -> str:
-    """run() jumping quiet ticks is bit-identical to ticking every one."""
+    """run() jumping quiet ticks is bit-identical to ticking every one,
+    and skips ticks in every regime where jumping is allowed."""
     regimes = _jump_regimes()
     jumped_ticks = ticked_ticks = compared = 0
-    jumped_somewhere = False
-    for label, factory, stream in regimes:
+    for label, factory, stream, expect_jump in regimes:
         jumped, jumps = _run_jumping(factory(), stream)
         ticked, ticks = _run_ticking(factory(), stream)
         a, b = jumped.to_dict(), ticked.to_dict()
@@ -377,16 +390,129 @@ def jump_parity(ctx: AuditContext) -> str:
                 raise CheckFailure(
                     f"{label}: outcome column {column} diverged between "
                     f"run() and the tick loop")
-        jumped_somewhere |= jumps < ticks
+        if expect_jump and jumps >= ticks:
+            raise CheckFailure(
+                f"{label}: run() executed all {ticks} ticks; expected it "
+                f"to jump quiet ones")
         jumped_ticks += jumps
         ticked_ticks += ticks
         compared += len(ticked.outcomes)
-    if not jumped_somewhere:
-        raise CheckFailure("run() jumped no ticks in any regime; check is "
-                           "vacuous")
     return (f"{compared} request timelines bit-identical across "
             f"{len(regimes)} regimes; run() executed {jumped_ticks} of "
             f"{ticked_ticks} ticks")
+
+
+class _ScanLeastOutstanding(LeastOutstandingRouter):
+    """Least-outstanding as a full rescan per request (the reference)."""
+
+    assign = Router.assign
+
+    def choose(self, prompt_tokens, replicas, now):
+        return min(self._routable(replicas),
+                   key=lambda r: (r.outstanding, r.replica_id))
+
+
+class _ScanKvPressure(KvPressureRouter):
+    """KV pressure as a full rescan per request (the reference)."""
+
+    assign = Router.assign
+
+    def choose(self, prompt_tokens, replicas, now):
+        return min(self._routable(replicas),
+                   key=lambda r: (-r.kv_free_fraction, r.outstanding,
+                                  r.replica_id))
+
+
+def _route_regimes() -> list[tuple[str, type, "callable", object]]:
+    """(label, policy, router -> fresh fleet, stream) for the routing
+    audit.
+
+    Every regime routes several rows in some tick: an overloaded 8-way
+    fleet, the same with MTBF faults and retries, a KV-pressure fleet
+    on a tight pool, WFQ tenants on shared prefixes, and a phased boot
+    that holds every early arrival until the fleet is ready.
+    """
+    from .attest import _phased_regimes, _stream as _boot_stream
+    from .tenancy import _population, _spec as _tenant_spec
+
+    spec = _tdx_spec()
+    overload = poisson_table(320, rate_per_s=160.0, mean_prompt=128,
+                             mean_output=32, seed=13)
+    faults = {
+        "faults": mtbf_schedule(list(range(8)), mtbf_s=4.0, horizon_s=8.0,
+                                seed=13),
+        "retry_policy": RetryPolicy(timeout_s=15.0, max_attempts=4, seed=13),
+    }
+    tight = replica_spec("tdx", max_batch=16, kv_capacity_tokens=2048)
+    population = _population()
+    wfq_prefix = _tenant_spec(population, "wfq", "shared-prefix")
+    boot_spec = _phased_regimes()[0][1]
+    return [
+        ("8x tdx overload", LeastOutstandingRouter,
+         lambda router: fixed_fleet(spec, 8, router=router), overload),
+        ("8x tdx overload/faulted", LeastOutstandingRouter,
+         lambda router: fixed_fleet(spec, 8, router=router, **faults),
+         overload),
+        ("kv-pressure tight pool", KvPressureRouter,
+         lambda router: fixed_fleet(tight, 4, router=router),
+         poisson_table(120, rate_per_s=40.0, mean_prompt=256,
+                       mean_output=64, seed=13)),
+        ("tenancy wfq/shared-prefix", LeastOutstandingRouter,
+         lambda router: fixed_fleet(wfq_prefix, 2, router=router),
+         population.table()),
+        ("phased boot tdx/fault-free", LeastOutstandingRouter,
+         lambda router: fixed_fleet(boot_spec, 2, router=router),
+         _boot_stream()),
+    ]
+
+
+def _run_routing(sim: FleetSimulator, stream):
+    """``sim.run(stream)`` and the most rows routed in one tick."""
+    most = 0
+    tick = sim.run_tick
+
+    def counted() -> None:
+        nonlocal most
+        before = sum(r.requests_routed for r in sim.replicas)
+        tick()
+        most = max(most, sum(r.requests_routed for r in sim.replicas)
+                   - before)
+
+    sim.run_tick = counted
+    return sim.run(stream), most
+
+
+@check("fleet.route_parity", family="differential",
+       layers=("fleet",))
+def route_parity(ctx: AuditContext) -> str:
+    """Per-tick heap routing equals rescanning the fleet per request."""
+    references = {LeastOutstandingRouter: _ScanLeastOutstanding,
+                  KvPressureRouter: _ScanKvPressure}
+    regimes = _route_regimes()
+    compared = most = 0
+    for label, policy, factory, stream in regimes:
+        shipped, batch = _run_routing(factory(policy()), stream)
+        reference = factory(references[policy]()).run(stream)
+        a, b = shipped.to_dict(), reference.to_dict()
+        if a != b:
+            diverged = [key for key in a if a[key] != b.get(key)]
+            raise CheckFailure(
+                f"{label}: heap routing diverged from the rescan in "
+                f"{diverged[:4]}")
+        for column in ("request_id", "first_token_s", "finish_s",
+                       "preemptions"):
+            if not np.array_equal(getattr(shipped.outcomes, column),
+                                  getattr(reference.outcomes, column)):
+                raise CheckFailure(
+                    f"{label}: outcome column {column} diverged between "
+                    f"heap routing and the rescan")
+        most = max(most, batch)
+        compared += len(reference.outcomes)
+    if most < 2:
+        raise CheckFailure("no tick routed more than one row; check is "
+                           "vacuous")
+    return (f"{compared} request timelines bit-identical across "
+            f"{len(regimes)} regimes; up to {most} rows routed per tick")
 
 
 def _decode_regimes() -> list[tuple[str, "callable", object]]:

@@ -1,5 +1,7 @@
 """Retry/backoff policies, degradation policies, attestation gate."""
 
+import math
+
 import pytest
 
 from repro.faults import (
@@ -8,6 +10,7 @@ from repro.faults import (
     DegradationPolicy,
     FleetAttestation,
     RetryPolicy,
+    mtbf_schedule,
     needs_attestation,
 )
 
@@ -69,3 +72,47 @@ class TestFleetAttestation:
         assert gate.failures == 1
         assert gate.readmit(0), "re-provisioned platform verifies again"
         assert gate.verifications >= 2
+
+
+#: Every fault/resilience config site whose comparison guards let NaN
+#: or inf through (an inf horizon used to loop forever).
+NON_FINITE_FAULT_CONFIGS = [
+    ("mtbf horizon_s=inf", lambda: mtbf_schedule([0], 10.0, math.inf),
+     "horizon_s"),
+    ("mtbf horizon_s=nan", lambda: mtbf_schedule([0], 10.0, math.nan),
+     "horizon_s"),
+    ("mtbf mtbf_s=inf", lambda: mtbf_schedule([0], math.inf, 100.0),
+     "mtbf_s"),
+    ("mtbf mtbf_s=nan", lambda: mtbf_schedule([0], math.nan, 100.0),
+     "mtbf_s"),
+    ("mtbf mttr_s=inf",
+     lambda: mtbf_schedule([0], 10.0, 100.0, mttr_s=math.inf), "mttr_s"),
+    ("mtbf mttr_s=nan",
+     lambda: mtbf_schedule([0], 10.0, 100.0, mttr_s=math.nan), "mttr_s"),
+    ("retry backoff_base_s=nan",
+     lambda: RetryPolicy(10.0, 4, backoff_base_s=math.nan),
+     "backoff_base_s"),
+    ("retry backoff_base_s=inf",
+     lambda: RetryPolicy(10.0, 4, backoff_base_s=math.inf),
+     "backoff_base_s"),
+    ("retry backoff_multiplier=inf",
+     lambda: RetryPolicy(10.0, 4, backoff_multiplier=math.inf),
+     "backoff_multiplier"),
+    ("retry backoff_multiplier=nan",
+     lambda: RetryPolicy(10.0, 4, backoff_multiplier=math.nan),
+     "backoff_multiplier"),
+    ("degradation spill_boot_s=nan",
+     lambda: DegradationPolicy(mode="spill", spill_boot_s=math.nan),
+     "spill_boot_s"),
+    ("degradation spill_boot_s=inf",
+     lambda: DegradationPolicy(mode="spill", spill_boot_s=math.inf),
+     "spill_boot_s"),
+]
+
+
+@pytest.mark.parametrize("build,field",
+                         [case[1:] for case in NON_FINITE_FAULT_CONFIGS],
+                         ids=[case[0] for case in NON_FINITE_FAULT_CONFIGS])
+def test_non_finite_fault_config_rejected(build, field):
+    with pytest.raises(ValueError, match=field):
+        build()

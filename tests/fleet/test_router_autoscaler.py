@@ -4,8 +4,11 @@ import dataclasses
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.fleet import FleetSimulator
+from repro.faults import FaultSchedule, RetryPolicy
+from repro.fleet import FleetSimulator, fixed_fleet
 from repro.fleet.autoscaler import AutoscalerConfig, ReactiveAutoscaler
 from repro.fleet.replica import Replica, replica_spec
 from repro.fleet.router import (
@@ -17,6 +20,8 @@ from repro.fleet.router import (
 )
 from repro.fleet.table import RequestTable
 from repro.serving.scheduler import OutcomeLog, ServeRequest, poisson_stream
+from repro.tee.boot import boot_profile
+from repro.validate.fleet import _ScanKvPressure, _ScanLeastOutstanding
 
 TDX = replica_spec("tdx", max_batch=8, kv_capacity_tokens=8192)
 CGPU = replica_spec("cgpu", max_batch=8, kv_capacity_tokens=8192)
@@ -95,6 +100,122 @@ class TestRouters:
             CostSloRouter(0.0)
         with pytest.raises(ValueError):
             CostSloRouter(1.0, risk_factor=0.0)
+
+
+#: (policy factory, per-request reference choice).  The heap policies
+#: are pinned to the audit's full-rescan references; the base-path
+#: policies to their own ``choose``, called once per request on a fresh
+#: router.
+ASSIGN_CASES = {
+    "least-outstanding": (LeastOutstandingRouter,
+                          lambda: _ScanLeastOutstanding().choose),
+    "kv-pressure": (KvPressureRouter, lambda: _ScanKvPressure().choose),
+    "round-robin": (RoundRobinRouter, lambda: RoundRobinRouter().choose),
+    "cost-slo": (lambda: CostSloRouter(slo_ttft_s=1.0),
+                 lambda: CostSloRouter(slo_ttft_s=1.0).choose),
+}
+
+
+def loaded_fleet(layout, prompts):
+    """Replicas with ``layout`` = [(booting, load, stepped)] per replica.
+
+    Live replicas get ``load`` preloaded rows; ``stepped`` ones admit
+    them so their KV pools differ.  Rows after the preload are left for
+    the caller to route.
+    """
+    preload = sum(load for booting, load, _ in layout if not booting)
+    stream = [request(i, prompt=prompts[i % len(prompts)])
+              for i in range(preload + 50)]
+    table = RequestTable.from_requests(stream)
+    log = OutcomeLog(len(table))
+    replicas = []
+    row = 0
+    for replica_id, (booting, load, stepped) in enumerate(layout):
+        replica = Replica(replica_id, TDX, provisioned_s=0.0,
+                          boot_latency_s=60.0 if booting else 0.0)
+        replica.scheduler.bind(table, log)
+        if not booting:
+            for _ in range(load):
+                replica.submit(row)
+                row += 1
+            if stepped:
+                replica.step(0.0)
+        replicas.append(replica)
+    return replicas, row, [int(p) for p in table.prompt_tokens]
+
+
+class TestAssign:
+    @settings(max_examples=40, deadline=None)
+    @given(layout=st.lists(st.tuples(st.booleans(), st.integers(0, 3),
+                                     st.booleans()),
+                           min_size=1, max_size=6),
+           prompts=st.lists(st.sampled_from((64, 512, 1024, 2048)),
+                            min_size=1, max_size=4),
+           k=st.integers(1, 50))
+    def test_assign_matches_choose_per_request(self, layout, prompts, k):
+        if all(booting for booting, _, _ in layout):
+            layout[0] = (False,) + layout[0][1:]
+        for name, (policy, reference) in ASSIGN_CASES.items():
+            replicas, first, prompt_of = loaded_fleet(layout, prompts)
+            rows = range(first, first + k)
+            picks = policy().assign([prompt_of[row] for row in rows],
+                                    replicas, 0.0)
+            got = []
+            for row, replica in zip(rows, picks):
+                replica.submit(row)
+                got.append(replica.replica_id)
+            replicas, first, prompt_of = loaded_fleet(layout, prompts)
+            choose = reference()
+            want = []
+            for row in rows:
+                replica = choose(prompt_of[row], replicas, 0.0)
+                replica.submit(row)
+                want.append(replica.replica_id)
+            assert got == want, name
+
+    @pytest.mark.parametrize("name", sorted(ASSIGN_CASES))
+    def test_assign_raises_at_call_time_when_all_booting(self, name):
+        booting = [Replica(i, TDX, provisioned_s=0.0, boot_latency_s=60.0)
+                   for i in range(3)]
+        # The call itself raises; the picks are never iterated.
+        for prompts in ([64, 512], ()):
+            with pytest.raises(ValueError, match="no routable"):
+                ASSIGN_CASES[name][0]().assign(prompts, booting, 0.0)
+
+    def test_unroutable_tick_holds_every_due_row_in_order(self):
+        phased = replica_spec("tdx", max_batch=8, kv_capacity_tokens=16384,
+                              boot=boot_profile("tdx"))
+        calls = []
+
+        class Counting(LeastOutstandingRouter):
+            def assign(self, prompts, replicas, now):
+                calls.append(now)
+                return super().assign(prompts, replicas, now)
+
+        sim = fixed_fleet(phased, 2, router=Counting(),
+                          faults=FaultSchedule.empty(),
+                          retry_policy=RetryPolicy(timeout_s=60.0))
+        stream = [request(i, arrival=0.3 * i) for i in range(12)]
+        sim.begin_run(stream)
+        first_due = {}
+        for _ in range(16):  # 4 s of ticks, all inside the boot
+            sim.run_tick()
+            now = sim.run_clock_s
+            for row, req in enumerate(stream):
+                if req.arrival_s <= now:
+                    first_due.setdefault(row, now)
+        assert all(not r.routable for r in sim.replicas)
+        assert sim._run.held == sorted(first_due)
+        assert sim.last_chaos.held_since == first_due
+        # The router is asked only on ticks that had due rows.
+        assert calls == sorted(set(
+            now for now in (0.25 * t for t in range(1, 17))
+            if any(req.arrival_s <= now for req in stream)))
+
+    def test_request_too_large_for_pool_raises_out_of_run(self):
+        stream = [request(0), request(1, prompt=9000)]
+        with pytest.raises(ValueError, match="KV tokens"):
+            fixed_fleet(TDX, 2).run(stream)
 
 
 class TestReplicaLifecycle:
