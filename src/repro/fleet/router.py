@@ -23,8 +23,9 @@ and bump the winner's count per pick, with the same tie-break on
 replica id; their ``choose`` is a one-prompt ``assign``.  The base
 ``assign`` calls ``choose`` per prompt, the first at call time, which
 round-robin and the cost/SLO policy keep (its TTFT estimate moves with
-every submit).  The heap lives for one routing phase only, so router
-snapshots are unchanged.
+every submit).  A tick with no due requests makes no router call, so
+``assign`` takes at least one prompt.  The heap lives for one routing
+phase only, so router snapshots are unchanged.
 """
 
 from __future__ import annotations
@@ -55,20 +56,18 @@ class Router:
                now: float) -> Iterator[Replica]:
         """One replica per prompt, for a tick's due requests in order.
 
-        The caller must submit each request to its yielded replica
-        before asking for the next pick.
+        ``prompts`` must hold at least one prompt.  The caller must
+        submit each request to its yielded replica before asking for
+        the next pick.
 
         Raises:
             ValueError: At call time, if no replica is routable.
         """
         prompts = iter(prompts)
-        for first in prompts:
-            # The first pick precedes any submit, so it is made now;
-            # ``choose`` raises when nothing is routable.
-            return self._choose_each(self.choose(first, replicas, now),
-                                     prompts, replicas, now)
-        self._routable(replicas)
-        return iter(())
+        # The first pick precedes any submit, so it is made now;
+        # ``choose`` raises when nothing is routable.
+        first = self.choose(next(prompts), replicas, now)
+        return self._choose_each(first, prompts, replicas, now)
 
     def _choose_each(self, picked: Replica, prompts: Iterator[int],
                      replicas: Sequence[Replica], now: float,

@@ -178,9 +178,8 @@ class TestAssign:
         booting = [Replica(i, TDX, provisioned_s=0.0, boot_latency_s=60.0)
                    for i in range(3)]
         # The call itself raises; the picks are never iterated.
-        for prompts in ([64, 512], ()):
-            with pytest.raises(ValueError, match="no routable"):
-                ASSIGN_CASES[name][0]().assign(prompts, booting, 0.0)
+        with pytest.raises(ValueError, match="no routable"):
+            ASSIGN_CASES[name][0]().assign([64, 512], booting, 0.0)
 
     def test_unroutable_tick_holds_every_due_row_in_order(self):
         phased = replica_spec("tdx", max_batch=8, kv_capacity_tokens=16384,
