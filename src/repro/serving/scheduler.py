@@ -29,13 +29,16 @@ holds ``ceil((kvlen + generated) / block_size)`` blocks.  Admission
 indexes the two per-sequence events in advance — the steps at which the
 next token crosses a block edge (a residue of the step counter modulo
 ``block_size``) and the step at which the sequence finishes — so a
-decode step costs O(its events), not O(batch).  A step that needs more
-blocks than are free may preempt; it falls back to the exact
-per-sequence loop and rebuilds the index afterwards.  The independent
-reference is ``repro.validate``'s ``serving.legacy_loop_parity``
-check: a frozen transcription of the original run-to-completion loop
-over a real :class:`~repro.llm.kvcache.PagedKVCache`, which ``run()``
-must match bit-for-bit.
+decode step costs O(its events), not O(batch).  Between two events
+(a finish, a step short of blocks, an arrival, the horizon) the batch
+and the per-bucket step cost are fixed, so a whole run of steps is one
+loop over locals.  A step that needs more blocks than are free may
+preempt; it falls back to the exact per-sequence loop and rebuilds the
+index afterwards.  The independent reference is ``repro.validate``'s
+``serving.legacy_loop_parity`` check: a frozen transcription of the
+original run-to-completion loop over a real
+:class:`~repro.llm.kvcache.PagedKVCache`, which ``run()`` must match
+bit-for-bit.
 
 The scheduler is *incrementally steppable*: the fleet simulator
 (:mod:`repro.fleet`) drives many replicas against a shared clock via
@@ -78,7 +81,7 @@ from ..engine.placement import Deployment
 from ..llm.config import ModelConfig
 from ..llm.datatypes import DType
 from .admission import TenancyConfig
-from .stepcost import StepCostTable
+from .stepcost import _CONTEXT_GRID, StepCostTable
 
 if TYPE_CHECKING:
     from ..fleet.table import RequestTable
@@ -305,6 +308,15 @@ class ContinuousBatchingScheduler:
                  tenancy: TenancyConfig | None = None) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
+        # Decode indexes block edges by ``step % block_size``.
+        if not isinstance(block_size, int) or block_size < 1:
+            raise ValueError(f"block_size must be an int >= 1, "
+                             f"got {block_size!r}")
+        if not (math.isfinite(kv_capacity_tokens)
+                and kv_capacity_tokens >= block_size):
+            raise ValueError(f"kv_capacity_tokens must be finite and >= "
+                             f"block_size ({block_size}), "
+                             f"got {kv_capacity_tokens!r}")
         if admission_lookahead < 0:
             raise ValueError("admission_lookahead must be >= 0")
         self.deployment = deployment
@@ -852,39 +864,75 @@ class ContinuousBatchingScheduler:
 
     # -- decode ----------------------------------------------------------------
 
-    def _charge_step(self) -> int:
-        """Advance the clock by one decode step; returns the batch size."""
+    def _charge_step(self) -> None:
+        """Advance the clock and occupancy by one decode step."""
         batch = len(self._running)
         mean_context = int(self._ctx_total / batch)
         self._occ_sum += batch
         self._occ_count += 1
         self._clock += self._scaled(
             self._costs.decode_step_s(batch, max(1, mean_context)))
-        return batch
 
-    def _decode_once(self) -> list[int]:
-        """One decode step for the whole batch; returns finished rows.
+    def _decode_run(self, stop_s: float) -> list[int]:
+        """Decode steps up to the next event; returns finished rows.
 
-        Touches only the step's events: the block-edge residue count
-        says how many blocks the batch takes, and the finish index
-        which sequences retire.  A step that needs more blocks than are
-        free may preempt, so it takes the exact per-sequence path.
+        Between events the batch is fixed, so the run loops over plain
+        locals: each step takes its block-edge residue count of blocks
+        and adds its cost to the clock.  The run stops before a step
+        that needs more blocks than are free, and after the next finish
+        step or the first step that ends at or past ``stop_s``.  If the
+        very first step may preempt, it takes the exact per-sequence
+        path instead.
         """
-        step = self._steps
-        need = self._res_count[step % self.block_size]
-        if need > self._free_blocks:
+        first = step = self._steps
+        free = self._free_blocks
+        res_count = self._res_count
+        block_size = self.block_size
+        need = res_count[step % block_size]
+        if need > free:
             return self._decode_exact()
-        batch = self._charge_step()
-        self._free_blocks -= need
-        self._ctx_total += batch
-        self._steps = step + 1
-        finished = self._finish_at.pop(step, None)
-        if finished is None:
+        batch = len(self._running)
+        last = min(self._finish_at)
+        # Every step adds one token per sequence, so step ``j`` of the
+        # run has mean context ``(C + j * batch) // batch == base + j``
+        # for ``C = _ctx_total``.  Floor division equals the per-step
+        # loop's ``int(C / batch)``: while ``C + batch < 2**53`` the
+        # true quotient sits at least ``1 / batch`` below the next
+        # integer, more than half an ulp of it, so correctly rounded
+        # true division never rounds up onto that integer.
+        base = self._ctx_total // batch
+        decode_step_s = self._costs.decode_step_s
+        lookup_at = step
+        clock = self._clock
+        while True:
+            if step == lookup_at:
+                # The cost is constant inside a context bucket; look it
+                # up again only where the context enters the next one.
+                context = base + step - first
+                cost = self._scaled(decode_step_s(batch, max(1, context)))
+                lookup_at = step + _CONTEXT_GRID - context % _CONTEXT_GRID
+            # One sequential add per step keeps the clock's float
+            # sequence exactly the per-step loop's.
+            clock += cost
+            free -= need
+            step += 1
+            if step > last or clock >= stop_s:
+                break
+            need = res_count[step % block_size]
+            if need > free:
+                break
+        taken = step - first
+        self._clock = clock
+        self._free_blocks = free
+        self._steps = step
+        self._ctx_total += batch * taken
+        self._occ_sum += batch * taken
+        self._occ_count += taken
+        if step <= last:
             return []
+        finished = self._finish_at.pop(last)
         # A finishing sequence has generated exactly its output.
         running = self._running
-        block_size = self.block_size
-        clock = self._clock
         finish = self._finish
         status = self._status
         for row in finished:
@@ -999,7 +1047,10 @@ class ContinuousBatchingScheduler:
         steps are not preemptible — so the clock may end slightly past
         ``until_s``.  When the replica is idle, the clock jumps to the
         next arrival but never past the horizon (an idle replica's
-        clock stays put so later submissions are not delayed).
+        clock stays put so later submissions are not delayed).  Decode
+        advances a run of steps per iteration, up to the next finish,
+        block-edge shortage, arrival or horizon, so every admission
+        and horizon check still sees the clock after the same steps.
 
         Returns:
             Rows that finished during this call (their timelines are in
@@ -1011,13 +1062,13 @@ class ContinuousBatchingScheduler:
         waiting = self._waiting
         running = self._running
         admit = self._admit
-        decode = self._decode_once
+        decode = self._decode_run
         max_batch = self.max_batch
+        horizon = math.inf if until_s is None else until_s
         while waiting or running:
-            if until_s is not None and self._clock >= until_s:
+            if self._clock >= horizon:
                 break
-            if (not running and until_s is not None
-                    and self._next_arrival_s() > until_s):
+            if not running and self._next_arrival_s() > horizon:
                 break  # only future work remains in this horizon
             if waiting and len(running) < max_batch:
                 admit()
@@ -1027,7 +1078,12 @@ class ContinuousBatchingScheduler:
                 if arrival > self._clock:
                     self._clock = arrival
                 continue
-            finished += decode()
+            stop_s = horizon
+            if waiting and len(running) < max_batch:
+                # Admission may act once the next request arrives, and
+                # after every step while an arrived one is blocked.
+                stop_s = min(horizon, self._next_arrival_s())
+            finished += decode(stop_s)
         return finished
 
     def _next_arrival_s(self) -> float:

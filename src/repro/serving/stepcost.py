@@ -40,6 +40,9 @@ from ..memo import MemoCache
 #: replicas costs each unique prompt length once, not once per replica.
 _SHARED_TABLES = MemoCache("step_cost_table", maxsize=32)
 
+#: Decode contexts are memoized on multiples of this many tokens.
+_CONTEXT_GRID = 64
+
 
 class StepCostTable:
     """Memoized decode-step and prefill durations for one deployment.
@@ -80,7 +83,7 @@ class StepCostTable:
     @staticmethod
     def context_bucket(context: int) -> int:
         """Bucket a decode context to the memoized 64-token grid."""
-        return max(16, (context // 64) * 64)
+        return max(16, (context // _CONTEXT_GRID) * _CONTEXT_GRID)
 
     def working_sets(self, batch: int, context: int) -> WorkingSets:
         """Per-stream working sets of a ``batch`` x ``context`` step."""
@@ -107,7 +110,7 @@ class StepCostTable:
 
     def decode_step_s(self, batch: int, context: int) -> float:
         """Duration of one decode step at ``batch`` sequences."""
-        context_bucket = max(16, (context // 64) * 64)
+        context_bucket = max(16, (context // _CONTEXT_GRID) * _CONTEXT_GRID)
         key = (batch, context_bucket)
         cached = self._step_cache.get(key)
         if cached is None:

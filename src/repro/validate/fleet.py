@@ -39,6 +39,9 @@ numbers.
 
 from __future__ import annotations
 
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 
 from ..faults import DegradationPolicy, RetryPolicy, mtbf_schedule
@@ -146,28 +149,44 @@ def _legacy_run(scheduler: ContinuousBatchingScheduler, requests):
 def force_exact_decode(scheduler: ContinuousBatchingScheduler):
     """Send every decode step of ``scheduler`` through the exact path.
 
-    An instance override of the event-driven step, so the reference
-    needs no production flag; the scheduler is returned for chaining.
+    An instance override of the decode run: each call takes one exact
+    step, so admission and the horizon are checked after every step and
+    the reference needs no production flag.  The scheduler is returned
+    for chaining.
     """
-    scheduler._decode_once = scheduler._decode_exact
+    scheduler._decode_run = lambda stop_s: scheduler._decode_exact()
     return scheduler
 
 
-def count_exact_decode(scheduler: ContinuousBatchingScheduler) -> list[int]:
-    """Count the decode steps that fall back to the exact path.
+def count_decode_paths(scheduler: ContinuousBatchingScheduler,
+                       ) -> dict[str, int]:
+    """Count how ``scheduler`` takes its decode steps.
 
-    Returns a one-element list the count accumulates in; fast-path steps
-    are the scheduler's total decode steps minus that count.
+    Returns a dict the counts accumulate in: ``exact`` steps through
+    the exact path, fast ``runs``, fast runs of more than one step
+    (``multi``) and fast runs that ended at their stop time, a horizon
+    or an arrival (``cut``).  Fast steps are the scheduler's total
+    decode steps minus ``exact``.
     """
-    calls = [0]
-    exact = scheduler._decode_exact
+    counts = dict.fromkeys(("exact", "runs", "multi", "cut"), 0)
+    exact, run = scheduler._decode_exact, scheduler._decode_run
 
-    def counted() -> list[int]:
-        calls[0] += 1
+    def counted_exact() -> list[int]:
+        counts["exact"] += 1
         return exact()
 
-    scheduler._decode_exact = counted
-    return calls
+    def counted_run(stop_s: float) -> list[int]:
+        exact_before, steps_before = counts["exact"], scheduler._steps
+        finished = run(stop_s)
+        if counts["exact"] == exact_before:
+            counts["runs"] += 1
+            counts["multi"] += scheduler._steps - steps_before > 1
+            counts["cut"] += not finished and scheduler.clock_s >= stop_s
+        return finished
+
+    scheduler._decode_exact = counted_exact
+    scheduler._decode_run = counted_run
+    return counts
 
 
 def _serving_cases(ctx: AuditContext):
@@ -221,10 +240,61 @@ def legacy_loop_parity(ctx: AuditContext) -> str:
             f"{len(_serving_cases(ctx))} streams")
 
 
+#: Submission tick of the arrival-tick stepping check (the fleet's grid).
+_SUBMIT_TICK_S = 0.25
+
+
+def _tick_submitted(scheduler: ContinuousBatchingScheduler,
+                    table: RequestTable, substeps: int | None):
+    """Serve ``table`` the fleet's way: at tick ``k`` submit the rows
+    that have arrived by ``k * _SUBMIT_TICK_S``, then step to it.
+
+    ``substeps`` horizons per tick are spaced evenly up to the tick (1
+    is the fleet's plain tick loop).  ``None`` is the quiet-tick jump:
+    only ticks that submit are stepped to, after one call to the tick
+    before them, and the tail runs to completion in one call.  Returns
+    the report, the scheduler state at every submitting tick, and how
+    many rows were submitted ahead of the clock of a replica with a
+    running batch (each one must stop that batch's decode run at its
+    arrival).
+    """
+    order = table.arrival_order().tolist()
+    arrival = table.arrival_s
+    states = []
+    tick = head = ahead = 0
+    while head < len(order) or (substeps is not None and not scheduler.idle):
+        tick += 1
+        now = tick * _SUBMIT_TICK_S
+        due = head
+        while due < len(order) and arrival[order[due]] <= now:
+            due += 1
+        if substeps is None:
+            if due == head:
+                continue
+            scheduler.step(now - _SUBMIT_TICK_S)
+        running = scheduler.outstanding > scheduler.queue_depth
+        for row in order[head:due]:
+            ahead += running and arrival[row] > scheduler.clock_s
+            scheduler.submit(row)
+        if due > head:
+            states.append((tick, scheduler.to_state()))
+        head = due
+        for index in range(1, substeps or 1):
+            scheduler.step(now - (1 - index / substeps) * _SUBMIT_TICK_S)
+        scheduler.step(now)
+    scheduler.step(None)
+    return scheduler.report(), states, ahead
+
+
 @check("serving.step_run_parity", family="differential",
        layers=("serving", "fleet"))
 def step_run_parity(ctx: AuditContext) -> str:
-    """submit()+step() at any cadence equals run() exactly."""
+    """submit()+step() at any cadence equals run() exactly, and with
+    submissions at their arrival ticks any stepping cadence equals the
+    plain tick loop under every admission x KV isolation policy."""
+    from ..tenancy import TenantPopulation
+    from .tenancy import _population
+
     horizons = (0.1, 5.0)  # fine- and coarse-grained stepping cadences
     checked = 0
     for label, make, stream in _serving_cases(ctx):
@@ -239,21 +309,71 @@ def step_run_parity(ctx: AuditContext) -> str:
             while not scheduler.idle:
                 clock += horizon
                 scheduler.step(clock)
-            got = scheduler.report()
-            pairs = zip(expected.outcomes, got.outcomes)
-            if any((a.first_token_s, a.finish_s, a.preemptions)
-                   != (b.first_token_s, b.finish_s, b.preemptions)
-                   for a, b in pairs):
+            if not _same_timelines(expected, scheduler.report()):
                 raise CheckFailure(
                     f"{label}: stepped horizon {horizon} diverged from run()")
-            if (expected.makespan_s != got.makespan_s
-                    or expected.mean_batch_occupancy
-                    != got.mean_batch_occupancy):
-                raise CheckFailure(
-                    f"{label}: aggregate metrics diverged at horizon "
-                    f"{horizon}")
             checked += 1
-    return f"{checked} (stream, horizon) pairs exact"
+
+    # The dense stream fills the batch and preempts on the tight pool;
+    # at half its rate the clock lags arrivals, so arrival stops bind.
+    population = _population()
+    half_rate = TenantPopulation(
+        tuple(replace(tenant, rate_per_s=tenant.rate_per_s / 2)
+              for tenant in population.tenants), seed=population.seed)
+    policies = [("unarmed", None)] + [
+        (f"{admission}/{isolation}",
+         population.tenancy_config(admission=admission,
+                                   kv_isolation=isolation))
+        for admission in ("fcfs", "wfq")
+        for isolation in ("shared", "partition", "shared-prefix")]
+    streams = (("dense", population.table()),
+               ("half-rate", half_rate.table()))
+    ticked = preemptions = ahead = 0
+    for label, tenancy in policies:
+        for stream, table in streams:
+            for kv_tokens in (2048, 65536):
+                def make(kv_tokens=kv_tokens, tenancy=tenancy, table=table):
+                    scheduler = ContinuousBatchingScheduler(
+                        ctx.cpu("tdx"), ctx.model, ctx.dtype,
+                        kv_capacity_tokens=kv_tokens, max_batch=8,
+                        admission_lookahead=2, tenancy=tenancy)
+                    scheduler.bind(table)
+                    return scheduler
+                where = f"{label} {stream} {kv_tokens}-token pool"
+                want, want_states, early = _tick_submitted(make(), table, 1)
+                for substeps in (4, None):
+                    got, got_states, _ = _tick_submitted(make(), table,
+                                                         substeps)
+                    if got_states != want_states:
+                        raise CheckFailure(
+                            f"{where}: state at a submitting tick diverged "
+                            f"at {substeps} substeps")
+                    if not _same_timelines(want, got):
+                        raise CheckFailure(
+                            f"{where}: report diverged from the tick loop "
+                            f"at {substeps} substeps")
+                    ticked += 1
+                preemptions += want.total_preemptions
+                ahead += early
+    if not preemptions:
+        raise CheckFailure("no arrival-tick run preempted")
+    if not ahead:
+        raise CheckFailure("no row was submitted ahead of a busy clock; "
+                           "the decode run's arrival stop is unchecked")
+    return (f"{checked} (stream, horizon) pairs equal run(); {ticked} "
+            f"arrival-tick cadences over {len(policies)} policies equal the "
+            f"tick loop ({preemptions} preemptions, {ahead} rows submitted "
+            f"ahead of a busy clock)")
+
+
+def _same_timelines(a, b) -> bool:
+    """Bit-identical request timelines, makespan and occupancy."""
+    return ([(o.first_token_s, o.finish_s, o.preemptions)
+             for o in a.outcomes]
+            == [(o.first_token_s, o.finish_s, o.preemptions)
+                for o in b.outcomes]
+            and a.makespan_s == b.makespan_s
+            and a.mean_batch_occupancy == b.mean_batch_occupancy)
 
 
 # -- fleet metamorphic checks -------------------------------------------------
@@ -561,10 +681,11 @@ def decode_event_parity(ctx: AuditContext) -> str:
     from ..state.checkpoint import snapshot
 
     regimes = _decode_regimes()
-    steps = exact_steps = preemptions = snapshots = 0
+    steps = preemptions = snapshots = 0
+    paths: Counter[str] = Counter()
     for label, factory, stream in regimes:
         event, reference = factory(), factory()
-        counters = [count_exact_decode(r.scheduler) for r in event.replicas]
+        counters = [count_decode_paths(r.scheduler) for r in event.replicas]
         for replica in reference.replicas:
             force_exact_decode(replica.scheduler)
         event.begin_run(stream)
@@ -591,15 +712,21 @@ def decode_event_parity(ctx: AuditContext) -> str:
                 raise CheckFailure(
                     f"{label}: outcome column {column} diverged")
         steps += sum(r.scheduler._occ_count for r in event.replicas)
-        exact_steps += sum(calls[0] for calls in counters)
+        for counts in counters:
+            paths.update(counts)
         preemptions += got.total_preemptions
+    exact_steps = paths["exact"]
     if not preemptions:
         raise CheckFailure("no regime preempted; the exact path is unchecked")
-    if exact_steps >= steps:
-        raise CheckFailure("the event path never took its fast branch")
+    if not paths["multi"]:
+        raise CheckFailure("no fast run covered more than one step")
+    if not paths["cut"]:
+        raise CheckFailure("no fast run was cut short by a horizon or an "
+                           "arrival")
     return (f"{len(regimes)} regimes, {snapshots} mid-run snapshots "
-            f"identical; {steps - exact_steps} fast and {exact_steps} exact "
-            f"of {steps} decode steps, {preemptions} preemptions")
+            f"identical; {steps - exact_steps} fast steps in "
+            f"{paths['runs']} runs and {exact_steps} exact of {steps} decode "
+            f"steps, {preemptions} preemptions")
 
 
 @check("fleet.replica_scaling_monotonic_tail", family="metamorphic",

@@ -136,6 +136,26 @@ class TestStreamGenerator:
             ServeRequest(0, 0.0, 0, 10)
 
 
+class TestKvGeometryValidation:
+    @pytest.mark.parametrize("block_size, kv_tokens", [
+        (0, 65536), (-16, 65536), (16.5, 65536),
+        (16, -1), (16, 8), (16, float("nan")), (16, float("inf")),
+    ])
+    def test_bad_kv_geometry_rejected_at_the_scheduler(self, block_size,
+                                                       kv_tokens):
+        """Bad KV geometry raises ValueError before any request runs,
+        whether the scheduler is built directly or by a fleet."""
+        from repro.fleet import fixed_fleet, poisson_table, replica_spec
+        with pytest.raises(ValueError, match="block_size|kv_capacity"):
+            ContinuousBatchingScheduler(
+                cpu_deployment("tdx", sockets_used=1), LLAMA2_7B, BFLOAT16,
+                kv_capacity_tokens=kv_tokens, block_size=block_size)
+        spec = replica_spec("tdx", block_size=block_size,
+                            kv_capacity_tokens=kv_tokens)
+        with pytest.raises(ValueError, match="block_size|kv_capacity"):
+            fixed_fleet(spec, 1).run(poisson_table(4, 1.0, seed=1))
+
+
 class TestSchedulerProperties:
     @settings(max_examples=15, deadline=None)
     @given(st.lists(

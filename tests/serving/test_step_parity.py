@@ -267,10 +267,11 @@ class TestEventDecodeParity:
            policy=st.sampled_from(POLICIES),
            horizon=st.sampled_from([0.05, 0.4, 2.5]),
            disrupt=st.sampled_from(["none", "cancel", "evacuate"]),
-           at_call=st.integers(1, 8), victim=st.integers(0, 13))
+           at_call=st.integers(1, 8), victim=st.integers(0, 13),
+           time_scale=st.sampled_from([1.0, 1.75, 0.6]))
     def test_event_path_matches_forced_exact(self, shapes, kv_tokens,
                                              policy, horizon, disrupt,
-                                             at_call, victim):
+                                             at_call, victim, time_scale):
         requests = sorted(
             (ServeRequest(i, arrival, prompt, output, tenant_id=tenant)
              for i, (arrival, prompt, output, tenant) in enumerate(shapes)),
@@ -284,6 +285,8 @@ class TestEventDecodeParity:
             # A request too large for the pool or partition is refused
             # identically by both.
             assert _call(event.submit, row) == _call(exact.submit, row)
+        # A slowed replica caches its scaled step cost per context bucket.
+        event.time_scale = exact.time_scale = time_scale
         clock, calls = 0.0, 0
         while not (event.idle and exact.idle):
             clock += horizon
@@ -306,14 +309,57 @@ class TestEventDecodeParity:
     def test_preempting_stream_takes_both_paths(self):
         """A tight pool drives both branches, and the event path's
         preemptions and timelines equal the forced-exact run's."""
-        from repro.validate.fleet import count_exact_decode
+        from repro.validate.fleet import count_decode_paths
         requests = poisson_stream(40, 20.0, mean_prompt=96,
                                   mean_output=160, seed=5)
         event = make_scheduler(kv_tokens=1024, max_batch=16)
-        exact_steps = count_exact_decode(event)
+        paths = count_decode_paths(event)
         report = event.run(requests)
         reference = force_exact_decode(
             make_scheduler(kv_tokens=1024, max_batch=16)).run(requests)
         assert_reports_identical(report, reference)
         assert report.total_preemptions > 0
-        assert 0 < exact_steps[0] < event.to_state()["occ_count"]
+        assert 0 < paths["exact"] < event.to_state()["occ_count"]
+
+    def test_bucket_crossing_mid_run_charges_the_new_cost(self):
+        """A batch-1 run whose context crosses 64 mid-run charges the
+        next bucket's step cost from exactly the crossing step."""
+        from repro.validate.fleet import count_decode_paths
+        prompt, output = 50, 40  # contexts 50..89: step 14 is at 64
+        requests = [ServeRequest(0, 0.0, prompt, output)]
+        event = bound_scheduler(requests)
+        exact = force_exact_decode(bound_scheduler(requests))
+        paths = count_decode_paths(event)
+        for scheduler in (event, exact):
+            scheduler.submit(0)
+            scheduler.step(None)
+        assert paths == {"exact": 0, "runs": 1, "multi": 1, "cut": 0}
+        assert event.clock_s == exact.clock_s
+        assert event._steps == exact._steps == output
+        costs = event._costs
+        assert costs.decode_step_s(1, 63) != costs.decode_step_s(1, 64)
+
+        def clock_switching_at(switch):
+            clock = costs.prefill_s(prompt)
+            for step in range(output):
+                context = 63 if prompt + step < switch else 64
+                clock += costs.decode_step_s(1, context)
+            return clock
+        assert event.clock_s == clock_switching_at(64)
+        assert event.clock_s not in (clock_switching_at(63),
+                                     clock_switching_at(65))
+
+    def test_arrival_on_a_step_boundary_stops_the_run(self):
+        """A request arriving exactly when a decode step ends is admitted
+        right after that step, as the per-step loop admits it."""
+        costs = make_scheduler()._costs
+        boundary = costs.prefill_s(64)
+        for step in range(5):
+            boundary += costs.decode_step_s(1, 64 + step)
+        requests = [ServeRequest(0, 0.0, 64, 40),
+                    ServeRequest(1, boundary, 64, 8)]
+        event = make_scheduler().run(requests)
+        exact = force_exact_decode(make_scheduler()).run(requests)
+        assert_reports_identical(event, exact)
+        assert event.outcomes[1].first_token_s == \
+            boundary + costs.prefill_s(64)
