@@ -71,6 +71,10 @@ class FaultEvent:
         if self.kind in ("hang", "slowdown", "link_degrade",
                          "attestation_failure") and self.duration_s <= 0:
             raise ValueError(f"{self.kind} requires duration_s > 0")
+        # NaN slips past the range checks below (every comparison with
+        # it is False), and inf would reach the scheduler's time scale.
+        if not math.isfinite(self.factor):
+            raise ValueError("factor must be finite")
         if self.kind == "slowdown" and self.factor <= 1.0:
             raise ValueError("slowdown factor must be > 1")
         if self.kind == "link_degrade" and not 0 < self.factor <= 1.0:

@@ -3,8 +3,10 @@
 The event loop advances a global clock in fixed ticks.  At every tick
 it (1) lets the autoscaler provision or drain instances, (2) activates
 replicas whose boot latency elapsed, (3) routes arrivals due by the
-tick to live replicas, and (4) steps every replica's scheduler to the
-tick horizon.  Replica-local clocks may overshoot a tick (prefill and
+tick to live replicas, and (4) steps the scheduler of every replica
+with work (or a hang to resume from) to the tick horizon; stepping an
+idle scheduler is an exact no-op, so idle replicas are skipped.
+Replica-local clocks may overshoot a tick (prefill and
 decode steps are not preemptible) but are resynchronized by the
 horizon of the next ``step`` call — the same quantized-time contract
 real cluster managers have with their nodes.
@@ -18,11 +20,12 @@ to that table and to one run-wide
 retries, flights and the shed ledger all carry rows, and the report's
 views build request objects only on demand.
 :meth:`FleetSimulator.run` jumps quiet stretches of the tick grid in
-one composed scheduler step instead of ticking through them.  The jump
-is taken only when no tick in the stretch could act (no arrival, retry,
-fault, boot/attest/restart/hang edge, or flight timeout is due, no
-autoscaler, no draining or slowed replica, nothing held) and always
-lands *before* the next such edge, so the ticks that do act execute at
+one composed scheduler step instead of ticking through them, so it pays
+per event rather than per grid tick.  The jump is taken only when no
+tick in the stretch could act (no arrival, retry, fault,
+boot/attest/restart/hang/slowdown edge, or flight timeout is due, no
+autoscaler, no draining replica, nothing held) and lands on the last
+tick before the next such edge, so the ticks that do act execute at
 exactly the clock values of a plain ``run_tick`` loop — reports are
 bit-identical, pinned by the ``fleet.jump_parity`` audit check.
 
@@ -44,6 +47,7 @@ one bit-identical :class:`~repro.fleet.report.FleetReport`.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 
 from ..faults.attest import FleetAttestation, needs_attestation
@@ -530,9 +534,10 @@ class FleetSimulator:
 
         for replica in self.replicas:
             if replica.active:
-                finished = replica.step(now)
-                if state is not None:
-                    state.land(finished)
+                if replica.needs_step:
+                    finished = replica.step(now)
+                    if state is not None:
+                        state.land(finished)
                 replica.retire_if_drained(now)
         run.peak = max(run.peak, len(self.active))
 
@@ -544,16 +549,18 @@ class FleetSimulator:
     # -- quiet-tick jumping ---------------------------------------------------
 
     def _next_wake_s(self, run: _RunState) -> float | None:
-        """Earliest future instant at which a tick could *act*.
+        """Earliest instant ``t`` at which a tick could *act* on an edge
+        tested as ``t >= edge``.
 
         A tick acts when it routes work, applies a fault, crosses a
-        lifecycle edge, or fires a timeout.  Everything that can cause
-        one is time-anchored and peekable: the next pending arrival,
-        the earliest retry due, the injector's next event, each
-        replica's boot/attest readiness, scheduled restart, hang
-        expiry, and the earliest in-flight timeout.  Returns ``None``
-        when no such instant exists (a pure drain: only scheduler-
-        internal work remains).
+        lifecycle edge, or fires a timeout.  All but the timeout are
+        time-anchored edges the acting code tests as ``edge <= now``
+        (or ``now >= edge``): the next pending arrival, the earliest
+        retry due, the injector's next event, each replica's
+        boot/attest readiness, scheduled restart, hang expiry and
+        slowdown expiry.  Flight timeouts are tested by subtraction and
+        handled by :meth:`_skip_quiet_ticks` itself.  Returns ``None``
+        when no such edge exists.
         """
         state = run.chaos
         candidates: list[float] = []
@@ -566,10 +573,6 @@ class FleetSimulator:
             injector_due = state.injector.next_due_s
             if injector_due is not None:
                 candidates.append(injector_due)
-            if state.retry is not None and state.flights:
-                oldest = min(routed_s for _, routed_s
-                             in state.flights.values())
-                candidates.append(oldest + state.retry.timeout_s)
         for replica in self.replicas:
             if replica.state in (BOOTING, ATTESTING):
                 candidates.append(replica.ready_s)
@@ -577,6 +580,8 @@ class FleetSimulator:
                 candidates.append(replica._restart_at_s)
             if replica._hang_until_s is not None:
                 candidates.append(replica._hang_until_s)
+            if replica._slow_until_s is not None:
+                candidates.append(replica._slow_until_s)
         return min(candidates) if candidates else None
 
     #: Ticks jumped per chunk when nothing external is ever due again
@@ -587,23 +592,27 @@ class FleetSimulator:
         """Jump the clock over ticks that provably cannot act.
 
         Replays the skipped ticks' only observable work — stepping the
-        replicas — as one composed ``step`` call per replica (the
-        scheduler's step/run parity contract makes the composition
-        exact), then lets :meth:`run_tick` execute the next tick
-        normally.  The jump always stops *short* of the next wake
-        instant, so the tick that handles it runs at exactly the clock
-        value a plain ``run_tick`` loop would have used, and ``run.now``
-        is advanced by repeated ``+= tick_s`` so float accumulation
-        stays bit-identical too.
+        replicas that have work — as one composed ``step`` call per
+        replica (the scheduler's step/run parity contract makes the
+        composition exact, under every admission policy: SCFQ tags are
+        fixed at submit and nothing is submitted in a quiet stretch),
+        then lets :meth:`run_tick` execute the next tick normally.
+        ``run.now`` advances by repeated ``+= tick_s``, so float
+        accumulation stays bit-identical, and lands on the *last* grid
+        value at which no wake condition holds yet: each candidate tick
+        is tested with the comparison its acting code uses
+        (``edge <= now`` for the :meth:`_next_wake_s` edges,
+        ``now - routed_s > timeout_s`` for flight timeouts).  The tick
+        that wakes therefore runs at exactly the clock value a plain
+        ``run_tick`` loop would have used.  When only in-flight work
+        keeps the run alive, the jump lands one tick earlier: the run
+        may end inside the stretch, where a plain loop stops before the
+        wake tick acts.
 
-        Conservative no-jump conditions (any of these makes ticks
-        potentially act in ways that are not time-peekable): an armed
-        autoscaler (decides on queue depth every tick), held work
-        (rerouted every tick), a draining replica (retires the tick its
-        queue empties), a slowed replica (expiry interacts with in-step
-        work), or a non-FCFS admission policy (WFQ admission order
-        depends on exactly which requests have arrived at each step, so
-        composed steps are not time-peekable).
+        Conservative no-jump conditions (ticks could act in ways that
+        are not time-peekable): an armed autoscaler (decides on queue
+        depth every tick), held work (rerouted every tick), or a
+        draining replica (retires the tick its queue empties).
         """
         run = self._run
         if run is None:
@@ -613,32 +622,40 @@ class FleetSimulator:
         for replica in self.replicas:
             if replica.state == DRAINING:
                 return
-            if replica.active and replica._slow_until_s is not None:
-                return
-            if replica.scheduler.admission != "fcfs":
-                return
         wake = self._next_wake_s(run)
+        state = run.chaos
+        oldest = None
+        if state is not None and state.retry is not None and state.flights:
+            # The oldest flight times out first: now - routed_s is
+            # monotone in routed_s.
+            timeout_s = state.retry.timeout_s
+            oldest = min(routed_s for _, routed_s in state.flights.values())
         tick = self.tick_s
         now = run.now
-        if wake is None:
-            steps = self._DRAIN_CHUNK_TICKS
+        if wake is None and oldest is None:
+            for _ in range(self._DRAIN_CHUNK_TICKS):
+                now += tick
         else:
-            gap = wake - now
-            if gap <= tick:
+            edge = math.inf if wake is None else wake
+            before = now
+            while True:
+                ahead = now + tick
+                if ahead >= edge or (oldest is not None
+                                     and ahead - oldest > timeout_s):
+                    break
+                before, now = now, ahead
+            if (run.pending_head == len(run.pending_arrivals)
+                    and not (state is not None and state.retry_queue)):
+                # The run may end inside the stretch: land one tick
+                # short, so the tick run() executes next is still quiet.
+                now = before
+            if now == run.now:
                 return
-            # Stop two ticks short of the wake instant; int() truncation
-            # plus the margin guarantees we never cross it.
-            steps = int(gap / tick) - 2
-            if steps <= 0:
-                return
-        for _ in range(steps):
-            now += tick
         if wake is not None and now >= wake:
             return  # float-accumulation safety net: tick normally instead
         run.now = now
-        state = run.chaos
         for replica in self.replicas:
-            if replica.active:
+            if replica.active and replica.needs_step:
                 finished = replica.step(now)
                 if state is not None:
                     state.land(finished)

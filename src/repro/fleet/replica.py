@@ -250,6 +250,14 @@ class Replica:
         """Whether the instance still accrues cost and needs stepping."""
         return self.state not in (RETIRED, FAILED)
 
+    @property
+    def needs_step(self) -> bool:
+        """Whether :meth:`step` can change anything: the scheduler has
+        queued or running work, or a hang is pending (stepping past its
+        end resumes the clock there).  Stepping an idle, unhung replica
+        is an exact no-op, so the fleet skips it."""
+        return self._hang_until_s is not None or not self.scheduler.idle
+
     # -- fault lifecycle (repro.faults) ---------------------------------------
 
     def crash(self, now: float,

@@ -18,7 +18,8 @@ numbers.
   fleet regime twice — through ``run()``, which jumps quiet ticks, and
   through a plain ``begin_run``/``run_tick``/``finish_run`` loop — and
   requires exactly equal reports, plus a skipped tick in every regime
-  where jumping is allowed.
+  where jumping is allowed, and a retried timeout and a jump across a
+  slowed replica in the sparse timeout/slowdown regime.
 * ``fleet.route_parity`` (differential) runs overloaded, faulted,
   KV-pressure, WFQ-tenant and phased-boot fleets once with the shipped
   per-tick heap routers and once with references that rescan the fleet
@@ -44,7 +45,13 @@ from dataclasses import replace
 
 import numpy as np
 
-from ..faults import DegradationPolicy, RetryPolicy, mtbf_schedule
+from ..faults import (
+    DegradationPolicy,
+    FaultEvent,
+    FaultSchedule,
+    RetryPolicy,
+    mtbf_schedule,
+)
 from ..fleet import (
     AutoscalerConfig,
     CostSloRouter,
@@ -387,16 +394,25 @@ def _tdx_spec():
     return replica_spec("tdx", max_batch=16, kv_capacity_tokens=65536)
 
 
+#: The regime whose retry timeouts and slowdown faults fall inside
+#: quiet stretches: ``fleet.jump_parity`` requires both to be crossed by
+#: exact jumps there.  Slowdowns evacuate nothing, so every retry in it
+#: is a timeout.
+SLOWED_SPARSE = "sparse 0.5 req/s + timeouts/slowdowns"
+
+
 def _jump_regimes() -> list[tuple[str, "callable", object, bool]]:
     """(label, fresh-fleet factory, stream, jumps) for every fleet regime.
 
     Covers fault-free, faulted, autoscaled, spill-router and sparse
-    fleets, the 9 tenancy admission x isolation regimes, and phased
-    boots fault-free, faulted and autoscaled.  Streams alternate between
-    object lists and request tables, so ``begin_run``'s list-to-table
-    conversion stays covered.  ``jumps`` says whether ``run()`` must
-    skip at least one quiet tick there: it is false exactly where
-    ``_skip_quiet_ticks`` refuses (an armed autoscaler, WFQ admission).
+    fleets, a sparse fleet whose retry timeouts and slowdowns fall
+    inside quiet stretches (:data:`SLOWED_SPARSE`), the 9 tenancy
+    admission x isolation regimes, and phased boots fault-free, faulted
+    and autoscaled.  Streams alternate between object lists and request
+    tables, so ``begin_run``'s list-to-table conversion stays covered.
+    ``jumps`` says whether ``run()`` must skip at least one quiet tick
+    there: it is false exactly where ``_skip_quiet_ticks`` refuses for
+    the whole run (an armed autoscaler).
     """
     from .attest import _phased_regimes, _stream as _boot_stream
     from .tenancy import _population, _regimes as _tenancy_regimes
@@ -431,6 +447,15 @@ def _jump_regimes() -> list[tuple[str, "callable", object, bool]]:
         ("sparse 0.5 req/s", lambda: fixed_fleet(spec, 2),
          poisson_table(20, rate_per_s=0.5, mean_prompt=128, mean_output=32,
                        seed=11), True),
+        (SLOWED_SPARSE, lambda: fixed_fleet(
+            spec, 2, retry_policy=RetryPolicy(timeout_s=3.0, max_attempts=4,
+                                              seed=3),
+            faults=FaultSchedule((
+                FaultEvent(3.0, "slowdown", 0, duration_s=7.1, factor=2.0),
+                FaultEvent(16.0, "slowdown", 1, duration_s=9.3,
+                           factor=1.5)))),
+         poisson_table(20, rate_per_s=0.5, mean_prompt=128, mean_output=32,
+                       seed=11), True),
     ]
     population = _population()
     for index, (label, tenant_spec, kwargs) in enumerate(
@@ -440,7 +465,7 @@ def _jump_regimes() -> list[tuple[str, "callable", object, bool]]:
             lambda tenant_spec=tenant_spec, kwargs=kwargs: fixed_fleet(
                 tenant_spec, 2, **kwargs),
             list(population.table()) if index % 2 else population.table(),
-            label.startswith("fcfs")))
+            True))
     for index, (label, boot_spec, kwargs) in enumerate(_phased_regimes()):
         regimes.append((
             f"phased boot {label}",
@@ -459,17 +484,27 @@ def _jump_regimes() -> list[tuple[str, "callable", object, bool]]:
 
 
 def _run_jumping(sim: FleetSimulator, stream):
-    """``sim.run(stream)`` and the number of ticks it executed."""
-    ticks = 0
-    tick = sim.run_tick
+    """``sim.run(stream)``, the number of ticks it executed, and the
+    number of jumps it took while some replica was slowed."""
+    ticks = slowed_jumps = 0
+    tick, skip = sim.run_tick, sim._skip_quiet_ticks
 
     def counted() -> None:
         nonlocal ticks
         ticks += 1
         tick()
 
+    def watched() -> None:
+        nonlocal slowed_jumps
+        slowed = any(r._slow_until_s is not None for r in sim.replicas)
+        before = sim.run_clock_s
+        skip()
+        if slowed and sim.run_clock_s != before:
+            slowed_jumps += 1
+
     sim.run_tick = counted
-    return sim.run(stream), ticks
+    sim._skip_quiet_ticks = watched
+    return sim.run(stream), ticks, slowed_jumps
 
 
 def _run_ticking(sim: FleetSimulator, stream):
@@ -490,7 +525,7 @@ def jump_parity(ctx: AuditContext) -> str:
     regimes = _jump_regimes()
     jumped_ticks = ticked_ticks = compared = 0
     for label, factory, stream, expect_jump in regimes:
-        jumped, jumps = _run_jumping(factory(), stream)
+        jumped, jumps, slowed_jumps = _run_jumping(factory(), stream)
         ticked, ticks = _run_ticking(factory(), stream)
         a, b = jumped.to_dict(), ticked.to_dict()
         if a != b:
@@ -514,6 +549,11 @@ def jump_parity(ctx: AuditContext) -> str:
             raise CheckFailure(
                 f"{label}: run() executed all {ticks} ticks; expected it "
                 f"to jump quiet ones")
+        if label == SLOWED_SPARSE and not (ticked.retries and slowed_jumps):
+            raise CheckFailure(
+                f"{label}: {ticked.retries} timed-out requests retried and "
+                f"{slowed_jumps} jumps crossed a slowed replica; the check "
+                f"needs both, or it is vacuous")
         jumped_ticks += jumps
         ticked_ticks += ticks
         compared += len(ticked.outcomes)

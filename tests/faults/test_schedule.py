@@ -34,6 +34,12 @@ class TestFaultEvent:
         with pytest.raises(ValueError, match="factor"):
             FaultEvent(1.0, "slowdown", 0, duration_s=2.0, factor=0.9)
 
+    @pytest.mark.parametrize("factor", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("kind", ["slowdown", "link_degrade"])
+    def test_non_finite_factor_rejected(self, kind, factor):
+        with pytest.raises(ValueError, match="factor must be finite"):
+            FaultEvent(1.0, kind, 0, duration_s=2.0, factor=factor)
+
     def test_link_degrade_factor_is_a_fraction(self):
         with pytest.raises(ValueError, match="factor"):
             FaultEvent(1.0, "link_degrade", 0, duration_s=2.0, factor=1.5)

@@ -2,24 +2,28 @@
 
 The hand-picked regimes live in ``repro.validate.fleet``
 (``fleet.jump_parity``); here hypothesis draws *random* fleet
-configurations — replica kind and count, stream shape, faults on or
-off — and asserts that ``run()``, which jumps quiet stretches of the
-tick grid, equals a plain ``begin_run``/``run_tick``/``finish_run``
-loop, and that freezing a run mid-flight and restoring it changes
-nothing.  Equality is exact, not approximate.
+configurations — replica kind and count, stream shape, FCFS or WFQ
+admission, tick width, faults on or off — and asserts that ``run()``,
+which jumps quiet stretches of the tick grid, equals a plain
+``begin_run``/``run_tick``/``finish_run`` loop, and that freezing a run
+mid-flight and restoring it changes nothing.  Equality is exact, not
+approximate.  Deterministic tests pin what the jumps buy: a sparse run
+executes one tick per arrival tick, and idle replicas are not stepped.
 """
 
 import json
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.faults import RetryPolicy, mtbf_schedule
+from repro.faults import FaultEvent, FaultSchedule, RetryPolicy, mtbf_schedule
 from repro.fleet import (
     RequestTable,
     fixed_fleet,
     poisson_table,
     replica_spec,
 )
+from repro.serving.admission import TenancyConfig
 
 configs = st.fixed_dictionaries({
     "kind": st.sampled_from(["tdx", "baremetal", "cgpu"]),
@@ -28,12 +32,20 @@ configs = st.fixed_dictionaries({
     "rate": st.sampled_from([0.5, 2.0, 4.0, 8.0]),
     "seed": st.integers(0, 50),
     "faulted": st.booleans(),
+    "admission": st.sampled_from(["fcfs", "wfq"]),
+    # 0.1 and 0.3 are not dyadic: their grid accumulates rounding, which
+    # exact jump landing must reproduce tick for tick.
+    "tick_s": st.sampled_from([0.25, 0.1, 0.3]),
 })
+
+#: WFQ weights of the three tenants a ``wfq`` stream cycles through.
+WFQ = TenancyConfig(admission="wfq", weights=((0, 4.0), (1, 2.0), (2, 1.0)))
 
 
 def build(config):
     spec = replica_spec(config["kind"], max_batch=8,
-                        kv_capacity_tokens=16384)
+                        kv_capacity_tokens=16384,
+                        tenancy=WFQ if config["admission"] == "wfq" else None)
     kwargs = {}
     if config["faulted"]:
         kwargs = dict(
@@ -42,12 +54,19 @@ def build(config):
                                  seed=config["seed"]),
             retry_policy=RetryPolicy(timeout_s=30.0, max_attempts=4,
                                      seed=config["seed"]))
-    return fixed_fleet(spec, config["replicas"], **kwargs)
+    return fixed_fleet(spec, config["replicas"], tick_s=config["tick_s"],
+                       **kwargs)
 
 
 def stream(config):
-    return poisson_table(config["count"], rate_per_s=config["rate"],
-                         mean_prompt=96, mean_output=24, seed=config["seed"])
+    table = poisson_table(config["count"], rate_per_s=config["rate"],
+                          mean_prompt=96, mean_output=24,
+                          seed=config["seed"])
+    if config["admission"] == "fcfs":
+        return table
+    return RequestTable(table.request_id, table.arrival_s,
+                        table.prompt_tokens, table.output_tokens,
+                        tenant_id=np.arange(len(table)) % 3)
 
 
 def tick_loop(fleet, requests):
@@ -82,6 +101,83 @@ class TestJumpParity:
         from_list = build(config).run(list(table))
         from_table = build(config).run(table)
         assert_reports_equal(from_list, from_table)
+
+
+def arrival_ticks(table, tick_s):
+    """Grid ticks that route at least one arrival, on the accumulated
+    grid ``run_tick`` walks."""
+    arrivals = sorted(table.arrival_s.tolist())
+    now = (arrivals[0] // tick_s) * tick_s
+    ticks = head = 0
+    while head < len(arrivals):
+        now += tick_s
+        if arrivals[head] <= now:
+            ticks += 1
+            while head < len(arrivals) and arrivals[head] <= now:
+                head += 1
+    return ticks
+
+
+class TestTicksOnlyWhereThereIsWork:
+    def test_sparse_run_executes_one_tick_per_arrival_tick(self):
+        spec = replica_spec("tdx", max_batch=16, kv_capacity_tokens=65536)
+        table = poisson_table(60, rate_per_s=0.5, mean_prompt=128,
+                              mean_output=32, seed=11)
+        for tick_s in (0.25, 0.1):
+            fleet = fixed_fleet(spec, 2, tick_s=tick_s)
+            executed = 0
+            tick = fleet.run_tick
+
+            def counted():
+                nonlocal executed
+                executed += 1
+                tick()
+
+            fleet.run_tick = counted
+            report = fleet.run(table)
+            # A sparse stream drains in one chunk after its last arrival.
+            assert executed <= arrival_ticks(table, tick_s) + 1
+            assert_reports_equal(report, tick_loop(
+                fixed_fleet(spec, 2, tick_s=tick_s), table))
+
+    @staticmethod
+    def _quiet_second_replica(faults=None):
+        """Two replicas, one request every 10 s: least-outstanding sends
+        every request to replica 0, so replica 1 stays idle."""
+        spec = replica_spec("tdx", max_batch=8, kv_capacity_tokens=16384)
+        fleet = fixed_fleet(spec, 2, faults=faults)
+        calls = []
+        scheduler = fleet.replicas[1].scheduler
+        step = scheduler.step
+
+        def spy(until_s=None):
+            calls.append(until_s)
+            return step(until_s)
+
+        scheduler.step = spy
+        table = RequestTable(np.arange(4), 10.0 * np.arange(4),
+                             np.full(4, 64), np.full(4, 8))
+        return fleet, table, calls
+
+    def test_idle_replica_is_not_stepped_unless_hung(self):
+        for drive in (lambda f, t: f.run(t), tick_loop):
+            fleet, table, calls = self._quiet_second_replica()
+            report = drive(fleet, table)
+            assert report.replicas[1].requests_served == 0
+            assert calls == []
+
+        # A hang on the idle replica must still lift at hang_until.
+        hang = FaultSchedule((FaultEvent(5.0, "hang", 1, duration_s=7.0),))
+        reports = []
+        for drive in (lambda f, t: f.run(t), tick_loop):
+            fleet, table, calls = self._quiet_second_replica(hang)
+            reports.append(drive(fleet, table))
+            idle = fleet.replicas[1]
+            assert idle._hang_until_s is None
+            assert idle.scheduler.clock_s == 12.0
+            # Stepped once, by the tick that lifted the hang.
+            assert calls == [12.0]
+        assert_reports_equal(*reports)
 
 
 class TestEventResume:
