@@ -9,9 +9,16 @@ fleet -> serving is the only allowed direction).
 Admission policies
 ------------------
 
+Both policies run the scheduler's one admission loop: it admits the
+first *already-arrived* entry of the waiting queue and, when that
+entry's KV take fails, tries up to ``admission_lookahead`` further
+arrived entries.  The policies differ only in the queue order and in
+how the scan treats an entry that has not arrived yet.
+
 ``fcfs``
-    Strict arrival-order admission — the pre-tenancy behavior, kept
-    byte-identical when tenancy is unarmed.
+    Arrival-order admission — the pre-tenancy behavior, kept
+    byte-identical when tenancy is unarmed.  The head is the queue
+    head, and an unarrived candidate ends the lookahead scan.
 
 ``wfq``
     Start-time-clocked weighted fair queueing (SCFQ).  Each request is
@@ -23,13 +30,16 @@ Admission policies
     where ``fin[tenant]`` chains the tenant's previous tag and ``V`` is
     the scheduler's global virtual clock, advanced to the tag of every
     admitted request.  The waiting queue is ordered by
-    ``(finish_tag, arrival_s, request_id)``; admission scans that order
-    for the first *already-arrived* request.  Tags are assigned once at
-    submission and survive preemption, so a preempted request re-queues
-    at its original virtual position.
+    ``(finish_tag, arrival_s, request_id)``; the head is the first
+    already-arrived entry in that order, and the lookahead scan skips
+    unarrived entries without charging them to its window.  Tags are
+    assigned once at submission and survive preemption, so a preempted
+    request re-queues at its original virtual position.
 
 KV isolation modes
 ------------------
+
+The scheduler binds one KV-take function per mode when it is built.
 
 ``shared``
     One pool, first-come-first-allocated — the pre-tenancy behavior.

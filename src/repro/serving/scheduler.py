@@ -47,22 +47,28 @@ The scheduler is *incrementally steppable*: the fleet simulator
 ContinuousBatchingScheduler.run` remains the single-replica
 run-to-completion entry point.
 
-Admission policy (head-of-line).  By default admission is strict FCFS:
-the admission loop ``break``s on the first queued request whose KV
+Admission policy (head-of-line).  One admission loop serves every
+policy.  It admits the first *arrived* request of the waiting queue —
+the queue head under FCFS, the first arrived request in virtual-finish
+tag order under WFQ — and by default ``break``s when that request's KV
 allocation fails, even if a *smaller* request queued behind it would
-fit — exactly vLLM's default behavior, which trades utilization for
+fit: exactly vLLM's default behavior, which trades utilization for
 no-starvation.  Passing ``admission_lookahead=k`` relaxes this: after a
-head-of-line allocation failure the scheduler scans up to ``k`` further
+head-of-line allocation failure the loop scans up to ``k`` further
 already-arrived requests and admits the first that fits (bounded
 out-of-order admission; the head request keeps its queue position).
+The only policy difference inside the scan is an unarrived candidate:
+it ends the scan under FCFS (nothing behind it has arrived) and is
+skipped under WFQ.  The KV take is one function per isolation mode,
+chosen once when the scheduler is built.
 
 Multi-tenancy.  Passing a :class:`~repro.serving.admission.TenancyConfig`
 arms per-tenant policy: weighted-fair-queueing admission (SCFQ virtual
 finish tags; see :mod:`repro.serving.admission`) and per-tenant KV
 isolation (hard partition via admission-time worst-case reservation, or
 cross-request shared-prefix pinning with hit/miss accounting).  With no
-config the scheduler executes the exact pre-tenancy instruction
-sequence, so unarmed runs stay bit-identical to earlier releases.
+config the scheduler is FCFS over one shared pool, so unarmed runs stay
+bit-identical to earlier releases.
 """
 
 from __future__ import annotations
@@ -306,8 +312,11 @@ class ContinuousBatchingScheduler:
                  block_size: int = 16, max_batch: int = 64,
                  admission_lookahead: int = 0,
                  tenancy: TenancyConfig | None = None) -> None:
-        if max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
+        # NaN or a fraction would pass a plain comparison: a NaN batch cap
+        # admits nothing, ever, and a NaN lookahead window is unbounded.
+        if not isinstance(max_batch, int) or max_batch < 1:
+            raise ValueError(f"max_batch must be an int >= 1, "
+                             f"got {max_batch!r}")
         # Decode indexes block edges by ``step % block_size``.
         if not isinstance(block_size, int) or block_size < 1:
             raise ValueError(f"block_size must be an int >= 1, "
@@ -317,8 +326,9 @@ class ContinuousBatchingScheduler:
             raise ValueError(f"kv_capacity_tokens must be finite and >= "
                              f"block_size ({block_size}), "
                              f"got {kv_capacity_tokens!r}")
-        if admission_lookahead < 0:
-            raise ValueError("admission_lookahead must be >= 0")
+        if not isinstance(admission_lookahead, int) or admission_lookahead < 0:
+            raise ValueError(f"admission_lookahead must be an int >= 0, "
+                             f"got {admission_lookahead!r}")
         self.deployment = deployment
         self.model = model
         self.dtype = dtype
@@ -329,6 +339,11 @@ class ContinuousBatchingScheduler:
         self.admission = tenancy.admission if tenancy else "fcfs"
         self.kv_isolation = tenancy.kv_isolation if tenancy else "shared"
         self._wfq = self.admission == "wfq"
+        # Unbound, so the scheduler holds no reference cycle to itself.
+        cls = ContinuousBatchingScheduler
+        self._take = {"shared": cls._take_shared,
+                      "partition": cls._take_partition,
+                      "shared-prefix": cls._take_prefix}[self.kv_isolation]
         self.num_blocks = max(1, kv_capacity_tokens // block_size)
         self._costs = StepCostTable.shared(deployment, model, dtype)
         self._time_scale = 1.0
@@ -347,11 +362,10 @@ class ContinuousBatchingScheduler:
         # and the arrival entry[-2].  Rows are in request-id order, so
         # ties break on request id.  Sorted, except that FCFS
         # preemptions re-enter at the head.  The logical queue is
-        # ``_waiting[_head:]``: unarmed FCFS admission pops the head by
-        # advancing ``_head`` and compacts the dead prefix once it
-        # passes half the list (``_head`` stays 0 under tenancy).
-        # Invariant: ``2 * _head <= len(_waiting)``, so the list is
-        # empty exactly when the logical queue is.
+        # ``_waiting[_head:]``: admission pops the head by advancing
+        # ``_head`` and compacts the dead prefix once it passes half
+        # the list.  Invariant: ``2 * _head <= len(_waiting)``, so the
+        # list is empty exactly when the logical queue is.
         self._waiting: list[tuple] = []
         self._head = 0
         # Running batch: row -> (prompt, output, kvlen, start), in
@@ -529,6 +543,7 @@ class ContinuousBatchingScheduler:
         self._finish[row] = 0.0
         self._preempt[row] = 0
         arrival = self._arrival[row]
+        entry: tuple = (arrival, row)
         if self._wfq:
             # SCFQ tag: chain on the tenant's previous virtual finish,
             # floored at the global virtual clock.
@@ -538,12 +553,11 @@ class ContinuousBatchingScheduler:
                            / self.tenancy.weight_of(tenant_id))
             self._wfq_fin[tenant_id] = tag
             self._wfq_tag[row] = tag
-            insort(self._waiting, (tag, arrival, row))
-        else:
-            # lo=_head probes the same midpoints as insort on the
-            # logical queue, so placement matches even when a
-            # preemption has left the queue unsorted.
-            insort(self._waiting, (arrival, row), lo=self._head)
+            entry = (tag, arrival, row)
+        # lo=_head probes the same midpoints as insort on the logical
+        # queue, so placement matches even when an FCFS preemption has
+        # left the queue unsorted.
+        insort(self._waiting, entry, lo=self._head)
         if self._first_arrival is None or arrival < self._first_arrival:
             self._first_arrival = arrival
 
@@ -671,207 +685,126 @@ class ContinuousBatchingScheduler:
         return self._prefix_misses
 
     def _admit(self) -> None:
-        """Admit arrived requests per policy while memory/slots allow."""
-        if self.tenancy is None:
-            self._admit_default()
-        elif self._wfq:
-            self._admit_wfq()
-        else:
-            self._admit_fcfs_tenant()
+        """Admit arrived requests while slots and KV blocks allow.
 
-    def _admit_default(self) -> None:
-        """Unarmed FCFS fast path — the pre-tenancy admission order."""
-        waiting = self._waiting
-        block_size = self.block_size
-        prompts = self._prompt
-        while (waiting and len(self._running) < self.max_batch
-               and waiting[self._head][0] <= self._clock):
-            head = self._head
-            _, row = waiting[head]
-            admitted_index = head
-            prompt = prompts[row]
-            needed = -(-prompt // block_size)
-            if needed > self._free_blocks:
-                # Head-of-line blocking: strict FCFS stops here.  With
-                # lookahead, scan a bounded window of arrived requests
-                # for one that fits right now.
-                admitted_index = -1
-                for index in range(head + 1,
-                                   head + 1 + min(self.admission_lookahead,
-                                                  len(waiting) - head - 1)):
-                    c_arrival, c_row = waiting[index]
-                    if c_arrival > self._clock:
-                        break
-                    c_prompt = prompts[c_row]
-                    c_needed = -(-c_prompt // block_size)
-                    if c_needed > self._free_blocks:
-                        continue
-                    row, prompt, needed = c_row, c_prompt, c_needed
-                    admitted_index = index
-                    break
-                if admitted_index < 0:
-                    break
-            self._free_blocks -= needed
-            if admitted_index == head:
-                self._head = head = head + 1
-                if 2 * head > len(waiting):
-                    del waiting[:head]
-                    self._head = 0
-            else:
-                waiting.pop(admitted_index)
-            self._start_running(row, prompt, prompt)
-
-    def _start_running(self, row: int, prompt: int, kvlen: int) -> None:
-        """Charge prefill, move an admitted request into the batch and
-        index its block-edge residue and finish step."""
-        self._clock += self._scaled(self._costs.prefill_s(prompt))
-        self._first[row] = self._clock
-        start = self._steps
-        output = self._output[row]
-        self._running[row] = (prompt, output, kvlen, start)
-        self._ctx_total += prompt
-        self._res_count[(start - kvlen) % self.block_size] += 1
-        self._finish_at.setdefault(start + output - 1, []).append(row)
-
-    def _kv_admit(self, row: int) -> tuple[int, int] | None:
-        """Take KV blocks for an admitted request per isolation mode.
-
-        ``shared`` takes the prompt's blocks.  ``partition`` also debits
-        the tenant's worst-case reservation up front, so decode growth
-        can never fail and tenants cannot evict each other.
-        ``shared-prefix`` pins the tenant's common prefix once and takes
-        only the suffix per request.
-
-        Returns ``(blocks_taken, kvlen)`` on success (the free counter
-        already debited), or ``None`` if the request does not fit right
-        now — the admission loop's signal to stop or look ahead.
+        One loop for every policy.  The head of line is the first
+        arrived entry of the logical queue: the queue head under FCFS
+        (arrival order) and the first arrived entry in tag order under
+        WFQ.  If the head cannot take its KV blocks, up to
+        ``admission_lookahead`` further arrived entries are tried and
+        the first that fits is admitted; an unarrived candidate ends
+        that scan under FCFS and is skipped, costing no lookahead,
+        under WFQ.
         """
+        waiting = self._waiting
+        running = self._running
+        take = self._take
+        wfq = self._wfq
+        lookahead = self.admission_lookahead
         block_size = self.block_size
+        prefill_s = self._costs.prefill_s
+        while waiting and len(running) < self.max_batch:
+            clock = self._clock
+            head = index = self._head
+            while waiting[index][-2] > clock:
+                index += 1
+                if not wfq or index == len(waiting):
+                    return  # nothing has arrived yet
+            row = waiting[index][-1]
+            kvlen = take(self, row)
+            scanned = 0
+            while kvlen is None:
+                # Head-of-line blocking: scan a bounded window of
+                # arrived requests for one that fits right now.
+                index += 1
+                if scanned == lookahead or index == len(waiting):
+                    return
+                entry = waiting[index]
+                if entry[-2] > clock:
+                    if wfq:
+                        continue
+                    return
+                scanned += 1
+                row = entry[-1]
+                kvlen = take(self, row)
+            if index == head:
+                head += 1
+            else:
+                waiting.pop(index)
+            if 2 * head > len(waiting):
+                del waiting[:head]
+                head = 0
+            self._head = head
+            # Charge prefill, move the request into the batch and index
+            # its block-edge residue and finish step.
+            prompt = self._prompt[row]
+            self._clock += self._scaled(prefill_s(prompt))
+            self._first[row] = self._clock
+            start = self._steps
+            output = self._output[row]
+            running[row] = (prompt, output, kvlen, start)
+            self._ctx_total += prompt
+            self._res_count[(start - kvlen) % block_size] += 1
+            self._finish_at.setdefault(start + output - 1, []).append(row)
+            if wfq:
+                tag = self._wfq_tag[row]
+                if tag > self._wfq_v:
+                    self._wfq_v = tag
+
+    # KV takes, one per isolation mode (the constructor binds ``_take``).
+    # Each debits the free counter and returns the KV length the request
+    # is admitted with, or ``None`` if it does not fit right now.
+
+    def _take_shared(self, row: int) -> int | None:
+        """One pool: take the prompt's blocks."""
         prompt = self._prompt[row]
-        if self.kv_isolation == "shared":
-            needed = -(-prompt // block_size)
-            if needed > self._free_blocks:
-                return None
-            self._free_blocks -= needed
-            return needed, prompt
+        needed = -(-prompt // self.block_size)
+        if needed > self._free_blocks:
+            return None
+        self._free_blocks -= needed
+        return prompt
+
+    def _take_partition(self, row: int) -> int | None:
+        """Take the prompt's blocks and debit the tenant's worst-case
+        reservation up front, so decode growth can never fail and
+        tenants cannot evict each other."""
+        prompt = self._prompt[row]
         tenant_id = self._tenant[row]
-        if self.kv_isolation == "partition":
-            reserve = -(-(prompt + self._output[row]) // block_size)
-            budget = self._tenant_budget[tenant_id]
-            if reserve > budget:
-                return None
-            needed = -(-prompt // block_size)
-            self._free_blocks -= needed
-            self._tenant_budget[tenant_id] = budget - reserve
-            self._kv_reserved[row] = (tenant_id, reserve)
-            return needed, prompt
-        # shared-prefix
+        reserve = -(-(prompt + self._output[row]) // self.block_size)
+        budget = self._tenant_budget[tenant_id]
+        if reserve > budget:
+            return None
+        self._free_blocks -= -(-prompt // self.block_size)
+        self._tenant_budget[tenant_id] = budget - reserve
+        self._kv_reserved[row] = (tenant_id, reserve)
+        return prompt
+
+    def _take_prefix(self, row: int) -> int | None:
+        """Pin the tenant's common prefix once and take only the
+        suffix's blocks per request."""
+        prompt = self._prompt[row]
+        tenant_id = self._tenant[row]
         prefix = self.tenancy.prefix_of(tenant_id)
         usable = min(prefix, prompt - 1)
         if usable <= 0:
-            needed = -(-prompt // block_size)
+            return self._take_shared(row)
+        suffix = prompt - usable
+        needed = -(-suffix // self.block_size)
+        if tenant_id in self._prefix_resident:
             if needed > self._free_blocks:
                 return None
             self._free_blocks -= needed
-            return needed, prompt
-        suffix = prompt - usable
-        suffix_blocks = -(-suffix // block_size)
-        if tenant_id in self._prefix_resident:
-            if suffix_blocks > self._free_blocks:
-                return None
-            self._free_blocks -= suffix_blocks
             self._prefix_hits += 1
-            return suffix_blocks, suffix
-        prefix_blocks = -(-prefix // block_size)
-        if prefix_blocks + suffix_blocks > self._free_blocks:
+            return suffix
+        prefix_blocks = -(-prefix // self.block_size)
+        if prefix_blocks + needed > self._free_blocks:
             return None
-        self._free_blocks -= prefix_blocks + suffix_blocks
+        self._free_blocks -= prefix_blocks + needed
         self._prefix_resident[tenant_id] = prefix_blocks
         self._prefix_misses += 1
-        return suffix_blocks, suffix
-
-    def _admit_fcfs_tenant(self) -> None:
-        """FCFS admission with tenancy KV isolation armed."""
-        waiting = self._waiting
-        while (waiting and len(self._running) < self.max_batch
-               and waiting[0][0] <= self._clock):
-            row = waiting[0][-1]
-            admitted_index = 0
-            taken = self._kv_admit(row)
-            if taken is None:
-                admitted_index = -1
-                for index in range(1, 1 + min(self.admission_lookahead,
-                                              len(waiting) - 1)):
-                    entry = waiting[index]
-                    if entry[-2] > self._clock:
-                        break
-                    taken = self._kv_admit(entry[-1])
-                    if taken is None:
-                        continue
-                    row = entry[-1]
-                    admitted_index = index
-                    break
-                if admitted_index < 0:
-                    break
-            waiting.pop(admitted_index)
-            self._start_running(row, self._prompt[row], taken[1])
-
-    def _admit_wfq(self) -> None:
-        """WFQ admission: serve arrived requests in virtual-finish order.
-
-        The queue is tag-ordered, not arrival-ordered, so the head may
-        not have arrived yet while a later entry has; the scan skips
-        unarrived entries (they cost no lookahead budget) and treats the
-        first arrived entry as the head of line.  On its allocation
-        failure, ``admission_lookahead`` further *arrived* candidates
-        are tried, exactly mirroring the FCFS window.
-        """
-        waiting = self._waiting
-        while waiting and len(self._running) < self.max_batch:
-            head_index = -1
-            for index, entry in enumerate(waiting):
-                if entry[-2] <= self._clock:
-                    head_index = index
-                    break
-            if head_index < 0:
-                break  # nothing has arrived yet
-            row = waiting[head_index][-1]
-            admitted_index = head_index
-            taken = self._kv_admit(row)
-            if taken is None:
-                admitted_index = -1
-                scanned = 0
-                for index in range(head_index + 1, len(waiting)):
-                    if scanned >= self.admission_lookahead:
-                        break
-                    entry = waiting[index]
-                    if entry[-2] > self._clock:
-                        continue
-                    scanned += 1
-                    taken = self._kv_admit(entry[-1])
-                    if taken is None:
-                        continue
-                    row = entry[-1]
-                    admitted_index = index
-                    break
-                if admitted_index < 0:
-                    break
-            waiting.pop(admitted_index)
-            self._start_running(row, self._prompt[row], taken[1])
-            tag = self._wfq_tag[row]
-            if tag > self._wfq_v:
-                self._wfq_v = tag
+        return suffix
 
     # -- decode ----------------------------------------------------------------
-
-    def _charge_step(self) -> None:
-        """Advance the clock and occupancy by one decode step."""
-        batch = len(self._running)
-        mean_context = int(self._ctx_total / batch)
-        self._occ_sum += batch
-        self._occ_count += 1
-        self._clock += self._scaled(
-            self._costs.decode_step_s(batch, max(1, mean_context)))
 
     def _decode_run(self, stop_s: float) -> list[int]:
         """Decode steps up to the next event; returns finished rows.
@@ -959,10 +892,16 @@ class ContinuousBatchingScheduler:
         their admission step, so the event index is rebuilt from the
         batch afterwards.
         """
-        self._charge_step()
+        running = self._running
+        # The step is charged up front, at the batch's mean context.
+        batch_size = len(running)
+        mean_context = int(self._ctx_total / batch_size)
+        self._occ_sum += batch_size
+        self._occ_count += 1
+        self._clock += self._scaled(
+            self._costs.decode_step_s(batch_size, max(1, mean_context)))
         step = self._steps
         block_size = self.block_size
-        running = self._running
         # In-loop removals only pop the youngest (the dict's last item),
         # so the live batch is always a prefix of this snapshot and a
         # victim's snapshot index is the batch size after the pop.
@@ -996,7 +935,8 @@ class ContinuousBatchingScheduler:
                             # its original virtual position.
                             insort(self._waiting,
                                    (self._wfq_tag[victim_row],
-                                    victim_arrival, victim_row))
+                                    victim_arrival, victim_row),
+                                   lo=self._head)
                         elif self._head:
                             self._head -= 1
                             self._waiting[self._head] = (victim_arrival,
@@ -1093,7 +1033,8 @@ class ContinuousBatchingScheduler:
         under WFQ the queue is tag-ordered and must be scanned.
         """
         if self._wfq:
-            return min(entry[-2] for entry in self._waiting)
+            return min(entry[-2] for entry
+                       in islice(self._waiting, self._head, None))
         return self._waiting[self._head][0]
 
     def report(self) -> ServingReport:

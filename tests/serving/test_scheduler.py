@@ -155,6 +155,28 @@ class TestKvGeometryValidation:
         with pytest.raises(ValueError, match="block_size|kv_capacity"):
             fixed_fleet(spec, 1).run(poisson_table(4, 1.0, seed=1))
 
+    @pytest.mark.parametrize("knob, value", [
+        ("max_batch", 0), ("max_batch", -2), ("max_batch", float("nan")),
+        ("max_batch", float("inf")), ("max_batch", 8.0),
+        ("admission_lookahead", -1), ("admission_lookahead", float("nan")),
+        ("admission_lookahead", float("inf")),
+        ("admission_lookahead", 1.5),
+    ])
+    def test_bad_admission_knobs_rejected_at_the_scheduler(self, knob,
+                                                           value):
+        """A batch cap or lookahead window that is not a whole number
+        in range raises ValueError before any request runs.  (A NaN
+        batch cap used to hang a fleet run; a NaN or fractional
+        lookahead was accepted and failed only when a head blocked.)"""
+        from repro.fleet import fixed_fleet, poisson_table, replica_spec
+        with pytest.raises(ValueError, match=knob):
+            ContinuousBatchingScheduler(
+                cpu_deployment("tdx", sockets_used=1), LLAMA2_7B, BFLOAT16,
+                **{knob: value})
+        spec = replica_spec("tdx", **{knob: value})
+        with pytest.raises(ValueError, match=knob):
+            fixed_fleet(spec, 1).run(poisson_table(4, 1.0, seed=1))
+
 
 class TestSchedulerProperties:
     @settings(max_examples=15, deadline=None)
