@@ -9,7 +9,7 @@ can be committed (``BENCH_sim.json``) and compared across PRs.
 Usage::
 
     PYTHONPATH=src python scripts/bench.py                 # micro benches
-    PYTHONPATH=src python scripts/bench.py --quick         # skip 1M/100k runs
+    PYTHONPATH=src python scripts/bench.py --quick         # skip fleet streams
     PYTHONPATH=src python scripts/bench.py --suite         # + pytest timing
     PYTHONPATH=src python scripts/bench.py --suite --budget-s 40
     PYTHONPATH=src python scripts/bench.py --out BENCH_sim.json
@@ -21,7 +21,9 @@ post-optimization baseline.  ``--compare`` gates the fleet headline
 (``fleet_1M_req``): the run fails if its median wall time over three
 runs regresses more than 25% past the committed baseline.
 ``fleet_sparse_100k_req`` (the same fleet and stream seed at 0.5 req/s,
-where most ticks are jumped) is recorded beside it, ungated.
+where most ticks are jumped) and ``fleet_wide_256`` (the sparse load
+per replica on a 256-replica fleet, where a loop that pays per replica
+per tick would show) are recorded beside it, ungated.
 """
 
 from __future__ import annotations
@@ -154,8 +156,9 @@ FLEET_REPEATS = 3
 
 
 def _fleet_stream_benchmark(name: str, rate_per_s: float,
-                            requests: int) -> dict:
-    """Serve one poisson stream on the headline 8-way TDX fleet.
+                            requests: int, replicas: int = 8) -> dict:
+    """Serve one poisson stream on a fixed TDX fleet (the headline is
+    8-way).
 
     Stream generation happens outside the timed region (it is numpy
     columnar construction, not simulation); the measurement is the
@@ -171,7 +174,7 @@ def _fleet_stream_benchmark(name: str, rate_per_s: float,
                           mean_output=32, seed=11)
     samples = []
     for _ in range(FLEET_REPEATS):
-        fleet = fixed_fleet(spec, 8)
+        fleet = fixed_fleet(spec, replicas)
         ticks = 0
         tick = fleet.run_tick
 
@@ -190,7 +193,7 @@ def _fleet_stream_benchmark(name: str, rate_per_s: float,
                 f"{name} completed only {served} requests")
         del report
     wall_s = statistics.median(samples)
-    return {"requests": served, "wall_s": wall_s,
+    return {"requests": served, "replicas": replicas, "wall_s": wall_s,
             "wall_min_s": min(samples), "wall_max_s": max(samples),
             "req_per_wall_s": served / wall_s, "repeats": FLEET_REPEATS,
             "ticks": ticks}
@@ -206,6 +209,14 @@ def fleet_sparse_benchmark() -> dict:
     """The headline fleet and stream seed at 0.5 req/s, 100k requests:
     most grid ticks are quiet, so this times the tick jumps."""
     return _fleet_stream_benchmark("fleet_sparse_100k_req", 0.5, 100_000)
+
+
+def fleet_wide_benchmark() -> dict:
+    """``fleet_sparse``'s load per replica (1/16 req/s) on 256 replicas,
+    20k requests: most replicas are idle on any tick, so this times how
+    the fleet loop scales with width."""
+    return _fleet_stream_benchmark("fleet_wide_256", 0.0625 * 256, 20_000,
+                                   replicas=256)
 
 
 #: Regression tolerance for the --compare gate: a benchmark may be at
@@ -265,8 +276,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", type=Path, default=None,
                         help="write the JSON report to this path")
     parser.add_argument("--quick", action="store_true",
-                        help="skip the 1M- and 100k-request fleet "
-                             "benchmarks")
+                        help="skip the 1M- and 100k-request and the "
+                             "256-replica fleet benchmarks")
     parser.add_argument("--compare", type=Path, default=None,
                         help="fail (exit 1) if a gated benchmark regresses "
                              f"more than {(COMPARE_SLACK - 1) * 100:.0f}%% "
@@ -291,6 +302,7 @@ def main(argv: list[str] | None = None) -> int:
     if not args.quick:
         micro["fleet_1M_req"] = fleet_million_benchmark()
         micro["fleet_sparse_100k_req"] = fleet_sparse_benchmark()
+        micro["fleet_wide_256"] = fleet_wide_benchmark()
 
     if args.suite or args.budget_s is not None:
         report["suite"] = suite_benchmark()

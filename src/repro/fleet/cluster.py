@@ -6,10 +6,25 @@ replicas whose boot latency elapsed, (3) routes arrivals due by the
 tick to live replicas, and (4) steps the scheduler of every replica
 with work (or a hang to resume from) to the tick horizon; stepping an
 idle scheduler is an exact no-op, so idle replicas are skipped.
-Replica-local clocks may overshoot a tick (prefill and
-decode steps are not preemptible) but are resynchronized by the
-horizon of the next ``step`` call — the same quantized-time contract
-real cluster managers have with their nodes.
+Replica-local clocks may overshoot a tick (prefill and decode steps
+are not preemptible) but are resynchronized by the horizon of the next
+``step`` call — the same quantized-time contract real cluster managers
+have with their nodes.
+
+A tick pays per event, not per replica: it costs O(busy replicas +
+due lifecycle edges + routed rows), whatever the fleet's width.  Four
+derived indexes make that so.  The *busy set* holds exactly the active
+replicas with work or a pending hang; both step loops walk it in id
+order.  The *wake heap* holds every lifecycle edge (boot or attest
+readiness, restart, hang and slowdown expiry), pushed by the
+transition that creates it; a tick acts only on the replicas whose
+edges fell due, in id order, and the quiet-tick jump peeks its top.
+The *flight heap* orders in-flight requests by routing time, so
+timeouts pop an expired prefix.  The least-outstanding and KV-pressure
+routers keep a *load heap* across ticks and re-key only the replicas
+the fleet reports as moved.  None of them is snapshotted: each is
+rebuilt from replica and run state by ``begin_run`` and
+``from_state``.  Stale heap entries are dropped when they surface.
 
 Inside a run a request is a row of the run's
 :class:`~repro.fleet.table.RequestTable` (a ``list[ServeRequest]`` is
@@ -24,10 +39,10 @@ one composed scheduler step instead of ticking through them, so it pays
 per event rather than per grid tick.  The jump is taken only when no
 tick in the stretch could act (no arrival, retry, fault,
 boot/attest/restart/hang/slowdown edge, or flight timeout is due, no
-autoscaler, no draining replica, nothing held) and lands on the last
-tick before the next such edge, so the ticks that do act execute at
-exactly the clock values of a plain ``run_tick`` loop — reports are
-bit-identical, pinned by the ``fleet.jump_parity`` audit check.
+autoscaler, nothing held) and lands on the last tick before the next
+such edge, so the ticks that do act execute at exactly the clock
+values of a plain ``run_tick`` loop — reports are bit-identical,
+pinned by the ``fleet.jump_parity`` audit check.
 
 Fault injection (:mod:`repro.faults`) plugs into the same loop: when a
 schedule, retry policy, or degradation policy is supplied, each tick
@@ -49,6 +64,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from heapq import heapify, heappop, heappush
 
 from ..faults.attest import FleetAttestation, needs_attestation
 from ..faults.injector import FaultInjector
@@ -97,6 +113,11 @@ class _ChaosState:
         self.table = table
         self.ids = table.scalar_columns().request_id
         self.flights: dict[int, tuple[Replica, float]] = {}
+        #: ``(routed_s, row)`` per flight, oldest first, kept only under
+        #: a retry policy (timeouts need it).  An entry is current while
+        #: ``flights[row]`` still carries its ``routed_s``; the others
+        #: are dropped when they surface.
+        self.flight_heap: list[tuple[float, int]] = []
         self.attempts: dict[int, int] = {}
         self.retry_queue = RetryQueue()
         self.held_since: dict[int, float] = {}
@@ -129,6 +150,17 @@ class _ChaosState:
         already in the run's log)."""
         for row in finished:
             self.flights.pop(row, None)
+
+    def oldest_flight_s(self) -> float | None:
+        """``routed_s`` of the oldest current flight, if any."""
+        heap, flights = self.flight_heap, self.flights
+        while heap:
+            routed_s, row = heap[0]
+            flight = flights.get(row)
+            if flight is not None and flight[1] == routed_s:
+                return routed_s
+            heappop(heap)
+        return None
 
 
 class _RunState:
@@ -217,6 +249,7 @@ class FleetSimulator:
         self._run: _RunState | None = None
         self._initial_specs = list(specs)
         self.replicas: list[Replica] = []
+        self._reindex()
         for spec in specs:
             self._provision(spec, provisioned_s=0.0, boot_latency_s=0.0)
 
@@ -226,11 +259,79 @@ class FleetSimulator:
                           provisioned_s=provisioned_s,
                           boot_latency_s=boot_latency_s, origin=origin)
         self.replicas.append(replica)
+        self._active_count += 1
+        self._rewake(replica, math.inf)
+        self._moved = None
         if self._run is not None:
             replica.scheduler.bind(self._run.table, self._run.outcomes)
         if self.attestation is not None and needs_attestation(spec.kind):
             self.attestation.enroll(replica.replica_id)
         return replica
+
+    # -- derived indexes --------------------------------------------------------
+    #
+    # What lets a tick cost O(busy replicas + due edges + routed rows)
+    # instead of O(fleet): the busy set, wake heap, draining set and
+    # active count here, the flight heap on the chaos state, and the
+    # moved set the router's load heap is re-keyed from.  None is
+    # snapshotted; each is rebuilt from replica and run state in
+    # ``begin_run`` and ``from_state``.
+
+    def _reindex(self) -> None:
+        """Rebuild the fleet's derived indexes from replica state."""
+        #: Ids of the replicas a step can change: exactly the active
+        #: ones with work or a pending hang.
+        self._busy: set[int] = set()
+        #: ``(edge_s, replica_id)`` per lifecycle edge (see
+        #: ``Replica._wake_edges``); entries whose edge the replica no
+        #: longer lists are dropped when they surface.
+        self._wake: list[tuple[float, int]] = []
+        #: Ids of draining replicas, the only ones that can retire.
+        self._draining: set[int] = set()
+        #: Replicas not retired or failed (``len(self.active)``).
+        self._active_count = 0
+        #: Replica ids whose routing key may have moved since the last
+        #: ``assign``; ``None`` after a lifecycle or routability change.
+        self._moved: set[int] | None = None
+        for replica in self.replicas:
+            replica_id = replica.replica_id
+            for edge in replica._wake_edges():
+                self._wake.append((edge, replica_id))
+            if replica.active:
+                self._active_count += 1
+                if replica.needs_step:
+                    self._busy.add(replica_id)
+            if replica.state == DRAINING:
+                self._draining.add(replica_id)
+        heapify(self._wake)
+
+    def _rewake(self, replica: Replica, upto: float) -> None:
+        """Push ``replica``'s lifecycle edges at or before ``upto``."""
+        for edge in replica._wake_edges():
+            if edge <= upto:
+                heappush(self._wake, (edge, replica.replica_id))
+
+    def _pop_wake(self, now: float) -> list[int]:
+        """Pop every wake entry due by ``now``: their replica ids, in
+        id order."""
+        wake = self._wake
+        if not wake or wake[0][0] > now:
+            return []
+        due = set()
+        while wake and wake[0][0] <= now:
+            due.add(heappop(wake)[1])
+        return sorted(due)
+
+    def _disturbed(self, replica: Replica) -> None:
+        """A fault landed on ``replica``: wake on its new edges, step it
+        only if it now hangs (an evacuated one has nothing to do), and
+        rebuild the router's load heap."""
+        self._rewake(replica, math.inf)
+        if replica.active and replica.needs_step:
+            self._busy.add(replica.replica_id)
+        else:
+            self._busy.discard(replica.replica_id)
+        self._moved = None
 
     # -- views ----------------------------------------------------------------
 
@@ -264,6 +365,8 @@ class FleetSimulator:
             victim = min(self.live,
                          key=lambda r: (r.outstanding, -r.replica_id))
             victim.drain()
+            self._draining.add(victim.replica_id)
+            self._moved = None
 
     # -- fault application -----------------------------------------------------
 
@@ -277,6 +380,8 @@ class FleetSimulator:
             if replica.state in (FAILED, RETIRED):
                 return f"no-op: replica already {replica.state}"
             evacuated = replica.crash(now, event.restart_after_s)
+            self._active_count -= 1
+            self._disturbed(replica)
             for row, generated in evacuated:
                 state.flights.pop(row, None)
                 state.requeue_or_shed(row, now, generated)
@@ -285,6 +390,7 @@ class FleetSimulator:
             if replica.state not in (LIVE, DRAINING):
                 return f"no-op: replica {replica.state}"
             replica.hang(now + event.duration_s)
+            self._disturbed(replica)
             return f"hang until {now + event.duration_s:g}s"
         if event.kind in ("slowdown", "link_degrade"):
             if replica.state not in (LIVE, DRAINING):
@@ -294,10 +400,13 @@ class FleetSimulator:
             else:
                 factor = link_slowdown_factor(event.factor, event.comm_share)
             replica.slow(now + event.duration_s, factor)
+            self._disturbed(replica)
             return f"{event.kind}: x{factor:.3f} until {now + event.duration_s:g}s"
         if event.kind == "boot_failure":
             penalty = event.duration_s or DEFAULT_DURATION_S
-            return f"boot_failure: {replica.boot_failure(penalty)}"
+            effect = replica.boot_failure(penalty)
+            self._disturbed(replica)
+            return f"boot_failure: {effect}"
         # attestation_failure
         if not needs_attestation(replica.spec.kind):
             return f"no-op: {replica.spec.kind} replica does not attest"
@@ -313,6 +422,7 @@ class FleetSimulator:
         reattest_s = replica.reattest_s
         outage_s = event.duration_s if reattest_s is None else reattest_s
         evacuated = replica.begin_attestation(now + outage_s)
+        self._disturbed(replica)
         for row, generated in evacuated:
             state.flights.pop(row, None)
             state.requeue_or_shed(row, now, generated)
@@ -320,13 +430,71 @@ class FleetSimulator:
                 f"re-attest at {now + outage_s:g}s")
 
     def _chaos_tick(self, now: float, state: _ChaosState) -> None:
-        """Pre-routing chaos phase: expiries, reboots, due faults."""
-        for replica in self.replicas:
+        """Pre-routing chaos phase: expiries, reboots, due faults.
+
+        Only replicas with a wake edge due by ``now`` can expire a
+        slowdown or restart; each is visited once, in id order.  Edges
+        that did not fire go back on the heap, and a restart pushes its
+        readiness edge.
+        """
+        replicas = self.replicas
+        for replica_id in self._pop_wake(now):
+            replica = replicas[replica_id]
             replica.expire_faults(now)
-            replica.restart_if_due(now)
+            restarted = replica.restart_if_due(now)
+            if restarted:
+                self._active_count += 1
+            self._rewake(replica, math.inf if restarted else now)
         for event in state.injector.due(now):
             state.injector.record(event, now, self._apply_fault(event, now,
                                                                 state))
+
+    def _activate_due(self, now: float, state: _ChaosState | None) -> None:
+        """Lifecycle phase: admit replicas whose boot or re-attestation
+        completed by ``now``, in id order.  Only replicas with a wake
+        edge due can; edges that did not fire go back on the heap."""
+        replicas = self.replicas
+        for replica_id in self._pop_wake(now):
+            replica = replicas[replica_id]
+            before = replica.state
+            if state is not None:
+                self._chaos_activate(replica, now)
+            replica.activate_if_ready(now)
+            if replica.state != before:
+                self._moved = None
+            self._rewake(replica, now)
+
+    def _step_busy(self, now: float, state: _ChaosState | None) -> None:
+        """Step every busy replica to ``now``, in id order, and drop
+        the ones left with nothing to do.  Stepping an idle, unhung
+        replica is an exact no-op, so the rest of the fleet is never
+        visited."""
+        busy = self._busy
+        replicas = self.replicas
+        for replica_id in sorted(busy):
+            replica = replicas[replica_id]
+            hung = replica._hang_until_s is not None
+            finished = replica.step(now)
+            if state is not None:
+                state.land(finished)
+            if hung and replica._hang_until_s is None:
+                self._moved = None  # the hang lifted: routable again
+            elif self._moved is not None:
+                self._moved.add(replica_id)
+            if not replica.needs_step:
+                busy.discard(replica_id)
+
+    def _retire_drained(self, now: float) -> None:
+        """Retire draining replicas whose queue emptied."""
+        draining = self._draining
+        for replica_id in sorted(draining):
+            replica = self.replicas[replica_id]
+            replica.retire_if_drained(now)
+            if replica.state != DRAINING:
+                draining.discard(replica_id)
+                if replica.state == RETIRED:
+                    self._active_count -= 1
+                    self._busy.discard(replica_id)
 
     def _chaos_activate(self, replica: Replica, now: float) -> None:
         """Attestation gate: TEE replicas re-attest before readmission."""
@@ -342,18 +510,34 @@ class FleetSimulator:
             self.attestation.readmit(replica.replica_id)
 
     def _check_timeouts(self, now: float, state: _ChaosState) -> None:
-        """Cancel and retry in-flight requests older than the timeout."""
+        """Cancel and retry in-flight requests older than the timeout.
+
+        ``now - routed_s`` is monotone in ``routed_s``, so the expired
+        flights are a prefix of the flight heap.
+        """
         if state.retry is None:
             return
+        timeout_s = state.retry.timeout_s
+        heap, flights = state.flight_heap, state.flights
+        expired = []
+        while heap and now - heap[0][0] > timeout_s:
+            routed_s, row = heappop(heap)
+            flight = flights.get(row)
+            if flight is not None and flight[1] == routed_s:
+                expired.append(row)
         # Rows are in request-id order: cancel in id order.
-        for row in sorted(state.flights):
-            replica, routed_s = state.flights[row]
-            if now - routed_s <= state.retry.timeout_s:
-                continue
+        for row in sorted(expired):
+            replica, routed_s = flights[row]
             generated = replica.cancel(row)
             if generated is None:
-                continue  # completed within this very tick
-            del state.flights[row]
+                # Completed within this very tick: checked again next.
+                heappush(heap, (routed_s, row))
+                continue
+            if self._moved is not None:
+                self._moved.add(replica.replica_id)
+            if not replica.needs_step:
+                self._busy.discard(replica.replica_id)
+            del flights[row]
             state.requeue_or_shed(row, now, generated)
 
     def _degrade(self, now: float, held: list[int],
@@ -396,8 +580,8 @@ class FleetSimulator:
             return held
         if self.autoscaler is not None:
             return held
-        if any(r.state not in (RETIRED, FAILED) or r.restart_pending
-               for r in self.replicas):
+        if self._active_count or any(r.restart_pending
+                                     for r in self.replicas):
             return held
         policy = state.degradation
         if (policy is not None and policy.mode == "spill"
@@ -457,8 +641,9 @@ class FleetSimulator:
         outcomes = OutcomeLog(len(table))
         for replica in self.replicas:
             replica.scheduler.bind(table, outcomes)
+        self._reindex()
         self._run = _RunState(table, outcomes, self.tick_s,
-                              len(self.active), state)
+                              self._active_count, state)
 
     @property
     def run_active(self) -> bool:
@@ -468,9 +653,11 @@ class FleetSimulator:
             return False
         state = run.chaos
         has_pending = run.pending_head < len(run.pending_arrivals)
+        replicas = self.replicas
         return bool(has_pending or run.held
                     or (state is not None and state.retry_queue)
-                    or any(r.outstanding for r in self.replicas))
+                    or any(replicas[replica_id].outstanding
+                           for replica_id in self._busy))
 
     @property
     def run_clock_s(self) -> float:
@@ -492,10 +679,7 @@ class FleetSimulator:
             self._autoscale(now, queued=len(run.held) + len(state.retry_queue))
         else:
             self._autoscale(now)
-        for replica in self.replicas:
-            if state is not None:
-                self._chaos_activate(replica, now)
-            replica.activate_if_ready(now)
+        self._activate_due(now, state)
 
         due = run.held
         run.held = []
@@ -509,6 +693,8 @@ class FleetSimulator:
         if state is not None:
             due += state.retry_queue.pop_due(now)
         if due:
+            self.router._note_moved(self._moved)
+            self._moved = set()
             try:
                 picks = self.router.assign(map(run.prompts.__getitem__, due),
                                            self.replicas, now)
@@ -522,8 +708,10 @@ class FleetSimulator:
             else:
                 # Outside the try: a submit error (a request that can
                 # never fit the KV pool) must propagate, not hold.
+                busy = self._busy
                 for row, replica in zip(due, picks):
                     replica.submit(row)
+                    busy.add(replica.replica_id)
                     if state is not None:
                         state.held_since.pop(row, None)
                         made = state.attempts.get(row, 0) + 1
@@ -531,15 +719,13 @@ class FleetSimulator:
                         if made > 1:
                             state.retries += 1
                         state.flights[row] = (replica, now)
+                        if state.retry is not None:
+                            heappush(state.flight_heap, (now, row))
 
-        for replica in self.replicas:
-            if replica.active:
-                if replica.needs_step:
-                    finished = replica.step(now)
-                    if state is not None:
-                        state.land(finished)
-                replica.retire_if_drained(now)
-        run.peak = max(run.peak, len(self.active))
+        self._step_busy(now, state)
+        if self._draining:
+            self._retire_drained(now)
+        run.peak = max(run.peak, self._active_count)
 
         if state is not None:
             self._check_timeouts(now, state)
@@ -564,6 +750,13 @@ class FleetSimulator:
         """
         state = run.chaos
         candidates: list[float] = []
+        wake, replicas = self._wake, self.replicas
+        while wake:
+            edge, replica_id = wake[0]
+            if edge in replicas[replica_id]._wake_edges():
+                candidates.append(edge)
+                break
+            heappop(wake)  # the transition that set this edge was undone
         if run.pending_head < len(run.pending_arrivals):
             candidates.append(run.pending_arrivals[run.pending_head])
         if state is not None:
@@ -573,15 +766,6 @@ class FleetSimulator:
             injector_due = state.injector.next_due_s
             if injector_due is not None:
                 candidates.append(injector_due)
-        for replica in self.replicas:
-            if replica.state in (BOOTING, ATTESTING):
-                candidates.append(replica.ready_s)
-            elif replica.restart_pending:
-                candidates.append(replica._restart_at_s)
-            if replica._hang_until_s is not None:
-                candidates.append(replica._hang_until_s)
-            if replica._slow_until_s is not None:
-                candidates.append(replica._slow_until_s)
         return min(candidates) if candidates else None
 
     #: Ticks jumped per chunk when nothing external is ever due again
@@ -609,27 +793,28 @@ class FleetSimulator:
         may end inside the stretch, where a plain loop stops before the
         wake tick acts.
 
+        The wake edge comes from the top of the wake heap and the oldest
+        flight from the top of the flight heap, and only busy replicas
+        are stepped, so a jump costs O(busy replicas), not O(fleet).
+
         Conservative no-jump conditions (ticks could act in ways that
         are not time-peekable): an armed autoscaler (decides on queue
-        depth every tick), held work (rerouted every tick), or a
-        draining replica (retires the tick its queue empties).
+        depth every tick) or held work (rerouted every tick).  Draining
+        replicas exist only under an autoscaler, so they are covered.
         """
         run = self._run
         if run is None:
             return
         if self.autoscaler is not None or run.held:
             return
-        for replica in self.replicas:
-            if replica.state == DRAINING:
-                return
         wake = self._next_wake_s(run)
         state = run.chaos
         oldest = None
-        if state is not None and state.retry is not None and state.flights:
+        if state is not None and state.retry is not None:
             # The oldest flight times out first: now - routed_s is
             # monotone in routed_s.
             timeout_s = state.retry.timeout_s
-            oldest = min(routed_s for _, routed_s in state.flights.values())
+            oldest = state.oldest_flight_s()
         tick = self.tick_s
         now = run.now
         if wake is None and oldest is None:
@@ -654,11 +839,7 @@ class FleetSimulator:
         if wake is not None and now >= wake:
             return  # float-accumulation safety net: tick normally instead
         run.now = now
-        for replica in self.replicas:
-            if replica.active and replica.needs_step:
-                finished = replica.step(now)
-                if state is not None:
-                    state.land(finished)
+        self._step_busy(now, state)
 
     def finish_run(self) -> FleetReport:
         """Close out a completed run and build its report.
@@ -862,6 +1043,7 @@ class FleetSimulator:
         if self.attestation is not None:
             self.attestation.from_state(attestation_state)
 
+        self._reindex()
         self._run = (None if run_columns is None
                      else self._run_from_state(run_state, *run_columns))
 
@@ -934,6 +1116,10 @@ class FleetSimulator:
                                 "$.fleet.chaos")
         chaos.spilled = require(chaos_payload, "spilled", int,
                                 "$.fleet.chaos")
+        if chaos.retry is not None:
+            chaos.flight_heap = sorted(
+                (routed_s, row) for row, (_, routed_s)
+                in chaos.flights.items())
         self.last_chaos = chaos
         return chaos
 
@@ -952,7 +1138,7 @@ class FleetSimulator:
 
         chaos = self._chaos_from_state(run_state.get("chaos"), table,
                                        check_row)
-        run = _RunState(table, outcomes, self.tick_s, len(self.active),
+        run = _RunState(table, outcomes, self.tick_s, self._active_count,
                         chaos)
         head = require(run_state, "pending_head", int, "$.fleet.run")
         if not 0 <= head <= len(table):

@@ -258,6 +258,26 @@ class Replica:
         is an exact no-op, so the fleet skips it."""
         return self._hang_until_s is not None or not self.scheduler.idle
 
+    def _wake_edges(self) -> list[float]:
+        """Instants at which a fleet tick could act on this instance.
+
+        Boot or attest readiness (or, once crashed, the scheduled
+        restart), hang expiry and slowdown expiry: each is tested by
+        the code that acts on it as ``now >= edge``.  The fleet keeps
+        them in its wake heap, pushing each when the transition that
+        creates it happens and dropping entries no longer listed here.
+        """
+        edges = []
+        if self.state in (BOOTING, ATTESTING):
+            edges.append(self.ready_s)
+        elif self.restart_pending:
+            edges.append(self._restart_at_s)
+        if self._hang_until_s is not None:
+            edges.append(self._hang_until_s)
+        if self._slow_until_s is not None:
+            edges.append(self._slow_until_s)
+        return edges
+
     # -- fault lifecycle (repro.faults) ---------------------------------------
 
     def crash(self, now: float,

@@ -18,20 +18,28 @@ Between two picks of one tick the only state change is that submit,
 which raises the chosen replica's ``outstanding`` by exactly one and
 changes neither routability nor free KV blocks (blocks are allocated
 at admission, inside ``step``).  So the least-outstanding and
-KV-pressure policies read each replica's key once per tick into a heap
+KV-pressure policies pick from a heap of each routable replica's key
 and bump the winner's count per pick, with the same tie-break on
 replica id; their ``choose`` is a one-prompt ``assign``.  The base
 ``assign`` calls ``choose`` per prompt, the first at call time, which
 round-robin and the cost/SLO policy keep (its TTFT estimate moves with
 every submit).  A tick with no due requests makes no router call, so
-``assign`` takes at least one prompt.  The heap lives for one routing
-phase only, so router snapshots are unchanged.
+``assign`` takes at least one prompt.
+
+The load heap lives across ticks.  Before routing, the fleet tells the
+router (:meth:`Router._note_moved`) which replicas' keys may have moved
+since its previous ``assign``: those stepped, cancelled from or
+evacuated.  Only they are re-keyed, and their old entries are dropped
+lazily.  Any lifecycle or routability change, a new run, a restore, or
+a call that did not come through the fleet (no note) rebuilds the heap
+from the replicas instead.  The heap is derived state, so router
+snapshots are unchanged.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
-from heapq import heapify, heapreplace
+from heapq import heapify, heappop, heappush, heapreplace
 
 from .arrivals import _require_finite
 from .replica import Replica
@@ -75,6 +83,13 @@ class Router:
         yield picked
         for prompt_tokens in prompts:
             yield self.choose(prompt_tokens, replicas, now)
+
+    def _note_moved(self, moved: set[int] | None) -> None:
+        """Hear, before an ``assign``, which replica ids' load may have
+        changed since the previous one (``None``: anything may have).
+
+        Policies that read the fleet afresh on every call ignore it.
+        """
 
     @staticmethod
     def _routable(replicas: Sequence[Replica]) -> list[Replica]:
@@ -127,10 +142,35 @@ class RoundRobinRouter(Router):
         self._next = require(state, "next", int, "$.router")
 
 
-class LeastOutstandingRouter(Router):
-    """Fewest queued-or-running requests wins (join-shortest-queue)."""
+class _LoadHeapRouter(Router):
+    """Pick the replica with the least ``(pressure, outstanding, id)``
+    key from a load heap that persists across ticks.
 
-    name = "least-outstanding"
+    Heap entries are lists ``[pressure, outstanding, replica_id,
+    stamp, replica]``.  Each routable replica has one current entry,
+    which a pick bumps in place; the entries a re-key replaced stay in
+    the heap and are skipped when they surface.  Stamps are unique per
+    replica, so no two entries compare equal up to the replica.
+    Between rebuilds the routable set is fixed (a routability change
+    forces a rebuild), so only replicas whose key may have moved are
+    re-keyed, and only a changed key is pushed.
+    """
+
+    def __init__(self) -> None:
+        #: The sequence the heap was built over; another forces a rebuild.
+        self._replicas: Sequence[Replica] | None = None
+        self._heap: list[list] = []
+        #: Routable replica id -> its current heap entry.
+        self._current: dict[int, list] = {}
+        self._stamp = 0
+        self._moved: set[int] | None = None
+
+    def _key(self, replica: Replica) -> tuple[float, int]:
+        """``(pressure, outstanding)`` of one routable replica."""
+        raise NotImplementedError
+
+    def _note_moved(self, moved: set[int] | None) -> None:
+        self._moved = moved
 
     def choose(self, prompt_tokens: int, replicas: Sequence[Replica],
                now: float) -> Replica:
@@ -138,11 +178,61 @@ class LeastOutstandingRouter(Router):
 
     def assign(self, prompts: Iterable[int], replicas: Sequence[Replica],
                now: float) -> Iterator[Replica]:
-        return _least_first([(0, r.outstanding, r.replica_id, r)
-                             for r in replicas if r.routable], prompts)
+        moved, self._moved = self._moved, None
+        if moved is None or replicas is not self._replicas:
+            self._replicas = replicas
+            self._fill([r for r in replicas if r.routable])
+        elif moved:
+            self._rekey(moved)
+        if not self._current:
+            raise ValueError("no routable replica")
+        return _pop_least(self._heap, self._current, prompts)
+
+    def _fill(self, routable: list[Replica]) -> None:
+        """A fresh heap with one current entry per routable replica."""
+        key = self._key
+        heap = [[*key(replica), replica.replica_id, 0, replica]
+                for replica in routable]
+        heapify(heap)
+        self._heap = heap
+        self._current = {entry[2]: entry for entry in heap}
+        self._stamp = 0
+
+    def _rekey(self, moved: set[int]) -> None:
+        """Push a new current entry for each moved routable replica
+        whose key changed."""
+        heap, current, key = self._heap, self._current, self._key
+        stamp = self._stamp
+        for replica_id in moved:
+            entry = current.get(replica_id)
+            if entry is None:
+                continue
+            pressure, outstanding = key(entry[4])
+            if pressure == entry[0] and outstanding == entry[1]:
+                continue
+            stamp += 1
+            entry = [pressure, outstanding, replica_id, stamp, entry[4]]
+            current[replica_id] = entry
+            heappush(heap, entry)
+        if stamp != self._stamp:
+            self._stamp = stamp
+            if len(heap) > 4 * len(current):
+                # Mostly entries that are no longer current: compact.
+                self._heap = [entry for entry in heap
+                              if current[entry[2]] is entry]
+                heapify(self._heap)
 
 
-class KvPressureRouter(Router):
+class LeastOutstandingRouter(_LoadHeapRouter):
+    """Fewest queued-or-running requests wins (join-shortest-queue)."""
+
+    name = "least-outstanding"
+
+    def _key(self, replica: Replica) -> tuple[float, int]:
+        return 0, replica.outstanding
+
+
+class KvPressureRouter(_LoadHeapRouter):
     """Most free KV blocks wins; breaks ties on queue depth then id.
 
     Outstanding-request counts miss that a few long-context sequences
@@ -152,15 +242,8 @@ class KvPressureRouter(Router):
 
     name = "kv-pressure"
 
-    def choose(self, prompt_tokens: int, replicas: Sequence[Replica],
-               now: float) -> Replica:
-        return next(self.assign((prompt_tokens,), replicas, now))
-
-    def assign(self, prompts: Iterable[int], replicas: Sequence[Replica],
-               now: float) -> Iterator[Replica]:
-        return _least_first([(-r.kv_free_fraction, r.outstanding,
-                              r.replica_id, r)
-                             for r in replicas if r.routable], prompts)
+    def _key(self, replica: Replica) -> tuple[float, int]:
+        return -replica.kv_free_fraction, replica.outstanding
 
 
 class CostSloRouter(Router):
@@ -218,30 +301,20 @@ class CostSloRouter(Router):
                                   r.replica_id))
 
 
-def _least_first(heap: list[tuple], prompts: Iterable[int],
-                 ) -> Iterator[Replica]:
-    """Heapify one entry per routable replica and pick from it lazily.
-
-    Entries are ``(pressure, outstanding, replica_id, replica)``.
-
-    Raises:
-        ValueError: If no replica is routable (``heap`` is empty).
-    """
-    if not heap:
-        raise ValueError("no routable replica")
-    heapify(heap)
-    return _pop_least(heap, prompts)
-
-
-def _pop_least(heap: list[tuple], prompts: Iterable[int],
-               ) -> Iterator[Replica]:
-    """Yield the heap's least replica per prompt, counting each pick: a
-    submit changes only ``outstanding``, so the winner goes back with
-    one more."""
+def _pop_least(heap: list[list], current: dict[int, list],
+               prompts: Iterable[int]) -> Iterator[Replica]:
+    """Yield the heap's least current replica per prompt, counting each
+    pick: a submit changes only ``outstanding``, so the winner's entry
+    takes one more and sinks back into place.  Entries that are no
+    longer current are dropped as they surface."""
     for _ in prompts:
-        pressure, outstanding, replica_id, replica = heap[0]
-        heapreplace(heap, (pressure, outstanding + 1, replica_id, replica))
-        yield replica
+        entry = heap[0]
+        while current[entry[2]] is not entry:
+            heappop(heap)
+            entry = heap[0]
+        entry[1] += 1
+        heapreplace(heap, entry)
+        yield entry[4]
 
 
 #: Router names the CLI exposes.

@@ -395,6 +395,10 @@ class ContinuousBatchingScheduler:
         self._wfq_v = 0.0
         self._wfq_fin: dict[int, float] = {}
         self._wfq_tag: dict[int, float] = {}
+        # Earliest arrival in the WFQ waiting queue, or None when it
+        # must be rescanned: kept as a min at every insert, dropped
+        # when a removal takes an entry carrying it.
+        self._wfq_next: float | None = None
         self._prefix_resident: dict[int, int] = {}
         self._prefix_hits = 0
         self._prefix_misses = 0
@@ -554,12 +558,28 @@ class ContinuousBatchingScheduler:
             self._wfq_fin[tenant_id] = tag
             self._wfq_tag[row] = tag
             entry = (tag, arrival, row)
+            self._wfq_enqueued(arrival)
         # lo=_head probes the same midpoints as insort on the logical
         # queue, so placement matches even when an FCFS preemption has
         # left the queue unsorted.
         insort(self._waiting, entry, lo=self._head)
         if self._first_arrival is None or arrival < self._first_arrival:
             self._first_arrival = arrival
+
+    def _wfq_enqueued(self, arrival: float) -> None:
+        """Fold an arrival about to enter the WFQ queue into the cached
+        earliest arrival (call before the insert)."""
+        earliest = self._wfq_next
+        if earliest is not None:
+            if arrival < earliest:
+                self._wfq_next = arrival
+        elif not self._waiting:
+            self._wfq_next = arrival
+
+    def _wfq_dequeued(self, arrival: float) -> None:
+        """An entry left the WFQ queue: rescan if it was the earliest."""
+        if arrival == self._wfq_next:
+            self._wfq_next = None
 
     def _forget(self, row: int) -> None:
         """Withdraw a row: it is no longer in flight here."""
@@ -596,6 +616,8 @@ class ContinuousBatchingScheduler:
         for index, entry in enumerate(self._waiting):
             if entry[-1] == row:
                 self._waiting.pop(index)
+                if self._wfq:
+                    self._wfq_dequeued(entry[-2])
                 self._forget(row)
                 return 0
         if row in self._running:
@@ -622,6 +644,7 @@ class ContinuousBatchingScheduler:
         for row in list(self._running):
             evacuated.append((row, self._drop_running(row)))
         self._waiting.clear()
+        self._wfq_next = None
         for row, _ in evacuated:
             self._forget(row)
         # A crashed replica loses its pinned shared prefixes too.
@@ -727,6 +750,8 @@ class ContinuousBatchingScheduler:
                 scanned += 1
                 row = entry[-1]
                 kvlen = take(self, row)
+            if wfq:
+                self._wfq_dequeued(waiting[index][-2])
             if index == head:
                 head += 1
             else:
@@ -933,6 +958,7 @@ class ContinuousBatchingScheduler:
                         if self._wfq:
                             # The victim keeps its tag: it re-queues at
                             # its original virtual position.
+                            self._wfq_enqueued(victim_arrival)
                             insort(self._waiting,
                                    (self._wfq_tag[victim_row],
                                     victim_arrival, victim_row),
@@ -1030,11 +1056,16 @@ class ContinuousBatchingScheduler:
         """Earliest arrival among waiting requests.
 
         Under FCFS the queue is arrival-ordered so the head suffices;
-        under WFQ the queue is tag-ordered and must be scanned.
+        under WFQ the queue is tag-ordered, so the earliest arrival is
+        cached and the queue is scanned only after a removal took it.
         """
         if self._wfq:
-            return min(entry[-2] for entry
-                       in islice(self._waiting, self._head, None))
+            earliest = self._wfq_next
+            if earliest is None:
+                earliest = self._wfq_next = min(
+                    entry[-2] for entry
+                    in islice(self._waiting, self._head, None))
+            return earliest
         return self._waiting[self._head][0]
 
     def report(self) -> ServingReport:
@@ -1272,6 +1303,7 @@ class ContinuousBatchingScheduler:
                     f"the snapshot")
             self._waiting = [(self._wfq_tag[row], self._arrival[row], row)
                              for row in waiting_rows]
+            self._wfq_next = None
         else:
             self._waiting = [(self._arrival[row], row)
                              for row in waiting_rows]

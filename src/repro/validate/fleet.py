@@ -18,12 +18,14 @@ numbers.
   fleet regime twice — through ``run()``, which jumps quiet ticks, and
   through a plain ``begin_run``/``run_tick``/``finish_run`` loop — and
   requires exactly equal reports, plus a skipped tick in every regime
-  where jumping is allowed, and a retried timeout and a jump across a
-  slowed replica in the sparse timeout/slowdown regime.
+  where jumping is allowed, a retried timeout and a jump across a
+  slowed replica in the sparse timeout/slowdown regime, and a timeout
+  fired on the tick a jump landed on in the faulted 64-replica regime.
 * ``fleet.route_parity`` (differential) runs overloaded, faulted,
-  KV-pressure, WFQ-tenant and phased-boot fleets once with the shipped
-  per-tick heap routers and once with references that rescan the fleet
-  per request, and requires exactly equal reports.
+  KV-pressure, WFQ-tenant, phased-boot and 64-way fleets once with the
+  shipped load-heap routers and once with references that rescan the
+  fleet per request, and requires exactly equal reports, plus ticks
+  where the persistent heap re-keyed only the replicas that moved.
 * ``serving.decode_event_parity`` (differential) runs fixed fleets
   over every admission policy x KV isolation mode, a preempting and a
   relaxed pool, with and without faults, once with the event-driven
@@ -400,13 +402,38 @@ def _tdx_spec():
 #: is a timeout.
 SLOWED_SPARSE = "sparse 0.5 req/s + timeouts/slowdowns"
 
+#: The 64-replica regime with MTBF crashes, hangs and slowdowns and
+#: retry timeouts short enough to fire inside quiet stretches:
+#: ``fleet.jump_parity`` requires every fault kind to land and a
+#: timeout to fire on the tick a jump landed on.
+WIDE_FAULTED = "64x sparse + mtbf crashes/hangs/slowdowns + timeouts"
+
+#: Fault kinds of :data:`WIDE_FAULTED`.
+WIDE_FAULT_KINDS = (("crash", 0.4), ("hang", 0.3), ("slowdown", 0.3))
+
+
+def _wide_stream(requests: int = 300, rate_per_s: float = 4.0, seed: int = 11,
+                 mean_prompt: int = 128, mean_output: int = 32):
+    """A sparse stream for a 64-replica fleet (1/16 req/s per replica
+    at the defaults)."""
+    return poisson_table(requests, rate_per_s=rate_per_s,
+                         mean_prompt=mean_prompt, mean_output=mean_output,
+                         seed=seed)
+
+
+def _wide_faults(seed: int) -> FaultSchedule:
+    return mtbf_schedule(list(range(64)), mtbf_s=300.0, horizon_s=75.0,
+                         seed=seed, kinds=WIDE_FAULT_KINDS)
+
 
 def _jump_regimes() -> list[tuple[str, "callable", object, bool]]:
     """(label, fresh-fleet factory, stream, jumps) for every fleet regime.
 
     Covers fault-free, faulted, autoscaled, spill-router and sparse
     fleets, a sparse fleet whose retry timeouts and slowdowns fall
-    inside quiet stretches (:data:`SLOWED_SPARSE`), the 9 tenancy
+    inside quiet stretches (:data:`SLOWED_SPARSE`), a sparse 64-replica
+    fleet fault-free and under MTBF faults with short timeouts
+    (:data:`WIDE_FAULTED`), the 9 tenancy
     admission x isolation regimes, and phased boots fault-free, faulted
     and autoscaled.  Streams alternate between object lists and request
     tables, so ``begin_run``'s list-to-table conversion stays covered.
@@ -456,6 +483,11 @@ def _jump_regimes() -> list[tuple[str, "callable", object, bool]]:
                            factor=1.5)))),
          poisson_table(20, rate_per_s=0.5, mean_prompt=128, mean_output=32,
                        seed=11), True),
+        ("64x sparse", lambda: fixed_fleet(spec, 64), _wide_stream(), True),
+        (WIDE_FAULTED, lambda: fixed_fleet(
+            spec, 64, faults=_wide_faults(7),
+            retry_policy=RetryPolicy(timeout_s=4.0, max_attempts=4, seed=7)),
+         _wide_stream(), True),
     ]
     population = _population()
     for index, (label, tenant_spec, kwargs) in enumerate(
@@ -484,10 +516,13 @@ def _jump_regimes() -> list[tuple[str, "callable", object, bool]]:
 
 
 def _run_jumping(sim: FleetSimulator, stream):
-    """``sim.run(stream)``, the number of ticks it executed, and the
-    number of jumps it took while some replica was slowed."""
-    ticks = slowed_jumps = 0
+    """``sim.run(stream)``, the number of ticks it executed, the number
+    of jumps it took while some replica was slowed, and the number of
+    jumps whose landing tick cancelled a timed-out flight."""
+    ticks = slowed_jumps = timeout_landings = 0
+    jumped = False
     tick, skip = sim.run_tick, sim._skip_quiet_ticks
+    check_timeouts = sim._check_timeouts
 
     def counted() -> None:
         nonlocal ticks
@@ -495,16 +530,26 @@ def _run_jumping(sim: FleetSimulator, stream):
         tick()
 
     def watched() -> None:
-        nonlocal slowed_jumps
+        nonlocal slowed_jumps, jumped
         slowed = any(r._slow_until_s is not None for r in sim.replicas)
         before = sim.run_clock_s
         skip()
-        if slowed and sim.run_clock_s != before:
+        jumped = sim.run_clock_s != before
+        if slowed and jumped:
             slowed_jumps += 1
+
+    def timed(now, state) -> None:
+        # Only timeouts take flights off the table here.
+        nonlocal timeout_landings
+        before = len(state.flights)
+        check_timeouts(now, state)
+        if jumped and len(state.flights) < before:
+            timeout_landings += 1
 
     sim.run_tick = counted
     sim._skip_quiet_ticks = watched
-    return sim.run(stream), ticks, slowed_jumps
+    sim._check_timeouts = timed
+    return sim.run(stream), ticks, slowed_jumps, timeout_landings
 
 
 def _run_ticking(sim: FleetSimulator, stream):
@@ -525,7 +570,8 @@ def jump_parity(ctx: AuditContext) -> str:
     regimes = _jump_regimes()
     jumped_ticks = ticked_ticks = compared = 0
     for label, factory, stream, expect_jump in regimes:
-        jumped, jumps, slowed_jumps = _run_jumping(factory(), stream)
+        jumped, jumps, slowed_jumps, timeout_landings = _run_jumping(
+            factory(), stream)
         ticked, ticks = _run_ticking(factory(), stream)
         a, b = jumped.to_dict(), ticked.to_dict()
         if a != b:
@@ -554,6 +600,16 @@ def jump_parity(ctx: AuditContext) -> str:
                 f"{label}: {ticked.retries} timed-out requests retried and "
                 f"{slowed_jumps} jumps crossed a slowed replica; the check "
                 f"needs both, or it is vacuous")
+        if label == WIDE_FAULTED:
+            landed = {fault.event.kind for fault in ticked.fault_events
+                      if not fault.effect.startswith("no-op")}
+            wanted = {kind for kind, _ in WIDE_FAULT_KINDS}
+            if landed != wanted or not timeout_landings:
+                raise CheckFailure(
+                    f"{label}: faults {sorted(landed)} landed and "
+                    f"{timeout_landings} jumps ended on a timeout; the "
+                    f"check needs {sorted(wanted)} and one such jump, or "
+                    f"it is vacuous")
         jumped_ticks += jumps
         ticked_ticks += ticks
         compared += len(ticked.outcomes)
@@ -587,10 +643,13 @@ def _route_regimes() -> list[tuple[str, type, "callable", object]]:
     """(label, policy, router -> fresh fleet, stream) for the routing
     audit.
 
-    Every regime routes several rows in some tick: an overloaded 8-way
-    fleet, the same with MTBF faults and retries, a KV-pressure fleet
-    on a tight pool, WFQ tenants on shared prefixes, and a phased boot
-    that holds every early arrival until the fleet is ready.
+    An overloaded 8-way fleet, the same with MTBF faults and retries,
+    a KV-pressure fleet on a tight pool, WFQ tenants on shared
+    prefixes, and a phased boot that holds every early arrival until
+    the fleet is ready each route several rows in some tick.  Two
+    sparse 64-way fleets, least-outstanding under MTBF crashes, hangs
+    and slowdowns and KV pressure on a small pool, step few replicas
+    between routing ticks, so the persistent heap re-keys only those.
     """
     from .attest import _phased_regimes, _stream as _boot_stream
     from .tenancy import _population, _spec as _tenant_spec
@@ -623,13 +682,33 @@ def _route_regimes() -> list[tuple[str, type, "callable", object]]:
         ("phased boot tdx/fault-free", LeastOutstandingRouter,
          lambda router: fixed_fleet(boot_spec, 2, router=router),
          _boot_stream()),
+        ("64x tdx sparse/faulted", LeastOutstandingRouter,
+         lambda router: fixed_fleet(
+             spec, 64, router=router, faults=_wide_faults(13),
+             retry_policy=RetryPolicy(timeout_s=15.0, max_attempts=4,
+                                      seed=13)),
+         _wide_stream(400, rate_per_s=5.0, seed=13)),
+        ("64x kv-pressure small pool", KvPressureRouter,
+         lambda router: fixed_fleet(
+             replica_spec("tdx", max_batch=16, kv_capacity_tokens=4096),
+             64, router=router),
+         _wide_stream(400, rate_per_s=4.0, seed=13, mean_prompt=256,
+                      mean_output=64)),
     ]
 
 
 def _run_routing(sim: FleetSimulator, stream):
-    """``sim.run(stream)`` and the most rows routed in one tick."""
-    most = 0
+    """``sim.run(stream)``, the most rows routed in one tick, and the
+    number of routing calls that re-keyed only the replicas that moved
+    since the previous one."""
+    most = rekeys = 0
     tick = sim.run_tick
+    rekey = sim.router._rekey
+
+    def counted_rekey(moved) -> None:
+        nonlocal rekeys
+        rekeys += 1
+        rekey(moved)
 
     def counted() -> None:
         nonlocal most
@@ -639,19 +718,20 @@ def _run_routing(sim: FleetSimulator, stream):
                    - before)
 
     sim.run_tick = counted
-    return sim.run(stream), most
+    sim.router._rekey = counted_rekey
+    return sim.run(stream), most, rekeys
 
 
 @check("fleet.route_parity", family="differential",
        layers=("fleet",))
 def route_parity(ctx: AuditContext) -> str:
-    """Per-tick heap routing equals rescanning the fleet per request."""
+    """Load-heap routing equals rescanning the fleet per request."""
     references = {LeastOutstandingRouter: _ScanLeastOutstanding,
                   KvPressureRouter: _ScanKvPressure}
     regimes = _route_regimes()
-    compared = most = 0
+    compared = most = rekeyed = 0
     for label, policy, factory, stream in regimes:
-        shipped, batch = _run_routing(factory(policy()), stream)
+        shipped, batch, rekeys = _run_routing(factory(policy()), stream)
         reference = factory(references[policy]()).run(stream)
         a, b = shipped.to_dict(), reference.to_dict()
         if a != b:
@@ -666,13 +746,19 @@ def route_parity(ctx: AuditContext) -> str:
                 raise CheckFailure(
                     f"{label}: outcome column {column} diverged between "
                     f"heap routing and the rescan")
+        if label.startswith("64x") and not rekeys:
+            raise CheckFailure(
+                f"{label}: every routing call rebuilt the load heap; the "
+                f"moved-only re-key is not exercised")
         most = max(most, batch)
+        rekeyed += rekeys
         compared += len(reference.outcomes)
     if most < 2:
         raise CheckFailure("no tick routed more than one row; check is "
                            "vacuous")
     return (f"{compared} request timelines bit-identical across "
-            f"{len(regimes)} regimes; up to {most} rows routed per tick")
+            f"{len(regimes)} regimes; up to {most} rows routed per tick, "
+            f"{rekeyed} ticks re-keyed only moved replicas")
 
 
 def _decode_regimes() -> list[tuple[str, "callable", object]]:
