@@ -23,7 +23,11 @@ runs regresses more than 25% past the committed baseline.
 ``fleet_sparse_100k_req`` (the same fleet and stream seed at 0.5 req/s,
 where most ticks are jumped) and ``fleet_wide_256`` (the sparse load
 per replica on a 256-replica fleet, where a loop that pays per replica
-per tick would show) are recorded beside it, ungated.
+per tick would show) are recorded beside it, ungated, as is
+``fleet_cost_slo_backlog`` (3 TDX + 1 cGPU behind the cost/SLO router
+at 100 req/s of 1k-token prompts, 4,000 requests, with the per-request
+wall time of the same run cut to 1,000 requests: routing that rescans
+the backlog would show as a ratio well above 1).
 """
 
 from __future__ import annotations
@@ -158,7 +162,18 @@ FLEET_REPEATS = 3
 def _fleet_stream_benchmark(name: str, rate_per_s: float,
                             requests: int, replicas: int = 8) -> dict:
     """Serve one poisson stream on a fixed TDX fleet (the headline is
-    8-way).
+    8-way)."""
+    from repro.fleet import fixed_fleet, poisson_table, replica_spec
+    spec = replica_spec("tdx", max_batch=16, kv_capacity_tokens=65536)
+    table = poisson_table(requests, rate_per_s=rate_per_s, mean_prompt=128,
+                          mean_output=32, seed=11)
+    return _serve_benchmark(name, lambda: fixed_fleet(spec, replicas), table,
+                            replicas)
+
+
+def _serve_benchmark(name: str, make_fleet, table, replicas: int,
+                     repeats: int = FLEET_REPEATS) -> dict:
+    """Serve ``table`` on ``repeats`` fresh fleets.
 
     Stream generation happens outside the timed region (it is numpy
     columnar construction, not simulation); the measurement is the
@@ -168,13 +183,10 @@ def _fleet_stream_benchmark(name: str, rate_per_s: float,
     ``ticks`` counts the grid ticks one run executed (the rest were
     jumped).
     """
-    from repro.fleet import fixed_fleet, poisson_table, replica_spec
-    spec = replica_spec("tdx", max_batch=16, kv_capacity_tokens=65536)
-    table = poisson_table(requests, rate_per_s=rate_per_s, mean_prompt=128,
-                          mean_output=32, seed=11)
+    requests = len(table)
     samples = []
-    for _ in range(FLEET_REPEATS):
-        fleet = fixed_fleet(spec, replicas)
+    for _ in range(repeats):
+        fleet = make_fleet()
         ticks = 0
         tick = fleet.run_tick
 
@@ -195,7 +207,7 @@ def _fleet_stream_benchmark(name: str, rate_per_s: float,
     wall_s = statistics.median(samples)
     return {"requests": served, "replicas": replicas, "wall_s": wall_s,
             "wall_min_s": min(samples), "wall_max_s": max(samples),
-            "req_per_wall_s": served / wall_s, "repeats": FLEET_REPEATS,
+            "req_per_wall_s": served / wall_s, "repeats": repeats,
             "ticks": ticks}
 
 
@@ -217,6 +229,44 @@ def fleet_wide_benchmark() -> dict:
     the fleet loop scales with width."""
     return _fleet_stream_benchmark("fleet_wide_256", 0.0625 * 256, 20_000,
                                    replicas=256)
+
+
+#: Repeats of each ``fleet_cost_slo_backlog`` stream (~0.1 s per run).
+COST_SLO_REPEATS = 7
+
+
+def fleet_cost_slo_benchmark() -> dict:
+    """3 TDX + 1 cGPU behind the cost/SLO router (``slo_ttft_s=10``) at
+    100 req/s of 1k-token prompts, 4,000 requests: the queues run deep,
+    so this times TTFT estimates under backlog.  ``flat_ratio`` is its
+    fastest per-request wall time over that of the same config cut to
+    1,000 requests (1.0 = flat in backlog).  Each stream is served
+    once untimed first, so neither side pays for costing its prompt
+    lengths, then ``COST_SLO_REPEATS`` times: one run is short, so the
+    minimum needs more samples than the other fleet benchmarks take."""
+    from repro.fleet import (
+        CostSloRouter,
+        FleetSimulator,
+        poisson_table,
+        replica_spec,
+    )
+    specs = [replica_spec("tdx")] * 3 + [replica_spec("cgpu")]
+
+    def fleet() -> FleetSimulator:
+        return FleetSimulator(specs, router=CostSloRouter(slo_ttft_s=10.0))
+
+    def serve(requests: int) -> dict:
+        table = poisson_table(requests, rate_per_s=100.0, mean_prompt=1024,
+                              seed=11)
+        fleet().run(table)
+        return _serve_benchmark("fleet_cost_slo_backlog", fleet, table,
+                                len(specs), repeats=COST_SLO_REPEATS)
+
+    short = serve(1_000)
+    result = serve(4_000)
+    result["flat_ratio"] = ((result["wall_min_s"] / result["requests"])
+                            / (short["wall_min_s"] / short["requests"]))
+    return result
 
 
 #: Regression tolerance for the --compare gate: a benchmark may be at
@@ -276,8 +326,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", type=Path, default=None,
                         help="write the JSON report to this path")
     parser.add_argument("--quick", action="store_true",
-                        help="skip the 1M- and 100k-request and the "
-                             "256-replica fleet benchmarks")
+                        help="skip the 1M- and 100k-request, the "
+                             "256-replica and the cost/SLO backlog fleet "
+                             "benchmarks")
     parser.add_argument("--compare", type=Path, default=None,
                         help="fail (exit 1) if a gated benchmark regresses "
                              f"more than {(COMPARE_SLACK - 1) * 100:.0f}%% "
@@ -303,6 +354,7 @@ def main(argv: list[str] | None = None) -> int:
         micro["fleet_1M_req"] = fleet_million_benchmark()
         micro["fleet_sparse_100k_req"] = fleet_sparse_benchmark()
         micro["fleet_wide_256"] = fleet_wide_benchmark()
+        micro["fleet_cost_slo_backlog"] = fleet_cost_slo_benchmark()
 
     if args.suite or args.budget_s is not None:
         report["suite"] = suite_benchmark()

@@ -26,6 +26,11 @@ round-robin and the cost/SLO policy keep (its TTFT estimate moves with
 every submit).  A tick with no due requests makes no router call, so
 ``assign`` takes at least one prompt.
 
+The cost/SLO policy reads every routable replica's TTFT estimate once
+per pick.  An estimate is O(1) in queue depth: each scheduler keeps its
+queued prefill as an exact running total, so routing stays flat under
+backlog (see ``ContinuousBatchingScheduler.estimated_ttft_s``).
+
 The load heap lives across ticks.  Before routing, the fleet tells the
 router (:meth:`Router._note_moved`) which replicas' keys may have moved
 since its previous ``assign``: those stepped, cancelled from or
@@ -287,18 +292,16 @@ class CostSloRouter(Router):
 
     def choose(self, prompt_tokens: int, replicas: Sequence[Replica],
                now: float) -> Replica:
-        candidates = self._routable(replicas)
         budget = self.slo_ttft_s * self.risk_factor
-        safe = [r for r in candidates
-                if r.estimated_ttft_s(prompt_tokens, now) <= budget]
+        estimates = [(r.estimated_ttft_s(prompt_tokens, now), r.replica_id, r)
+                     for r in self._routable(replicas)]
+        safe = [r for estimate, _, r in estimates if estimate <= budget]
         if safe:
             # Cheapest safe replica; ties to the least loaded, then id.
             return min(safe, key=lambda r: (r.spec.price_hr, r.outstanding,
                                             r.replica_id))
         # Every replica is at risk: damage control, minimize the miss.
-        return min(candidates,
-                   key=lambda r: (r.estimated_ttft_s(prompt_tokens, now),
-                                  r.replica_id))
+        return min(estimates, key=lambda entry: entry[:2])[2]
 
 
 def _pop_least(heap: list[list], current: dict[int, list],

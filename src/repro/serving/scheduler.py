@@ -87,7 +87,7 @@ from ..engine.placement import Deployment
 from ..llm.config import ModelConfig
 from ..llm.datatypes import DType
 from .admission import TenancyConfig
-from .stepcost import _CONTEXT_GRID, StepCostTable
+from .stepcost import _CONTEXT_GRID, _UNITS_PER_S, StepCostTable
 
 if TYPE_CHECKING:
     from ..fleet.table import RequestTable
@@ -345,7 +345,20 @@ class ContinuousBatchingScheduler:
                       "partition": cls._take_partition,
                       "shared-prefix": cls._take_prefix}[self.kv_isolation]
         self.num_blocks = max(1, kv_capacity_tokens // block_size)
+        self._pool_tokens = self.num_blocks * block_size
+        # Pinned shared prefixes are never released, so under
+        # shared-prefix isolation a request must fit in the room left
+        # beside all of them (the whole pool under other modes).
+        pinned = (sum(-(-tokens // block_size)
+                      for _, tokens in tenancy.prefix_tokens)
+                  if self.kv_isolation == "shared-prefix" else 0)
+        self._room_tokens = (self.num_blocks - pinned) * block_size
         self._costs = StepCostTable.shared(deployment, model, dtype)
+        # The table's prefill-units memo, subscripted directly for rows
+        # already queued here, and its filler (bound to the table, not
+        # to self: no reference cycle).
+        self._units = self._costs._prefill_units
+        self._units_of = self._costs._units_of
         self._time_scale = 1.0
         #: The run this scheduler serves (see :meth:`bind`); unbound, it
         #: holds no rows.
@@ -368,6 +381,15 @@ class ContinuousBatchingScheduler:
         # list is empty exactly when the logical queue is.
         self._waiting: list[tuple] = []
         self._head = 0
+        # Prefill of the logical queue, exactly: the sum of each entry's
+        # prefill in units of 2**-1074 s, kept at every insert and
+        # removal.  ``_queued_s`` is the correctly rounded seconds (the
+        # ``math.fsum`` of the queue's prefills) of the total object
+        # ``_queued_at``: every update makes a new int, so an identity
+        # test tells the estimate when to divide again.
+        self._queued_units = 0
+        self._queued_at = 0
+        self._queued_s = 0.0
         # Running batch: row -> (prompt, output, kvlen, start), in
         # admission order (dict order), so the youngest sequence is the
         # last item.  ``kvlen`` is the KV length the sequence was
@@ -513,10 +535,10 @@ class ContinuousBatchingScheduler:
 
     def _check_fits(self, row: int) -> None:
         needed = self._prompt[row] + self._output[row]
-        if needed > self.num_blocks * self.block_size:
+        if needed > self._pool_tokens:
             raise ValueError(
                 f"request {self._ids[row]} needs {needed} KV tokens, "
-                f"pool holds {self.num_blocks * self.block_size}")
+                f"pool holds {self._pool_tokens}")
         if self.kv_isolation == "partition":
             tenant_id = self._tenant[row]
             cap = self._tenant_budget_cap.get(tenant_id)
@@ -528,6 +550,21 @@ class ContinuousBatchingScheduler:
                 raise ValueError(
                     f"request {self._ids[row]} needs {worst_case} blocks, "
                     f"tenant {tenant_id} partition holds {cap}")
+        elif needed > self._room_tokens:
+            # Shared-prefix isolation: the whole request does not fit
+            # beside every pin.  It holds only its suffix (the whole
+            # prompt if its tenant shares no prefix) plus its output; if
+            # even that does not fit it would preempt itself forever.
+            prompt = self._prompt[row]
+            usable = min(self.tenancy.prefix_of(self._tenant[row]),
+                         prompt - 1)
+            kvlen = prompt - usable if usable > 0 else prompt
+            blocks = -(-(kvlen + self._output[row]) // self.block_size)
+            room = self._room_tokens // self.block_size
+            if blocks > room:
+                raise ValueError(
+                    f"request {self._ids[row]} needs {blocks} blocks, "
+                    f"pool holds {room} beside every pinned prefix")
 
     def submit(self, row: int) -> None:
         """Enqueue one row of the bound table for service.
@@ -563,6 +600,10 @@ class ContinuousBatchingScheduler:
         # queue, so placement matches even when an FCFS preemption has
         # left the queue unsorted.
         insort(self._waiting, entry, lo=self._head)
+        prompt = self._prompt[row]
+        # Every prefill is positive, so only a miss reads 0 here.
+        self._queued_units += (self._units.get(prompt)
+                               or self._units_of(prompt))
         if self._first_arrival is None or arrival < self._first_arrival:
             self._first_arrival = arrival
 
@@ -616,6 +657,7 @@ class ContinuousBatchingScheduler:
         for index, entry in enumerate(self._waiting):
             if entry[-1] == row:
                 self._waiting.pop(index)
+                self._queued_units -= self._units[self._prompt[row]]
                 if self._wfq:
                     self._wfq_dequeued(entry[-2])
                 self._forget(row)
@@ -644,6 +686,7 @@ class ContinuousBatchingScheduler:
         for row in list(self._running):
             evacuated.append((row, self._drop_running(row)))
         self._waiting.clear()
+        self._queued_units = 0
         self._wfq_next = None
         for row, _ in evacuated:
             self._forget(row)
@@ -688,14 +731,20 @@ class ContinuousBatchingScheduler:
         the quantity the cost/SLO-aware router compares against the
         TTFT SLO.  An underestimate under decode contention, but
         monotone in queue depth, which is what routing needs.
+
+        O(1) in queue depth: the queued prefill is the scheduler's exact
+        running total (in 2**-1074 s units), divided out once per change
+        with one correctly rounded int division.  It is therefore the
+        ``math.fsum`` of the queue's prefills, not a left-to-right
+        ``sum`` (the two can differ in the last place).
         """
-        prefill_s = self._costs.prefill_s
-        prompts = self._prompt
+        units = self._queued_units
+        if units is not self._queued_at:
+            self._queued_at = units
+            self._queued_s = units / _UNITS_PER_S
         backlog = max(0.0, self._clock - now)
-        backlog += self._scaled(sum(prefill_s(prompts[entry[-1]])
-                                    for entry in islice(self._waiting,
-                                                        self._head, None)))
-        return backlog + self._scaled(prefill_s(prompt_tokens))
+        backlog += self._scaled(self._queued_s)
+        return backlog + self._scaled(self._costs.prefill_s(prompt_tokens))
 
     @property
     def prefix_hits(self) -> int:
@@ -726,6 +775,8 @@ class ContinuousBatchingScheduler:
         lookahead = self.admission_lookahead
         block_size = self.block_size
         prefill_s = self._costs.prefill_s
+        units = self._units
+        scale = self._time_scale
         while waiting and len(running) < self.max_batch:
             clock = self._clock
             head = index = self._head
@@ -760,11 +811,16 @@ class ContinuousBatchingScheduler:
                 del waiting[:head]
                 head = 0
             self._head = head
-            # Charge prefill, move the request into the batch and index
+            # Charge prefill (``_scaled`` inlined), take it off the
+            # queued total, move the request into the batch and index
             # its block-edge residue and finish step.
             prompt = self._prompt[row]
-            self._clock += self._scaled(prefill_s(prompt))
+            cost = prefill_s(prompt)
+            if scale != 1.0:
+                cost *= scale
+            self._clock += cost
             self._first[row] = self._clock
+            self._queued_units -= units[prompt]
             start = self._steps
             output = self._output[row]
             running[row] = (prompt, output, kvlen, start)
@@ -955,6 +1011,7 @@ class ContinuousBatchingScheduler:
                         self._preempt[victim_row] += 1
                         self._ctx_total -= victim[0] + run_gen[tail]
                         victim_arrival = self._arrival[victim_row]
+                        self._queued_units += self._units[victim[0]]
                         if self._wfq:
                             # The victim keeps its tag: it re-queues at
                             # its original virtual position.
@@ -1307,6 +1364,10 @@ class ContinuousBatchingScheduler:
         else:
             self._waiting = [(self._arrival[row], row)
                              for row in waiting_rows]
+        # Derived, not snapshotted: rebuilt from the restored queue.
+        units_of = self._units_of
+        self._queued_units = sum(units_of(self._prompt[row])
+                                 for row in waiting_rows)
         for row in claimed:
             self._status[row] = OutcomeLog.IN_FLIGHT
 

@@ -9,7 +9,10 @@ shape into seconds, shared by every replica of a fleet.
 
 Decode contexts are bucketed to 64-token multiples (floored at 16)
 before the cost model runs, and prefill is keyed on the exact prompt
-length.
+length.  Beside each prompt length's prefill seconds the table keeps
+the same duration as a whole number of 2**-1074 s (every finite double
+is an exact multiple of that), so a scheduler can keep its queued
+prefill as an exact integer total that subtracts without rounding.
 
 A miss costs one decoder block, not ``num_layers`` of them.  Every
 block of a step emits the same operators (only ``layer`` differs, and
@@ -43,6 +46,12 @@ _SHARED_TABLES = MemoCache("step_cost_table", maxsize=32)
 #: Decode contexts are memoized on multiples of this many tokens.
 _CONTEXT_GRID = 64
 
+#: Prefill units per second: a unit is 2**-1074 s, the smallest
+#: subnormal double, so every finite double is a whole number of units,
+#: sums of units are exact, and ``units / _UNITS_PER_S`` (int true
+#: division) rounds the exact sum once.
+_UNITS_PER_S = 1 << 1074
+
 
 class StepCostTable:
     """Memoized decode-step and prefill durations for one deployment.
@@ -62,6 +71,10 @@ class StepCostTable:
         self._one_block = replace(model, num_layers=1)
         self._step_cache: dict[tuple[int, int], float] = {}
         self._prefill_cache: dict[int, float] = {}
+        #: Prompt length -> its prefill in units of 2**-1074 s, filled
+        #: by :meth:`_units_of`; hot paths subscript it directly once a
+        #: length is known to be in it.
+        self._prefill_units: dict[int, int] = {}
 
     @classmethod
     def shared(cls, deployment: Deployment, model: ModelConfig,
@@ -127,4 +140,14 @@ class StepCostTable:
             ops = prefill_ops(self._one_block, self.dtype, 1, prompt_tokens)
             cached = self._prefill_cache[prompt_tokens] = self._step_s(
                 ops, self.working_sets(1, prompt_tokens))
+        return cached
+
+    def _units_of(self, prompt_tokens: int) -> int:
+        """:meth:`prefill_s` as an exact whole number of 2**-1074 s."""
+        cached = self._prefill_units.get(prompt_tokens)
+        if cached is None:
+            numerator, denominator = self.prefill_s(
+                prompt_tokens).as_integer_ratio()
+            cached = self._prefill_units[prompt_tokens] = (
+                numerator * (_UNITS_PER_S // denominator))
         return cached

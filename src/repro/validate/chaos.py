@@ -19,13 +19,20 @@ deterministically.  These checks pin all of that:
   report, the fault timeline, and the shed ledger are identical.
 * ``chaos.backoff_discipline`` — retry delays are monotone
   non-decreasing per attempt and deterministic per seed.
+* ``chaos.slowdown_expiry`` (metamorphic) — a short slowdown ends: on a
+  sparse one-replica fleet, requests arriving well after it expired
+  have exactly the fault-free twin's timelines, under ``run`` and the
+  plain tick loop alike.
 * ``golden.chaos_mtbf`` — snapshot of the MTBF sweep: SLO attainment
   and $/Mtok degrading with failure rate for TDX and cGPU fleets.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..faults import (
+    FaultEvent,
     FaultSchedule,
     RetryPolicy,
     mtbf_schedule,
@@ -223,6 +230,57 @@ def chaos_backoff_discipline(ctx: AuditContext) -> str:
             raise CheckFailure(
                 f"request {request_id}: backoff not deterministic")
     return "40 requests x 5 retries monotone and reproducible"
+
+
+#: Arrivals after this instant come long after the slowdown of
+#: ``chaos.slowdown_expiry`` expired (at 4 s) and the backlog it left
+#: drained.
+_EXPIRED_BY_S = 30.0
+
+
+@check("chaos.slowdown_expiry", family="chaos",
+       layers=("faults", "fleet", "serving"))
+def chaos_slowdown_expiry(ctx: AuditContext) -> str:
+    """A x4 slowdown from 1 s to 4 s leaves every request that arrives
+    after 30 s exactly as the fault-free twin serves it, under run()
+    and the plain tick loop; a slowdown that never expired would slow
+    those too."""
+    from .fleet import _run_ticking
+
+    stream = poisson_table(40, rate_per_s=0.2, mean_prompt=128,
+                           mean_output=16, seed=5)
+    slowdown = FaultSchedule((FaultEvent(1.0, "slowdown", 0, duration_s=3.0,
+                                         factor=4.0),))
+    checked = 0
+    for loop, serve in (("run", lambda sim: sim.run(stream)),
+                        ("tick loop", lambda sim: _run_ticking(sim,
+                                                               stream)[0])):
+        bare = serve(fixed_fleet(_spec(), 1)).outcomes
+        slowed_report = serve(fixed_fleet(_spec(), 1, faults=slowdown))
+        slowed = slowed_report.outcomes
+        if not any(event.effect.startswith("slowdown")
+                   for event in slowed_report.fault_events):
+            raise CheckFailure(f"{loop}: the slowdown never landed")
+        if not (len(bare) == len(stream)
+                and np.array_equal(bare.request_id, slowed.request_id)):
+            raise CheckFailure(f"{loop}: a request was not served")
+        same = ((bare.first_token_s == slowed.first_token_s)
+                & (bare.finish_s == slowed.finish_s))
+        late = bare.arrival_s > _EXPIRED_BY_S
+        if not same[late].all():
+            index = int(np.flatnonzero(late & ~same)[0])
+            raise CheckFailure(
+                f"{loop}: request {int(bare.request_id[index])} arrived at "
+                f"{float(bare.arrival_s[index]):.2f}s, after the slowdown "
+                f"expired, yet its timeline differs from the fault-free "
+                f"twin's")
+        if same[~late].all():
+            raise CheckFailure(
+                f"{loop}: the slowdown changed no timeline; check is "
+                f"vacuous")
+        checked += int(late.sum())
+    return (f"{checked} late timelines equal the fault-free twin's under "
+            f"run() and the tick loop")
 
 
 # -- chaos golden snapshot ----------------------------------------------------

@@ -25,7 +25,10 @@ numbers.
   KV-pressure, WFQ-tenant, phased-boot and 64-way fleets once with the
   shipped load-heap routers and once with references that rescan the
   fleet per request, and requires exactly equal reports, plus ticks
-  where the persistent heap re-keyed only the replicas that moved.
+  where the persistent heap re-keyed only the replicas that moved.  A
+  backlogged TDX + cGPU fleet, fault-free and under crashes, slowdowns
+  and timeouts, does the same for the cost/SLO router against a
+  reference whose TTFT estimate rescans each waiting queue.
 * ``serving.decode_event_parity`` (differential) runs fixed fleets
   over every admission policy x KV isolation mode, a preempting and a
   relaxed pool, with and without faults, once with the event-driven
@@ -42,8 +45,10 @@ numbers.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import replace
+from itertools import islice
 
 import numpy as np
 
@@ -69,6 +74,7 @@ from ..fleet import (
     replica_spec,
     trace_replay,
 )
+from ..fleet.replica import BOOTING
 from ..llm.kvcache import PagedKVCache
 from ..serving.scheduler import ContinuousBatchingScheduler, poisson_stream
 from .context import AuditContext
@@ -639,6 +645,47 @@ class _ScanKvPressure(KvPressureRouter):
                                   r.replica_id))
 
 
+def _scan_ttft_s(replica, prompt_tokens: int, now: float) -> float:
+    """``Replica.estimated_ttft_s`` with the queued prefill rescanned:
+    the ``math.fsum`` of ``prefill_s`` over the waiting queue."""
+    scheduler = replica.scheduler
+    prefill_s = scheduler._costs.prefill_s
+    prompts = scheduler._prompt
+    queued = math.fsum(prefill_s(prompts[entry[-1]]) for entry
+                       in islice(scheduler._waiting, scheduler._head, None))
+    estimate = max(0.0, scheduler.clock_s - now)
+    estimate += scheduler._scaled(queued)
+    estimate += scheduler._scaled(prefill_s(prompt_tokens))
+    if replica.state == BOOTING:
+        estimate += max(0.0, replica.ready_s - now)
+    return estimate
+
+
+class _ScanCostSlo(CostSloRouter):
+    """Cost/SLO routing whose every TTFT estimate rescans the replica's
+    waiting queue (the reference); counts its all-at-risk picks."""
+
+    at_risk = 0
+
+    def choose(self, prompt_tokens, replicas, now):
+        candidates = self._routable(replicas)
+        budget = self.slo_ttft_s * self.risk_factor
+        safe = [r for r in candidates
+                if _scan_ttft_s(r, prompt_tokens, now) <= budget]
+        if safe:
+            return min(safe, key=lambda r: (r.spec.price_hr, r.outstanding,
+                                            r.replica_id))
+        self.at_risk += 1
+        return min(candidates,
+                   key=lambda r: (_scan_ttft_s(r, prompt_tokens, now),
+                                  r.replica_id))
+
+
+#: Label prefix of the cost/SLO routing regimes: both tiers must serve
+#: and some pick must find every replica at risk.
+COST_SLO = "cost-slo 3x tdx + cgpu backlog"
+
+
 def _route_regimes() -> list[tuple[str, type, "callable", object]]:
     """(label, policy, router -> fresh fleet, stream) for the routing
     audit.
@@ -650,6 +697,10 @@ def _route_regimes() -> list[tuple[str, type, "callable", object]]:
     sparse 64-way fleets, least-outstanding under MTBF crashes, hangs
     and slowdowns and KV pressure on a small pool, step few replicas
     between routing ticks, so the persistent heap re-keys only those.
+    A TDX + cGPU fleet behind the cost/SLO router at 100 req/s of
+    1k-token prompts builds a deep backlog, fault-free and under MTBF
+    crashes and slowdowns with a retry timeout (which cancels queued
+    rows and evacuates crashed queues).
     """
     from .attest import _phased_regimes, _stream as _boot_stream
     from .tenancy import _population, _spec as _tenant_spec
@@ -666,7 +717,20 @@ def _route_regimes() -> list[tuple[str, type, "callable", object]]:
     population = _population()
     wfq_prefix = _tenant_spec(population, "wfq", "shared-prefix")
     boot_spec = _phased_regimes()[0][1]
+    tiers = [replica_spec("tdx")] * 3 + [replica_spec("cgpu")]
+    backlog = poisson_table(400, rate_per_s=100.0, mean_prompt=1024, seed=13)
+    tier_faults = {
+        "faults": mtbf_schedule(list(range(4)), mtbf_s=6.0, horizon_s=12.0,
+                                seed=13, kinds=(("crash", 0.5),
+                                                ("slowdown", 0.5))),
+        "retry_policy": RetryPolicy(timeout_s=20.0, max_attempts=4, seed=13),
+    }
     return [
+        (COST_SLO, CostSloRouter,
+         lambda router: FleetSimulator(tiers, router=router), backlog),
+        (f"{COST_SLO}/faulted", CostSloRouter,
+         lambda router: FleetSimulator(tiers, router=router, **tier_faults),
+         backlog),
         ("8x tdx overload", LeastOutstandingRouter,
          lambda router: fixed_fleet(spec, 8, router=router), overload),
         ("8x tdx overload/faulted", LeastOutstandingRouter,
@@ -698,17 +762,13 @@ def _route_regimes() -> list[tuple[str, type, "callable", object]]:
 
 
 def _run_routing(sim: FleetSimulator, stream):
-    """``sim.run(stream)``, the most rows routed in one tick, and the
+    """``sim.run(stream)``, the most rows routed in one tick, the
     number of routing calls that re-keyed only the replicas that moved
-    since the previous one."""
+    since the previous one (load-heap routers), and how many cancels
+    and evacuations took rows off a waiting queue."""
     most = rekeys = 0
+    emptied = Counter()
     tick = sim.run_tick
-    rekey = sim.router._rekey
-
-    def counted_rekey(moved) -> None:
-        nonlocal rekeys
-        rekeys += 1
-        rekey(moved)
 
     def counted() -> None:
         nonlocal most
@@ -717,9 +777,29 @@ def _run_routing(sim: FleetSimulator, stream):
         most = max(most, sum(r.requests_routed for r in sim.replicas)
                    - before)
 
+    def counted_rekey(moved) -> None:
+        nonlocal rekeys
+        rekeys += 1
+        rekey(moved)
+
+    def watch(scheduler, name: str) -> None:
+        withdraw = getattr(scheduler, name)
+
+        def watched(*args):
+            queued = scheduler.queue_depth
+            result = withdraw(*args)
+            emptied[name] += scheduler.queue_depth < queued
+            return result
+        setattr(scheduler, name, watched)
+
     sim.run_tick = counted
-    sim.router._rekey = counted_rekey
-    return sim.run(stream), most, rekeys
+    rekey = getattr(sim.router, "_rekey", None)
+    if rekey is not None:
+        sim.router._rekey = counted_rekey
+    for replica in sim.replicas:
+        watch(replica.scheduler, "cancel")
+        watch(replica.scheduler, "evacuate")
+    return sim.run(stream), most, rekeys, emptied
 
 
 @check("fleet.route_parity", family="differential",
@@ -727,12 +807,26 @@ def _run_routing(sim: FleetSimulator, stream):
 def route_parity(ctx: AuditContext) -> str:
     """Load-heap routing equals rescanning the fleet per request."""
     references = {LeastOutstandingRouter: _ScanLeastOutstanding,
-                  KvPressureRouter: _ScanKvPressure}
+                  KvPressureRouter: _ScanKvPressure,
+                  CostSloRouter: _ScanCostSlo}
     regimes = _route_regimes()
-    compared = most = rekeyed = 0
+    compared = most = rekeyed = at_risk = 0
+    emptied = Counter()
     for label, policy, factory, stream in regimes:
-        shipped, batch, rekeys = _run_routing(factory(policy()), stream)
-        reference = factory(references[policy]()).run(stream)
+        knobs = {"slo_ttft_s": 10.0} if policy is CostSloRouter else {}
+        shipped, batch, rekeys, withdrawn = _run_routing(
+            factory(policy(**knobs)), stream)
+        scan = references[policy](**knobs)
+        reference = factory(scan).run(stream)
+        if policy is CostSloRouter:
+            at_risk += scan.at_risk
+            emptied += withdrawn
+            kinds = {usage.kind for usage in reference.replicas
+                     if usage.requests_served}
+            if kinds != {"tdx", "cgpu"}:
+                raise CheckFailure(
+                    f"{label}: only {sorted(kinds)} replicas served; the "
+                    f"check needs both tiers, or it is vacuous")
         a, b = shipped.to_dict(), reference.to_dict()
         if a != b:
             diverged = [key for key in a if a[key] != b.get(key)]
@@ -756,9 +850,17 @@ def route_parity(ctx: AuditContext) -> str:
     if most < 2:
         raise CheckFailure("no tick routed more than one row; check is "
                            "vacuous")
+    if not (at_risk and emptied["cancel"] and emptied["evacuate"]):
+        raise CheckFailure(
+            f"{COST_SLO}: {at_risk} picks found every replica at risk, "
+            f"{emptied['cancel']} cancels and {emptied['evacuate']} "
+            f"evacuations emptied queued rows; the check needs all three, "
+            f"or it is vacuous")
     return (f"{compared} request timelines bit-identical across "
             f"{len(regimes)} regimes; up to {most} rows routed per tick, "
-            f"{rekeyed} ticks re-keyed only moved replicas")
+            f"{rekeyed} ticks re-keyed only moved replicas; cost/SLO: "
+            f"{at_risk} all-at-risk picks, {emptied['cancel']} queued "
+            f"cancels, {emptied['evacuate']} queue evacuations")
 
 
 def _decode_regimes() -> list[tuple[str, "callable", object]]:

@@ -15,6 +15,7 @@ from repro.serving.scheduler import (
     ServeRequest,
     poisson_stream,
 )
+from repro.tenancy import whale_mix
 
 
 def make_scheduler(kv_tokens=100_000, max_batch=16, backend="tdx"):
@@ -94,6 +95,33 @@ class TestRequestValidation:
             ServeRequest(0, 0.0, float("nan"), 16)
         with pytest.raises(ValueError, match="finite"):
             ServeRequest(0, 0.0, 16, float("inf"))
+
+
+class TestSharedPrefixFit:
+    def test_request_that_cannot_fit_beside_every_pin_is_refused(self):
+        """Pinned prefixes are never released, so under shared-prefix
+        isolation a request whose suffix and output do not fit beside
+        every tenant's pin would preempt itself forever: it is refused
+        at submit, and the rest of the stream runs to completion."""
+        population = whale_mix(120, 6.0, seed=0, prefix_tokens=48)
+        scheduler = ContinuousBatchingScheduler(
+            cpu_deployment("tdx", sockets_used=1), LLAMA2_7B, BFLOAT16,
+            kv_capacity_tokens=1536, max_batch=8,
+            tenancy=population.tenancy_config("fcfs", "shared-prefix"))
+        table = population.table()
+        scheduler.bind(table)
+        refused = {}
+        for row in table.arrival_order().tolist():
+            try:
+                scheduler.submit(row)
+            except ValueError as error:
+                refused[row] = str(error)
+        assert sorted(refused) == [70, 80]
+        assert "pool holds 1536" in refused[70]
+        assert "beside every pinned prefix" in refused[80]
+        scheduler.step(None)
+        assert scheduler.idle
+        assert scheduler.preemptions == 79
 
 
 class TestBackendComparison:
