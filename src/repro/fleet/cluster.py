@@ -66,6 +66,8 @@ import math
 from collections.abc import Sequence
 from heapq import heapify, heappop, heappush
 
+import numpy as np
+
 from ..faults.attest import FleetAttestation, needs_attestation
 from ..faults.injector import FaultInjector
 from ..faults.resilience import DegradationPolicy, RetryPolicy
@@ -619,7 +621,9 @@ class FleetSimulator:
         :class:`OutcomeLog`.
 
         Raises:
-            ValueError: On an empty stream or if a run is in progress.
+            ValueError: On an empty stream, if a run is in progress, or
+                if some request fits no replica spec the fleet can
+                provision (it names the first such request).
         """
         if not len(requests):
             raise ValueError("no requests")
@@ -628,6 +632,10 @@ class FleetSimulator:
                              "or restore into a fresh simulator")
         table = (requests if isinstance(requests, RequestTable)
                  else RequestTable.from_requests(requests))
+        outcomes = OutcomeLog(len(table))
+        for replica in self.replicas:
+            replica.scheduler.bind(table, outcomes)
+        self._check_servable(table)
         state: _ChaosState | None = None
         if self._chaos:
             state = _ChaosState(self._make_injector(), self.retry_policy,
@@ -638,12 +646,36 @@ class FleetSimulator:
                 if needs_attestation(replica.spec.kind):
                     assert self.attestation is not None
                     self.attestation.readmit(replica.replica_id)
-        outcomes = OutcomeLog(len(table))
-        for replica in self.replicas:
-            replica.scheduler.bind(table, outcomes)
         self._reindex()
         self._run = _RunState(table, outcomes, self.tick_s,
                               self._active_count, state)
+
+    def _check_servable(self, table: RequestTable) -> None:
+        """Refuse a stream with a row that no replica spec the fleet
+        can provision (its replicas, the autoscaler's and the spill
+        spec) can ever admit, before any tick runs.  The replicas must
+        be bound to ``table``: the first one words the refusal."""
+        schedulers = [replica.scheduler for replica in self.replicas]
+        extra = []
+        if self.autoscaler is not None:
+            extra.append(self.scale_spec)
+        policy = self.degradation
+        if policy is not None and policy.mode == "spill":
+            extra.append(policy.spill_spec or self.scale_spec)
+        schedulers += [spec.build_scheduler() for spec in extra]
+        # Replicas of one spec share one mask object.
+        masks = {id(mask): mask for mask in
+                 (scheduler.admissible(table) for scheduler in schedulers)}
+        servable = np.zeros(len(table), dtype=np.uint8)
+        for mask in masks.values():
+            servable |= np.frombuffer(mask, dtype=np.uint8)
+        refused = np.flatnonzero(servable == 0)
+        if len(refused):
+            try:
+                schedulers[0]._check_fits(int(refused[0]))
+            except ValueError as error:
+                raise ValueError(f"{error}; no replica spec of this fleet "
+                                 f"can serve it") from None
 
     @property
     def run_active(self) -> bool:

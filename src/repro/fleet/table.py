@@ -24,7 +24,7 @@ golden snapshots and the ``fleet.jump_parity`` audit check.
 from __future__ import annotations
 
 from array import array
-from collections.abc import Sequence
+from collections.abc import Callable, Hashable, Sequence
 from typing import NamedTuple
 
 import numpy as np
@@ -56,7 +56,8 @@ class RequestTable(Sequence):
     """
 
     __slots__ = ("request_id", "arrival_s", "prompt_tokens",
-                 "output_tokens", "priority", "tenant_id", "_scalars")
+                 "output_tokens", "priority", "tenant_id", "_scalars",
+                 "_derived")
 
     _COLUMNS = ("request_id", "arrival_s", "prompt_tokens", "output_tokens",
                 "priority", "tenant_id")
@@ -74,6 +75,7 @@ class RequestTable(Sequence):
             tenant_id = np.zeros(len(self.request_id), dtype=np.int64)
         self.tenant_id = np.asarray(tenant_id, dtype=np.int64)
         self._scalars: ScalarColumns | None = None
+        self._derived: dict = {}
         n = len(self.request_id)
         for name in self._COLUMNS[1:]:
             if len(getattr(self, name)) != n:
@@ -139,6 +141,20 @@ class RequestTable(Sequence):
                                    ("q", "output_tokens"),
                                    ("q", "tenant_id"))))
         return self._scalars
+
+    def derived(self, key: Hashable, build: Callable[[], object]) -> object:
+        """A value computed from this table's columns, built once per
+        ``key`` by ``build()``.
+
+        Schedulers keep their per-row columns (prefill costs, the
+        admissible mask) here, keyed by what they depend on, so every
+        replica of a fleet with the same cost table and KV geometry
+        reads one copy.
+        """
+        value = self._derived.get(key)
+        if value is None:
+            value = self._derived[key] = build()
+        return value
 
     def arrival_order(self) -> np.ndarray:
         """Row indices sorted by (arrival_s, request_id).

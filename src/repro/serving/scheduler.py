@@ -218,6 +218,10 @@ class OutcomeLog:
         return log
 
 
+#: Hot-path copies of the log's status codes.
+_IN_FLIGHT, _FINISHED = OutcomeLog.IN_FLIGHT, OutcomeLog.FINISHED
+
+
 @dataclass(frozen=True)
 class ServingReport:
     """Aggregate serving metrics.
@@ -354,18 +358,20 @@ class ContinuousBatchingScheduler:
                   if self.kv_isolation == "shared-prefix" else 0)
         self._room_tokens = (self.num_blocks - pinned) * block_size
         self._costs = StepCostTable.shared(deployment, model, dtype)
-        # The table's prefill-units memo, subscripted directly for rows
-        # already queued here, and its filler (bound to the table, not
-        # to self: no reference cycle).
-        self._units = self._costs._prefill_units
-        self._units_of = self._costs._units_of
         self._time_scale = 1.0
+        # The last decode run's step cost: (batch, context //
+        # _CONTEXT_GRID, time scale, scaled seconds).  A pure function of
+        # its key for this cost table, so it never goes stale.
+        self._step_memo: tuple[int, int, float, float] = (0, -1, 1.0, 0.0)
         #: The run this scheduler serves (see :meth:`bind`); unbound, it
         #: holds no rows.
         self.table: RequestTable | None = None
         self.outcomes: OutcomeLog | None = None
         self._ids = self._arrival = self._prompt = self._output = ()
         self._tenant = self._first = self._finish = self._preempt = ()
+        # Per-row columns of the bound run (see :meth:`bind`).
+        self._prefill = self._row_units = ()
+        self._admissible = bytearray()
         self._status = bytearray()
         self._reset()
 
@@ -381,6 +387,12 @@ class ContinuousBatchingScheduler:
         # list is empty exactly when the logical queue is.
         self._waiting: list[tuple] = []
         self._head = 0
+        # Whether the logical queue is known to be sorted: cleared by
+        # an FCFS re-entry at the head that sorts after the old head,
+        # set again when the queue empties.  While it holds, an entry
+        # that sorts at or after the tail is appended, which is where
+        # ``insort`` would put it.
+        self._sorted = True
         # Prefill of the logical queue, exactly: the sum of each entry's
         # prefill in units of 2**-1074 s, kept at every insert and
         # removal.  ``_queued_s`` is the correctly rounded seconds (the
@@ -445,6 +457,13 @@ class ContinuousBatchingScheduler:
         the table's ``array`` copies, so every read is a plain Python
         scalar.
 
+        Binding also decides, once per row, what submit and admission
+        would otherwise compute per call: each row's prefill seconds
+        and exact prefill units (:meth:`StepCostTable.row_prefill`)
+        and whether the row can ever fit this KV geometry
+        (:meth:`admissible`).  The table keeps them, so replicas that
+        share a cost table and geometry share one copy.
+
         Raises:
             ValueError: If work is still in flight here, or the log
                 does not match the table.
@@ -463,6 +482,11 @@ class ContinuousBatchingScheduler:
         self._finish = outcomes.finish_s
         self._preempt = outcomes.preemptions
         self._status = outcomes.status
+        costs = self._costs
+        self._prefill, self._row_units = table.derived(
+            ("prefill", costs),
+            lambda: costs.row_prefill(table.prompt_tokens))
+        self._admissible = self.admissible(table)
 
     # -- introspection --------------------------------------------------------
 
@@ -534,6 +558,12 @@ class ContinuousBatchingScheduler:
     # -- admission ------------------------------------------------------------
 
     def _check_fits(self, row: int) -> None:
+        """Raise for a row that can never fit this replica's KV geometry.
+
+        The per-row verdict that :meth:`_fits_column` computes for a
+        whole table at bind; :meth:`submit` calls this only for a row
+        that column refuses, to raise with the reason.
+        """
         needed = self._prompt[row] + self._output[row]
         if needed > self._pool_tokens:
             raise ValueError(
@@ -566,6 +596,53 @@ class ContinuousBatchingScheduler:
                     f"request {self._ids[row]} needs {blocks} blocks, "
                     f"pool holds {room} beside every pinned prefix")
 
+    def admissible(self, table: RequestTable) -> bytearray:
+        """Per row of ``table``, 1 if the row can ever fit this
+        scheduler's KV geometry and 0 if :meth:`submit` would refuse it.
+
+        Built once per table and geometry (pool, block size, isolation
+        mode and, unless the pool is plainly shared, the tenancy
+        config) and kept by the table; schedulers need not be bound.
+        """
+        return table.derived(
+            ("admissible", self.num_blocks, self.block_size,
+             self.kv_isolation,
+             None if self.kv_isolation == "shared" else self.tenancy),
+            lambda: self._fits_column(table))
+
+    def _fits_column(self, table: RequestTable) -> bytearray:
+        """:meth:`_check_fits`'s verdict for every row of ``table``.
+
+        Checks the pool, the tenant's partition cap and, under
+        shared-prefix isolation, the room beside every prefix the
+        tenancy config can pin, with numpy over the table.
+        """
+        prompt = table.prompt_tokens
+        output = table.output_tokens
+        needed = prompt + output
+        block = self.block_size
+        fits = needed <= self._pool_tokens
+        if self.kv_isolation != "shared" and len(table):
+            tenants, inverse = np.unique(table.tenant_id, return_inverse=True)
+            inverse = inverse.reshape(-1)
+            tenants = tenants.tolist()
+            if self.kv_isolation == "partition":
+                caps = self._tenant_budget_cap
+                # A tenant without a partition fits nothing (-1 blocks).
+                cap = np.array([caps.get(tenant, -1) for tenant in tenants],
+                               dtype=np.int64)[inverse]
+                fits &= -(-needed // block) <= cap
+            else:
+                prefix = np.array([self.tenancy.prefix_of(tenant)
+                                   for tenant in tenants],
+                                  dtype=np.int64)[inverse]
+                usable = np.minimum(prefix, prompt - 1)
+                kvlen = np.where(usable > 0, prompt - usable, prompt)
+                blocks = -(-(kvlen + output) // block)
+                fits &= ((needed <= self._room_tokens)
+                         | (blocks <= self._room_tokens // block))
+        return bytearray(fits.astype(np.uint8).tobytes())
+
     def submit(self, row: int) -> None:
         """Enqueue one row of the bound table for service.
 
@@ -576,10 +653,12 @@ class ContinuousBatchingScheduler:
             ValueError: If the request cannot ever fit the KV pool or is
                 already in flight or finished.
         """
-        self._check_fits(row)
-        if self._status[row]:
+        if not self._admissible[row]:
+            self._check_fits(row)
+        status = self._status
+        if status[row]:
             raise ValueError(f"request {self._ids[row]} already submitted")
-        self._status[row] = OutcomeLog.IN_FLIGHT
+        status[row] = _IN_FLIGHT
         self._first[row] = 0.0
         self._finish[row] = 0.0
         self._preempt[row] = 0
@@ -596,14 +675,18 @@ class ContinuousBatchingScheduler:
             self._wfq_tag[row] = tag
             entry = (tag, arrival, row)
             self._wfq_enqueued(arrival)
-        # lo=_head probes the same midpoints as insort on the logical
-        # queue, so placement matches even when an FCFS preemption has
-        # left the queue unsorted.
-        insort(self._waiting, entry, lo=self._head)
-        prompt = self._prompt[row]
-        # Every prefill is positive, so only a miss reads 0 here.
-        self._queued_units += (self._units.get(prompt)
-                               or self._units_of(prompt))
+        waiting = self._waiting
+        if not waiting:
+            waiting.append(entry)
+            self._sorted = True
+        elif self._sorted and entry >= waiting[-1]:
+            waiting.append(entry)
+        else:
+            # lo=_head probes the same midpoints as insort on the
+            # logical queue, so placement matches even when an FCFS
+            # preemption has left the queue unsorted.
+            insort(waiting, entry, lo=self._head)
+        self._queued_units += self._row_units[row]
         if self._first_arrival is None or arrival < self._first_arrival:
             self._first_arrival = arrival
 
@@ -657,7 +740,7 @@ class ContinuousBatchingScheduler:
         for index, entry in enumerate(self._waiting):
             if entry[-1] == row:
                 self._waiting.pop(index)
-                self._queued_units -= self._units[self._prompt[row]]
+                self._queued_units -= self._row_units[row]
                 if self._wfq:
                     self._wfq_dequeued(entry[-2])
                 self._forget(row)
@@ -686,6 +769,7 @@ class ContinuousBatchingScheduler:
         for row in list(self._running):
             evacuated.append((row, self._drop_running(row)))
         self._waiting.clear()
+        self._sorted = True
         self._queued_units = 0
         self._wfq_next = None
         for row, _ in evacuated:
@@ -712,15 +796,16 @@ class ContinuousBatchingScheduler:
         return generated
 
     def _reindex(self) -> None:
-        """Rebuild the residue and finish-step index from the batch."""
+        """Rebuild the residue and finish-step index from the batch, in
+        place (:meth:`step` holds both for the whole call)."""
         block_size = self.block_size
-        res_count = [0] * block_size
-        finish_at: dict[int, list[int]] = {}
+        res_count = self._res_count
+        res_count[:] = [0] * block_size
+        finish_at = self._finish_at
+        finish_at.clear()
         for row, (_, output, kvlen, start) in self._running.items():
             res_count[(start - kvlen) % block_size] += 1
             finish_at.setdefault(start + output - 1, []).append(row)
-        self._res_count = res_count
-        self._finish_at = finish_at
 
     def estimated_ttft_s(self, prompt_tokens: int, now: float) -> float:
         """Deterministic TTFT estimate for a ``prompt_tokens`` request
@@ -755,82 +840,6 @@ class ContinuousBatchingScheduler:
     def prefix_misses(self) -> int:
         """Admissions that had to pin a tenant's shared prefix."""
         return self._prefix_misses
-
-    def _admit(self) -> None:
-        """Admit arrived requests while slots and KV blocks allow.
-
-        One loop for every policy.  The head of line is the first
-        arrived entry of the logical queue: the queue head under FCFS
-        (arrival order) and the first arrived entry in tag order under
-        WFQ.  If the head cannot take its KV blocks, up to
-        ``admission_lookahead`` further arrived entries are tried and
-        the first that fits is admitted; an unarrived candidate ends
-        that scan under FCFS and is skipped, costing no lookahead,
-        under WFQ.
-        """
-        waiting = self._waiting
-        running = self._running
-        take = self._take
-        wfq = self._wfq
-        lookahead = self.admission_lookahead
-        block_size = self.block_size
-        prefill_s = self._costs.prefill_s
-        units = self._units
-        scale = self._time_scale
-        while waiting and len(running) < self.max_batch:
-            clock = self._clock
-            head = index = self._head
-            while waiting[index][-2] > clock:
-                index += 1
-                if not wfq or index == len(waiting):
-                    return  # nothing has arrived yet
-            row = waiting[index][-1]
-            kvlen = take(self, row)
-            scanned = 0
-            while kvlen is None:
-                # Head-of-line blocking: scan a bounded window of
-                # arrived requests for one that fits right now.
-                index += 1
-                if scanned == lookahead or index == len(waiting):
-                    return
-                entry = waiting[index]
-                if entry[-2] > clock:
-                    if wfq:
-                        continue
-                    return
-                scanned += 1
-                row = entry[-1]
-                kvlen = take(self, row)
-            if wfq:
-                self._wfq_dequeued(waiting[index][-2])
-            if index == head:
-                head += 1
-            else:
-                waiting.pop(index)
-            if 2 * head > len(waiting):
-                del waiting[:head]
-                head = 0
-            self._head = head
-            # Charge prefill (``_scaled`` inlined), take it off the
-            # queued total, move the request into the batch and index
-            # its block-edge residue and finish step.
-            prompt = self._prompt[row]
-            cost = prefill_s(prompt)
-            if scale != 1.0:
-                cost *= scale
-            self._clock += cost
-            self._first[row] = self._clock
-            self._queued_units -= units[prompt]
-            start = self._steps
-            output = self._output[row]
-            running[row] = (prompt, output, kvlen, start)
-            self._ctx_total += prompt
-            self._res_count[(start - kvlen) % block_size] += 1
-            self._finish_at.setdefault(start + output - 1, []).append(row)
-            if wfq:
-                tag = self._wfq_tag[row]
-                if tag > self._wfq_v:
-                    self._wfq_v = tag
 
     # KV takes, one per isolation mode (the constructor binds ``_take``).
     # Each debits the free counter and returns the KV length the request
@@ -916,14 +925,24 @@ class ContinuousBatchingScheduler:
         # true division never rounds up onto that integer.
         base = self._ctx_total // batch
         decode_step_s = self._costs.decode_step_s
+        scale = self._time_scale
+        # Reuse the last run's cost while batch, bucket and scale agree.
+        memo_batch, bucket, memo_scale, cost = self._step_memo
+        if memo_batch != batch or memo_scale != scale:
+            bucket = -1
         lookup_at = step
         clock = self._clock
         while True:
             if step == lookup_at:
                 # The cost is constant inside a context bucket; look it
-                # up again only where the context enters the next one.
+                # up again only where the context enters the next one
+                # (``_scaled`` inlined).
                 context = base + step - first
-                cost = self._scaled(decode_step_s(batch, max(1, context)))
+                if context // _CONTEXT_GRID != bucket:
+                    bucket = context // _CONTEXT_GRID
+                    cost = decode_step_s(batch, max(1, context))
+                    if scale != 1.0:
+                        cost *= scale
                 lookup_at = step + _CONTEXT_GRID - context % _CONTEXT_GRID
             # One sequential add per step keeps the clock's float
             # sequence exactly the per-step loop's.
@@ -936,13 +955,15 @@ class ContinuousBatchingScheduler:
             if need > free:
                 break
         taken = step - first
+        self._step_memo = (batch, bucket, scale, cost)
         self._clock = clock
-        self._free_blocks = free
         self._steps = step
-        self._ctx_total += batch * taken
+        ctx_total = self._ctx_total + batch * taken
         self._occ_sum += batch * taken
         self._occ_count += taken
         if step <= last:
+            self._free_blocks = free
+            self._ctx_total = ctx_total
             return []
         finished = self._finish_at.pop(last)
         # A finishing sequence has generated exactly its output.
@@ -952,11 +973,14 @@ class ContinuousBatchingScheduler:
         for row in finished:
             prompt, output, kvlen, start = running.pop(row)
             finish[row] = clock
-            status[row] = OutcomeLog.FINISHED
-            self._free_blocks += -(-(kvlen + output) // block_size)
-            self._ctx_total -= prompt + output
-            self._res_count[(start - kvlen) % block_size] -= 1
-            if self._kv_reserved:
+            status[row] = _FINISHED
+            free += -(-(kvlen + output) // block_size)
+            ctx_total -= prompt + output
+            res_count[(start - kvlen) % block_size] -= 1
+        self._free_blocks = free
+        self._ctx_total = ctx_total
+        if self._kv_reserved:
+            for row in finished:
                 self._release_reserve(row)
         if self._wfq_tag:
             for row in finished:
@@ -1011,7 +1035,7 @@ class ContinuousBatchingScheduler:
                         self._preempt[victim_row] += 1
                         self._ctx_total -= victim[0] + run_gen[tail]
                         victim_arrival = self._arrival[victim_row]
-                        self._queued_units += self._units[victim[0]]
+                        self._queued_units += self._row_units[victim_row]
                         if self._wfq:
                             # The victim keeps its tag: it re-queues at
                             # its original virtual position.
@@ -1020,13 +1044,19 @@ class ContinuousBatchingScheduler:
                                    (self._wfq_tag[victim_row],
                                     victim_arrival, victim_row),
                                    lo=self._head)
-                        elif self._head:
-                            self._head -= 1
-                            self._waiting[self._head] = (victim_arrival,
-                                                         victim_row)
                         else:
-                            self._waiting.insert(0, (victim_arrival,
-                                                     victim_row))
+                            entry = (victim_arrival, victim_row)
+                            waiting = self._waiting
+                            head = self._head
+                            # Re-entry at the head unsorts the queue if
+                            # the entry sorts after the old head.
+                            if head < len(waiting) and entry > waiting[head]:
+                                self._sorted = False
+                            if head:
+                                self._head = head - 1
+                                waiting[head - 1] = entry
+                            else:
+                                waiting.insert(0, entry)
                         preempted.add(victim_row)
                         self._preemptions += 1
                         if victim_row == row:
@@ -1080,21 +1110,109 @@ class ContinuousBatchingScheduler:
             the bound :class:`OutcomeLog`).
         """
         finished: list[int] = []
-        # Admission and decode mutate the queue and batch in place, so
-        # these locals stay bound to the live objects.
+        # Admission and decode mutate the queue, batch and event index
+        # in place, so these locals stay bound to the live objects, and
+        # nothing else changes the configuration or the time scale
+        # before this call returns.
         waiting = self._waiting
         running = self._running
-        admit = self._admit
         decode = self._decode_run
         max_batch = self.max_batch
         horizon = math.inf if until_s is None else until_s
+        wfq = self._wfq
+        take = self._take
+        lookahead = self.admission_lookahead
+        block_size = self.block_size
+        prefill = self._prefill
+        units = self._row_units
+        prompts = self._prompt
+        outputs = self._output
+        first = self._first
+        res_count = self._res_count
+        finish_at = self._finish_at
+        scale = self._time_scale
         while waiting or running:
             if self._clock >= horizon:
                 break
             if not running and self._next_arrival_s() > horizon:
                 break  # only future work remains in this horizon
             if waiting and len(running) < max_batch:
-                admit()
+                # Admit arrived requests while slots and KV blocks
+                # allow.  The head of line is the first arrived entry
+                # of the logical queue: the queue head under FCFS
+                # (arrival order), the first arrived entry in tag order
+                # under WFQ.  If the head cannot take its KV blocks, up
+                # to ``admission_lookahead`` further arrived entries
+                # are tried and the first that fits is admitted; an
+                # unarrived candidate ends that scan under FCFS and is
+                # skipped, costing no lookahead, under WFQ.
+                clock = self._clock
+                head = self._head
+                start = self._steps
+                ctx_total = self._ctx_total
+                queued = self._queued_units
+                while True:
+                    index = head
+                    while waiting[index][-2] > clock:
+                        index += 1
+                        if not wfq or index == len(waiting):
+                            index = -1  # nothing has arrived yet
+                            break
+                    if index < 0:
+                        break
+                    row = waiting[index][-1]
+                    kvlen = take(self, row)
+                    scanned = 0
+                    while kvlen is None:
+                        # Head-of-line blocking: scan a bounded window
+                        # of arrived requests for one that fits now.
+                        index += 1
+                        if scanned == lookahead or index == len(waiting):
+                            break
+                        entry = waiting[index]
+                        if entry[-2] > clock:
+                            if wfq:
+                                continue
+                            break
+                        scanned += 1
+                        row = entry[-1]
+                        kvlen = take(self, row)
+                    if kvlen is None:
+                        break
+                    if wfq:
+                        self._wfq_dequeued(waiting[index][-2])
+                    if index == head:
+                        head += 1
+                    else:
+                        waiting.pop(index)
+                    if 2 * head > len(waiting):
+                        del waiting[:head]
+                        head = 0
+                    # Charge prefill (``_scaled`` inlined), take it off
+                    # the queued total, move the request into the batch
+                    # and index its block-edge residue and finish step.
+                    cost = prefill[row]
+                    if scale != 1.0:
+                        cost *= scale
+                    clock += cost
+                    first[row] = clock
+                    queued -= units[row]
+                    prompt = prompts[row]
+                    output = outputs[row]
+                    running[row] = (prompt, output, kvlen, start)
+                    ctx_total += prompt
+                    res_count[(start - kvlen) % block_size] += 1
+                    finish_at.setdefault(start + output - 1, []).append(row)
+                    if wfq:
+                        tag = self._wfq_tag[row]
+                        if tag > self._wfq_v:
+                            self._wfq_v = tag
+                    if not waiting or len(running) >= max_batch:
+                        break
+                self._head = head
+                self._clock = clock
+                self._ctx_total = ctx_total
+                self._queued_units = queued
             if not running:
                 # Idle until the next arrival.
                 arrival = self._next_arrival_s()
@@ -1104,8 +1222,12 @@ class ContinuousBatchingScheduler:
             stop_s = horizon
             if waiting and len(running) < max_batch:
                 # Admission may act once the next request arrives, and
-                # after every step while an arrived one is blocked.
-                stop_s = min(horizon, self._next_arrival_s())
+                # after every step while an arrived one is blocked
+                # (FCFS: the head is the next arrival).
+                arrival = (self._next_arrival_s() if wfq
+                           else waiting[self._head][0])
+                if arrival < horizon:
+                    stop_s = arrival
             finished += decode(stop_s)
         return finished
 
@@ -1365,9 +1487,11 @@ class ContinuousBatchingScheduler:
             self._waiting = [(self._arrival[row], row)
                              for row in waiting_rows]
         # Derived, not snapshotted: rebuilt from the restored queue.
-        units_of = self._units_of
-        self._queued_units = sum(units_of(self._prompt[row])
-                                 for row in waiting_rows)
+        waiting = self._waiting
+        self._sorted = all(waiting[index] <= waiting[index + 1]
+                           for index in range(len(waiting) - 1))
+        units = self._row_units
+        self._queued_units = sum(units[row] for row in waiting_rows)
         for row in claimed:
             self._status[row] = OutcomeLog.IN_FLIGHT
 

@@ -9,10 +9,13 @@ shape into seconds, shared by every replica of a fleet.
 
 Decode contexts are bucketed to 64-token multiples (floored at 16)
 before the cost model runs, and prefill is keyed on the exact prompt
-length.  Beside each prompt length's prefill seconds the table keeps
-the same duration as a whole number of 2**-1074 s (every finite double
-is an exact multiple of that), so a scheduler can keep its queued
-prefill as an exact integer total that subtracts without rounding.
+length.  A scheduler bound to a run reads prefill per *row*:
+:meth:`StepCostTable.row_prefill` lays each row's prefill seconds out
+as one column, calling :meth:`~StepCostTable.prefill_s` once per
+distinct prompt length, and beside it the same duration as a whole
+number of 2**-1074 s (every finite double is an exact multiple of
+that), so the scheduler can keep its queued prefill as an exact integer
+total that subtracts without rounding.
 
 A miss costs one decoder block, not ``num_layers`` of them.  Every
 block of a step emits the same operators (only ``layer`` differs, and
@@ -29,7 +32,10 @@ as ``num_layers * block_sum``: that rounds differently.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import replace
+
+import numpy as np
 
 from ..engine.placement import Deployment
 from ..engine.roofline import WorkingSets, cost_model_for, step_total_s
@@ -71,10 +77,6 @@ class StepCostTable:
         self._one_block = replace(model, num_layers=1)
         self._step_cache: dict[tuple[int, int], float] = {}
         self._prefill_cache: dict[int, float] = {}
-        #: Prompt length -> its prefill in units of 2**-1074 s, filled
-        #: by :meth:`_units_of`; hot paths subscript it directly once a
-        #: length is known to be in it.
-        self._prefill_units: dict[int, int] = {}
 
     @classmethod
     def shared(cls, deployment: Deployment, model: ModelConfig,
@@ -144,10 +146,27 @@ class StepCostTable:
 
     def _units_of(self, prompt_tokens: int) -> int:
         """:meth:`prefill_s` as an exact whole number of 2**-1074 s."""
-        cached = self._prefill_units.get(prompt_tokens)
-        if cached is None:
-            numerator, denominator = self.prefill_s(
-                prompt_tokens).as_integer_ratio()
-            cached = self._prefill_units[prompt_tokens] = (
-                numerator * (_UNITS_PER_S // denominator))
-        return cached
+        return _units(self.prefill_s(prompt_tokens))
+
+    def row_prefill(self, prompts: np.ndarray) -> tuple[array, list[int]]:
+        """Each row's prefill, for a column of prompt lengths.
+
+        Returns the seconds as an ``array('d')`` and the same durations
+        in units of 2**-1074 s as a list (rows of one length share one
+        int object).  :meth:`prefill_s` runs once per distinct length,
+        so every value is bit-identical to a per-row call.
+        """
+        lengths, inverse = np.unique(np.asarray(prompts, dtype=np.int64),
+                                     return_inverse=True)
+        seconds = [self.prefill_s(length) for length in lengths.tolist()]
+        units = [_units(value) for value in seconds]
+        inverse = inverse.reshape(-1)
+        column = np.asarray(seconds, dtype=np.float64)[inverse]
+        return (array("d", column.tobytes()),
+                [units[index] for index in inverse.tolist()])
+
+
+def _units(seconds: float) -> int:
+    """A finite double as an exact whole number of 2**-1074 s."""
+    numerator, denominator = seconds.as_integer_ratio()
+    return numerator * (_UNITS_PER_S // denominator)

@@ -53,10 +53,13 @@ def _serve(population, at_arrival, policy, lookahead, pool, max_batch):
     pinned = sum(-(-tokens // block) for _, tokens in
                  population.tenancy_config().prefix_tokens)
     refused = []
+    dropped = set()
+    over_partition = set()
     for row in table.arrival_order().tolist():
         needed = table.prompt_tokens[row] + table.output_tokens[row]
         if -(-needed // block) + pinned > scheduler.num_blocks:
             refused.append(row)
+            dropped.add(row)
             continue
         if at_arrival:
             scheduler.step(float(table.arrival_s[row]))
@@ -65,7 +68,16 @@ def _serve(population, at_arrival, policy, lookahead, pool, max_batch):
         except ValueError:
             # Too large for the tenant's partition.
             refused.append(row)
+            over_partition.add(row)
     scheduler.step(None)
+    # The pre-filter hides no refusal: every row the scheduler refuses
+    # is one it drops, except rows over their tenant's partition cap,
+    # which it does not model and which are submitted and refused.
+    refuses = {row for row, fits in enumerate(scheduler.admissible(table))
+               if not fits}
+    assert refuses - over_partition <= dropped
+    assert over_partition <= refuses
+    assert not over_partition or scheduler.kv_isolation == "partition"
     log = scheduler.outcomes
     report = scheduler.report()
     text = repr((refused,
