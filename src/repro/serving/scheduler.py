@@ -622,20 +622,17 @@ class ContinuousBatchingScheduler:
         needed = prompt + output
         block = self.block_size
         fits = needed <= self._pool_tokens
-        if self.kv_isolation != "shared" and len(table):
-            tenants, inverse = np.unique(table.tenant_id, return_inverse=True)
-            inverse = inverse.reshape(-1)
-            tenants = tenants.tolist()
+        if self.kv_isolation != "shared":
+            tenants = table.tenant_id.tolist()
             if self.kv_isolation == "partition":
                 caps = self._tenant_budget_cap
                 # A tenant without a partition fits nothing (-1 blocks).
                 cap = np.array([caps.get(tenant, -1) for tenant in tenants],
-                               dtype=np.int64)[inverse]
+                               dtype=np.int64)
                 fits &= -(-needed // block) <= cap
             else:
                 prefix = np.array([self.tenancy.prefix_of(tenant)
-                                   for tenant in tenants],
-                                  dtype=np.int64)[inverse]
+                                   for tenant in tenants], dtype=np.int64)
                 usable = np.minimum(prefix, prompt - 1)
                 kvlen = np.where(usable > 0, prompt - usable, prompt)
                 blocks = -(-(kvlen + output) // block)

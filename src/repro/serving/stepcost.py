@@ -156,14 +156,12 @@ class StepCostTable:
         int object).  :meth:`prefill_s` runs once per distinct length,
         so every value is bit-identical to a per-row call.
         """
-        lengths, inverse = np.unique(np.asarray(prompts, dtype=np.int64),
-                                     return_inverse=True)
-        seconds = [self.prefill_s(length) for length in lengths.tolist()]
-        units = [_units(value) for value in seconds]
-        inverse = inverse.reshape(-1)
-        column = np.asarray(seconds, dtype=np.float64)[inverse]
-        return (array("d", column.tobytes()),
-                [units[index] for index in inverse.tolist()])
+        lengths = np.asarray(prompts, dtype=np.int64).tolist()
+        seconds = {length: self.prefill_s(length)
+                   for length in dict.fromkeys(lengths)}
+        units = {length: _units(value) for length, value in seconds.items()}
+        return (array("d", [seconds[length] for length in lengths]),
+                [units[length] for length in lengths])
 
 
 def _units(seconds: float) -> int:
