@@ -113,9 +113,23 @@ def micro_benchmarks() -> dict:
         lambda: sweep_workload("bench", WORKLOAD, DEPLOYMENTS, "batch_size",
                                [1, 4, 16, 64]), repeats=3)
 
+    # Op-graph/roofline costing: every prompt length 1..4096 through
+    # row_prefill on fresh (cold) TDX and cGPU step-cost tables, the
+    # column a fleet builds at bind.
+    from repro.fleet import fixed_fleet, poisson_table, replica_spec
+    from repro.serving.stepcost import StepCostTable
+    prompt_lengths = list(range(1, 4097))
+
+    def prefill_column_cold() -> None:
+        for kind in ("tdx", "cgpu"):
+            spec = replica_spec(kind)
+            StepCostTable(spec.deployment, spec.model,
+                          spec.dtype).row_prefill(prompt_lengths)
+    results["stepcost_prefill_column_cold"] = _time(prefill_column_cold,
+                                                    repeats=3)
+
     # Fleet smoke: a 2-replica TDX fleet serving a 40-request stream
     # through the shared-clock event loop (routing + stepped replicas).
-    from repro.fleet import fixed_fleet, poisson_table, replica_spec
     fleet_stream = poisson_table(40, rate_per_s=4.0, mean_prompt=128,
                                  mean_output=32, seed=11)
     fleet_spec = replica_spec("tdx", max_batch=16, kv_capacity_tokens=65536)

@@ -26,7 +26,7 @@ from ..hardware.engines import (
     is_fallback_path,
 )
 from ..llm.datatypes import DType
-from ..llm.ops import AffineOp, Operator, OpCategory, Phase
+from ..llm.ops import AffineOp, OpColumns, Operator, OpCategory, Phase
 from ..memsim.cache import CacheModel
 from ..memsim.epc import EPC_FAULT_S, paging_fraction_vec, paging_overhead_s
 from ..memsim.numa import (
@@ -110,6 +110,18 @@ class OpCost:
         return max(self.compute_s, self.memory_s) + self.translation_s + self.paging_s
 
 
+def _per_set(scalar, vec, working_set, *args):
+    """``scalar(working_set, *args)`` on a float, ``vec`` on an array.
+
+    Both give the same values (the ``*_vec`` twins use the scalar
+    ``<=`` thresholds); the scalar form skips numpy's per-call overhead
+    on the working sets that do not vary across a column.
+    """
+    if isinstance(working_set, np.ndarray):
+        return vec(working_set, *args)
+    return scalar(working_set, *args)
+
+
 def step_total_s(op_totals: Iterable[float], exits_s: float,
                  fixed_s: float, tax_multiplier: float) -> float:
     """Seconds of one forward step from its per-operator totals.
@@ -119,6 +131,22 @@ def step_total_s(op_totals: Iterable[float], exits_s: float,
     float sequence get the same bits on every Python version.
     """
     return (sum(op_totals) + exits_s) * tax_multiplier + fixed_s
+
+
+@dataclass(frozen=True)
+class StepCostColumns:
+    """:class:`StepCost` of one graph at many step shapes, unsummed.
+
+    ``op_totals[k, j]`` is bitwise the :attr:`OpCost.total_s` of
+    operator ``k`` at shape ``j``; finish a shape with
+    :func:`step_total_s` over its column's Python floats, never a numpy
+    sum (which rounds differently).
+    """
+
+    op_totals: np.ndarray
+    exits_s: float
+    fixed_s: float
+    tax_multiplier: float
 
 
 @dataclass(frozen=True)
@@ -172,8 +200,9 @@ class CpuCostModel:
 
     # -- compute ------------------------------------------------------------
 
-    def _engine_for(self, op: Operator, dtype: DType) -> tuple[Engine, float]:
-        if op.category in _MATRIX_CATEGORIES:
+    def _engine_for(self, category: OpCategory,
+                    dtype: DType) -> tuple[Engine, float]:
+        if category in _MATRIX_CATEGORIES:
             return best_cpu_engine(dtype, self.amx_available)
         # Vector ops run on AVX-512 regardless of the matrix engine.
         rate = AVX512_RATES.rate_for(dtype)
@@ -181,20 +210,26 @@ class CpuCostModel:
             rate = AVX512_RATES.rates["f32"]
         return Engine.AVX512, rate
 
-    def _compute_time(self, op: Operator, dtype: DType) -> float:
-        if op.flops == 0.0:
-            return 0.0
-        key = (op.category in _MATRIX_CATEGORIES, dtype)
+    def _per_core_rate(self, category: OpCategory, dtype: DType) -> float:
+        key = (category in _MATRIX_CATEGORIES, dtype)
         per_core = self._per_core_rates.get(key)
         if per_core is None:
-            engine, rate = self._engine_for(op, dtype)
+            engine, rate = self._engine_for(category, dtype)
             mfu = self.framework.mfu(engine)
             per_core = self._per_core_rates[key] = \
                 rate * self.cpu.clock_hz * mfu
-        cores = self.placement.cores
+        return per_core
+
+    def _amdahl(self) -> float:
+        """Multi-core share of single-core time (Amdahl's law)."""
         serial = cal.CPU_SERIAL_FRACTION
-        single_core_s = op.flops / per_core
-        return single_core_s * (serial + (1.0 - serial) / cores)
+        return serial + (1.0 - serial) / self.placement.cores
+
+    def _compute_time(self, op: Operator, dtype: DType) -> float:
+        if op.flops == 0.0:
+            return 0.0
+        single_core_s = op.flops / self._per_core_rate(op.category, dtype)
+        return single_core_s * self._amdahl()
 
     # -- memory -------------------------------------------------------------
 
@@ -230,20 +265,25 @@ class CpuCostModel:
         bw *= (1.0 - self.profile.mem_encryption_derate)
         return bw * self.framework.memory_efficiency()
 
-    def _weight_traffic(self, op: Operator, dtype: DType, fallback: bool) -> float:
-        traffic = op.weight_bytes
+    def _weight_traffic(self, weight_bytes, dtype: DType, fallback: bool):
+        """Streamed weight bytes (a float or an array of them)."""
+        traffic = weight_bytes
         if self.framework.weight_bytes_per_param is not None:
-            traffic *= self.framework.weight_bytes_per_param / dtype.bytes
+            traffic = traffic * (self.framework.weight_bytes_per_param
+                                 / dtype.bytes)
         if fallback:
-            traffic *= cal.INT8_FALLBACK_TRAFFIC_INFLATION
+            traffic = traffic * cal.INT8_FALLBACK_TRAFFIC_INFLATION
         return traffic
+
+    def _allocator_inflation(self) -> float:
+        return 1.0 if self.placement.tcmalloc \
+            else cal.DEFAULT_ALLOCATOR_TRAFFIC_INFLATION
 
     def _dram_traffic(self, op: Operator, sets: WorkingSets, dtype: DType,
                       fallback: bool) -> dict[str, float]:
         """DRAM-visible bytes per stream after LLC filtering."""
-        allocator = 1.0 if self.placement.tcmalloc \
-            else cal.DEFAULT_ALLOCATOR_TRAFFIC_INFLATION
-        weights = self._weight_traffic(op, dtype, fallback)
+        allocator = self._allocator_inflation()
+        weights = self._weight_traffic(op.weight_bytes, dtype, fallback)
         return {
             "weights": self.llc.dram_bytes(weights, sets.weights),
             "kv": self.llc.dram_bytes(op.kv_read_bytes + op.kv_write_bytes,
@@ -269,7 +309,9 @@ class CpuCostModel:
         """(stream, page fraction, page bytes, TLB miss rate) per walk term.
 
         Depends only on the step's working sets, so :meth:`step_cost`
-        computes it once for all of the step's operators.
+        computes it once for all of the step's operators.  A working
+        set may be an array (:meth:`step_cost_columns`); its miss rates
+        are then an array too.
         """
         per_core_divisor = max(1, self.placement.cores)
         stream_sets = {"weights": sets.weights, "kv": sets.kv,
@@ -279,7 +321,8 @@ class CpuCostModel:
             entries = self.cpu.tlb.entries_for(page_bytes)
             for stream, stream_ws in stream_sets.items():
                 per_core_ws = stream_ws * fraction / per_core_divisor
-                miss = streaming_miss_rate(per_core_ws, page_bytes, entries)
+                miss = _per_set(streaming_miss_rate, streaming_miss_rate_vec,
+                                per_core_ws, page_bytes, entries)
                 terms.append((stream, fraction, page_bytes, miss))
         return tuple(terms)
 
@@ -291,12 +334,14 @@ class CpuCostModel:
                                       miss, self.walk)
         return total * WALK_SERIAL_FRACTION
 
-    def _paging_time(self, dram: dict[str, float], sets: WorkingSets) -> float:
+    def _epc_bytes(self) -> float:
+        return self.cpu.sgx_epc_per_socket * self.placement.sockets_used
+
+    def _paging_time(self, dram_total: float, sets: WorkingSets) -> float:
         if not self.profile.epc_limited:
             return 0.0
-        epc = self.cpu.sgx_epc_per_socket * self.placement.sockets_used
         working_set = sets.weights + sets.kv + sets.activations
-        return paging_overhead_s(sum(dram.values()), working_set, epc)
+        return paging_overhead_s(dram_total, working_set, self._epc_bytes())
 
     # -- public API ----------------------------------------------------------
 
@@ -313,13 +358,24 @@ class CpuCostModel:
                  step_terms: tuple) -> OpCost:
         fallback, bw, walk_terms = step_terms
         dram = self._dram_traffic(op, sets, dtype, fallback)
+        # Added in stream order, not with sum(): Python 3.12's sum() of
+        # floats is compensated and would round differently.
+        dram_total = dram["weights"] + dram["kv"] + dram["activations"]
         return OpCost(
             op=op,
             compute_s=self._compute_time(op, dtype),
-            memory_s=sum(dram.values()) / bw,
+            memory_s=dram_total / bw,
             translation_s=self._translation_time(dram, walk_terms),
-            paging_s=self._paging_time(dram, sets),
+            paging_s=self._paging_time(dram_total, sets),
         )
+
+    def _step_scalars(self) -> tuple[float, float, float]:
+        """A step's (exit seconds, fixed seconds, tax multiplier)."""
+        tax = 1.0 + self.profile.virtualization_tax
+        if self.placement.expose_hyperthreads:
+            tax += HYPERTHREAD_TAX
+        return (self.profile.exit_cost_s * self.profile.exits_per_step,
+                self.profile.step_fixed_s, tax)
 
     def step_cost(self, ops: list[Operator], sets: WorkingSets,
                   dtype: DType) -> StepCost:
@@ -333,9 +389,6 @@ class CpuCostModel:
         operator-independent terms (bandwidth, TLB miss rates) are
         computed once per step.
         """
-        tax = 1.0 + self.profile.virtualization_tax
-        if self.placement.expose_hyperthreads:
-            tax += HYPERTHREAD_TAX
         step_terms = self._step_terms(sets, dtype)
         memo: dict[tuple, OpCost] = {}
         op_costs = []
@@ -351,12 +404,65 @@ class CpuCostModel:
                              translation_s=hit.translation_s,
                              paging_s=hit.paging_s)
             op_costs.append(hit)
-        return StepCost(
-            op_costs=tuple(op_costs),
-            exits_s=self.profile.exit_cost_s * self.profile.exits_per_step,
-            fixed_s=self.profile.step_fixed_s,
-            tax_multiplier=tax,
-        )
+        exits_s, fixed_s, tax = self._step_scalars()
+        return StepCost(op_costs=tuple(op_costs), exits_s=exits_s,
+                        fixed_s=fixed_s, tax_multiplier=tax)
+
+    def step_cost_columns(self, columns: OpColumns,
+                          sets: WorkingSets | WorkingSetsVec,
+                          dtype: DType) -> StepCostColumns:
+        """:meth:`step_cost` of one graph at many shapes in one numpy pass.
+
+        ``sets`` holds the working sets of every shape (each may be a
+        float or an array aligned with the columns).  Each operator is costed term
+        for term in :meth:`_op_cost`'s association order, and the
+        thresholds of the ``*_vec`` twins are the scalar ``<=`` tests,
+        so every ``op_totals`` entry is bitwise the scalar
+        :attr:`OpCost.total_s`.
+        """
+        fallback = is_fallback_path(dtype, self.amx_available)
+        bw = self.effective_bw(fallback)
+        allocator = self._allocator_inflation()
+        flops = columns.flops
+        rates = {category: self._per_core_rate(category, dtype)
+                 for category in set(columns.categories)}
+        per_core = np.array([[rates[category]]
+                             for category in columns.categories])
+        compute = np.where(flops == 0.0, 0.0,
+                           flops / per_core * self._amdahl())
+        def dram_fraction(working_set):
+            return _per_set(self.llc.dram_fraction,
+                            self.llc.dram_fraction_vec, working_set)
+
+        # CacheModel.dram_bytes() per stream, as _dram_traffic() calls it.
+        dram = {
+            "weights": self._weight_traffic(columns.weight_bytes, dtype,
+                                            fallback)
+            * dram_fraction(sets.weights),
+            "kv": (columns.kv_read_bytes + columns.kv_write_bytes)
+            * dram_fraction(sets.kv) * allocator,
+            "activations": columns.activation_bytes
+            * dram_fraction(sets.activations) * allocator,
+        }
+        dram_total = dram["weights"] + dram["kv"] + dram["activations"]
+        # translation_time() per walk term, accumulated in term order.
+        walk_s = self.walk.walk_s
+        translation = 0.0
+        for stream, fraction, page_bytes, miss in self._walk_terms(sets):
+            translation = (translation + dram[stream] * fraction
+                           / page_bytes * miss * walk_s)
+        translation = translation * WALK_SERIAL_FRACTION
+        # paging_overhead_s() at its default page size and fault cost.
+        paging = 0.0
+        if self.profile.epc_limited:
+            working_set = sets.weights + sets.kv + sets.activations
+            paging = (dram_total / PAGE_4K
+                      * paging_fraction_vec(working_set, self._epc_bytes())
+                      * EPC_FAULT_S)
+        totals = np.maximum(compute, dram_total / bw) + translation + paging
+        exits_s, fixed_s, tax = self._step_scalars()
+        return StepCostColumns(op_totals=totals, exits_s=exits_s,
+                               fixed_s=fixed_s, tax_multiplier=tax)
 
     def step_costs_vec(self, affine_ops: Sequence[AffineOp],
                        contexts: np.ndarray, sets: WorkingSetsVec,
@@ -372,10 +478,8 @@ class CpuCostModel:
         c = np.asarray(contexts, dtype=float)
         fallback = is_fallback_path(dtype, self.amx_available)
         bw = self.effective_bw(fallback)
-        allocator = 1.0 if self.placement.tcmalloc \
-            else cal.DEFAULT_ALLOCATOR_TRAFFIC_INFLATION
-        serial = cal.CPU_SERIAL_FRACTION
-        amdahl = serial + (1.0 - serial) / self.placement.cores
+        allocator = self._allocator_inflation()
+        amdahl = self._amdahl()
 
         # Per-stream translation coefficients: seconds of page-walk time
         # per DRAM-visible byte of the stream, summed over the page mix.
@@ -397,9 +501,8 @@ class CpuCostModel:
         # EPC paging: seconds per DRAM-visible byte (SGX only).
         paging_coeff = 0.0
         if self.profile.epc_limited:
-            epc = self.cpu.sgx_epc_per_socket * self.placement.sockets_used
             ws_total = sets.weights + sets.kv + sets.activations
-            paging_coeff = (paging_fraction_vec(ws_total, epc)
+            paging_coeff = (paging_fraction_vec(ws_total, self._epc_bytes())
                             / PAGE_4K * EPC_FAULT_S)
 
         total = np.zeros_like(c)
@@ -407,12 +510,13 @@ class CpuCostModel:
             if aff.base.flops == 0.0 and aff.slope.flops == 0.0:
                 compute = np.zeros_like(c)
             else:
-                engine, rate = self._engine_for(aff.base, dtype)
+                engine, rate = self._engine_for(aff.category, dtype)
                 per_core = rate * self.cpu.clock_hz * self.framework.mfu(engine)
                 compute = aff.flops(c) / per_core * amdahl
-            weight_traffic = (self._weight_traffic(aff.base, dtype, fallback)
-                              + self._weight_traffic(aff.slope, dtype,
-                                                     fallback) * c)
+            weight_traffic = (
+                self._weight_traffic(aff.base.weight_bytes, dtype, fallback)
+                + self._weight_traffic(aff.slope.weight_bytes, dtype,
+                                       fallback) * c)
             dram_w = self.llc.dram_bytes_vec(weight_traffic, sets.weights)
             dram_kv = self.llc.dram_bytes_vec(
                 aff.kv_read_bytes(c) + aff.kv_write_bytes(c),
@@ -428,11 +532,8 @@ class CpuCostModel:
             total = total + aff.multiplicity * (
                 np.maximum(compute, memory) + translation + paging)
 
-        tax = 1.0 + self.profile.virtualization_tax
-        if self.placement.expose_hyperthreads:
-            tax += HYPERTHREAD_TAX
-        exits = self.profile.exit_cost_s * self.profile.exits_per_step
-        return (total + exits) * tax + self.profile.step_fixed_s
+        exits, fixed, tax = self._step_scalars()
+        return (total + exits) * tax + fixed
 
 
 class GpuCostModel:
@@ -451,13 +552,7 @@ class GpuCostModel:
         """Cost one operator; HBM traffic pays no encryption derate on
         H100 (its HBM is unprotected — a security gap, not a cost)."""
         del sets  # GPU HBM is not LLC-filtered at these working sets
-        derate = 1.0 - self.profile.gpu_rate_derate
-        rate = (self.gpu.peak_flops(dtype)
-                * self.framework.mfu(Engine.CUDA_TENSOR) * derate)
-        bw = self.gpu.hbm_bw * self.framework.memory_efficiency() * derate
-        # B100-class parts encrypt HBM; the paper projects a CPU-like
-        # memory-encryption cost onto that path (§V-D3).
-        bw *= 1.0 - self.profile.mem_encryption_derate
+        rate, bw = self._rates(dtype)
         return OpCost(
             op=op,
             compute_s=op.flops / rate,
@@ -465,6 +560,17 @@ class GpuCostModel:
             translation_s=0.0,
             paging_s=0.0,
         )
+
+    def _rates(self, dtype: DType) -> tuple[float, float]:
+        """Derated FLOP rate and HBM bandwidth."""
+        derate = 1.0 - self.profile.gpu_rate_derate
+        rate = (self.gpu.peak_flops(dtype)
+                * self.framework.mfu(Engine.CUDA_TENSOR) * derate)
+        bw = self.gpu.hbm_bw * self.framework.memory_efficiency() * derate
+        # B100-class parts encrypt HBM; the paper projects a CPU-like
+        # memory-encryption cost onto that path (§V-D3).
+        bw *= 1.0 - self.profile.mem_encryption_derate
+        return rate, bw
 
     def _bounce_time(self, io_bytes: float) -> float:
         if self.profile.bounce_bw is None or io_bytes <= 0.0:
@@ -482,6 +588,25 @@ class GpuCostModel:
             tax_multiplier=1.0,
         )
 
+    def step_cost_columns(self, columns: OpColumns,
+                          sets: WorkingSets | WorkingSetsVec,
+                          dtype: DType) -> StepCostColumns:
+        """:meth:`step_cost` of one graph at many shapes in one numpy pass.
+
+        Each ``op_totals`` entry is bitwise :meth:`op_cost`'s
+        ``total_s`` (GPU operators pay no translation or paging).  Like
+        ``step_cost`` at its default ``io_bytes=0.0``, no host-device
+        staging is charged.
+        """
+        del sets  # GPU HBM is not LLC-filtered at these working sets
+        rate, bw = self._rates(dtype)
+        bytes_total = (columns.weight_bytes + columns.activation_bytes
+                       + columns.kv_read_bytes + columns.kv_write_bytes)
+        return StepCostColumns(
+            op_totals=np.maximum(columns.flops / rate, bytes_total / bw),
+            exits_s=0.0, fixed_s=self.profile.step_fixed_s,
+            tax_multiplier=1.0)
+
     def step_costs_vec(self, affine_ops: Sequence[AffineOp],
                        contexts: np.ndarray, sets: WorkingSetsVec,
                        dtype: DType, io_bytes: float = 0.0) -> np.ndarray:
@@ -492,11 +617,7 @@ class GpuCostModel:
         """
         del sets  # GPU HBM is not LLC-filtered at these working sets
         c = np.asarray(contexts, dtype=float)
-        derate = 1.0 - self.profile.gpu_rate_derate
-        rate = (self.gpu.peak_flops(dtype)
-                * self.framework.mfu(Engine.CUDA_TENSOR) * derate)
-        bw = self.gpu.hbm_bw * self.framework.memory_efficiency() * derate
-        bw *= 1.0 - self.profile.mem_encryption_derate
+        rate, bw = self._rates(dtype)
         total = np.zeros_like(c)
         for aff in affine_ops:
             total = total + aff.multiplicity * np.maximum(

@@ -44,6 +44,25 @@ class ScalarColumns(NamedTuple):
     tenant_id: array
 
 
+def _whole_column(name: str, values) -> np.ndarray:
+    """``values`` as an int64 column, refusing what a cast would change.
+
+    ``np.asarray(..., dtype=np.int64)`` truncates 3.7 to 3 and raises
+    ``OverflowError`` on infinity; a column of integers passes through,
+    and a float column must hold finite whole numbers within int64.
+    """
+    column = np.asarray(values)
+    if column.dtype.kind in "biu":
+        return column.astype(np.int64, copy=False)
+    if column.size and (
+            column.dtype.kind != "f"
+            or not np.all(np.isfinite(column))
+            or np.any(column != np.floor(column))
+            or np.any(np.abs(column) >= 2.0 ** 63)):
+        raise ValueError(f"{name} must be finite whole numbers")
+    return column.astype(np.int64)
+
+
 class RequestTable(Sequence):
     """A request stream stored as parallel numpy columns.
 
@@ -64,16 +83,16 @@ class RequestTable(Sequence):
 
     def __init__(self, request_id, arrival_s, prompt_tokens, output_tokens,
                  priority=None, tenant_id=None) -> None:
-        self.request_id = np.asarray(request_id, dtype=np.int64)
+        self.request_id = _whole_column("request_id", request_id)
         self.arrival_s = np.asarray(arrival_s, dtype=np.float64)
-        self.prompt_tokens = np.asarray(prompt_tokens, dtype=np.int64)
-        self.output_tokens = np.asarray(output_tokens, dtype=np.int64)
+        self.prompt_tokens = _whole_column("prompt_tokens", prompt_tokens)
+        self.output_tokens = _whole_column("output_tokens", output_tokens)
         if priority is None:
             priority = np.zeros(len(self.request_id), dtype=np.int64)
-        self.priority = np.asarray(priority, dtype=np.int64)
+        self.priority = _whole_column("priority", priority)
         if tenant_id is None:
             tenant_id = np.zeros(len(self.request_id), dtype=np.int64)
-        self.tenant_id = np.asarray(tenant_id, dtype=np.int64)
+        self.tenant_id = _whole_column("tenant_id", tenant_id)
         self._scalars: ScalarColumns | None = None
         self._derived: dict = {}
         n = len(self.request_id)

@@ -1,7 +1,9 @@
 """Decoder op-graph construction for prefill and decode steps.
 
 :func:`prefill_ops` and :func:`decode_step_ops` emit the operator stream
-of one forward step.  The operator names match the per-block layer
+of one forward step, and :func:`prefill_columns` the fields of
+single-sequence prefill graphs at many prompt lengths at once, from the
+same expressions.  The operator names match the per-block layer
 categories in the paper's Fig. 7 trace study (input layernorm, QKV
 projection, self-attention, output projection, post-attention layernorm,
 gate/up projection with SiLU multiply, down projection, residuals).
@@ -11,10 +13,12 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from ..memo import MemoCache
 from .config import ModelConfig
 from .datatypes import DType
-from .ops import AFFINE_FIELDS, AffineOp, Operator, OpCategory, Phase
+from .ops import AFFINE_FIELDS, AffineOp, OpColumns, Operator, OpCategory, Phase
 
 #: Operator names emitted per decoder block, in execution order.
 BLOCK_OP_NAMES = (
@@ -32,177 +36,157 @@ BLOCK_OP_NAMES = (
 )
 
 
-def _norm_op(name: str, phase: Phase, layer: int | None, tokens: float,
-             hidden: int, ds: float) -> Operator:
-    return Operator(
-        name=name, category=OpCategory.NORM, phase=phase, layer=layer,
-        flops=5.0 * tokens * hidden,
-        weight_bytes=hidden * ds,
-        activation_bytes=2.0 * tokens * hidden * ds,
-    )
+#: An operator before it is placed in a step: ``(name, category,
+#: fields)``, with ``fields`` in :data:`~repro.llm.ops.AFFINE_FIELDS`
+#: order.  A field is a float, or a float64 array when the step's
+#: length is an array (:func:`prefill_columns`); the same expressions
+#: compute both.
+OpSpec = tuple[str, OpCategory, tuple]
+
+
+def _op(spec: OpSpec, phase: Phase, layer: int | None) -> Operator:
+    name, category, fields = spec
+    return Operator(name, category, phase, layer, *fields)
+
+
+def _norm_spec(name: str, tokens, hidden: int, ds: float) -> OpSpec:
+    return (name, OpCategory.NORM,
+            (5.0 * tokens * hidden, hidden * ds, 2.0 * tokens * hidden * ds,
+             0.0, 0.0))
+
+
+def _decode_attention_spec(model: ModelConfig, dtype: DType,
+                           context_len: float, sequences: float) -> OpSpec:
+    """One new token per sequence attends to the full cached context."""
+    h, kv, ds = model.hidden_size, model.kv_dim, dtype.bytes
+    attn_flops = 4.0 * sequences * h * context_len
+    kv_read = 2.0 * sequences * context_len * kv * ds
+    softmax_tokens = sequences * context_len
+    return ("self_attention", OpCategory.ATTENTION,
+            (attn_flops + 5.0 * model.num_heads * softmax_tokens, 0.0,
+             2.0 * sequences * h * ds, kv_read, 2.0 * sequences * kv * ds))
 
 
 def _decode_attention_op(model: ModelConfig, dtype: DType, layer: int,
                          context_len: float, sequences: float) -> Operator:
     """The one decode-phase operator whose cost depends on context.
 
-    One new token per sequence attends to the full cached context.
     Kept as a standalone builder so :func:`cached_decode_step_ops` can
     materialize per-context graphs from a context-independent skeleton
-    with the exact formulas below — the rebuilt operators are
-    bit-identical to a direct :func:`decode_step_ops` call.
+    with the exact formulas of :func:`decode_step_ops` — the rebuilt
+    operators are bit-identical to a direct call.
     """
+    return _op(_decode_attention_spec(model, dtype, context_len, sequences),
+               Phase.DECODE, layer)
+
+
+def _prefill_attention_spec(model: ModelConfig, dtype: DType, new_tokens,
+                            sequences: float) -> OpSpec:
+    """Causal attention over the prompt: ~S^2/2 score and context MACs."""
     h, kv, ds = model.hidden_size, model.kv_dim, dtype.bytes
-    attn_flops = 4.0 * sequences * h * context_len
-    kv_read = 2.0 * sequences * context_len * kv * ds
-    softmax_tokens = sequences * context_len
-    return Operator(
-        name="self_attention", category=OpCategory.ATTENTION,
-        phase=Phase.DECODE, layer=layer,
-        flops=attn_flops + 5.0 * model.num_heads * softmax_tokens,
-        activation_bytes=2.0 * sequences * h * ds,
-        kv_read_bytes=kv_read,
-        kv_write_bytes=2.0 * sequences * kv * ds,
-    )
+    seq_len = new_tokens / sequences
+    attn_flops = 2.0 * sequences * h * seq_len * seq_len
+    kv_read = 0.0
+    softmax_tokens = sequences * seq_len * seq_len / 2.0
+    return ("self_attention", OpCategory.ATTENTION,
+            (attn_flops + 5.0 * model.num_heads * softmax_tokens, 0.0,
+             2.0 * new_tokens * h * ds, kv_read, 2.0 * new_tokens * kv * ds))
 
 
-def _block_ops(model: ModelConfig, dtype: DType, phase: Phase, layer: int,
-               new_tokens: float, context_len: float,
-               sequences: float) -> list[Operator]:
-    """Operators of one decoder block.
+def _block_specs(model: ModelConfig, dtype: DType, new_tokens,
+                 attention: OpSpec) -> list[OpSpec]:
+    """Operators of one decoder block around its ``attention`` operator.
 
     Args:
         new_tokens: Tokens processed this step across the whole batch
             (``sequences * seq_len`` in prefill, ``sequences`` in decode).
-        context_len: Attended context length per sequence.
-        sequences: Number of sequences (batch * beams).
+        attention: The phase's ``self_attention`` operator.
     """
     h = model.hidden_size
     kv = model.kv_dim
     i = model.intermediate_size
     ds = dtype.bytes
-    ops: list[Operator] = []
-
-    ops.append(_norm_op("input_layernorm", phase, layer, new_tokens, h, ds))
-
-    ops.append(Operator(
-        name="qkv_proj", category=OpCategory.GEMM, phase=phase, layer=layer,
-        flops=2.0 * new_tokens * h * (h + 2 * kv),
-        weight_bytes=(h * h + 2 * h * kv) * ds,
-        activation_bytes=new_tokens * (2 * h + 2 * kv) * ds,
-    ))
-
-    ops.append(Operator(
-        name="rotary_embed", category=OpCategory.ELEMENTWISE, phase=phase,
-        layer=layer,
-        flops=6.0 * new_tokens * (h + kv),
-        activation_bytes=2.0 * new_tokens * (h + kv) * ds,
-    ))
-
-    if phase is Phase.PREFILL:
-        # Causal attention over the prompt: ~S^2/2 score and context MACs.
-        seq_len = new_tokens / sequences
-        attn_flops = 2.0 * sequences * h * seq_len * seq_len
-        kv_read = 0.0
-        softmax_tokens = sequences * seq_len * seq_len / 2.0
-        ops.append(Operator(
-            name="self_attention", category=OpCategory.ATTENTION, phase=phase,
-            layer=layer,
-            flops=attn_flops + 5.0 * model.num_heads * softmax_tokens,
-            activation_bytes=2.0 * new_tokens * h * ds,
-            kv_read_bytes=kv_read,
-            kv_write_bytes=2.0 * new_tokens * kv * ds,
-        ))
-    else:
-        ops.append(_decode_attention_op(model, dtype, layer, context_len,
-                                        sequences))
-
-    ops.append(Operator(
-        name="o_proj", category=OpCategory.GEMM, phase=phase, layer=layer,
-        flops=2.0 * new_tokens * h * h,
-        weight_bytes=h * h * ds,
-        activation_bytes=2.0 * new_tokens * h * ds,
-    ))
-
-    ops.append(Operator(
-        name="residual_add", category=OpCategory.ELEMENTWISE, phase=phase,
-        layer=layer,
-        flops=new_tokens * h,
-        activation_bytes=3.0 * new_tokens * h * ds,
-    ))
-
-    ops.append(_norm_op("post_attention_layernorm", phase, layer, new_tokens, h, ds))
-
+    gemm, elementwise = OpCategory.GEMM, OpCategory.ELEMENTWISE
+    specs: list[OpSpec] = [
+        _norm_spec("input_layernorm", new_tokens, h, ds),
+        ("qkv_proj", gemm,
+         (2.0 * new_tokens * h * (h + 2 * kv), (h * h + 2 * h * kv) * ds,
+          new_tokens * (2 * h + 2 * kv) * ds, 0.0, 0.0)),
+        ("rotary_embed", elementwise,
+         (6.0 * new_tokens * (h + kv), 0.0,
+          2.0 * new_tokens * (h + kv) * ds, 0.0, 0.0)),
+        attention,
+        ("o_proj", gemm,
+         (2.0 * new_tokens * h * h, h * h * ds,
+          2.0 * new_tokens * h * ds, 0.0, 0.0)),
+        ("residual_add", elementwise,
+         (new_tokens * h, 0.0, 3.0 * new_tokens * h * ds, 0.0, 0.0)),
+        _norm_spec("post_attention_layernorm", new_tokens, h, ds),
+    ]
     if model.mlp == "gated_silu":
-        ops.append(Operator(
-            name="gate_up_proj", category=OpCategory.GEMM, phase=phase,
-            layer=layer,
-            flops=2.0 * new_tokens * h * 2 * i,
-            weight_bytes=2 * h * i * ds,
-            activation_bytes=new_tokens * (h + 2 * i) * ds,
-        ))
-        ops.append(Operator(
-            name="silu_mul", category=OpCategory.ELEMENTWISE, phase=phase,
-            layer=layer,
-            flops=5.0 * new_tokens * i,
-            activation_bytes=3.0 * new_tokens * i * ds,
-        ))
+        specs += [
+            ("gate_up_proj", gemm,
+             (2.0 * new_tokens * h * 2 * i, 2 * h * i * ds,
+              new_tokens * (h + 2 * i) * ds, 0.0, 0.0)),
+            ("silu_mul", elementwise,
+             (5.0 * new_tokens * i, 0.0, 3.0 * new_tokens * i * ds,
+              0.0, 0.0)),
+        ]
     else:
-        ops.append(Operator(
-            name="gate_up_proj", category=OpCategory.GEMM, phase=phase,
-            layer=layer,
-            flops=2.0 * new_tokens * h * i,
-            weight_bytes=h * i * ds,
-            activation_bytes=new_tokens * (h + i) * ds,
-        ))
-        ops.append(Operator(
-            name="silu_mul", category=OpCategory.ELEMENTWISE, phase=phase,
-            layer=layer,
-            flops=8.0 * new_tokens * i,
-            activation_bytes=2.0 * new_tokens * i * ds,
-        ))
-
-    ops.append(Operator(
-        name="down_proj", category=OpCategory.GEMM, phase=phase, layer=layer,
-        flops=2.0 * new_tokens * i * h,
-        weight_bytes=h * i * ds,
-        activation_bytes=new_tokens * (i + h) * ds,
-    ))
-
-    ops.append(Operator(
-        name="residual_add_2", category=OpCategory.ELEMENTWISE, phase=phase,
-        layer=layer,
-        flops=new_tokens * h,
-        activation_bytes=3.0 * new_tokens * h * ds,
-    ))
-    return ops
+        specs += [
+            ("gate_up_proj", gemm,
+             (2.0 * new_tokens * h * i, h * i * ds,
+              new_tokens * (h + i) * ds, 0.0, 0.0)),
+            ("silu_mul", elementwise,
+             (8.0 * new_tokens * i, 0.0, 2.0 * new_tokens * i * ds,
+              0.0, 0.0)),
+        ]
+    specs += [
+        ("down_proj", gemm,
+         (2.0 * new_tokens * i * h, h * i * ds,
+          new_tokens * (i + h) * ds, 0.0, 0.0)),
+        ("residual_add_2", elementwise,
+         (new_tokens * h, 0.0, 3.0 * new_tokens * h * ds, 0.0, 0.0)),
+    ]
+    return specs
 
 
-def _head_ops(model: ModelConfig, dtype: DType, phase: Phase,
-              logits_tokens: float) -> list[Operator]:
+def _head_specs(model: ModelConfig, dtype: DType,
+                logits_tokens: float) -> list[OpSpec]:
     """Final norm and LM head for the tokens that need logits."""
     h, v, ds = model.hidden_size, model.vocab_size, dtype.bytes
-    ops = [_norm_op("final_norm", phase, None, logits_tokens, h, ds)]
+    specs = [_norm_spec("final_norm", logits_tokens, h, ds)]
     if not model.encoder_only:
-        ops.append(Operator(
-            name="lm_head", category=OpCategory.GEMM, phase=phase, layer=None,
-            flops=2.0 * logits_tokens * h * v,
-            weight_bytes=h * v * ds,
-            activation_bytes=logits_tokens * (h + v) * ds,
-        ))
-    return ops
+        specs.append(("lm_head", OpCategory.GEMM,
+                      (2.0 * logits_tokens * h * v, h * v * ds,
+                       logits_tokens * (h + v) * ds, 0.0, 0.0)))
+    return specs
 
 
-def _embed_op(model: ModelConfig, dtype: DType, phase: Phase,
-              tokens: float) -> Operator:
+def _embed_spec(model: ModelConfig, dtype: DType, tokens) -> OpSpec:
     h, ds = model.hidden_size, dtype.bytes
-    return Operator(
-        name="embed_tokens", category=OpCategory.EMBEDDING, phase=phase,
-        layer=None,
-        flops=0.0,
-        weight_bytes=tokens * h * ds,
-        activation_bytes=tokens * h * ds,
-    )
+    return ("embed_tokens", OpCategory.EMBEDDING,
+            (0.0, tokens * h * ds, tokens * h * ds, 0.0, 0.0))
+
+
+def _step_specs(embed: OpSpec, block: list[OpSpec], head: list[OpSpec],
+                num_layers: int) -> tuple[list[OpSpec], list[int | None]]:
+    """A step's operators in graph order, with each one's layer."""
+    specs = [embed] + block * num_layers + head
+    layers = ([None] + [layer for layer in range(num_layers) for _ in block]
+              + [None] * len(head))
+    return specs, layers
+
+
+def _prefill_step(model: ModelConfig, dtype: DType, sequences: float,
+                  input_len) -> tuple[list[OpSpec], list[int | None]]:
+    tokens = sequences * input_len
+    attention = _prefill_attention_spec(model, dtype, tokens, sequences)
+    # Only the last position of each sequence needs logits after prefill.
+    return _step_specs(_embed_spec(model, dtype, tokens),
+                       _block_specs(model, dtype, tokens, attention),
+                       _head_specs(model, dtype, logits_tokens=sequences),
+                       model.num_layers)
 
 
 def prefill_ops(model: ModelConfig, dtype: DType, batch_size: int,
@@ -214,16 +198,32 @@ def prefill_ops(model: ModelConfig, dtype: DType, batch_size: int,
     only.
     """
     _check_shape(batch_size, input_len, beam_size)
-    sequences = float(batch_size)
-    tokens = sequences * input_len
-    ops = [_embed_op(model, dtype, Phase.PREFILL, tokens)]
-    for layer in range(model.num_layers):
-        ops.extend(_block_ops(model, dtype, Phase.PREFILL, layer,
-                              new_tokens=tokens, context_len=float(input_len),
-                              sequences=sequences))
-    # Only the last position of each sequence needs logits after prefill.
-    ops.extend(_head_ops(model, dtype, Phase.PREFILL, logits_tokens=sequences))
-    return ops
+    specs, layers = _prefill_step(model, dtype, float(batch_size), input_len)
+    return [_op(spec, Phase.PREFILL, layer)
+            for spec, layer in zip(specs, layers)]
+
+
+def prefill_columns(model: ModelConfig, dtype: DType,
+                    input_lens) -> OpColumns:
+    """Single-sequence :func:`prefill_ops` at every length at once.
+
+    Operator ``k`` of ``prefill_ops(model, dtype, 1, input_lens[j])`` is
+    row ``k``, column ``j`` of the result.  Both come from the same
+    expressions evaluated on a float64 length array instead of a float,
+    so every field is bitwise equal to the per-length graph's.
+    """
+    lengths = np.asarray(input_lens, dtype=np.float64)
+    if lengths.size:
+        _check_shape(1, lengths.min().item(), 1)
+    specs, layers = _prefill_step(model, dtype, 1.0, lengths)
+    fields = np.zeros((len(AFFINE_FIELDS), len(specs), lengths.size))
+    for row, (_, _, values) in enumerate(specs):
+        for plane, value in enumerate(values):
+            if isinstance(value, np.ndarray) or value:  # 0.0 is already set
+                fields[plane, row] = value
+    return OpColumns(names=tuple(spec[0] for spec in specs),
+                     categories=tuple(spec[1] for spec in specs),
+                     layers=tuple(layers), fields=fields)
 
 
 def decode_step_ops(model: ModelConfig, dtype: DType, batch_size: int,
@@ -231,14 +231,15 @@ def decode_step_ops(model: ModelConfig, dtype: DType, batch_size: int,
     """Operator stream of one decode step at a given context length."""
     _check_shape(batch_size, context_len, beam_size)
     sequences = float(batch_size * beam_size)
-    ops = [_embed_op(model, dtype, Phase.DECODE, sequences)]
-    for layer in range(model.num_layers):
-        ops.extend(_block_ops(model, dtype, Phase.DECODE, layer,
-                              new_tokens=sequences,
-                              context_len=float(context_len),
-                              sequences=sequences))
-    ops.extend(_head_ops(model, dtype, Phase.DECODE, logits_tokens=sequences))
-    return ops
+    attention = _decode_attention_spec(model, dtype, float(context_len),
+                                       sequences)
+    specs, layers = _step_specs(_embed_spec(model, dtype, sequences),
+                                _block_specs(model, dtype, sequences,
+                                             attention),
+                                _head_specs(model, dtype, sequences),
+                                model.num_layers)
+    return [_op(spec, Phase.DECODE, layer)
+            for spec, layer in zip(specs, layers)]
 
 
 def encode_ops(model: ModelConfig, dtype: DType, batch_size: int,

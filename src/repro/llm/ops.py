@@ -23,6 +23,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 
 class OpCategory(str, Enum):
     """Coarse operator class; drives engine selection and cache modelling."""
@@ -168,6 +170,49 @@ class AffineOp:
         """All byte traffic at a context length."""
         return (self.weight_bytes(context) + self.activation_bytes(context)
                 + self.kv_read_bytes(context) + self.kv_write_bytes(context))
+
+
+@dataclass(frozen=True)
+class OpColumns:
+    """The operators of one step graph at many step shapes at once.
+
+    Row ``k`` of every field is operator ``k`` of the graph; column
+    ``j`` is shape ``j`` (for :func:`~repro.llm.graph.prefill_columns`,
+    a prompt length).  The cost models read it the way they read a list
+    of :class:`Operator` (see ``step_cost_columns``).
+
+    Attributes:
+        names: Operator names, in graph order.
+        categories: Operator categories, in graph order.
+        layers: Decoder block index per operator (``None`` outside).
+        fields: float64 array of shape ``(len(AFFINE_FIELDS), operators,
+            shapes)``, one plane per :data:`AFFINE_FIELDS` entry.
+    """
+
+    names: tuple[str, ...]
+    categories: tuple[OpCategory, ...]
+    layers: tuple[int | None, ...]
+    fields: np.ndarray
+
+    @property
+    def flops(self) -> np.ndarray:
+        return self.fields[0]
+
+    @property
+    def weight_bytes(self) -> np.ndarray:
+        return self.fields[1]
+
+    @property
+    def activation_bytes(self) -> np.ndarray:
+        return self.fields[2]
+
+    @property
+    def kv_read_bytes(self) -> np.ndarray:
+        return self.fields[3]
+
+    @property
+    def kv_write_bytes(self) -> np.ndarray:
+        return self.fields[4]
 
 
 def merge_totals(ops: list[Operator]) -> dict[str, float]:

@@ -74,6 +74,7 @@ bit-identical to earlier releases.
 from __future__ import annotations
 
 import math
+import numbers
 from array import array
 from bisect import insort
 from collections.abc import Sequence
@@ -117,14 +118,30 @@ class ServeRequest:
         # NaN passes a plain `< 0` comparison, so finiteness is explicit.
         if not math.isfinite(self.arrival_s) or self.arrival_s < 0:
             raise ValueError("arrival_s must be finite and >= 0")
-        for field_name in ("prompt_tokens", "output_tokens"):
+        # Refused, not truncated: a table stores these as int64, and a
+        # 3.7-token prompt would be served (and costed) as 3 tokens.
+        for field_name in _WHOLE_FIELDS:
             value = getattr(self, field_name)
-            if not math.isfinite(value) or value < 1:
+            if not _is_whole(value):
+                raise ValueError(f"{field_name} must be a finite whole "
+                                 f"number, got {value!r}")
+        for field_name in ("prompt_tokens", "output_tokens"):
+            if getattr(self, field_name) < 1:
                 raise ValueError(f"{field_name} must be finite and >= 1")
-        if not math.isfinite(self.priority):
-            raise ValueError("priority must be finite")
-        if not math.isfinite(self.tenant_id) or self.tenant_id < 0:
+        if self.tenant_id < 0:
             raise ValueError("tenant_id must be finite and >= 0")
+
+
+#: ServeRequest fields that must hold whole numbers.
+_WHOLE_FIELDS = ("request_id", "prompt_tokens", "output_tokens", "priority",
+                 "tenant_id")
+
+
+def _is_whole(value) -> bool:
+    """Whether ``value`` is an integer, or a finite float with no fraction."""
+    if isinstance(value, numbers.Integral):
+        return True
+    return isinstance(value, numbers.Real) and float(value).is_integer()
 
 
 @dataclass

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..engine.roofline import cost_model_for
+from ..engine.roofline import CpuCostModel, cost_model_for
 from ..engine.simulator import (
     _decode_clean_loop,
     _working_sets,
@@ -115,13 +115,53 @@ def stride_subsampling_exact(ctx: AuditContext) -> str:
     return f"stride={stride} exact at {len(costed)} costed contexts"
 
 
+def prefill_crossings(table: StepCostTable) -> dict[str, float]:
+    """Prompt lengths (real-valued) where a CPU cost-model threshold flips.
+
+    The kv working set crosses the LLC's effective capacity (``llc``),
+    a page size's per-core TLB reach (``tlb_<page bytes>``) or the SGX
+    EPC (``epc``).  GPU tables have none.
+    """
+    model = table._cost_model
+    if not isinstance(model, CpuCostModel):
+        return {}
+    per_token = table.model.kv_bytes_per_token(table.dtype.bytes)
+    crossings = {"llc": model.llc.effective_capacity / per_token}
+    cores = max(1, model.placement.cores)
+    for page_bytes, fraction in model._page_mix():
+        reach = model.cpu.tlb.entries_for(page_bytes) * page_bytes
+        crossings[f"tlb_{page_bytes}"] = reach * cores / (fraction
+                                                          * per_token)
+    if model.profile.epc_limited:
+        fixed = table.working_sets(1, 0)
+        crossings["epc"] = (model._epc_bytes() - fixed.weights
+                            - fixed.activations) / per_token
+    return crossings
+
+
+def prefill_threshold_lengths(table: StepCostTable) -> list[int]:
+    """Whole prompt lengths around each crossing, within the model."""
+    lengths = set()
+    for crossing in prefill_crossings(table).values():
+        base = int(crossing)
+        lengths.update(range(base - 1, base + 3))
+    top = table.model.max_position
+    return sorted(length for length in lengths if 1 <= length <= top)
+
+
 @check("serving.stepcost_graph_parity", family="differential",
        layers=("serving", "engine", "llm"))
 def stepcost_graph_parity(ctx: AuditContext) -> str:
-    """One-block StepCostTable misses equal full-graph step_cost bitwise."""
+    """One-block StepCostTable misses equal full-graph step_cost bitwise.
+
+    Prefill is checked twice per prompt: one-length misses
+    (``prefill_s``) and one column over every prompt (``row_prefill``)
+    on a second fresh table.  The prompts include each table's
+    threshold lengths, where an LLC, TLB or EPC ``<=`` test flips.
+    """
     deployments = (("baremetal", ctx.cpu("baremetal")), ("tdx", ctx.cpu("tdx")),
                    ("sgx", ctx.cpu("sgx")), ("cgpu", ctx.gpu(confidential=True)))
-    prompts = (1, 2, 15, 16, 17, 127, 1024, 4095)
+    base_prompts = (1, 2, 15, 16, 17, 127, 1024, 4095)
     decode_shapes = [(batch, bucket) for batch in (1, 16, 64)
                      for bucket in (16, 64, 1024, 4032)]
     checked = 0
@@ -130,17 +170,26 @@ def stepcost_graph_parity(ctx: AuditContext) -> str:
         for model in (LLAMA2_7B, LLAMA2_13B, LLAMA2_70B, GPTJ_6B):
             for dtype in (BFLOAT16, INT8):
                 table = StepCostTable(deployment, model, dtype)
-                cases = [("prefill", prompt, table.prefill_s(prompt),
-                          prefill_ops(model, dtype, 1, prompt),
-                          table.working_sets(1, prompt))
-                         for prompt in prompts]
+                prompts = sorted(set(base_prompts).union(
+                    prefill_threshold_lengths(table)))
+                column, _ = StepCostTable(deployment, model,
+                                          dtype).row_prefill(prompts)
+                cases = []
+                for prompt, from_column in zip(prompts, column):
+                    want = cost_model.step_cost(
+                        prefill_ops(model, dtype, 1, prompt),
+                        table.working_sets(1, prompt), dtype).total_s
+                    cases += [("prefill", prompt, table.prefill_s(prompt),
+                               want),
+                              ("prefill column", prompt, from_column, want)]
                 cases += [("decode", (batch, bucket),
                            table.decode_step_s(batch, bucket),
-                           decode_step_ops(model, dtype, batch, bucket),
-                           table.working_sets(batch, bucket))
+                           cost_model.step_cost(
+                               decode_step_ops(model, dtype, batch, bucket),
+                               table.working_sets(batch, bucket),
+                               dtype).total_s)
                           for batch, bucket in decode_shapes]
-                for kind, shape, got, ops, sets in cases:
-                    want = cost_model.step_cost(ops, sets, dtype).total_s
+                for kind, shape, got, want in cases:
                     if got != want:
                         raise CheckFailure(
                             f"{label}/{model.name}/{dtype.name} {kind} "

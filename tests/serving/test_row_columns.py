@@ -1,9 +1,10 @@
 """Per-row columns decided at bind equal the per-call rules they replace.
 
 A bound scheduler reads three columns per row instead of computing per
-call: the row's prefill seconds and exact prefill units (one
-``prefill_s`` call per distinct prompt length) and an admissible mask
-(the verdict of ``_check_fits`` for the whole table).  A submit whose
+call: the row's prefill seconds and exact prefill units (every distinct
+prompt length costed in one array pass; ``test_prefill_column.py`` pins
+that pass to the scalar reference) and an admissible mask (the verdict
+of ``_check_fits`` for the whole table).  A submit whose
 entry sorts at or after the tail of a queue known to be sorted appends
 instead of bisecting.  These tests pin each column to the per-row rule
 and each submit's placement to ``insort(..., lo=_head)``, through

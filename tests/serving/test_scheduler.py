@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -95,6 +96,48 @@ class TestRequestValidation:
             ServeRequest(0, 0.0, float("nan"), 16)
         with pytest.raises(ValueError, match="finite"):
             ServeRequest(0, 0.0, 16, float("inf"))
+
+    @pytest.mark.parametrize("field,bad", [
+        ("prompt_tokens", 3.7), ("prompt_tokens", 1.5),
+        ("output_tokens", 2.5), ("request_id", 0.5), ("priority", 1.25),
+        ("priority", float("inf")), ("tenant_id", 0.5),
+        ("tenant_id", float("nan"))])
+    def test_fractional_or_nonfinite_whole_fields_rejected(self, field, bad):
+        # Regression: a 3.7-token prompt was accepted and later served
+        # (and costed) as 3 tokens by RequestTable.from_requests.
+        fields = dict(request_id=0, arrival_s=0.0, prompt_tokens=16,
+                      output_tokens=16)
+        fields[field] = bad
+        with pytest.raises(ValueError, match=f"{field} must be a finite"):
+            ServeRequest(**fields)
+
+    def test_integral_values_of_any_numeric_type_accepted(self):
+        request = ServeRequest(np.int64(3), 0.0, 16.0, np.int32(8))
+        table = RequestTable.from_requests([request])
+        assert table.prompt_tokens.tolist() == [16]
+        assert table.output_tokens.tolist() == [8]
+
+    @pytest.mark.parametrize("field,bad", [
+        ("prompt_tokens", [3.7]), ("prompt_tokens", [1.5]),
+        ("output_tokens", [float("inf")]), ("output_tokens", [float("nan")]),
+        ("request_id", [0.5]), ("priority", [float("inf")]),
+        ("priority", [0.25]), ("tenant_id", [1.5]), ("tenant_id", [1e300]),
+        ("prompt_tokens", ["16"])])
+    def test_request_table_refuses_instead_of_truncating(self, field, bad):
+        # Regression: the int64 cast ran before the checks, so [3.7] was
+        # served as 3 tokens and [inf] raised OverflowError.
+        columns = dict(request_id=[0], arrival_s=[0.0], prompt_tokens=[16],
+                       output_tokens=[16])
+        columns[field] = bad
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            RequestTable(**columns)
+
+    def test_request_table_keeps_whole_float_columns(self):
+        table = RequestTable([0.0, 1.0], [0.0, 0.5], [16.0, 3.0], [4, 5],
+                             priority=[1.0, 2.0], tenant_id=[0.0, 1.0])
+        assert table.request_id.dtype == table.prompt_tokens.dtype == "int64"
+        assert table.prompt_tokens.tolist() == [16, 3]
+        assert table.priority.tolist() == [1, 2]
 
 
 class TestSharedPrefixFit:

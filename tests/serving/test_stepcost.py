@@ -4,7 +4,8 @@ A table miss builds the graph of a one-block twin of the model and
 rebuilds the full step's total from it.  These tests pin the result to
 ``step_cost(<full graph>).total_s`` with float equality (not a
 tolerance) on every replica kind and dtype, and check that a miss
-really costs one block.
+really costs one block: a decode miss through ``step_cost``, a prefill
+miss through the one-length array pass (``step_cost_columns``).
 """
 
 import pytest
@@ -13,7 +14,12 @@ from repro.engine.roofline import CpuCostModel, GpuCostModel, cost_model_for
 from repro.fleet.replica import REPLICA_KINDS, replica_spec
 from repro.llm.config import GPTJ_6B, LLAMA2_7B, LLAMA2_70B
 from repro.llm.datatypes import BFLOAT16, FLOAT32, INT8
-from repro.llm.graph import BLOCK_OP_NAMES, decode_step_ops, prefill_ops
+from repro.llm.graph import (
+    BLOCK_OP_NAMES,
+    decode_step_ops,
+    prefill_columns,
+    prefill_ops,
+)
 from repro.serving import stepcost
 from repro.serving.stepcost import StepCostTable
 
@@ -50,14 +56,16 @@ class TestFullGraphParity:
 def test_miss_costs_one_block(kind, monkeypatch):
     seen = []
 
-    def spy(original):
-        def step_cost(self, ops, *args, **kwargs):
-            seen.append(len(ops))
+    def spy(original, count):
+        def costed(self, ops, *args, **kwargs):
+            seen.append(count(ops))
             return original(self, ops, *args, **kwargs)
-        return step_cost
+        return costed
 
     for cls in (CpuCostModel, GpuCostModel):
-        monkeypatch.setattr(cls, "step_cost", spy(cls.step_cost))
+        monkeypatch.setattr(cls, "step_cost", spy(cls.step_cost, len))
+        monkeypatch.setattr(cls, "step_cost_columns", spy(
+            cls.step_cost_columns, lambda columns: len(columns.names)))
     table = StepCostTable(replica_spec(kind).deployment, LLAMA2_70B, BFLOAT16)
     table.prefill_s(1024)
     table.decode_step_s(16, 1000)
@@ -72,8 +80,10 @@ def test_miss_costs_one_block(kind, monkeypatch):
 def test_unexpected_graph_shape_raises(monkeypatch):
     """A builder that ignores the one-block twin must fail loudly."""
     table = StepCostTable(replica_spec("tdx").deployment, LLAMA2_7B, BFLOAT16)
-    monkeypatch.setattr(stepcost, "prefill_ops",
-                        lambda model, dtype, batch, prompt: prefill_ops(
-                            LLAMA2_7B, dtype, batch, prompt))
+    monkeypatch.setattr(stepcost, "prefill_columns",
+                        lambda model, dtype, lengths: prefill_columns(
+                            LLAMA2_7B, dtype, lengths))
     with pytest.raises(RuntimeError, match="one-block graph"):
         table.prefill_s(64)
+    with pytest.raises(RuntimeError, match="one-block graph"):
+        table.row_prefill([64, 65])
