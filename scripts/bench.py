@@ -128,6 +128,21 @@ def micro_benchmarks() -> dict:
     results["stepcost_prefill_column_cold"] = _time(prefill_column_cold,
                                                     repeats=3)
 
+    # Decode step costing: every batch 1..32 at contexts 16..4096 (one
+    # per 64-token bucket) through decode_step_s on fresh TDX and cGPU
+    # tables, the shapes a fleet's decode runs look up.
+    decode_shapes = [(batch, context) for batch in range(1, 33)
+                     for context in range(16, 4097, 64)]
+
+    def decode_tiles_cold() -> None:
+        for kind in ("tdx", "cgpu"):
+            spec = replica_spec(kind)
+            table = StepCostTable(spec.deployment, spec.model, spec.dtype)
+            for batch, context in decode_shapes:
+                table.decode_step_s(batch, context)
+    results["stepcost_decode_tiles_cold"] = _time(decode_tiles_cold,
+                                                  repeats=3)
+
     # Fleet smoke: a 2-replica TDX fleet serving a 40-request stream
     # through the shared-clock event loop (routing + stepped replicas).
     fleet_stream = poisson_table(40, rate_per_s=4.0, mean_prompt=128,

@@ -1,12 +1,14 @@
 """Decoder op-graph construction for prefill and decode steps.
 
 :func:`prefill_ops` and :func:`decode_step_ops` emit the operator stream
-of one forward step, and :func:`prefill_columns` the fields of
-single-sequence prefill graphs at many prompt lengths at once, from the
-same expressions.  The operator names match the per-block layer
-categories in the paper's Fig. 7 trace study (input layernorm, QKV
-projection, self-attention, output projection, post-attention layernorm,
-gate/up projection with SiLU multiply, down projection, residuals).
+of one forward step.  Their column twins build the same fields at many
+step shapes at once, from the same expressions: :func:`prefill_columns`
+for single-sequence prefill at many prompt lengths, and
+:func:`decode_columns` for decode at many (batch, context) shapes.  The
+operator names match the per-block layer categories in the paper's
+Fig. 7 trace study (input layernorm, QKV projection, self-attention,
+output projection, post-attention layernorm, gate/up projection with
+SiLU multiply, down projection, residuals).
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ BLOCK_OP_NAMES = (
 #: An operator before it is placed in a step: ``(name, category,
 #: fields)``, with ``fields`` in :data:`~repro.llm.ops.AFFINE_FIELDS`
 #: order.  A field is a float, or a float64 array when the step's
-#: length is an array (:func:`prefill_columns`); the same expressions
-#: compute both.
+#: shape is an array (:func:`prefill_columns`, :func:`decode_columns`);
+#: the same expressions compute both.
 OpSpec = tuple[str, OpCategory, tuple]
 
 
@@ -215,8 +217,55 @@ def prefill_columns(model: ModelConfig, dtype: DType,
     lengths = np.asarray(input_lens, dtype=np.float64)
     if lengths.size:
         _check_shape(1, lengths.min().item(), 1)
-    specs, layers = _prefill_step(model, dtype, 1.0, lengths)
-    fields = np.zeros((len(AFFINE_FIELDS), len(specs), lengths.size))
+    return _columns(*_prefill_step(model, dtype, 1.0, lengths), lengths.size)
+
+
+def _decode_step(model: ModelConfig, dtype: DType, sequences,
+                 context_len) -> tuple[list[OpSpec], list[int | None]]:
+    attention = _decode_attention_spec(model, dtype, context_len, sequences)
+    return _step_specs(_embed_spec(model, dtype, sequences),
+                       _block_specs(model, dtype, sequences, attention),
+                       _head_specs(model, dtype, sequences),
+                       model.num_layers)
+
+
+def decode_step_ops(model: ModelConfig, dtype: DType, batch_size: int,
+                    context_len: int, beam_size: int = 1) -> list[Operator]:
+    """Operator stream of one decode step at a given context length."""
+    _check_shape(batch_size, context_len, beam_size)
+    specs, layers = _decode_step(model, dtype,
+                                 float(batch_size * beam_size),
+                                 float(context_len))
+    return [_op(spec, Phase.DECODE, layer)
+            for spec, layer in zip(specs, layers)]
+
+
+def decode_columns(model: ModelConfig, dtype: DType, batches,
+                   contexts) -> OpColumns:
+    """:func:`decode_step_ops` at many (batch, context) shapes at once.
+
+    Operator ``k`` of ``decode_step_ops(model, dtype, batches[j],
+    contexts[j])`` is row ``k``, column ``j`` of the result.  Both come
+    from the same expressions evaluated on float64 batch and context
+    arrays instead of floats, so every field is bitwise equal to the
+    per-shape graph's.
+    """
+    sequences = np.asarray(batches, dtype=np.float64)
+    context_lens = np.asarray(contexts, dtype=np.float64)
+    if sequences.shape != context_lens.shape or sequences.ndim != 1:
+        raise ValueError(
+            f"batches and contexts must be aligned 1-d arrays, got shapes "
+            f"{sequences.shape} and {context_lens.shape}")
+    if sequences.size:
+        _check_shape(sequences.min().item(), context_lens.min().item(), 1)
+    return _columns(*_decode_step(model, dtype, sequences, context_lens),
+                    sequences.size)
+
+
+def _columns(specs: list[OpSpec], layers: list[int | None],
+             shapes: int) -> OpColumns:
+    """A step's operator specs laid out as ``shapes`` columns."""
+    fields = np.zeros((len(AFFINE_FIELDS), len(specs), shapes))
     for row, (_, _, values) in enumerate(specs):
         for plane, value in enumerate(values):
             if isinstance(value, np.ndarray) or value:  # 0.0 is already set
@@ -224,22 +273,6 @@ def prefill_columns(model: ModelConfig, dtype: DType,
     return OpColumns(names=tuple(spec[0] for spec in specs),
                      categories=tuple(spec[1] for spec in specs),
                      layers=tuple(layers), fields=fields)
-
-
-def decode_step_ops(model: ModelConfig, dtype: DType, batch_size: int,
-                    context_len: int, beam_size: int = 1) -> list[Operator]:
-    """Operator stream of one decode step at a given context length."""
-    _check_shape(batch_size, context_len, beam_size)
-    sequences = float(batch_size * beam_size)
-    attention = _decode_attention_spec(model, dtype, float(context_len),
-                                       sequences)
-    specs, layers = _step_specs(_embed_spec(model, dtype, sequences),
-                                _block_specs(model, dtype, sequences,
-                                             attention),
-                                _head_specs(model, dtype, sequences),
-                                model.num_layers)
-    return [_op(spec, Phase.DECODE, layer)
-            for spec, layer in zip(specs, layers)]
 
 
 def encode_ops(model: ModelConfig, dtype: DType, batch_size: int,

@@ -28,17 +28,23 @@ is bit-identical to costing the full graph
 (``serving.stepcost_graph_parity`` pins this).  Never shortcut the sum
 as ``num_layers * block_sum``: that rounds differently.
 
-Prefill has one costing path, an array pass: every prompt length the
-table has not seen is costed at once
-(:func:`~repro.llm.graph.prefill_columns` builds the twin's operator
-fields over a length array with the expressions :func:`prefill_ops`
-evaluates, and ``step_cost_columns`` costs them term for term in the
-scalar cost model's order), then each length is finished on Python
-floats with :func:`step_total_s`.  Elementwise float64 arithmetic
-rounds exactly as Python floats do, so every value equals
-``_step_s(prefill_ops(...))`` bit for bit (``tests/serving/
-test_prefill_column.py``).  A single-length miss is the same pass at
-one length.
+Both phases have one costing path, an array pass over the twin.
+Prefill costs every prompt length the table has not seen at once
+(:func:`~repro.llm.graph.prefill_columns`); a single-length miss is the
+same pass at one length.  Decode costs in tiles of 16 batch sizes by 16
+context buckets (1,024 tokens of context): a ``decode_step_s`` miss
+costs the whole tile that holds its shape
+(:func:`~repro.llm.graph.decode_columns`), the table keeps the tile's
+per-operator totals, and each shape is finished on its first lookup.
+Each column builder evaluates the expressions of :func:`prefill_ops` or
+:func:`decode_step_ops` over float64 arrays, ``step_cost_columns``
+costs them term for term in the scalar cost model's order, and every
+shape is finished on Python floats with :func:`step_total_s`, never a
+numpy sum.  Elementwise float64 arithmetic rounds exactly as Python
+floats do, so every value equals the scalar one-block path (``step_cost``
+over one shape's graph) bit for bit (``tests/serving/
+test_prefill_column.py``, ``tests/serving/test_decode_column.py``), and
+lookup order does not change any value.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ from __future__ import annotations
 from array import array
 from collections.abc import Sequence
 from dataclasses import replace
+from numbers import Integral
 
 import numpy as np
 
@@ -59,16 +66,16 @@ from ..engine.roofline import (
 )
 from ..llm.config import ModelConfig
 from ..llm.datatypes import DType
-# prefill_ops is not called here: it is the scalar reference the prefill
-# column equals, and stays importable beside decode_step_ops, where
+# prefill_ops and decode_step_ops are not called here: they are the
+# scalar references the columns equal, and stay importable here because
 # perfbench's tracer wraps both as graph building.
 from ..llm.graph import (  # noqa: F401
     BLOCK_OP_NAMES,
+    decode_columns,
     decode_step_ops,
     prefill_columns,
     prefill_ops,
 )
-from ..llm.ops import Operator
 from ..memo import MemoCache
 
 #: Shared tables by (deployment, model, dtype): a fleet of identical
@@ -77,6 +84,10 @@ _SHARED_TABLES = MemoCache("step_cost_table", maxsize=32)
 
 #: Decode contexts are memoized on multiples of this many tokens.
 _CONTEXT_GRID = 64
+
+#: A decode tile spans this many batch sizes by this many context
+#: buckets (1,024 tokens of context), costed in one array pass.
+_TILE = 16
 
 #: Prefill units per second: a unit is 2**-1074 s, the smallest
 #: subnormal double, so every finite double is a whole number of units,
@@ -102,6 +113,7 @@ class StepCostTable:
         self._cost_model = cost_model_for(deployment)
         self._one_block = replace(model, num_layers=1)
         self._step_cache: dict[tuple[int, int], float] = {}
+        self._decode_tiles: dict[tuple[int, int], StepCostColumns] = {}
         self._prefill_cache: dict[int, float] = {}
 
     @classmethod
@@ -156,14 +168,6 @@ class StepCostTable:
         return step_total_s(full, step.exits_s, step.fixed_s,
                             step.tax_multiplier)
 
-    def _step_s(self, ops: list[Operator], sets: WorkingSets) -> float:
-        """Full-model step seconds from the one-block twin's graph."""
-        self._check_one_block([op.name for op in ops],
-                              [op.layer for op in ops])
-        step = self._cost_model.step_cost(ops, sets, self.dtype)
-        return self._full_step_s([cost.total_s for cost in step.op_costs],
-                                 step)
-
     def _prefill_column(self, lengths: list[int]) -> list[float]:
         """Single-sequence prefill seconds at every length, in one pass."""
         columns = prefill_columns(self._one_block, self.dtype, lengths)
@@ -176,15 +180,50 @@ class StepCostTable:
 
     def decode_step_s(self, batch: int, context: int) -> float:
         """Duration of one decode step at ``batch`` sequences."""
-        context_bucket = max(16, (context // _CONTEXT_GRID) * _CONTEXT_GRID)
-        key = (batch, context_bucket)
+        key = (batch, max(16, (context // _CONTEXT_GRID) * _CONTEXT_GRID))
         cached = self._step_cache.get(key)
         if cached is None:
-            ops = decode_step_ops(self._one_block, self.dtype, batch,
-                                  context_bucket)
-            cached = self._step_cache[key] = self._step_s(
-                ops, self.working_sets(batch, context_bucket))
+            cached = self._step_cache[key] = self._decode_miss(*key)
         return cached
+
+    def _decode_miss(self, batch: int, bucket: int) -> float:
+        """Finish one decode shape from its tile, costing the tile first.
+
+        The tile holding ``(batch, bucket)`` spans :data:`_TILE` batch
+        sizes by :data:`_TILE` context buckets; its first miss costs all
+        of them in one array pass and keeps their per-operator totals.
+        """
+        # Checked before the tile arithmetic, which would hide the value.
+        if not isinstance(batch, Integral) or batch < 1:
+            raise ValueError(f"batch_size must be an int >= 1, got {batch!r}")
+        batch_tile, batch_offset = divmod(batch - 1, _TILE)
+        bucket_tile, bucket_offset = divmod(bucket // _CONTEXT_GRID, _TILE)
+        key = (batch_tile, bucket_tile)
+        tile = self._decode_tiles.get(key)
+        if tile is None:
+            tile = self._decode_tiles[key] = self._decode_tile(*key)
+        totals = tile.op_totals[:, batch_offset * _TILE + bucket_offset]
+        return self._full_step_s(totals.tolist(), tile)
+
+    def _decode_tile(self, batch_tile: int,
+                     bucket_tile: int) -> StepCostColumns:
+        """Per-operator decode costs over one tile, in one pass.
+
+        Column ``i * _TILE + k`` is batch ``batch_tile * _TILE + 1 + i``
+        at context bucket ``max(16, (bucket_tile * _TILE + k) *
+        _CONTEXT_GRID)``.
+        """
+        batches = np.arange(batch_tile * _TILE + 1,
+                            (batch_tile + 1) * _TILE + 1)
+        buckets = np.maximum(16, np.arange(bucket_tile * _TILE,
+                                           (bucket_tile + 1) * _TILE)
+                             * _CONTEXT_GRID)
+        batches, buckets = np.repeat(batches, _TILE), np.tile(buckets, _TILE)
+        columns = decode_columns(self._one_block, self.dtype, batches,
+                                 buckets)
+        self._check_one_block(columns.names, columns.layers)
+        return self._cost_model.step_cost_columns(
+            columns, self.working_sets(batches, buckets), self.dtype)
 
     def prefill_s(self, prompt_tokens: int) -> float:
         """Duration of a single-sequence prefill of ``prompt_tokens``."""

@@ -158,12 +158,16 @@ def stepcost_graph_parity(ctx: AuditContext) -> str:
     (``prefill_s``) and one column over every prompt (``row_prefill``)
     on a second fresh table.  The prompts include each table's
     threshold lengths, where an LLC, TLB or EPC ``<=`` test flips.
+    Decode shapes straddle the table's tile edges (batches 16/17 and
+    32/33, buckets 960/1024).  Half of them are read from a second
+    table in reverse order, so their tiles were costed by a different
+    first miss than the other half's.
     """
     deployments = (("baremetal", ctx.cpu("baremetal")), ("tdx", ctx.cpu("tdx")),
                    ("sgx", ctx.cpu("sgx")), ("cgpu", ctx.gpu(confidential=True)))
     base_prompts = (1, 2, 15, 16, 17, 127, 1024, 4095)
-    decode_shapes = [(batch, bucket) for batch in (1, 16, 64)
-                     for bucket in (16, 64, 1024, 4032)]
+    decode_shapes = [(batch, bucket) for batch in (1, 16, 17, 32, 33, 64)
+                     for bucket in (16, 960, 1024, 4032)]
     checked = 0
     for label, deployment in deployments:
         cost_model = cost_model_for(deployment)
@@ -182,13 +186,17 @@ def stepcost_graph_parity(ctx: AuditContext) -> str:
                     cases += [("prefill", prompt, table.prefill_s(prompt),
                                want),
                               ("prefill column", prompt, from_column, want)]
+                other = StepCostTable(deployment, model, dtype)
+                reads = ([(table, shape) for shape in decode_shapes[::2]]
+                         + [(other, shape)
+                            for shape in decode_shapes[1::2][::-1]])
                 cases += [("decode", (batch, bucket),
-                           table.decode_step_s(batch, bucket),
+                           reader.decode_step_s(batch, bucket),
                            cost_model.step_cost(
                                decode_step_ops(model, dtype, batch, bucket),
                                table.working_sets(batch, bucket),
                                dtype).total_s)
-                          for batch, bucket in decode_shapes]
+                          for reader, (batch, bucket) in reads]
                 for kind, shape, got, want in cases:
                     if got != want:
                         raise CheckFailure(

@@ -5,8 +5,9 @@ it has not seen is costed at once (``prefill_columns`` +
 ``step_cost_columns``), and ``prefill_s``'s miss path is the same pass
 at one length.  So comparing ``row_prefill`` with ``prefill_s`` cannot
 see drift any more; these tests compare both with the scalar path they
-replaced, ``_step_s(prefill_ops(...))`` (one-block graph, per-operator
-``_op_cost``), on fresh tables.
+replaced, ``scalar_step_s(prefill_ops(...))`` (one-block graph,
+per-operator ``_op_cost``; see ``stepcost_reference.py``), on fresh
+tables.
 
 Lengths are Hypothesis-drawn from ``1..max_position``, plus each
 table's threshold lengths +-1, where a ``<=`` test in the cost model
@@ -27,6 +28,8 @@ from repro.validate.differential import (
     prefill_threshold_lengths,
 )
 
+from .stepcost_reference import scalar_step_s
+
 MODELS = (LLAMA2_7B, LLAMA2_13B, LLAMA2_70B, GPTJ_6B)
 DTYPES = (FLOAT32, BFLOAT16, INT8)
 TABLES = [(kind, model, dtype) for kind in REPLICA_KINDS
@@ -45,7 +48,7 @@ def _table(kind, model, dtype) -> StepCostTable:
 
 def _reference(table: StepCostTable, length: int) -> float:
     ops = prefill_ops(table._one_block, table.dtype, 1, length)
-    return table._step_s(ops, table.working_sets(1, length))
+    return scalar_step_s(table, ops, table.working_sets(1, length))
 
 
 def _assert_column_exact(table: StepCostTable, lengths: list[int]) -> None:

@@ -4,8 +4,9 @@ A table miss builds the graph of a one-block twin of the model and
 rebuilds the full step's total from it.  These tests pin the result to
 ``step_cost(<full graph>).total_s`` with float equality (not a
 tolerance) on every replica kind and dtype, and check that a miss
-really costs one block: a decode miss through ``step_cost``, a prefill
-miss through the one-length array pass (``step_cost_columns``).
+really costs one block, in one array pass (``step_cost_columns``): a
+prefill miss at its one length, a decode miss over the whole tile that
+holds its shape.
 """
 
 import pytest
@@ -16,6 +17,7 @@ from repro.llm.config import GPTJ_6B, LLAMA2_7B, LLAMA2_70B
 from repro.llm.datatypes import BFLOAT16, FLOAT32, INT8
 from repro.llm.graph import (
     BLOCK_OP_NAMES,
+    decode_columns,
     decode_step_ops,
     prefill_columns,
     prefill_ops,
@@ -75,6 +77,13 @@ def test_miss_costs_one_block(kind, monkeypatch):
     table.prefill_s(1024)
     table.decode_step_s(16, 1023)  # same 64-token bucket: a hit
     assert len(seen) == 2
+    table.decode_step_s(1, 16)  # same tile, new shape: costs nothing
+    table.decode_step_s(9, 999)
+    assert len(seen) == 2
+    table.decode_step_s(17, 1000)  # the next batch tile
+    table.decode_step_s(16, 1024)  # the next context tile
+    assert len(seen) == 4
+    assert len(table._step_cache) == 5
 
 
 def test_unexpected_graph_shape_raises(monkeypatch):
@@ -87,3 +96,23 @@ def test_unexpected_graph_shape_raises(monkeypatch):
         table.prefill_s(64)
     with pytest.raises(RuntimeError, match="one-block graph"):
         table.row_prefill([64, 65])
+
+
+def test_unexpected_decode_graph_shape_raises(monkeypatch):
+    """A decode builder that ignores the one-block twin must fail loudly."""
+    table = StepCostTable(replica_spec("tdx").deployment, LLAMA2_7B, BFLOAT16)
+    monkeypatch.setattr(stepcost, "decode_columns",
+                        lambda model, dtype, batches, contexts:
+                        decode_columns(LLAMA2_7B, dtype, batches, contexts))
+    with pytest.raises(RuntimeError, match="one-block graph"):
+        table.decode_step_s(4, 500)
+    assert table._step_cache == {} and table._decode_tiles == {}
+
+
+@pytest.mark.parametrize("batch", [0, -3, -16, 2.0, 1.5, "4", None])
+def test_decode_batch_must_be_a_positive_int(batch):
+    """The caller's batch is named, not a tile offset derived from it."""
+    table = StepCostTable(replica_spec("tdx").deployment, LLAMA2_7B, BFLOAT16)
+    with pytest.raises(ValueError, match=rf"got {batch!r}$"):
+        table.decode_step_s(batch, 500)
+    assert table._step_cache == {} and table._decode_tiles == {}
