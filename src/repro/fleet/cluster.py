@@ -467,15 +467,24 @@ class FleetSimulator:
             self._rewake(replica, now)
 
     def _step_busy(self, now: float, state: _ChaosState | None) -> None:
-        """Step every busy replica to ``now``, in id order, and drop
-        the ones left with nothing to do.  Stepping an idle, unhung
-        replica is an exact no-op, so the rest of the fleet is never
-        visited."""
+        """Step the busy replicas a step to ``now`` can change, in id
+        order, and drop the ones left with nothing to do.
+
+        Stepping an idle, unhung replica is an exact no-op, so the rest
+        of the fleet is never visited.  So is stepping an unhung one
+        whose clock is already at or past ``now`` (a prefill or decode
+        step outlasted the tick): the scheduler's loop stops on
+        ``clock >= horizon`` before it acts, so nothing finishes, no
+        routing key moves and the replica stays busy.  A hung replica
+        is always stepped, since lifting its hang is a state change.
+        """
         busy = self._busy
         replicas = self.replicas
         for replica_id in sorted(busy):
             replica = replicas[replica_id]
             hung = replica._hang_until_s is not None
+            if not hung and replica.scheduler.clock_s >= now:
+                continue
             finished = replica.step(now)
             if state is not None:
                 state.land(finished)

@@ -17,19 +17,21 @@ caller submits to each yielded replica before asking for the next.
 Between two picks of one tick the only state change is that submit,
 which raises the chosen replica's ``outstanding`` by exactly one and
 changes neither routability nor free KV blocks (blocks are allocated
-at admission, inside ``step``).  So the least-outstanding and
-KV-pressure policies pick from a heap of each routable replica's key
-and bump the winner's count per pick, with the same tie-break on
-replica id; their ``choose`` is a one-prompt ``assign``.  The base
-``assign`` calls ``choose`` per prompt, the first at call time, which
-round-robin and the cost/SLO policy keep (its TTFT estimate moves with
-every submit).  A tick with no due requests makes no router call, so
+at admission, inside ``step``).  So the least-outstanding, KV-pressure
+and cost/SLO policies keep a heap of each routable replica's key and
+bump the winner's count per pick, with the same tie-break on replica
+id; their ``choose`` is a one-prompt ``assign``.  The base ``assign``
+calls ``choose`` per prompt, the first at call time, which round-robin
+keeps.  A tick with no due requests makes no router call, so
 ``assign`` takes at least one prompt.
 
-The cost/SLO policy reads every routable replica's TTFT estimate once
-per pick.  An estimate is O(1) in queue depth: each scheduler keeps its
-queued prefill as an exact running total, so routing stays flat under
-backlog (see ``ContinuousBatchingScheduler.estimated_ttft_s``).
+The cost/SLO heap is keyed by price, then outstanding.  A pick walks
+it in that order and stops at the first replica whose TTFT estimate
+clears the budget, which is the cheapest safe replica; only when every
+replica is at risk does it read them all.  An estimate is O(1) in
+queue depth: each scheduler keeps its queued prefill as an exact
+running total, so routing stays flat under backlog (see
+``ContinuousBatchingScheduler.estimated_ttft_s``).
 
 The load heap lives across ticks.  Before routing, the fleet tells the
 router (:meth:`Router._note_moved`) which replicas' keys may have moved
@@ -148,17 +150,18 @@ class RoundRobinRouter(Router):
 
 
 class _LoadHeapRouter(Router):
-    """Pick the replica with the least ``(pressure, outstanding, id)``
-    key from a load heap that persists across ticks.
+    """Pick from a load heap of ``(pressure or price, outstanding, id)``
+    keys that persists across ticks; by default, the least key wins.
 
     Heap entries are lists ``[pressure, outstanding, replica_id,
-    stamp, replica]``.  Each routable replica has one current entry,
-    which a pick bumps in place; the entries a re-key replaced stay in
-    the heap and are skipped when they surface.  Stamps are unique per
-    replica, so no two entries compare equal up to the replica.
-    Between rebuilds the routable set is fixed (a routability change
-    forces a rebuild), so only replicas whose key may have moved are
-    re-keyed, and only a changed key is pushed.
+    stamp, replica]``, where a policy's ``pressure`` may be a price.
+    Each routable replica has one current entry, which a pick bumps in
+    place; the entries a re-key replaced stay in the heap and are
+    skipped when they surface.  Stamps are unique per replica, so no
+    two entries compare equal up to the replica.  Between rebuilds the
+    routable set is fixed (a routability change forces a rebuild), so
+    only replicas whose key may have moved are re-keyed, and only a
+    changed key is pushed.
     """
 
     def __init__(self) -> None:
@@ -171,7 +174,8 @@ class _LoadHeapRouter(Router):
         self._moved: set[int] | None = None
 
     def _key(self, replica: Replica) -> tuple[float, int]:
-        """``(pressure, outstanding)`` of one routable replica."""
+        """``(pressure or price, outstanding)`` of one routable
+        replica."""
         raise NotImplementedError
 
     def _note_moved(self, moved: set[int] | None) -> None:
@@ -191,6 +195,11 @@ class _LoadHeapRouter(Router):
             self._rekey(moved)
         if not self._current:
             raise ValueError("no routable replica")
+        return self._picks(prompts, now)
+
+    def _picks(self, prompts: Iterable[int], now: float,
+               ) -> Iterator[Replica]:
+        """One pick per prompt from the current heap: its least entry."""
         return _pop_least(self._heap, self._current, prompts)
 
     def _fill(self, routable: list[Replica]) -> None:
@@ -251,7 +260,7 @@ class KvPressureRouter(_LoadHeapRouter):
         return -replica.kv_free_fraction, replica.outstanding
 
 
-class CostSloRouter(Router):
+class CostSloRouter(_LoadHeapRouter):
     """Prefer cheap replicas until TTFT SLO risk forces a spill.
 
     Args:
@@ -269,8 +278,12 @@ class CostSloRouter(Router):
             raise ValueError("slo_ttft_s must be positive")
         if not 0.0 < risk_factor <= 1.0:
             raise ValueError("risk_factor must be in (0, 1]")
+        super().__init__()
         self.slo_ttft_s = slo_ttft_s
         self.risk_factor = risk_factor
+
+    def _key(self, replica: Replica) -> tuple[float, int]:
+        return replica.spec.price_hr, replica.outstanding
 
     def to_state(self) -> dict:
         state = super().to_state()
@@ -290,18 +303,41 @@ class CostSloRouter(Router):
                 f"knobs {recorded}, this router has "
                 f"{(self.slo_ttft_s, self.risk_factor)}")
 
-    def choose(self, prompt_tokens: int, replicas: Sequence[Replica],
-               now: float) -> Replica:
+    def _picks(self, prompts: Iterable[int], now: float,
+               ) -> Iterator[Replica]:
+        """Per prompt, the cheapest replica whose TTFT estimate clears
+        the budget (ties to the least loaded, then id); if none does,
+        damage control: the least ``(estimate, id)``.
+
+        Current entries are popped in ``(price, outstanding, id)``
+        order, so the first safe one is the cheapest safe replica, and
+        a pick that finds none has popped, and estimated, every
+        routable replica exactly once.  The winner takes one more
+        outstanding request, and every popped entry goes back.
+        """
+        heap, current = self._heap, self._current
         budget = self.slo_ttft_s * self.risk_factor
-        estimates = [(r.estimated_ttft_s(prompt_tokens, now), r.replica_id, r)
-                     for r in self._routable(replicas)]
-        safe = [r for estimate, _, r in estimates if estimate <= budget]
-        if safe:
-            # Cheapest safe replica; ties to the least loaded, then id.
-            return min(safe, key=lambda r: (r.spec.price_hr, r.outstanding,
-                                            r.replica_id))
-        # Every replica is at risk: damage control, minimize the miss.
-        return min(estimates, key=lambda entry: entry[:2])[2]
+        for prompt_tokens in prompts:
+            popped = []
+            least = None
+            while heap:
+                entry = heappop(heap)
+                if current[entry[2]] is not entry:
+                    continue  # replaced by a re-key: drop it
+                popped.append(entry)
+                estimate = entry[4].estimated_ttft_s(prompt_tokens, now)
+                if estimate <= budget:
+                    chosen = entry
+                    break
+                key = (estimate, entry[2])
+                if least is None or key < least:
+                    least, fallback = key, entry
+            else:
+                chosen = fallback
+            chosen[1] += 1
+            for entry in popped:
+                heappush(heap, entry)
+            yield chosen[4]
 
 
 def _pop_least(heap: list[list], current: dict[int, list],

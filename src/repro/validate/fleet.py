@@ -27,8 +27,9 @@ numbers.
   fleet per request, and requires exactly equal reports, plus ticks
   where the persistent heap re-keyed only the replicas that moved.  A
   backlogged TDX + cGPU fleet, fault-free and under crashes, slowdowns
-  and timeouts, does the same for the cost/SLO router against a
-  reference whose TTFT estimate rescans each waiting queue.
+  and timeouts, does the same for the cost/SLO router's price-ordered
+  heap walk against a reference that estimates every routable replica
+  per request, rescanning each waiting queue.
 * ``serving.decode_event_parity`` (differential) runs fixed fleets
   over every admission policy x KV isolation mode, a preempting and a
   relaxed pool, with and without faults, once with the event-driven
@@ -665,6 +666,7 @@ class _ScanCostSlo(CostSloRouter):
     """Cost/SLO routing whose every TTFT estimate rescans the replica's
     waiting queue (the reference); counts its all-at-risk picks."""
 
+    assign = Router.assign
     at_risk = 0
 
     def choose(self, prompt_tokens, replicas, now):

@@ -179,6 +179,44 @@ class TestTicksOnlyWhereThereIsWork:
             assert calls == [12.0]
         assert_reports_equal(*reports)
 
+    def test_replica_past_the_tick_is_stepped_only_to_lift_a_hang(self):
+        """A 2048-token prefill outlasts ten 0.25 s ticks.  Those ticks
+        leave the replica alone, except the one its hang lifts on: that
+        step makes it routable again, so the row due at 1.0 s is routed
+        to it on time."""
+        spec = replica_spec("tdx", max_batch=8, kv_capacity_tokens=16384)
+        hang = FaultSchedule((FaultEvent(0.5, "hang", 0, duration_s=0.25),))
+        fleet = fixed_fleet(spec, 1, faults=hang)
+        replica = fleet.replicas[0]
+        scheduler = replica.scheduler
+        step = scheduler.step
+        calls = []
+
+        def spy(until_s=None):
+            calls.append((until_s, scheduler.clock_s))
+            return step(until_s)
+
+        scheduler.step = spy
+        table = RequestTable(np.arange(2), np.array([0.0, 0.8]),
+                             np.array([2048, 64]), np.array([8, 8]))
+        fleet.begin_run(table)
+        for _ in range(3):
+            fleet.run_tick()
+        assert fleet.run_clock_s == 0.75
+        assert replica._hang_until_s is None and replica.routable
+        # The tick the hang lifted on stepped the replica although its
+        # clock was already past the tick.
+        assert calls[-1] == (0.75, scheduler.clock_s)
+        assert scheduler.clock_s > 0.75
+        fleet.run_tick()
+        assert replica.outstanding == 2
+        while fleet.run_active:
+            fleet.run_tick()
+        # Every other step found the clock short of its horizon.
+        past = [(until, clock) for until, clock in calls if clock >= until]
+        assert past == [(0.75, calls[1][1])]
+        assert len(calls) < fleet.run_clock_s / 0.25
+
 
 class TestEventResume:
     @settings(max_examples=10, deadline=None)

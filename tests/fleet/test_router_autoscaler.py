@@ -21,7 +21,11 @@ from repro.fleet.router import (
 from repro.fleet.table import RequestTable
 from repro.serving.scheduler import OutcomeLog, ServeRequest, poisson_stream
 from repro.tee.boot import boot_profile
-from repro.validate.fleet import _ScanKvPressure, _ScanLeastOutstanding
+from repro.validate.fleet import (
+    _ScanCostSlo,
+    _ScanKvPressure,
+    _ScanLeastOutstanding,
+)
 
 TDX = replica_spec("tdx", max_batch=8, kv_capacity_tokens=8192)
 CGPU = replica_spec("cgpu", max_batch=8, kv_capacity_tokens=8192)
@@ -112,26 +116,27 @@ ASSIGN_CASES = {
     "kv-pressure": (KvPressureRouter, lambda: _ScanKvPressure().choose),
     "round-robin": (RoundRobinRouter, lambda: RoundRobinRouter().choose),
     "cost-slo": (lambda: CostSloRouter(slo_ttft_s=1.0),
-                 lambda: CostSloRouter(slo_ttft_s=1.0).choose),
+                 lambda: _ScanCostSlo(slo_ttft_s=1.0).choose),
 }
 
 
 def loaded_fleet(layout, prompts):
-    """Replicas with ``layout`` = [(booting, load, stepped)] per replica.
+    """Replicas with ``layout`` = [(booting, load, stepped, spec)] per
+    replica.
 
     Live replicas get ``load`` preloaded rows; ``stepped`` ones admit
     them so their KV pools differ.  Rows after the preload are left for
     the caller to route.
     """
-    preload = sum(load for booting, load, _ in layout if not booting)
+    preload = sum(load for booting, load, _, _ in layout if not booting)
     stream = [request(i, prompt=prompts[i % len(prompts)])
               for i in range(preload + 50)]
     table = RequestTable.from_requests(stream)
     log = OutcomeLog(len(table))
     replicas = []
     row = 0
-    for replica_id, (booting, load, stepped) in enumerate(layout):
-        replica = Replica(replica_id, TDX, provisioned_s=0.0,
+    for replica_id, (booting, load, stepped, spec) in enumerate(layout):
+        replica = Replica(replica_id, spec, provisioned_s=0.0,
                           boot_latency_s=60.0 if booting else 0.0)
         replica.scheduler.bind(table, log)
         if not booting:
@@ -147,13 +152,14 @@ def loaded_fleet(layout, prompts):
 class TestAssign:
     @settings(max_examples=40, deadline=None)
     @given(layout=st.lists(st.tuples(st.booleans(), st.integers(0, 3),
-                                     st.booleans()),
+                                     st.booleans(),
+                                     st.sampled_from((TDX, CGPU))),
                            min_size=1, max_size=6),
            prompts=st.lists(st.sampled_from((64, 512, 1024, 2048)),
                             min_size=1, max_size=4),
            k=st.integers(1, 50))
     def test_assign_matches_choose_per_request(self, layout, prompts, k):
-        if all(booting for booting, _, _ in layout):
+        if all(booting for booting, _, _, _ in layout):
             layout[0] = (False,) + layout[0][1:]
         for name, (policy, reference) in ASSIGN_CASES.items():
             replicas, first, prompt_of = loaded_fleet(layout, prompts)
@@ -215,6 +221,121 @@ class TestAssign:
         stream = [request(0), request(1, prompt=9000)]
         with pytest.raises(ValueError, match="KV tokens"):
             fixed_fleet(TDX, 2).run(stream)
+
+
+def routed(router, replicas, prompts, first_row=0):
+    """Route ``prompts`` as one tick, submitting each pick's row; the
+    picked replica ids."""
+    picks = []
+    for row, replica in enumerate(router.assign(prompts, replicas, 0.0),
+                                  start=first_row):
+        replica.submit(row)
+        picks.append(replica.replica_id)
+    return picks
+
+
+def count_estimates(replicas):
+    """Wrap each replica's TTFT estimate; the per-replica call counts."""
+    counts = {replica.replica_id: 0 for replica in replicas}
+    for replica in replicas:
+        estimate = replica.estimated_ttft_s
+
+        def counted(prompt_tokens, now, estimate=estimate,
+                    replica_id=replica.replica_id):
+            counts[replica_id] += 1
+            return estimate(prompt_tokens, now)
+
+        replica.estimated_ttft_s = counted
+    return counts
+
+
+class TestCostSloWalk:
+    """The cost/SLO heap walk visits replicas in ``(price, outstanding,
+    id)`` order and stops at the first safe one."""
+
+    def test_price_and_load_ties_break_on_id(self):
+        replicas = live_replicas(CGPU, TDX, TDX, TDX, stream=[
+            request(i) for i in range(6)])
+        router = CostSloRouter(slo_ttft_s=30.0)
+        # The three TDX replicas tie on price, then on load; each pick
+        # bumps the winner, so they take turns in id order.
+        assert routed(router, replicas, [64] * 6) == [1, 2, 3, 1, 2, 3]
+
+    def test_first_safe_replica_beats_a_lower_estimate(self):
+        replicas = live_replicas(CGPU, TDX, TDX, stream=[
+            request(0, prompt=2048), request(1, prompt=512),
+            request(2, prompt=512)])
+        router = CostSloRouter(slo_ttft_s=30.0)
+        replicas[1].submit(0)
+        estimates = [r.estimated_ttft_s(512, 0.0) for r in replicas]
+        # The cGPU is the fastest, yet the idle TDX replica is the
+        # cheapest and least loaded.
+        assert estimates[0] < estimates[2] < estimates[1]
+        assert routed(router, replicas, [512], first_row=1) == [2]
+        # With one row each, the TDX replicas tie on load and the lower
+        # id wins, although its queued 2048-token prompt gives it the
+        # higher estimate.
+        assert (replicas[1].estimated_ttft_s(512, 0.0)
+                > replicas[2].estimated_ttft_s(512, 0.0))
+        assert routed(router, replicas, [512], first_row=2) == [1]
+
+    def test_all_at_risk_picks_least_estimate_then_id(self):
+        replicas = live_replicas(TDX, CGPU, CGPU, TDX, stream=[
+            request(i, prompt=1024) for i in range(4)])
+        router = CostSloRouter(slo_ttft_s=0.01)
+        for replica in replicas:
+            assert replica.estimated_ttft_s(1024, 0.0) > 0.008
+        # The idle cGPUs tie on estimate: id 1 first, then id 2 (whose
+        # estimate is now the lower), then id 1 again.
+        assert routed(router, replicas, [1024] * 3) == [1, 2, 1]
+
+    def test_cancel_rekeys_the_replica_for_the_next_pick(self):
+        replicas = live_replicas(TDX, TDX, stream=[
+            request(i) for i in range(4)])
+        router = CostSloRouter(slo_ttft_s=30.0)
+        router._note_moved(None)
+        assert routed(router, replicas, [64] * 3) == [0, 1, 0]
+        assert replicas[0].cancel(0) == 0
+        fills = []
+        fill = router._fill
+
+        def counted_fill(routable):
+            fills.append(len(routable))
+            fill(routable)
+
+        router._fill = counted_fill
+        # Only replica 0 moved: its entry is re-keyed in place of a
+        # rebuild, and the pick finds it level with replica 1 again.
+        router._note_moved({0})
+        assert routed(router, replicas, [64], first_row=3) == [0]
+        assert fills == []
+
+    def test_pick_estimates_each_routable_replica_at_most_once(self):
+        replicas = live_replicas(TDX, TDX, CGPU, TDX, stream=[
+            request(i, prompt=1024) for i in range(10)])
+        booting = Replica(4, TDX, provisioned_s=0.0, boot_latency_s=60.0)
+        replicas.append(booting)
+        counts = count_estimates(replicas)
+        router = CostSloRouter(slo_ttft_s=0.01)
+        router._note_moved(None)
+        routed(router, replicas, [1024])
+        # Every replica is at risk, so each routable one is read once.
+        assert counts == {0: 1, 1: 1, 2: 1, 3: 1, 4: 0}
+        # Cancelling leaves a replaced entry in the heap; it is dropped,
+        # not estimated, when the walk reaches it.
+        picked = next(r for r in replicas if r.outstanding)
+        picked.cancel(0)
+        router._note_moved({picked.replica_id})
+        counts.update(dict.fromkeys(counts, 0))
+        picks = router.assign([1024], replicas, 0.0)
+        assert len(router._heap) > len(router._current)
+        next(picks).submit(1)
+        assert counts == {0: 1, 1: 1, 2: 1, 3: 1, 4: 0}
+        # With room in the budget the walk stops at the first replica.
+        router.slo_ttft_s = 30.0
+        counts.update(dict.fromkeys(counts, 0))
+        assert routed(router, replicas, [1024], first_row=2) == [0]
+        assert sum(counts.values()) == 1
 
 
 class TestReplicaLifecycle:
