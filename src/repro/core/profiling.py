@@ -1,12 +1,14 @@
 """Profiling layer: cache statistics.
 
 The simulator memoizes its hot paths — op-graph construction
-(``op_graph``, ``affine_decode_graph`` in :mod:`repro.llm.graph`),
-scalar step costs (``prefill_step_cost``, ``decode_step_cost`` in
-:mod:`repro.engine.simulator`) and the vectorized decode-cost engine
-(``decode_cost_engine`` in :mod:`repro.engine.vectorized`).  This module
-is the front door to those caches: their hit/miss counters, a reset,
-and a one-line-per-cache report (``scripts/bench.py`` prints them).
+(``op_graph`` in :mod:`repro.llm.graph`), scalar step costs
+(``prefill_step_cost``, ``decode_step_cost`` in
+:mod:`repro.engine.simulator`) and the fleet's shared step-cost tables
+(``step_cost_table`` in :mod:`repro.serving.stepcost`); a generation's
+decode trajectory is one column pass per call and is not memoized.
+This module is the front door to those caches: their hit/miss
+counters, a reset, and a one-line-per-cache report
+(``scripts/bench.py`` prints them).
 Wall-clock time per layer is measured from outside the program, by
 ``perfbench``'s tracer, so the simulator carries no timers.
 """

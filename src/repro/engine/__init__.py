@@ -13,7 +13,6 @@ from .roofline import (
     OpCost,
     StepCost,
     WorkingSets,
-    WorkingSetsVec,
     cost_model_for,
     gpu_io_bytes,
 )
@@ -24,7 +23,6 @@ from .simulator import (
     simulate_encode,
     simulate_generation,
 )
-from .vectorized import DecodeCostEngine, decode_cost_engine
 from .trace import (
     LayerStat,
     TraceEvent,
@@ -38,10 +36,9 @@ __all__ = [
     "CpuPlacement", "Deployment", "GpuPlacement", "Workload",
     "weight_footprint",
     "CpuCostModel", "GpuCostModel", "OpCost", "StepCost", "WorkingSets",
-    "WorkingSetsVec", "cost_model_for", "gpu_io_bytes",
+    "cost_model_for", "gpu_io_bytes",
     "GenerationResult", "decode_step_cost", "prefill_step_cost",
     "simulate_encode", "simulate_generation",
-    "DecodeCostEngine", "decode_cost_engine",
     "LayerStat", "TraceEvent", "block_layer_summary", "decoder_block_share",
     "events_from_step", "layer_overheads",
 ]

@@ -15,7 +15,7 @@ This is where every mechanism from :mod:`repro.memsim` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -26,7 +26,8 @@ from ..hardware.engines import (
     is_fallback_path,
 )
 from ..llm.datatypes import DType
-from ..llm.ops import AffineOp, OpColumns, Operator, OpCategory, Phase
+from ..llm.graph import BLOCK_OP_NAMES
+from ..llm.ops import OpColumns, Operator, OpCategory, Phase
 from ..memsim.cache import CacheModel
 from ..memsim.epc import EPC_FAULT_S, paging_fraction_vec, paging_overhead_s
 from ..memsim.numa import (
@@ -66,25 +67,15 @@ HYPERTHREAD_TAX = 0.03
 
 @dataclass(frozen=True)
 class WorkingSets:
-    """Per-stream working sets of one forward step (bytes)."""
+    """Per-stream working sets of one forward step (bytes).
+
+    In a column pass (``step_cost_columns``) a field may instead be an
+    array with one entry per shape.
+    """
 
     weights: float
     kv: float
     activations: float
-
-
-@dataclass(frozen=True)
-class WorkingSetsVec:
-    """Per-stream working sets across many contexts at once.
-
-    The vectorized decode path evaluates one step cost per entry of a
-    context vector; ``kv`` and ``activations`` are arrays aligned with
-    that vector while ``weights`` is context-independent.
-    """
-
-    weights: float
-    kv: np.ndarray
-    activations: np.ndarray
 
 
 def gpu_io_bytes(workload: Workload, phase: Phase) -> float:
@@ -147,6 +138,51 @@ class StepCostColumns:
     exits_s: float
     fixed_s: float
     tax_multiplier: float
+
+
+def one_block_rows(columns: OpColumns, values: np.ndarray,
+                   num_layers: int) -> Iterator[list[float]]:
+    """The full model's per-operator values, from its one-block twin.
+
+    ``columns`` is a step graph of the model's ``num_layers=1`` twin,
+    and ``values`` has one row per operator of it and one column per
+    shape (its ``op_totals``, or one of its field planes).  Every block
+    of a step emits the same operators, so shape ``j``'s full graph is
+    embed, the block's values ``num_layers`` times, then the head; each
+    yielded list is that, in graph order, on Python floats, built only
+    when it is reached.  Summing it left to right therefore rounds
+    exactly as summing the full graph does; never shortcut it as
+    ``num_layers * block_sum``.
+
+    Raises:
+        RuntimeError: If ``columns`` is not embed + one block + head.
+    """
+    width = len(BLOCK_OP_NAMES)
+    names, layers = columns.names, columns.layers
+    outside = layers[:1] + layers[1 + width:]
+    if (names[1:1 + width] != BLOCK_OP_NAMES
+            or outside.count(None) != len(outside)):
+        raise RuntimeError(
+            f"one-block graph is not embed + {width} block ops + head "
+            f"(got {list(names)}); the full step cannot be rebuilt from it")
+    return ([shape[0], *shape[1:1 + width] * num_layers, *shape[1 + width:]]
+            for shape in values.T.tolist())
+
+
+def one_block_step_s(columns: OpColumns, step: StepCostColumns,
+                     num_layers: int, shapes=slice(None)) -> list[float]:
+    """Full-model step seconds of a costed one-block twin's shapes.
+
+    ``step`` is ``step_cost_columns`` over ``columns``; ``shapes``
+    selects which of its shapes to finish (all by default).  Each is
+    finished on Python floats with :func:`step_total_s`, never a numpy
+    sum, so it equals :attr:`StepCost.total_s` of the full graph at that
+    shape bit for bit.
+    """
+    return [step_total_s(full, step.exits_s, step.fixed_s,
+                         step.tax_multiplier)
+            for full in one_block_rows(columns, step.op_totals[:, shapes],
+                                       num_layers)]
 
 
 @dataclass(frozen=True)
@@ -408,8 +444,7 @@ class CpuCostModel:
         return StepCost(op_costs=tuple(op_costs), exits_s=exits_s,
                         fixed_s=fixed_s, tax_multiplier=tax)
 
-    def step_cost_columns(self, columns: OpColumns,
-                          sets: WorkingSets | WorkingSetsVec,
+    def step_cost_columns(self, columns: OpColumns, sets: WorkingSets,
                           dtype: DType) -> StepCostColumns:
         """:meth:`step_cost` of one graph at many shapes in one numpy pass.
 
@@ -464,77 +499,6 @@ class CpuCostModel:
         return StepCostColumns(op_totals=totals, exits_s=exits_s,
                                fixed_s=fixed_s, tax_multiplier=tax)
 
-    def step_costs_vec(self, affine_ops: Sequence[AffineOp],
-                       contexts: np.ndarray, sets: WorkingSetsVec,
-                       dtype: DType, io_bytes: float = 0.0) -> np.ndarray:
-        """Total step seconds at every context in one numpy pass.
-
-        Mirrors :meth:`step_cost` term for term (same traffic filtering,
-        translation and paging formulas, same accumulation order per
-        stream) over an affine operator set; parity with the scalar path
-        is enforced by the engine test suite to <1e-9 relative error.
-        """
-        del io_bytes  # CPU steps have no host-device staging
-        c = np.asarray(contexts, dtype=float)
-        fallback = is_fallback_path(dtype, self.amx_available)
-        bw = self.effective_bw(fallback)
-        allocator = self._allocator_inflation()
-        amdahl = self._amdahl()
-
-        # Per-stream translation coefficients: seconds of page-walk time
-        # per DRAM-visible byte of the stream, summed over the page mix.
-        per_core_divisor = max(1, self.placement.cores)
-        stream_sets = {"weights": sets.weights, "kv": sets.kv,
-                       "activations": sets.activations}
-        walk_coeff = {stream: 0.0 for stream in stream_sets}
-        for page_bytes, fraction in self._page_mix():
-            entries = self.cpu.tlb.entries_for(page_bytes)
-            for stream, stream_ws in stream_sets.items():
-                per_core_ws = np.asarray(stream_ws, dtype=float) \
-                    * fraction / per_core_divisor
-                miss = streaming_miss_rate_vec(per_core_ws, page_bytes,
-                                               entries)
-                walk_coeff[stream] = (walk_coeff[stream]
-                                      + fraction / page_bytes * miss
-                                      * self.walk.walk_s)
-
-        # EPC paging: seconds per DRAM-visible byte (SGX only).
-        paging_coeff = 0.0
-        if self.profile.epc_limited:
-            ws_total = sets.weights + sets.kv + sets.activations
-            paging_coeff = (paging_fraction_vec(ws_total, self._epc_bytes())
-                            / PAGE_4K * EPC_FAULT_S)
-
-        total = np.zeros_like(c)
-        for aff in affine_ops:
-            if aff.base.flops == 0.0 and aff.slope.flops == 0.0:
-                compute = np.zeros_like(c)
-            else:
-                engine, rate = self._engine_for(aff.category, dtype)
-                per_core = rate * self.cpu.clock_hz * self.framework.mfu(engine)
-                compute = aff.flops(c) / per_core * amdahl
-            weight_traffic = (
-                self._weight_traffic(aff.base.weight_bytes, dtype, fallback)
-                + self._weight_traffic(aff.slope.weight_bytes, dtype,
-                                       fallback) * c)
-            dram_w = self.llc.dram_bytes_vec(weight_traffic, sets.weights)
-            dram_kv = self.llc.dram_bytes_vec(
-                aff.kv_read_bytes(c) + aff.kv_write_bytes(c),
-                sets.kv) * allocator
-            dram_act = self.llc.dram_bytes_vec(aff.activation_bytes(c),
-                                               sets.activations) * allocator
-            memory = (dram_w + dram_kv + dram_act) / bw
-            translation = (dram_w * walk_coeff["weights"]
-                           + dram_kv * walk_coeff["kv"]
-                           + dram_act * walk_coeff["activations"]) \
-                * WALK_SERIAL_FRACTION
-            paging = (dram_w + dram_kv + dram_act) * paging_coeff
-            total = total + aff.multiplicity * (
-                np.maximum(compute, memory) + translation + paging)
-
-        exits, fixed, tax = self._step_scalars()
-        return (total + exits) * tax + fixed
-
 
 class GpuCostModel:
     """Operator cost model for (confidential) GPU deployments."""
@@ -588,15 +552,15 @@ class GpuCostModel:
             tax_multiplier=1.0,
         )
 
-    def step_cost_columns(self, columns: OpColumns,
-                          sets: WorkingSets | WorkingSetsVec,
-                          dtype: DType) -> StepCostColumns:
+    def step_cost_columns(self, columns: OpColumns, sets: WorkingSets,
+                          dtype: DType,
+                          io_bytes: float = 0.0) -> StepCostColumns:
         """:meth:`step_cost` of one graph at many shapes in one numpy pass.
 
         Each ``op_totals`` entry is bitwise :meth:`op_cost`'s
-        ``total_s`` (GPU operators pay no translation or paging).  Like
-        ``step_cost`` at its default ``io_bytes=0.0``, no host-device
-        staging is charged.
+        ``total_s`` (GPU operators pay no translation or paging), and
+        ``fixed_s`` charges the same host-device staging of ``io_bytes``
+        per step as :meth:`step_cost`.
         """
         del sets  # GPU HBM is not LLC-filtered at these working sets
         rate, bw = self._rates(dtype)
@@ -604,25 +568,9 @@ class GpuCostModel:
                        + columns.kv_read_bytes + columns.kv_write_bytes)
         return StepCostColumns(
             op_totals=np.maximum(columns.flops / rate, bytes_total / bw),
-            exits_s=0.0, fixed_s=self.profile.step_fixed_s,
+            exits_s=0.0,
+            fixed_s=self.profile.step_fixed_s + self._bounce_time(io_bytes),
             tax_multiplier=1.0)
-
-    def step_costs_vec(self, affine_ops: Sequence[AffineOp],
-                       contexts: np.ndarray, sets: WorkingSetsVec,
-                       dtype: DType, io_bytes: float = 0.0) -> np.ndarray:
-        """Total step seconds at every context in one numpy pass.
-
-        Mirrors :meth:`step_cost`/:meth:`op_cost` over an affine operator
-        set; GPU ops pay no translation or paging terms.
-        """
-        del sets  # GPU HBM is not LLC-filtered at these working sets
-        c = np.asarray(contexts, dtype=float)
-        rate, bw = self._rates(dtype)
-        total = np.zeros_like(c)
-        for aff in affine_ops:
-            total = total + aff.multiplicity * np.maximum(
-                aff.flops(c) / rate, aff.bytes_total(c) / bw)
-        return total + self.profile.step_fixed_s + self._bounce_time(io_bytes)
 
 
 def cost_model_for(deployment: Deployment) -> CpuCostModel | GpuCostModel:

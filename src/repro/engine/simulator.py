@@ -7,24 +7,35 @@ with a Z-score (§III-D).  Decode-step costs are recomputed every
 ``context_stride`` tokens (costs vary smoothly with context length) to
 keep sweeps fast; ``context_stride=1`` gives the exact per-step model.
 
-The clean decode trajectory comes from the
-:mod:`repro.engine.vectorized` decode-cost engine, which computes every
-costed step in one numpy pass and memoizes the per-shape cost curve.
-The original per-token loop survives as the private reference
-``_decode_clean_loop``, which the parity audit and tests compare the
-engine against (<1e-9 relative).  Memoized step costs are bit-identical
-to uncached ones (the caches store the computed values, they do not
-approximate them).
+The clean decode trajectory is one exact column pass, the one the
+fleet's step-cost table uses: every costed context of the generation is
+a column of the one-block twin's decode graph
+(:func:`~repro.llm.graph.decode_columns`), costed in one numpy pass
+(``step_cost_columns``) and finished to the full model's step on Python
+floats (:func:`~repro.engine.roofline.one_block_step_s`).  Every value
+equals the scalar :func:`decode_step_cost` at its context bit for bit;
+the per-token loop over that scalar path survives as the private
+reference ``_decode_clean_loop``, which the parity audit and tests
+compare the pass against with ``==``.  Memoized scalar step costs are
+bit-identical to uncached ones (the caches store the computed values,
+they do not approximate them).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import reduce
+from numbers import Integral
+from operator import add
 
 import numpy as np
 
-from ..llm.graph import cached_decode_step_ops, cached_prefill_ops
-from ..llm.ops import Operator, Phase, merge_totals
+from ..llm.graph import (
+    cached_decode_step_ops,
+    cached_prefill_ops,
+    decode_columns,
+)
+from ..llm.ops import OpColumns, Operator, Phase, merge_totals
 from ..memo import MemoCache
 from . import calibration as cal
 from .placement import CpuPlacement, Deployment, Workload, weight_footprint
@@ -35,9 +46,10 @@ from .roofline import (
     WorkingSets,
     cost_model_for,
     gpu_io_bytes,
+    one_block_rows,
+    one_block_step_s,
 )
 from .trace import TraceEvent, events_from_step
-from .vectorized import decode_cost_engine
 
 _PREFILL_COST_CACHE = MemoCache("prefill_step_cost", maxsize=256)
 _DECODE_COST_CACHE = MemoCache("decode_step_cost", maxsize=2048)
@@ -176,19 +188,43 @@ def decode_step_cost(workload: Workload, deployment: Deployment,
     return _DECODE_COST_CACHE.get_or_compute(key, build)
 
 
-def _decode_clean_vectorized(workload: Workload, deployment: Deployment,
-                             stride: int) -> np.ndarray:
-    """Clean per-token decode times via the vectorized cost engine.
+def _decode_pass(workload: Workload, deployment: Deployment,
+                 contexts: np.ndarray) -> tuple[OpColumns, WorkingSets]:
+    """The one-block decode graph at every context, and its working sets.
 
-    Reproduces the stride cadence of the reference loop exactly: costs
-    are evaluated at contexts ``input + k*stride`` and held for the
-    following ``stride`` tokens.
+    The working sets are :func:`_working_sets`' at each context: the KV
+    cache grows with the context (one array entry per column), the
+    weights are fixed, and so are the activations, the full graph's
+    summed left to right on Python floats as :func:`merge_totals` sums
+    them (``engine.vectorized_working_sets`` pins all three).
     """
-    engine = decode_cost_engine(workload, deployment)
-    costed_contexts = workload.input_tokens + np.arange(
-        0, workload.output_tokens, stride)
-    step_costs = engine.step_costs(costed_contexts)
-    return np.repeat(step_costs, stride)[:workload.output_tokens]
+    model, dtype = workload.model, workload.dtype
+    columns = decode_columns(replace(model, num_layers=1), dtype,
+                             np.full(contexts.shape, workload.sequences),
+                             contexts)
+    # A decode step's activations depend on its batch, not its context,
+    # so the first column's serve every column of the pass.
+    (first,) = one_block_rows(columns, columns.activation_bytes[:, :1],
+                              model.num_layers)
+    return columns, WorkingSets(
+        weights=weight_footprint(workload, deployment.framework),
+        kv=(workload.sequences * contexts
+            * model.kv_bytes_per_token(dtype.bytes)),
+        activations=reduce(add, first, 0.0))
+
+
+def _decode_steps_s(workload: Workload, deployment: Deployment,
+                    model: CpuCostModel | GpuCostModel,
+                    contexts: np.ndarray) -> list[float]:
+    """Decode-step seconds at every context, from one column pass."""
+    columns, sets = _decode_pass(workload, deployment, contexts)
+    if isinstance(deployment.placement, CpuPlacement):
+        step = model.step_cost_columns(columns, sets, workload.dtype)
+    else:
+        step = model.step_cost_columns(
+            columns, sets, workload.dtype,
+            io_bytes=gpu_io_bytes(workload, Phase.DECODE))
+    return one_block_step_s(columns, step, workload.model.num_layers)
 
 
 def _decode_clean_loop(workload: Workload, deployment: Deployment,
@@ -196,7 +232,7 @@ def _decode_clean_loop(workload: Workload, deployment: Deployment,
                        stride: int) -> np.ndarray:
     """Clean per-token decode times via the scalar reference loop.
 
-    Not on any production path: the reference the vectorized engine is
+    Not on any production path: the reference the column pass is
     checked against (``engine.vectorized_loop_parity``).
     """
     clean = np.empty(workload.output_tokens)
@@ -220,7 +256,8 @@ def simulate_generation(workload: Workload, deployment: Deployment,
         deployment: Where and how to run it.
         seed: Noise RNG seed.
         context_stride: Recompute decode-step cost every this many
-            tokens (``None`` picks ``output_tokens // 32``, at least 1).
+            tokens, an int >= 1 (``None`` picks ``output_tokens // 32``,
+            at least 1).
         record_steps: Keep the costed prefill and a mid-generation decode
             step for trace analysis (Fig. 7).  The sampled step is costed
             exactly at its own context without disturbing the
@@ -229,18 +266,27 @@ def simulate_generation(workload: Workload, deployment: Deployment,
 
     Raises:
         ValueError: If the workload cannot run on the deployment (dtype
-            unsupported, model does not fit, ...).
+            unsupported, model does not fit, ...), or ``context_stride``
+            is not an int >= 1.
     """
+    if context_stride is None:
+        stride = max(1, workload.output_tokens // 32)
+    elif (isinstance(context_stride, bool)
+          or not isinstance(context_stride, Integral) or context_stride < 1):
+        raise ValueError(
+            f"context_stride must be an int >= 1, got {context_stride!r}")
+    else:
+        stride = int(context_stride)
     deployment.validate_workload(workload)
     model = cost_model_for(deployment)
 
     prefill = prefill_step_cost(workload, deployment, model)
-
-    if context_stride is not None and context_stride < 1:
-        raise ValueError("context_stride must be >= 1")
-    stride = context_stride or max(1, workload.output_tokens // 32)
-
-    clean = _decode_clean_vectorized(workload, deployment, stride)
+    # Cost the contexts input + k*stride and hold each for the following
+    # stride tokens, the cadence of the reference loop.
+    contexts = workload.input_tokens + np.arange(0, workload.output_tokens,
+                                                 stride)
+    clean = np.repeat(_decode_steps_s(workload, deployment, model, contexts),
+                      stride)[:workload.output_tokens]
 
     sample_step: StepCost | None = None
     if record_steps:

@@ -13,14 +13,12 @@ SiLU multiply, down projection, residuals).
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ..memo import MemoCache
 from .config import ModelConfig
 from .datatypes import DType
-from .ops import AFFINE_FIELDS, AffineOp, OpColumns, Operator, OpCategory, Phase
+from .ops import OP_FIELDS, OpColumns, Operator, OpCategory, Phase
 
 #: Operator names emitted per decoder block, in execution order.
 BLOCK_OP_NAMES = (
@@ -39,7 +37,7 @@ BLOCK_OP_NAMES = (
 
 
 #: An operator before it is placed in a step: ``(name, category,
-#: fields)``, with ``fields`` in :data:`~repro.llm.ops.AFFINE_FIELDS`
+#: fields)``, with ``fields`` in :data:`~repro.llm.ops.OP_FIELDS`
 #: order.  A field is a float, or a float64 array when the step's
 #: shape is an array (:func:`prefill_columns`, :func:`decode_columns`);
 #: the same expressions compute both.
@@ -265,7 +263,7 @@ def decode_columns(model: ModelConfig, dtype: DType, batches,
 def _columns(specs: list[OpSpec], layers: list[int | None],
              shapes: int) -> OpColumns:
     """A step's operator specs laid out as ``shapes`` columns."""
-    fields = np.zeros((len(AFFINE_FIELDS), len(specs), shapes))
+    fields = np.zeros((len(OP_FIELDS), len(specs), shapes))
     for row, (_, _, values) in enumerate(specs):
         for plane, value in enumerate(values):
             if isinstance(value, np.ndarray) or value:  # 0.0 is already set
@@ -291,10 +289,6 @@ def encode_ops(model: ModelConfig, dtype: DType, batch_size: int,
 # immutable tuples — callers must not mutate them.
 
 _GRAPH_CACHE = MemoCache("op_graph", maxsize=512)
-_AFFINE_CACHE = MemoCache("affine_decode_graph", maxsize=256)
-
-#: Contexts used to extract and validate the affine decode model.
-_AFFINE_LO, _AFFINE_HI, _AFFINE_CHECK = 1, 2, 7
 
 
 def cached_prefill_ops(model: ModelConfig, dtype: DType, batch_size: int,
@@ -339,67 +333,6 @@ def cached_decode_step_ops(model: ModelConfig, dtype: DType, batch_size: int,
                              sequences)
         if op.name == "self_attention" else op
         for op in skeleton)
-
-
-def decode_step_affine(model: ModelConfig, dtype: DType, batch_size: int,
-                       beam_size: int = 1) -> tuple[AffineOp, ...]:
-    """Affine-in-context model of one decode step, layers collapsed.
-
-    Builds the operator stream at two reference contexts, differences
-    the cost fields into ``base + slope * context`` templates, verifies
-    the affine model against a third context, and merges identical
-    per-layer operators via ``multiplicity``.  The result is cached per
-    ``(model, dtype, batch, beams)`` — it is independent of prompt and
-    output lengths, so every input-length sweep shares one entry.
-
-    Raises:
-        RuntimeError: If some operator field is not affine in context
-            (a graph change the vectorized engine cannot represent).
-    """
-    key = (model, dtype, batch_size, beam_size)
-    return _AFFINE_CACHE.get_or_compute(
-        key, lambda: _build_decode_affine(model, dtype, batch_size, beam_size))
-
-
-def _build_decode_affine(model: ModelConfig, dtype: DType, batch_size: int,
-                         beam_size: int) -> tuple[AffineOp, ...]:
-    lo = cached_decode_step_ops(model, dtype, batch_size, _AFFINE_LO, beam_size)
-    hi = cached_decode_step_ops(model, dtype, batch_size, _AFFINE_HI, beam_size)
-    check = cached_decode_step_ops(model, dtype, batch_size, _AFFINE_CHECK,
-                                   beam_size)
-    groups: dict[tuple, AffineOp] = {}
-    order: list[tuple] = []
-    for op_lo, op_hi, op_check in zip(lo, hi, check):
-        bases, slopes = {}, {}
-        for field in AFFINE_FIELDS:
-            v_lo, v_hi = getattr(op_lo, field), getattr(op_hi, field)
-            slope = (v_hi - v_lo) / (_AFFINE_HI - _AFFINE_LO)
-            base = v_lo - slope * _AFFINE_LO
-            predicted = base + slope * _AFFINE_CHECK
-            actual = getattr(op_check, field)
-            if not math.isclose(predicted, actual, rel_tol=1e-9, abs_tol=1e-6):
-                raise RuntimeError(
-                    f"{op_lo.name}.{field} is not affine in context "
-                    f"(predicted {predicted}, got {actual}); the vectorized "
-                    f"decode engine cannot cost this graph")
-            bases[field] = base
-            slopes[field] = slope
-        key = (op_lo.name, op_lo.category,
-               tuple(bases.values()), tuple(slopes.values()))
-        if key in groups:
-            existing = groups[key]
-            groups[key] = AffineOp(base=existing.base, slope=existing.slope,
-                                   multiplicity=existing.multiplicity + 1)
-        else:
-            template = {"name": op_lo.name, "category": op_lo.category,
-                        "phase": Phase.DECODE, "layer": op_lo.layer}
-            groups[key] = AffineOp(
-                base=Operator(**template, **bases),
-                slope=Operator(**template, **slopes),
-                multiplicity=1,
-            )
-            order.append(key)
-    return tuple(groups[key] for key in order)
 
 
 def _check_shape(batch_size: int, length: int, beam_size: int) -> None:

@@ -109,67 +109,10 @@ class Operator:
         )
 
 
-#: Operator cost fields that vary (at most) affinely with context length.
-AFFINE_FIELDS = ("flops", "weight_bytes", "activation_bytes",
-                 "kv_read_bytes", "kv_write_bytes")
-
-
-@dataclass(frozen=True)
-class AffineOp:
-    """An operator whose cost fields are affine in decode context length.
-
-    During decode every field of every operator is ``base + slope * c``
-    in the attended context ``c`` (attention FLOPs and KV reads grow
-    linearly; everything else is constant).  Collapsing the per-layer
-    operator stream into a handful of affine templates — identical
-    layers merge via ``multiplicity`` — is what lets the vectorized
-    engine cost a whole generation in one numpy pass.
-
-    Attributes:
-        base: Field values at context 0 (also carries name/category).
-        slope: Per-context-token field increments (an :class:`Operator`
-            reusing its non-negativity validation).
-        multiplicity: How many identical instances the step contains
-            (``num_layers`` for per-block operators).
-    """
-
-    base: Operator
-    slope: Operator
-    multiplicity: int = 1
-
-    def __post_init__(self) -> None:
-        if self.multiplicity < 1:
-            raise ValueError("multiplicity must be >= 1")
-
-    @property
-    def name(self) -> str:
-        return self.base.name
-
-    @property
-    def category(self) -> OpCategory:
-        return self.base.category
-
-    def flops(self, context):
-        """FLOPs at a context length (scalar or numpy array)."""
-        return self.base.flops + self.slope.flops * context
-
-    def weight_bytes(self, context):
-        return self.base.weight_bytes + self.slope.weight_bytes * context
-
-    def activation_bytes(self, context):
-        return (self.base.activation_bytes
-                + self.slope.activation_bytes * context)
-
-    def kv_read_bytes(self, context):
-        return self.base.kv_read_bytes + self.slope.kv_read_bytes * context
-
-    def kv_write_bytes(self, context):
-        return self.base.kv_write_bytes + self.slope.kv_write_bytes * context
-
-    def bytes_total(self, context):
-        """All byte traffic at a context length."""
-        return (self.weight_bytes(context) + self.activation_bytes(context)
-                + self.kv_read_bytes(context) + self.kv_write_bytes(context))
+#: The cost fields of an :class:`Operator`, in :class:`OpColumns` plane
+#: order.
+OP_FIELDS = ("flops", "weight_bytes", "activation_bytes",
+             "kv_read_bytes", "kv_write_bytes")
 
 
 @dataclass(frozen=True)
@@ -185,8 +128,8 @@ class OpColumns:
         names: Operator names, in graph order.
         categories: Operator categories, in graph order.
         layers: Decoder block index per operator (``None`` outside).
-        fields: float64 array of shape ``(len(AFFINE_FIELDS), operators,
-            shapes)``, one plane per :data:`AFFINE_FIELDS` entry.
+        fields: float64 array of shape ``(len(OP_FIELDS), operators,
+            shapes)``, one plane per :data:`OP_FIELDS` entry.
     """
 
     names: tuple[str, ...]

@@ -58,17 +58,10 @@ class CacheModel:
         return traffic_bytes * self.dram_fraction(working_set_bytes)
 
     def dram_fraction_vec(self, working_set_bytes: np.ndarray) -> np.ndarray:
-        """Array twin of :meth:`dram_fraction` (vectorized engine)."""
+        """Array twin of :meth:`dram_fraction` (column costing)."""
         ws = np.asarray(working_set_bytes, dtype=float)
         if np.any(ws < 0):
             raise ValueError("working_set_bytes must be >= 0")
         capacity = self.effective_capacity
         safe = np.where(ws > 0.0, ws, 1.0)
         return np.where(ws <= capacity, 0.0, 1.0 - capacity / safe)
-
-    def dram_bytes_vec(self, traffic_bytes, working_set_bytes) -> np.ndarray:
-        """Array twin of :meth:`dram_bytes`; broadcasts both arguments."""
-        traffic = np.asarray(traffic_bytes, dtype=float)
-        if np.any(traffic < 0):
-            raise ValueError("traffic_bytes must be >= 0")
-        return traffic * self.dram_fraction_vec(working_set_bytes)

@@ -89,7 +89,7 @@ def paging_fraction(working_set_bytes: float, epc_bytes: float) -> float:
 
 
 def paging_fraction_vec(working_set_bytes, epc_bytes: float):
-    """Array twin of :func:`paging_fraction` (vectorized engine)."""
+    """Array twin of :func:`paging_fraction` (column costing)."""
     ws = np.asarray(working_set_bytes, dtype=float)
     if np.any(ws < 0) or epc_bytes <= 0:
         raise ValueError("working set must be >= 0 and EPC positive")

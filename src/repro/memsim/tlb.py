@@ -101,7 +101,7 @@ def streaming_miss_rate(working_set_bytes: float, page_bytes: int,
 
 def streaming_miss_rate_vec(working_set_bytes, page_bytes: int,
                             tlb_entries: int):
-    """Array twin of :func:`streaming_miss_rate` (vectorized engine)."""
+    """Array twin of :func:`streaming_miss_rate` (column costing)."""
     ws = np.asarray(working_set_bytes, dtype=float)
     if np.any(ws < 0):
         raise ValueError("working_set_bytes must be >= 0")

@@ -20,13 +20,13 @@ A miss costs one decoder block, not ``num_layers`` of them.  Every
 block of a step emits the same operators (only ``layer`` differs, and
 the cost model reads neither ``name`` nor ``layer``), so the table
 costs the 14 operators of a one-block twin of the model
-(``num_layers=1``) and rebuilds the full step's per-operator totals in
-graph order: embed, the block's totals repeated ``num_layers`` times,
-then the head.  :func:`step_total_s` sums that list left to right,
-exactly as :attr:`StepCost.total_s` sums the full graph, so the result
-is bit-identical to costing the full graph
-(``serving.stepcost_graph_parity`` pins this).  Never shortcut the sum
-as ``num_layers * block_sum``: that rounds differently.
+(``num_layers=1``) and rebuilds the full step with
+:func:`~repro.engine.roofline.one_block_step_s`, as the paper
+simulator's decode trajectory does: embed, the block's totals repeated
+``num_layers`` times, then the head, summed left to right exactly as
+:attr:`~repro.engine.roofline.StepCost.total_s` sums the full graph.
+The result is bit-identical to costing the full graph
+(``serving.stepcost_graph_parity`` pins this).
 
 Both phases have one costing path, an array pass over the twin.
 Prefill costs every prompt length the table has not seen at once
@@ -35,12 +35,12 @@ same pass at one length.  Decode costs in tiles of 16 batch sizes by 16
 context buckets (1,024 tokens of context): a ``decode_step_s`` miss
 costs the whole tile that holds its shape
 (:func:`~repro.llm.graph.decode_columns`), the table keeps the tile's
-per-operator totals, and each shape is finished on its first lookup.
-Each column builder evaluates the expressions of :func:`prefill_ops` or
-:func:`decode_step_ops` over float64 arrays, ``step_cost_columns``
-costs them term for term in the scalar cost model's order, and every
-shape is finished on Python floats with :func:`step_total_s`, never a
-numpy sum.  Elementwise float64 arithmetic rounds exactly as Python
+graph and per-operator totals, and each shape is finished on its first
+lookup.  Each column builder evaluates the expressions of
+:func:`prefill_ops` or :func:`decode_step_ops` over float64 arrays,
+``step_cost_columns`` costs them term for term in the scalar cost
+model's order, and every shape is finished on Python floats, never with
+a numpy sum.  Elementwise float64 arithmetic rounds exactly as Python
 floats do, so every value equals the scalar one-block path (``step_cost``
 over one shape's graph) bit for bit (``tests/serving/
 test_prefill_column.py``, ``tests/serving/test_decode_column.py``), and
@@ -50,7 +50,6 @@ lookup order does not change any value.
 from __future__ import annotations
 
 from array import array
-from collections.abc import Sequence
 from dataclasses import replace
 from numbers import Integral
 
@@ -58,11 +57,10 @@ import numpy as np
 
 from ..engine.placement import Deployment
 from ..engine.roofline import (
-    StepCost,
     StepCostColumns,
     WorkingSets,
     cost_model_for,
-    step_total_s,
+    one_block_step_s,
 )
 from ..llm.config import ModelConfig
 from ..llm.datatypes import DType
@@ -70,12 +68,12 @@ from ..llm.datatypes import DType
 # scalar references the columns equal, and stay importable here because
 # perfbench's tracer wraps both as graph building.
 from ..llm.graph import (  # noqa: F401
-    BLOCK_OP_NAMES,
     decode_columns,
     decode_step_ops,
     prefill_columns,
     prefill_ops,
 )
+from ..llm.ops import OpColumns
 from ..memo import MemoCache
 
 #: Shared tables by (deployment, model, dtype): a fleet of identical
@@ -113,7 +111,8 @@ class StepCostTable:
         self._cost_model = cost_model_for(deployment)
         self._one_block = replace(model, num_layers=1)
         self._step_cache: dict[tuple[int, int], float] = {}
-        self._decode_tiles: dict[tuple[int, int], StepCostColumns] = {}
+        self._decode_tiles: dict[tuple[int, int],
+                                 tuple[OpColumns, StepCostColumns]] = {}
         self._prefill_cache: dict[int, float] = {}
 
     @classmethod
@@ -147,36 +146,13 @@ class StepCostTable:
         kv = batch * context * self.model.kv_bytes_per_token(self.dtype.bytes)
         return WorkingSets(weights=weights, kv=kv, activations=64e6)
 
-    def _check_one_block(self, names: Sequence[str],
-                         layers: Sequence[int | None]) -> None:
-        """Refuse a graph that is not embed + one block + head."""
-        width = len(BLOCK_OP_NAMES)
-        if (tuple(names[1:1 + width]) != BLOCK_OP_NAMES
-                or any(layer is not None
-                       for layer in [*layers[:1], *layers[1 + width:]])):
-            raise RuntimeError(
-                f"one-block graph of {self.model.name} is not embed + "
-                f"{width} block ops + head (got {list(names)}); "
-                f"the step-cost table cannot rebuild the full step from it")
-
-    def _full_step_s(self, totals: list[float],
-                     step: StepCost | StepCostColumns) -> float:
-        """Full-model step seconds from the twin's per-operator totals."""
-        width = len(BLOCK_OP_NAMES)
-        full = (totals[:1] + totals[1:1 + width] * self.model.num_layers
-                + totals[1 + width:])
-        return step_total_s(full, step.exits_s, step.fixed_s,
-                            step.tax_multiplier)
-
     def _prefill_column(self, lengths: list[int]) -> list[float]:
         """Single-sequence prefill seconds at every length, in one pass."""
         columns = prefill_columns(self._one_block, self.dtype, lengths)
-        self._check_one_block(columns.names, columns.layers)
         step = self._cost_model.step_cost_columns(
             columns, self.working_sets(1, np.asarray(lengths, np.int64)),
             self.dtype)
-        return [self._full_step_s(totals, step)
-                for totals in step.op_totals.T.tolist()]
+        return one_block_step_s(columns, step, self.model.num_layers)
 
     def decode_step_s(self, batch: int, context: int) -> float:
         """Duration of one decode step at ``batch`` sequences."""
@@ -201,12 +177,17 @@ class StepCostTable:
         key = (batch_tile, bucket_tile)
         tile = self._decode_tiles.get(key)
         if tile is None:
-            tile = self._decode_tiles[key] = self._decode_tile(*key)
-        totals = tile.op_totals[:, batch_offset * _TILE + bucket_offset]
-        return self._full_step_s(totals.tolist(), tile)
+            tile = self._decode_tile(*key)
+        index = batch_offset * _TILE + bucket_offset
+        (seconds,) = one_block_step_s(*tile, self.model.num_layers,
+                                      slice(index, index + 1))
+        # Kept only once a shape is finished: a graph the full step
+        # cannot be rebuilt from leaves no tile behind.
+        self._decode_tiles[key] = tile
+        return seconds
 
-    def _decode_tile(self, batch_tile: int,
-                     bucket_tile: int) -> StepCostColumns:
+    def _decode_tile(self, batch_tile: int, bucket_tile: int
+                     ) -> tuple[OpColumns, StepCostColumns]:
         """Per-operator decode costs over one tile, in one pass.
 
         Column ``i * _TILE + k`` is batch ``batch_tile * _TILE + 1 + i``
@@ -221,8 +202,7 @@ class StepCostTable:
         batches, buckets = np.repeat(batches, _TILE), np.tile(buckets, _TILE)
         columns = decode_columns(self._one_block, self.dtype, batches,
                                  buckets)
-        self._check_one_block(columns.names, columns.layers)
-        return self._cost_model.step_cost_columns(
+        return columns, self._cost_model.step_cost_columns(
             columns, self.working_sets(batches, buckets), self.dtype)
 
     def prefill_s(self, prompt_tokens: int) -> float:

@@ -2,8 +2,8 @@
 
 A registry of named checks (``@check``) spanning four families:
 
-* **differential** — fast paths against reference twins (vectorized vs
-  loop engine, memoized vs cold caches, parallel vs serial sweeps,
+* **differential** — fast paths against reference twins (decode column
+  pass vs scalar loop, memoized vs cold caches, parallel vs serial sweeps,
   analytical FLOPs vs the numpy reference transformer, closed forms vs
   the functional TLB/EPC simulators),
 * **metamorphic** — monotonicity and ordering invariants the cost model

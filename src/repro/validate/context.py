@@ -35,9 +35,6 @@ class Tolerances:
     """Comparison tolerances used across the check families.
 
     Attributes:
-        engine_parity_rel: Max relative error between the vectorized and
-            reference-loop decode engines (they share the same algebra,
-            so only float reassociation noise is allowed).
         flops_gemm_rel: Analytical GEMM FLOPs vs the numpy reference
             pass's recorded matmul shapes (exact formulas; float noise).
         attention_ratio_band: Allowed analytical/recorded attention FLOP
@@ -51,7 +48,6 @@ class Tolerances:
             monotonicity checks (pure float noise).
     """
 
-    engine_parity_rel: float = 1e-9
     flops_gemm_rel: float = 1e-6
     attention_ratio_band: tuple[float, float] = (0.40, 0.65)
     golden_rel: float = 1e-4

@@ -1,8 +1,8 @@
 """Differential checks: independent code paths must agree.
 
 Every engine, cache and parallelism feature in the repository has a
-slower, simpler twin: the vectorized decode engine has the scalar
-reference loop, memo caches have cold recomputation, process-pool sweeps
+slower, simpler twin: the decode column pass has the scalar reference
+loop, memo caches have cold recomputation, process-pool sweeps
 have serial execution, the analytical FLOP/byte formulas have the numpy
 mini-Llama that actually executes the matmuls, and the closed-form
 TLB/EPC models have functional simulators.  These checks pin each pair
@@ -17,10 +17,10 @@ import numpy as np
 from ..engine.roofline import CpuCostModel, cost_model_for
 from ..engine.simulator import (
     _decode_clean_loop,
+    _decode_pass,
     _working_sets,
     simulate_generation,
 )
-from ..engine.vectorized import decode_cost_engine
 from ..core.sweep import sweep_workload
 from ..llm.config import GPTJ_6B, LLAMA2_7B, LLAMA2_13B, LLAMA2_70B
 from ..llm.datatypes import BFLOAT16, INT8
@@ -46,7 +46,7 @@ def _max_rel_err(a: np.ndarray, b: np.ndarray) -> float:
 @check("engine.vectorized_loop_parity", family="differential",
        layers=("engine", "llm"))
 def vectorized_loop_parity(ctx: AuditContext) -> str:
-    """Vectorized decode engine matches the scalar reference loop <1e-9."""
+    """The decode column pass equals the scalar reference loop exactly."""
     worst = 0.0
     for backend, gpu in (("baremetal", False), ("tdx", False),
                          ("sgx", False), (None, True)):
@@ -55,12 +55,12 @@ def vectorized_loop_parity(ctx: AuditContext) -> str:
             workload = ctx.small_workload(batch_size=batch)
             loop = _decode_clean_loop(workload, deployment,
                                       cost_model_for(deployment), 1)
-            vec = ctx.simulate(workload, deployment, context_stride=1)
-            worst = max(worst, _max_rel_err(vec.decode_clean_s, loop))
-    if worst >= ctx.tol.engine_parity_rel:
+            result = ctx.simulate(workload, deployment, context_stride=1)
+            worst = max(worst, _max_rel_err(result.decode_clean_s, loop))
+    if worst != 0.0:
         raise CheckFailure(
-            f"engines diverge: max rel err {worst:.3e} >= "
-            f"{ctx.tol.engine_parity_rel:.0e}", deltas={"max_rel_err": worst})
+            f"column pass differs from the scalar loop: max rel err "
+            f"{worst:.3e}", deltas={"max_rel_err": worst})
     return f"max rel err {worst:.2e}"
 
 
@@ -314,28 +314,26 @@ def decode_flops_vs_reference(ctx: AuditContext) -> str:
 @check("engine.vectorized_working_sets", family="differential",
        layers=("engine", "llm"))
 def vectorized_working_sets(ctx: AuditContext) -> str:
-    """Vectorized working sets equal the scalar per-step accounting."""
+    """The decode column pass's working sets equal the scalar ones."""
     workload = ctx.small_workload(batch_size=4)
     deployment = ctx.cpu("tdx")
-    engine = decode_cost_engine(workload, deployment)
     contexts = np.array([64, 256, 1024])
-    vec_sets = engine.working_sets(contexts)
-    for position, context in enumerate(contexts):
+    _, column_sets = _decode_pass(workload, deployment, contexts)
+    for position, context in enumerate(contexts.tolist()):
         ops = list(cached_decode_step_ops(
-            workload.model, workload.dtype, workload.batch_size, int(context),
+            workload.model, workload.dtype, workload.batch_size, context,
             workload.beam_size))
-        scalar = _working_sets(workload, deployment, int(context), ops)
-        for name, vec_value in (("kv", vec_sets.kv[position]),
-                                ("activations",
-                                 vec_sets.activations[position]),
-                                ("weights", vec_sets.weights)):
+        scalar = _working_sets(workload, deployment, context, ops)
+        for name, column_value in (("kv", column_sets.kv[position]),
+                                   ("activations", column_sets.activations),
+                                   ("weights", column_sets.weights)):
             scalar_value = getattr(scalar, name)
-            rel = abs(vec_value - scalar_value) / scalar_value
-            if rel > 1e-12:
+            if column_value != scalar_value:
                 raise CheckFailure(
-                    f"{name} differs at context {context}: vectorized "
-                    f"{vec_value:.6e} vs scalar {scalar_value:.6e}",
-                    deltas={"rel_err": rel})
+                    f"{name} differs at context {context}: column pass "
+                    f"{column_value!r} vs scalar {scalar_value!r}",
+                    deltas={"column": float(column_value),
+                            "scalar": float(scalar_value)})
     return f"kv/activations/weights identical at {len(contexts)} contexts"
 
 

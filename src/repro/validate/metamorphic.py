@@ -13,8 +13,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..engine.simulator import decode_step_cost, prefill_step_cost
-from ..engine.vectorized import decode_cost_engine
+from ..engine.roofline import cost_model_for
+from ..engine.simulator import (
+    _decode_steps_s,
+    decode_step_cost,
+    prefill_step_cost,
+)
 from ..llm.datatypes import INT8
 from ..llm.kvcache import PagedKVCache
 from ..memsim.epc import paging_overhead_s
@@ -46,9 +50,9 @@ def decode_cost_monotonic_context(ctx: AuditContext) -> str:
     contexts = np.array([64, 128, 256, 512, 1024, 2048, 4096])
     for deployment in (ctx.cpu("baremetal"), ctx.cpu("tdx"), ctx.cpu("sgx"),
                        ctx.gpu(confidential=True)):
-        engine = decode_cost_engine(ctx.small_workload(), deployment)
-        costs = engine.step_costs(contexts)
-        _assert_monotonic(list(costs),
+        costs = _decode_steps_s(ctx.small_workload(), deployment,
+                                cost_model_for(deployment), contexts)
+        _assert_monotonic(costs,
                           f"{deployment.backend.name} decode cost vs context",
                           ctx.tol.monotonic_slack_rel)
     return f"4 deployments x {len(contexts)} contexts"

@@ -85,3 +85,13 @@ class TestExperiment:
     def test_unknown_label(self, outcome):
         with pytest.raises(KeyError):
             outcome.overhead("sev")
+
+    @pytest.mark.parametrize("stride", [0, 2.5, float("nan"), True])
+    def test_bad_context_stride_rejected(self, stride):
+        workload = Workload(LLAMA2_7B, BFLOAT16, output_tokens=16)
+        experiment = Experiment(
+            name="bad", workload=workload, context_stride=stride,
+            deployments={"baremetal": cpu_deployment("baremetal",
+                                                     sockets_used=1)})
+        with pytest.raises(ValueError, match="context_stride"):
+            experiment.run()

@@ -1,15 +1,13 @@
 """Seed-determinism matrix across engines and execution modes.
 
 The simulator must be a pure function of ``(workload, deployment,
-seed)``: repeated runs, ``simulate_generation`` vs the vectorized
-engine it runs, cold vs memoized caches, and serial vs process-pool
-sweeps all have to produce bit-identical results.  The private scalar
-reference loop is allowed only float-reassociation noise against the
-vectorized engine.
+seed)``: repeated runs, ``simulate_generation`` vs the decode column
+pass it runs, cold vs memoized caches, serial vs process-pool sweeps,
+and the column pass vs the private scalar reference loop all have to
+produce bit-identical results.
 """
 
-import math
-
+import numpy as np
 import pytest
 
 from repro.core.experiment import cpu_deployment, gpu_deployment
@@ -18,7 +16,7 @@ from repro.engine.placement import Workload
 from repro.engine.roofline import cost_model_for
 from repro.engine.simulator import (
     _decode_clean_loop,
-    _decode_clean_vectorized,
+    _decode_steps_s,
     simulate_generation,
 )
 from repro.llm.config import LLAMA2_7B
@@ -37,7 +35,6 @@ DEPLOYMENTS = {
 
 def _fingerprint(result):
     """Every float the simulation exposes, bitwise."""
-    import numpy as np
     return (result.prefill_s,
             np.asarray(result.decode_clean_s).tobytes(),
             np.asarray(result.decode_noisy_s).tobytes())
@@ -54,12 +51,17 @@ def test_same_seed_bit_identical_across_runs(label, seed):
 
 @pytest.mark.parametrize("label", sorted(DEPLOYMENTS))
 def test_auto_engine_is_vectorized_bitwise(label):
-    """The one production decode path is the vectorized engine."""
+    """The one production decode path is the column pass, one step per
+    costed context."""
     deployment = DEPLOYMENTS[label]
     result = simulate_generation(WORKLOAD, deployment, seed=3)
     stride = max(1, WORKLOAD.output_tokens // 32)
-    vec = _decode_clean_vectorized(WORKLOAD, deployment, stride)
-    assert result.decode_clean_s.tobytes() == vec.tobytes()
+    contexts = WORKLOAD.input_tokens + np.arange(0, WORKLOAD.output_tokens,
+                                                 stride)
+    steps = _decode_steps_s(WORKLOAD, deployment, cost_model_for(deployment),
+                            contexts)
+    clean = np.repeat(steps, stride)[:WORKLOAD.output_tokens]
+    assert result.decode_clean_s.tobytes() == clean.tobytes()
 
 
 @pytest.mark.parametrize("label", sorted(DEPLOYMENTS))
@@ -81,13 +83,13 @@ def test_different_seeds_differ():
 
 
 def test_loop_engine_matches_vectorized_within_reassociation():
+    """The reference loop and the column pass agree bit for bit."""
     for label, deployment in DEPLOYMENTS.items():
-        vec = simulate_generation(WORKLOAD, deployment, seed=2,
-                                  context_stride=1)
+        result = simulate_generation(WORKLOAD, deployment, seed=2,
+                                     context_stride=1)
         loop = _decode_clean_loop(WORKLOAD, deployment,
                                   cost_model_for(deployment), 1)
-        assert math.isclose(float(vec.decode_clean_s.sum()),
-                            float(loop.sum()), rel_tol=1e-9), label
+        assert result.decode_clean_s.tobytes() == loop.tobytes(), label
 
 
 class TestChaosDeterminism:
@@ -116,18 +118,15 @@ class TestChaosDeterminism:
         second = self._chaos_run()
         assert first == second
 
-    @pytest.mark.parametrize("engine", ["auto", "vectorized", "loop"])
+    @pytest.mark.parametrize("engine", ["auto", "loop"])
     def test_chaos_run_invariant_to_engine_mode(self, engine):
-        """Interleaving decode runs — ``simulate_generation`` ("auto"),
-        the vectorized engine alone, or the reference loop — must not
-        perturb the chaos layer: no hidden global RNG or cache
-        coupling."""
+        """Interleaving decode runs — ``simulate_generation`` ("auto")
+        or the reference loop — must not perturb the chaos layer: no
+        hidden global RNG or cache coupling."""
         baseline = self._chaos_run()
         tdx = DEPLOYMENTS["tdx"]
         if engine == "auto":
             simulate_generation(WORKLOAD, tdx, seed=3, context_stride=1)
-        elif engine == "vectorized":
-            _decode_clean_vectorized(WORKLOAD, tdx, 1)
         else:
             _decode_clean_loop(WORKLOAD, tdx, cost_model_for(tdx), 1)
         assert self._chaos_run() == baseline

@@ -90,6 +90,20 @@ class TestContextStride:
         with pytest.raises(ValueError):
             simulate_generation(workload, deployment, context_stride=0)
 
+    @pytest.mark.parametrize("stride", [
+        -1, 2.5, 2.0, float("nan"), float("inf"), True, np.bool_(True),
+        np.float64(2.0), "2"])
+    def test_non_int_stride_rejected(self, workload, deployment, stride):
+        with pytest.raises(ValueError, match="context_stride"):
+            simulate_generation(workload, deployment, context_stride=stride)
+
+    def test_numpy_int_stride_accepted(self, workload, deployment):
+        plain = simulate_generation(workload, deployment, context_stride=3)
+        numpy = simulate_generation(workload, deployment,
+                                    context_stride=np.int64(3))
+        np.testing.assert_array_equal(plain.decode_clean_s,
+                                      numpy.decode_clean_s)
+
     def test_costs_grow_with_context(self, deployment):
         long_run = Workload(LLAMA2_7B, BFLOAT16, batch_size=8,
                             input_tokens=64, output_tokens=512)

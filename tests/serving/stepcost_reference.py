@@ -4,10 +4,11 @@
 per-shape path it used before, kept only as a reference for the column
 tests: cost the one-block twin's operator list with the cost model's
 scalar ``step_cost`` (per-operator ``_op_cost``), then rebuild the full
-step with the table's own ``_full_step_s``.
+step from it: embed, the block ``num_layers`` times, then the head.
 """
 
-from repro.engine.roofline import WorkingSets
+from repro.engine.roofline import WorkingSets, step_total_s
+from repro.llm.graph import BLOCK_OP_NAMES
 from repro.llm.ops import Operator
 from repro.serving.stepcost import StepCostTable
 
@@ -15,8 +16,12 @@ from repro.serving.stepcost import StepCostTable
 def scalar_step_s(table: StepCostTable, ops: list[Operator],
                   sets: WorkingSets) -> float:
     """Full-model step seconds from the one-block twin's graph ``ops``."""
-    table._check_one_block([op.name for op in ops],
-                           [op.layer for op in ops])
+    width = len(BLOCK_OP_NAMES)
+    assert tuple(op.name for op in ops[1:1 + width]) == BLOCK_OP_NAMES
+    assert all(op.layer is None for op in [*ops[:1], *ops[1 + width:]])
     step = table._cost_model.step_cost(ops, sets, table.dtype)
-    return table._full_step_s([cost.total_s for cost in step.op_costs],
-                              step)
+    totals = [cost.total_s for cost in step.op_costs]
+    full = (totals[:1] + totals[1:1 + width] * table.model.num_layers
+            + totals[1 + width:])
+    return step_total_s(full, step.exits_s, step.fixed_s,
+                        step.tax_multiplier)

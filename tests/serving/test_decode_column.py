@@ -24,7 +24,7 @@ from repro.fleet.replica import REPLICA_KINDS, replica_spec
 from repro.llm.config import GPTJ_6B, LLAMA2_7B, LLAMA2_70B
 from repro.llm.datatypes import BFLOAT16, FLOAT32, INT8
 from repro.llm.graph import decode_columns, decode_step_ops
-from repro.llm.ops import AFFINE_FIELDS
+from repro.llm.ops import OP_FIELDS
 from repro.serving.stepcost import _TILE, StepCostTable
 from repro.validate.differential import prefill_crossings
 
@@ -77,7 +77,7 @@ def test_columns_equal_step_ops_fields(model):
         assert columns.names == tuple(op.name for op in ops)
         assert columns.categories == tuple(op.category for op in ops)
         assert columns.layers == tuple(op.layer for op in ops)
-        for plane, field in enumerate(AFFINE_FIELDS):
+        for plane, field in enumerate(OP_FIELDS):
             got = columns.fields[plane, :, j].tolist()
             want = [float(getattr(op, field)) for op in ops]
             assert [v.hex() for v in got] == [v.hex() for v in want], (
