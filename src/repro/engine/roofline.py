@@ -15,7 +15,8 @@ This is where every mechanism from :mod:`repro.memsim` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from functools import cached_property
+from typing import Iterable
 
 import numpy as np
 
@@ -117,11 +118,15 @@ def step_total_s(op_totals: Iterable[float], exits_s: float,
                  fixed_s: float, tax_multiplier: float) -> float:
     """Seconds of one forward step from its per-operator totals.
 
-    The single home of the step formula.  ``op_totals`` is summed with a
-    plain left-to-right ``sum()``, so two callers that pass the same
-    float sequence get the same bits on every Python version.
+    The single home of the step formula.  ``op_totals`` is added left to
+    right from 0.0, one IEEE add per operator, not with ``sum()``: on
+    Python >= 3.12 ``sum()`` of floats is compensated and would round
+    differently from :func:`one_block_step_s`'s row-by-row numpy adds.
     """
-    return (sum(op_totals) + exits_s) * tax_multiplier + fixed_s
+    total = 0.0
+    for op_total in op_totals:
+        total += op_total
+    return (total + exits_s) * tax_multiplier + fixed_s
 
 
 @dataclass(frozen=True)
@@ -129,9 +134,8 @@ class StepCostColumns:
     """:class:`StepCost` of one graph at many step shapes, unsummed.
 
     ``op_totals[k, j]`` is bitwise the :attr:`OpCost.total_s` of
-    operator ``k`` at shape ``j``; finish a shape with
-    :func:`step_total_s` over its column's Python floats, never a numpy
-    sum (which rounds differently).
+    operator ``k`` at shape ``j``; :func:`one_block_step_s` finishes
+    every shape at once.
     """
 
     op_totals: np.ndarray
@@ -140,19 +144,21 @@ class StepCostColumns:
     tax_multiplier: float
 
 
-def one_block_rows(columns: OpColumns, values: np.ndarray,
-                   num_layers: int) -> Iterator[list[float]]:
-    """The full model's per-operator values, from its one-block twin.
+def one_block_sums(columns: OpColumns, values: np.ndarray,
+                   num_layers: int) -> np.ndarray:
+    """Per-shape left-to-right sums of the full model's operator values.
 
     ``columns`` is a step graph of the model's ``num_layers=1`` twin,
     and ``values`` has one row per operator of it and one column per
     shape (its ``op_totals``, or one of its field planes).  Every block
     of a step emits the same operators, so shape ``j``'s full graph is
-    embed, the block's values ``num_layers`` times, then the head; each
-    yielded list is that, in graph order, on Python floats, built only
-    when it is reached.  Summing it left to right therefore rounds
-    exactly as summing the full graph does; never shortcut it as
-    ``num_layers * block_sum``.
+    embed, the block's values ``num_layers`` times, then the head.  The
+    sum starts at 0.0 and adds one operator row at a time, in that
+    graph order, in place over every shape: each entry takes the same
+    IEEE adds in the same order as a left-to-right loop over that
+    shape's full graph, so it rounds exactly as :func:`step_total_s`
+    does.  Never ``np.sum`` or ``np.add.reduce`` (they may sum
+    pairwise) and never ``num_layers * block_sum``.
 
     Raises:
         RuntimeError: If ``columns`` is not embed + one block + head.
@@ -165,24 +171,30 @@ def one_block_rows(columns: OpColumns, values: np.ndarray,
         raise RuntimeError(
             f"one-block graph is not embed + {width} block ops + head "
             f"(got {list(names)}); the full step cannot be rebuilt from it")
-    return ([shape[0], *shape[1:1 + width] * num_layers, *shape[1 + width:]]
-            for shape in values.T.tolist())
+    add = np.add
+    total = values[0] + 0.0
+    block = list(values[1:1 + width])
+    for _ in range(num_layers):
+        for row in block:
+            add(total, row, total)
+    for row in values[1 + width:]:
+        add(total, row, total)
+    return total
 
 
 def one_block_step_s(columns: OpColumns, step: StepCostColumns,
-                     num_layers: int, shapes=slice(None)) -> list[float]:
-    """Full-model step seconds of a costed one-block twin's shapes.
+                     num_layers: int) -> list[float]:
+    """Full-model step seconds at every shape of a costed one-block twin.
 
-    ``step`` is ``step_cost_columns`` over ``columns``; ``shapes``
-    selects which of its shapes to finish (all by default).  Each is
-    finished on Python floats with :func:`step_total_s`, never a numpy
-    sum, so it equals :attr:`StepCost.total_s` of the full graph at that
-    shape bit for bit.
+    ``step`` is ``step_cost_columns`` over ``columns``.  The operator
+    totals are summed by :func:`one_block_sums` and the step formula of
+    :func:`step_total_s` is applied elementwise, so each value equals
+    :attr:`StepCost.total_s` of the full graph at that shape bit for
+    bit.
     """
-    return [step_total_s(full, step.exits_s, step.fixed_s,
-                         step.tax_multiplier)
-            for full in one_block_rows(columns, step.op_totals[:, shapes],
-                                       num_layers)]
+    total = one_block_sums(columns, step.op_totals, num_layers)
+    return ((total + step.exits_s) * step.tax_multiplier
+            + step.fixed_s).tolist()
 
 
 @dataclass(frozen=True)
@@ -194,8 +206,9 @@ class StepCost:
     fixed_s: float
     tax_multiplier: float
 
-    @property
+    @cached_property
     def total_s(self) -> float:
+        """Step seconds, summed once per step and then kept."""
         return step_total_s((cost.total_s for cost in self.op_costs),
                             self.exits_s, self.fixed_s, self.tax_multiplier)
 

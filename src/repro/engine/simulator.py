@@ -11,12 +11,12 @@ The clean decode trajectory is one exact column pass, the one the
 fleet's step-cost table uses: every costed context of the generation is
 a column of the one-block twin's decode graph
 (:func:`~repro.llm.graph.decode_columns`), costed in one numpy pass
-(``step_cost_columns``) and finished to the full model's step on Python
-floats (:func:`~repro.engine.roofline.one_block_step_s`).  Every value
-equals the scalar :func:`decode_step_cost` at its context bit for bit;
-the per-token loop over that scalar path survives as the private
-reference ``_decode_clean_loop``, which the parity audit and tests
-compare the pass against with ``==``.  Memoized scalar step costs are
+(``step_cost_columns``) and finished to the full model's step one
+operator row at a time (:func:`~repro.engine.roofline.one_block_step_s`).
+Every value equals the scalar :func:`decode_step_cost` at its context
+bit for bit; the per-token loop over that scalar path survives as the
+private reference ``_decode_clean_loop``, which the parity audit and
+tests compare the pass against with ``==``.  Memoized scalar step costs are
 bit-identical to uncached ones (the caches store the computed values,
 they do not approximate them).
 """
@@ -24,9 +24,7 @@ they do not approximate them).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import reduce
 from numbers import Integral
-from operator import add
 
 import numpy as np
 
@@ -46,8 +44,8 @@ from .roofline import (
     WorkingSets,
     cost_model_for,
     gpu_io_bytes,
-    one_block_rows,
     one_block_step_s,
+    one_block_sums,
 )
 from .trace import TraceEvent, events_from_step
 
@@ -195,22 +193,24 @@ def _decode_pass(workload: Workload, deployment: Deployment,
     The working sets are :func:`_working_sets`' at each context: the KV
     cache grows with the context (one array entry per column), the
     weights are fixed, and so are the activations, the full graph's
-    summed left to right on Python floats as :func:`merge_totals` sums
-    them (``engine.vectorized_working_sets`` pins all three).
+    summed left to right from 0.0 as :func:`merge_totals` sums them
+    (``engine.vectorized_working_sets`` pins all three).
     """
     model, dtype = workload.model, workload.dtype
     columns = decode_columns(replace(model, num_layers=1), dtype,
                              np.full(contexts.shape, workload.sequences),
                              contexts)
     # A decode step's activations depend on its batch, not its context,
-    # so the first column's serve every column of the pass.
-    (first,) = one_block_rows(columns, columns.activation_bytes[:, :1],
-                              model.num_layers)
+    # so every column holds the same total and the first serves them
+    # all.  Summing the whole plane takes no more numpy calls than one
+    # column, and numpy's in-place add is slowest on 1-element arrays.
+    activations = one_block_sums(columns, columns.activation_bytes,
+                                 model.num_layers)[0].item()
     return columns, WorkingSets(
         weights=weight_footprint(workload, deployment.framework),
         kv=(workload.sequences * contexts
             * model.kv_bytes_per_token(dtype.bytes)),
-        activations=reduce(add, first, 0.0))
+        activations=activations)
 
 
 def _decode_steps_s(workload: Workload, deployment: Deployment,

@@ -28,23 +28,26 @@ simulator's decode trajectory does: embed, the block's totals repeated
 The result is bit-identical to costing the full graph
 (``serving.stepcost_graph_parity`` pins this).
 
-Both phases have one costing path, an array pass over the twin.
-Prefill costs every prompt length the table has not seen at once
-(:func:`~repro.llm.graph.prefill_columns`); a single-length miss is the
-same pass at one length.  Decode costs in tiles of 16 batch sizes by 16
-context buckets (1,024 tokens of context): a ``decode_step_s`` miss
-costs the whole tile that holds its shape
-(:func:`~repro.llm.graph.decode_columns`), the table keeps the tile's
-graph and per-operator totals, and each shape is finished on its first
-lookup.  Each column builder evaluates the expressions of
-:func:`prefill_ops` or :func:`decode_step_ops` over float64 arrays,
-``step_cost_columns`` costs them term for term in the scalar cost
-model's order, and every shape is finished on Python floats, never with
-a numpy sum.  Elementwise float64 arithmetic rounds exactly as Python
-floats do, so every value equals the scalar one-block path (``step_cost``
-over one shape's graph) bit for bit (``tests/serving/
-test_prefill_column.py``, ``tests/serving/test_decode_column.py``), and
-lookup order does not change any value.
+Both phases have one costing path, an array pass over the twin, and
+one finishing function.  Prefill costs every prompt length the table
+has not seen at once (:func:`~repro.llm.graph.prefill_columns`); a
+single-length miss is the same pass at one length.  Decode costs in
+tiles of 16 batch sizes by 64 context buckets (4,096 tokens of
+context): a ``decode_step_s`` miss costs the whole tile that holds its
+shape (:func:`~repro.llm.graph.decode_columns`) and finishes all of its
+shapes in that pass, and the table keeps the tile as one list of
+seconds that later misses index.  Each column builder evaluates the
+expressions of :func:`prefill_ops` or :func:`decode_step_ops` over
+float64 arrays, ``step_cost_columns`` costs them term for term in the
+scalar cost model's order, and
+:func:`~repro.engine.roofline.one_block_step_s` finishes every shape of
+the pass at once, adding one operator row at a time in graph order,
+never with a numpy reduction.  Elementwise float64 arithmetic rounds
+exactly as Python floats do, so every value equals the scalar one-block
+path (``step_cost`` over one shape's graph) bit for bit
+(``tests/serving/test_prefill_column.py``,
+``tests/serving/test_decode_column.py``), and lookup order does not
+change any value.
 """
 
 from __future__ import annotations
@@ -56,12 +59,7 @@ from numbers import Integral
 import numpy as np
 
 from ..engine.placement import Deployment
-from ..engine.roofline import (
-    StepCostColumns,
-    WorkingSets,
-    cost_model_for,
-    one_block_step_s,
-)
+from ..engine.roofline import WorkingSets, cost_model_for, one_block_step_s
 from ..llm.config import ModelConfig
 from ..llm.datatypes import DType
 # prefill_ops and decode_step_ops are not called here: they are the
@@ -73,7 +71,6 @@ from ..llm.graph import (  # noqa: F401
     prefill_columns,
     prefill_ops,
 )
-from ..llm.ops import OpColumns
 from ..memo import MemoCache
 
 #: Shared tables by (deployment, model, dtype): a fleet of identical
@@ -83,9 +80,12 @@ _SHARED_TABLES = MemoCache("step_cost_table", maxsize=32)
 #: Decode contexts are memoized on multiples of this many tokens.
 _CONTEXT_GRID = 64
 
-#: A decode tile spans this many batch sizes by this many context
-#: buckets (1,024 tokens of context), costed in one array pass.
-_TILE = 16
+#: A decode tile spans this many batch sizes by :data:`_TILE_BUCKETS`
+#: context buckets, costed and finished in one array pass.
+_TILE_BATCHES = 16
+
+#: Context buckets per decode tile (4,096 tokens of context).
+_TILE_BUCKETS = 64
 
 #: Prefill units per second: a unit is 2**-1074 s, the smallest
 #: subnormal double, so every finite double is a whole number of units,
@@ -111,8 +111,7 @@ class StepCostTable:
         self._cost_model = cost_model_for(deployment)
         self._one_block = replace(model, num_layers=1)
         self._step_cache: dict[tuple[int, int], float] = {}
-        self._decode_tiles: dict[tuple[int, int],
-                                 tuple[OpColumns, StepCostColumns]] = {}
+        self._decode_tiles: dict[tuple[int, int], list[float]] = {}
         self._prefill_cache: dict[int, float] = {}
 
     @classmethod
@@ -163,47 +162,45 @@ class StepCostTable:
         return cached
 
     def _decode_miss(self, batch: int, bucket: int) -> float:
-        """Finish one decode shape from its tile, costing the tile first.
+        """Read one decode shape from its tile, costing the tile first.
 
-        The tile holding ``(batch, bucket)`` spans :data:`_TILE` batch
-        sizes by :data:`_TILE` context buckets; its first miss costs all
-        of them in one array pass and keeps their per-operator totals.
+        The tile holding ``(batch, bucket)`` spans :data:`_TILE_BATCHES`
+        batch sizes by :data:`_TILE_BUCKETS` context buckets; its first
+        miss costs and finishes all of them in one array pass.
         """
         # Checked before the tile arithmetic, which would hide the value.
         if not isinstance(batch, Integral) or batch < 1:
             raise ValueError(f"batch_size must be an int >= 1, got {batch!r}")
-        batch_tile, batch_offset = divmod(batch - 1, _TILE)
-        bucket_tile, bucket_offset = divmod(bucket // _CONTEXT_GRID, _TILE)
+        batch_tile, batch_offset = divmod(batch - 1, _TILE_BATCHES)
+        bucket_tile, bucket_offset = divmod(bucket // _CONTEXT_GRID,
+                                            _TILE_BUCKETS)
         key = (batch_tile, bucket_tile)
         tile = self._decode_tiles.get(key)
         if tile is None:
-            tile = self._decode_tile(*key)
-        index = batch_offset * _TILE + bucket_offset
-        (seconds,) = one_block_step_s(*tile, self.model.num_layers,
-                                      slice(index, index + 1))
-        # Kept only once a shape is finished: a graph the full step
-        # cannot be rebuilt from leaves no tile behind.
-        self._decode_tiles[key] = tile
-        return seconds
+            # Stored only once finished: a graph the full step cannot be
+            # rebuilt from leaves no tile behind.
+            tile = self._decode_tiles[key] = self._decode_tile(*key)
+        return tile[batch_offset * _TILE_BUCKETS + bucket_offset]
 
-    def _decode_tile(self, batch_tile: int, bucket_tile: int
-                     ) -> tuple[OpColumns, StepCostColumns]:
-        """Per-operator decode costs over one tile, in one pass.
+    def _decode_tile(self, batch_tile: int, bucket_tile: int) -> list[float]:
+        """Decode-step seconds over one tile, in one pass.
 
-        Column ``i * _TILE + k`` is batch ``batch_tile * _TILE + 1 + i``
-        at context bucket ``max(16, (bucket_tile * _TILE + k) *
-        _CONTEXT_GRID)``.
+        Entry ``i * _TILE_BUCKETS + k`` is batch ``batch_tile *
+        _TILE_BATCHES + 1 + i`` at context bucket ``max(16, (bucket_tile
+        * _TILE_BUCKETS + k) * _CONTEXT_GRID)``.
         """
-        batches = np.arange(batch_tile * _TILE + 1,
-                            (batch_tile + 1) * _TILE + 1)
-        buckets = np.maximum(16, np.arange(bucket_tile * _TILE,
-                                           (bucket_tile + 1) * _TILE)
+        batches = np.arange(batch_tile * _TILE_BATCHES + 1,
+                            (batch_tile + 1) * _TILE_BATCHES + 1)
+        buckets = np.maximum(16, np.arange(bucket_tile * _TILE_BUCKETS,
+                                           (bucket_tile + 1) * _TILE_BUCKETS)
                              * _CONTEXT_GRID)
-        batches, buckets = np.repeat(batches, _TILE), np.tile(buckets, _TILE)
+        batches = np.repeat(batches, _TILE_BUCKETS)
+        buckets = np.tile(buckets, _TILE_BATCHES)
         columns = decode_columns(self._one_block, self.dtype, batches,
                                  buckets)
-        return columns, self._cost_model.step_cost_columns(
+        step = self._cost_model.step_cost_columns(
             columns, self.working_sets(batches, buckets), self.dtype)
+        return one_block_step_s(columns, step, self.model.num_layers)
 
     def prefill_s(self, prompt_tokens: int) -> float:
         """Duration of a single-sequence prefill of ``prompt_tokens``."""

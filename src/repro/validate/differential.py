@@ -159,15 +159,16 @@ def stepcost_graph_parity(ctx: AuditContext) -> str:
     on a second fresh table.  The prompts include each table's
     threshold lengths, where an LLC, TLB or EPC ``<=`` test flips.
     Decode shapes straddle the table's tile edges (batches 16/17 and
-    32/33, buckets 960/1024).  Half of them are read from a second
-    table in reverse order, so their tiles were costed by a different
-    first miss than the other half's.
+    32/33, buckets 4032/4096) and sit on both sides of bucket 1024.
+    Half of them are read from a second table in reverse order, so
+    their tiles were costed by a different first miss than the other
+    half's.
     """
     deployments = (("baremetal", ctx.cpu("baremetal")), ("tdx", ctx.cpu("tdx")),
                    ("sgx", ctx.cpu("sgx")), ("cgpu", ctx.gpu(confidential=True)))
     base_prompts = (1, 2, 15, 16, 17, 127, 1024, 4095)
     decode_shapes = [(batch, bucket) for batch in (1, 16, 17, 32, 33, 64)
-                     for bucket in (16, 960, 1024, 4032)]
+                     for bucket in (16, 960, 1024, 4032, 4096)]
     checked = 0
     for label, deployment in deployments:
         cost_model = cost_model_for(deployment)

@@ -16,7 +16,7 @@ import pytest
 
 from repro.core.experiment import cpu_deployment, gpu_deployment
 from repro.engine.placement import Workload
-from repro.engine.roofline import cost_model_for, one_block_rows
+from repro.engine.roofline import cost_model_for, one_block_sums
 from repro.engine.simulator import (
     _decode_clean_loop,
     _decode_steps_s,
@@ -131,18 +131,20 @@ class TestCachedGraphs:
         # one shared skeleton.
         assert all(x is y for x, y in zip(a, b) if x.name != "self_attention")
 
-    def test_one_block_rows_rebuild_the_full_graph(self):
-        """The twin's rows, expanded, are the full graph's columns."""
+    def test_one_block_sums_equal_full_graph_sums(self):
+        """The twin's rows, expanded and summed, are the full graph's
+        columns summed left to right."""
         batches, contexts = [2, 2, 5], [130, 513, 4000]
         twin = decode_columns(replace(LLAMA2_7B, num_layers=1), BFLOAT16,
                               batches, contexts)
         full = decode_columns(LLAMA2_7B, BFLOAT16, batches, contexts)
         for plane in range(len(OP_FIELDS)):
-            assert list(one_block_rows(twin, twin.fields[plane],
-                                       LLAMA2_7B.num_layers)) \
-                == full.fields[plane].T.tolist()
+            assert one_block_sums(twin, twin.fields[plane],
+                                  LLAMA2_7B.num_layers).tolist() \
+                == [reduce(add, column, 0.0)
+                    for column in full.fields[plane].T.tolist()]
 
-    def test_one_block_rows_reproduce_graph_totals(self):
+    def test_one_block_sums_reproduce_graph_totals(self):
         """Summed left to right, each field equals merge_totals exactly."""
         context = 513
         totals = merge_totals(decode_step_ops(LLAMA2_7B, BFLOAT16, 2,
@@ -150,9 +152,9 @@ class TestCachedGraphs:
         twin = decode_columns(replace(LLAMA2_7B, num_layers=1), BFLOAT16,
                               [2], [context])
         for plane, field in enumerate(OP_FIELDS):
-            (rows,) = one_block_rows(twin, twin.fields[plane],
-                                     LLAMA2_7B.num_layers)
-            assert reduce(add, rows, 0.0) == totals[field], field
+            (total,) = one_block_sums(twin, twin.fields[plane],
+                                      LLAMA2_7B.num_layers).tolist()
+            assert total == totals[field], field
 
 
 class TestRecordStepsBugfix:

@@ -1,18 +1,20 @@
 """Decode tiles equal full-graph and scalar costing, bit for bit.
 
-``StepCostTable`` costs decode in tiles of 16 batch sizes by 16 context
+``StepCostTable`` costs decode in tiles of 16 batch sizes by 64 context
 buckets: a ``decode_step_s`` miss costs the whole tile that holds its
 shape in one array pass (``decode_columns`` + ``step_cost_columns``)
-and each shape is finished on its first lookup.  These tests pin every
-looked-up value to ``step_cost(decode_step_ops(...)).total_s`` over the
-full graph, and to the scalar one-block path the tiles replaced
-(``scalar_step_s``, see ``stepcost_reference.py``), on fresh tables.
+and finishes every shape of the tile in that pass.  These tests pin
+every looked-up value to ``step_cost(decode_step_ops(...)).total_s``
+over the full graph, and to the scalar one-block path the tiles
+replaced (``scalar_step_s``, see ``stepcost_reference.py``), on fresh
+tables.
 
-Shapes sit on tile edges (batches 16/17 and 32/33, buckets 960/1024),
-at contexts 1, 63 and 64 (the floored first bucket and the one after
-it), and, per batch, at the buckets around each context where the kv
-working set crosses the LLC, a page size's TLB reach or the SGX EPC
-(``prefill_crossings`` / batch).
+Shapes sit on tile edges (batches 16/17 and 32/33, contexts
+4,095/4,096), on both sides of bucket 1,024, at contexts 1, 63 and 64
+(the floored first bucket and the one after it), and, per batch, at
+the buckets around each context where the kv working set crosses the
+LLC, a page size's TLB reach or the SGX EPC (``prefill_crossings`` /
+batch).
 """
 
 import random
@@ -25,14 +27,14 @@ from repro.llm.config import GPTJ_6B, LLAMA2_7B, LLAMA2_70B
 from repro.llm.datatypes import BFLOAT16, FLOAT32, INT8
 from repro.llm.graph import decode_columns, decode_step_ops
 from repro.llm.ops import OP_FIELDS
-from repro.serving.stepcost import _TILE, StepCostTable
+from repro.serving.stepcost import _TILE_BATCHES, _TILE_BUCKETS, StepCostTable
 from repro.validate.differential import prefill_crossings
 
 from .stepcost_reference import scalar_step_s
 
 DTYPES = (FLOAT32, BFLOAT16, INT8)
 BATCHES = (1, 16, 17, 32, 33, 64)
-EDGE_CONTEXTS = (1, 63, 64, 960, 1023, 1024, 4095)
+EDGE_CONTEXTS = (1, 63, 64, 960, 1023, 1024, 4095, 4096)
 
 
 def _table(kind, model, dtype) -> StepCostTable:
@@ -135,12 +137,14 @@ def test_thresholds_are_reached():
 def test_tile_fill_order_does_not_matter(kind):
     """A tile filled from any corner equals one fresh table per shape."""
     model, dtype = LLAMA2_7B, BFLOAT16
-    # The tile of batches 17..32 at buckets 1024..1984.
-    shapes = [(batch, bucket) for batch in range(_TILE + 1, 2 * _TILE + 1)
-              for bucket in range(_TILE * 64, 2 * _TILE * 64, 64)]
+    # The tile of batches 17..32 at buckets 16..4032.
+    shapes = [(batch, max(16, k * 64))
+              for batch in range(_TILE_BATCHES + 1, 2 * _TILE_BATCHES + 1)
+              for k in range(_TILE_BUCKETS)]
     alone = [_table(kind, model, dtype).decode_step_s(*shape).hex()
              for shape in shapes]
-    corners = [shapes[0], shapes[_TILE - 1], shapes[-_TILE], shapes[-1]]
+    corners = [shapes[0], shapes[_TILE_BUCKETS - 1], shapes[-_TILE_BUCKETS],
+               shapes[-1]]
     rng = random.Random(7)
     for corner in corners:
         table = _table(kind, model, dtype)
@@ -150,6 +154,20 @@ def test_tile_fill_order_does_not_matter(kind):
         got = {j: table.decode_step_s(*shapes[j]).hex() for j in order}
         assert [got[j] for j in range(len(shapes))] == alone, corner
         assert len(table._decode_tiles) == 1
+
+
+def test_tile_edges():
+    """Batches 16/17 and contexts 4,095/4,096 fall in different tiles."""
+    table = _table("tdx", LLAMA2_7B, BFLOAT16)
+    table.decode_step_s(16, 4095)
+    table.decode_step_s(1, 16)
+    assert list(table._decode_tiles) == [(0, 0)]
+    table.decode_step_s(17, 4095)
+    assert list(table._decode_tiles) == [(0, 0), (1, 0)]
+    table.decode_step_s(16, 4096)
+    assert list(table._decode_tiles) == [(0, 0), (1, 0), (0, 1)]
+    assert all(len(tile) == _TILE_BATCHES * _TILE_BUCKETS
+               for tile in table._decode_tiles.values())
 
 
 def test_first_bucket_is_floored():

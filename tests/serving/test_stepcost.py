@@ -79,11 +79,12 @@ def test_miss_costs_one_block(kind, monkeypatch):
     assert len(seen) == 2
     table.decode_step_s(1, 16)  # same tile, new shape: costs nothing
     table.decode_step_s(9, 999)
+    table.decode_step_s(16, 4095)
     assert len(seen) == 2
     table.decode_step_s(17, 1000)  # the next batch tile
-    table.decode_step_s(16, 1024)  # the next context tile
+    table.decode_step_s(16, 4096)  # the next context tile
     assert len(seen) == 4
-    assert len(table._step_cache) == 5
+    assert len(table._step_cache) == 6
 
 
 def test_unexpected_graph_shape_raises(monkeypatch):
