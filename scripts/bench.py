@@ -72,9 +72,11 @@ DEPLOYMENTS = {
 }
 
 
-def _time(func, repeats: int = 5) -> dict:
+def _time(func, repeats: int = 5, setup=None) -> dict:
     samples = []
     for _ in range(repeats):
+        if setup is not None:
+            setup()
         start = time.perf_counter()
         func()
         samples.append(time.perf_counter() - start)
@@ -103,12 +105,16 @@ def micro_benchmarks() -> dict:
 
     # The decode column pass against the private scalar reference loop
     # at exact stride-1 resolution (bit-identical); the loop entry
-    # times the clean decode trajectory only.
+    # times the clean decode trajectory only.  Both start every repeat
+    # from empty caches (cleared outside the timed region): a warm
+    # repeat of the loop reads every step cost from the memo and would
+    # time lookups, not costing.
     results["decode_vectorized_stride1"] = _time(
-        lambda: simulate_generation(WORKLOAD, tdx, context_stride=1))
+        lambda: simulate_generation(WORKLOAD, tdx, context_stride=1),
+        setup=reset_caches)
     results["decode_loop_stride1"] = _time(
         lambda: _decode_clean_loop(WORKLOAD, tdx, cost_model_for(tdx), 1),
-        repeats=3)
+        repeats=3, setup=reset_caches)
 
     # A representative sweep (warm caches; what figures actually run).
     results["sweep_batch_4pts"] = _time(

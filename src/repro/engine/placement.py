@@ -9,9 +9,9 @@ Together with a TEE backend and a framework they form a
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
+from .. import guards
 from ..hardware.cpu import CpuSpec
 from ..hardware.gpu import GpuSpec
 from ..llm.config import ModelConfig
@@ -43,14 +43,10 @@ class Workload:
     beam_size: int = 1
 
     def __post_init__(self) -> None:
-        # Checked per-dimension: NaN slips through a min()-based guard
-        # because any comparison against NaN is False.
         for field_name in ("batch_size", "input_tokens", "output_tokens",
                            "beam_size"):
-            value = getattr(self, field_name)
-            if not math.isfinite(value) or value < 1:
-                raise ValueError(
-                    f"workload {field_name} must be finite and >= 1")
+            guards.count(f"workload {field_name}", getattr(self, field_name),
+                         ge=1)
         if not self.model.encoder_only:
             total = self.input_tokens + self.output_tokens
             if total > self.model.max_position:

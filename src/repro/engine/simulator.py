@@ -24,10 +24,10 @@ they do not approximate them).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from numbers import Integral
 
 import numpy as np
 
+from .. import guards
 from ..llm.graph import (
     cached_decode_step_ops,
     cached_prefill_ops,
@@ -271,11 +271,8 @@ def simulate_generation(workload: Workload, deployment: Deployment,
     """
     if context_stride is None:
         stride = max(1, workload.output_tokens // 32)
-    elif (isinstance(context_stride, bool)
-          or not isinstance(context_stride, Integral) or context_stride < 1):
-        raise ValueError(
-            f"context_stride must be an int >= 1, got {context_stride!r}")
     else:
+        guards.count("context_stride", context_stride, ge=1)
         stride = int(context_stride)
     deployment.validate_workload(workload)
     model = cost_model_for(deployment)

@@ -21,11 +21,11 @@ silently lost.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from .. import guards
 from ..serving.scheduler import ServeRequest
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (fleet -> faults)
@@ -64,17 +64,11 @@ class RetryPolicy:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.timeout_s) or self.timeout_s <= 0:
-            raise ValueError("timeout_s must be finite and positive")
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if not math.isfinite(self.backoff_base_s) or self.backoff_base_s < 0:
-            raise ValueError("backoff_base_s must be finite and >= 0")
-        if (not math.isfinite(self.backoff_multiplier)
-                or self.backoff_multiplier < 1.0):
-            raise ValueError("backoff_multiplier must be finite and >= 1")
-        if not 0 <= self.jitter_frac <= 1:
-            raise ValueError("jitter_frac must be in [0, 1]")
+        guards.finite("timeout_s", self.timeout_s, gt=0)
+        guards.count("max_attempts", self.max_attempts, ge=1)
+        guards.finite("backoff_base_s", self.backoff_base_s, ge=0)
+        guards.finite("backoff_multiplier", self.backoff_multiplier, ge=1)
+        guards.finite("jitter_frac", self.jitter_frac, ge=0, le=1)
 
     def jitter(self, request_id: int, retry: int) -> float:
         """Deterministic uniform draw in [0, 1) for one retry."""
@@ -123,12 +117,9 @@ class DegradationPolicy:
         if self.mode not in DEGRADATION_MODES:
             raise ValueError(f"unknown degradation mode {self.mode!r}; "
                              f"expected one of {DEGRADATION_MODES}")
-        if not math.isfinite(self.max_hold_s) or self.max_hold_s <= 0:
-            raise ValueError("max_hold_s must be finite and positive")
-        if not math.isfinite(self.spill_boot_s) or self.spill_boot_s < 0:
-            raise ValueError("spill_boot_s must be finite and >= 0")
-        if self.max_spill < 0:
-            raise ValueError("max_spill must be >= 0")
+        guards.finite("max_hold_s", self.max_hold_s, gt=0)
+        guards.finite("spill_boot_s", self.spill_boot_s, ge=0)
+        guards.count("max_spill", self.max_spill, ge=0)
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,10 @@ processes and independent of replica iteration order.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
+
+from .. import guards
 
 #: Fault kinds the injector knows how to apply.
 FAULT_KINDS = ("crash", "hang", "slowdown", "boot_failure",
@@ -59,32 +60,23 @@ class FaultEvent:
     comm_share: float = DEFAULT_COMM_SHARE
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.time_s) or self.time_s < 0:
-            raise ValueError("time_s must be finite and >= 0")
+        guards.finite("time_s", self.time_s, ge=0)
         if self.kind not in FAULT_KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r}; "
                              f"expected one of {FAULT_KINDS}")
-        if self.replica_id < 0:
-            raise ValueError("replica_id must be >= 0")
-        if not math.isfinite(self.duration_s) or self.duration_s < 0:
-            raise ValueError("duration_s must be finite and >= 0")
+        guards.count("replica_id", self.replica_id, ge=0)
+        guards.finite("duration_s", self.duration_s, ge=0)
         if self.kind in ("hang", "slowdown", "link_degrade",
                          "attestation_failure") and self.duration_s <= 0:
             raise ValueError(f"{self.kind} requires duration_s > 0")
-        # NaN slips past the range checks below (every comparison with
-        # it is False), and inf would reach the scheduler's time scale.
-        if not math.isfinite(self.factor):
-            raise ValueError("factor must be finite")
+        guards.finite("factor", self.factor)
         if self.kind == "slowdown" and self.factor <= 1.0:
             raise ValueError("slowdown factor must be > 1")
         if self.kind == "link_degrade" and not 0 < self.factor <= 1.0:
             raise ValueError("link_degrade factor must be in (0, 1]")
-        if self.restart_after_s is not None and (
-                not math.isfinite(self.restart_after_s)
-                or self.restart_after_s < 0):
-            raise ValueError("restart_after_s must be finite and >= 0")
-        if not 0 < self.comm_share <= 1:
-            raise ValueError("comm_share must be in (0, 1]")
+        if self.restart_after_s is not None:
+            guards.finite("restart_after_s", self.restart_after_s, ge=0)
+        guards.finite("comm_share", self.comm_share, gt=0, le=1)
 
     def to_dict(self) -> dict:
         return {
@@ -167,10 +159,8 @@ def one_shot(kind: str, replica_id: int, time_s: float,
 def recurring(kind: str, replica_id: int, start_s: float, period_s: float,
               count: int, **params: object) -> FaultSchedule:
     """The same failure every ``period_s`` seconds, ``count`` times."""
-    if period_s <= 0:
-        raise ValueError("period_s must be positive")
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    guards.finite("period_s", period_s, gt=0)
+    guards.count("count", count, ge=1)
     return FaultSchedule(tuple(
         FaultEvent(time_s=start_s + index * period_s, kind=kind,
                    replica_id=replica_id, **params)
@@ -200,16 +190,16 @@ def mtbf_schedule(replica_ids: list[int], mtbf_s: float, horizon_s: float,
     mean ``mttr_s`` (floored at one second so a fault is never a
     no-op).  Deterministic per ``(seed, replica_id)``.
     """
-    if not math.isfinite(mtbf_s) or mtbf_s <= 0:
-        raise ValueError("mtbf_s must be finite and positive")
-    if not math.isfinite(horizon_s) or horizon_s <= 0:
-        raise ValueError("horizon_s must be finite and positive")
-    if not math.isfinite(mttr_s) or mttr_s <= 0:
-        raise ValueError("mttr_s must be finite and positive")
+    ids = set(replica_ids)
+    for replica_id in ids:
+        guards.count("replica_id", replica_id, ge=0)
+    guards.finite("mtbf_s", mtbf_s, gt=0)
+    guards.finite("horizon_s", horizon_s, gt=0)
+    guards.finite("mttr_s", mttr_s, gt=0)
     names = tuple(name for name, _ in kinds)
     weights = tuple(weight for _, weight in kinds)
     events: list[FaultEvent] = []
-    for replica_id in sorted(set(replica_ids)):
+    for replica_id in sorted(ids):
         rng = random.Random(f"{seed}:{replica_id}")
         clock = rng.expovariate(1.0 / mtbf_s)
         while clock < horizon_s:

@@ -25,27 +25,23 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from .. import guards
 from .table import RequestTable
 
 
-def _require_finite(**params: float) -> None:
-    """Reject NaN/inf stream parameters before any RNG draw.
-
-    A NaN slips past every ``<= 0`` guard, and a non-finite rate,
-    dwell or period makes the draw loops below emit degenerate
-    instants or never terminate.
-    """
-    for name, value in params.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+def _seeded(count: int, mean_prompt: int, mean_output: int,
+            seed: int) -> random.Random:
+    """The stream's RNG, once the sizes every generator takes are valid."""
+    guards.count("count", count, ge=1)
+    guards.count("mean_prompt", mean_prompt, ge=1)
+    guards.count("mean_output", mean_output, ge=1)
+    return random.Random(seed)
 
 
 def _poisson_times(count: int, rate_per_s: float,
                    rng: random.Random) -> list[float]:
     """Arrival instants of a homogeneous Poisson process."""
-    _require_finite(rate_per_s=rate_per_s)
-    if count < 1 or rate_per_s <= 0:
-        raise ValueError("count >= 1 and positive rate required")
+    guards.finite("rate_per_s", rate_per_s, gt=0)
     arrivals, clock = [], 0.0
     for _ in range(count):
         clock += rng.expovariate(rate_per_s)
@@ -57,17 +53,10 @@ def _mmpp_times(count: int, calm_rate_per_s: float, burst_rate_per_s: float,
                 mean_calm_s: float, mean_burst_s: float,
                 rng: random.Random) -> list[float]:
     """Arrival instants of the two-state MMPP (see :func:`mmpp_table`)."""
-    _require_finite(calm_rate_per_s=calm_rate_per_s,
-                    burst_rate_per_s=burst_rate_per_s,
-                    mean_calm_s=mean_calm_s, mean_burst_s=mean_burst_s)
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if calm_rate_per_s <= 0 or burst_rate_per_s <= 0:
-        raise ValueError("rates must be positive")
-    if burst_rate_per_s < calm_rate_per_s:
-        raise ValueError("burst rate must be >= calm rate")
-    if mean_calm_s <= 0 or mean_burst_s <= 0:
-        raise ValueError("dwell times must be positive")
+    guards.finite("calm_rate_per_s", calm_rate_per_s, gt=0)
+    guards.finite("burst_rate_per_s", burst_rate_per_s, ge=calm_rate_per_s)
+    guards.finite("mean_calm_s", mean_calm_s, gt=0)
+    guards.finite("mean_burst_s", mean_burst_s, gt=0)
     arrivals: list[float] = []
     clock = 0.0
     bursting = False
@@ -91,12 +80,9 @@ def _mmpp_times(count: int, calm_rate_per_s: float, burst_rate_per_s: float,
 def _diurnal_times(count: int, mean_rate_per_s: float, period_s: float,
                    peak_to_trough: float, rng: random.Random) -> list[float]:
     """Arrival instants of the thinned diurnal process."""
-    _require_finite(mean_rate_per_s=mean_rate_per_s, period_s=period_s,
-                    peak_to_trough=peak_to_trough)
-    if count < 1 or mean_rate_per_s <= 0 or period_s <= 0:
-        raise ValueError("count, rate and period must be positive")
-    if peak_to_trough < 1.0:
-        raise ValueError("peak_to_trough must be >= 1")
+    guards.finite("mean_rate_per_s", mean_rate_per_s, gt=0)
+    guards.finite("period_s", period_s, gt=0)
+    guards.finite("peak_to_trough", peak_to_trough, ge=1)
     amplitude = (peak_to_trough - 1.0) / (peak_to_trough + 1.0)
     peak_rate = mean_rate_per_s * (1.0 + amplitude)
     arrivals: list[float] = []
@@ -139,7 +125,7 @@ def _table_from_times(arrivals: list[float], rng: random.Random,
 def poisson_table(count: int, rate_per_s: float, mean_prompt: int = 256,
                   mean_output: int = 96, seed: int = 0) -> RequestTable:
     """Homogeneous Poisson arrivals (exponential inter-arrival gaps)."""
-    rng = random.Random(seed)
+    rng = _seeded(count, mean_prompt, mean_output, seed)
     return _table_from_times(_poisson_times(count, rate_per_s, rng), rng,
                              mean_prompt, mean_output)
 
@@ -156,7 +142,7 @@ def mmpp_table(count: int, calm_rate_per_s: float, burst_rate_per_s: float,
     model for flash-crowd traffic — the regime where TEE overheads
     compound with queueing delay.
     """
-    rng = random.Random(seed)
+    rng = _seeded(count, mean_prompt, mean_output, seed)
     return _table_from_times(
         _mmpp_times(count, calm_rate_per_s, burst_rate_per_s, mean_calm_s,
                     mean_burst_s, rng),
@@ -178,7 +164,7 @@ def diurnal_table(count: int, mean_rate_per_s: float, period_s: float = 240.0,
     ratio).  ``period_s`` defaults to a compressed "day" so simulations
     stay short.
     """
-    rng = random.Random(seed)
+    rng = _seeded(count, mean_prompt, mean_output, seed)
     return _table_from_times(
         _diurnal_times(count, mean_rate_per_s, period_s, peak_to_trough,
                        rng),

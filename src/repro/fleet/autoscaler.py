@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arrivals import _require_finite
+from .. import guards
 
 
 @dataclass(frozen=True)
@@ -41,18 +41,15 @@ class AutoscalerConfig:
     boot_latency_s: float = 15.0
 
     def __post_init__(self) -> None:
-        # NaN passes every comparison guard below.
-        _require_finite(scale_up_load=self.scale_up_load,
-                        scale_down_load=self.scale_down_load,
-                        cooldown_s=self.cooldown_s,
-                        boot_latency_s=self.boot_latency_s)
-        if self.min_replicas < 1 or self.max_replicas < self.min_replicas:
-            raise ValueError("need 1 <= min_replicas <= max_replicas")
+        guards.count("min_replicas", self.min_replicas, ge=1)
+        guards.count("max_replicas", self.max_replicas, ge=self.min_replicas)
+        guards.finite("scale_up_load", self.scale_up_load)
+        guards.finite("scale_down_load", self.scale_down_load)
         if self.scale_down_load >= self.scale_up_load:
             raise ValueError(
                 "scale_down_load must be < scale_up_load (hysteresis)")
-        if self.cooldown_s < 0 or self.boot_latency_s < 0:
-            raise ValueError("cooldown and boot latency must be >= 0")
+        guards.finite("cooldown_s", self.cooldown_s, ge=0)
+        guards.finite("boot_latency_s", self.boot_latency_s, ge=0)
 
 
 @dataclass(frozen=True)

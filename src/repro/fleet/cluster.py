@@ -68,6 +68,7 @@ from heapq import heapify, heappop, heappush
 
 import numpy as np
 
+from .. import guards
 from ..faults.attest import FleetAttestation, needs_attestation
 from ..faults.injector import FaultInjector
 from ..faults.resilience import DegradationPolicy, RetryPolicy
@@ -86,7 +87,6 @@ from .replica import (
     ReplicaSpec,
 )
 from .report import FleetReport, ReplicaUsage
-from .arrivals import _require_finite
 from .retryq import RetryQueue
 from .router import LeastOutstandingRouter, Router
 from .table import ColumnarOutcomes, RequestTable, ShedLog
@@ -232,9 +232,7 @@ class FleetSimulator:
                  degradation: DegradationPolicy | None = None) -> None:
         if not specs:
             raise ValueError("at least one initial replica spec required")
-        _require_finite(tick_s=tick_s)
-        if tick_s <= 0:
-            raise ValueError("tick_s must be positive")
+        guards.finite("tick_s", tick_s, gt=0)
         self.router = router or LeastOutstandingRouter()
         self.autoscaler = autoscaler
         self.scale_spec = scale_spec or specs[0]

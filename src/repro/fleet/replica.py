@@ -12,9 +12,9 @@ time is paid for, exactly like a real cloud instance.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
+from .. import guards
 from ..core.experiment import cpu_deployment, gpu_deployment
 from ..cost.pricing import GCP_SPOT_US_EAST1, PAPER_MEMORY_GB, PriceCatalog
 from ..engine.placement import CpuPlacement, Deployment
@@ -24,7 +24,6 @@ from ..serving.admission import TenancyConfig
 from ..serving.scheduler import ContinuousBatchingScheduler
 from ..tee.boot import ATTESTING as BOOT_REATTEST_PHASE
 from ..tee.boot import BootProfile, BootSequence
-from .arrivals import _require_finite
 
 #: Replica lifecycle states.
 BOOTING, LIVE, DRAINING, RETIRED = "booting", "live", "draining", "retired"
@@ -76,9 +75,7 @@ class ReplicaSpec:
     boot: BootProfile | None = None
 
     def __post_init__(self) -> None:
-        _require_finite(price_hr=self.price_hr)
-        if self.price_hr <= 0:
-            raise ValueError("price_hr must be positive")
+        guards.finite("price_hr", self.price_hr, gt=0)
 
     def boot_sequence(self) -> BootSequence | None:
         """The phased boot frozen against the served model, if armed."""
@@ -151,12 +148,9 @@ class Replica:
     def __init__(self, replica_id: int, spec: ReplicaSpec,
                  provisioned_s: float, boot_latency_s: float,
                  origin: str = "initial") -> None:
-        # NaN passes a plain `< 0` comparison, so finiteness is explicit
-        # (same guard the ServeRequest/Workload validators grew).
-        if not math.isfinite(boot_latency_s) or boot_latency_s < 0:
-            raise ValueError("boot_latency_s must be finite and >= 0")
-        if not math.isfinite(provisioned_s):
-            raise ValueError("provisioned_s must be finite")
+        guards.count("replica_id", replica_id, ge=0)
+        guards.finite("boot_latency_s", boot_latency_s, ge=0)
+        guards.finite("provisioned_s", provisioned_s)
         if origin not in ("initial", "scale", "spill"):
             raise ValueError(f"unknown replica origin {origin!r}")
         self.replica_id = replica_id

@@ -48,7 +48,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Sequence
 from heapq import heapify, heappop, heappush, heapreplace
 
-from .arrivals import _require_finite
+from .. import guards
 from .replica import Replica
 
 
@@ -273,11 +273,8 @@ class CostSloRouter(_LoadHeapRouter):
     name = "cost-slo"
 
     def __init__(self, slo_ttft_s: float, risk_factor: float = 0.8) -> None:
-        _require_finite(slo_ttft_s=slo_ttft_s)
-        if slo_ttft_s <= 0:
-            raise ValueError("slo_ttft_s must be positive")
-        if not 0.0 < risk_factor <= 1.0:
-            raise ValueError("risk_factor must be in (0, 1]")
+        guards.finite("slo_ttft_s", slo_ttft_s, gt=0)
+        guards.finite("risk_factor", risk_factor, gt=0, le=1)
         super().__init__()
         self.slo_ttft_s = slo_ttft_s
         self.risk_factor = risk_factor

@@ -1,0 +1,69 @@
+"""One rule for the numbers a public configuration accepts.
+
+Batch sizes, KV pools, prices, MTBFs and retry budgets enter through
+public constructors; each is checked there, once, by one of three
+functions, and the hot paths behind the constructor trust it:
+
+* :func:`finite` -- a real value (not a ``bool``), finite, within the
+  given bounds.
+* :func:`count` -- a configuration integer: an ``Integral`` that is not
+  a ``bool``, within the given bounds.
+* :func:`whole` -- a request-row integer: an integer, or a finite float
+  with no fraction (a ``16.0``-token prompt is a 16-token prompt).
+
+Finiteness comes before any bound because NaN passes every plain
+comparison (``nan < 0`` and ``nan >= 0`` are both False), so a guard
+written as ``if value < 0: raise`` lets NaN through.  Every function
+returns ``None`` or raises ``ValueError`` naming the field and the value;
+none converts the value, since a coerced number would change the
+fingerprints and snapshots that record it.
+
+This module imports nothing from the package, so every layer can use it.
+"""
+
+from __future__ import annotations
+
+import math
+from numbers import Integral, Real
+
+
+def _fail(name: str, kind: str, value: object, gt: Real | None = None,
+          ge: Real | None = None, le: Real | None = None) -> None:
+    wanted = [kind]
+    if gt is not None:
+        wanted.append("positive" if gt == 0 else f"> {gt}")
+    if ge is not None:
+        wanted.append(f">= {ge}")
+    if le is not None:
+        wanted.append(f"<= {le}")
+    raise ValueError(f"{name} must be {' and '.join(wanted)}, got {value!r}")
+
+
+def _in_bounds(value: Real, gt: Real | None, ge: Real | None,
+               le: Real | None) -> bool:
+    return ((gt is None or value > gt) and (ge is None or value >= ge)
+            and (le is None or value <= le))
+
+
+def finite(name: str, value: object, *, gt: Real | None = None,
+           ge: Real | None = None, le: Real | None = None) -> None:
+    """Raise unless ``value`` is a finite real (not a bool) in bounds."""
+    if (isinstance(value, bool) or not isinstance(value, Real)
+            or not math.isfinite(value)
+            or not _in_bounds(value, gt, ge, le)):
+        _fail(name, "finite", value, gt, ge, le)
+
+
+def count(name: str, value: object, *, ge: Real | None = None,
+          le: Real | None = None) -> None:
+    """Raise unless ``value`` is an integer (not a bool) in bounds."""
+    if (isinstance(value, bool) or not isinstance(value, Integral)
+            or not _in_bounds(value, None, ge, le)):
+        _fail(name, "a finite integer", value, ge=ge, le=le)
+
+
+def whole(name: str, value: object) -> None:
+    """Raise unless ``value`` is an integer or a finite whole float."""
+    if not (isinstance(value, Integral)
+            or (isinstance(value, Real) and float(value).is_integer())):
+        _fail(name, "a finite whole number", value)

@@ -63,6 +63,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .. import guards
+
 ADMISSION_POLICIES = ("fcfs", "wfq")
 KV_ISOLATION_MODES = ("shared", "partition", "shared-prefix")
 
@@ -103,16 +105,16 @@ class TenancyConfig:
                              ("partition_shares", self.partition_shares)):
             seen: set[int] = set()
             for tenant_id, value in pairs:
-                if tenant_id < 0:
-                    raise ValueError(f"{label}: tenant ids must be >= 0")
+                guards.count(f"{label}: tenant id", tenant_id, ge=0)
                 if tenant_id in seen:
                     raise ValueError(f"{label}: duplicate tenant "
                                      f"{tenant_id}")
                 seen.add(tenant_id)
-                if not math.isfinite(value) or value <= 0:
-                    raise ValueError(
-                        f"{label}: value for tenant {tenant_id} must be "
-                        f"finite and positive, got {value!r}")
+                name = f"{label}: value for tenant {tenant_id}"
+                if label == "prefix_tokens":
+                    guards.count(name, value, ge=1)
+                else:
+                    guards.finite(name, value, gt=0)
         if self.kv_isolation == "partition":
             if not self.partition_shares:
                 raise ValueError(

@@ -74,7 +74,6 @@ bit-identical to earlier releases.
 from __future__ import annotations
 
 import math
-import numbers
 from array import array
 from bisect import insort
 from collections.abc import Sequence
@@ -84,6 +83,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .. import guards
 from ..engine.placement import Deployment
 from ..llm.config import ModelConfig
 from ..llm.datatypes import DType
@@ -115,33 +115,17 @@ class ServeRequest:
     tenant_id: int = 0
 
     def __post_init__(self) -> None:
-        # NaN passes a plain `< 0` comparison, so finiteness is explicit.
-        if not math.isfinite(self.arrival_s) or self.arrival_s < 0:
-            raise ValueError("arrival_s must be finite and >= 0")
+        guards.finite("arrival_s", self.arrival_s, ge=0)
         # Refused, not truncated: a table stores these as int64, and a
         # 3.7-token prompt would be served (and costed) as 3 tokens.
-        for field_name in _WHOLE_FIELDS:
-            value = getattr(self, field_name)
-            if not _is_whole(value):
-                raise ValueError(f"{field_name} must be a finite whole "
-                                 f"number, got {value!r}")
+        for field_name in ("request_id", "prompt_tokens", "output_tokens",
+                           "priority", "tenant_id"):
+            guards.whole(field_name, getattr(self, field_name))
         for field_name in ("prompt_tokens", "output_tokens"):
             if getattr(self, field_name) < 1:
                 raise ValueError(f"{field_name} must be finite and >= 1")
         if self.tenant_id < 0:
             raise ValueError("tenant_id must be finite and >= 0")
-
-
-#: ServeRequest fields that must hold whole numbers.
-_WHOLE_FIELDS = ("request_id", "prompt_tokens", "output_tokens", "priority",
-                 "tenant_id")
-
-
-def _is_whole(value) -> bool:
-    """Whether ``value`` is an integer, or a finite float with no fraction."""
-    if isinstance(value, numbers.Integral):
-        return True
-    return isinstance(value, numbers.Real) and float(value).is_integer()
 
 
 @dataclass
@@ -333,23 +317,12 @@ class ContinuousBatchingScheduler:
                  block_size: int = 16, max_batch: int = 64,
                  admission_lookahead: int = 0,
                  tenancy: TenancyConfig | None = None) -> None:
-        # NaN or a fraction would pass a plain comparison: a NaN batch cap
-        # admits nothing, ever, and a NaN lookahead window is unbounded.
-        if not isinstance(max_batch, int) or max_batch < 1:
-            raise ValueError(f"max_batch must be an int >= 1, "
-                             f"got {max_batch!r}")
-        # Decode indexes block edges by ``step % block_size``.
-        if not isinstance(block_size, int) or block_size < 1:
-            raise ValueError(f"block_size must be an int >= 1, "
-                             f"got {block_size!r}")
-        if not (math.isfinite(kv_capacity_tokens)
-                and kv_capacity_tokens >= block_size):
-            raise ValueError(f"kv_capacity_tokens must be finite and >= "
-                             f"block_size ({block_size}), "
-                             f"got {kv_capacity_tokens!r}")
-        if not isinstance(admission_lookahead, int) or admission_lookahead < 0:
-            raise ValueError(f"admission_lookahead must be an int >= 0, "
-                             f"got {admission_lookahead!r}")
+        # A NaN batch cap admits nothing, ever, a NaN lookahead window is
+        # unbounded, and decode indexes block edges by ``step % block_size``.
+        guards.count("max_batch", max_batch, ge=1)
+        guards.count("block_size", block_size, ge=1)
+        guards.finite("kv_capacity_tokens", kv_capacity_tokens, ge=block_size)
+        guards.count("admission_lookahead", admission_lookahead, ge=0)
         self.deployment = deployment
         self.model = model
         self.dtype = dtype
@@ -562,8 +535,7 @@ class ContinuousBatchingScheduler:
         nominal value 1.0 is applied via an exact no-op so fault-free
         runs stay bit-identical.
         """
-        if not math.isfinite(scale) or scale <= 0:
-            raise ValueError("time_scale must be finite and positive")
+        guards.finite("time_scale", scale, gt=0)
         self._time_scale = scale
 
     def _scaled(self, step_s: float) -> float:
@@ -1539,8 +1511,8 @@ def poisson_stream(count: int, rate_per_s: float, mean_prompt: int = 256,
                    mean_output: int = 96, seed: int = 0) -> list[ServeRequest]:
     """A deterministic Poisson-like arrival stream for serving studies."""
     import random
-    if count < 1 or not math.isfinite(rate_per_s) or rate_per_s <= 0:
-        raise ValueError("count >= 1 and a finite positive rate required")
+    guards.count("count", count, ge=1)
+    guards.finite("rate_per_s", rate_per_s, gt=0)
     rng = random.Random(seed)
     clock = 0.0
     requests = []

@@ -54,10 +54,10 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import replace
-from numbers import Integral
 
 import numpy as np
 
+from .. import guards
 from ..engine.placement import Deployment
 from ..engine.roofline import WorkingSets, cost_model_for, one_block_step_s
 from ..llm.config import ModelConfig
@@ -169,8 +169,7 @@ class StepCostTable:
         miss costs and finishes all of them in one array pass.
         """
         # Checked before the tile arithmetic, which would hide the value.
-        if not isinstance(batch, Integral) or batch < 1:
-            raise ValueError(f"batch_size must be an int >= 1, got {batch!r}")
+        guards.count("batch_size", batch, ge=1)
         batch_tile, batch_offset = divmod(batch - 1, _TILE_BATCHES)
         bucket_tile, bucket_offset = divmod(bucket // _CONTEXT_GRID,
                                             _TILE_BUCKETS)

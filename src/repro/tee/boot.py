@@ -31,9 +31,9 @@ testing (``attest.legacy_constant_parity``).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
+from .. import guards
 from ..llm.config import ModelConfig
 from ..llm.datatypes import DType
 
@@ -85,17 +85,11 @@ class BootProfile:
 
     def __post_init__(self) -> None:
         for name in ("provision_s", "quote_s", "kms_round_trip_s"):
-            value = getattr(self, name)
-            # NaN passes a plain `< 0` comparison, so finiteness is explicit.
-            if not math.isfinite(value) or value < 0:
-                raise ValueError(f"{name} must be finite and >= 0")
-        if self.kms_round_trips < 0:
-            raise ValueError("kms_round_trips must be >= 0")
+            guards.finite(name, getattr(self, name), ge=0)
+        guards.count("kms_round_trips", self.kms_round_trips, ge=0)
         for name in ("decrypt_gbps", "load_gbps"):
-            value = getattr(self, name)
-            if value is not None and (not math.isfinite(value)
-                                      or value <= 0):
-                raise ValueError(f"{name} must be finite and > 0, or None")
+            if getattr(self, name) is not None:
+                guards.finite(name, getattr(self, name), gt=0)
 
     def fingerprint(self) -> dict:
         """Identity of the latency terms, for snapshot integrity checks."""
@@ -116,8 +110,7 @@ class BootProfile:
         key-release phase only exists when there is a key to release
         (an encrypted model).
         """
-        if not math.isfinite(model_bytes) or model_bytes < 0:
-            raise ValueError("model_bytes must be finite and >= 0")
+        guards.finite("model_bytes", model_bytes, ge=0)
         decrypt_s = (model_bytes / (self.decrypt_gbps * 1e9)
                      if self.decrypt_gbps is not None else 0.0)
         release_s = (self.kms_round_trips * self.kms_round_trip_s
@@ -156,8 +149,7 @@ class BootSequence:
                 f"need {len(BOOT_PHASES)} phase durations, "
                 f"got {len(self.durations)}")
         for phase, duration in zip(BOOT_PHASES, self.durations):
-            if not math.isfinite(duration) or duration < 0:
-                raise ValueError(f"{phase} duration must be finite and >= 0")
+            guards.finite(f"{phase} duration", duration, ge=0)
 
     @property
     def total_s(self) -> float:
@@ -282,8 +274,7 @@ def constant_profile(kind: str, total_s: float) -> BootProfile:
     bit-identical to one using the legacy ``boot_latency_s`` constants
     (the ``attest.legacy_constant_parity`` audit check pins this).
     """
-    if not math.isfinite(total_s) or total_s < 0:
-        raise ValueError("total_s must be finite and >= 0")
+    guards.finite("total_s", total_s, ge=0)
     return BootProfile(kind, provision_s=total_s)
 
 

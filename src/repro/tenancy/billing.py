@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 
+from .. import guards
 
 def partition_bill_cents(total_usd: float,
                          tokens_by_tenant: dict[int, int]) -> dict[int, int]:
@@ -34,12 +35,11 @@ def partition_bill_cents(total_usd: float,
     Returns:
         Cents per tenant id, summing to ``round(total_usd * 100)``.
     """
-    if not math.isfinite(total_usd) or total_usd < 0:
-        raise ValueError("total_usd must be finite and >= 0")
+    guards.finite("total_usd", total_usd, ge=0)
     if not tokens_by_tenant:
         raise ValueError("tokens_by_tenant must not be empty")
-    if any(tokens < 0 for tokens in tokens_by_tenant.values()):
-        raise ValueError("token counts must be >= 0")
+    for tenant, tokens in tokens_by_tenant.items():
+        guards.count(f"tokens of tenant {tenant}", tokens, ge=0)
     total_cents = round(total_usd * 100)
     tenants = sorted(tokens_by_tenant)
     total_tokens = sum(tokens_by_tenant.values())

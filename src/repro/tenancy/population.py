@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..fleet.arrivals import ARRIVAL_KINDS, _require_finite, make_arrival_table
+from .. import guards
+from ..fleet.arrivals import ARRIVAL_KINDS, make_arrival_table
 from ..fleet.table import RequestTable
 from ..serving.admission import TenancyConfig
 
@@ -66,25 +67,18 @@ class TenantSpec:
     prefix_tokens: int = 0
 
     def __post_init__(self) -> None:
-        _require_finite(rate_per_s=self.rate_per_s, weight=self.weight,
-                        slo_ttft_s=self.slo_ttft_s)
-        if self.tenant_id < 0:
-            raise ValueError("tenant_id must be >= 0")
-        if self.requests < 1:
-            raise ValueError("requests must be >= 1")
-        if self.rate_per_s <= 0:
-            raise ValueError("rate_per_s must be positive")
+        guards.count("tenant_id", self.tenant_id, ge=0)
+        guards.count("requests", self.requests, ge=1)
+        guards.finite("rate_per_s", self.rate_per_s, gt=0)
         if self.arrival not in ARRIVAL_KINDS:
             raise ValueError(f"unknown arrival kind {self.arrival!r}; "
                              f"expected one of {ARRIVAL_KINDS}")
-        if self.mean_prompt < 1 or self.mean_output < 1:
-            raise ValueError("mean sizes must be >= 1")
-        if self.weight <= 0:
-            raise ValueError("weight must be positive")
-        if self.slo_ttft_s <= 0:
-            raise ValueError("slo_ttft_s must be positive")
-        if self.prefix_tokens < 0:
-            raise ValueError("prefix_tokens must be >= 0")
+        guards.count("mean_prompt", self.mean_prompt, ge=1)
+        guards.count("mean_output", self.mean_output, ge=1)
+        guards.finite("weight", self.weight, gt=0)
+        guards.count("priority", self.priority)
+        guards.finite("slo_ttft_s", self.slo_ttft_s, gt=0)
+        guards.count("prefix_tokens", self.prefix_tokens, ge=0)
 
 
 @dataclass(frozen=True)
@@ -199,8 +193,7 @@ def whale_mix(total_requests: int = 200, rate_per_s: float = 6.0,
     SLO.  Request volume across tenants is Zipf-like — the regime where
     FCFS lets the whale starve the tail and WFQ is supposed to matter.
     """
-    if total_requests < 20:
-        raise ValueError("total_requests must be >= 20")
+    guards.count("total_requests", total_requests, ge=20)
     whale = int(total_requests * 0.60)
     mid = int(total_requests * 0.25)
     minnow = max(1, (total_requests - whale - mid) // 3)

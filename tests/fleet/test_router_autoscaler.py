@@ -7,8 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.faults import FaultSchedule, RetryPolicy
-from repro.fleet import FleetSimulator, fixed_fleet
+from repro import Workload
+from repro.faults import (
+    DegradationPolicy,
+    FaultEvent,
+    FaultSchedule,
+    RetryPolicy,
+    mtbf_schedule,
+)
+from repro.fleet import FleetSimulator, fixed_fleet, mmpp_table, poisson_table
 from repro.fleet.autoscaler import AutoscalerConfig, ReactiveAutoscaler
 from repro.fleet.replica import Replica, replica_spec
 from repro.fleet.router import (
@@ -19,8 +26,11 @@ from repro.fleet.router import (
     make_router,
 )
 from repro.fleet.table import RequestTable
+from repro.llm.config import LLAMA2_7B
+from repro.llm.datatypes import BFLOAT16
 from repro.serving.scheduler import OutcomeLog, ServeRequest, poisson_stream
-from repro.tee.boot import boot_profile
+from repro.tee.boot import BootProfile, boot_profile
+from repro.tenancy import TenantSpec, whale_mix
 from repro.validate.fleet import (
     _ScanCostSlo,
     _ScanKvPressure,
@@ -426,9 +436,15 @@ class TestAutoscaler:
             AutoscalerConfig(cooldown_s=-1.0)
 
 
-#: Every fleet config boundary whose comparison guards let NaN or inf
-#: through before they were checked for finiteness.
-NON_FINITE_CONFIGS = [
+def tenant(**fields):
+    return TenantSpec(**{"tenant_id": 0, "name": "t", "requests": 2,
+                         "rate_per_s": 1.0, **fields})
+
+
+#: Every public config boundary whose comparison guards once let NaN,
+#: inf, a bool or a fractional count through (``repro.guards`` now
+#: checks each where it enters).
+INVALID_CONFIGS = [
     ("tick_s=nan", lambda: FleetSimulator([TDX], tick_s=math.nan),
      "tick_s"),
     ("tick_s=inf", lambda: FleetSimulator([TDX], tick_s=math.inf),
@@ -442,12 +458,56 @@ NON_FINITE_CONFIGS = [
      "slo_ttft_s"),
     ("poisson_stream rate=inf", lambda: poisson_stream(3, math.inf),
      "finite"),
+    ("max_attempts=nan",
+     lambda: RetryPolicy(timeout_s=1, max_attempts=math.nan), "max_attempts"),
+    ("max_attempts=2.5",
+     lambda: RetryPolicy(timeout_s=1, max_attempts=2.5), "max_attempts"),
+    ("max_spill=nan", lambda: DegradationPolicy(max_spill=math.nan),
+     "max_spill"),
+    ("max_spill=1.5", lambda: DegradationPolicy(max_spill=1.5), "max_spill"),
+    ("fault replica_id=nan",
+     lambda: FaultEvent(time_s=1, kind="crash", replica_id=math.nan),
+     "replica_id"),
+    ("fault replica_id=1.5",
+     lambda: FaultEvent(time_s=1, kind="crash", replica_id=1.5),
+     "replica_id"),
+    ("min_replicas=nan", lambda: AutoscalerConfig(min_replicas=math.nan),
+     "min_replicas"),
+    ("max_replicas=2.5", lambda: AutoscalerConfig(max_replicas=2.5),
+     "max_replicas"),
+    ("tenant requests=2.5", lambda: tenant(requests=2.5), "requests"),
+    ("tenant mean_prompt=nan", lambda: tenant(mean_prompt=math.nan),
+     "mean_prompt"),
+    ("tenant priority=nan", lambda: tenant(priority=math.nan), "priority"),
+    ("tenant tenant_id=nan", lambda: tenant(tenant_id=math.nan),
+     "tenant_id"),
+    ("whale_mix total_requests=100.5",
+     lambda: whale_mix(total_requests=100.5), "total_requests"),
+    ("workload batch_size=2.5",
+     lambda: Workload(LLAMA2_7B, BFLOAT16, batch_size=2.5), "batch_size"),
+    ("workload input_tokens=True",
+     lambda: Workload(LLAMA2_7B, BFLOAT16, input_tokens=True),
+     "input_tokens"),
+    ("kms_round_trips=nan",
+     lambda: BootProfile("tdx", kms_round_trips=math.nan), "kms_round_trips"),
+    ("kms_round_trips=1.5",
+     lambda: BootProfile("tdx", kms_round_trips=1.5), "kms_round_trips"),
+    ("poisson_table mean_prompt=-5",
+     lambda: poisson_table(3, 1.0, mean_prompt=-5), "mean_prompt"),
+    ("poisson_table mean_output=-5",
+     lambda: poisson_table(3, 1.0, mean_output=-5), "mean_output"),
+    ("poisson_table count=2.5", lambda: poisson_table(2.5, 1.0), "count"),
+    ("mmpp_table count=True", lambda: mmpp_table(True, 1.0, 2.0), "count"),
+    ("mtbf_schedule replica 0.5",
+     lambda: mtbf_schedule([0.5], 100.0, 1000.0), "replica_id"),
+    ("tick_s=True", lambda: FleetSimulator([replica_spec("tdx")], tick_s=True),
+     "tick_s"),
 ]
 
 
 @pytest.mark.parametrize("build,field",
-                         [case[1:] for case in NON_FINITE_CONFIGS],
-                         ids=[case[0] for case in NON_FINITE_CONFIGS])
+                         [case[1:] for case in INVALID_CONFIGS],
+                         ids=[case[0] for case in INVALID_CONFIGS])
 def test_non_finite_config_rejected(build, field):
     with pytest.raises(ValueError, match=field):
         build()
