@@ -15,11 +15,11 @@ bit-identical to the serial one.
 
 from __future__ import annotations
 
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable
 
+from .. import guards
 from ..engine.placement import Deployment, Workload
 from ..state.errors import StateValueError
 from .experiment import Experiment, ExperimentResult
@@ -28,25 +28,22 @@ from .experiment import Experiment, ExperimentResult
 def _validate_grid(parameter: str, values: list) -> None:
     """Reject malformed sweep grids before any experiment is built.
 
-    Grid values name workload parameters (batch sizes, token counts,
-    core counts) so they must be positive finite numbers; catching a
-    NaN or negative here fails the whole sweep in microseconds instead
-    of shipping poisoned experiments to a process pool and failing one
-    worker minutes in.  Raises the structured
+    Grid values name workload parameters and deployment variants (batch
+    sizes, token counts, core counts), so each must be an integer >= 1
+    (:func:`repro.guards.count`); catching a bad value here fails the
+    whole sweep in microseconds, naming its slot, instead of shipping
+    poisoned experiments to a process pool and failing one worker
+    minutes in.  Raises the structured
     :class:`~repro.state.errors.StateValueError` (a ``ValueError``
     subclass, so pre-existing handlers keep working).
     """
     if not values:
         raise StateValueError(f"sweep grid {parameter!r} must be non-empty")
     for slot, value in enumerate(values):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise StateValueError(
-                f"sweep grid {parameter!r}[{slot}] must be numeric, got "
-                f"{type(value).__name__}")
-        if not math.isfinite(value) or value <= 0:
-            raise StateValueError(
-                f"sweep grid {parameter!r}[{slot}] must be a positive "
-                f"finite number, got {value!r}")
+        try:
+            guards.count(f"sweep grid {parameter!r}[{slot}]", value, ge=1)
+        except ValueError as error:
+            raise StateValueError(str(error)) from None
 
 
 def _run_experiment(experiment: Experiment) -> ExperimentResult:
@@ -86,7 +83,7 @@ def sweep_workload(name: str, base: Workload,
 
     Raises:
         repro.state.errors.StateValueError: On an empty grid or a
-            non-finite/non-positive value.
+            value that is not an integer >= 1.
     """
     _validate_grid(parameter, values)
     experiments = [
@@ -114,7 +111,7 @@ def sweep_deployments(name: str, workload: Workload,
 
     Raises:
         repro.state.errors.StateValueError: On an empty grid or a
-            non-finite/non-positive value.
+            value that is not an integer >= 1.
     """
     _validate_grid(name, values)
     experiments = [

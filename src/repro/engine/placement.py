@@ -97,6 +97,10 @@ class CpuPlacement:
     expose_hyperthreads: bool = False
 
     def __post_init__(self) -> None:
+        guards.count("sockets_used", self.sockets_used)
+        if self.cores_per_socket_used is not None:
+            guards.count("cores_per_socket_used", self.cores_per_socket_used)
+        guards.count("snc_clusters", self.snc_clusters)
         if not 1 <= self.sockets_used <= self.cpu.sockets:
             raise ValueError(
                 f"sockets_used must be in [1, {self.cpu.sockets}]")

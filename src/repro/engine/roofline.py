@@ -114,6 +114,14 @@ def _per_set(scalar, vec, working_set, *args):
     return scalar(working_set, *args)
 
 
+def _add_in_order(values: Iterable[float]) -> float:
+    """``values`` added left to right from 0.0, one IEEE add each."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def step_total_s(op_totals: Iterable[float], exits_s: float,
                  fixed_s: float, tax_multiplier: float) -> float:
     """Seconds of one forward step from its per-operator totals.
@@ -123,10 +131,7 @@ def step_total_s(op_totals: Iterable[float], exits_s: float,
     Python >= 3.12 ``sum()`` of floats is compensated and would round
     differently from :func:`one_block_step_s`'s row-by-row numpy adds.
     """
-    total = 0.0
-    for op_total in op_totals:
-        total += op_total
-    return (total + exits_s) * tax_multiplier + fixed_s
+    return (_add_in_order(op_totals) + exits_s) * tax_multiplier + fixed_s
 
 
 @dataclass(frozen=True)
@@ -214,28 +219,95 @@ class StepCost:
 
     @property
     def compute_s(self) -> float:
-        return sum(cost.compute_s for cost in self.op_costs)
+        return _add_in_order(cost.compute_s for cost in self.op_costs)
 
     @property
     def memory_s(self) -> float:
-        return sum(cost.memory_s for cost in self.op_costs)
+        return _add_in_order(cost.memory_s for cost in self.op_costs)
 
     def is_compute_bound(self) -> bool:
         """Whether aggregate compute time exceeds aggregate memory time."""
         return self.compute_s > self.memory_s
 
 
-class CpuCostModel:
-    """Operator cost model for CPU deployments."""
+class _CostModel:
+    """The step-cost loop and signature both cost models share.
+
+    A model supplies ``_step_terms`` (a step's operator-independent
+    inputs), ``_op_cost`` (one operator), ``_column_totals`` (every
+    operator of a column pass) and ``_step_scalars(io_bytes)`` (a
+    step's exit seconds, fixed seconds and tax multiplier).
+    """
+
+    _placement_type: type
 
     def __init__(self, deployment: Deployment) -> None:
-        if not isinstance(deployment.placement, CpuPlacement):
-            raise TypeError("CpuCostModel needs a CpuPlacement")
+        if not isinstance(deployment.placement, self._placement_type):
+            raise TypeError(f"{type(self).__name__} needs a "
+                            f"{self._placement_type.__name__}")
         self.deployment = deployment
-        self.placement = deployment.placement
         self.backend = deployment.backend
         self.framework = deployment.framework
         self.profile = deployment.toggles.apply(self.backend.cost_profile())
+
+    def step_cost(self, ops: list[Operator], sets: WorkingSets, dtype: DType,
+                  io_bytes: float = 0.0) -> StepCost:
+        """Cost a full forward step (all operators + step-level terms).
+
+        Repeated decoder blocks emit operators that differ only in
+        ``name``/``layer``; neither model reads those, so each distinct
+        (category, flops, bytes) operator is costed once and its
+        component times reused — each still wrapped in its own
+        :class:`OpCost` so per-layer traces group correctly.  The
+        operator-independent terms are computed once per step.
+        ``io_bytes`` is the step's host-device staging
+        (:func:`gpu_io_bytes`); only a bounce-buffered GPU pays for it.
+        """
+        terms = self._step_terms(sets, dtype)
+        memo: dict[tuple, OpCost] = {}
+        op_costs = []
+        for op in ops:
+            key = (op.category, op.flops, op.weight_bytes,
+                   op.activation_bytes, op.kv_read_bytes, op.kv_write_bytes)
+            hit = memo.get(key)
+            if hit is None:
+                hit = memo[key] = self._op_cost(op, sets, dtype, terms)
+            elif hit.op is not op:
+                hit = OpCost(op=op, compute_s=hit.compute_s,
+                             memory_s=hit.memory_s,
+                             translation_s=hit.translation_s,
+                             paging_s=hit.paging_s)
+            op_costs.append(hit)
+        exits_s, fixed_s, tax = self._step_scalars(io_bytes)
+        return StepCost(op_costs=tuple(op_costs), exits_s=exits_s,
+                        fixed_s=fixed_s, tax_multiplier=tax)
+
+    def step_cost_columns(self, columns: OpColumns, sets: WorkingSets,
+                          dtype: DType,
+                          io_bytes: float = 0.0) -> StepCostColumns:
+        """:meth:`step_cost` of one graph at many shapes in one numpy pass.
+
+        ``sets`` holds the working sets of every shape (each may be a
+        float or an array aligned with the columns).  Each operator is
+        costed term for term in ``_op_cost``'s association order, so
+        every ``op_totals`` entry is bitwise the scalar
+        :attr:`OpCost.total_s`.
+        """
+        totals = self._column_totals(columns, sets, dtype,
+                                     self._step_terms(sets, dtype))
+        exits_s, fixed_s, tax = self._step_scalars(io_bytes)
+        return StepCostColumns(op_totals=totals, exits_s=exits_s,
+                               fixed_s=fixed_s, tax_multiplier=tax)
+
+
+class CpuCostModel(_CostModel):
+    """Operator cost model for CPU deployments."""
+
+    _placement_type = CpuPlacement
+
+    def __init__(self, deployment: Deployment) -> None:
+        super().__init__(deployment)
+        self.placement = deployment.placement
         self.cpu = self.placement.cpu
         self.numa_policy = self.backend.resolve_numa_policy(self.placement.numa_policy)
         self.hugepages = self.backend.resolve_hugepages(self.placement.hugepages)
@@ -392,11 +464,7 @@ class CpuCostModel:
         working_set = sets.weights + sets.kv + sets.activations
         return paging_overhead_s(dram_total, working_set, self._epc_bytes())
 
-    # -- public API ----------------------------------------------------------
-
-    def op_cost(self, op: Operator, sets: WorkingSets, dtype: DType) -> OpCost:
-        """Cost one operator under the deployment's mechanisms."""
-        return self._op_cost(op, sets, dtype, self._step_terms(sets, dtype))
+    # -- the shared loop's parts ---------------------------------------------
 
     def _step_terms(self, sets: WorkingSets, dtype: DType) -> tuple:
         """The operator-independent inputs of :meth:`_op_cost`."""
@@ -418,7 +486,7 @@ class CpuCostModel:
             paging_s=self._paging_time(dram_total, sets),
         )
 
-    def _step_scalars(self) -> tuple[float, float, float]:
+    def _step_scalars(self, io_bytes: float) -> tuple[float, float, float]:
         """A step's (exit seconds, fixed seconds, tax multiplier)."""
         tax = 1.0 + self.profile.virtualization_tax
         if self.placement.expose_hyperthreads:
@@ -426,50 +494,14 @@ class CpuCostModel:
         return (self.profile.exit_cost_s * self.profile.exits_per_step,
                 self.profile.step_fixed_s, tax)
 
-    def step_cost(self, ops: list[Operator], sets: WorkingSets,
-                  dtype: DType) -> StepCost:
-        """Cost a full forward step (all operators + step-level terms).
+    def _column_totals(self, columns: OpColumns, sets: WorkingSets,
+                       dtype: DType, step_terms: tuple) -> np.ndarray:
+        """:meth:`_op_cost`'s ``total_s`` of every operator at every shape.
 
-        Repeated decoder blocks emit operators that differ only in
-        ``name``/``layer``; the cost model reads neither, so identical
-        (category, flops, bytes) operators are costed once and the
-        component times reused — each still wrapped in its own
-        :class:`OpCost` so per-layer traces group correctly.  The
-        operator-independent terms (bandwidth, TLB miss rates) are
-        computed once per step.
+        The thresholds of the ``*_vec`` twins are the scalar ``<=``
+        tests, so each entry is bitwise the scalar value.
         """
-        step_terms = self._step_terms(sets, dtype)
-        memo: dict[tuple, OpCost] = {}
-        op_costs = []
-        for op in ops:
-            key = (op.category, op.flops, op.weight_bytes,
-                   op.activation_bytes, op.kv_read_bytes, op.kv_write_bytes)
-            hit = memo.get(key)
-            if hit is None:
-                hit = memo[key] = self._op_cost(op, sets, dtype, step_terms)
-            elif hit.op is not op:
-                hit = OpCost(op=op, compute_s=hit.compute_s,
-                             memory_s=hit.memory_s,
-                             translation_s=hit.translation_s,
-                             paging_s=hit.paging_s)
-            op_costs.append(hit)
-        exits_s, fixed_s, tax = self._step_scalars()
-        return StepCost(op_costs=tuple(op_costs), exits_s=exits_s,
-                        fixed_s=fixed_s, tax_multiplier=tax)
-
-    def step_cost_columns(self, columns: OpColumns, sets: WorkingSets,
-                          dtype: DType) -> StepCostColumns:
-        """:meth:`step_cost` of one graph at many shapes in one numpy pass.
-
-        ``sets`` holds the working sets of every shape (each may be a
-        float or an array aligned with the columns).  Each operator is costed term
-        for term in :meth:`_op_cost`'s association order, and the
-        thresholds of the ``*_vec`` twins are the scalar ``<=`` tests,
-        so every ``op_totals`` entry is bitwise the scalar
-        :attr:`OpCost.total_s`.
-        """
-        fallback = is_fallback_path(dtype, self.amx_available)
-        bw = self.effective_bw(fallback)
+        fallback, bw, walk_terms = step_terms
         allocator = self._allocator_inflation()
         flops = columns.flops
         rates = {category: self._per_core_rate(category, dtype)
@@ -496,7 +528,7 @@ class CpuCostModel:
         # translation_time() per walk term, accumulated in term order.
         walk_s = self.walk.walk_s
         translation = 0.0
-        for stream, fraction, page_bytes, miss in self._walk_terms(sets):
+        for stream, fraction, page_bytes, miss in walk_terms:
             translation = (translation + dram[stream] * fraction
                            / page_bytes * miss * walk_s)
         translation = translation * WALK_SERIAL_FRACTION
@@ -507,39 +539,22 @@ class CpuCostModel:
             paging = (dram_total / PAGE_4K
                       * paging_fraction_vec(working_set, self._epc_bytes())
                       * EPC_FAULT_S)
-        totals = np.maximum(compute, dram_total / bw) + translation + paging
-        exits_s, fixed_s, tax = self._step_scalars()
-        return StepCostColumns(op_totals=totals, exits_s=exits_s,
-                               fixed_s=fixed_s, tax_multiplier=tax)
+        return np.maximum(compute, dram_total / bw) + translation + paging
 
 
-class GpuCostModel:
+class GpuCostModel(_CostModel):
     """Operator cost model for (confidential) GPU deployments."""
 
+    _placement_type = GpuPlacement
+
     def __init__(self, deployment: Deployment) -> None:
-        if not isinstance(deployment.placement, GpuPlacement):
-            raise TypeError("GpuCostModel needs a GpuPlacement")
-        self.deployment = deployment
+        super().__init__(deployment)
         self.gpu = deployment.placement.gpu
-        self.backend = deployment.backend
-        self.framework = deployment.framework
-        self.profile = deployment.toggles.apply(self.backend.cost_profile())
 
-    def op_cost(self, op: Operator, sets: WorkingSets, dtype: DType) -> OpCost:
-        """Cost one operator; HBM traffic pays no encryption derate on
-        H100 (its HBM is unprotected — a security gap, not a cost)."""
-        del sets  # GPU HBM is not LLC-filtered at these working sets
-        rate, bw = self._rates(dtype)
-        return OpCost(
-            op=op,
-            compute_s=op.flops / rate,
-            memory_s=op.bytes_total / bw,
-            translation_s=0.0,
-            paging_s=0.0,
-        )
-
-    def _rates(self, dtype: DType) -> tuple[float, float]:
+    def _step_terms(self, sets: WorkingSets,
+                    dtype: DType) -> tuple[float, float]:
         """Derated FLOP rate and HBM bandwidth."""
+        del sets  # GPU HBM is not LLC-filtered at these working sets
         derate = 1.0 - self.profile.gpu_rate_derate
         rate = (self.gpu.peak_flops(dtype)
                 * self.framework.mfu(Engine.CUDA_TENSOR) * derate)
@@ -549,41 +564,30 @@ class GpuCostModel:
         bw *= 1.0 - self.profile.mem_encryption_derate
         return rate, bw
 
-    def _bounce_time(self, io_bytes: float) -> float:
-        if self.profile.bounce_bw is None or io_bytes <= 0.0:
-            return 0.0
-        return self.gpu.pcie.latency_s + io_bytes / self.profile.bounce_bw
+    def _op_cost(self, op: Operator, sets: WorkingSets, dtype: DType,
+                 step_terms: tuple[float, float]) -> OpCost:
+        # HBM traffic pays no encryption derate on H100 (its HBM is
+        # unprotected — a security gap, not a cost).
+        rate, bw = step_terms
+        return OpCost(op=op, compute_s=op.flops / rate,
+                      memory_s=op.bytes_total / bw,
+                      translation_s=0.0, paging_s=0.0)
 
-    def step_cost(self, ops: list[Operator], sets: WorkingSets, dtype: DType,
-                  io_bytes: float = 0.0) -> StepCost:
-        """Cost a forward step including launch tax and PCIe staging."""
-        fixed = self.profile.step_fixed_s + self._bounce_time(io_bytes)
-        return StepCost(
-            op_costs=tuple(self.op_cost(op, sets, dtype) for op in ops),
-            exits_s=0.0,
-            fixed_s=fixed,
-            tax_multiplier=1.0,
-        )
-
-    def step_cost_columns(self, columns: OpColumns, sets: WorkingSets,
-                          dtype: DType,
-                          io_bytes: float = 0.0) -> StepCostColumns:
-        """:meth:`step_cost` of one graph at many shapes in one numpy pass.
-
-        Each ``op_totals`` entry is bitwise :meth:`op_cost`'s
-        ``total_s`` (GPU operators pay no translation or paging), and
-        ``fixed_s`` charges the same host-device staging of ``io_bytes``
-        per step as :meth:`step_cost`.
-        """
-        del sets  # GPU HBM is not LLC-filtered at these working sets
-        rate, bw = self._rates(dtype)
+    def _column_totals(self, columns: OpColumns, sets: WorkingSets,
+                       dtype: DType,
+                       step_terms: tuple[float, float]) -> np.ndarray:
+        rate, bw = step_terms
         bytes_total = (columns.weight_bytes + columns.activation_bytes
                        + columns.kv_read_bytes + columns.kv_write_bytes)
-        return StepCostColumns(
-            op_totals=np.maximum(columns.flops / rate, bytes_total / bw),
-            exits_s=0.0,
-            fixed_s=self.profile.step_fixed_s + self._bounce_time(io_bytes),
-            tax_multiplier=1.0)
+        return np.maximum(columns.flops / rate, bytes_total / bw)
+
+    def _step_scalars(self, io_bytes: float) -> tuple[float, float, float]:
+        """No exits or tax; launch tax plus bounce-buffer staging."""
+        fixed_s = self.profile.step_fixed_s
+        if self.profile.bounce_bw is not None and io_bytes > 0.0:
+            fixed_s += (self.gpu.pcie.latency_s
+                        + io_bytes / self.profile.bounce_bw)
+        return 0.0, fixed_s, 1.0
 
 
 def cost_model_for(deployment: Deployment) -> CpuCostModel | GpuCostModel:

@@ -16,9 +16,12 @@ operator row at a time (:func:`~repro.engine.roofline.one_block_step_s`).
 Every value equals the scalar :func:`decode_step_cost` at its context
 bit for bit; the per-token loop over that scalar path survives as the
 private reference ``_decode_clean_loop``, which the parity audit and
-tests compare the pass against with ``==``.  Memoized scalar step costs are
-bit-identical to uncached ones (the caches store the computed values,
-they do not approximate them).
+tests compare the pass against with ``==``.
+
+Every step passes its host-device staging (``gpu_io_bytes``) to the
+cost model, which a CPU does not charge, so no path branches on the
+placement.  Only prefill step costs are memoized; a hit is the stored
+:class:`StepCost`, bit-identical to a fresh one.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from ..llm.graph import (
 from ..llm.ops import OpColumns, Operator, Phase, merge_totals
 from ..memo import MemoCache
 from . import calibration as cal
-from .placement import CpuPlacement, Deployment, Workload, weight_footprint
+from .placement import Deployment, Workload, weight_footprint
 from .roofline import (
     CpuCostModel,
     GpuCostModel,
@@ -50,7 +53,6 @@ from .roofline import (
 from .trace import TraceEvent, events_from_step
 
 _PREFILL_COST_CACHE = MemoCache("prefill_step_cost", maxsize=256)
-_DECODE_COST_CACHE = MemoCache("decode_step_cost", maxsize=2048)
 
 
 @dataclass(frozen=True)
@@ -155,8 +157,6 @@ def prefill_step_cost(workload: Workload, deployment: Deployment,
             workload.model, workload.dtype, workload.batch_size,
             workload.input_tokens, workload.beam_size))
         sets = _working_sets(workload, deployment, workload.input_tokens, ops)
-        if isinstance(deployment.placement, CpuPlacement):
-            return cost_model.step_cost(ops, sets, workload.dtype)
         return cost_model.step_cost(
             ops, sets, workload.dtype,
             io_bytes=gpu_io_bytes(workload, Phase.PREFILL))
@@ -167,23 +167,15 @@ def prefill_step_cost(workload: Workload, deployment: Deployment,
 def decode_step_cost(workload: Workload, deployment: Deployment,
                      context: int,
                      model: CpuCostModel | GpuCostModel | None = None) -> StepCost:
-    """Costed decode step at one context, memoized per shape + context."""
-    key = (deployment, workload.model, workload.dtype, workload.batch_size,
-           workload.beam_size, context)
-
-    def build() -> StepCost:
-        cost_model = model or cost_model_for(deployment)
-        ops = list(cached_decode_step_ops(
-            workload.model, workload.dtype, workload.batch_size, context,
-            workload.beam_size))
-        sets = _working_sets(workload, deployment, context, ops)
-        if isinstance(deployment.placement, CpuPlacement):
-            return cost_model.step_cost(ops, sets, workload.dtype)
-        return cost_model.step_cost(
-            ops, sets, workload.dtype,
-            io_bytes=gpu_io_bytes(workload, Phase.DECODE))
-
-    return _DECODE_COST_CACHE.get_or_compute(key, build)
+    """Costed decode step at one context, over the full graph."""
+    cost_model = model or cost_model_for(deployment)
+    ops = list(cached_decode_step_ops(
+        workload.model, workload.dtype, workload.batch_size, context,
+        workload.beam_size))
+    sets = _working_sets(workload, deployment, context, ops)
+    return cost_model.step_cost(
+        ops, sets, workload.dtype,
+        io_bytes=gpu_io_bytes(workload, Phase.DECODE))
 
 
 def _decode_pass(workload: Workload, deployment: Deployment,
@@ -218,12 +210,9 @@ def _decode_steps_s(workload: Workload, deployment: Deployment,
                     contexts: np.ndarray) -> list[float]:
     """Decode-step seconds at every context, from one column pass."""
     columns, sets = _decode_pass(workload, deployment, contexts)
-    if isinstance(deployment.placement, CpuPlacement):
-        step = model.step_cost_columns(columns, sets, workload.dtype)
-    else:
-        step = model.step_cost_columns(
-            columns, sets, workload.dtype,
-            io_bytes=gpu_io_bytes(workload, Phase.DECODE))
+    step = model.step_cost_columns(
+        columns, sets, workload.dtype,
+        io_bytes=gpu_io_bytes(workload, Phase.DECODE))
     return one_block_step_s(columns, step, workload.model.num_layers)
 
 

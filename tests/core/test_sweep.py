@@ -1,5 +1,7 @@
 """Sweep runner and series extraction."""
 
+import math
+
 import pytest
 
 from repro.core.experiment import cpu_deployment
@@ -13,6 +15,7 @@ from repro.core.sweep import (
 from repro.engine.placement import Workload
 from repro.llm.config import LLAMA2_7B
 from repro.llm.datatypes import BFLOAT16
+from repro.state.errors import StateValueError
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +62,39 @@ class TestSweepDeployments:
         outcomes = sweep_deployments("cores", workload, make, [8, 32])
         tput = metric_series(outcomes, "baremetal")
         assert tput[32] > tput[8]
+
+
+#: Grid values that are not an integer >= 1.
+BAD_GRID_VALUES = [2.5, True, math.nan, math.inf, 0, -1, "8", []]
+
+
+class TestGridValidation:
+    """Both sweeps refuse a bad grid value by its slot, before any
+    experiment is built."""
+
+    @pytest.mark.parametrize("value", BAD_GRID_VALUES, ids=repr)
+    def test_sweep_workload_refuses(self, deployments, value):
+        base = Workload(LLAMA2_7B, BFLOAT16)
+        with pytest.raises(StateValueError,
+                           match=r"^sweep grid 'batch_size'\[1\] must be a "
+                                 r"finite integer and >= 1, got "):
+            sweep_workload("t", base, deployments, "batch_size", [1, value])
+
+    @pytest.mark.parametrize("value", BAD_GRID_VALUES, ids=repr)
+    def test_sweep_deployments_refuses(self, value):
+        def make(cores):
+            raise AssertionError(f"built a deployment for {cores!r}")
+
+        with pytest.raises(StateValueError,
+                           match=r"^sweep grid 'cores'\[0\] must be a "
+                                 r"finite integer and >= 1, got "):
+            sweep_deployments("cores", Workload(LLAMA2_7B, BFLOAT16), make,
+                              [value])
+
+    def test_empty_grid_refused(self):
+        with pytest.raises(StateValueError, match="must be non-empty"):
+            sweep_deployments("cores", Workload(LLAMA2_7B, BFLOAT16),
+                              dict, [])
 
 
 class TestSeries:

@@ -124,7 +124,7 @@ class TestSweepCacheAccounting:
                         output_tokens=8)
         sweep_workload("warm", base, deployments, "input_tokens",
                        [96, 128, 160], seed=0)
-        # Run the identical sweep again: every step cost is memoized.
+        # Run the identical sweep again: every prefill step is memoized.
         sweep_workload("warm", base, deployments, "input_tokens",
                        [96, 128, 160], seed=0)
         stats = cache_stats()

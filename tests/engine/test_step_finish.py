@@ -17,6 +17,7 @@ import pytest
 
 from repro.engine.roofline import (
     OpCost,
+    StepCost,
     cost_model_for,
     one_block_step_s,
     step_total_s,
@@ -25,6 +26,7 @@ from repro.fleet.replica import replica_spec
 from repro.llm.config import LLAMA2_7B
 from repro.llm.datatypes import BFLOAT16
 from repro.llm.graph import prefill_columns, prefill_ops
+from repro.llm.ops import Operator, OpCategory, Phase
 from repro.serving.stepcost import StepCostTable
 
 
@@ -33,6 +35,18 @@ def test_step_total_adds_left_to_right():
     >= 3.12's ``sum()`` of floats) would keep both and give 2.0."""
     assert step_total_s([1.0, 1e100, 1.0, -1e100], 0.0, 0.0, 1.0) == 0.0
     assert step_total_s([], 0.5, 0.25, 2.0) == 1.25
+
+
+def test_step_compute_and_memory_add_left_to_right():
+    """``StepCost.compute_s`` and ``memory_s`` absorb the 1.0 into 1e100
+    as ``step_total_s`` does; a compensated ``sum()`` would keep it."""
+    op = Operator("x", OpCategory.ELEMENTWISE, Phase.DECODE, None, 0.0)
+    step = StepCost(
+        op_costs=tuple(OpCost(op, value, value, 0.0, 0.0)
+                       for value in (1e100, 1.0, -1e100)),
+        exits_s=0.0, fixed_s=0.0, tax_multiplier=1.0)
+    assert step.compute_s == 0.0
+    assert step.memory_s == 0.0
 
 
 # Each full-graph reference costs ~2 ms, so the wide passes run on TDX

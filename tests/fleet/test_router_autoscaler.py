@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Workload
+from repro import Workload, cpu_deployment
 from repro.faults import (
     DegradationPolicy,
     FaultEvent,
@@ -488,6 +488,13 @@ INVALID_CONFIGS = [
     ("workload input_tokens=True",
      lambda: Workload(LLAMA2_7B, BFLOAT16, input_tokens=True),
      "input_tokens"),
+    ("placement sockets_used=1.5",
+     lambda: cpu_deployment("tdx", sockets_used=1.5), "sockets_used"),
+    ("placement snc_clusters=2.5",
+     lambda: cpu_deployment("tdx", snc_clusters=2.5), "snc_clusters"),
+    ("placement cores_per_socket_used=True",
+     lambda: cpu_deployment("tdx", cores_per_socket_used=True),
+     "cores_per_socket_used"),
     ("kms_round_trips=nan",
      lambda: BootProfile("tdx", kms_round_trips=math.nan), "kms_round_trips"),
     ("kms_round_trips=1.5",

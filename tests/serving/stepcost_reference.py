@@ -2,9 +2,10 @@
 
 ``StepCostTable`` costs both phases in array passes.  This is the
 per-shape path it used before, kept only as a reference for the column
-tests: cost the one-block twin's operator list with the cost model's
-scalar ``step_cost`` (per-operator ``_op_cost``), then rebuild the full
-step from it: embed, the block ``num_layers`` times, then the head.
+tests: cost the one-block twin's operator list with the scalar
+``step_cost`` both cost models share (``_op_cost`` once per distinct
+operator), then rebuild the full step from it: embed, the block
+``num_layers`` times, then the head.
 """
 
 from repro.engine.roofline import WorkingSets, step_total_s

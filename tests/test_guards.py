@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro import Workload, guards, simulate_generation
 from repro.core.experiment import cpu_deployment
+from repro.engine.placement import CpuPlacement
 from repro.faults import (
     DegradationPolicy,
     FaultEvent,
@@ -28,6 +29,7 @@ from repro.fleet import (
 from repro.fleet.autoscaler import AutoscalerConfig
 from repro.fleet.replica import Replica
 from repro.fleet.router import CostSloRouter
+from repro.hardware.cpu import EMR2
 from repro.llm.config import LLAMA2_7B
 from repro.llm.datatypes import BFLOAT16
 from repro.serving.admission import TenancyConfig
@@ -218,6 +220,8 @@ BOUNDARY = [
      lambda value: partition_bill_cents(1.0, {0: value}), None),
     *fields(Workload, "batch_size", "input_tokens", "output_tokens",
             "beam_size", model=LLAMA2_7B, dtype=BFLOAT16),
+    *fields(CpuPlacement, "sockets_used", "cores_per_socket_used",
+            "snc_clusters", cpu=EMR2),
     *fields(ServeRequest, "request_id", "arrival_s", "prompt_tokens",
             "output_tokens", "priority", "tenant_id", request_id=0,
             arrival_s=0.0, prompt_tokens=16, output_tokens=8),
