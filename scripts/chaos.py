@@ -18,13 +18,14 @@ Usage::
     PYTHONPATH=src python scripts/chaos.py run --kind tdx --crash 5:0 \\
         --hang 8:1:3 --requests 30
 
-``sweep`` with no overrides reproduces the committed ``golden.chaos_mtbf``
-snapshot exactly (same seeds, same grid).  Rows stream to ``--jsonl`` as
-each grid point completes, so an interrupted sweep keeps everything
-already computed; ``--resume RUN_DIR`` goes further and write-ahead
-journals the sweep into a durable run directory that survives SIGKILL —
-rerun the same command (or ``scripts/resume.py RUN_DIR``) to continue
-where it stopped.
+``sweep`` runs :func:`repro.state.chaos_grid` — the grid
+``mtbf_sweep()`` runs — and with no overrides reproduces the committed
+``golden.chaos_mtbf`` snapshot exactly (same seeds, same grid).  Rows
+stream to ``--jsonl`` as each grid point completes, so an interrupted
+sweep keeps everything already computed.  ``--resume RUN_DIR`` only
+adds the journal: the same grid is write-ahead journaled into a durable
+run directory that survives SIGKILL — rerun the same command (or
+``scripts/resume.py RUN_DIR``) to continue where it stopped.
 """
 
 from __future__ import annotations
@@ -45,15 +46,14 @@ from repro.faults import (  # noqa: E402
 )
 from repro.faults.sweep import (  # noqa: E402
     DEFAULT_KINDS,
-    DEFAULT_MTBF_GRID_S,
     ROW_FIELDS,
-    iter_mtbf_rows,
 )
 from repro.fleet import (  # noqa: E402
     fixed_fleet,
     poisson_table,
     replica_spec,
 )
+from repro.state import SweepRunner, chaos_grid  # noqa: E402
 
 
 def _fmt(value: object) -> str:
@@ -167,53 +167,40 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    grid = (DEFAULT_MTBF_GRID_S if args.mtbf_grid is None else
+    grid = (None if args.mtbf_grid is None else
             tuple(None if p in ("inf", "none") else float(p)
                   for p in args.mtbf_grid.split(",")))
-    kinds = tuple(args.kinds.split(","))
+    spec = chaos_grid(kinds=tuple(args.kinds.split(",")), mtbf_grid_s=grid,
+                      num_requests=args.requests, rate_rps=args.rate,
+                      mean_prompt=args.mean_prompt,
+                      mean_output=args.mean_output, replicas=args.replicas,
+                      seed=args.seed, slo_ttft_s=args.slo_ttft,
+                      timeout_s=args.timeout, horizon_s=args.horizon,
+                      checkpoint_every_s=args.checkpoint_every,
+                      point_timeout_s=args.point_timeout)
+    runner = SweepRunner.create(args.resume, spec)
+    if args.resume:
+        print(f"run dir {args.resume}: {len(runner.completed())}/"
+              f"{len(spec.points)} points journaled, "
+              f"{len(runner.pending())} to go")
     # Partial results stream as each point lands (append when resuming:
     # the run directory's WAL already holds the earlier rows).
     stream = (open(args.jsonl, "a" if args.resume else "w",
                    encoding="utf-8") if args.jsonl else None)
 
-    def emit(row: dict) -> None:
+    def emit(point, row: dict) -> None:
         if stream is not None:
             stream.write(json.dumps(row, sort_keys=True) + "\n")
             stream.flush()
 
-    quarantined: dict[int, dict] = {}
     try:
-        if args.resume:
-            from repro.state import SweepRunner, chaos_grid
-            spec = chaos_grid(kinds=kinds, mtbf_grid_s=grid,
-                              num_requests=args.requests, rate_rps=args.rate,
-                              mean_prompt=args.mean_prompt,
-                              mean_output=args.mean_output,
-                              replicas=args.replicas, seed=args.seed,
-                              slo_ttft_s=args.slo_ttft,
-                              timeout_s=args.timeout, horizon_s=args.horizon,
-                              checkpoint_every_s=args.checkpoint_every,
-                              point_timeout_s=args.point_timeout)
-            runner = SweepRunner.create(args.resume, spec)
-            done = len(runner.completed())
-            print(f"run dir {args.resume}: {done}/{len(spec.points)} points "
-                  f"journaled, {len(runner.pending())} to go")
-            by_index = runner.run(on_row=lambda point, row: emit(row))
-            rows = [{field: by_index[index][field] for field in ROW_FIELDS}
-                    for index in sorted(by_index)]
-            quarantined = runner.quarantined()
-        else:
-            rows = []
-            for row in iter_mtbf_rows(kinds, grid, args.requests, args.rate,
-                                      args.mean_prompt, args.mean_output,
-                                      args.replicas, args.seed,
-                                      args.slo_ttft, args.timeout,
-                                      args.horizon):
-                emit(row)
-                rows.append(row)
+        by_index = runner.run(on_row=emit)
     finally:
         if stream is not None:
             stream.close()
+    rows = [{field: by_index[index][field] for field in ROW_FIELDS}
+            for index in sorted(by_index)]
+    quarantined = runner.quarantined()
     _print_rows(f"MTBF sweep (SLO: TTFT <= {args.slo_ttft:g} s)", rows)
     if quarantined:
         _print_rows("quarantined points", [

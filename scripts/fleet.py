@@ -14,17 +14,22 @@ Usage::
     PYTHONPATH=src python scripts/fleet.py autoscale --kind tdx \\
         --max-replicas 6 --arrivals diurnal --rate 4 --count 150
     PYTHONPATH=src python scripts/fleet.py sweep --slo-ttft 2.0 \\
-        --kinds tdx,cgpu --max-replicas 6 [--json plan.json]
+        --kinds tdx,cgpu --max-replicas 6 [--json plan.json] \\
+        [--resume RUN_DIR]
     PYTHONPATH=src python scripts/fleet.py tenants --kind tdx --replicas 2 \\
         --admission wfq --kv-isolation shared-prefix --count 120 --inflation
     PYTHONPATH=src python scripts/fleet.py boot --tax [--resume RUN_DIR]
 
 ``sweep`` runs the committed capacity-planning trace (the same one the
 ``golden.fleet_capacity`` audit check snapshots) unless ``--arrivals``
-overrides it.  ``--phased-boot`` arms the per-kind phased confidential
-boot profiles (:mod:`repro.tee.boot`) instead of instant boots; ``boot``
-prints the per-phase breakdown and (with ``--tax``) the attestation-tax
-table the ``golden.attest_tax`` audit snapshot pins.
+overrides it.  ``sweep`` and ``boot --tax`` run the
+:func:`repro.state.capacity_grid` and :func:`repro.state.attest_grid`
+grids; ``--resume RUN_DIR`` only adds the journal (same rows, resumable
+after a crash by rerunning or by ``scripts/resume.py RUN_DIR``).
+``--phased-boot`` arms the per-kind phased confidential boot profiles
+(:mod:`repro.tee.boot`) instead of instant boots; ``boot`` prints the
+per-phase breakdown and (with ``--tax``) the attestation-tax table the
+``golden.attest_tax`` audit snapshot pins.
 """
 
 from __future__ import annotations
@@ -45,16 +50,15 @@ from repro.fleet import (  # noqa: E402
     FleetSimulator,
     ROUTER_KINDS,
     ReactiveAutoscaler,
-    iter_capacity_points,
     make_arrival_table,
     make_router,
     replica_spec,
-    trace_replay,
 )
 from repro.serving import ADMISSION_POLICIES, KV_ISOLATION_MODES  # noqa: E402
+from repro.state import SweepRunner, attest_grid, capacity_grid  # noqa: E402
 from repro.tee.boot import (  # noqa: E402
+    TAX_ROW_FIELDS,
     TAX_TEE_KINDS,
-    attest_tax_sweep,
     boot_breakdown,
     boot_profile,
 )
@@ -152,77 +156,46 @@ def cmd_autoscale(args: argparse.Namespace) -> int:
     return 0
 
 
-def _plan_from_points(kind: str, points: list[CapacityPoint],
-                      slo_ttft_s: float, percentile: float) -> CapacityPlan:
-    needed = next((p.replicas for p in points if p.meets_slo), None)
-    return CapacityPlan(kind=kind, slo_ttft_s=slo_ttft_s,
-                        percentile=percentile, points=tuple(points),
-                        replicas_needed=needed)
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     kinds = args.kinds.split(",")
+    spec = capacity_grid(
+        kinds=tuple(kinds), max_replicas=args.max_replicas,
+        slo_ttft_s=args.slo_ttft, percentile=args.percentile,
+        arrivals=args.arrivals, num_requests=args.count, rate_rps=args.rate,
+        mean_prompt=args.mean_prompt, mean_output=args.mean_output,
+        seed=args.seed, admission_lookahead=args.admission_lookahead,
+        phased_boot=args.phased_boot, point_timeout_s=args.point_timeout)
+    runner = SweepRunner.create(args.resume, spec)
+    if args.resume:
+        print(f"run dir {args.resume}: {len(runner.completed())}/"
+              f"{len(spec.points)} points journaled, "
+              f"{len(runner.pending())} to go "
+              f"(SLO-met sizes prune the rest of their kind)")
     # Partial results stream as each fleet size lands (append when
     # resuming: the run directory's WAL already holds earlier rows).
     stream = (open(args.jsonl, "a" if args.resume else "w",
                    encoding="utf-8") if args.jsonl else None)
 
-    def emit(row: dict) -> None:
+    def emit(point, row: dict) -> None:
         if stream is not None:
             stream.write(json.dumps(row, sort_keys=True) + "\n")
             stream.flush()
 
-    quarantined: dict[int, dict] = {}
     try:
-        if args.resume:
-            if args.arrivals is not None or args.percentile != 99.0 \
-                    or args.phased_boot:
-                print("--resume pins the committed capacity trace at p99 "
-                      "with instant boots; drop --arrivals/--percentile/"
-                      "--phased-boot", file=sys.stderr)
-                return 2
-            from repro.state import SweepRunner, capacity_grid
-            spec = capacity_grid(kinds=tuple(kinds),
-                                 max_replicas=args.max_replicas,
-                                 slo_ttft_s=args.slo_ttft,
-                                 point_timeout_s=args.point_timeout)
-            runner = SweepRunner.create(args.resume, spec)
-            done = len(runner.completed())
-            print(f"run dir {args.resume}: {done}/{len(spec.points)} points "
-                  f"journaled, {len(runner.pending())} to go "
-                  f"(SLO-met sizes prune the rest of their kind)")
-            by_index = runner.run(on_row=lambda point, row: emit(row))
-            quarantined = runner.quarantined()
-            requests = trace_replay(list(CAPACITY_TRACE))
-            by_kind: dict[str, list[CapacityPoint]] = {k: [] for k in kinds}
-            for index in sorted(by_index):
-                point = CapacityPoint(**by_index[index])
-                by_kind[point.kind].append(point)
-            plans = {kind: _plan_from_points(kind, points, args.slo_ttft,
-                                             99.0)
-                     for kind, points in by_kind.items()}
-        else:
-            if args.arrivals:
-                requests = _arrivals(args)
-            else:
-                requests = trace_replay(list(CAPACITY_TRACE))
-            plans = {}
-            for kind in kinds:
-                spec = replica_spec(
-                    kind, max_batch=16, kv_capacity_tokens=65536,
-                    admission_lookahead=args.admission_lookahead,
-                    boot=_boot(args, kind))
-                points = []
-                for point in iter_capacity_points(
-                        spec, requests, args.slo_ttft, args.percentile,
-                        args.max_replicas):
-                    emit(point.to_dict())
-                    points.append(point)
-                plans[kind] = _plan_from_points(kind, points, args.slo_ttft,
-                                                args.percentile)
+        by_index = runner.run(on_row=emit)
     finally:
         if stream is not None:
             stream.close()
+    by_kind: dict[str, list[CapacityPoint]] = {kind: [] for kind in kinds}
+    for index in sorted(by_index):
+        point = CapacityPoint(**by_index[index])
+        by_kind[point.kind].append(point)
+    plans = {kind: CapacityPlan.from_points(kind, points, args.slo_ttft,
+                                            args.percentile)
+             for kind, points in by_kind.items()}
+    quarantined = runner.quarantined()
+    num_requests = (len(CAPACITY_TRACE) if args.arrivals is None
+                else args.count)
     rows = []
     for kind, plan in plans.items():
         for point in plan.points:
@@ -232,7 +205,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                          "usd_per_mtok": point.usd_per_mtok,
                          "meets_slo": point.meets_slo})
     _print_rows(f"capacity sweep (p{args.percentile:.0f} TTFT <= "
-                f"{args.slo_ttft:.1f}s, {len(requests)} requests)", rows)
+                f"{args.slo_ttft:.1f}s, {num_requests} requests)", rows)
     print()
     for kind, plan in plans.items():
         if plan.replicas_needed is None:
@@ -296,18 +269,16 @@ def cmd_boot(args: argparse.Namespace) -> int:
     _print_rows("phased boot breakdown (seconds per phase)", rows)
     if not args.tax:
         return 0
+    spec = attest_grid(slo_ttft_s=args.slo_ttft,
+                       point_timeout_s=args.point_timeout)
+    runner = SweepRunner.create(args.resume, spec)
     if args.resume:
-        from repro.state import SweepRunner, attest_grid
-        spec = attest_grid(slo_ttft_s=args.slo_ttft,
-                           point_timeout_s=args.point_timeout)
-        runner = SweepRunner.create(args.resume, spec)
         print(f"\nrun dir {args.resume}: {len(runner.completed())}/"
               f"{len(spec.points)} points journaled, "
               f"{len(runner.pending())} to go")
-        by_index = runner.run()
-        tax_rows = [by_index[index] for index in sorted(by_index)]
-    else:
-        tax_rows = attest_tax_sweep(slo_ttft_s=args.slo_ttft)
+    by_index = runner.run()
+    tax_rows = [{field: by_index[index][field] for field in TAX_ROW_FIELDS}
+                for index in sorted(by_index)]
     _print_rows("attestation tax (phased vs legacy instant boots)",
                 tax_rows)
     if args.json:
@@ -331,8 +302,6 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--mean-prompt", type=int, default=256)
         p.add_argument("--mean-output", type=int, default=64)
         p.add_argument("--seed", type=int, default=11)
-        p.add_argument("--router", choices=ROUTER_KINDS,
-                       default="least-outstanding")
         p.add_argument("--slo-ttft", type=float,
                        default=CAPACITY_SLO_TTFT_S,
                        help="TTFT SLO in seconds")
@@ -365,6 +334,9 @@ def main(argv: list[str] | None = None) -> int:
     auto_p.add_argument("--boot-latency", type=float, default=15.0)
     add_common(auto_p, "mmpp")
     auto_p.set_defaults(func=cmd_autoscale)
+    for p in (run_p, auto_p):
+        p.add_argument("--router", choices=ROUTER_KINDS,
+                       default="least-outstanding")
 
     sweep_p = sub.add_parser("sweep", help="capacity-planning sweep")
     sweep_p.add_argument("--kinds", default="tdx,cgpu",

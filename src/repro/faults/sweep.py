@@ -14,7 +14,6 @@ the ``golden.chaos_mtbf`` audit check.
 
 from __future__ import annotations
 
-from ..fleet.arrivals import poisson_table
 from ..fleet.cluster import FleetSimulator, fixed_fleet
 from ..fleet.replica import replica_spec
 from ..fleet.report import FleetReport
@@ -87,47 +86,20 @@ def sweep_row(kind: str, mtbf_s: float | None, report: FleetReport,
     }
 
 
-def iter_mtbf_rows(kinds: tuple[str, ...] = DEFAULT_KINDS,
-                   mtbf_grid_s: tuple[float | None, ...]
-                   = DEFAULT_MTBF_GRID_S,
-                   num_requests: int = 36, rate_rps: float = 1.5,
-                   mean_prompt: int = 128, mean_output: int = 64,
-                   replicas: int = 1, seed: int = 7,
-                   slo_ttft_s: float = 2.0, timeout_s: float = 20.0,
-                   horizon_s: float = 40.0):
-    """Yield :func:`mtbf_sweep` rows one completed point at a time.
-
-    The streaming form exists so CLIs can emit partial results (JSONL)
-    as each grid point lands instead of buffering the whole sweep — an
-    interrupted sweep then keeps everything already computed.
-    """
-    for kind in kinds:
-        for mtbf_s in mtbf_grid_s:
-            requests = poisson_table(num_requests, rate_rps, mean_prompt,
-                                     mean_output, seed=seed)
-            fleet = chaos_fleet(kind, replicas=replicas, mtbf_s=mtbf_s,
-                                horizon_s=horizon_s, seed=seed,
-                                timeout_s=timeout_s)
-            report = fleet.run(requests)
-            yield sweep_row(kind, mtbf_s, report, slo_ttft_s)
-
-
-def mtbf_sweep(kinds: tuple[str, ...] = DEFAULT_KINDS,
-               mtbf_grid_s: tuple[float | None, ...] = DEFAULT_MTBF_GRID_S,
-               num_requests: int = 36, rate_rps: float = 1.5,
-               mean_prompt: int = 128, mean_output: int = 64,
-               replicas: int = 1, seed: int = 7,
-               slo_ttft_s: float = 2.0, timeout_s: float = 20.0,
-               horizon_s: float = 40.0) -> list[dict]:
+def mtbf_sweep(**grid: object) -> list[dict]:
     """SLO attainment and $/Mtok vs replica MTBF, per backend.
 
-    One row per ``(kind, mtbf)`` point, same seeded Poisson stream
-    everywhere, ``mtbf=None`` first as the fault-free anchor.  The
-    default is a single replica per backend, so every crash stalls the
-    stream until repair — the configuration where the slower CPU TEE's
-    longer exposure per request shows up most clearly against the
-    faster confidential GPU.
+    The rows of :func:`repro.state.points.chaos_grid` run inline;
+    keyword arguments are that grid's, and its defaults reproduce the
+    ``golden.chaos_mtbf`` snapshot.  One row per ``(kind, mtbf)``
+    point, same seeded Poisson stream everywhere, ``mtbf=None`` first
+    as the fault-free anchor.  The default is a single replica per
+    backend, so every crash stalls the stream until repair — the
+    configuration where the slower CPU TEE's longer exposure per
+    request shows up most clearly against the faster confidential GPU.
     """
-    return list(iter_mtbf_rows(kinds, mtbf_grid_s, num_requests, rate_rps,
-                               mean_prompt, mean_output, replicas, seed,
-                               slo_ttft_s, timeout_s, horizon_s))
+    from ..state.points import chaos_grid
+    from ..state.runner import SweepRunner
+
+    rows = SweepRunner.create(None, chaos_grid(**grid)).run()
+    return [rows[index] for index in sorted(rows)]

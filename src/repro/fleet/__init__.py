@@ -26,7 +26,6 @@ from .planner import (
     CapacityPoint,
     capacity_plan,
     capacity_sweep,
-    iter_capacity_points,
     evaluate_fleet,
 )
 from .replica import REPLICA_KINDS, Replica, ReplicaSpec, replica_spec
@@ -68,7 +67,6 @@ __all__ = [
     "ShedLog",
     "capacity_plan",
     "capacity_sweep",
-    "iter_capacity_points",
     "diurnal_table",
     "evaluate_fleet",
     "fixed_fleet",

@@ -209,9 +209,8 @@ class FleetSimulator:
         scale_spec: Spec the autoscaler provisions.
         tick_s: Shared-clock quantum.
         faults: Fault timeline to inject — a
-            :class:`~repro.faults.schedule.FaultSchedule` (replayed
-            through a fresh injector every ``run``) or a single-shot
-            :class:`~repro.faults.injector.FaultInjector`.
+            :class:`~repro.faults.schedule.FaultSchedule`, replayed
+            through a fresh injector every ``run``.
         retry_policy: Per-request timeout + seeded backoff; without it
             crash-evacuated requests still requeue (immediately, with
             unbounded attempts) so nothing is lost.
@@ -227,7 +226,7 @@ class FleetSimulator:
                  autoscaler: ReactiveAutoscaler | None = None,
                  scale_spec: ReplicaSpec | None = None,
                  tick_s: float = DEFAULT_TICK_S,
-                 faults: FaultSchedule | FaultInjector | None = None,
+                 faults: FaultSchedule | None = None,
                  retry_policy: RetryPolicy | None = None,
                  degradation: DegradationPolicy | None = None) -> None:
         if not specs:
@@ -605,8 +604,6 @@ class FleetSimulator:
     # -- event loop -----------------------------------------------------------
 
     def _make_injector(self) -> FaultInjector:
-        if isinstance(self.faults, FaultInjector):
-            return self.faults
         return FaultInjector(self.faults if self.faults is not None
                              else FaultSchedule.empty())
 
@@ -1196,7 +1193,7 @@ class FleetSimulator:
 def fixed_fleet(spec: ReplicaSpec, count: int,
                 router: Router | None = None,
                 tick_s: float = DEFAULT_TICK_S,
-                faults: FaultSchedule | FaultInjector | None = None,
+                faults: FaultSchedule | None = None,
                 retry_policy: RetryPolicy | None = None,
                 degradation: DegradationPolicy | None = None,
                 ) -> FleetSimulator:

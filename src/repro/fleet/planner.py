@@ -19,7 +19,6 @@ from ..serving.scheduler import ServeRequest
 from .cluster import DEFAULT_TICK_S, fixed_fleet
 from .replica import ReplicaSpec
 from .report import FleetReport
-from .router import LeastOutstandingRouter, Router
 
 
 @dataclass(frozen=True)
@@ -63,6 +62,15 @@ class CapacityPlan:
     points: tuple[CapacityPoint, ...]
     replicas_needed: int | None
 
+    @classmethod
+    def from_points(cls, kind: str, points: list[CapacityPoint],
+                    slo_ttft_s: float, percentile: float) -> "CapacityPlan":
+        """The plan of a left-to-right capacity curve: the first size
+        that meets the SLO is the one needed."""
+        needed = next((p.replicas for p in points if p.meets_slo), None)
+        return cls(kind=kind, slo_ttft_s=slo_ttft_s, percentile=percentile,
+                   points=tuple(points), replicas_needed=needed)
+
     @property
     def plan_point(self) -> CapacityPoint | None:
         """The chosen fleet size's evaluation, if the SLO is attainable."""
@@ -90,7 +98,6 @@ class CapacityPlan:
 def evaluate_fleet(spec: ReplicaSpec, count: int,
                    requests: list[ServeRequest], slo_ttft_s: float,
                    percentile: float = 99.0,
-                   router: Router | None = None,
                    tick_s: float = DEFAULT_TICK_S,
                    faults: FaultSchedule | None = None,
                    retry_policy: RetryPolicy | None = None,
@@ -98,14 +105,13 @@ def evaluate_fleet(spec: ReplicaSpec, count: int,
                    ) -> tuple[CapacityPoint, FleetReport]:
     """Run one fixed fleet against the trace and grade it vs the SLO.
 
-    Passing a fault schedule (with an optional retry/degradation
-    policy) grades capacity under failures — the schedule is replayed
-    afresh for every fleet size, so plans stay deterministic.
+    The fleet routes least-outstanding.  Passing a fault schedule (with
+    an optional retry/degradation policy) grades capacity under
+    failures — the schedule is replayed afresh for every fleet size,
+    so plans stay deterministic.
     """
-    fleet = fixed_fleet(spec, count, router=router
-                        or LeastOutstandingRouter(), tick_s=tick_s,
-                        faults=faults, retry_policy=retry_policy,
-                        degradation=degradation)
+    fleet = fixed_fleet(spec, count, tick_s=tick_s, faults=faults,
+                        retry_policy=retry_policy, degradation=degradation)
     report = fleet.run(requests)
     p_ttft = report.ttft_percentile(percentile)
     point = CapacityPoint(
@@ -118,18 +124,14 @@ def evaluate_fleet(spec: ReplicaSpec, count: int,
 
 def capacity_plan(spec: ReplicaSpec, requests: list[ServeRequest],
                   slo_ttft_s: float, percentile: float = 99.0,
-                  max_replicas: int = 8,
-                  tick_s: float = DEFAULT_TICK_S,
-                  faults: FaultSchedule | None = None,
-                  retry_policy: RetryPolicy | None = None,
-                  degradation: DegradationPolicy | None = None,
-                  ) -> CapacityPlan:
+                  max_replicas: int = 8) -> CapacityPlan:
     """Grow a fixed fleet until the TTFT percentile clears the SLO.
 
     The sweep stops at the first fleet size that meets the objective
     (capacity curves are evaluated left to right; the metamorphic
     audit separately checks that growing the fleet never hurts the
-    tail, so the first hit is the minimum).
+    tail, so the first hit is the minimum).  The resumable form of the
+    same curve is :func:`repro.state.points.capacity_grid`.
 
     Raises:
         ValueError: On a bad SLO/limit or an infeasible trace.
@@ -138,46 +140,21 @@ def capacity_plan(spec: ReplicaSpec, requests: list[ServeRequest],
         raise ValueError("slo_ttft_s must be positive")
     if max_replicas < 1:
         raise ValueError("max_replicas must be >= 1")
-    points = list(iter_capacity_points(spec, requests, slo_ttft_s,
-                                       percentile, max_replicas,
-                                       tick_s=tick_s, faults=faults,
-                                       retry_policy=retry_policy,
-                                       degradation=degradation))
-    needed = next((p.replicas for p in points if p.meets_slo), None)
-    return CapacityPlan(kind=spec.kind, slo_ttft_s=slo_ttft_s,
-                        percentile=percentile, points=tuple(points),
-                        replicas_needed=needed)
-
-
-def iter_capacity_points(spec: ReplicaSpec, requests: list[ServeRequest],
-                         slo_ttft_s: float, percentile: float = 99.0,
-                         max_replicas: int = 8,
-                         tick_s: float = DEFAULT_TICK_S,
-                         faults: FaultSchedule | None = None,
-                         retry_policy: RetryPolicy | None = None,
-                         degradation: DegradationPolicy | None = None):
-    """Yield :func:`capacity_plan` points one fleet size at a time.
-
-    Streams the left-to-right capacity curve, stopping after the first
-    size that meets the SLO — exactly :func:`capacity_plan`'s early
-    stop, exposed incrementally so sweep CLIs can emit partial results
-    and the resumable runner can skip completed sizes.
-    """
+    points = []
     for count in range(1, max_replicas + 1):
         point, _ = evaluate_fleet(spec, count, requests, slo_ttft_s,
-                                  percentile, tick_s=tick_s, faults=faults,
-                                  retry_policy=retry_policy,
-                                  degradation=degradation)
-        yield point
+                                  percentile)
+        points.append(point)
         if point.meets_slo:
             break
+    return CapacityPlan.from_points(spec.kind, points, slo_ttft_s,
+                                    percentile)
 
 
 def capacity_sweep(specs: list[ReplicaSpec], requests: list[ServeRequest],
                    slo_ttft_s: float, percentile: float = 99.0,
-                   max_replicas: int = 8,
-                   tick_s: float = DEFAULT_TICK_S) -> dict[str, CapacityPlan]:
+                   max_replicas: int = 8) -> dict[str, CapacityPlan]:
     """Capacity plans for several replica kinds over one shared trace."""
     return {spec.kind: capacity_plan(spec, requests, slo_ttft_s, percentile,
-                                     max_replicas, tick_s=tick_s)
+                                     max_replicas)
             for spec in specs}

@@ -121,15 +121,10 @@ class StepCostTable:
 
         Identical configurations (by value) share one memo, so a fleet
         of same-spec replicas never costs the same step shape twice.
-        Falls back to a private table if the configuration is
-        unhashable.
         """
-        try:
-            return _SHARED_TABLES.get_or_compute(
-                (deployment, model, dtype),
-                lambda: cls(deployment, model, dtype))
-        except TypeError:
-            return cls(deployment, model, dtype)
+        return _SHARED_TABLES.get_or_compute(
+            (deployment, model, dtype),
+            lambda: cls(deployment, model, dtype))
 
     @staticmethod
     def context_bucket(context: int) -> int:

@@ -31,9 +31,7 @@ from .errors import (
 )
 from .schema import (
     CURRENT_STATE_VERSION,
-    SUPPORTED_STATE_VERSIONS,
     negotiate,
-    register_migration,
     validate_payload,
 )
 
@@ -58,7 +56,6 @@ _LAZY_EXPORTS = {
 
 __all__ = [
     "CURRENT_STATE_VERSION",
-    "SUPPORTED_STATE_VERSIONS",
     "StateError",
     "StateIntegrityError",
     "StateJournalError",
@@ -66,7 +63,6 @@ __all__ = [
     "StateValueError",
     "StateVersionError",
     "negotiate",
-    "register_migration",
     "validate_payload",
     *sorted(_LAZY_EXPORTS),
 ]

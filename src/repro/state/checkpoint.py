@@ -68,8 +68,8 @@ def snapshot(sim) -> dict:
 def restore(sim, payload: dict) -> None:
     """Install a :func:`snapshot` payload into a fresh simulator.
 
-    Negotiates the payload's ``state_version`` (applying registered
-    migrations), validates the payload, and hands the inner state to
+    Negotiates the payload's ``state_version`` (only the current one
+    restores), validates the payload, and hands the inner state to
     :meth:`FleetSimulator.from_state`.
 
     Raises:

@@ -7,8 +7,7 @@ checks) can distinguish *what went wrong* without parsing messages:
 * :class:`StateSchemaError` — a payload is structurally malformed
   (missing keys, wrong types, not a plain JSON-serializable dict).
 * :class:`StateVersionError` — a payload carries a ``state_version``
-  this build cannot restore (unknown, or newer than supported) and no
-  registered migration bridges the gap.
+  this build cannot restore (anything but the current version).
 * :class:`StateValueError` — a payload or sweep grid spec contains a
   non-finite or out-of-range value (NaN/inf smuggled through JSON
   round-trips, negative token counts, ...), mirroring the

@@ -4,9 +4,11 @@ A *point runner* is a function ``(params, context) -> row`` executing
 one grid point of a sweep: it rebuilds its workload deterministically
 from JSON ``params``, optionally resumes a mid-point simulator
 checkpoint via the :class:`~repro.state.runner.PointContext`, and
-returns the same JSON row the monolithic sweep function would have
-produced — so a resumed, interrupted, or watchdog-supervised run
-merges into output byte-identical to an uninterrupted one.
+returns a JSON row.  A grid builder below is the only description of
+its sweep: the library sweeps (``mtbf_sweep``, ``attest_tax_sweep``)
+run it inline and the sweep CLIs run it inline or, with ``--resume``,
+journaled — so an inline, resumed, interrupted or watchdog-supervised
+run produces the same rows.
 
 Runners are looked up by name (the name is what ``spec.json``
 persists), so a resumed process needs no pickled callables — just this
@@ -77,9 +79,9 @@ def _run_checkpointed(fleet, requests, context: PointContext):
 def run_chaos_mtbf_point(params: dict, context: PointContext) -> dict:
     """One ``(kind, mtbf)`` cell of :func:`repro.faults.sweep.mtbf_sweep`.
 
-    Params mirror the sweep's arguments for a single cell; ``mtbf_s``
-    is ``None`` for the fault-free anchor.  The row matches
-    :func:`repro.faults.sweep.iter_mtbf_rows` exactly.
+    Params are :func:`chaos_grid`'s arguments for a single cell;
+    ``mtbf_s`` is ``None`` for the fault-free anchor.  The row is
+    :func:`repro.faults.sweep.sweep_row`'s.
     """
     from ..faults.sweep import chaos_fleet, sweep_row
     from ..fleet.arrivals import poisson_table
@@ -104,6 +106,13 @@ def run_chaos_mtbf_point(params: dict, context: PointContext) -> dict:
                      require_finite(params, "slo_ttft_s", "$.params"))
 
 
+#: Capacity-point settings a grid leaves out of a point's params while
+#: they hold these values, so a default sweep's spec is the one earlier
+#: builds journaled and their run directories still resume.
+_CAPACITY_IMPLICIT = {"percentile": 99.0, "admission_lookahead": 0,
+                      "phased_boot": False}
+
+
 @point_runner("fleet_capacity")
 def run_fleet_capacity_point(params: dict, context: PointContext) -> dict:
     """One fleet size of a capacity curve (:mod:`repro.fleet.planner`).
@@ -115,12 +124,19 @@ def run_fleet_capacity_point(params: dict, context: PointContext) -> dict:
     """
     from ..fleet.planner import evaluate_fleet
     from ..fleet.replica import replica_spec
+    from ..tee.boot import boot_profile
 
+    params = {**_CAPACITY_IMPLICIT, **params}
     kind = require(params, "kind", str, "$.params")
     count = require(params, "replicas", int, "$.params")
     slo_ttft_s = require_finite(params, "slo_ttft_s", "$.params",
                                 minimum=1e-12)
-    spec = replica_spec(kind, max_batch=16, kv_capacity_tokens=65536)
+    phased = require(params, "phased_boot", bool, "$.params")
+    spec = replica_spec(
+        kind, max_batch=16, kv_capacity_tokens=65536,
+        admission_lookahead=require(params, "admission_lookahead", int,
+                                    "$.params"),
+        boot=boot_profile(kind) if phased else None)
     trace = params.get("trace")
     if trace == "capacity":
         from ..fleet.arrivals import trace_replay
@@ -138,7 +154,9 @@ def run_fleet_capacity_point(params: dict, context: PointContext) -> dict:
     else:
         raise StateSchemaError(
             f"$.params.trace must be 'capacity' or absent, got {trace!r}")
-    point, _ = evaluate_fleet(spec, count, requests, slo_ttft_s)
+    point, _ = evaluate_fleet(
+        spec, count, requests, slo_ttft_s,
+        percentile=require_finite(params, "percentile", "$.params"))
     del context  # capacity cells finish in one tick loop; no mid-point saves
     return point.to_dict()
 
@@ -168,12 +186,13 @@ def chaos_grid(kinds: tuple[str, ...] | None = None,
                timeout_s: float = 20.0, horizon_s: float = 40.0,
                checkpoint_every_s: float = 0.0,
                point_timeout_s: float | None = None) -> SweepSpec:
-    """The :func:`~repro.faults.sweep.mtbf_sweep` grid as a SweepSpec.
+    """The MTBF sweep grid: one ``(kind, mtbf)`` cell per point.
 
-    Defaults match the sweep's defaults, so running this spec to
-    completion journals exactly the rows of ``mtbf_sweep()`` — the
-    property the kill-and-resume audit pins against the
-    ``golden.chaos_mtbf`` snapshot.
+    :func:`~repro.faults.sweep.mtbf_sweep` is this grid run inline, so
+    these defaults are the sweep's: ``kinds`` defaults to
+    :data:`~repro.faults.sweep.DEFAULT_KINDS` and ``mtbf_grid_s`` to
+    :data:`~repro.faults.sweep.DEFAULT_MTBF_GRID_S`, and the default
+    grid reproduces the ``golden.chaos_mtbf`` snapshot.
     """
     from ..faults.sweep import DEFAULT_KINDS, DEFAULT_MTBF_GRID_S
 
@@ -200,18 +219,37 @@ def chaos_grid(kinds: tuple[str, ...] | None = None,
 
 def capacity_grid(kinds: tuple[str, ...] = ("tdx", "cgpu"),
                   max_replicas: int = 8, slo_ttft_s: float = 2.0,
-                  trace: str = "capacity",
+                  percentile: float = 99.0, arrivals: str | None = None,
+                  num_requests: int = 80, rate_rps: float = 4.0,
+                  mean_prompt: int = 256, mean_output: int = 64,
+                  seed: int = 11, admission_lookahead: int = 0,
+                  phased_boot: bool = False,
                   point_timeout_s: float | None = None) -> SweepSpec:
     """A per-kind capacity curve grid with SLO-met pruning.
+
+    ``arrivals=None`` replays the pinned golden capacity trace and the
+    stream arguments do not apply; otherwise every point serves
+    ``make_arrival_table(arrivals, num_requests, rate_rps, mean_prompt,
+    mean_output, seed)``.  ``percentile`` is the TTFT percentile the
+    SLO binds; ``admission_lookahead`` and ``phased_boot`` (the kind's
+    :func:`~repro.tee.boot.boot_profile`) configure the replicas.
 
     ``prune_field="meets_slo"`` with ``group=kind`` reproduces
     :func:`~repro.fleet.planner.capacity_plan`'s early stop: once a
     fleet size meets the SLO, the kind's larger sizes are skipped —
     including across a crash/resume boundary.
     """
-    if trace != "capacity":
-        raise StateSchemaError("capacity_grid currently pins the golden "
-                               "capacity trace; pass trace='capacity'")
+    if arrivals is None:
+        stream: dict = {"trace": "capacity"}
+    else:
+        stream = {"arrivals": arrivals, "num_requests": num_requests,
+                  "rate_rps": rate_rps, "mean_prompt": mean_prompt,
+                  "mean_output": mean_output, "seed": seed}
+    settings = {"percentile": percentile,
+                "admission_lookahead": admission_lookahead,
+                "phased_boot": phased_boot}
+    stream.update((name, value) for name, value in settings.items()
+                  if value != _CAPACITY_IMPLICIT[name])
     points = []
     for kind in kinds:
         for count in range(1, max_replicas + 1):
@@ -219,7 +257,7 @@ def capacity_grid(kinds: tuple[str, ...] = ("tdx", "cgpu"),
                 index=len(points), key=f"{kind}/replicas_{count}",
                 runner="fleet_capacity",
                 params={"kind": kind, "replicas": count,
-                        "slo_ttft_s": slo_ttft_s, "trace": trace},
+                        "slo_ttft_s": slo_ttft_s, **stream},
                 group=kind))
     return SweepSpec(points=tuple(points), prune_field="meets_slo",
                      point_timeout_s=point_timeout_s)
@@ -229,11 +267,11 @@ def attest_grid(kinds: tuple[str, ...] | None = None,
                 scenarios: tuple[str, ...] = ("capacity", "chaos"),
                 slo_ttft_s: float = 2.0,
                 point_timeout_s: float | None = None) -> SweepSpec:
-    """The attestation-tax table as a resumable SweepSpec.
+    """The attestation-tax table: one ``(kind, scenario)`` cell per point.
 
-    Defaults mirror :func:`repro.tee.boot.attest_tax_sweep`, so running
-    this spec to completion journals exactly the rows the
-    ``golden.attest_tax`` audit snapshot pins.
+    :func:`~repro.tee.boot.attest_tax_sweep` is this grid run inline;
+    ``kinds`` defaults to :data:`~repro.tee.boot.TAX_FLEET_KINDS`, and
+    the default grid reproduces the ``golden.attest_tax`` snapshot.
     """
     from ..tee.boot import TAX_FLEET_KINDS
 

@@ -181,17 +181,20 @@ class PointContext:
     A runner calls :meth:`resume_payload` once to pick up a mid-point
     snapshot left by a killed/timed-out attempt, and
     :meth:`checkpoint` at its own cadence (gated by
-    :attr:`checkpoint_every_s`) to leave one.
+    :attr:`checkpoint_every_s`) to leave one.  An inline run's context
+    has no snapshot path and a zero cadence: nothing to resume, nothing
+    to leave.
     """
 
-    def __init__(self, snapshot_path: Path,
+    def __init__(self, snapshot_path: Path | None,
                  checkpoint_every_s: float) -> None:
-        self.snapshot_path = Path(snapshot_path)
+        self.snapshot_path = (None if snapshot_path is None
+                              else Path(snapshot_path))
         self.checkpoint_every_s = checkpoint_every_s
 
     def resume_payload(self) -> dict | None:
         """The point's last checkpoint, if one survives on disk."""
-        if not self.snapshot_path.exists():
+        if self.snapshot_path is None or not self.snapshot_path.exists():
             return None
         from .checkpoint import read_snapshot
         return read_snapshot(self.snapshot_path)
@@ -251,28 +254,38 @@ def read_journal(path: Path) -> list[dict]:
 
 
 class SweepRunner:
-    """Execute a :class:`SweepSpec` against a durable run directory.
+    """Execute a :class:`SweepSpec`, journaled or inline.
 
     Build with :meth:`create` (new or matching directory) or
     :meth:`open` (existing directory).  :meth:`run` then executes
     whatever the journal says is still missing.
+
+    ``create(None, spec)`` builds an *inline* runner: the same point
+    order and group pruning, but nothing is written to disk.  Its
+    journal is empty, a failing point raises instead of being retried
+    and quarantined, the spec's checkpoint and watchdog settings do not
+    apply, and :meth:`run` returns the point runners' rows as they are.
     """
 
-    def __init__(self, run_dir: Path, spec: SweepSpec) -> None:
-        self.run_dir = Path(run_dir)
+    def __init__(self, run_dir: Path | None, spec: SweepSpec) -> None:
+        self.run_dir = None if run_dir is None else Path(run_dir)
         self.spec = spec
 
     # -- construction ---------------------------------------------------------
 
     @classmethod
-    def create(cls, run_dir: Path, spec: SweepSpec) -> "SweepRunner":
+    def create(cls, run_dir: Path | None, spec: SweepSpec) -> "SweepRunner":
         """Initialize (or idempotently reopen) a run directory.
+
+        ``run_dir=None`` returns an inline runner that writes nothing.
 
         Raises:
             StateIntegrityError: If the directory already holds a
                 *different* sweep spec — resuming someone else's run
                 would interleave incompatible rows.
         """
+        if run_dir is None:
+            return cls(None, spec)
         run_dir = Path(run_dir)
         run_dir.mkdir(parents=True, exist_ok=True)
         (run_dir / SNAPSHOT_DIR).mkdir(exist_ok=True)
@@ -311,10 +324,15 @@ class SweepRunner:
     def quarantine_path(self) -> Path:
         return self.run_dir / QUARANTINE_FILE
 
+    def _journal(self, name: str) -> list[dict]:
+        if self.run_dir is None:
+            return []
+        return read_journal(self.run_dir / name)
+
     def completed(self) -> dict[int, dict]:
         """Completed rows by point index, from the WAL."""
         rows: dict[int, dict] = {}
-        for record in read_journal(self.results_path):
+        for record in self._journal(RESULTS_FILE):
             index = require(record, "index", int, "$.journal")
             if index in rows:
                 raise StateJournalError(
@@ -328,7 +346,7 @@ class SweepRunner:
     def quarantined(self) -> dict[int, dict]:
         """Quarantined points by index (error + attempt count)."""
         entries: dict[int, dict] = {}
-        for record in read_journal(self.quarantine_path):
+        for record in self._journal(QUARANTINE_FILE):
             entries[require(record, "index", int, "$.quarantine")] = record
         return entries
 
@@ -361,17 +379,19 @@ class SweepRunner:
                 pruned[point.group] = index
         return pruned
 
-    def _snapshot_path(self, point: GridPoint) -> Path:
-        return self.run_dir / SNAPSHOT_DIR / f"point_{point.index}.json"
+    def _context(self, point: GridPoint) -> PointContext:
+        if self.run_dir is None:
+            return PointContext(None, 0.0)
+        return PointContext(
+            self.run_dir / SNAPSHOT_DIR / f"point_{point.index}.json",
+            self.spec.checkpoint_every_s)
 
     # -- execution ------------------------------------------------------------
 
     def _run_point_inline(self, point: GridPoint) -> dict:
         from .points import resolve_point_runner
         runner = resolve_point_runner(point.runner)
-        context = PointContext(self._snapshot_path(point),
-                               self.spec.checkpoint_every_s)
-        row = runner(dict(point.params), context)
+        row = runner(dict(point.params), self._context(point))
         if not isinstance(row, dict):
             raise StateSchemaError(
                 f"point runner {point.runner!r} returned "
@@ -421,6 +441,51 @@ class SweepRunner:
                 f"point {point.key} wrote a non-object row")
         return row
 
+    def _run_point_journaled(self, point: GridPoint,
+                             sleep: Callable[[float], None]) -> dict | None:
+        """Run one point under supervision and journal its outcome.
+
+        Returns the row once it is durably in the WAL, or ``None`` once
+        the point is quarantined.
+        """
+        from ..faults.resilience import RetryPolicy
+
+        retry = RetryPolicy(timeout_s=max(self.spec.point_timeout_s or 1.0,
+                                          1e-9),
+                            max_attempts=self.spec.max_attempts,
+                            seed=self.spec.retry_seed)
+        row: dict | None = None
+        failure: Exception | None = None
+        for attempt in range(1, self.spec.max_attempts + 1):
+            try:
+                if self.spec.point_timeout_s is None:
+                    row = self._run_point_inline(point)
+                else:
+                    row = self._run_point_watched(
+                        point, self.spec.point_timeout_s)
+                break
+            except (StateJournalError, KeyboardInterrupt):
+                raise
+            except Exception as error:  # noqa: BLE001 - supervised
+                failure = error
+                if attempt < self.spec.max_attempts:
+                    sleep(retry.backoff_s(point.index, attempt))
+        if row is None:
+            _append_jsonl(self.quarantine_path, {
+                "index": point.index, "key": point.key,
+                "error": f"{type(failure).__name__}: {failure}",
+                "attempts": self.spec.max_attempts,
+            })
+            return None
+        # WAL first, then cleanup: the row is durable before the
+        # point's checkpoint is dropped, so a kill between the two
+        # re-reads a completed point and simply skips it.
+        _append_jsonl(self.results_path, {
+            "index": point.index, "key": point.key, "row": row,
+        })
+        self._context(point).clear()
+        return row
+
     def run(self, max_points: int | None = None,
             on_row: Callable[[GridPoint, dict], None] | None = None,
             sleep: Callable[[float], None] = time.sleep) -> dict[int, dict]:
@@ -430,16 +495,10 @@ class SweepRunner:
             max_points: Stop after completing this many *new* points
                 (``None`` = run the whole grid).  Used by crash tests
                 and smoke variants.
-            on_row: Streaming callback fired after each new row is
-                durably journaled.
+            on_row: Streaming callback fired after each new row lands
+                (durably journaled, unless the runner is inline).
             sleep: Injectable backoff sleep (tests pass a recorder).
         """
-        from ..faults.resilience import RetryPolicy
-
-        retry = RetryPolicy(timeout_s=max(self.spec.point_timeout_s or 1.0,
-                                          1e-9),
-                            max_attempts=self.spec.max_attempts,
-                            seed=self.spec.retry_seed)
         done = self.completed()
         bad = self.quarantined()
         pruned = self._pruned_groups(done)
@@ -451,38 +510,12 @@ class SweepRunner:
                 continue
             if point.group and point.group in pruned:
                 continue
-            row: dict | None = None
-            failure: Exception | None = None
-            for attempt in range(1, self.spec.max_attempts + 1):
-                try:
-                    if self.spec.point_timeout_s is None:
-                        row = self._run_point_inline(point)
-                    else:
-                        row = self._run_point_watched(
-                            point, self.spec.point_timeout_s)
-                    break
-                except (StateJournalError, KeyboardInterrupt):
-                    raise
-                except Exception as error:  # noqa: BLE001 - supervised
-                    failure = error
-                    if attempt < self.spec.max_attempts:
-                        sleep(retry.backoff_s(point.index, attempt))
-            if row is None:
-                _append_jsonl(self.quarantine_path, {
-                    "index": point.index, "key": point.key,
-                    "error": f"{type(failure).__name__}: {failure}",
-                    "attempts": self.spec.max_attempts,
-                })
-                bad[point.index] = {"index": point.index}
-                continue
-            # WAL first, then cleanup: the row is durable before the
-            # point's checkpoint is dropped, so a kill between the two
-            # re-reads a completed point and simply skips it.
-            _append_jsonl(self.results_path, {
-                "index": point.index, "key": point.key, "row": row,
-            })
-            PointContext(self._snapshot_path(point),
-                         self.spec.checkpoint_every_s).clear()
+            if self.run_dir is None:
+                row = self._run_point_inline(point)
+            else:
+                row = self._run_point_journaled(point, sleep)
+                if row is None:
+                    continue
             done[point.index] = row
             fresh += 1
             if self.spec.prune_field and point.group \

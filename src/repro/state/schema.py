@@ -1,4 +1,4 @@
-"""Snapshot schema: versioning, migrations, and payload validation.
+"""Snapshot schema: versioning and payload validation.
 
 A snapshot payload is a plain dict of JSON primitives:
 
@@ -7,16 +7,12 @@ A snapshot payload is a plain dict of JSON primitives:
     {"state_version": 3, "kind": "fleet_simulator", "state": {...}}
 
 ``state_version`` names the schema of the whole payload.  Restoring
-negotiates the version first (:func:`negotiate`): payloads newer than
-:data:`CURRENT_STATE_VERSION` are refused outright, older payloads are
-upgraded through the registered migration chain
-(:func:`register_migration`), and a same-version hook — the no-op
-v2→v2 migration — always runs so the negotiation path is exercised on
-every restore, not only on the rare upgrade.  Version 2 dropped the
-second fleet engine; version 3 made a request a row of the run's table
-everywhere (schedulers, retry heap, flights, shed ledger) and stores
-the run's outcomes once, as columns.  Older payloads have no migration
-and are refused.
+negotiates the version first (:func:`negotiate`): this build reads
+only :data:`CURRENT_STATE_VERSION` and refuses every other version.
+Version 2 dropped the second fleet engine; version 3 made a request a
+row of the run's table everywhere (schedulers, retry heap, flights,
+shed ledger) and stores the run's outcomes once, as columns.  Older
+payloads have no migration and are refused, not misread.
 
 Validation (:func:`validate_payload`) walks the payload and rejects
 anything that is not JSON-serializable scalar data plus any non-finite
@@ -34,7 +30,6 @@ import json
 import math
 import os
 from pathlib import Path
-from typing import Callable
 
 from .errors import (
     StateSchemaError,
@@ -42,51 +37,19 @@ from .errors import (
     StateVersionError,
 )
 
-#: Version written by this build's ``snapshot()``.
+#: Version written by this build's ``snapshot()`` and the only one it
+#: restores.
 CURRENT_STATE_VERSION = 3
-
-#: Versions this build can *restore from* (after migration).
-SUPPORTED_STATE_VERSIONS = (3,)
-
-_MIGRATIONS: dict[int, Callable[[dict], dict]] = {}
-
-
-def register_migration(from_version: int) -> Callable:
-    """Register a migration applied to payloads at ``from_version``.
-
-    For ``from_version < CURRENT_STATE_VERSION`` the hook must return a
-    payload with a strictly larger ``state_version``; for
-    ``from_version == CURRENT_STATE_VERSION`` it is a same-version
-    normalization hook run once per restore (the v3→v3 no-op below).
-    """
-
-    def install(func: Callable[[dict], dict]) -> Callable[[dict], dict]:
-        if from_version in _MIGRATIONS:
-            raise ValueError(f"duplicate migration from v{from_version}")
-        _MIGRATIONS[from_version] = func
-        return func
-
-    return install
-
-
-@register_migration(3)
-def _migrate_v3_to_v3(payload: dict) -> dict:
-    """No-op v3→v3 migration: current payloads pass through unchanged.
-
-    Exists so the negotiation machinery runs on every restore and so
-    the first real migration has a worked example to replace.
-    """
-    return payload
 
 
 def negotiate(payload: dict) -> dict:
-    """Bring a payload to :data:`CURRENT_STATE_VERSION` or refuse.
+    """Return a payload at :data:`CURRENT_STATE_VERSION` or refuse it.
 
     Raises:
         StateSchemaError: If the payload is not a dict or lacks an
             integer ``state_version``.
-        StateVersionError: If the version is newer than supported or no
-            migration chain reaches the current version.
+        StateVersionError: If the version is newer or older than
+            :data:`CURRENT_STATE_VERSION`.
     """
     if not isinstance(payload, dict):
         raise StateSchemaError(
@@ -101,24 +64,11 @@ def negotiate(payload: dict) -> dict:
             f"snapshot state_version {version} is newer than this build "
             f"supports (max {CURRENT_STATE_VERSION}); upgrade the code or "
             f"regenerate the snapshot")
-    while version < CURRENT_STATE_VERSION:
-        hook = _MIGRATIONS.get(version)
-        if hook is None:
-            raise StateVersionError(
-                f"snapshot state_version {version} is not restorable: no "
-                f"migration registered from v{version} toward "
-                f"v{CURRENT_STATE_VERSION} "
-                f"(supported: {SUPPORTED_STATE_VERSIONS})")
-        payload = hook(payload)
-        new_version = payload.get("state_version")
-        if not isinstance(new_version, int) or new_version <= version:
-            raise StateVersionError(
-                f"migration from v{version} did not advance the payload "
-                f"(got state_version {new_version!r})")
-        version = new_version
-    hook = _MIGRATIONS.get(CURRENT_STATE_VERSION)
-    if hook is not None:
-        payload = hook(payload)
+    if version < CURRENT_STATE_VERSION:
+        raise StateVersionError(
+            f"snapshot state_version {version} is not restorable: no "
+            f"migration to v{CURRENT_STATE_VERSION} exists; regenerate "
+            f"the snapshot")
     return payload
 
 

@@ -384,13 +384,15 @@ def _served_model(kind: str):
     return LLAMA2_7B, BFLOAT16
 
 
-def attest_tax_sweep(kinds: tuple[str, ...] = TAX_FLEET_KINDS,
-                     scenarios: tuple[str, ...] = ("capacity", "chaos"),
-                     slo_ttft_s: float = 2.0) -> list[dict]:
+def attest_tax_sweep(**grid: object) -> list[dict]:
     """The attestation-tax table: every (kind, scenario) cell.
 
-    Deterministic and seeded end to end; the ``golden.attest_tax``
-    audit check snapshots this series.
+    The rows of :func:`repro.state.points.attest_grid` run inline;
+    keyword arguments are that grid's.  Deterministic and seeded end to
+    end; the ``golden.attest_tax`` audit check snapshots this series.
     """
-    return [attest_tax_row(kind, scenario, slo_ttft_s)
-            for scenario in scenarios for kind in kinds]
+    from ..state.points import attest_grid
+    from ..state.runner import SweepRunner
+
+    rows = SweepRunner.create(None, attest_grid(**grid)).run()
+    return [rows[index] for index in sorted(rows)]

@@ -17,7 +17,7 @@ neighbors' load.
 
 from __future__ import annotations
 
-from ..faults.injector import FaultInjector, FaultSchedule
+from ..faults.schedule import FaultSchedule
 from ..faults.resilience import DegradationPolicy, RetryPolicy
 from ..fleet.cluster import DEFAULT_TICK_S, fixed_fleet
 from ..fleet.replica import ReplicaSpec, replica_spec
@@ -31,7 +31,7 @@ def run_tenant_fleet(population: TenantPopulation,
                      admission: str = "wfq",
                      kv_isolation: str = "shared",
                      tick_s: float = DEFAULT_TICK_S,
-                     faults: FaultSchedule | FaultInjector | None = None,
+                     faults: FaultSchedule | None = None,
                      retry_policy: RetryPolicy | None = None,
                      degradation: DegradationPolicy | None = None,
                      **spec_overrides: object) -> TenancyReport:
@@ -44,7 +44,7 @@ def run_tenant_fleet(population: TenantPopulation,
         admission: ``fcfs`` or ``wfq`` (population weights apply).
         kv_isolation: ``shared``, ``partition``, or ``shared-prefix``.
         tick_s: Fleet tick.
-        faults: Optional fault schedule/injector.
+        faults: Optional fault schedule.
         retry_policy: Optional resilience policy (required by faults).
         degradation: Optional degradation/spill policy.
         **spec_overrides: Forwarded to :func:`replica_spec` (e.g.
@@ -61,7 +61,7 @@ def run_tenant_fleet(population: TenantPopulation,
 def run_on_spec(population: TenantPopulation, spec: ReplicaSpec,
                 count: int = 2,
                 tick_s: float = DEFAULT_TICK_S,
-                faults: FaultSchedule | FaultInjector | None = None,
+                faults: FaultSchedule | None = None,
                 retry_policy: RetryPolicy | None = None,
                 degradation: DegradationPolicy | None = None,
                 ) -> TenancyReport:

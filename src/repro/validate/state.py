@@ -14,13 +14,12 @@ from never having stopped.  These checks pin that end to end:
 * ``state.snapshot_roundtrip`` — ``restore(snapshot(sim))`` then
   re-snapshot yields the identical payload (idempotence), and the
   steppable run loop composes to exactly ``run()``.
-* ``state.schema_negotiation`` — newer/unreachable ``state_version``
-  payloads are refused with the right error; the same-version no-op
-  hook runs on every restore; non-finite values are rejected with a
-  JSON path.
+* ``state.schema_negotiation`` — newer and older ``state_version``
+  payloads are refused with the right error; a current payload passes
+  unchanged; non-finite values are rejected with a JSON path.
 * ``state.wal_resume`` — an interrupted journaled sweep, reopened and
   finished, merges into a journal byte-identical to an uninterrupted
-  run's, matching the monolithic sweep rows; a torn final line is
+  run's, matching ``mtbf_sweep()``'s inline rows; a torn final line is
   tolerated, mid-file corruption is not.
 * ``state.quarantine_isolation`` — a pathological grid point is
   retried with the seeded deterministic backoff, quarantined after
@@ -202,8 +201,8 @@ def state_snapshot_roundtrip(ctx: AuditContext) -> str:
 
 @check("state.schema_negotiation", family="state", layers=("state",))
 def state_schema_negotiation(ctx: AuditContext) -> str:
-    """Version negotiation refuses what it cannot restore and always
-    exercises the same-version migration hook."""
+    """Version negotiation refuses what it cannot restore and passes a
+    current payload through unchanged."""
     from ..state.schema import CURRENT_STATE_VERSION
 
     sim = fixed_fleet(_spec(), 1)
@@ -221,12 +220,12 @@ def state_schema_negotiation(ctx: AuditContext) -> str:
         try:
             negotiate(dict(payload, state_version=stale))
             raise CheckFailure(
-                f"unmigratable older version {stale} was accepted")
+                f"older version {stale} was accepted")
         except StateVersionError:
             pass
     if negotiate(dict(payload)) != payload:
         raise CheckFailure(
-            "the same-version no-op migration altered the payload")
+            "negotiation altered a current-version payload")
 
     poisoned = dict(payload, state=dict(payload["state"],
                                         tick_s=float("inf")))
@@ -237,7 +236,7 @@ def state_schema_negotiation(ctx: AuditContext) -> str:
         if "tick_s" not in str(error):
             raise CheckFailure(
                 "non-finite rejection does not name the offending path")
-    return "newer/stale versions refused; same-version hook is a no-op"
+    return "newer/stale versions refused; current payload unchanged"
 
 
 @check("state.wal_resume", family="state",

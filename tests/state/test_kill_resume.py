@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.faults.sweep import iter_mtbf_rows
+from repro.faults.sweep import mtbf_sweep
 from repro.state.points import point_runner
 from repro.state.runner import GridPoint, RESULTS_FILE, SweepRunner, SweepSpec
 
@@ -113,7 +113,7 @@ def test_sigkilled_chaos_sweep_resumes_to_golden(tmp_path):
     assert resume.returncode == 0, resume.stderr
     merged = json.loads(merged_path.read_text())
 
-    expected = json.loads(json.dumps(list(iter_mtbf_rows())))
+    expected = json.loads(json.dumps(mtbf_sweep()))
     assert merged == expected, "resumed rows diverged from a clean sweep"
 
     golden = json.loads(

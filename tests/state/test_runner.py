@@ -231,3 +231,41 @@ class TestRunner:
             point_timeout_s=30.0, max_attempts=1)
         rows = SweepRunner.create(tmp_path / "run", spec).run()
         assert rows[0] == {"tag": "quick"}
+
+
+class TestInlineRunner:
+    """``SweepRunner.create(None, spec)``: the journaled loop, no disk."""
+
+    def test_prunes_like_the_journaled_runner_and_writes_nothing(
+            self, tmp_path, monkeypatch):
+        points = tuple(
+            GridPoint(index, f"p{index}", "test_echo",
+                      {"tag": f"p{index}", "value": int(index >= 1)},
+                      group="g")
+            for index in range(3))
+        spec = SweepSpec(points=points, prune_field="value",
+                         checkpoint_every_s=5.0, point_timeout_s=30.0)
+        monkeypatch.chdir(tmp_path)
+        streamed = []
+        inline = SweepRunner.create(None, spec)
+        rows = inline.run(on_row=lambda point, row: streamed.append(point.key))
+        assert list(tmp_path.iterdir()) == []
+        assert rows == SweepRunner.create(tmp_path / "run", spec).run()
+        assert streamed == ["p0", "p1"]
+        assert inline.completed() == {} and inline.quarantined() == {}
+
+    def test_rows_are_the_runners_own_objects(self):
+        spec = SweepSpec(points=(GridPoint(0, "a", "test_echo",
+                                           {"tag": "a", "value": (1, 2)}),))
+        row = SweepRunner.create(None, spec).run()[0]
+        # No JSON round-trip: the tuple would come back as a list.
+        assert row == {"tag": "a", "value": (1, 2)}
+        assert isinstance(row["value"], tuple)
+
+    def test_failing_point_raises_instead_of_quarantining(self):
+        spec = SweepSpec(points=(GridPoint(0, "x", "test_fail_times",
+                                           {"tag": "x", "fails": 1}),),
+                         max_attempts=3)
+        with pytest.raises(RuntimeError, match="transient"):
+            SweepRunner.create(None, spec).run()
+        assert _CALLS == ["x"]

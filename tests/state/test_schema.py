@@ -16,7 +16,6 @@ from repro.state import (
     validate_payload,
 )
 from repro.state.schema import (
-    _MIGRATIONS,
     read_json,
     require,
     require_finite,
@@ -91,45 +90,6 @@ class TestNegotiate:
             negotiate({"state_version": True})
         with pytest.raises(StateSchemaError):
             negotiate(["not", "a", "dict"])
-
-    def test_same_version_hook_runs_on_every_restore(self):
-        """The same-version no-op migration is exercised, not just
-        registered."""
-        calls = []
-        original = _MIGRATIONS[CURRENT_STATE_VERSION]
-
-        def spy(payload):
-            calls.append(payload["state_version"])
-            return original(payload)
-
-        _MIGRATIONS[CURRENT_STATE_VERSION] = spy
-        try:
-            negotiate(self._payload())
-            negotiate(self._payload())
-        finally:
-            _MIGRATIONS[CURRENT_STATE_VERSION] = original
-        assert calls == [CURRENT_STATE_VERSION, CURRENT_STATE_VERSION]
-
-    def test_stuck_migration_is_refused(self):
-        """A migration that does not advance the version is an error."""
-        assert 0 not in _MIGRATIONS
-        _MIGRATIONS[0] = lambda payload: dict(payload)  # never advances
-        try:
-            with pytest.raises(StateVersionError, match="did not advance"):
-                negotiate(self._payload(0))
-        finally:
-            del _MIGRATIONS[0]
-
-    def test_older_version_upgrades_through_chain(self):
-        assert 0 not in _MIGRATIONS
-        _MIGRATIONS[0] = lambda payload: dict(
-            payload, state_version=CURRENT_STATE_VERSION, upgraded=True)
-        try:
-            upgraded = negotiate(self._payload(0))
-        finally:
-            del _MIGRATIONS[0]
-        assert upgraded["state_version"] == CURRENT_STATE_VERSION
-        assert upgraded["upgraded"] is True
 
 
 class TestRequire:
