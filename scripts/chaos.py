@@ -53,7 +53,7 @@ from repro.fleet import (  # noqa: E402
     poisson_table,
     replica_spec,
 )
-from repro.state import SweepRunner, chaos_grid  # noqa: E402
+from repro.state import StateError, SweepRunner, chaos_grid  # noqa: E402
 
 
 def _fmt(value: object) -> str:
@@ -170,15 +170,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     grid = (None if args.mtbf_grid is None else
             tuple(None if p in ("inf", "none") else float(p)
                   for p in args.mtbf_grid.split(",")))
-    spec = chaos_grid(kinds=tuple(args.kinds.split(",")), mtbf_grid_s=grid,
-                      num_requests=args.requests, rate_rps=args.rate,
-                      mean_prompt=args.mean_prompt,
-                      mean_output=args.mean_output, replicas=args.replicas,
-                      seed=args.seed, slo_ttft_s=args.slo_ttft,
-                      timeout_s=args.timeout, horizon_s=args.horizon,
-                      checkpoint_every_s=args.checkpoint_every,
-                      point_timeout_s=args.point_timeout)
-    runner = SweepRunner.create(args.resume, spec)
+    try:
+        spec = chaos_grid(kinds=tuple(args.kinds.split(",")),
+                          mtbf_grid_s=grid, num_requests=args.requests,
+                          rate_rps=args.rate, mean_prompt=args.mean_prompt,
+                          mean_output=args.mean_output,
+                          replicas=args.replicas, seed=args.seed,
+                          slo_ttft_s=args.slo_ttft, timeout_s=args.timeout,
+                          horizon_s=args.horizon,
+                          checkpoint_every_s=args.checkpoint_every,
+                          point_timeout_s=args.point_timeout)
+        runner = SweepRunner.create(args.resume, spec)
+    except StateError as error:
+        print(f"chaos.py sweep: {error}", file=sys.stderr)
+        return 2
     if args.resume:
         print(f"run dir {args.resume}: {len(runner.completed())}/"
               f"{len(spec.points)} points journaled, "
@@ -231,7 +236,6 @@ def _add_workload_args(p: argparse.ArgumentParser, requests: int,
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--slo-ttft", type=float, default=2.0)
     p.add_argument("--timeout", type=float, default=20.0)
-    p.add_argument("--max-attempts", type=int, default=4)
     p.add_argument("--horizon", type=float, default=40.0)
     p.add_argument("--json", type=Path, default=None)
 
@@ -259,6 +263,7 @@ def main(argv: list[str] | None = None) -> int:
                      help="arm the kind's phased confidential boot profile "
                           "(crash recovery and attestation failures pay "
                           "the re-attestation remainder)")
+    run.add_argument("--max-attempts", type=int, default=4)
     _add_workload_args(run, requests=40, rate=4.0, replicas=2)
     run.set_defaults(func=cmd_run)
 

@@ -55,7 +55,12 @@ from repro.fleet import (  # noqa: E402
     replica_spec,
 )
 from repro.serving import ADMISSION_POLICIES, KV_ISOLATION_MODES  # noqa: E402
-from repro.state import SweepRunner, attest_grid, capacity_grid  # noqa: E402
+from repro.state import (  # noqa: E402
+    StateError,
+    SweepRunner,
+    attest_grid,
+    capacity_grid,
+)
 from repro.tee.boot import (  # noqa: E402
     TAX_ROW_FIELDS,
     TAX_TEE_KINDS,
@@ -156,19 +161,31 @@ def cmd_autoscale(args: argparse.Namespace) -> int:
     return 0
 
 
+def _grid_runner(args: argparse.Namespace, build) -> SweepRunner | None:
+    """The runner of the grid ``build()`` describes, journaled into
+    ``--resume`` when given; ``None`` after printing why a bad grid or
+    run directory was refused."""
+    try:
+        return SweepRunner.create(args.resume, build())
+    except StateError as error:
+        print(f"fleet.py {args.command}: {error}", file=sys.stderr)
+        return None
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     kinds = args.kinds.split(",")
-    spec = capacity_grid(
+    runner = _grid_runner(args, lambda: capacity_grid(
         kinds=tuple(kinds), max_replicas=args.max_replicas,
         slo_ttft_s=args.slo_ttft, percentile=args.percentile,
         arrivals=args.arrivals, num_requests=args.count, rate_rps=args.rate,
         mean_prompt=args.mean_prompt, mean_output=args.mean_output,
         seed=args.seed, admission_lookahead=args.admission_lookahead,
-        phased_boot=args.phased_boot, point_timeout_s=args.point_timeout)
-    runner = SweepRunner.create(args.resume, spec)
+        phased_boot=args.phased_boot, point_timeout_s=args.point_timeout))
+    if runner is None:
+        return 2
     if args.resume:
         print(f"run dir {args.resume}: {len(runner.completed())}/"
-              f"{len(spec.points)} points journaled, "
+              f"{len(runner.spec.points)} points journaled, "
               f"{len(runner.pending())} to go "
               f"(SLO-met sizes prune the rest of their kind)")
     # Partial results stream as each fleet size lands (append when
@@ -269,12 +286,13 @@ def cmd_boot(args: argparse.Namespace) -> int:
     _print_rows("phased boot breakdown (seconds per phase)", rows)
     if not args.tax:
         return 0
-    spec = attest_grid(slo_ttft_s=args.slo_ttft,
-                       point_timeout_s=args.point_timeout)
-    runner = SweepRunner.create(args.resume, spec)
+    runner = _grid_runner(args, lambda: attest_grid(
+        slo_ttft_s=args.slo_ttft, point_timeout_s=args.point_timeout))
+    if runner is None:
+        return 2
     if args.resume:
         print(f"\nrun dir {args.resume}: {len(runner.completed())}/"
-              f"{len(spec.points)} points journaled, "
+              f"{len(runner.spec.points)} points journaled, "
               f"{len(runner.pending())} to go")
     by_index = runner.run()
     tax_rows = [{field: by_index[index][field] for field in TAX_ROW_FIELDS}

@@ -1,11 +1,11 @@
 """Profiling layer: cache statistics.
 
-The simulator memoizes its hot paths — op-graph construction
-(``op_graph`` in :mod:`repro.llm.graph`), prefill step costs
+The simulator memoizes two hot paths — prefill step costs
 (``prefill_step_cost`` in :mod:`repro.engine.simulator`) and the
 fleet's shared step-cost tables (``step_cost_table`` in
-:mod:`repro.serving.stepcost`); decode steps, costed by one column pass
-per generation or afresh per scalar call, are not memoized.
+:mod:`repro.serving.stepcost`).  Decode steps, costed by one column
+pass per generation or afresh per scalar call, and op graphs, built
+for a one-block twin of 14 operators, are not memoized.
 This module is the front door to those caches: their hit/miss
 counters, a reset, and a one-line-per-cache report
 (``scripts/bench.py`` prints them).

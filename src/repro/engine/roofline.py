@@ -27,7 +27,7 @@ from ..hardware.engines import (
     is_fallback_path,
 )
 from ..llm.datatypes import DType
-from ..llm.graph import BLOCK_OP_NAMES
+from ..llm.graph import BLOCK_OP_NAMES, graph_order
 from ..llm.ops import OpColumns, Operator, OpCategory, Phase
 from ..memsim.cache import CacheModel
 from ..memsim.epc import EPC_FAULT_S, paging_fraction_vec, paging_overhead_s
@@ -149,40 +149,41 @@ class StepCostColumns:
     tax_multiplier: float
 
 
-def one_block_sums(columns: OpColumns, values: np.ndarray,
-                   num_layers: int) -> np.ndarray:
-    """Per-shape left-to-right sums of the full model's operator values.
-
-    ``columns`` is a step graph of the model's ``num_layers=1`` twin,
-    and ``values`` has one row per operator of it and one column per
-    shape (its ``op_totals``, or one of its field planes).  Every block
-    of a step emits the same operators, so shape ``j``'s full graph is
-    embed, the block's values ``num_layers`` times, then the head.  The
-    sum starts at 0.0 and adds one operator row at a time, in that
-    graph order, in place over every shape: each entry takes the same
-    IEEE adds in the same order as a left-to-right loop over that
-    shape's full graph, so it rounds exactly as :func:`step_total_s`
-    does.  Never ``np.sum`` or ``np.add.reduce`` (they may sum
-    pairwise) and never ``num_layers * block_sum``.
-
-    Raises:
-        RuntimeError: If ``columns`` is not embed + one block + head.
-    """
+def _check_one_block(names: tuple[str, ...],
+                     layers: tuple[int | None, ...]) -> None:
+    """Raise ``RuntimeError`` unless the graph is embed + block + head."""
     width = len(BLOCK_OP_NAMES)
-    names, layers = columns.names, columns.layers
     outside = layers[:1] + layers[1 + width:]
     if (names[1:1 + width] != BLOCK_OP_NAMES
             or outside.count(None) != len(outside)):
         raise RuntimeError(
             f"one-block graph is not embed + {width} block ops + head "
             f"(got {list(names)}); the full step cannot be rebuilt from it")
+
+
+def one_block_sums(columns: OpColumns, values: np.ndarray,
+                   num_layers: int) -> np.ndarray:
+    """Per-shape left-to-right sums of the full model's operator values.
+
+    ``columns`` is a step graph of the model's ``num_layers=1`` twin,
+    and ``values`` has one row per operator of it and one column per
+    shape (its ``op_totals``, or one of its field planes).  The rows
+    are taken in full-graph order (:func:`~repro.llm.graph.graph_order`)
+    and added one row at a time from 0.0, in place over every shape:
+    each entry takes the same IEEE adds in the same order as a
+    left-to-right loop over that shape's full graph, so it rounds
+    exactly as :func:`step_total_s` does.  Never ``np.sum`` or
+    ``np.add.reduce`` (they may sum pairwise) and never
+    ``num_layers * block_sum``.
+
+    Raises:
+        RuntimeError: If ``columns`` is not embed + one block + head.
+    """
+    _check_one_block(columns.names, columns.layers)
     add = np.add
-    total = values[0] + 0.0
-    block = list(values[1:1 + width])
-    for _ in range(num_layers):
-        for row in block:
-            add(total, row, total)
-    for row in values[1 + width:]:
+    rows = graph_order(values, num_layers)
+    total = next(rows)[0] + 0.0
+    for row, _ in rows:
         add(total, row, total)
     return total
 
@@ -204,26 +205,45 @@ def one_block_step_s(columns: OpColumns, step: StepCostColumns,
 
 @dataclass(frozen=True)
 class StepCost:
-    """Cost of one full forward step."""
+    """Cost of one full forward step: one block and a repeat count.
+
+    ``op_costs`` is the step's one-block twin (embed, one decoder block,
+    the head) and ``num_layers`` the block's repeat count; sums add in
+    full-graph order (:func:`~repro.llm.graph.graph_order`), bitwise the
+    flat graph's.  A flat operator list is ``num_layers=1``.
+    """
 
     op_costs: tuple[OpCost, ...]
     exits_s: float
     fixed_s: float
     tax_multiplier: float
+    num_layers: int = 1
+
+    def __post_init__(self) -> None:
+        if self.num_layers != 1:
+            _check_one_block(tuple(cost.op.name for cost in self.op_costs),
+                             tuple(cost.op.layer for cost in self.op_costs))
+
+    def _in_graph_order(self, values: list[float]) -> Iterable[float]:
+        """Per-operator ``values`` repeated out to the full graph."""
+        return (value for value, _ in graph_order(values, self.num_layers))
 
     @cached_property
     def total_s(self) -> float:
         """Step seconds, summed once per step and then kept."""
-        return step_total_s((cost.total_s for cost in self.op_costs),
-                            self.exits_s, self.fixed_s, self.tax_multiplier)
+        return step_total_s(
+            self._in_graph_order([cost.total_s for cost in self.op_costs]),
+            self.exits_s, self.fixed_s, self.tax_multiplier)
 
     @property
     def compute_s(self) -> float:
-        return _add_in_order(cost.compute_s for cost in self.op_costs)
+        return _add_in_order(self._in_graph_order(
+            [cost.compute_s for cost in self.op_costs]))
 
     @property
     def memory_s(self) -> float:
-        return _add_in_order(cost.memory_s for cost in self.op_costs)
+        return _add_in_order(self._in_graph_order(
+            [cost.memory_s for cost in self.op_costs]))
 
     def is_compute_bound(self) -> bool:
         """Whether aggregate compute time exceeds aggregate memory time."""
@@ -252,13 +272,14 @@ class _CostModel:
 
     def step_cost(self, ops: list[Operator], sets: WorkingSets, dtype: DType,
                   io_bytes: float = 0.0) -> StepCost:
-        """Cost a full forward step (all operators + step-level terms).
+        """Cost a forward step (all operators + step-level terms).
 
-        Repeated decoder blocks emit operators that differ only in
-        ``name``/``layer``; neither model reads those, so each distinct
-        (category, flops, bytes) operator is costed once and its
-        component times reused — each still wrapped in its own
-        :class:`OpCost` so per-layer traces group correctly.  The
+        The step has ``num_layers=1``; a caller repeats a one-block
+        twin with ``dataclasses.replace(step, num_layers=...)``.  Each
+        distinct (category, flops, bytes) operator is costed once (a
+        flat graph's blocks differ only in ``name``/``layer``, which
+        neither model reads), each use wrapped in its own
+        :class:`OpCost`.  The
         operator-independent terms are computed once per step.
         ``io_bytes`` is the step's host-device staging
         (:func:`gpu_io_bytes`); only a bounce-buffered GPU pays for it.

@@ -18,10 +18,12 @@ bit for bit; the per-token loop over that scalar path survives as the
 private reference ``_decode_clean_loop``, which the parity audit and
 tests compare the pass against with ``==``.
 
-Every step passes its host-device staging (``gpu_io_bytes``) to the
-cost model, which a CPU does not charge, so no path branches on the
-placement.  Only prefill step costs are memoized; a hit is the stored
-:class:`StepCost`, bit-identical to a fresh one.
+Scalar steps are costed from the same twin's 14 operators and kept as
+a :class:`StepCost` with the block's repeat count, so no path builds
+the flat per-layer graph.  Every step passes its host-device staging
+(``gpu_io_bytes``) to the cost model, which a CPU does not charge, so
+no path branches on the placement.  Only prefill step costs are
+memoized; a hit is the stored :class:`StepCost`, bit-identical to a fresh one.
 """
 
 from __future__ import annotations
@@ -32,11 +34,12 @@ import numpy as np
 
 from .. import guards
 from ..llm.graph import (
-    cached_decode_step_ops,
-    cached_prefill_ops,
     decode_columns,
+    decode_step_ops,
+    graph_order,
+    prefill_ops,
 )
-from ..llm.ops import OpColumns, Operator, Phase, merge_totals
+from ..llm.ops import OpColumns, Operator, Phase
 from ..memo import MemoCache
 from . import calibration as cal
 from .placement import Deployment, Workload, weight_footprint
@@ -123,14 +126,30 @@ class GenerationResult:
 
 def _working_sets(workload: Workload, deployment: Deployment,
                   context_len: int, ops: list[Operator]) -> WorkingSets:
-    totals = merge_totals(ops)
+    """Working sets of the step whose one-block twin graph is ``ops``."""
+    activations = 0.0  # the full graph's, added left to right
+    for op, _ in graph_order(ops, workload.model.num_layers):
+        activations += op.activation_bytes
     kv_ws = (workload.sequences * context_len
              * workload.model.kv_bytes_per_token(workload.dtype.bytes))
     return WorkingSets(
         weights=weight_footprint(workload, deployment.framework),
         kv=kv_ws,
-        activations=totals["activation_bytes"],
+        activations=activations,
     )
+
+
+def _one_block_step(workload: Workload, deployment: Deployment,
+                    model: CpuCostModel | GpuCostModel | None,
+                    phase: Phase, context_len: int) -> StepCost:
+    """The full model's step at ``context_len``, from its one-block twin."""
+    build = prefill_ops if phase is Phase.PREFILL else decode_step_ops
+    ops = build(replace(workload.model, num_layers=1), workload.dtype,
+                workload.batch_size, context_len, workload.beam_size)
+    step = (model or cost_model_for(deployment)).step_cost(
+        ops, _working_sets(workload, deployment, context_len, ops),
+        workload.dtype, io_bytes=gpu_io_bytes(workload, phase))
+    return replace(step, num_layers=workload.model.num_layers)
 
 
 def _noise(rng: np.random.Generator, clean: np.ndarray, is_tee: bool) -> np.ndarray:
@@ -152,14 +171,8 @@ def prefill_step_cost(workload: Workload, deployment: Deployment,
            workload.input_tokens, workload.beam_size)
 
     def build() -> StepCost:
-        cost_model = model or cost_model_for(deployment)
-        ops = list(cached_prefill_ops(
-            workload.model, workload.dtype, workload.batch_size,
-            workload.input_tokens, workload.beam_size))
-        sets = _working_sets(workload, deployment, workload.input_tokens, ops)
-        return cost_model.step_cost(
-            ops, sets, workload.dtype,
-            io_bytes=gpu_io_bytes(workload, Phase.PREFILL))
+        return _one_block_step(workload, deployment, model, Phase.PREFILL,
+                               workload.input_tokens)
 
     return _PREFILL_COST_CACHE.get_or_compute(key, build)
 
@@ -167,15 +180,8 @@ def prefill_step_cost(workload: Workload, deployment: Deployment,
 def decode_step_cost(workload: Workload, deployment: Deployment,
                      context: int,
                      model: CpuCostModel | GpuCostModel | None = None) -> StepCost:
-    """Costed decode step at one context, over the full graph."""
-    cost_model = model or cost_model_for(deployment)
-    ops = list(cached_decode_step_ops(
-        workload.model, workload.dtype, workload.batch_size, context,
-        workload.beam_size))
-    sets = _working_sets(workload, deployment, context, ops)
-    return cost_model.step_cost(
-        ops, sets, workload.dtype,
-        io_bytes=gpu_io_bytes(workload, Phase.DECODE))
+    """Costed decode step at one context, from the one-block twin."""
+    return _one_block_step(workload, deployment, model, Phase.DECODE, context)
 
 
 def _decode_pass(workload: Workload, deployment: Deployment,
@@ -184,9 +190,9 @@ def _decode_pass(workload: Workload, deployment: Deployment,
 
     The working sets are :func:`_working_sets`' at each context: the KV
     cache grows with the context (one array entry per column), the
-    weights are fixed, and so are the activations, the full graph's
-    summed left to right from 0.0 as :func:`merge_totals` sums them
-    (``engine.vectorized_working_sets`` pins all three).
+    weights are fixed, and so are the activations, summed in full-graph
+    order by :func:`one_block_sums` (``engine.vectorized_working_sets``
+    pins all three).
     """
     model, dtype = workload.model, workload.dtype
     columns = decode_columns(replace(model, num_layers=1), dtype,

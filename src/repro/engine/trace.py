@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..llm.graph import BLOCK_OP_NAMES
+from ..llm.graph import BLOCK_OP_NAMES, graph_order
 from ..llm.ops import Phase
 from .roofline import StepCost
 
@@ -27,16 +27,19 @@ class TraceEvent:
 
 
 def events_from_step(step: StepCost, phase: Phase) -> list[TraceEvent]:
-    """Flatten a costed step into trace events.
+    """Flatten a costed step into trace events, one per full-graph op.
 
-    Durations include the step's tax multiplier, as a wall-clock trace
-    would observe it.
+    A block operator at repeat ``r`` of the step's block is layer
+    ``op.layer + r``; embed and head operators keep ``None``.  Durations
+    include the step's tax multiplier, as a wall-clock trace would
+    observe it.
     """
-    return [
-        TraceEvent(name=cost.op.name, layer=cost.op.layer, phase=phase,
-                   duration_s=cost.total_s * step.tax_multiplier)
-        for cost in step.op_costs
-    ]
+    return [TraceEvent(name=cost.op.name,
+                       layer=cost.op.layer + repeat if repeat
+                       else cost.op.layer,
+                       phase=phase,
+                       duration_s=cost.total_s * step.tax_multiplier)
+            for cost, repeat in graph_order(step.op_costs, step.num_layers)]
 
 
 @dataclass(frozen=True)

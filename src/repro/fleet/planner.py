@@ -13,10 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..faults.resilience import DegradationPolicy, RetryPolicy
-from ..faults.schedule import FaultSchedule
 from ..serving.scheduler import ServeRequest
-from .cluster import DEFAULT_TICK_S, fixed_fleet
+from .cluster import fixed_fleet
 from .replica import ReplicaSpec
 from .report import FleetReport
 
@@ -98,20 +96,12 @@ class CapacityPlan:
 def evaluate_fleet(spec: ReplicaSpec, count: int,
                    requests: list[ServeRequest], slo_ttft_s: float,
                    percentile: float = 99.0,
-                   tick_s: float = DEFAULT_TICK_S,
-                   faults: FaultSchedule | None = None,
-                   retry_policy: RetryPolicy | None = None,
-                   degradation: DegradationPolicy | None = None,
                    ) -> tuple[CapacityPoint, FleetReport]:
     """Run one fixed fleet against the trace and grade it vs the SLO.
 
-    The fleet routes least-outstanding.  Passing a fault schedule (with
-    an optional retry/degradation policy) grades capacity under
-    failures — the schedule is replayed afresh for every fleet size,
-    so plans stay deterministic.
+    The fleet routes least-outstanding, fault-free, at the default tick.
     """
-    fleet = fixed_fleet(spec, count, tick_s=tick_s, faults=faults,
-                        retry_policy=retry_policy, degradation=degradation)
+    fleet = fixed_fleet(spec, count)
     report = fleet.run(requests)
     p_ttft = report.ttft_percentile(percentile)
     point = CapacityPoint(

@@ -8,14 +8,16 @@ for single-sequence prefill at many prompt lengths, and
 operator names match the per-block layer categories in the paper's
 Fig. 7 trace study (input layernorm, QKV projection, self-attention,
 output projection, post-attention layernorm, gate/up projection with
-SiLU multiply, down projection, residuals).
+SiLU multiply, down projection, residuals).  :func:`graph_order` says
+how a ``num_layers=1`` twin's rows make the full step.
 """
 
 from __future__ import annotations
 
+from typing import Iterator, Sequence, TypeVar
+
 import numpy as np
 
-from ..memo import MemoCache
 from .config import ModelConfig
 from .datatypes import DType
 from .ops import OP_FIELDS, OpColumns, Operator, OpCategory, Phase
@@ -34,6 +36,29 @@ BLOCK_OP_NAMES = (
     "down_proj",
     "residual_add_2",
 )
+
+_Row = TypeVar("_Row")
+
+
+def graph_order(rows: Sequence[_Row],
+                num_layers: int) -> Iterator[tuple[_Row, int | None]]:
+    """A one-block step's rows in full-graph order, each with its block.
+
+    ``rows`` has one entry (a spec, a cost, an array row) per operator of
+    a ``num_layers=1`` step graph: embed, the block, the head.  The full
+    step is embed, the block ``num_layers`` times, then the head; each
+    row comes with its block repeat, ``None`` for embed and head.  With
+    ``num_layers=1`` the rows keep their order: a flat list is a step.
+    """
+    width = len(BLOCK_OP_NAMES)
+    for row in rows[:1]:
+        yield row, None
+    block = list(rows[1:1 + width])
+    for layer in range(num_layers):
+        for row in block:
+            yield row, layer
+    for row in rows[1 + width:]:
+        yield row, None
 
 
 #: An operator before it is placed in a step: ``(name, category,
@@ -65,19 +90,6 @@ def _decode_attention_spec(model: ModelConfig, dtype: DType,
     return ("self_attention", OpCategory.ATTENTION,
             (attn_flops + 5.0 * model.num_heads * softmax_tokens, 0.0,
              2.0 * sequences * h * ds, kv_read, 2.0 * sequences * kv * ds))
-
-
-def _decode_attention_op(model: ModelConfig, dtype: DType, layer: int,
-                         context_len: float, sequences: float) -> Operator:
-    """The one decode-phase operator whose cost depends on context.
-
-    Kept as a standalone builder so :func:`cached_decode_step_ops` can
-    materialize per-context graphs from a context-independent skeleton
-    with the exact formulas of :func:`decode_step_ops` — the rebuilt
-    operators are bit-identical to a direct call.
-    """
-    return _op(_decode_attention_spec(model, dtype, context_len, sequences),
-               Phase.DECODE, layer)
 
 
 def _prefill_attention_spec(model: ModelConfig, dtype: DType, new_tokens,
@@ -172,10 +184,8 @@ def _embed_spec(model: ModelConfig, dtype: DType, tokens) -> OpSpec:
 def _step_specs(embed: OpSpec, block: list[OpSpec], head: list[OpSpec],
                 num_layers: int) -> tuple[list[OpSpec], list[int | None]]:
     """A step's operators in graph order, with each one's layer."""
-    specs = [embed] + block * num_layers + head
-    layers = ([None] + [layer for layer in range(num_layers) for _ in block]
-              + [None] * len(head))
-    return specs, layers
+    order = list(graph_order([embed, *block, *head], num_layers))
+    return [spec for spec, _ in order], [layer for _, layer in order]
 
 
 def _prefill_step(model: ModelConfig, dtype: DType, sequences: float,
@@ -279,60 +289,6 @@ def encode_ops(model: ModelConfig, dtype: DType, batch_size: int,
     if not model.encoder_only:
         raise ValueError(f"{model.name} is not an encoder-only model")
     return prefill_ops(model, dtype, batch_size, input_len)
-
-
-# -- memoized builders -------------------------------------------------------
-#
-# A sweep recosts the same (model, dtype, batch, length, beams) graph for
-# every deployment and every repetition; building one graph allocates
-# ~num_layers x 11 Operator records.  The cached builders return shared,
-# immutable tuples — callers must not mutate them.
-
-_GRAPH_CACHE = MemoCache("op_graph", maxsize=512)
-
-
-def cached_prefill_ops(model: ModelConfig, dtype: DType, batch_size: int,
-                       input_len: int, beam_size: int = 1) -> tuple[Operator, ...]:
-    """Memoized :func:`prefill_ops`; the returned tuple is shared."""
-    key = ("prefill", model, dtype, batch_size, input_len, beam_size)
-    return _GRAPH_CACHE.get_or_compute(
-        key, lambda: tuple(prefill_ops(model, dtype, batch_size, input_len,
-                                       beam_size)))
-
-
-#: Reference context the decode skeleton is built at.  Any positive
-#: value works — every operator except ``self_attention`` is identical
-#: across contexts, and the attention ops are rebuilt per call.
-_SKELETON_CONTEXT = 1
-
-
-def cached_decode_step_ops(model: ModelConfig, dtype: DType, batch_size: int,
-                           context_len: int, beam_size: int = 1) -> tuple[Operator, ...]:
-    """Memoized :func:`decode_step_ops`, bit-identical to the direct call.
-
-    In a decode graph only the per-layer ``self_attention`` operator
-    depends on ``context_len``; keying the memo on the context made
-    structurally identical graphs miss (a stride-1 context sweep paid
-    one full ~``num_layers x 11``-operator build *per context*).  The
-    cache therefore stores one context-independent *skeleton* per
-    ``(model, dtype, batch, beams)`` and this function materializes the
-    requested context by rebuilding just the attention operators with
-    the original formulas (:func:`_decode_attention_op`).  Every other
-    operator of the returned tuple is the skeleton's shared object.
-    """
-    _check_shape(batch_size, context_len, beam_size)
-    key = ("decode", model, dtype, batch_size, beam_size)
-    skeleton = _GRAPH_CACHE.get_or_compute(
-        key, lambda: tuple(decode_step_ops(model, dtype, batch_size,
-                                           _SKELETON_CONTEXT, beam_size)))
-    if context_len == _SKELETON_CONTEXT:
-        return skeleton
-    sequences = float(batch_size * beam_size)
-    return tuple(
-        _decode_attention_op(model, dtype, op.layer, float(context_len),
-                             sequences)
-        if op.name == "self_attention" else op
-        for op in skeleton)
 
 
 def _check_shape(batch_size: int, length: int, beam_size: int) -> None:

@@ -1,7 +1,7 @@
 """Process-wide memoization caches with hit/miss accounting.
 
-The simulator's hot paths (op-graph construction, scalar step costing,
-the fleet's step-cost tables) recompute identical values across sweeps,
+The simulator's hot paths (scalar prefill step costing, the fleet's
+step-cost tables) recompute identical values across sweeps,
 figures and tests.  :class:`MemoCache` gives those paths a small, bounded
 LRU memo with hit/miss counters; every cache registers itself in a global
 registry so :mod:`repro.core.profiling` can report and reset the whole

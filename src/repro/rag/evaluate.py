@@ -10,7 +10,7 @@ included.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..engine.placement import Deployment
 from ..engine.roofline import WorkingSets, cost_model_for
@@ -116,13 +116,17 @@ def time_query(method: str, index: InvertedIndex, query: str,
 def _encode_time(config, batch: int, input_tokens: int, model) -> float:
     """Price one encoder pass with the Elasticsearch JVM polluting the
     LLC: the co-located database keeps evicting the small encoder's
-    weights, so they stream from (TEE-encrypted) DRAM every pass."""
+    weights, so they stream from (TEE-encrypted) DRAM every pass.  The
+    pass is costed from the encoder's one-block twin, repeated over its
+    blocks."""
     from ..llm.graph import encode_ops
-    ops = encode_ops(config, BFLOAT16, batch, input_tokens)
+    ops = encode_ops(replace(config, num_layers=1), BFLOAT16, batch,
+                     input_tokens)
     weights = config.num_parameters * BFLOAT16.bytes + ES_HEAP_RESIDENT_BYTES
     sets = WorkingSets(weights=weights, kv=0.0,
                        activations=ES_HEAP_RESIDENT_BYTES)
-    return model.step_cost(ops, sets, BFLOAT16).total_s
+    step = model.step_cost(ops, sets, BFLOAT16)
+    return replace(step, num_layers=config.num_layers).total_s
 
 
 @dataclass(frozen=True)

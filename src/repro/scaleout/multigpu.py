@@ -9,7 +9,7 @@ patterns the paper names.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..engine.placement import Deployment, GpuPlacement, Workload
 from ..frameworks.base import VLLM_GPU
@@ -61,8 +61,8 @@ def simulate_multi_gpu(workload: Workload, devices: int,
     """Estimate a sharded decode step on ``devices`` GPUs.
 
     Compute and memory scale with the shard (1/devices of weights, KV
-    and FLOPs per device); communication is priced on the best link the
-    security posture allows.
+    and FLOPs of the one-block twin's operators, then repeated);
+    communication is priced on the best link the security posture allows.
 
     Raises:
         ValueError: If the model does not fit the aggregate HBM, or
@@ -81,11 +81,13 @@ def simulate_multi_gpu(workload: Workload, devices: int,
                             framework=VLLM_GPU)
     from ..engine.roofline import GpuCostModel, WorkingSets
     model = GpuCostModel(deployment)
-    ops = decode_step_ops(workload.model, workload.dtype,
-                          workload.batch_size, context, workload.beam_size)
+    ops = decode_step_ops(replace(workload.model, num_layers=1),
+                          workload.dtype, workload.batch_size, context,
+                          workload.beam_size)
     sharded = [op.scaled(1.0 / devices) for op in ops]
     sets = WorkingSets(weights=0.0, kv=0.0, activations=0.0)
-    step = model.step_cost(sharded, sets, workload.dtype)
+    step = replace(model.step_cost(sharded, sets, workload.dtype),
+                   num_layers=workload.model.num_layers)
 
     link = gpu_link(gpu, confidential)
     volume = volume_for(parallelism, workload.model, workload.dtype,

@@ -12,6 +12,8 @@ truth.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from ..engine.roofline import CpuCostModel, cost_model_for
@@ -24,7 +26,8 @@ from ..engine.simulator import (
 from ..core.sweep import sweep_workload
 from ..llm.config import GPTJ_6B, LLAMA2_7B, LLAMA2_13B, LLAMA2_70B
 from ..llm.datatypes import BFLOAT16, INT8
-from ..llm.graph import cached_decode_step_ops, decode_step_ops, prefill_ops
+from ..llm.graph import decode_step_ops, prefill_ops
+from ..llm.ops import merge_totals
 from ..llm.reference import FlopRecorder, ReferenceTransformer
 from ..memo import clear_all_caches
 from ..memsim.epc import EpcPager, paging_fraction, paging_fraction_vec
@@ -315,26 +318,31 @@ def decode_flops_vs_reference(ctx: AuditContext) -> str:
 @check("engine.vectorized_working_sets", family="differential",
        layers=("engine", "llm"))
 def vectorized_working_sets(ctx: AuditContext) -> str:
-    """The decode column pass's working sets equal the scalar ones."""
+    """The decode column pass's working sets equal the scalar ones
+    (and its activations the flat per-layer graph's)."""
     workload = ctx.small_workload(batch_size=4)
     deployment = ctx.cpu("tdx")
     contexts = np.array([64, 256, 1024])
     _, column_sets = _decode_pass(workload, deployment, contexts)
+    twin = replace(workload.model, num_layers=1)
     for position, context in enumerate(contexts.tolist()):
-        ops = list(cached_decode_step_ops(
-            workload.model, workload.dtype, workload.batch_size, context,
-            workload.beam_size))
-        scalar = _working_sets(workload, deployment, context, ops)
-        for name, column_value in (("kv", column_sets.kv[position]),
-                                   ("activations", column_sets.activations),
-                                   ("weights", column_sets.weights)):
-            scalar_value = getattr(scalar, name)
-            if column_value != scalar_value:
+        shape = (workload.dtype, workload.batch_size, context,
+                 workload.beam_size)
+        scalar = _working_sets(workload, deployment, context,
+                               decode_step_ops(twin, *shape))
+        flat = merge_totals(decode_step_ops(workload.model, *shape))
+        for name, got, want in (
+                ("kv", column_sets.kv[position], scalar.kv),
+                ("activations", column_sets.activations,
+                 scalar.activations),
+                ("flat-graph activations", scalar.activations,
+                 flat["activation_bytes"]),
+                ("weights", column_sets.weights, scalar.weights)):
+            if got != want:
                 raise CheckFailure(
-                    f"{name} differs at context {context}: column pass "
-                    f"{column_value!r} vs scalar {scalar_value!r}",
-                    deltas={"column": float(column_value),
-                            "scalar": float(scalar_value)})
+                    f"{name} differs at context {context}: {got!r} vs "
+                    f"{want!r}", deltas={"got": float(got),
+                                         "want": float(want)})
     return f"kv/activations/weights identical at {len(contexts)} contexts"
 
 

@@ -129,6 +129,4 @@ class TestSweepCacheAccounting:
                        [96, 128, 160], seed=0)
         stats = cache_stats()
         assert stats["prefill_step_cost"].hits > 0
-        assert stats["op_graph"].misses > 0
-        for name in ("prefill_step_cost", "op_graph"):
-            assert stats[name].lookups > 0
+        assert stats["prefill_step_cost"].misses > 0

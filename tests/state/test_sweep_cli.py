@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.state import capacity_grid
+from repro.state import SweepRunner, capacity_grid
 
 SCRIPTS = Path(__file__).resolve().parents[2] / "scripts"
 
@@ -50,6 +50,41 @@ def test_resume_prints_the_inline_rows(script, argv, tmp_path, capsys):
         journaled = capsys.readouterr().out
         assert "run dir " in journaled
         assert _rows(journaled) == _rows(inline)
+
+
+@pytest.mark.parametrize("script, argv", [
+    ("chaos", ["sweep", "--kinds", "tdx,tdx"]),
+    ("fleet", ["sweep", "--kinds", "tdx,tdx"]),
+], ids=["chaos-sweep", "fleet-sweep"])
+def test_bad_grid_is_one_line_and_exit_2(script, argv, capsys):
+    assert _cli(script).main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{script}.py sweep: grid point keys must be unique\n"
+
+
+@pytest.mark.parametrize("script, argv", [
+    ("chaos", ["sweep"]),
+    ("fleet", ["sweep"]),
+    ("fleet", ["boot", "--tax"]),
+], ids=["chaos-sweep", "fleet-sweep", "boot-tax"])
+def test_resume_into_another_spec_is_one_line_and_exit_2(script, argv,
+                                                         tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    SweepRunner.create(run_dir, capacity_grid(kinds=("tdx",),
+                                              max_replicas=1))
+    assert _cli(script).main([*argv, "--resume", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "already holds a different sweep spec" in err
+
+
+def test_chaos_sweep_rejects_max_attempts():
+    """The sweep's grid has no retry-attempt knob, so the flag is
+    ``run``'s alone."""
+    with pytest.raises(SystemExit) as exit_info:
+        _cli("chaos").main(["sweep", "--max-attempts", "1"])
+    assert exit_info.value.code == 2
 
 
 def test_fleet_sweep_rejects_router():
