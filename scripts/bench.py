@@ -224,11 +224,11 @@ def _serve_benchmark(name: str, make_fleet, table, replicas: int,
     columnar construction, not simulation); the measurement is the
     fleet core serving the full table.  The run is repeated and
     ``wall_s`` is the median, so one slow run on a shared host cannot
-    trip the ``--compare`` gate; the spread is recorded beside it, and
+    trip the ``--compare`` gate; the spread is recorded beside it.
     ``ticks`` counts the grid ticks one run executed (the rest were
-    jumped).  The runs are timed under a :class:`HostSpeed` sampler,
-    and ``ref_s`` (with its spread) is the median of their
-    reference-host seconds.
+    jumped) and ``steps`` its ``Replica.step`` calls.  The runs are
+    timed under a :class:`HostSpeed` sampler, and ``ref_s`` (with its
+    spread) is the median of their reference-host seconds.
     """
     requests = len(table)
     spans = []
@@ -239,21 +239,23 @@ def _serve_benchmark(name: str, make_fleet, table, replicas: int,
             spans.append(_serve_once(name, make_fleet, table))
     finally:
         speed.stop()
-    samples = [end - start for start, end, _ in spans]
-    reference = [speed.reference_s(start, end) for start, end, _ in spans]
+    samples = [end - start for start, end, _, _ in spans]
+    reference = [speed.reference_s(start, end) for start, end, _, _ in spans]
     wall_s = statistics.median(samples)
     return {"requests": requests, "replicas": replicas, "wall_s": wall_s,
             "wall_min_s": min(samples), "wall_max_s": max(samples),
             "req_per_wall_s": requests / wall_s,
             "ref_s": statistics.median(reference),
             "ref_min_s": min(reference), "ref_max_s": max(reference),
-            "repeats": repeats, "ticks": spans[-1][2]}
+            "repeats": repeats, "ticks": spans[-1][2],
+            "steps": spans[-1][3]}
 
 
-def _serve_once(name: str, make_fleet, table) -> tuple[float, float, int]:
-    """One timed run on a fresh fleet: ``(start, end, ticks)``."""
+def _serve_once(name: str, make_fleet,
+                table) -> tuple[float, float, int, int]:
+    """One timed run on a fresh fleet: ``(start, end, ticks, steps)``."""
     fleet = make_fleet()
-    ticks = 0
+    ticks = steps = 0
     tick = fleet.run_tick
 
     def counted() -> None:
@@ -261,14 +263,23 @@ def _serve_once(name: str, make_fleet, table) -> tuple[float, float, int]:
         ticks += 1
         tick()
 
+    def stepping(step):
+        def counted_step(until_s):
+            nonlocal steps
+            steps += 1
+            return step(until_s)
+        return counted_step
+
     fleet.run_tick = counted
+    for replica in fleet.replicas:
+        replica.step = stepping(replica.step)
     start = time.perf_counter()
     report = fleet.run(table)
     end = time.perf_counter()
     served = len(report.outcomes)
     if served < len(table):
         raise AssertionError(f"{name} completed only {served} requests")
-    return start, end, ticks
+    return start, end, ticks, steps
 
 
 def fleet_million_benchmark() -> dict:

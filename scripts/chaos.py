@@ -37,6 +37,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro import guards  # noqa: E402
 from repro.faults import (  # noqa: E402
     DegradationPolicy,
     FaultSchedule,
@@ -166,13 +167,30 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _mtbf_grid(text: str) -> tuple[float | None, ...]:
+    """``--mtbf`` of ``sweep``: comma-separated positive seconds, with
+    ``inf``/``none`` for the fault-free anchor."""
+    grid = []
+    for item in text.split(","):
+        if item in ("inf", "none"):
+            grid.append(None)
+            continue
+        try:
+            value = float(item)
+            guards.finite("MTBF", value, gt=0)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"MTBF {item!r} is not a positive number of seconds, "
+                f"'inf' or 'none'") from None
+        grid.append(value)
+    return tuple(grid)
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
-    grid = (None if args.mtbf_grid is None else
-            tuple(None if p in ("inf", "none") else float(p)
-                  for p in args.mtbf_grid.split(",")))
     try:
         spec = chaos_grid(kinds=tuple(args.kinds.split(",")),
-                          mtbf_grid_s=grid, num_requests=args.requests,
+                          mtbf_grid_s=args.mtbf_grid,
+                          num_requests=args.requests,
                           rate_rps=args.rate, mean_prompt=args.mean_prompt,
                           mean_output=args.mean_output,
                           replicas=args.replicas, seed=args.seed,
@@ -270,8 +288,8 @@ def main(argv: list[str] | None = None) -> int:
     sweep = sub.add_parser("sweep",
                            help="SLO and $/Mtok vs failure rate per backend")
     sweep.add_argument("--kinds", default=",".join(DEFAULT_KINDS))
-    sweep.add_argument("--mtbf", dest="mtbf_grid", default=None,
-                       metavar="GRID",
+    sweep.add_argument("--mtbf", dest="mtbf_grid", type=_mtbf_grid,
+                       default=None, metavar="GRID",
                        help="comma list of MTBF seconds ('inf' = no faults)")
     sweep.add_argument("--jsonl", type=Path, default=None,
                        help="stream one JSON row per completed point")

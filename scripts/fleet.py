@@ -282,7 +282,11 @@ def cmd_tenants(args: argparse.Namespace) -> int:
 
 def cmd_boot(args: argparse.Namespace) -> int:
     kinds = tuple(args.kinds.split(","))
-    rows = boot_breakdown(kinds)
+    try:
+        rows = boot_breakdown(kinds)
+    except ValueError as error:
+        print(f"fleet.py boot: {error}", file=sys.stderr)
+        return 2
     _print_rows("phased boot breakdown (seconds per phase)", rows)
     if not args.tax:
         return 0

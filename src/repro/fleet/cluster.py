@@ -194,6 +194,11 @@ class _RunState:
         self.now = (self.start // tick_s) * tick_s
         self.peak = peak
         self.chaos = chaos
+        #: Whether :meth:`FleetSimulator.run_tick` defers its
+        #: post-routing step (``run()`` only; never snapshotted).
+        self.defer = False
+        #: Horizon the busy replicas are owed a step to, if any.
+        self.owed_s: float | None = None
 
 
 class FleetSimulator:
@@ -463,6 +468,20 @@ class FleetSimulator:
                 self._moved = None
             self._rewake(replica, now)
 
+    def _catch_up(self) -> None:
+        """Step the busy replicas to the owed horizon, if one is owed.
+
+        Inside :meth:`run` the step that ends a tick and the step that
+        ends a quiet-tick jump are deferred: only the horizon is kept,
+        and a later jump overwrites it, since ``step(t1); step(t2) ==
+        step(t2)`` when nothing reads or submits in between.  Every
+        reader of replica state calls this first.
+        """
+        run = self._run
+        if run is not None and run.owed_s is not None:
+            owed, run.owed_s = run.owed_s, None
+            self._step_busy(owed, run.chaos)
+
     def _step_busy(self, now: float, state: _ChaosState | None) -> None:
         """Step the busy replicas a step to ``now`` can change, in id
         order, and drop the ones left with nothing to do.
@@ -521,11 +540,17 @@ class FleetSimulator:
         """Cancel and retry in-flight requests older than the timeout.
 
         ``now - routed_s`` is monotone in ``routed_s``, so the expired
-        flights are a prefix of the flight heap.
+        flights are a prefix of the flight heap.  An owed step is paid
+        only when the oldest current flight has expired: a flight it
+        would land must not be cancelled.
         """
         if state.retry is None:
             return
         timeout_s = state.retry.timeout_s
+        oldest = state.oldest_flight_s()
+        if oldest is None or now - oldest <= timeout_s:
+            return
+        self._catch_up()
         heap, flights = state.flight_heap, state.flights
         expired = []
         while heap and now - heap[0][0] > timeout_s:
@@ -688,12 +713,13 @@ class FleetSimulator:
         if run is None:
             return False
         state = run.chaos
-        has_pending = run.pending_head < len(run.pending_arrivals)
+        if (run.pending_head < len(run.pending_arrivals) or run.held
+                or (state is not None and state.retry_queue)):
+            return True
+        self._catch_up()
         replicas = self.replicas
-        return bool(has_pending or run.held
-                    or (state is not None and state.retry_queue)
-                    or any(replicas[replica_id].outstanding
-                           for replica_id in self._busy))
+        return any(replicas[replica_id].outstanding
+                   for replica_id in self._busy)
 
     @property
     def run_clock_s(self) -> float:
@@ -703,10 +729,16 @@ class FleetSimulator:
         return self._run.now
 
     def run_tick(self) -> None:
-        """Advance the armed run by one shared-clock tick."""
+        """Advance the armed run by one shared-clock tick.
+
+        On return every busy replica has been stepped to the tick,
+        except inside :meth:`run`, which defers that step to the next
+        reader (see :meth:`_catch_up`).
+        """
         run = self._run
         if run is None:
             raise ValueError("no run in progress; call begin_run() first")
+        self._catch_up()
         state = run.chaos
         run.now += self.tick_s
         now = run.now
@@ -758,7 +790,10 @@ class FleetSimulator:
                         if state.retry is not None:
                             heappush(state.flight_heap, (now, row))
 
-        self._step_busy(now, state)
+        if run.defer:
+            run.owed_s = now
+        else:
+            self._step_busy(now, state)
         if self._draining:
             self._retire_drained(now)
         run.peak = max(run.peak, self._active_count)
@@ -811,12 +846,15 @@ class FleetSimulator:
     def _skip_quiet_ticks(self) -> None:
         """Jump the clock over ticks that provably cannot act.
 
-        Replays the skipped ticks' only observable work — stepping the
-        replicas that have work — as one composed ``step`` call per
-        replica (the scheduler's step/run parity contract makes the
-        composition exact, under every admission policy: SCFQ tags are
-        fixed at submit and nothing is submitted in a quiet stretch),
-        then lets :meth:`run_tick` execute the next tick normally.
+        The skipped ticks' only observable work — stepping the replicas
+        that have work — becomes one composed ``step`` call per replica
+        to the landing tick (the scheduler's step/run parity contract
+        makes the composition exact, under every admission policy: SCFQ
+        tags are fixed at submit and nothing is submitted in a quiet
+        stretch).  The step is owed, not taken: the next reader pays it
+        through :meth:`_catch_up`, and the tick's own deferred step,
+        if any, is dropped.  :meth:`run_tick` then executes the next
+        tick normally.
         ``run.now`` advances by repeated ``+= tick_s``, so float
         accumulation stays bit-identical, and lands on the *last* grid
         value at which no wake condition holds yet: each candidate tick
@@ -832,6 +870,9 @@ class FleetSimulator:
         The wake edge comes from the top of the wake heap and the oldest
         flight from the top of the flight heap, and only busy replicas
         are stepped, so a jump costs O(busy replicas), not O(fleet).
+        Both are read without catching up.  An owed step can only land
+        flights and lift hangs, so a stale read sees an older flight or
+        an earlier hang expiry: it can shorten a jump, never lengthen it.
 
         Conservative no-jump conditions (ticks could act in ways that
         are not time-peekable): an armed autoscaler (decides on queue
@@ -875,7 +916,7 @@ class FleetSimulator:
         if wake is not None and now >= wake:
             return  # float-accumulation safety net: tick normally instead
         run.now = now
-        self._step_busy(now, state)
+        run.owed_s = now
 
     def finish_run(self) -> FleetReport:
         """Close out a completed run and build its report.
@@ -886,7 +927,7 @@ class FleetSimulator:
         run = self._run
         if run is None:
             raise ValueError("no run in progress")
-        if self.run_active:
+        if self.run_active:  # catches up any owed step when it is done
             raise ValueError("run still has outstanding work; keep ticking")
         state = run.chaos
         # Replica clocks may overshoot the final tick; the fleet ends
@@ -932,6 +973,9 @@ class FleetSimulator:
                 fit any replica's KV pool.
         """
         self.begin_run(requests)
+        # An autoscaler reads every replica's load each tick, so its
+        # fleets step eagerly.
+        self._run.defer = self.autoscaler is None
         while self.run_active:
             self._skip_quiet_ticks()
             self.run_tick()
@@ -951,6 +995,7 @@ class FleetSimulator:
         (selected by the replica's ``origin``) and refuses a mismatch,
         so deployments and price catalogs never need to be serialized.
         """
+        self._catch_up()
         run = self._run
         run_state = None
         if run is not None:

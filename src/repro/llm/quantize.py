@@ -50,8 +50,10 @@ def quantize_per_row(weight: np.ndarray) -> QuantizedTensor:
         raise ValueError(f"expected a 2-D weight, got shape {weight.shape}")
     if not np.all(np.isfinite(weight)):
         raise ValueError("weight contains non-finite values")
-    absmax = np.abs(weight).max(axis=1)
-    scales = np.where(absmax > 0, absmax / 127.0, 1.0).astype(np.float32)
+    # The scale is chosen in float32: a row whose scale underflows to 0
+    # there quantizes like an all-zero row.
+    scales = (np.abs(weight).max(axis=1) / 127.0).astype(np.float32)
+    scales[scales == 0] = 1.0
     values = np.clip(np.rint(weight / scales[:, None]), -127, 127).astype(np.int8)
     return QuantizedTensor(values=values, scales=scales)
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .errors import StateSchemaError
+from .errors import StateSchemaError, StateValueError
 from .runner import GridPoint, PointContext, SweepSpec
 from .schema import require, require_finite
 
@@ -178,6 +178,18 @@ def run_attest_tax_point(params: dict, context: PointContext) -> dict:
         require_finite(params, "slo_ttft_s", "$.params", minimum=1e-12))
 
 
+def _check_kinds(kinds: tuple[str, ...]) -> tuple[str, ...]:
+    """Refuse a grid naming an unknown replica kind before any point
+    runs."""
+    from ..fleet.replica import REPLICA_KINDS
+
+    for kind in kinds:
+        if kind not in REPLICA_KINDS:
+            raise StateValueError(f"unknown replica kind {kind!r}; "
+                                  f"expected one of {REPLICA_KINDS}")
+    return kinds
+
+
 def chaos_grid(kinds: tuple[str, ...] | None = None,
                mtbf_grid_s: tuple[float | None, ...] | None = None,
                num_requests: int = 36, rate_rps: float = 1.5,
@@ -196,7 +208,7 @@ def chaos_grid(kinds: tuple[str, ...] | None = None,
     """
     from ..faults.sweep import DEFAULT_KINDS, DEFAULT_MTBF_GRID_S
 
-    kinds = DEFAULT_KINDS if kinds is None else kinds
+    kinds = _check_kinds(DEFAULT_KINDS if kinds is None else kinds)
     mtbf_grid_s = DEFAULT_MTBF_GRID_S if mtbf_grid_s is None else mtbf_grid_s
     points = []
     for kind in kinds:
@@ -239,6 +251,7 @@ def capacity_grid(kinds: tuple[str, ...] = ("tdx", "cgpu"),
     fleet size meets the SLO, the kind's larger sizes are skipped —
     including across a crash/resume boundary.
     """
+    _check_kinds(kinds)
     if arrivals is None:
         stream: dict = {"trace": "capacity"}
     else:
@@ -275,7 +288,7 @@ def attest_grid(kinds: tuple[str, ...] | None = None,
     """
     from ..tee.boot import TAX_FLEET_KINDS
 
-    kinds = TAX_FLEET_KINDS if kinds is None else kinds
+    kinds = _check_kinds(TAX_FLEET_KINDS if kinds is None else kinds)
     points = []
     for scenario in scenarios:
         for kind in kinds:

@@ -19,8 +19,9 @@ numbers.
   through a plain ``begin_run``/``run_tick``/``finish_run`` loop — and
   requires exactly equal reports, plus a skipped tick in every regime
   where jumping is allowed, a retried timeout and a jump across a
-  slowed replica in the sparse timeout/slowdown regime, and a timeout
-  fired on the tick a jump landed on in the faulted 64-replica regime.
+  slowed replica in the sparse timeout/slowdown regime, a timeout
+  fired on the tick a jump landed on in the faulted 64-replica regime,
+  and a jump that replaced the step a tick deferred.
 * ``fleet.route_parity`` (differential) runs overloaded, faulted,
   KV-pressure, WFQ-tenant, phased-boot and 64-way fleets once with the
   shipped load-heap routers and once with references that rescan the
@@ -524,9 +525,10 @@ def _jump_regimes() -> list[tuple[str, "callable", object, bool]]:
 
 def _run_jumping(sim: FleetSimulator, stream):
     """``sim.run(stream)``, the number of ticks it executed, the number
-    of jumps it took while some replica was slowed, and the number of
-    jumps whose landing tick cancelled a timed-out flight."""
-    ticks = slowed_jumps = timeout_landings = 0
+    of jumps it took while some replica was slowed, the number of jumps
+    whose landing tick cancelled a timed-out flight, and the number of
+    jumps that replaced a busy fleet's owed post-routing step."""
+    ticks = slowed_jumps = timeout_landings = dropped = 0
     jumped = False
     tick, skip = sim.run_tick, sim._skip_quiet_ticks
     check_timeouts = sim._check_timeouts
@@ -537,26 +539,52 @@ def _run_jumping(sim: FleetSimulator, stream):
         tick()
 
     def watched() -> None:
-        nonlocal slowed_jumps, jumped
+        nonlocal slowed_jumps, jumped, dropped
         slowed = any(r._slow_until_s is not None for r in sim.replicas)
+        owed = sim._busy and sim._run.owed_s is not None
         before = sim.run_clock_s
         skip()
         jumped = sim.run_clock_s != before
         if slowed and jumped:
             slowed_jumps += 1
+        if owed and jumped:
+            dropped += 1
 
     def timed(now, state) -> None:
-        # Only timeouts take flights off the table here.
+        # A timed-out flight is requeued or shed; landing the flights
+        # that finished by ``now`` (an owed step) does neither.
         nonlocal timeout_landings
-        before = len(state.flights)
+        before = len(state.retry_queue) + len(state.shed)
         check_timeouts(now, state)
-        if jumped and len(state.flights) < before:
+        if jumped and len(state.retry_queue) + len(state.shed) > before:
             timeout_landings += 1
 
     sim.run_tick = counted
     sim._skip_quiet_ticks = watched
     sim._check_timeouts = timed
-    return sim.run(stream), ticks, slowed_jumps, timeout_landings
+    return sim.run(stream), ticks, slowed_jumps, timeout_landings, dropped
+
+
+def _count_steps(sim: FleetSimulator) -> Counter:
+    """Count ``Replica.step`` calls on ``sim``'s replicas, present and
+    provisioned later, as ``counts["steps"]``."""
+    counts = Counter()
+
+    def watch(replica):
+        step = replica.step
+
+        def counted(until_s):
+            counts["steps"] += 1
+            return step(until_s)
+        replica.step = counted
+        return replica
+
+    provision = sim._provision
+    sim._provision = lambda *args, **kwargs: watch(provision(*args,
+                                                             **kwargs))
+    for replica in sim.replicas:
+        watch(replica)
+    return counts
 
 
 def _run_ticking(sim: FleetSimulator, stream):
@@ -575,11 +603,15 @@ def jump_parity(ctx: AuditContext) -> str:
     """run() jumping quiet ticks is bit-identical to ticking every one,
     and skips ticks in every regime where jumping is allowed."""
     regimes = _jump_regimes()
-    jumped_ticks = ticked_ticks = compared = 0
+    jumped_ticks = ticked_ticks = compared = fewer_steps = dropped = 0
     for label, factory, stream, expect_jump in regimes:
-        jumped, jumps, slowed_jumps, timeout_landings = _run_jumping(
-            factory(), stream)
-        ticked, ticks = _run_ticking(factory(), stream)
+        jumping, ticking = factory(), factory()
+        run_steps, loop_steps = _count_steps(jumping), _count_steps(ticking)
+        jumped, jumps, slowed_jumps, timeout_landings, replaced = (
+            _run_jumping(jumping, stream))
+        ticked, ticks = _run_ticking(ticking, stream)
+        fewer_steps += run_steps["steps"] < loop_steps["steps"]
+        dropped += replaced
         a, b = jumped.to_dict(), ticked.to_dict()
         if a != b:
             diverged = [key for key in a if a[key] != b.get(key)]
@@ -620,9 +652,16 @@ def jump_parity(ctx: AuditContext) -> str:
         jumped_ticks += jumps
         ticked_ticks += ticks
         compared += len(ticked.outcomes)
+    if not (fewer_steps and dropped):
+        raise CheckFailure(
+            f"run() took fewer replica steps than the tick loop in "
+            f"{fewer_steps} regimes and {dropped} jumps replaced an owed "
+            f"post-routing step; the check needs both, or it is vacuous")
     return (f"{compared} request timelines bit-identical across "
             f"{len(regimes)} regimes; run() executed {jumped_ticks} of "
-            f"{ticked_ticks} ticks")
+            f"{ticked_ticks} ticks, took fewer replica steps than the "
+            f"tick loop in {fewer_steps} and replaced {dropped} owed "
+            f"steps with a jump's")
 
 
 class _ScanLeastOutstanding(LeastOutstandingRouter):

@@ -1,5 +1,7 @@
 """int8 quantization: error bounds and matmul agreement (hypothesis)."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -42,6 +44,14 @@ class TestQuantizePerRow:
     def test_zero_row_handled(self):
         quantized = quantize_per_row(np.zeros((2, 4)))
         np.testing.assert_array_equal(quantized.dequantize(), np.zeros((2, 4)))
+
+    @pytest.mark.parametrize("row", [[1e-44, -1e-44], [1e-44, 0.0]])
+    def test_row_whose_scale_underflows_is_a_zero_row(self, row):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            quantized = quantize_per_row(np.array([row]))
+        assert quantized.scales.tolist() == [1.0]
+        assert quantized.values.tolist() == [[0, 0]]
 
     def test_rejects_non_2d(self):
         with pytest.raises(ValueError, match="2-D"):

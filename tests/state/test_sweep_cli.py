@@ -11,7 +11,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.state import SweepRunner, capacity_grid
+from repro.state import (
+    StateValueError,
+    SweepRunner,
+    attest_grid,
+    capacity_grid,
+    chaos_grid,
+)
 
 SCRIPTS = Path(__file__).resolve().parents[2] / "scripts"
 
@@ -77,6 +83,36 @@ def test_resume_into_another_spec_is_one_line_and_exit_2(script, argv,
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "already holds a different sweep spec" in err
+
+
+@pytest.mark.parametrize("script, argv", [
+    ("chaos", ["sweep", "--kinds", "tdx,nope"]),
+    ("fleet", ["sweep", "--kinds", "tdx,nope"]),
+    ("fleet", ["boot", "--kinds", "tdx,nope"]),
+], ids=["chaos-sweep", "fleet-sweep", "boot"])
+def test_unknown_kind_is_one_line_and_exit_2(script, argv, capsys):
+    """Refused before any point runs: nothing reaches stdout."""
+    assert _cli(script).main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"{script}.py {argv[0]}: ")
+    assert captured.err.count("\n") == 1
+    assert "'nope'" in captured.err
+
+
+@pytest.mark.parametrize("grid", ["abc", "12,-1", "nan", "6,"])
+def test_chaos_sweep_refuses_a_bad_mtbf_grid(grid, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        _cli("chaos").main(["sweep", "--mtbf", grid])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --mtbf" in err and "Traceback" not in err
+
+
+def test_grids_refuse_unknown_kinds():
+    for build in (capacity_grid, chaos_grid, attest_grid):
+        with pytest.raises(StateValueError, match="unknown replica kind"):
+            build(kinds=("tdx", "nope"))
 
 
 def test_chaos_sweep_rejects_max_attempts():
