@@ -14,18 +14,14 @@ horizontal scaling.
 
 from helpers import print_rows, run_once
 
-from repro.fleet import capacity_sweep, replica_spec, trace_replay
+from repro.fleet import capacity_sweep
 from repro.validate.fleet import CAPACITY_SLO_TTFT_S, CAPACITY_TRACE
 
 KINDS = ("tdx", "cgpu")
 
 
 def regenerate() -> dict:
-    requests = trace_replay(list(CAPACITY_TRACE))
-    specs = {kind: replica_spec(kind, max_batch=16,
-                                kv_capacity_tokens=65536) for kind in KINDS}
-    plans = capacity_sweep(list(specs.values()), requests,
-                           slo_ttft_s=CAPACITY_SLO_TTFT_S, max_replicas=6)
+    plans = capacity_sweep(max_replicas=6)
     rows = []
     for kind, plan in plans.items():
         for point in plan.points:

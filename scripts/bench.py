@@ -116,7 +116,9 @@ def micro_benchmarks() -> dict:
         lambda: _decode_clean_loop(WORKLOAD, tdx, cost_model_for(tdx), 1),
         repeats=3, setup=reset_caches)
 
-    # A representative sweep (warm caches; what figures actually run).
+    # A figure-style batch sweep (warm caches).  The figure benchmarks
+    # themselves call simulate_generation through
+    # benchmarks/helpers.simulate_cached, not core.sweep.
     results["sweep_batch_4pts"] = _time(
         lambda: sweep_workload("bench", WORKLOAD, DEPLOYMENTS, "batch_size",
                                [1, 4, 16, 64]), repeats=3)

@@ -252,7 +252,7 @@ def _add_workload_args(p: argparse.ArgumentParser, requests: int,
     p.add_argument("--mean-output", type=int, default=64)
     p.add_argument("--replicas", type=int, default=replicas)
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--slo-ttft", type=float, default=2.0)
+    p.add_argument("--slo-ttft", type=guards.seconds_arg, default=2.0)
     p.add_argument("--timeout", type=float, default=20.0)
     p.add_argument("--horizon", type=float, default=40.0)
     p.add_argument("--json", type=Path, default=None)

@@ -41,11 +41,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro import guards  # noqa: E402
 from repro.fleet import (  # noqa: E402
     ARRIVAL_KINDS,
     AutoscalerConfig,
-    CapacityPlan,
-    CapacityPoint,
     FleetReport,
     FleetSimulator,
     ROUTER_KINDS,
@@ -60,6 +59,7 @@ from repro.state import (  # noqa: E402
     SweepRunner,
     attest_grid,
     capacity_grid,
+    fold_capacity_rows,
 )
 from repro.tee.boot import (  # noqa: E402
     TAX_ROW_FIELDS,
@@ -173,9 +173,8 @@ def _grid_runner(args: argparse.Namespace, build) -> SweepRunner | None:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    kinds = args.kinds.split(",")
     runner = _grid_runner(args, lambda: capacity_grid(
-        kinds=tuple(kinds), max_replicas=args.max_replicas,
+        kinds=tuple(args.kinds.split(",")), max_replicas=args.max_replicas,
         slo_ttft_s=args.slo_ttft, percentile=args.percentile,
         arrivals=args.arrivals, num_requests=args.count, rate_rps=args.rate,
         mean_prompt=args.mean_prompt, mean_output=args.mean_output,
@@ -203,13 +202,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     finally:
         if stream is not None:
             stream.close()
-    by_kind: dict[str, list[CapacityPoint]] = {kind: [] for kind in kinds}
-    for index in sorted(by_index):
-        point = CapacityPoint(**by_index[index])
-        by_kind[point.kind].append(point)
-    plans = {kind: CapacityPlan.from_points(kind, points, args.slo_ttft,
-                                            args.percentile)
-             for kind, points in by_kind.items()}
+    plans = fold_capacity_rows(runner.spec, by_index)
     quarantined = runner.quarantined()
     num_requests = (len(CAPACITY_TRACE) if args.arrivals is None
                 else args.count)
@@ -324,7 +317,7 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--mean-prompt", type=int, default=256)
         p.add_argument("--mean-output", type=int, default=64)
         p.add_argument("--seed", type=int, default=11)
-        p.add_argument("--slo-ttft", type=float,
+        p.add_argument("--slo-ttft", type=guards.seconds_arg,
                        default=CAPACITY_SLO_TTFT_S,
                        help="TTFT SLO in seconds")
         p.add_argument("--json", type=Path, default=None,
@@ -412,7 +405,8 @@ def main(argv: list[str] | None = None) -> int:
     boot_p.add_argument("--tax", action="store_true",
                         help="also re-run the capacity and chaos headlines "
                              "with phased vs instant boots")
-    boot_p.add_argument("--slo-ttft", type=float, default=CAPACITY_SLO_TTFT_S)
+    boot_p.add_argument("--slo-ttft", type=guards.seconds_arg,
+                        default=CAPACITY_SLO_TTFT_S)
     boot_p.add_argument("--resume", type=Path, default=None,
                         metavar="RUN_DIR",
                         help="with --tax: write-ahead journal the table "

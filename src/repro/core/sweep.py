@@ -2,21 +2,12 @@
 
 Most figures are sweeps: batch size (Figs. 8-9), input length
 (Figs. 10-11, 13), core count (Fig. 12).  A sweep runs an experiment per
-parameter value and flattens the results into rows a harness can print
-or assert on.
-
-Sweeps run serially by default; pass ``parallel=True`` to fan the
-per-value experiments out over a process pool.  Parallel execution is
-deterministic and seed-stable: each experiment carries its own derived
-seed, workers return complete :class:`ExperimentResult` objects, and the
-merge preserves the caller's value order — a parallel sweep is
-bit-identical to the serial one.
+parameter value, in the caller's value order, and flattens the results
+into rows a harness can print or assert on.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable
 
 from .. import guards
@@ -31,9 +22,8 @@ def _validate_grid(parameter: str, values: list) -> None:
     Grid values name workload parameters and deployment variants (batch
     sizes, token counts, core counts), so each must be an integer >= 1
     (:func:`repro.guards.count`); catching a bad value here fails the
-    whole sweep in microseconds, naming its slot, instead of shipping
-    poisoned experiments to a process pool and failing one worker
-    minutes in.  Raises the structured
+    whole sweep in microseconds, naming its slot, instead of failing
+    one experiment minutes in.  Raises the structured
     :class:`~repro.state.errors.StateValueError` (a ``ValueError``
     subclass, so pre-existing handlers keep working).
     """
@@ -46,40 +36,19 @@ def _validate_grid(parameter: str, values: list) -> None:
             raise StateValueError(str(error)) from None
 
 
-def _run_experiment(experiment: Experiment) -> ExperimentResult:
-    """Top-level worker entry point (must be picklable)."""
-    return experiment.run()
-
-
-def _run_all(experiments: list[Experiment], parallel: bool,
-             max_workers: int | None) -> list[ExperimentResult]:
-    """Run experiments serially or over a process pool, preserving order."""
-    if not parallel or len(experiments) < 2:
-        return [experiment.run() for experiment in experiments]
-    workers = max_workers or min(len(experiments), os.cpu_count() or 1)
-    workers = max(1, min(workers, len(experiments)))
-    if workers == 1:
-        return [experiment.run() for experiment in experiments]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_experiment, experiments))
-
-
 def sweep_workload(name: str, base: Workload,
                    deployments: dict[str, Deployment], parameter: str,
                    values: list[int], baseline_label: str = "baremetal",
-                   seed: int = 0, parallel: bool = False,
-                   max_workers: int | None = None) -> dict[int, ExperimentResult]:
+                   seed: int = 0) -> dict[int, ExperimentResult]:
     """Run one experiment per value of a workload parameter.
 
     Args:
         parameter: Workload field to vary (``batch_size``,
             ``input_tokens``, ...).
-        parallel: Fan the per-value experiments out over a process pool.
-        max_workers: Pool size (defaults to ``min(len(values), cpus)``).
 
     Returns:
         Mapping from parameter value to that experiment's result, in the
-        order of ``values`` regardless of execution mode.
+        order of ``values``.
 
     Raises:
         repro.state.errors.StateValueError: On an empty grid or a
@@ -93,21 +62,18 @@ def sweep_workload(name: str, base: Workload,
                    seed=seed)
         for value in values
     ]
-    results = _run_all(experiments, parallel, max_workers)
-    return dict(zip(values, results))
+    return {value: experiment.run()
+            for value, experiment in zip(values, experiments)}
 
 
 def sweep_deployments(name: str, workload: Workload,
                       make_deployments: Callable[[int], dict[str, Deployment]],
                       values: list[int], baseline_label: str = "baremetal",
-                      seed: int = 0, parallel: bool = False,
-                      max_workers: int | None = None) -> dict[int, ExperimentResult]:
+                      seed: int = 0) -> dict[int, ExperimentResult]:
     """Run one experiment per deployment variant (e.g. core counts).
 
     Args:
-        make_deployments: Builds the labelled deployments for one value
-            (called in the parent process; only the built experiments are
-            shipped to workers under ``parallel=True``).
+        make_deployments: Builds the labelled deployments for one value.
 
     Raises:
         repro.state.errors.StateValueError: On an empty grid or a
@@ -120,8 +86,8 @@ def sweep_deployments(name: str, workload: Workload,
                    baseline_label=baseline_label, seed=seed)
         for value in values
     ]
-    results = _run_all(experiments, parallel, max_workers)
-    return dict(zip(values, results))
+    return {value: experiment.run()
+            for value, experiment in zip(values, experiments)}
 
 
 def _series_result(outcomes: dict[int, ExperimentResult], value: int,

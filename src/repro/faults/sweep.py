@@ -17,7 +17,6 @@ from __future__ import annotations
 from ..fleet.cluster import FleetSimulator, fixed_fleet
 from ..fleet.replica import replica_spec
 from ..fleet.report import FleetReport
-from ..tee.boot import BootProfile
 from .resilience import RetryPolicy
 from .schedule import FaultSchedule, mtbf_schedule
 
@@ -33,26 +32,20 @@ DEFAULT_MTBF_GRID_S: tuple[float | None, ...] = (None, 12.0, 6.0)
 def chaos_fleet(kind: str, replicas: int = 2,
                 mtbf_s: float | None = None,
                 horizon_s: float = 40.0, seed: int = 0,
-                timeout_s: float = 20.0,
-                max_attempts: int = 4,
-                boot: BootProfile | None = None) -> FleetSimulator:
+                timeout_s: float = 20.0) -> FleetSimulator:
     """A fixed fleet armed with an MTBF fault schedule and retries.
 
     ``mtbf_s=None`` arms the chaos machinery with an empty schedule —
     the configuration the zero-fault differential twin pins against a
-    fault-free run.  ``boot`` arms a phased confidential boot profile
-    (:mod:`repro.tee.boot`): crash recoveries and attestation failures
-    then pay the re-attestation remainder instead of rebooting free.
+    fault-free run.  A timed-out request is tried up to 4 times.
     """
-    spec = replica_spec(kind, max_batch=16, kv_capacity_tokens=65536,
-                        boot=boot)
+    spec = replica_spec(kind, max_batch=16, kv_capacity_tokens=65536)
     if mtbf_s is None:
         schedule = FaultSchedule.empty()
     else:
         schedule = mtbf_schedule(list(range(replicas)), mtbf_s=mtbf_s,
                                  horizon_s=horizon_s, seed=seed)
-    retry = RetryPolicy(timeout_s=timeout_s, max_attempts=max_attempts,
-                        seed=seed)
+    retry = RetryPolicy(timeout_s=timeout_s, max_attempts=4, seed=seed)
     return fixed_fleet(spec, replicas, faults=schedule, retry_policy=retry)
 
 

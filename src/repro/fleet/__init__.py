@@ -21,13 +21,7 @@ from .retryq import RetryQueue
 from .table import ColumnarOutcomes, OutcomeLog, RequestTable, ShedLog
 from .autoscaler import AutoscalerConfig, ReactiveAutoscaler, ScaleEvent
 from .cluster import DEFAULT_TICK_S, FleetSimulator, fixed_fleet
-from .planner import (
-    CapacityPlan,
-    CapacityPoint,
-    capacity_plan,
-    capacity_sweep,
-    evaluate_fleet,
-)
+from .planner import CapacityPlan, CapacityPoint, capacity_sweep
 from .replica import REPLICA_KINDS, Replica, ReplicaSpec, replica_spec
 from .report import FleetReport, ReplicaUsage
 from .router import (
@@ -65,10 +59,8 @@ __all__ = [
     "Router",
     "ScaleEvent",
     "ShedLog",
-    "capacity_plan",
     "capacity_sweep",
     "diurnal_table",
-    "evaluate_fleet",
     "fixed_fleet",
     "make_arrival_table",
     "make_router",

@@ -13,11 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..serving.scheduler import ServeRequest
-from .cluster import fixed_fleet
-from .replica import ReplicaSpec
-from .report import FleetReport
-
 
 @dataclass(frozen=True)
 class CapacityPoint:
@@ -93,58 +88,24 @@ class CapacityPlan:
         }
 
 
-def evaluate_fleet(spec: ReplicaSpec, count: int,
-                   requests: list[ServeRequest], slo_ttft_s: float,
-                   percentile: float = 99.0,
-                   ) -> tuple[CapacityPoint, FleetReport]:
-    """Run one fixed fleet against the trace and grade it vs the SLO.
+def capacity_sweep(**grid: object) -> dict[str, CapacityPlan]:
+    """Capacity plans for several replica kinds over one shared trace.
 
-    The fleet routes least-outstanding, fault-free, at the default tick.
-    """
-    fleet = fixed_fleet(spec, count)
-    report = fleet.run(requests)
-    p_ttft = report.ttft_percentile(percentile)
-    point = CapacityPoint(
-        kind=spec.kind, replicas=count, p99_ttft_s=p_ttft,
-        attainment=report.slo_attainment(slo_ttft_s),
-        usd_per_mtok=report.usd_per_mtok,
-        meets_slo=p_ttft <= slo_ttft_s)
-    return point, report
-
-
-def capacity_plan(spec: ReplicaSpec, requests: list[ServeRequest],
-                  slo_ttft_s: float, percentile: float = 99.0,
-                  max_replicas: int = 8) -> CapacityPlan:
-    """Grow a fixed fleet until the TTFT percentile clears the SLO.
-
-    The sweep stops at the first fleet size that meets the objective
-    (capacity curves are evaluated left to right; the metamorphic
-    audit separately checks that growing the fleet never hurts the
-    tail, so the first hit is the minimum).  The resumable form of the
-    same curve is :func:`repro.state.points.capacity_grid`.
+    The rows of :func:`repro.state.points.capacity_grid` run inline and
+    folded by :func:`repro.state.points.fold_capacity_rows`; keyword
+    arguments are that grid's, and ``capacity_sweep(max_replicas=6)``
+    reproduces the ``golden.fleet_capacity`` snapshot.  Each kind's
+    fleet grows one replica at a time and stops at the first size that
+    meets the SLO (the metamorphic audit checks that growing the fleet
+    never hurts the tail, so the first hit is the minimum).
 
     Raises:
-        ValueError: On a bad SLO/limit or an infeasible trace.
+        repro.state.errors.StateValueError: On a bad grid (unknown
+            kind, SLO, percentile, fleet size or stream), before any
+            fleet runs.
     """
-    if slo_ttft_s <= 0:
-        raise ValueError("slo_ttft_s must be positive")
-    if max_replicas < 1:
-        raise ValueError("max_replicas must be >= 1")
-    points = []
-    for count in range(1, max_replicas + 1):
-        point, _ = evaluate_fleet(spec, count, requests, slo_ttft_s,
-                                  percentile)
-        points.append(point)
-        if point.meets_slo:
-            break
-    return CapacityPlan.from_points(spec.kind, points, slo_ttft_s,
-                                    percentile)
+    from ..state.points import capacity_grid, fold_capacity_rows
+    from ..state.runner import SweepRunner
 
-
-def capacity_sweep(specs: list[ReplicaSpec], requests: list[ServeRequest],
-                   slo_ttft_s: float, percentile: float = 99.0,
-                   max_replicas: int = 8) -> dict[str, CapacityPlan]:
-    """Capacity plans for several replica kinds over one shared trace."""
-    return {spec.kind: capacity_plan(spec, requests, slo_ttft_s, percentile,
-                                     max_replicas)
-            for spec in specs}
+    spec = capacity_grid(**grid)
+    return fold_capacity_rows(spec, SweepRunner.create(None, spec).run())

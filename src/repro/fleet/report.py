@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import guards
 from ..cost.pricing import attribute_cost
 from ..faults.injector import AppliedFault
 from ..faults.resilience import ShedRequest
@@ -164,9 +165,12 @@ class FleetReport:
         Shed requests never produced a first token, so they count as
         misses — on a fault-free fleet nothing is shed and this is the
         plain completed-request fraction.
+
+        Raises:
+            ValueError: Unless ``slo_ttft_s`` is a finite positive real
+                (not a bool), or when no request was submitted.
         """
-        if slo_ttft_s <= 0:
-            raise ValueError("slo_ttft_s must be positive")
+        guards.finite("slo_ttft_s", slo_ttft_s, gt=0)
         if not self.submitted:
             raise ValueError("no requests submitted")
         met = int(np.count_nonzero(self.outcomes.ttft_values() <= slo_ttft_s))

@@ -11,10 +11,13 @@ functions, and the hot paths behind the constructor trust it:
 * :func:`whole` -- a request-row integer: an integer, or a finite float
   with no fraction (a ``16.0``-token prompt is a 16-token prompt).
 
+The command lines parse ``--slo-ttft`` with :func:`seconds_arg`, the
+``argparse`` form of ``finite(gt=0)``.
+
 Finiteness comes before any bound because NaN passes every plain
 comparison (``nan < 0`` and ``nan >= 0`` are both False), so a guard
-written as ``if value < 0: raise`` lets NaN through.  Every function
-returns ``None`` or raises ``ValueError`` naming the field and the value;
+written as ``if value < 0: raise`` lets NaN through.  The three checks
+return ``None`` or raise ``ValueError`` naming the field and the value;
 none converts the value, since a coerced number would change the
 fingerprints and snapshots that record it.
 
@@ -23,6 +26,7 @@ This module imports nothing from the package, so every layer can use it.
 
 from __future__ import annotations
 
+import argparse
 import math
 from numbers import Integral, Real
 
@@ -67,3 +71,19 @@ def whole(name: str, value: object) -> None:
     if not (isinstance(value, Integral)
             or (isinstance(value, Real) and float(value).is_integer())):
         _fail(name, "a finite whole number", value)
+
+
+def seconds_arg(text: str) -> float:
+    """An ``argparse`` ``type``: a finite number of seconds > 0.
+
+    A refusal raises ``argparse.ArgumentTypeError``, which argparse
+    prints as one usage error naming the flag, exiting 2 before the
+    command runs.
+    """
+    try:
+        value = float(text)
+        finite("seconds", value, gt=0)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a finite positive number of seconds") from None
+    return value

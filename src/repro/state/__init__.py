@@ -52,6 +52,7 @@ _LAZY_EXPORTS = {
     "chaos_grid": "points",
     "capacity_grid": "points",
     "attest_grid": "points",
+    "fold_capacity_rows": "points",
 }
 
 __all__ = [

@@ -5,10 +5,10 @@ one grid point of a sweep: it rebuilds its workload deterministically
 from JSON ``params``, optionally resumes a mid-point simulator
 checkpoint via the :class:`~repro.state.runner.PointContext`, and
 returns a JSON row.  A grid builder below is the only description of
-its sweep: the library sweeps (``mtbf_sweep``, ``attest_tax_sweep``)
-run it inline and the sweep CLIs run it inline or, with ``--resume``,
-journaled — so an inline, resumed, interrupted or watchdog-supervised
-run produces the same rows.
+its sweep: the library sweeps (``mtbf_sweep``, ``capacity_sweep``,
+``attest_tax_sweep``) run it inline and the sweep CLIs run it inline
+or, with ``--resume``, journaled — so an inline, resumed, interrupted
+or watchdog-supervised run produces the same rows.
 
 Runners are looked up by name (the name is what ``spec.json``
 persists), so a resumed process needs no pickled callables — just this
@@ -17,8 +17,10 @@ registry.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Callable
 
+from .. import guards
 from .errors import StateSchemaError, StateValueError
 from .runner import GridPoint, PointContext, SweepSpec
 from .schema import require, require_finite
@@ -119,10 +121,13 @@ def run_fleet_capacity_point(params: dict, context: PointContext) -> dict:
 
     ``params["trace"] == "capacity"`` replays the pinned golden
     capacity trace; otherwise the trace is generated from the params
-    via :func:`repro.fleet.arrivals.make_arrival_table`.  The row is
+    via :func:`repro.fleet.arrivals.make_arrival_table`.  The fleet
+    routes least-outstanding, fault-free, at the default tick, and is
+    graded on the params' TTFT percentile against the SLO.  The row is
     :meth:`~repro.fleet.planner.CapacityPoint.to_dict`.
     """
-    from ..fleet.planner import evaluate_fleet
+    from ..fleet.cluster import fixed_fleet
+    from ..fleet.planner import CapacityPoint
     from ..fleet.replica import replica_spec
     from ..tee.boot import boot_profile
 
@@ -154,11 +159,15 @@ def run_fleet_capacity_point(params: dict, context: PointContext) -> dict:
     else:
         raise StateSchemaError(
             f"$.params.trace must be 'capacity' or absent, got {trace!r}")
-    point, _ = evaluate_fleet(
-        spec, count, requests, slo_ttft_s,
-        percentile=require_finite(params, "percentile", "$.params"))
     del context  # capacity cells finish in one tick loop; no mid-point saves
-    return point.to_dict()
+    report = fixed_fleet(spec, count).run(requests)
+    p_ttft = report.ttft_percentile(
+        require_finite(params, "percentile", "$.params"))
+    return CapacityPoint(
+        kind=kind, replicas=count, p99_ttft_s=p_ttft,
+        attainment=report.slo_attainment(slo_ttft_s),
+        usd_per_mtok=report.usd_per_mtok,
+        meets_slo=p_ttft <= slo_ttft_s).to_dict()
 
 
 @point_runner("attest_tax")
@@ -190,6 +199,26 @@ def _check_kinds(kinds: tuple[str, ...]) -> tuple[str, ...]:
     return kinds
 
 
+@contextmanager
+def _grid_numbers():
+    """Re-raise a :mod:`repro.guards` refusal as a
+    :class:`~repro.state.errors.StateValueError`, so a grid with a bad
+    number fails when it is built, before any point runs."""
+    try:
+        yield
+    except ValueError as error:
+        raise StateValueError(str(error)) from None
+
+
+def _check_stream(num_requests: int, rate_rps: float, mean_prompt: int,
+                  mean_output: int) -> None:
+    """The generated request stream every point of a grid serves."""
+    guards.count("num_requests", num_requests, ge=1)
+    guards.finite("rate_rps", rate_rps, gt=0)
+    guards.count("mean_prompt", mean_prompt, ge=1)
+    guards.count("mean_output", mean_output, ge=1)
+
+
 def chaos_grid(kinds: tuple[str, ...] | None = None,
                mtbf_grid_s: tuple[float | None, ...] | None = None,
                num_requests: int = 36, rate_rps: float = 1.5,
@@ -210,6 +239,15 @@ def chaos_grid(kinds: tuple[str, ...] | None = None,
 
     kinds = _check_kinds(DEFAULT_KINDS if kinds is None else kinds)
     mtbf_grid_s = DEFAULT_MTBF_GRID_S if mtbf_grid_s is None else mtbf_grid_s
+    with _grid_numbers():
+        _check_stream(num_requests, rate_rps, mean_prompt, mean_output)
+        guards.count("replicas", replicas, ge=1)
+        guards.finite("slo_ttft_s", slo_ttft_s, gt=0)
+        guards.finite("timeout_s", timeout_s, gt=0)
+        guards.finite("horizon_s", horizon_s, gt=0)
+        for mtbf_s in mtbf_grid_s:
+            if mtbf_s is not None:
+                guards.finite("mtbf_s", mtbf_s, gt=0)
     points = []
     for kind in kinds:
         for mtbf_s in mtbf_grid_s:
@@ -246,12 +284,21 @@ def capacity_grid(kinds: tuple[str, ...] = ("tdx", "cgpu"),
     SLO binds; ``admission_lookahead`` and ``phased_boot`` (the kind's
     :func:`~repro.tee.boot.boot_profile`) configure the replicas.
 
-    ``prune_field="meets_slo"`` with ``group=kind`` reproduces
-    :func:`~repro.fleet.planner.capacity_plan`'s early stop: once a
-    fleet size meets the SLO, the kind's larger sizes are skipped —
-    including across a crash/resume boundary.
+    :func:`~repro.fleet.planner.capacity_sweep` is this grid run
+    inline, so these defaults are the sweep's, and ``max_replicas=6``
+    reproduces the ``golden.fleet_capacity`` snapshot.
+    ``prune_field="meets_slo"`` with ``group=kind`` is the curve's
+    early stop: once a fleet size meets the SLO, the kind's larger
+    sizes are skipped — including across a crash/resume boundary.
     """
     _check_kinds(kinds)
+    with _grid_numbers():
+        guards.count("max_replicas", max_replicas, ge=1)
+        guards.finite("slo_ttft_s", slo_ttft_s, gt=0)
+        guards.finite("percentile", percentile, ge=0, le=100)
+        guards.count("admission_lookahead", admission_lookahead, ge=0)
+        if arrivals is not None:
+            _check_stream(num_requests, rate_rps, mean_prompt, mean_output)
     if arrivals is None:
         stream: dict = {"trace": "capacity"}
     else:
@@ -276,6 +323,30 @@ def capacity_grid(kinds: tuple[str, ...] = ("tdx", "cgpu"),
                      point_timeout_s=point_timeout_s)
 
 
+def fold_capacity_rows(spec: SweepSpec, rows: dict[int, dict]) -> dict:
+    """Fold a :func:`capacity_grid` run into one
+    :class:`~repro.fleet.planner.CapacityPlan` per kind.
+
+    ``rows`` maps point index to row, as
+    :meth:`~repro.state.runner.SweepRunner.run` returns them inline or
+    journaled.  Every kind of the grid gets a plan, in grid order, with
+    its completed fleet sizes ascending; a kind whose points were all
+    quarantined gets an empty, unattainable one.
+    """
+    from ..fleet.planner import CapacityPlan, CapacityPoint
+
+    settings = {**_CAPACITY_IMPLICIT, **spec.points[0].params}
+    curves: dict[str, list[CapacityPoint]] = {}
+    for point in spec.points:
+        curve = curves.setdefault(point.params["kind"], [])
+        if point.index in rows:
+            curve.append(CapacityPoint(**rows[point.index]))
+    return {kind: CapacityPlan.from_points(kind, curve,
+                                           settings["slo_ttft_s"],
+                                           settings["percentile"])
+            for kind, curve in curves.items()}
+
+
 def attest_grid(kinds: tuple[str, ...] | None = None,
                 scenarios: tuple[str, ...] = ("capacity", "chaos"),
                 slo_ttft_s: float = 2.0,
@@ -289,6 +360,8 @@ def attest_grid(kinds: tuple[str, ...] | None = None,
     from ..tee.boot import TAX_FLEET_KINDS
 
     kinds = _check_kinds(TAX_FLEET_KINDS if kinds is None else kinds)
+    with _grid_numbers():
+        guards.finite("slo_ttft_s", slo_ttft_s, gt=0)
     points = []
     for scenario in scenarios:
         for kind in kinds:

@@ -299,12 +299,10 @@ TAX_ROW_FIELDS = ("kind", "scenario", "boot_s", "reattest_s",
                   "legacy_slo_attainment", "phased_slo_attainment")
 
 
-def boot_breakdown(kinds: tuple[str, ...] = TAX_TEE_KINDS,
-                   model: ModelConfig | None = None,
-                   dtype: DType | None = None) -> list[dict]:
-    """Per-phase boot seconds per TEE kind for one served model."""
-    model = model or _served_model("tdx")[0]
-    dtype = dtype or _served_model("tdx")[1]
+def boot_breakdown(kinds: tuple[str, ...] = TAX_TEE_KINDS) -> list[dict]:
+    """Per-phase boot seconds per TEE kind for the fleet's served model
+    (the TDX replica's)."""
+    model, dtype = _served_model("tdx")
     rows = []
     for kind in kinds:
         sequence = boot_profile(kind).sequence(model, dtype)

@@ -3,9 +3,9 @@
 A registry of named checks (``@check``) spanning four families:
 
 * **differential** — fast paths against reference twins (decode column
-  pass vs scalar loop, memoized vs cold caches, parallel vs serial sweeps,
-  analytical FLOPs vs the numpy reference transformer, closed forms vs
-  the functional TLB/EPC simulators),
+  pass vs scalar loop, memoized vs cold caches, analytical FLOPs vs the
+  numpy reference transformer, closed forms vs the functional TLB/EPC
+  simulators),
 * **metamorphic** — monotonicity and ordering invariants the cost model
   must satisfy everywhere (TEE never faster, cost non-decreasing in
   context/batch, scheduler/KV-block conservation),

@@ -1,13 +1,12 @@
 """Differential checks: independent code paths must agree.
 
-Every engine, cache and parallelism feature in the repository has a
-slower, simpler twin: the decode column pass has the scalar reference
-loop, memo caches have cold recomputation, process-pool sweeps
-have serial execution, the analytical FLOP/byte formulas have the numpy
-mini-Llama that actually executes the matmuls, and the closed-form
-TLB/EPC models have functional simulators.  These checks pin each pair
-together so an optimization can never silently drift from its ground
-truth.
+Every engine and cache feature in the repository has a slower, simpler
+twin: the decode column pass has the scalar reference loop, memo
+caches have cold recomputation, the analytical FLOP/byte formulas have
+the numpy mini-Llama that actually executes the matmuls, and the
+closed-form TLB/EPC models have functional simulators.  These checks
+pin each pair together so an optimization can never silently drift
+from its ground truth.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from ..engine.simulator import (
     _working_sets,
     simulate_generation,
 )
-from ..core.sweep import sweep_workload
 from ..llm.config import GPTJ_6B, LLAMA2_7B, LLAMA2_13B, LLAMA2_70B
 from ..llm.datatypes import BFLOAT16, INT8
 from ..llm.graph import decode_step_ops, prefill_ops
@@ -210,30 +208,6 @@ def stepcost_graph_parity(ctx: AuditContext) -> str:
                             deltas={"rel_err": abs(got - want) / want})
                     checked += 1
     return f"{checked} step costs bit-identical to full-graph costing"
-
-
-@check("sweep.parallel_serial_identity", family="differential",
-       layers=("core", "engine"))
-def parallel_serial_identity(ctx: AuditContext) -> str:
-    """Process-pool sweeps merge to bit-identical serial results."""
-    base = ctx.small_workload(input_tokens=32, output_tokens=8)
-    deployments = {"baremetal": ctx.cpu("baremetal"), "tdx": ctx.cpu("tdx")}
-    serial = sweep_workload("audit", base, deployments, "batch_size",
-                            [1, 2, 3], parallel=False)
-    pooled = sweep_workload("audit", base, deployments, "batch_size",
-                            [1, 2, 3], parallel=True, max_workers=2)
-    for value, outcome in serial.items():
-        twin = pooled[value]
-        for label, result in outcome.results.items():
-            other = twin.results[label]
-            if (result.prefill_s != other.prefill_s
-                    or not np.array_equal(result.decode_clean_s,
-                                          other.decode_clean_s)
-                    or not np.array_equal(result.decode_noisy_s,
-                                          other.decode_noisy_s)):
-                raise CheckFailure(
-                    f"parallel sweep differs at value={value} label={label}")
-    return "3-point sweep x 2 deployments bit-identical"
 
 
 @check("llm.prefill_flops_vs_reference", family="differential",

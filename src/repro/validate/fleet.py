@@ -74,7 +74,6 @@ from ..fleet import (
     fixed_fleet,
     poisson_table,
     replica_spec,
-    trace_replay,
 )
 from ..fleet.replica import BOOTING
 from ..llm.kvcache import PagedKVCache
@@ -1062,11 +1061,7 @@ CAPACITY_SLO_TTFT_S = 2.0
 @_golden("fleet_capacity", "Fleet capacity plan: replicas and $/Mtok at SLO",
          layers=("fleet", "serving", "cost"))
 def fleet_capacity(ctx: AuditContext) -> dict[str, float]:
-    requests = trace_replay(list(CAPACITY_TRACE))
-    specs = [replica_spec("tdx", max_batch=16, kv_capacity_tokens=65536),
-             replica_spec("cgpu", max_batch=16, kv_capacity_tokens=65536)]
-    plans = capacity_sweep(specs, requests, slo_ttft_s=CAPACITY_SLO_TTFT_S,
-                           max_replicas=6)
+    plans = capacity_sweep(max_replicas=6)
     series: dict[str, float] = {}
     for kind, plan in plans.items():
         if plan.replicas_needed is None:

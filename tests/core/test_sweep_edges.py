@@ -1,13 +1,11 @@
-"""Sweep edge cases, parallel execution, and cache accounting.
+"""Sweep edge cases and cache accounting.
 
 Covers the series extractors on unsorted/missing inputs, monotonicity
-tolerance boundaries, deterministic parallel sweep merging, and the
-simulator cache counters a sweep is expected to exercise.
+tolerance boundaries, and the simulator cache counters a sweep is
+expected to exercise.
 """
 
 import pytest
-
-import numpy as np
 
 from repro.core.experiment import cpu_deployment
 from repro.core.profiling import cache_stats
@@ -15,7 +13,6 @@ from repro.core.sweep import (
     is_monotonic,
     metric_series,
     overhead_series,
-    sweep_deployments,
     sweep_workload,
 )
 from repro.engine.placement import Workload
@@ -80,42 +77,6 @@ class TestIsMonotonic:
 
     def test_single_point_is_monotonic(self):
         assert is_monotonic({5: 1.0})
-
-
-class TestParallelSweep:
-    def test_parallel_matches_serial(self, deployments):
-        base = Workload(TINY, BFLOAT16, batch_size=1, input_tokens=64,
-                        output_tokens=8)
-        serial = sweep_workload("p", base, deployments, "batch_size",
-                                [1, 2, 4], seed=3)
-        parallel = sweep_workload("p", base, deployments, "batch_size",
-                                  [1, 2, 4], seed=3, parallel=True,
-                                  max_workers=2)
-        assert list(serial) == list(parallel)
-        for value in serial:
-            for label in deployments:
-                np.testing.assert_array_equal(
-                    serial[value].results[label].decode_noisy_s,
-                    parallel[value].results[label].decode_noisy_s)
-
-    def test_parallel_deployment_sweep(self):
-        workload = Workload(TINY, BFLOAT16, batch_size=2, input_tokens=64,
-                            output_tokens=8)
-
-        def make(cores):
-            return {
-                "baremetal": cpu_deployment("baremetal", sockets_used=1,
-                                            cores_per_socket_used=cores),
-                "tdx": cpu_deployment("tdx", sockets_used=1,
-                                      cores_per_socket_used=cores),
-            }
-
-        serial = sweep_deployments("cores", workload, make, [8, 16], seed=1)
-        parallel = sweep_deployments("cores", workload, make, [8, 16], seed=1,
-                                     parallel=True, max_workers=2)
-        for value in serial:
-            assert serial[value].results["tdx"].decode_time_s \
-                == parallel[value].results["tdx"].decode_time_s
 
 
 class TestSweepCacheAccounting:

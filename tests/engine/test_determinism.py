@@ -2,16 +2,15 @@
 
 The simulator must be a pure function of ``(workload, deployment,
 seed)``: repeated runs, ``simulate_generation`` vs the decode column
-pass it runs, cold vs memoized caches, serial vs process-pool sweeps,
-and the column pass vs the private scalar reference loop all have to
-produce bit-identical results.
+pass it runs, cold vs memoized caches, and the column pass vs the
+private scalar reference loop all have to produce bit-identical
+results.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.experiment import cpu_deployment, gpu_deployment
-from repro.core.sweep import sweep_workload
 from repro.engine.placement import Workload
 from repro.engine.roofline import cost_model_for
 from repro.engine.simulator import (
@@ -140,16 +139,3 @@ class TestChaosDeterminism:
         assert series == [(rid, k, twin.backoff_s(rid, k))
                           for rid in range(5) for k in range(1, 4)]
 
-
-def test_serial_and_parallel_sweeps_bit_identical():
-    deployments = {label: DEPLOYMENTS[label] for label in ("baremetal", "tdx")}
-    kwargs = dict(base=WORKLOAD, deployments=deployments,
-                  parameter="batch_size", values=[1, 2, 4], seed=9)
-    serial = sweep_workload("determinism-serial", parallel=False, **kwargs)
-    pooled = sweep_workload("determinism-parallel", parallel=True,
-                            max_workers=2, **kwargs)
-    assert list(serial) == list(pooled) == [1, 2, 4]
-    for value in serial:
-        for label in deployments:
-            assert _fingerprint(serial[value].results[label]) == \
-                _fingerprint(pooled[value].results[label])

@@ -7,12 +7,10 @@ from repro.fleet import (
     CostSloRouter,
     FleetSimulator,
     ReactiveAutoscaler,
-    capacity_plan,
     capacity_sweep,
     fixed_fleet,
     poisson_table,
     replica_spec,
-    trace_replay,
 )
 
 TDX = replica_spec("tdx", max_batch=16, kv_capacity_tokens=65536)
@@ -147,13 +145,11 @@ class TestHeterogeneousRouting:
         assert len(report.outcomes) == len(heavy)
 
 
-TRACE = trace_replay([(0.25 * i, 192 + (37 * i) % 160,
-                       48 + (13 * i) % 48) for i in range(60)])
-
-
 @pytest.fixture(scope="module")
 def capacity_plans():
-    return capacity_sweep([TDX, CGPU], TRACE, slo_ttft_s=2.0, max_replicas=6)
+    """The capacity grid's defaults: the pinned 60-request trace, a 2 s
+    p99 TTFT SLO, TDX and cGPU fleets of up to 6 replicas."""
+    return capacity_sweep(max_replicas=6)
 
 
 class TestCapacityPlanning:
@@ -165,8 +161,9 @@ class TestCapacityPlanning:
         assert plan.usd_per_mtok_at_slo > 0
 
     def test_infeasible_slo_returns_none(self):
-        short = list(TRACE)[:16]
-        plan = capacity_plan(TDX, short, slo_ttft_s=1e-6, max_replicas=2)
+        plan = capacity_sweep(kinds=("tdx",), slo_ttft_s=1e-6,
+                              max_replicas=2, arrivals="poisson",
+                              num_requests=16)["tdx"]
         assert plan.replicas_needed is None
         assert plan.usd_per_mtok_at_slo is None
         assert len(plan.points) == 2
@@ -179,9 +176,9 @@ class TestCapacityPlanning:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            capacity_plan(TDX, TRACE, slo_ttft_s=0.0)
+            capacity_sweep(slo_ttft_s=0.0)
         with pytest.raises(ValueError):
-            capacity_plan(TDX, TRACE, slo_ttft_s=1.0, max_replicas=0)
+            capacity_sweep(slo_ttft_s=1.0, max_replicas=0)
         with pytest.raises(ValueError):
             fixed_fleet(TDX, 0)
         with pytest.raises(ValueError):

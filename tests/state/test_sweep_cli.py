@@ -3,14 +3,17 @@
 Each CLI runs without ``--resume``, with it into a fresh run directory,
 and again on the finished directory (every row then comes back from the
 journal).  All three must print the same rows; the journaled runs add
-only their run-directory status line.
+only their run-directory status line.  A bad grid or ``--slo-ttft`` is
+refused with exit 2 before any point runs, journaled or not.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
+from repro.fleet import capacity_sweep
 from repro.state import (
     StateValueError,
     SweepRunner,
@@ -140,3 +143,84 @@ def test_default_capacity_grid_keeps_the_journaled_params():
     assert flagged.points[0].params == {
         "kind": "tdx", "replicas": 1, "slo_ttft_s": 2.0, "trace": "capacity",
         "percentile": 90, "admission_lookahead": 2, "phased_boot": True}
+
+
+def test_capacity_sweep_returns_the_cli_plans(tmp_path, capsys):
+    """``capacity_sweep()`` is the grid ``fleet.py sweep`` runs, folded
+    the same way, inline and journaled."""
+    plans = {kind: plan.to_dict()
+             for kind, plan in capacity_sweep(max_replicas=6).items()}
+    main = _cli("fleet").main
+    written = tmp_path / "plan.json"
+    for resume in ([], ["--resume", str(tmp_path / "run")]):
+        assert main(["sweep", "--json", str(written), *resume]) == 0
+        assert json.loads(written.read_text()) == plans
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("script, argv, field", [
+    ("fleet", ["sweep", "--percentile", "150"], "percentile"),
+    ("fleet", ["sweep", "--arrivals", "poisson", "--rate", "0"], "rate_rps"),
+    ("fleet", ["sweep", "--arrivals", "poisson", "--count", "0"],
+     "num_requests"),
+    ("chaos", ["sweep", "--requests", "0"], "num_requests"),
+    ("chaos", ["sweep", "--rate", "0"], "rate_rps"),
+    ("chaos", ["sweep", "--replicas", "0"], "replicas"),
+    ("chaos", ["sweep", "--timeout", "0"], "timeout_s"),
+    ("chaos", ["sweep", "--horizon", "0"], "horizon_s"),
+])
+def test_bad_grid_number_is_one_line_and_exit_2(script, argv, field,
+                                                tmp_path, capsys):
+    """Refused when the grid is built: nothing reaches stdout, and a
+    journaled run makes no run directory."""
+    run_dir = tmp_path / "run"
+    for resume in ([], ["--resume", str(run_dir)]):
+        assert _cli(script).main([*argv, *resume]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"{script}.py sweep: {field} must be ")
+        assert captured.err.count("\n") == 1
+    assert not run_dir.exists()
+
+
+@pytest.mark.parametrize("slo", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("script, argv", [
+    ("fleet", ["run"]),
+    ("fleet", ["autoscale"]),
+    ("fleet", ["sweep"]),
+    ("fleet", ["boot", "--tax"]),
+    ("chaos", ["run"]),
+    ("chaos", ["sweep", "--mtbf", "none", "--resume"]),
+], ids=["fleet-run", "fleet-autoscale", "fleet-sweep", "boot-tax",
+        "chaos-run", "chaos-sweep-resume"])
+def test_bad_slo_ttft_stops_at_argparse(script, argv, slo, tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    if argv[-1] == "--resume":
+        argv = [*argv, str(run_dir)]
+    with pytest.raises(SystemExit) as exit_info:
+        _cli(script).main([*argv, "--slo-ttft", slo])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --slo-ttft" in captured.err
+    assert "Traceback" not in captured.err
+    assert not run_dir.exists()
+
+
+def test_grids_refuse_bad_numbers():
+    cases = [
+        (capacity_grid, {"slo_ttft_s": 0.0}, "slo_ttft_s"),
+        (capacity_grid, {"percentile": -1}, "percentile"),
+        (capacity_grid, {"max_replicas": 0}, "max_replicas"),
+        (capacity_grid, {"admission_lookahead": -1}, "admission_lookahead"),
+        (capacity_grid, {"arrivals": "poisson", "mean_prompt": 0},
+         "mean_prompt"),
+        (chaos_grid, {"mean_output": 0}, "mean_output"),
+        (chaos_grid, {"slo_ttft_s": float("nan")}, "slo_ttft_s"),
+        (chaos_grid, {"mtbf_grid_s": (None, -6.0)}, "mtbf_s"),
+        (attest_grid, {"slo_ttft_s": True}, "slo_ttft_s"),
+    ]
+    for build, arguments, field in cases:
+        with pytest.raises(StateValueError, match=f"^{field} must be "):
+            build(**arguments)
+

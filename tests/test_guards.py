@@ -1,6 +1,8 @@
 """The boundary guards, and a fuzz of every public config they protect."""
 
+import argparse
 import dataclasses
+import functools
 import math
 from fractions import Fraction
 
@@ -22,6 +24,7 @@ from repro.faults import (
 from repro.fleet import (
     FleetSimulator,
     diurnal_table,
+    fixed_fleet,
     mmpp_table,
     poisson_table,
     replica_spec,
@@ -39,6 +42,7 @@ from repro.serving.scheduler import (
     poisson_stream,
 )
 from repro.serving.stepcost import StepCostTable
+from repro.state import attest_grid, capacity_grid, chaos_grid
 from repro.tee.boot import BootProfile, BootSequence, constant_profile
 from repro.tenancy import TenantSpec, partition_bill_cents, whale_mix
 
@@ -110,6 +114,20 @@ class TestWhole:
             guards.whole("w", value)
 
 
+class TestSecondsArg:
+    @pytest.mark.parametrize("text, value", [("2", 2.0), ("0.5", 0.5),
+                                             ("1e-3", 1e-3)])
+    def test_parses_positive_seconds(self, text, value):
+        assert guards.seconds_arg(text) == value
+
+    @pytest.mark.parametrize("text", ["0", "-1", "nan", "inf", "-inf",
+                                      "abc", ""])
+    def test_refuses_the_rest(self, text):
+        with pytest.raises(argparse.ArgumentTypeError,
+                           match="finite positive number of seconds"):
+            guards.seconds_arg(text)
+
+
 def test_guards_never_convert():
     # A coerced value would change config fingerprints and snapshots.
     assert type(RetryPolicy(max_attempts=np.int64(4)).max_attempts) is np.int64
@@ -135,6 +153,20 @@ def fields(build, *names, **base):
 
 def spec_with(**changes):
     return dataclasses.replace(TDX, **changes)
+
+
+def grid_fields(build, *names, **base):
+    """One boundary case per numeric argument of a sweep grid builder,
+    read back from its first point's params."""
+    return [(f"{build.__name__}.{name}",
+             lambda value, name=name: build(**{**base, name: value}),
+             lambda built, name=name: built.points[0].params[name])
+            for name in names]
+
+
+@functools.cache
+def small_report():
+    return fixed_fleet(TDX, 1).run(poisson_table(3, 1.0))
 
 
 #: (label, build(value), read(built) or None): read returns the stored
@@ -176,6 +208,20 @@ BOUNDARY = [
     *fields(Replica, "replica_id", "provisioned_s", "boot_latency_s",
             replica_id=0, spec=TDX, provisioned_s=0.0, boot_latency_s=0.0),
     *fields(CostSloRouter, "slo_ttft_s", "risk_factor", slo_ttft_s=2.0),
+    ("FleetReport.slo_attainment",
+     lambda value: small_report().slo_attainment(value), None),
+    *grid_fields(capacity_grid, "slo_ttft_s", "percentile", "num_requests",
+                 "rate_rps", "mean_prompt", "mean_output", kinds=("tdx",),
+                 max_replicas=1, arrivals="poisson"),
+    ("capacity_grid.max_replicas",
+     lambda value: capacity_grid(kinds=("tdx",), max_replicas=value), None),
+    *grid_fields(chaos_grid, "num_requests", "rate_rps", "mean_prompt",
+                 "mean_output", "replicas", "slo_ttft_s", "timeout_s",
+                 "horizon_s", kinds=("tdx",)),
+    ("chaos_grid.mtbf_grid_s",
+     lambda value: chaos_grid(kinds=("tdx",), mtbf_grid_s=(value,)),
+     lambda built: built.points[0].params["mtbf_s"]),
+    *grid_fields(attest_grid, "slo_ttft_s", kinds=("tdx",)),
     *fields(FleetSimulator, "tick_s", specs=[TDX]),
     ("poisson_table.count", lambda value: poisson_table(value, 1.0), None),
     ("poisson_table.rate_per_s", lambda value: poisson_table(3, value), None),
@@ -242,6 +288,16 @@ BOUNDARY = [
          TDX.deployment, LLAMA2_7B, BFLOAT16).decode_step_s(value, 1024),
      None),
 ]
+
+
+@pytest.mark.parametrize("slo", [math.nan, math.inf, True, 0, -1.0])
+def test_slo_attainment_refuses_a_bad_slo(slo):
+    """Once, NaN read as 0% attainment, inf as 100% and True as a 1 s
+    SLO."""
+    with pytest.raises(ValueError, match="slo_ttft_s must be finite"):
+        small_report().slo_attainment(slo)
+    with pytest.raises(ValueError, match="slo_ttft_s must be finite"):
+        small_report().slo_curve([1.0, slo])
 
 
 @settings(max_examples=2 * len(BOUNDARY) * len(PROBES), deadline=None,
