@@ -245,16 +245,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _add_workload_args(p: argparse.ArgumentParser, requests: int,
-                       rate: float, replicas: int) -> None:
-    p.add_argument("--requests", type=int, default=requests)
-    p.add_argument("--rate", type=float, default=rate)
-    p.add_argument("--mean-prompt", type=int, default=128)
-    p.add_argument("--mean-output", type=int, default=64)
-    p.add_argument("--replicas", type=int, default=replicas)
-    p.add_argument("--seed", type=int, default=7)
+                       rate: float, replicas: int, grid: bool = False) -> None:
+    # A grid checks its own numbers when it is built, naming the grid
+    # field; ``run`` refuses them at argparse.
+    positive = float if grid else guards.number_arg(gt=0)
+    whole = int if grid else guards.count_arg(ge=1)
+    natural = int if grid else guards.count_arg(ge=0)
+    p.add_argument("--requests", type=whole, default=requests)
+    p.add_argument("--rate", type=positive, default=rate)
+    p.add_argument("--mean-prompt", type=whole, default=128)
+    p.add_argument("--mean-output", type=whole, default=64)
+    p.add_argument("--replicas", type=whole, default=replicas)
+    p.add_argument("--seed", type=natural, default=7)
     p.add_argument("--slo-ttft", type=guards.seconds_arg, default=2.0)
-    p.add_argument("--timeout", type=float, default=20.0)
-    p.add_argument("--horizon", type=float, default=40.0)
+    p.add_argument("--timeout", type=positive, default=20.0)
+    p.add_argument("--horizon", type=positive, default=40.0)
     p.add_argument("--json", type=Path, default=None)
 
 
@@ -265,7 +270,7 @@ def main(argv: list[str] | None = None) -> int:
 
     run = sub.add_parser("run", help="one chaos run against one fleet")
     run.add_argument("--kind", default="tdx")
-    run.add_argument("--mtbf", type=float, default=None,
+    run.add_argument("--mtbf", type=guards.number_arg(gt=0), default=None,
                      help="arm a hazard-rate schedule at this MTBF (s)")
     for kind in ("crash", "hang", "slowdown", "boot-failure",
                  "attestation-failure", "link-degrade"):
@@ -273,7 +278,8 @@ def main(argv: list[str] | None = None) -> int:
                          dest=kind.replace("-", "_"),
                          help=f"inject a {kind} (time:replica[:dur[:fac]])")
     run.add_argument("--degrade", choices=("shed", "spill"), default=None)
-    run.add_argument("--max-hold", type=float, default=20.0)
+    run.add_argument("--max-hold", type=guards.number_arg(gt=0),
+                     default=20.0)
     run.add_argument("--spill-kind", default="cgpu")
     run.add_argument("--timeline", action="store_true",
                      help="print the applied-fault timeline")
@@ -281,7 +287,8 @@ def main(argv: list[str] | None = None) -> int:
                      help="arm the kind's phased confidential boot profile "
                           "(crash recovery and attestation failures pay "
                           "the re-attestation remainder)")
-    run.add_argument("--max-attempts", type=int, default=4)
+    run.add_argument("--max-attempts", type=guards.count_arg(ge=1),
+                     default=4)
     _add_workload_args(run, requests=40, rate=4.0, replicas=2)
     run.set_defaults(func=cmd_run)
 
@@ -305,7 +312,7 @@ def main(argv: list[str] | None = None) -> int:
                        help="with --resume: watchdog wall-clock budget per "
                             "point attempt (retry + quarantine on breach)")
     sweep.set_defaults(func=cmd_sweep)
-    _add_workload_args(sweep, requests=36, rate=1.5, replicas=1)
+    _add_workload_args(sweep, requests=36, rate=1.5, replicas=1, grid=True)
 
     args = parser.parse_args(argv)
     return args.func(args)

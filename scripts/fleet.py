@@ -49,6 +49,7 @@ from repro.fleet import (  # noqa: E402
     FleetSimulator,
     ROUTER_KINDS,
     ReactiveAutoscaler,
+    ReplicaSpec,
     make_arrival_table,
     make_router,
     replica_spec,
@@ -306,23 +307,29 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, default_arrivals: str | None):
+    def add_common(p: argparse.ArgumentParser, default_arrivals: str | None,
+                   grid: bool = False):
+        # A grid checks its own numbers when it is built, naming the
+        # grid field; every other command refuses them at argparse.
+        positive = float if grid else guards.number_arg(gt=0)
+        natural = int if grid else guards.count_arg(ge=0)
+        whole = int if grid else guards.count_arg(ge=1)
         p.add_argument("--arrivals", choices=ARRIVAL_KINDS,
                        default=default_arrivals,
                        help="arrival process (sweep default: committed trace)")
-        p.add_argument("--rate", type=float, default=4.0,
+        p.add_argument("--rate", type=positive, default=4.0,
                        help="arrival rate (req/s; MMPP calm rate)")
-        p.add_argument("--count", type=int, default=80,
+        p.add_argument("--count", type=whole, default=80,
                        help="number of requests")
-        p.add_argument("--mean-prompt", type=int, default=256)
-        p.add_argument("--mean-output", type=int, default=64)
-        p.add_argument("--seed", type=int, default=11)
+        p.add_argument("--mean-prompt", type=whole, default=256)
+        p.add_argument("--mean-output", type=whole, default=64)
+        p.add_argument("--seed", type=natural, default=11)
         p.add_argument("--slo-ttft", type=guards.seconds_arg,
                        default=CAPACITY_SLO_TTFT_S,
                        help="TTFT SLO in seconds")
         p.add_argument("--json", type=Path, default=None,
                        help="also write the report/plan as JSON")
-        p.add_argument("--admission-lookahead", type=int, default=0,
+        p.add_argument("--admission-lookahead", type=natural, default=0,
                        help="scheduler head-of-line lookahead window "
                             "(0 = strict head-of-line blocking)")
         p.add_argument("--phased-boot", action="store_true",
@@ -333,20 +340,25 @@ def main(argv: list[str] | None = None) -> int:
     run_p = sub.add_parser("run", help="simulate a fixed fleet")
     run_p.add_argument("--kind", action="append", default=None,
                        help="replica kind (repeatable for mixed fleets)")
-    run_p.add_argument("--replicas", type=int, default=2,
+    run_p.add_argument("--replicas", type=guards.count_arg(ge=1), default=2,
                        help="replicas per kind")
     add_common(run_p, "poisson")
     run_p.set_defaults(func=cmd_run)
 
     auto_p = sub.add_parser("autoscale", help="simulate a reactive fleet")
     auto_p.add_argument("--kind", action="append", default=None)
-    auto_p.add_argument("--replicas", type=int, default=1,
+    auto_p.add_argument("--replicas", type=guards.count_arg(ge=1), default=1,
                         help="initial (and minimum) replicas")
-    auto_p.add_argument("--max-replicas", type=int, default=6)
-    auto_p.add_argument("--scale-up-load", type=float, default=4.0)
-    auto_p.add_argument("--scale-down-load", type=float, default=0.5)
-    auto_p.add_argument("--cooldown", type=float, default=10.0)
-    auto_p.add_argument("--boot-latency", type=float, default=15.0)
+    auto_p.add_argument("--max-replicas", type=guards.count_arg(ge=1),
+                        default=6)
+    auto_p.add_argument("--scale-up-load", type=guards.number_arg(),
+                        default=4.0)
+    auto_p.add_argument("--scale-down-load", type=guards.number_arg(),
+                        default=0.5)
+    auto_p.add_argument("--cooldown", type=guards.number_arg(ge=0),
+                        default=10.0)
+    auto_p.add_argument("--boot-latency", type=guards.number_arg(ge=0),
+                        default=15.0)
     add_common(auto_p, "mmpp")
     auto_p.set_defaults(func=cmd_autoscale)
     for p in (run_p, auto_p):
@@ -368,30 +380,35 @@ def main(argv: list[str] | None = None) -> int:
                          metavar="WALL_S",
                          help="with --resume: watchdog wall-clock budget "
                               "per point attempt")
-    add_common(sweep_p, None)
+    add_common(sweep_p, None, grid=True)
     sweep_p.set_defaults(func=cmd_sweep)
 
     ten_p = sub.add_parser(
         "tenants", help="simulate a multi-tenant fleet (whale mix)")
     ten_p.add_argument("--kind", action="append", default=None,
                        help="replica kind")
-    ten_p.add_argument("--replicas", type=int, default=2)
-    ten_p.add_argument("--count", type=int, default=120,
+    ten_p.add_argument("--replicas", type=guards.count_arg(ge=1), default=2)
+    ten_p.add_argument("--count", type=guards.count_arg(ge=20), default=120,
                        help="total requests across the tenant mix")
-    ten_p.add_argument("--rate", type=float, default=6.0,
+    ten_p.add_argument("--rate", type=guards.number_arg(gt=0), default=6.0,
                        help="aggregate arrival rate (req/s)")
-    ten_p.add_argument("--seed", type=int, default=0)
+    ten_p.add_argument("--seed", type=guards.count_arg(ge=0), default=0)
     ten_p.add_argument("--admission", choices=ADMISSION_POLICIES,
                        default="wfq")
     ten_p.add_argument("--kv-isolation", choices=KV_ISOLATION_MODES,
                        default="shared")
-    ten_p.add_argument("--prefix-tokens", type=int, default=64,
+    ten_p.add_argument("--prefix-tokens", type=guards.count_arg(ge=0),
+                       default=64,
                        help="shared prompt prefix for the whale and mid "
                             "tenants (shared-prefix isolation)")
-    ten_p.add_argument("--max-batch", type=int, default=8)
-    ten_p.add_argument("--kv-capacity", type=int, default=16384,
-                       help="KV pool per replica (tokens)")
-    ten_p.add_argument("--admission-lookahead", type=int, default=0)
+    ten_p.add_argument("--max-batch", type=guards.count_arg(ge=1), default=8)
+    ten_p.add_argument("--kv-capacity",
+                       type=guards.count_arg(ge=ReplicaSpec.block_size),
+                       default=16384,
+                       help="KV pool per replica (tokens, at least one "
+                            "KV block)")
+    ten_p.add_argument("--admission-lookahead", type=guards.count_arg(ge=0),
+                       default=0)
     ten_p.add_argument("--inflation", action="store_true",
                        help="also run each tenant solo and report "
                             "noisy-neighbor p99-TTFT inflation")

@@ -774,13 +774,33 @@ class FleetSimulator:
                     for row in due:
                         state.held_since.setdefault(row, now)
             else:
-                # Outside the try: a submit error (a request that can
-                # never fit the KV pool) must propagate, not hold.
+                # The router plans every pick before any submit; then
+                # each picked replica takes its rows in one call, in
+                # due order.  Outside the try: a submit error (a request
+                # that can never fit the KV pool) must propagate, not
+                # hold.
                 busy = self._busy
-                for row, replica in zip(due, picks):
-                    replica.submit(row)
+                if len(due) == 1:
+                    # Unpacking runs the picks to their end: cheaper
+                    # than closing a suspended generator.
+                    [replica] = picks
+                    replica.submit_rows(due)
                     busy.add(replica.replica_id)
-                    if state is not None:
+                    picks = (replica,)
+                else:
+                    picks = list(picks)
+                    batches: dict[Replica, list[int]] = {}
+                    for row, replica in zip(due, picks):
+                        rows = batches.get(replica)
+                        if rows is None:
+                            batches[replica] = [row]
+                        else:
+                            rows.append(row)
+                    for replica, rows in batches.items():
+                        replica.submit_rows(rows)
+                        busy.add(replica.replica_id)
+                if state is not None:
+                    for row, replica in zip(due, picks):
                         state.held_since.pop(row, None)
                         made = state.attempts.get(row, 0) + 1
                         state.attempts[row] = made

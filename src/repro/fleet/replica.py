@@ -12,6 +12,7 @@ time is paid for, exactly like a real cloud instance.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .. import guards
@@ -400,14 +401,22 @@ class Replica:
 
     def submit(self, row: int) -> None:
         """Route one row of the run's table to this instance."""
+        self.submit_rows((row,))
+
+    def submit_rows(self, rows: Sequence[int]) -> None:
+        """Route rows of the run's table to this instance, in order
+        (see :meth:`ContinuousBatchingScheduler.submit_rows`).
+
+        Raises:
+            ValueError: If the instance is not routable, or the
+                scheduler refuses a row (the rows before it stay
+                queued, but the batch is not counted as routed).
+        """
         if not self.routable:
             raise ValueError(
                 f"replica {self.replica_id} is {self.state}, not routable")
-        # An idle replica whose clock lags the arrival would otherwise
-        # admit in the past; the scheduler's idle-jump handles it, but
-        # never let a booting clock precede readiness.
-        self.scheduler.submit(row)
-        self.requests_routed += 1
+        self.scheduler.submit_rows(rows)
+        self.requests_routed += len(rows)
 
     def step(self, until_s: float) -> list[int]:
         """Advance the replica's scheduler to the shared-clock horizon.

@@ -12,18 +12,22 @@ under SLO risk (Figs. 12-13 turned into a routing policy).
 
 The fleet routes a tick's due requests in one call,
 :meth:`Router.assign`: it raises ``ValueError`` at call time when no
-replica is routable, then yields one replica per prompt, and the
-caller submits to each yielded replica before asking for the next.
-Between two picks of one tick the only state change is that submit,
-which raises the chosen replica's ``outstanding`` by exactly one and
-changes neither routability nor free KV blocks (blocks are allocated
-at admission, inside ``step``).  So the least-outstanding, KV-pressure
-and cost/SLO policies keep a heap of each routable replica's key and
-bump the winner's count per pick, with the same tie-break on replica
-id; their ``choose`` is a one-prompt ``assign``.  The base ``assign``
-calls ``choose`` per prompt, the first at call time, which round-robin
-keeps.  A tick with no due requests makes no router call, so
-``assign`` takes at least one prompt.
+replica is routable, then yields one replica per prompt.  The caller
+takes every pick before it submits any row, then hands each picked
+replica its rows in one ``Replica.submit_rows`` call.  So a policy
+plans all of a tick's picks from the fleet as it was at call time plus
+its own earlier picks, and must come out as if each pick had been
+submitted before the next was made.  Such a submit raises the chosen
+replica's ``outstanding`` by exactly one and its queued prefill by the
+row's, and changes neither routability nor free KV blocks (blocks are
+allocated at admission, inside ``step``).  So the least-outstanding,
+KV-pressure and cost/SLO policies keep a heap of each routable
+replica's key and bump the winner's count per pick, with the same
+tie-break on replica id; their ``choose`` is a one-prompt ``assign``.
+The base ``assign`` calls ``choose`` per prompt, the first at call
+time, which round-robin keeps: it reads no load.  A tick with no due
+requests makes no router call, so ``assign`` takes at least one
+prompt.
 
 The cost/SLO heap is keyed by price, then outstanding.  A pick walks
 it in that order and stops at the first replica whose TTFT estimate
@@ -31,7 +35,10 @@ clears the budget, which is the cheapest safe replica; only when every
 replica is at risk does it read them all.  An estimate is O(1) in
 queue depth: each scheduler keeps its queued prefill as an exact
 running total, so routing stays flat under backlog (see
-``ContinuousBatchingScheduler.estimated_ttft_s``).
+``ContinuousBatchingScheduler.estimated_ttft_s``).  The router adds
+the prefill of its own picks earlier in the call to that total as
+exact integer units, so each estimate is bit-identical to the one
+taken after submitting them.
 
 The load heap lives across ticks.  Before routing, the fleet tells the
 router (:meth:`Router._note_moved`) which replicas' keys may have moved
@@ -71,9 +78,11 @@ class Router:
                now: float) -> Iterator[Replica]:
         """One replica per prompt, for a tick's due requests in order.
 
-        ``prompts`` must hold at least one prompt.  The caller must
-        submit each request to its yielded replica before asking for
-        the next pick.
+        ``prompts`` must hold at least one prompt.  The picks are
+        planned from the replicas as they are at call time plus this
+        call's earlier picks, as if each pick had been submitted before
+        the next; the caller takes every pick before it submits any
+        row.
 
         Raises:
             ValueError: At call time, if no replica is routable.
@@ -310,11 +319,24 @@ class CostSloRouter(_LoadHeapRouter):
         order, so the first safe one is the cheapest safe replica, and
         a pick that finds none has popped, and estimated, every
         routable replica exactly once.  The winner takes one more
-        outstanding request, and every popped entry goes back.
+        outstanding request, and every popped entry goes back.  Each
+        estimate counts the prefill units of this call's earlier picks
+        of that replica; a pick is folded into them only when another
+        pick is asked for.  Routable replicas are live, so each is
+        estimated by its scheduler directly (a booting replica's lead
+        never applies).
         """
         heap, current = self._heap, self._current
         budget = self.slo_ttft_s * self.risk_factor
+        #: Replica id -> prefill units picked for it earlier this call.
+        pending: dict[int, int] = {}
+        chosen = None
         for prompt_tokens in prompts:
+            if chosen is not None:
+                # Another pick: fold the previous one into its units.
+                pending[chosen[2]] = (
+                    pending.get(chosen[2], 0)
+                    + chosen[4].scheduler.prefill_units(chosen_tokens))
             popped = []
             least = None
             while heap:
@@ -322,7 +344,12 @@ class CostSloRouter(_LoadHeapRouter):
                 if current[entry[2]] is not entry:
                     continue  # replaced by a re-key: drop it
                 popped.append(entry)
-                estimate = entry[4].estimated_ttft_s(prompt_tokens, now)
+                if pending:  # else the estimate's cached division
+                    estimate = entry[4].scheduler.estimated_ttft_s(
+                        prompt_tokens, now, pending.get(entry[2], 0))
+                else:
+                    estimate = entry[4].scheduler.estimated_ttft_s(
+                        prompt_tokens, now)
                 if estimate <= budget:
                     chosen = entry
                     break
@@ -334,13 +361,14 @@ class CostSloRouter(_LoadHeapRouter):
             chosen[1] += 1
             for entry in popped:
                 heappush(heap, entry)
+            chosen_tokens = prompt_tokens
             yield chosen[4]
 
 
 def _pop_least(heap: list[list], current: dict[int, list],
                prompts: Iterable[int]) -> Iterator[Replica]:
     """Yield the heap's least current replica per prompt, counting each
-    pick: a submit changes only ``outstanding``, so the winner's entry
+    pick: its submit changes only ``outstanding``, so the winner's entry
     takes one more and sinks back into place.  Entries that are no
     longer current are dropped as they surface."""
     for _ in prompts:

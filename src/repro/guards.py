@@ -11,8 +11,10 @@ functions, and the hot paths behind the constructor trust it:
 * :func:`whole` -- a request-row integer: an integer, or a finite float
   with no fraction (a ``16.0``-token prompt is a 16-token prompt).
 
-The command lines parse ``--slo-ttft`` with :func:`seconds_arg`, the
-``argparse`` form of ``finite(gt=0)``.
+The command lines parse their numbers with the ``argparse`` forms of
+these checks: :func:`seconds_arg` (``finite(gt=0)``, for ``--slo-ttft``),
+:func:`number_arg` and :func:`count_arg`.  A refused value stops at
+argparse, which prints one usage error naming the flag and exits 2.
 
 Finiteness comes before any bound because NaN passes every plain
 comparison (``nan < 0`` and ``nan >= 0`` are both False), so a guard
@@ -28,11 +30,12 @@ from __future__ import annotations
 
 import argparse
 import math
+from collections.abc import Callable
 from numbers import Integral, Real
 
 
-def _fail(name: str, kind: str, value: object, gt: Real | None = None,
-          ge: Real | None = None, le: Real | None = None) -> None:
+def _wanted(kind: str, gt: Real | None = None, ge: Real | None = None,
+            le: Real | None = None) -> str:
     wanted = [kind]
     if gt is not None:
         wanted.append("positive" if gt == 0 else f"> {gt}")
@@ -40,7 +43,13 @@ def _fail(name: str, kind: str, value: object, gt: Real | None = None,
         wanted.append(f">= {ge}")
     if le is not None:
         wanted.append(f"<= {le}")
-    raise ValueError(f"{name} must be {' and '.join(wanted)}, got {value!r}")
+    return " and ".join(wanted)
+
+
+def _fail(name: str, kind: str, value: object, gt: Real | None = None,
+          ge: Real | None = None, le: Real | None = None) -> None:
+    raise ValueError(
+        f"{name} must be {_wanted(kind, gt, ge, le)}, got {value!r}")
 
 
 def _in_bounds(value: Real, gt: Real | None, ge: Real | None,
@@ -73,6 +82,19 @@ def whole(name: str, value: object) -> None:
         _fail(name, "a finite whole number", value)
 
 
+def _parse(text: str, convert: Callable[[str], Real],
+           check: Callable[[Real], None], wanted: str) -> Real:
+    """``convert(text)`` if ``check`` accepts it, else the
+    ``argparse.ArgumentTypeError`` argparse prints as a usage error."""
+    try:
+        value = convert(text)
+        check(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not {wanted}") from None
+    return value
+
+
 def seconds_arg(text: str) -> float:
     """An ``argparse`` ``type``: a finite number of seconds > 0.
 
@@ -80,10 +102,26 @@ def seconds_arg(text: str) -> float:
     prints as one usage error naming the flag, exiting 2 before the
     command runs.
     """
-    try:
-        value = float(text)
-        finite("seconds", value, gt=0)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is not a finite positive number of seconds") from None
-    return value
+    return _parse(text, float, lambda value: finite("seconds", value, gt=0),
+                  "a finite positive number of seconds")
+
+
+def number_arg(*, gt: Real | None = None, ge: Real | None = None,
+               le: Real | None = None) -> Callable[[str], float]:
+    """An ``argparse`` ``type`` parsing a float that :func:`finite`
+    accepts within the given bounds (refused as :func:`seconds_arg`
+    refuses)."""
+    wanted = _wanted("finite", gt, ge, le)
+    return lambda text: _parse(
+        text, float, lambda value: finite("value", value, gt=gt, ge=ge,
+                                          le=le), wanted)
+
+
+def count_arg(*, ge: Real | None = None,
+              le: Real | None = None) -> Callable[[str], int]:
+    """An ``argparse`` ``type`` parsing an integer that :func:`count`
+    accepts within the given bounds (refused as :func:`seconds_arg`
+    refuses)."""
+    wanted = _wanted("an integer", ge=ge, le=le)
+    return lambda text: _parse(
+        text, int, lambda value: count("value", value, ge=ge, le=le), wanted)

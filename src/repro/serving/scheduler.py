@@ -76,8 +76,9 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import insort
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from itertools import islice
 from typing import TYPE_CHECKING
 
@@ -404,9 +405,13 @@ class ContinuousBatchingScheduler:
         # sequences whose next token crosses a block edge at steps
         # ``s % block_size == r``; ``_finish_at[s]`` lists, in batch
         # order, the sequences whose last token is decoded at step s.
+        # ``_finish_steps`` is a heap holding every key of
+        # ``_finish_at``, plus keys a withdrawal emptied, which are
+        # dropped when they surface.
         self._steps = 0
         self._res_count = [0] * self.block_size
         self._finish_at: dict[int, list[int]] = {}
+        self._finish_steps: list[int] = []
         self._free_blocks = self.num_blocks
         self._ctx_total = 0               # sum(prompt + generated) over batch
         self._clock = 0.0
@@ -630,51 +635,83 @@ class ContinuousBatchingScheduler:
         return bytearray(fits.astype(np.uint8).tobytes())
 
     def submit(self, row: int) -> None:
-        """Enqueue one row of the bound table for service.
+        """Enqueue one row of the bound table for service: a one-row
+        :meth:`submit_rows`."""
+        self.submit_rows((row,))
 
-        Resets the row's outcome values, so a resubmitted request
-        reports its final attempt.
+    def submit_rows(self, rows: Iterable[int]) -> None:
+        """Enqueue rows of the bound table for service, in order.
+
+        Leaves the scheduler exactly as calling :meth:`submit` on each
+        row in turn would: each entry is placed where ``insort(...,
+        lo=_head)`` puts it on the queue as it then is (appended when
+        it sorts at or after the tail of a queue known to be sorted),
+        and under WFQ each row's tag chains on its tenant's previous
+        one.  Resets each row's outcome values, so a resubmitted
+        request reports its final attempt.
 
         Raises:
-            ValueError: If the request cannot ever fit the KV pool or is
-                already in flight or finished.
+            ValueError: At the first row that cannot ever fit the KV
+                pool or is already in flight or finished (an earlier
+                row of ``rows`` included).  The rows before it stay
+                queued, as the per-row submits before a refused one
+                would have left them.
         """
-        if not self._admissible[row]:
-            self._check_fits(row)
+        admissible = self._admissible
         status = self._status
-        if status[row]:
-            raise ValueError(f"request {self._ids[row]} already submitted")
-        status[row] = _IN_FLIGHT
-        self._first[row] = 0.0
-        self._finish[row] = 0.0
-        self._preempt[row] = 0
-        arrival = self._arrival[row]
-        entry: tuple = (arrival, row)
-        if self._wfq:
-            # SCFQ tag: chain on the tenant's previous virtual finish,
-            # floored at the global virtual clock.
-            tenant_id = self._tenant[row]
-            start = max(self._wfq_fin.get(tenant_id, 0.0), self._wfq_v)
-            tag = start + ((self._prompt[row] + self._output[row])
-                           / self.tenancy.weight_of(tenant_id))
-            self._wfq_fin[tenant_id] = tag
-            self._wfq_tag[row] = tag
-            entry = (tag, arrival, row)
-            self._wfq_enqueued(arrival)
+        first = self._first
+        finish = self._finish
+        preempt = self._preempt
+        arrivals = self._arrival
+        units = self._row_units
         waiting = self._waiting
-        if not waiting:
-            waiting.append(entry)
-            self._sorted = True
-        elif self._sorted and entry >= waiting[-1]:
-            waiting.append(entry)
-        else:
-            # lo=_head probes the same midpoints as insort on the
-            # logical queue, so placement matches even when an FCFS
-            # preemption has left the queue unsorted.
-            insort(waiting, entry, lo=self._head)
-        self._queued_units += self._row_units[row]
-        if self._first_arrival is None or arrival < self._first_arrival:
-            self._first_arrival = arrival
+        wfq = self._wfq
+        ordered = self._sorted
+        queued = self._queued_units
+        earliest = self._first_arrival
+        try:
+            for row in rows:
+                if not admissible[row]:
+                    self._check_fits(row)
+                if status[row]:
+                    raise ValueError(
+                        f"request {self._ids[row]} already submitted")
+                status[row] = _IN_FLIGHT
+                first[row] = 0.0
+                finish[row] = 0.0
+                preempt[row] = 0
+                arrival = arrivals[row]
+                if wfq:
+                    # SCFQ tag: chain on the tenant's previous virtual
+                    # finish, floored at the global virtual clock.
+                    tenant_id = self._tenant[row]
+                    start = max(self._wfq_fin.get(tenant_id, 0.0),
+                                self._wfq_v)
+                    tag = start + ((self._prompt[row] + self._output[row])
+                                   / self.tenancy.weight_of(tenant_id))
+                    self._wfq_fin[tenant_id] = tag
+                    self._wfq_tag[row] = tag
+                    entry: tuple = (tag, arrival, row)
+                    self._wfq_enqueued(arrival)
+                else:
+                    entry = (arrival, row)
+                if not waiting:
+                    waiting.append(entry)
+                    ordered = True
+                elif ordered and entry >= waiting[-1]:
+                    waiting.append(entry)
+                else:
+                    # lo=_head probes the same midpoints as insort on
+                    # the logical queue, so placement matches even when
+                    # an FCFS preemption has left the queue unsorted.
+                    insort(waiting, entry, lo=self._head)
+                queued += units[row]
+                if earliest is None or arrival < earliest:
+                    earliest = arrival
+        finally:
+            self._sorted = ordered
+            self._queued_units = queued
+            self._first_arrival = earliest
 
     def _wfq_enqueued(self, arrival: float) -> None:
         """Fold an arrival about to enter the WFQ queue into the cached
@@ -755,6 +792,7 @@ class ContinuousBatchingScheduler:
         for row in list(self._running):
             evacuated.append((row, self._drop_running(row)))
         self._waiting.clear()
+        self._finish_steps.clear()
         self._sorted = True
         self._queued_units = 0
         self._wfq_next = None
@@ -782,8 +820,8 @@ class ContinuousBatchingScheduler:
         return generated
 
     def _reindex(self) -> None:
-        """Rebuild the residue and finish-step index from the batch, in
-        place (:meth:`step` holds both for the whole call)."""
+        """Rebuild the residue and finish-step indexes from the batch,
+        in place (:meth:`step` holds all three for the whole call)."""
         block_size = self.block_size
         res_count = self._res_count
         res_count[:] = [0] * block_size
@@ -792,8 +830,12 @@ class ContinuousBatchingScheduler:
         for row, (_, output, kvlen, start) in self._running.items():
             res_count[(start - kvlen) % block_size] += 1
             finish_at.setdefault(start + output - 1, []).append(row)
+        finish_steps = self._finish_steps
+        finish_steps[:] = finish_at
+        heapify(finish_steps)
 
-    def estimated_ttft_s(self, prompt_tokens: int, now: float) -> float:
+    def estimated_ttft_s(self, prompt_tokens: int, now: float,
+                         pending_units: int = 0) -> float:
         """Deterministic TTFT estimate for a ``prompt_tokens`` request
         routed here now.
 
@@ -803,19 +845,39 @@ class ContinuousBatchingScheduler:
         TTFT SLO.  An underestimate under decode contention, but
         monotone in queue depth, which is what routing needs.
 
+        ``pending_units`` is prefill, in 2**-1074 s units
+        (:meth:`prefill_units`), that the caller has routed here but
+        not yet submitted; the estimate equals the one taken after
+        submitting it.
+
         O(1) in queue depth: the queued prefill is the scheduler's exact
         running total (in 2**-1074 s units), divided out once per change
         with one correctly rounded int division.  It is therefore the
         ``math.fsum`` of the queue's prefills, not a left-to-right
         ``sum`` (the two can differ in the last place).
         """
-        units = self._queued_units
-        if units is not self._queued_at:
-            self._queued_at = units
-            self._queued_s = units / _UNITS_PER_S
-        backlog = max(0.0, self._clock - now)
-        backlog += self._scaled(self._queued_s)
-        return backlog + self._scaled(self._costs.prefill_s(prompt_tokens))
+        if pending_units:
+            queued_s = (self._queued_units + pending_units) / _UNITS_PER_S
+        else:
+            units = self._queued_units
+            if units is not self._queued_at:
+                self._queued_at = units
+                self._queued_s = units / _UNITS_PER_S
+            queued_s = self._queued_s
+        prefill_s = self._costs.prefill_s(prompt_tokens)
+        # ``_scaled`` inlined: the nominal path performs no float op.
+        scale = self._time_scale
+        if scale != 1.0:
+            queued_s *= scale
+            prefill_s *= scale
+        lead = self._clock - now  # max(0.0, lead), without the call
+        backlog = (lead if lead > 0.0 else 0.0) + queued_s
+        return backlog + prefill_s
+
+    def prefill_units(self, prompt_tokens: int) -> int:
+        """A ``prompt_tokens`` prefill here in 2**-1074 s units: what a
+        submitted row of that length adds to the queued prefill."""
+        return self._costs.prefill_units(prompt_tokens)
 
     @property
     def prefix_hits(self) -> int:
@@ -901,7 +963,12 @@ class ContinuousBatchingScheduler:
         if need > free:
             return self._decode_exact()
         batch = len(self._running)
-        last = min(self._finish_at)
+        finish_steps = self._finish_steps
+        finish_at = self._finish_at
+        last = finish_steps[0]
+        while last not in finish_at:
+            heappop(finish_steps)  # emptied by a withdrawal
+            last = finish_steps[0]
         # Every step adds one token per sequence, so step ``j`` of the
         # run has mean context ``(C + j * batch) // batch == base + j``
         # for ``C = _ctx_total``.  Floor division equals the per-step
@@ -951,7 +1018,8 @@ class ContinuousBatchingScheduler:
             self._free_blocks = free
             self._ctx_total = ctx_total
             return []
-        finished = self._finish_at.pop(last)
+        finished = finish_at.pop(last)
+        heappop(finish_steps)  # ``last``, still the least
         # A finishing sequence has generated exactly its output.
         running = self._running
         finish = self._finish
@@ -1107,6 +1175,7 @@ class ContinuousBatchingScheduler:
         horizon = math.inf if until_s is None else until_s
         wfq = self._wfq
         take = self._take
+        shared = take is ContinuousBatchingScheduler._take_shared
         lookahead = self.admission_lookahead
         block_size = self.block_size
         prefill = self._prefill
@@ -1116,6 +1185,7 @@ class ContinuousBatchingScheduler:
         first = self._first
         res_count = self._res_count
         finish_at = self._finish_at
+        finish_steps = self._finish_steps
         scale = self._time_scale
         while waiting or running:
             if self._clock >= horizon:
@@ -1147,7 +1217,16 @@ class ContinuousBatchingScheduler:
                     if index < 0:
                         break
                     row = waiting[index][-1]
-                    kvlen = take(self, row)
+                    if shared:
+                        # ``_take_shared`` inlined: the prompt's blocks.
+                        kvlen = prompts[row]
+                        needed = -(-kvlen // block_size)
+                        if needed > self._free_blocks:
+                            kvlen = None
+                        else:
+                            self._free_blocks -= needed
+                    else:
+                        kvlen = take(self, row)
                     scanned = 0
                     while kvlen is None:
                         # Head-of-line blocking: scan a bounded window
@@ -1188,7 +1267,13 @@ class ContinuousBatchingScheduler:
                     running[row] = (prompt, output, kvlen, start)
                     ctx_total += prompt
                     res_count[(start - kvlen) % block_size] += 1
-                    finish_at.setdefault(start + output - 1, []).append(row)
+                    last = start + output - 1
+                    pending = finish_at.get(last)
+                    if pending is None:
+                        finish_at[last] = [row]
+                        heappush(finish_steps, last)
+                    else:
+                        pending.append(row)
                     if wfq:
                         tag = self._wfq_tag[row]
                         if tag > self._wfq_v:

@@ -113,6 +113,7 @@ class StepCostTable:
         self._step_cache: dict[tuple[int, int], float] = {}
         self._decode_tiles: dict[tuple[int, int], list[float]] = {}
         self._prefill_cache: dict[int, float] = {}
+        self._units_cache: dict[int, int] = {}
 
     @classmethod
     def shared(cls, deployment: Deployment, model: ModelConfig,
@@ -204,18 +205,23 @@ class StepCostTable:
                 self._prefill_column([prompt_tokens])[0]
         return cached
 
-    def _units_of(self, prompt_tokens: int) -> int:
-        """:meth:`prefill_s` as an exact whole number of 2**-1074 s."""
-        return _units(self.prefill_s(prompt_tokens))
+    def prefill_units(self, prompt_tokens: int) -> int:
+        """:meth:`prefill_s` as an exact whole number of 2**-1074 s,
+        memoized per length (the conversion is a big-int product)."""
+        units = self._units_cache.get(prompt_tokens)
+        if units is None:
+            units = self._units_cache[prompt_tokens] = _units(
+                self.prefill_s(prompt_tokens))
+        return units
 
     def row_prefill(self, prompts: np.ndarray) -> tuple[array, list[int]]:
         """Each row's prefill, for a column of prompt lengths.
 
         Returns the seconds as an ``array('d')`` and the same durations
-        in units of 2**-1074 s as a list (rows of one length share one
-        int object).  Every length not yet cached is costed in one
-        array pass and cached, so each value is bit-identical to
-        :meth:`prefill_s`.
+        in units of 2**-1074 s as a list (rows of one length share the
+        :meth:`prefill_units` memo's int object).  Every length not yet
+        cached is costed in one array pass and cached, so each value is
+        bit-identical to :meth:`prefill_s`.
         """
         lengths = np.asarray(prompts, dtype=np.int64).tolist()
         distinct = dict.fromkeys(lengths)
@@ -223,7 +229,7 @@ class StepCostTable:
         missing = [length for length in distinct if length not in cache]
         if missing:
             cache.update(zip(missing, self._prefill_column(missing)))
-        units = {length: _units(cache[length]) for length in distinct}
+        units = {length: self.prefill_units(length) for length in distinct}
         return (array("d", [cache[length] for length in lengths]),
                 [units[length] for length in lengths])
 

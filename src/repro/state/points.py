@@ -199,6 +199,16 @@ def _check_kinds(kinds: tuple[str, ...]) -> tuple[str, ...]:
     return kinds
 
 
+def _check_arrivals(arrivals: str | None) -> None:
+    """Refuse a grid naming an unknown arrival process before any point
+    runs (``None``: the pinned trace)."""
+    from ..fleet.arrivals import ARRIVAL_KINDS
+
+    if arrivals is not None and arrivals not in ARRIVAL_KINDS:
+        raise StateValueError(f"unknown arrival process {arrivals!r}; "
+                              f"expected one of {ARRIVAL_KINDS}")
+
+
 @contextmanager
 def _grid_numbers():
     """Re-raise a :mod:`repro.guards` refusal as a
@@ -292,6 +302,7 @@ def capacity_grid(kinds: tuple[str, ...] = ("tdx", "cgpu"),
     sizes are skipped — including across a crash/resume boundary.
     """
     _check_kinds(kinds)
+    _check_arrivals(arrivals)
     with _grid_numbers():
         guards.count("max_replicas", max_replicas, ge=1)
         guards.finite("slo_ttft_s", slo_ttft_s, gt=0)

@@ -69,7 +69,6 @@ from ..fleet import (
     LeastOutstandingRouter,
     ReactiveAutoscaler,
     RequestTable,
-    Router,
     capacity_sweep,
     fixed_fleet,
     poisson_table,
@@ -663,35 +662,68 @@ def jump_parity(ctx: AuditContext) -> str:
             f"steps with a jump's")
 
 
-class _ScanLeastOutstanding(LeastOutstandingRouter):
+class _Rescan:
+    """Routing reference that rescans the fleet per request.
+
+    Within one :meth:`assign` call nothing is submitted until every
+    pick is taken, so each rescan adds this call's earlier picks to
+    what the replicas report: ``_picked[id]`` lists the prompts picked
+    for replica ``id`` so far.  ``choose`` is a one-prompt ``assign``,
+    so it starts from no picks.
+    """
+
+    def assign(self, prompts, replicas, now):
+        self._picked: dict[int, list[int]] = {}
+        prompts = iter(prompts)
+        # Made now, so that an unroutable fleet raises at call time.
+        first = self._pick(next(prompts), replicas, now)
+        return self._pick_each(first, prompts, replicas, now)
+
+    def _pick_each(self, first, prompts, replicas, now):
+        yield first
+        for prompt_tokens in prompts:
+            yield self._pick(prompt_tokens, replicas, now)
+
+    def _pick(self, prompt_tokens, replicas, now):
+        chosen = self._rescan(prompt_tokens, replicas, now)
+        self._picked.setdefault(chosen.replica_id, []).append(prompt_tokens)
+        return chosen
+
+    def _outstanding(self, replica) -> int:
+        """Live outstanding plus this call's picks of ``replica``."""
+        return replica.outstanding + len(self._picked.get(replica.replica_id,
+                                                          ()))
+
+
+class _ScanLeastOutstanding(_Rescan, LeastOutstandingRouter):
     """Least-outstanding as a full rescan per request (the reference)."""
 
-    assign = Router.assign
-
-    def choose(self, prompt_tokens, replicas, now):
+    def _rescan(self, prompt_tokens, replicas, now):
         return min(self._routable(replicas),
-                   key=lambda r: (r.outstanding, r.replica_id))
+                   key=lambda r: (self._outstanding(r), r.replica_id))
 
 
-class _ScanKvPressure(KvPressureRouter):
+class _ScanKvPressure(_Rescan, KvPressureRouter):
     """KV pressure as a full rescan per request (the reference)."""
 
-    assign = Router.assign
-
-    def choose(self, prompt_tokens, replicas, now):
+    def _rescan(self, prompt_tokens, replicas, now):
         return min(self._routable(replicas),
-                   key=lambda r: (-r.kv_free_fraction, r.outstanding,
+                   key=lambda r: (-r.kv_free_fraction, self._outstanding(r),
                                   r.replica_id))
 
 
-def _scan_ttft_s(replica, prompt_tokens: int, now: float) -> float:
+def _scan_ttft_s(replica, prompt_tokens: int, now: float,
+                 picked: list[int] = ()) -> float:
     """``Replica.estimated_ttft_s`` with the queued prefill rescanned:
-    the ``math.fsum`` of ``prefill_s`` over the waiting queue."""
+    the ``math.fsum`` of ``prefill_s`` over the waiting queue and the
+    ``picked`` prompts routed there but not yet submitted."""
     scheduler = replica.scheduler
     prefill_s = scheduler._costs.prefill_s
     prompts = scheduler._prompt
-    queued = math.fsum(prefill_s(prompts[entry[-1]]) for entry
-                       in islice(scheduler._waiting, scheduler._head, None))
+    queued = math.fsum([
+        *(prefill_s(prompts[entry[-1]]) for entry
+          in islice(scheduler._waiting, scheduler._head, None)),
+        *map(prefill_s, picked)])
     estimate = max(0.0, scheduler.clock_s - now)
     estimate += scheduler._scaled(queued)
     estimate += scheduler._scaled(prefill_s(prompt_tokens))
@@ -700,25 +732,28 @@ def _scan_ttft_s(replica, prompt_tokens: int, now: float) -> float:
     return estimate
 
 
-class _ScanCostSlo(CostSloRouter):
+class _ScanCostSlo(_Rescan, CostSloRouter):
     """Cost/SLO routing whose every TTFT estimate rescans the replica's
-    waiting queue (the reference); counts its all-at-risk picks."""
+    waiting queue and this call's picks (the reference); counts its
+    all-at-risk picks."""
 
-    assign = Router.assign
     at_risk = 0
 
-    def choose(self, prompt_tokens, replicas, now):
+    def _rescan(self, prompt_tokens, replicas, now):
         candidates = self._routable(replicas)
         budget = self.slo_ttft_s * self.risk_factor
-        safe = [r for r in candidates
-                if _scan_ttft_s(r, prompt_tokens, now) <= budget]
+
+        def estimate(replica) -> float:
+            return _scan_ttft_s(replica, prompt_tokens, now,
+                                self._picked.get(replica.replica_id, ()))
+
+        safe = [r for r in candidates if estimate(r) <= budget]
         if safe:
-            return min(safe, key=lambda r: (r.spec.price_hr, r.outstanding,
+            return min(safe, key=lambda r: (r.spec.price_hr,
+                                            self._outstanding(r),
                                             r.replica_id))
         self.at_risk += 1
-        return min(candidates,
-                   key=lambda r: (_scan_ttft_s(r, prompt_tokens, now),
-                                  r.replica_id))
+        return min(candidates, key=lambda r: (estimate(r), r.replica_id))
 
 
 #: Label prefix of the cost/SLO routing regimes: both tiers must serve

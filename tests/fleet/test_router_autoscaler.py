@@ -169,17 +169,18 @@ class TestAssign:
                             min_size=1, max_size=4),
            k=st.integers(1, 50))
     def test_assign_matches_choose_per_request(self, layout, prompts, k):
+        """Every pick is taken before any submit, as the fleet does;
+        the reference submits each pick before choosing the next."""
         if all(booting for booting, _, _, _ in layout):
             layout[0] = (False,) + layout[0][1:]
         for name, (policy, reference) in ASSIGN_CASES.items():
             replicas, first, prompt_of = loaded_fleet(layout, prompts)
             rows = range(first, first + k)
-            picks = policy().assign([prompt_of[row] for row in rows],
-                                    replicas, 0.0)
-            got = []
+            picks = list(policy().assign([prompt_of[row] for row in rows],
+                                         replicas, 0.0))
             for row, replica in zip(rows, picks):
                 replica.submit(row)
-                got.append(replica.replica_id)
+            got = [replica.replica_id for replica in picks]
             replicas, first, prompt_of = loaded_fleet(layout, prompts)
             choose = reference()
             want = []
@@ -234,28 +235,28 @@ class TestAssign:
 
 
 def routed(router, replicas, prompts, first_row=0):
-    """Route ``prompts`` as one tick, submitting each pick's row; the
-    picked replica ids."""
-    picks = []
-    for row, replica in enumerate(router.assign(prompts, replicas, 0.0),
-                                  start=first_row):
+    """Route ``prompts`` as one tick: take every pick, then submit each
+    pick's row; the picked replica ids."""
+    picks = list(router.assign(prompts, replicas, 0.0))
+    for row, replica in enumerate(picks, start=first_row):
         replica.submit(row)
-        picks.append(replica.replica_id)
-    return picks
+    return [replica.replica_id for replica in picks]
 
 
 def count_estimates(replicas):
-    """Wrap each replica's TTFT estimate; the per-replica call counts."""
+    """Wrap each replica's scheduler TTFT estimate (the router reads
+    routable replicas' schedulers); the per-replica call counts."""
     counts = {replica.replica_id: 0 for replica in replicas}
     for replica in replicas:
-        estimate = replica.estimated_ttft_s
+        scheduler = replica.scheduler
+        estimate = scheduler.estimated_ttft_s
 
-        def counted(prompt_tokens, now, estimate=estimate,
+        def counted(prompt_tokens, now, pending_units=0, estimate=estimate,
                     replica_id=replica.replica_id):
             counts[replica_id] += 1
-            return estimate(prompt_tokens, now)
+            return estimate(prompt_tokens, now, pending_units)
 
-        replica.estimated_ttft_s = counted
+        scheduler.estimated_ttft_s = counted
     return counts
 
 
@@ -298,6 +299,26 @@ class TestCostSloWalk:
         # The idle cGPUs tie on estimate: id 1 first, then id 2 (whose
         # estimate is now the lower), then id 1 again.
         assert routed(router, replicas, [1024] * 3) == [1, 2, 1]
+
+    def test_own_picks_count_toward_the_estimate(self):
+        """Nothing is submitted until every pick is taken, so each TTFT
+        estimate adds this call's earlier picks of that replica: a TDX
+        replica holds two 1024-token prefills inside the budget, the
+        third spills to the cGPU, as if each pick had been submitted."""
+        stream = [request(i, prompt=1024) for i in range(6)]
+        replicas = live_replicas(TDX, TDX, CGPU, stream=stream)
+        prefill = replicas[0].estimated_ttft_s(1024, 0.0)
+        router = CostSloRouter(slo_ttft_s=4.0)
+        assert 2 * prefill <= 0.8 * 4.0 < 3 * prefill
+        assert routed(router, replicas, [1024] * 6) == [0, 1, 0, 1, 2, 2]
+        replicas = live_replicas(TDX, TDX, CGPU, stream=stream)
+        choose = CostSloRouter(slo_ttft_s=4.0).choose
+        want = []
+        for row in range(6):
+            replica = choose(1024, replicas, 0.0)
+            replica.submit(row)
+            want.append(replica.replica_id)
+        assert want == [0, 1, 0, 1, 2, 2]
 
     def test_cancel_rekeys_the_replica_for_the_next_pick(self):
         replicas = live_replicas(TDX, TDX, stream=[

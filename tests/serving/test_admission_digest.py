@@ -48,7 +48,8 @@ def _serve(population, at_arrival, policy, lookahead, pool, max_batch):
     # Every tenant's shared prefix may stay pinned, so a request is
     # served only if it fits beside all of them under every policy.
     # (Under shared-prefix isolation such a request would preempt
-    # itself forever; see ROADMAP item 7.)
+    # itself forever, so ``_check_fits`` and ``_fits_column`` refuse
+    # it at submit.)
     block = scheduler.block_size
     pinned = sum(-(-tokens // block) for _, tokens in
                  population.tenancy_config().prefix_tokens)

@@ -85,7 +85,7 @@ def test_column_equals_one_length_calls(lengths, case):
     single = _table(*case)
     assert [value.hex() for value in column] == [
         single.prefill_s(length).hex() for length in lengths]
-    assert units == [single._units_of(length) for length in lengths]
+    assert units == [single.prefill_units(length) for length in lengths]
 
 
 def test_column_fills_the_cache_once():

@@ -8,7 +8,8 @@ These tests drive random submit/step/cancel/evacuate sequences under
 every admission x KV-isolation policy, on pools tight enough to
 preempt, and after every action compare the total against a rebuild
 from the logical queue and the estimate against a ``math.fsum``
-rescan of the queue's prefills.
+rescan of the queue's prefills, also with prefill a router has picked
+but not yet submitted (``pending_units``).
 """
 
 import json
@@ -66,14 +67,19 @@ def _check_total(scheduler) -> None:
     prompts = scheduler._prompt
     queue = _queue(scheduler)
     assert scheduler._queued_units == sum(
-        costs._units_of(prompts[row]) for row in queue)
-    queued_s = math.fsum(costs.prefill_s(prompts[row]) for row in queue)
+        costs.prefill_units(prompts[row]) for row in queue)
+    queued = [costs.prefill_s(prompts[row]) for row in queue]
     for prompt_tokens, lead in ((512, 1.0), (1800, -0.5)):
         now = scheduler.clock_s - lead
-        expected = max(0.0, scheduler.clock_s - now)
-        expected += scheduler._scaled(queued_s)
-        expected += scheduler._scaled(costs.prefill_s(prompt_tokens))
-        assert scheduler.estimated_ttft_s(prompt_tokens, now) == expected
+        # Prefill routed here but not yet submitted counts as queued.
+        for pending in ((), (700,), (33, 2047, 33)):
+            expected = max(0.0, scheduler.clock_s - now)
+            expected += scheduler._scaled(math.fsum(
+                queued + [costs.prefill_s(tokens) for tokens in pending]))
+            expected += scheduler._scaled(costs.prefill_s(prompt_tokens))
+            units = sum(map(scheduler.prefill_units, pending))
+            assert scheduler.estimated_ttft_s(prompt_tokens, now,
+                                              units) == expected
 
 
 def _round_trip(scheduler, policy, pool, max_batch, lookahead, time_scale):

@@ -9,6 +9,8 @@ entry sorts at or after the tail of a queue known to be sorted appends
 instead of bisecting.  These tests pin each column to the per-row rule
 and each submit's placement to ``insort(..., lo=_head)``, through
 random submits, FCFS preemptions, WFQ re-entries and snapshot/restore.
+A batch submitted in one ``submit_rows`` call leaves the scheduler
+bit-identical to submitting its rows one by one, refusals included.
 """
 
 import json
@@ -59,7 +61,7 @@ def test_row_prefill_is_prefill_s_bit_for_bit():
     assert len(scheduler._prefill) == len(scheduler._row_units) == len(TABLE)
     for row, prompt in enumerate(prompts):
         assert scheduler._prefill[row].hex() == costs.prefill_s(prompt).hex()
-        assert scheduler._row_units[row] == costs._units_of(prompt)
+        assert scheduler._row_units[row] == costs.prefill_units(prompt)
 
 
 def test_columns_are_shared_per_cost_table_and_geometry():
@@ -272,3 +274,172 @@ def test_submit_refuses_masked_rows_with_todays_messages():
     else:
         raise AssertionError("row 1 was not refused")
     assert np.frombuffer(scheduler.outcomes.status, dtype=np.uint8)[1] == 0
+
+
+# -- batched submission -------------------------------------------------------
+
+def _submit_state(scheduler) -> tuple:
+    """Everything a submit writes: queue placement, sortedness, the
+    queued-prefill total, the first arrival, WFQ tags and the cached
+    earliest WFQ arrival, and the row's status and outcome resets."""
+    outcomes = scheduler.outcomes
+    return (list(scheduler._waiting), scheduler._head, scheduler._sorted,
+            scheduler._queued_units, scheduler._first_arrival,
+            dict(scheduler._wfq_tag), dict(scheduler._wfq_fin),
+            scheduler._wfq_next, bytes(outcomes.status),
+            bytes(outcomes.first_token_s), bytes(outcomes.finish_s),
+            bytes(outcomes.preemptions))
+
+
+class _Twins:
+    """Two schedulers driven alike, except that one takes each batch in
+    one ``submit_rows`` call and the other row by row."""
+
+    def __init__(self, policy, pool, max_batch, lookahead) -> None:
+        self.config = (policy, pool, max_batch, lookahead)
+        self.batched = _scheduler(_policy(policy), pool, max_batch,
+                                  lookahead)
+        self.single = _scheduler(_policy(policy), pool, max_batch,
+                                 lookahead)
+        self.batched.bind(TABLE)
+        self.single.bind(TABLE)
+
+    def submit(self, rows: list[int]) -> None:
+        """Submit ``rows``, dropping the ones the single twin refuses
+        (``submit_rows`` raises at the first refusal)."""
+        accepted = []
+        for row in rows:
+            try:
+                self.single.submit(row)
+            except ValueError:
+                continue
+            accepted.append(row)
+        self.batched.submit_rows(accepted)
+        self.check()
+
+    def apply(self, name: str, *args) -> None:
+        for scheduler in (self.batched, self.single):
+            getattr(scheduler, name)(*args)
+        self.check()
+
+    def restore(self) -> None:
+        self.batched = _restored(self.batched, *self.config)
+        self.single = _restored(self.single, *self.config)
+        self.check()
+
+    def check(self) -> None:
+        assert _submit_state(self.batched) == _submit_state(self.single)
+
+
+BATCH_ACTIONS = st.lists(
+    st.one_of(
+        st.tuples(st.just("submit"), st.integers(1, 8)),
+        st.tuples(st.just("late"), st.lists(st.integers(0, 59), min_size=1,
+                                            max_size=4)),
+        st.tuples(st.just("step"), st.floats(0.0, 3.0)),
+        st.tuples(st.just("cancel"), st.integers(0, 30)),
+        st.tuples(st.just("snapshot"), st.just(0)),
+    ),
+    min_size=1, max_size=40)
+
+
+@settings(max_examples=80, deadline=None)
+@given(actions=BATCH_ACTIONS,
+       policy=st.sampled_from(POLICIES),
+       pool=st.sampled_from((1536, 4096)),
+       max_batch=st.sampled_from((2, 8)),
+       lookahead=st.sampled_from((0, 3)))
+def test_submit_rows_equals_per_row_submits(actions, policy, pool,
+                                            max_batch, lookahead):
+    """Batches of arrivals, of late rows out of arrival order and of
+    resubmitted cancelled rows (whose outcomes must be reset) leave both
+    twins bit-identical, through steps, preemptions and restores."""
+    twins = _Twins(policy, pool, max_batch, lookahead)
+    cursor = 0
+    submitted: list[int] = []
+    for action, value in actions:
+        if action == "submit":
+            batch = ORDER[cursor:cursor + value]
+            cursor += value
+        elif action == "late":
+            status = twins.single.outcomes.status
+            batch = list(dict.fromkeys(ORDER[index] for index in value
+                                       if not status[ORDER[index]]))
+        elif action == "step":
+            twins.apply("step", twins.single.clock_s + value)
+            continue
+        elif action == "cancel":
+            if submitted:
+                twins.apply("cancel", submitted[value % len(submitted)])
+            continue
+        else:
+            twins.restore()
+            continue
+        twins.submit(batch)
+        submitted += batch
+    twins.apply("step", None)
+    assert twins.batched.idle
+
+
+def test_submit_rows_into_an_unsorted_fcfs_queue():
+    """After a preempted later arrival re-enters at the head, the FCFS
+    queue is unsorted and a batch bisects row by row, as per-row
+    submits do; also after a restore of the unsorted queue."""
+    unsorted_batches = 0
+    for pool in (1536, 2048):
+        for max_batch in (2, 4, 8):
+            twins = _Twins(("fcfs", "shared"), pool, max_batch, 3)
+            for start in range(0, len(ORDER), 3):
+                batch = ORDER[start:start + 3]
+                twins.apply("step", float(TABLE.arrival_s[batch[0]]))
+                unsorted = not twins.single._sorted
+                unsorted_batches += unsorted
+                twins.submit(batch)
+                if unsorted and unsorted_batches < 4:
+                    twins.restore()
+            twins.apply("step", None)
+    assert unsorted_batches > 0
+
+
+def _refusal(scheduler, rows) -> str:
+    try:
+        scheduler.submit_rows(rows)
+    except ValueError as error:
+        return str(error)
+    raise AssertionError(f"{rows} were not refused")
+
+
+def test_refused_row_in_a_batch_raises_as_submit_does():
+    """A batch raises the per-row ``submit`` error at its first refused
+    row: one that can never fit, one already submitted, or one listed
+    twice in the batch.  The rows before it stay queued exactly as
+    per-row submits leave them; the rows after it are untouched."""
+    table = RequestTable(request_id=[10, 11, 12, 13],
+                         arrival_s=[0.0, 0.1, 0.2, 0.3],
+                         prompt_tokens=[100, 1000, 50, 60],
+                         output_tokens=[10, 100, 5, 6])
+    cases = {  # rows, index of the refused one, error
+        "never fits": ([0, 1, 2], 1,
+                       "request 11 needs 1100 KV tokens, pool holds 1024"),
+        "already submitted": ([3, 2, 0], 2, "request 10 already submitted"),
+        "twice in the batch": ([0, 2, 0, 3], 2,
+                               "request 10 already submitted"),
+    }
+    for name, (rows, refused, message) in cases.items():
+        batched, single = _scheduler(pool=1024), _scheduler(pool=1024)
+        batched.bind(table)
+        single.bind(table)
+        before = [0] if name == "already submitted" else []
+        for row in before:
+            batched.submit(row)
+            single.submit(row)
+        assert _refusal(batched, rows) == message, name
+        for row in rows[:refused]:
+            single.submit(row)
+        assert _refusal(single, rows[refused:refused + 1]) == message, name
+        assert _submit_state(batched) == _submit_state(single), name
+        queued = {entry[-1] for entry in _queue(batched)}
+        assert queued == set(before + rows[:refused]), name
+        untouched = [row for row in rows[refused + 1:] if row not in queued]
+        assert not any(batched.outcomes.status[row] for row in untouched), \
+            name

@@ -4,7 +4,8 @@ Each CLI runs without ``--resume``, with it into a fresh run directory,
 and again on the finished directory (every row then comes back from the
 journal).  All three must print the same rows; the journaled runs add
 only their run-directory status line.  A bad grid or ``--slo-ttft`` is
-refused with exit 2 before any point runs, journaled or not.
+refused with exit 2 before any point runs, journaled or not, and so is
+a bad number on the commands that run no grid.
 """
 
 import importlib.util
@@ -116,6 +117,37 @@ def test_grids_refuse_unknown_kinds():
     for build in (capacity_grid, chaos_grid, attest_grid):
         with pytest.raises(StateValueError, match="unknown replica kind"):
             build(kinds=("tdx", "nope"))
+
+
+def test_capacity_grid_refuses_unknown_arrivals():
+    with pytest.raises(StateValueError,
+                       match="unknown arrival process 'nope'"):
+        capacity_grid(arrivals="nope")
+
+
+@pytest.mark.parametrize("script, argv", [
+    ("fleet", ["run", "--rate", "0"]),
+    ("fleet", ["run", "--count", "2.5"]),
+    ("fleet", ["run", "--replicas", "0"]),
+    ("fleet", ["autoscale", "--cooldown", "-1"]),
+    ("fleet", ["autoscale", "--max-replicas", "0"]),
+    ("fleet", ["tenants", "--rate", "nan"]),
+    ("fleet", ["tenants", "--kv-capacity", "8"]),
+    ("chaos", ["run", "--timeout", "0"]),
+    ("chaos", ["run", "--mtbf", "-5"]),
+    ("chaos", ["run", "--max-attempts", "0"]),
+    ("chaos", ["run", "--requests", "0"]),
+])
+def test_bad_run_number_stops_at_argparse(script, argv, capsys):
+    """Commands that run no grid refuse a bad number at argparse: one
+    usage error naming the flag, exit 2, no traceback."""
+    with pytest.raises(SystemExit) as exit_info:
+        _cli(script).main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {argv[1]}: {argv[2]!r} is not " in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_chaos_sweep_rejects_max_attempts():

@@ -128,6 +128,35 @@ class TestSecondsArg:
             guards.seconds_arg(text)
 
 
+class TestNumberArgs:
+    @pytest.mark.parametrize("parse, text, value", [
+        (guards.number_arg(gt=0), "4", 4.0),
+        (guards.number_arg(ge=0), "0", 0.0),
+        (guards.number_arg(), "-2.5", -2.5),
+        (guards.count_arg(ge=1), "3", 3),
+        (guards.count_arg(ge=0), "0", 0),
+    ])
+    def test_parses_what_the_guard_accepts(self, parse, text, value):
+        parsed = parse(text)
+        assert parsed == value and type(parsed) is type(value)
+
+    @pytest.mark.parametrize("parse, text, message", [
+        (guards.number_arg(gt=0), "0", "'0' is not finite and positive"),
+        (guards.number_arg(ge=0), "-1", "'-1' is not finite and >= 0"),
+        (guards.number_arg(), "nan", "'nan' is not finite"),
+        (guards.number_arg(), "inf", "'inf' is not finite"),
+        (guards.number_arg(gt=0), "abc", "'abc' is not finite and positive"),
+        (guards.count_arg(ge=1), "0", "'0' is not an integer and >= 1"),
+        (guards.count_arg(ge=1), "2.5", "'2.5' is not an integer and >= 1"),
+        (guards.count_arg(ge=0, le=9), "10",
+         "'10' is not an integer and >= 0 and <= 9"),
+    ])
+    def test_refuses_the_rest(self, parse, text, message):
+        with pytest.raises(argparse.ArgumentTypeError) as error:
+            parse(text)
+        assert str(error.value) == message
+
+
 def test_guards_never_convert():
     # A coerced value would change config fingerprints and snapshots.
     assert type(RetryPolicy(max_attempts=np.int64(4)).max_attempts) is np.int64
